@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -65,7 +66,7 @@ from .sim import (
     _trial_task_frame,
     make_scenario,
     run_episode,
-    scripted_expert,
+    scripted_expert,  # noqa: F401  benchmarks/spans.py traces it under this name
 )
 from .executor import ExecutorConfig, LatencyConfig, PredictedState
 
@@ -245,8 +246,9 @@ class DiffusionReplayPolicy:
     """Policy adapter around a trained checkpoint.
 
     Samples one 11-D action row at a time (the condition includes the
-    previous row), chaining horizon rows into a chunk. Sampling is seeded
-    from the observation timestamp so repeated runs are deterministic.
+    previous row), chaining horizon rows into a chunk. Each chunk's sampler
+    is seeded from [seed, 0xD1, number of earlier calls], so repeated runs
+    are deterministic.
     """
 
     def __init__(self, checkpoint_path, horizon: int = DEFAULT_HORIZON, seed: int = 0):
@@ -274,9 +276,8 @@ class DiffusionReplayPolicy:
 def _make_policy(cfg: dict, scenario, trial_seed: int, task_frame):
     source = cfg["policy"]
     if source == "replay":
-        expert = scripted_expert(scenario, seed=trial_seed)
         return ExpertReplayPolicy(
-            expert, task_frame=task_frame, label_frame=cfg["label"]
+            scenario.script, task_frame=task_frame, label_frame=cfg["label"]
         )
     if source == "cruise":
         return CruisePolicy()
@@ -288,6 +289,11 @@ def cmd_simulate(cfg: dict) -> RunManifest:
         raise UsageError(
             f"unknown scenario {cfg['scenario']!r}; choose from {', '.join(SCENARIO_NAMES)}"
         )
+    if cfg["trials"] < 1:
+        raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
+    for flag in ("latency_ms", "jitter_ms"):
+        if not (math.isfinite(cfg[flag]) and cfg[flag] >= 0):
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite and >= 0, got {cfg[flag]}")
     scenario = make_scenario(cfg["scenario"])
     plant_cfg = PlantConfig(kinematic=cfg["kinematic"])
     cond = Condition(

@@ -33,10 +33,6 @@ class PredictedState:
     hand_rot: np.ndarray
     grip: float
 
-    @staticmethod
-    def make(base: Pose2, hand_rel: Pose3, grip: float) -> "PredictedState":
-        return PredictedState(base, hand_rel.translation, hand_rel.rotation, grip)
-
     @property
     def hand_rel(self) -> Pose3:
         return Pose3(self.hand_rot, self.hand_pos)
@@ -191,12 +187,17 @@ def splice(plan: ChunkPlan, i_star: int) -> tuple[list[Waypoint], bool]:
 
 @dataclass
 class LatencyConfig:
-    """End-to-end latency budget: observation age, planning, command dispatch [s]."""
+    """End-to-end latency budget: observation age, planning, command dispatch [s].
+
+    jitter_std is the total-latency jitter. Each plan draws N(0, jitter_std / 3)
+    once for d_in and once for d_net; each draw is clipped at 0, so jitter
+    only ever adds latency. d_exe gets no jitter.
+    """
 
     d_in: float = 0.033
     d_net: float = 0.087
     d_exe: float = 0.022
-    jitter_std: float = 0.0  # total-latency jitter, split evenly over the three legs
+    jitter_std: float = 0.0
 
     def __post_init__(self):
         if min(self.d_in, self.d_net, self.d_exe) < 0:
@@ -323,7 +324,7 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
     def jitter():
         if lat.jitter_std <= 0:
             return 0.0
-        # one third of the budget's jitter per leg, never negative total
+        # one draw per jittered leg (d_in, d_net); callers clip it at 0
         return float(rng.normal(0.0, lat.jitter_std / 3.0))
 
     for tick in range(config.max_ticks):

@@ -30,8 +30,9 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
     canonicalization is deterministic and idempotent.
     """
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0 or not np.isfinite(n):
+    # sqrt(q.dot(q)) is what np.linalg.norm computes, without its dispatch
+    n = math.sqrt(q.dot(q))
+    if n == 0.0 or not math.isfinite(n):
         raise ValueError("cannot canonicalize a zero or non-finite quaternion")
     q = q / n
     if q[0] < 0.0:
@@ -127,13 +128,13 @@ def slerp(q0: np.ndarray, q1: np.ndarray, s: float) -> np.ndarray:
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    dot = float(np.dot(q0, q1))
+    dot = float(q0.dot(q1))
     if dot < 0.0:
         q1 = -q1
         dot = -dot
     if dot > 1.0 - 1e-12 or dot < 1e-6:
         out = (1.0 - s) * q0 + s * q1
-        n = np.linalg.norm(out)
+        n = math.sqrt(out.dot(out))
         if n < 1e-12:
             return q0.copy()
         return out / n
@@ -141,7 +142,7 @@ def slerp(q0: np.ndarray, q1: np.ndarray, s: float) -> np.ndarray:
     omega = math.acos(dot)
     so = math.sin(omega)
     out = (math.sin((1.0 - s) * omega) / so) * q0 + (math.sin(s * omega) / so) * q1
-    return out / np.linalg.norm(out)
+    return out / math.sqrt(out.dot(out))
 
 
 def geodesic_so3(r0: np.ndarray, r1: np.ndarray) -> float:

@@ -1,14 +1,16 @@
 """Deterministic plant, scripted experts, scenarios and episode metrics.
 
 The plant is a differential-drive base with first-order motor lag plus a
-pose-tracked arm, stepped at 100 Hz under 10 Hz control. Scripted experts
-produce both capture sessions for the processing pipeline (chest/hand pose
-streams, fiducial detections, fingertip markers) and reference trajectories
-for replay policies, so every claim about the toolkit can be checked end to
-end at desk scale. All randomness flows from explicit seeds.
+pose-tracked arm, stepped at 100 Hz under 10 Hz control. Expert scripts give
+the 10 Hz reference trajectories that replay policies follow, and scripted
+experts turn them into capture sessions for the processing pipeline
+(chest/hand pose streams, fiducial detections, fingertip markers), so every
+claim about the toolkit can be checked end to end at desk scale. All
+randomness flows from explicit seeds.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -72,7 +74,8 @@ class Plant:
 
     Commands are applied at the first substep boundary at or after their
     effect time (virtual-clock quantization). A snapshot history backs
-    state_at() for aged observations.
+    state_at() for aged observations. The hand is held as a canonical
+    quaternion and a position array rather than a Pose3.
     """
 
     def __init__(
@@ -85,29 +88,35 @@ class Plant:
     ):
         self.config = config
         self.base = base
-        self.hand_rel = hand_rel if hand_rel is not None else Pose3()
+        hand_rel = hand_rel if hand_rel is not None else Pose3()
+        self.hand_rot = hand_rel.rotation
+        self.hand_pos = hand_rel.translation
         self.grip = float(grip)
         self.v = float(v0)
         self.omega = 0.0
         self.v_lat = 0.0
         self.t = 0.0
-        self.cmd = PlantCommand(0.0, 0.0, 0.0, self.hand_rel, self.grip)
+        self.cmd = PlantCommand(0.0, 0.0, 0.0, hand_rel, self.grip)
         if config.kinematic:
             self.cmd = replace(self.cmd, v=self.v)
         self._queue: list[tuple[float, PlantCommand]] = []
         self._history: list[tuple[float, PredictedState, float, float]] = []
+        self._times: list[float] = []  # snapshot times, kept beside _history
         self._snapshot()
 
+    @property
+    def hand_rel(self) -> Pose3:
+        return Pose3(self.hand_rot, self.hand_pos)
+
     def _snapshot(self):
-        self._history.append(
-            (self.t, PredictedState.make(self.base, self.hand_rel, self.grip), self.v, self.omega)
-        )
+        self._times.append(self.t)
+        self._history.append((self.t, *self.read_state()))
 
     def issue_command(self, cmd: PlantCommand, t_effect: float) -> None:
         self._queue.append((t_effect, cmd))
 
     def read_state(self) -> tuple[PredictedState, float, float]:
-        return PredictedState.make(self.base, self.hand_rel, self.grip), self.v, self.omega
+        return PredictedState(self.base, self.hand_pos, self.hand_rot, self.grip), self.v, self.omega
 
     def state_at(self, t: float) -> PredictedState:
         """State at a past time, interpolated between substep snapshots."""
@@ -116,8 +125,7 @@ class Plant:
             return hist[0][1]
         if t >= hist[-1][0]:
             return hist[-1][1]
-        ts = [h[0] for h in hist]
-        j = int(np.searchsorted(ts, t, side="right"))
+        j = bisect.bisect_right(self._times, t)
         (t0, s0, _, _), (t1, s1, _, _) = hist[j - 1], hist[j]
         a = (t - t0) / (t1 - t0)
         return PredictedState(
@@ -145,9 +153,11 @@ class Plant:
 
     def _substep(self, dt: float) -> None:
         cfg = self.config
-        v_cmd = float(np.clip(self.cmd.v, -cfg.v_max, cfg.v_max))
-        w_cmd = float(np.clip(self.cmd.omega, -cfg.omega_max, cfg.omega_max))
-        lat_cmd = float(np.clip(self.cmd.v_lat, -cfg.lateral_clip, cfg.lateral_clip))
+        cmd = self.cmd
+        # min(max(x, lo), hi) is np.clip's result, signed zeros included
+        v_cmd = float(min(max(cmd.v, -cfg.v_max), cfg.v_max))
+        w_cmd = float(min(max(cmd.omega, -cfg.omega_max), cfg.omega_max))
+        lat_cmd = float(min(max(cmd.v_lat, -cfg.lateral_clip), cfg.lateral_clip))
         if cfg.kinematic:
             self.v, self.omega, self.v_lat = v_cmd, w_cmd, lat_cmd
         else:
@@ -164,15 +174,19 @@ class Plant:
         )
         # arm: first-order pose tracking toward the commanded target
         a = 1.0 if cfg.kinematic else 1.0 - math.exp(-dt / cfg.tau_arm)
-        target = self.cmd.hand_target
-        pos = self.hand_rel.translation + a * (target.translation - self.hand_rel.translation)
-        r = float(np.linalg.norm(pos))
+        target = cmd.hand_target
+        pos = self.hand_pos + a * (target.translation - self.hand_pos)
+        r = math.sqrt(pos.dot(pos))
         if r > ARM_REACH:
             pos = pos * (ARM_REACH / r)
-        rot = slerp(self.hand_rel.rotation, target.rotation, a)
-        self.hand_rel = Pose3(rot, pos)
-        dg = np.clip(self.cmd.grip_target - self.grip, -cfg.grip_rate * dt, cfg.grip_rate * dt)
-        self.grip = float(np.clip(self.grip + dg, 0.0, 1.0))
+        # slerp normalises, then quat_canonical normalises again as the Pose3
+        # constructor does; without the second pass the last bits of every
+        # episode state change
+        self.hand_rot = quat_canonical(slerp(self.hand_rot, target.rotation, a))
+        self.hand_pos = pos
+        rate = cfg.grip_rate * dt
+        dg = min(max(cmd.grip_target - self.grip, -rate), rate)
+        self.grip = float(min(max(self.grip + dg, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +299,17 @@ class ExpertScript:
         seg = self._segment_at(t)
         a = 0.0 if seg.t1 == seg.t0 else (min(t, seg.t1) - seg.t0) / (seg.t1 - seg.t0)
         return (1 - a) * seg.g0 + a * seg.g1
+
+    def reference(self) -> tuple[np.ndarray, list[Pose2], list[Pose3], np.ndarray]:
+        """The script on the 10 Hz control grid: (times, base, hand, grip)."""
+        n10 = int(round(self.duration * 10))
+        ref_t = np.round(np.arange(n10 + 1) / 10.0, 9)
+        return (
+            ref_t,
+            [self.base_at(ti) for ti in ref_t],
+            [self.hand_at(ti) for ti in ref_t],
+            np.array([self.grip_at(ti) for ti in ref_t]),
+        )
 
 
 HAND_HOME = Pose3(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.30, 0.0, -0.20]))
@@ -493,7 +518,7 @@ class ExpertSession:
     extrinsics: dict[str, Extrinsic]
     cross_node_true: Pose3  # ground truth T mapping hand-world into chest-world
     script: ExpertScript
-    ref_t: np.ndarray  # 10 Hz reference grid
+    ref_t: np.ndarray  # 10 Hz reference grid, as script.reference() returns it
     ref_base: list[Pose2]
     ref_hand: list[Pose3]
     ref_grip: np.ndarray
@@ -509,14 +534,6 @@ def _random_rigid(rng: np.random.Generator) -> Pose3:
 
 def chest_world_pose(base: Pose2) -> Pose3:
     return base.lift(CHEST_HEIGHT)
-
-
-def _sample_stream(script: ExpertScript, rate_hz: float):
-    n = int(round(script.duration * rate_hz))
-    t = np.round(np.arange(n + 1) / rate_hz, 9)
-    chest = [chest_world_pose(script.base_at(ti)) for ti in t]
-    hand = [chest_world_pose(script.base_at(ti)).compose(script.hand_at(ti)) for ti in t]
-    return t, chest, hand
 
 
 def _noisy(pose: Pose3, rng, sigma_pos: float, sigma_rot: float) -> Pose3:
@@ -623,8 +640,7 @@ def scripted_expert(
             )
         )
 
-    n10 = int(round(script.duration * 10))
-    ref_t = np.round(np.arange(n10 + 1) / 10.0, 9)
+    ref_t, ref_base, ref_hand, ref_grip = script.reference()
     return ExpertSession(
         session=session,
         detections=detections,
@@ -632,9 +648,9 @@ def scripted_expert(
         cross_node_true=g_true,
         script=script,
         ref_t=ref_t,
-        ref_base=[script.base_at(ti) for ti in ref_t],
-        ref_hand=[script.hand_at(ti) for ti in ref_t],
-        ref_grip=np.array([script.grip_at(ti) for ti in ref_t]),
+        ref_base=ref_base,
+        ref_hand=ref_hand,
+        ref_grip=ref_grip,
         calib=calib,
     )
 
@@ -715,7 +731,7 @@ class ExpertReplayPolicy:
 
     def __init__(
         self,
-        expert: ExpertSession,
+        script: ExpertScript,
         task_frame: Pose2 = Pose2(),
         label_frame: str = "relative",
         horizon: int = DEFAULT_HORIZON,
@@ -724,13 +740,17 @@ class ExpertReplayPolicy:
             raise ValueError("label_frame must be 'relative' or 'global'")
         self.label_frame = label_frame
         self.horizon = horizon
-        self.ref_base = [task_frame.compose(b) for b in expert.ref_base]
-        self.ref_hand = expert.ref_hand
-        self.ref_grip = expert.ref_grip
-        # demo-world hand poses, as recorded (not shifted into the task frame)
-        self.ref_hand_world = [
-            chest_world_pose(b).compose(h) for b, h in zip(expert.ref_base, expert.ref_hand)
-        ]
+        _, ref_base, ref_hand, ref_grip = script.reference()
+        self.ref_base = [task_frame.compose(b) for b in ref_base]
+        self.ref_hand = ref_hand
+        self.ref_grip = ref_grip
+        # demo-world hand poses, as recorded (not shifted into the task frame);
+        # only the global label frame reads them
+        self.ref_hand_world = (
+            [chest_world_pose(b).compose(h) for b, h in zip(ref_base, ref_hand)]
+            if label_frame == "global"
+            else None
+        )
         self._cursor = 0
 
     def _match_index(self, obs: PredictedState) -> int:
@@ -742,7 +762,8 @@ class ExpertReplayPolicy:
                 self.ref_base[j].x - obs.base.x, self.ref_base[j].y - obs.base.y
             )
             d += 0.5 * abs(wrap_angle(self.ref_base[j].theta - obs.base.theta))
-            d += float(np.linalg.norm(self.ref_hand[j].translation - obs.hand_pos))
+            dp = self.ref_hand[j].translation - obs.hand_pos
+            d += math.sqrt(dp.dot(dp))
             d += 0.1 * abs(self.ref_grip[j] - obs.grip)
             # prefer the latest of equally close reference steps (idle phases)
             if best is None or d < best - 1e-9:
@@ -754,15 +775,15 @@ class ExpertReplayPolicy:
 
     def _base_row(self, cur: Pose2, target: Pose2) -> tuple[float, float, float]:
         e = target.relative_to(cur)
-        dx = float(np.clip(e.x, -self.MAX_DX, self.MAX_DX))
-        dy = float(np.clip(e.y, -self.MAX_DY, self.MAX_DY))
-        steer = float(np.clip(self.STEER_GAIN * e.y, -self.MAX_STEER, self.MAX_STEER))
-        dth = float(np.clip(wrap_angle(e.theta) + steer, -self.MAX_DTH, self.MAX_DTH))
+        dx = float(min(max(e.x, -self.MAX_DX), self.MAX_DX))
+        dy = float(min(max(e.y, -self.MAX_DY), self.MAX_DY))
+        steer = float(min(max(self.STEER_GAIN * e.y, -self.MAX_STEER), self.MAX_STEER))
+        dth = float(min(max(wrap_angle(e.theta) + steer, -self.MAX_DTH), self.MAX_DTH))
         return dx, dy, dth
 
     def _hand_step(self, pos, rot, target: Pose3):
         ep = target.translation - pos
-        n = float(np.linalg.norm(ep))
+        n = math.sqrt(ep.dot(ep))
         if n > self.MAX_HAND_STEP:
             ep = ep * (self.MAX_HAND_STEP / n)
         q_err = quat_canonical(quat_mul(target.rotation, quat_conj(rot)))
@@ -790,7 +811,7 @@ class ExpertReplayPolicy:
                     quat_mul(dq, hand_world.rotation), hand_world.translation + dp
                 )
             g = cur.grip + float(
-                np.clip(self.ref_grip[k] - cur.grip, -self.MAX_DGRIP, self.MAX_DGRIP)
+                min(max(self.ref_grip[k] - cur.grip, -self.MAX_DGRIP), self.MAX_DGRIP)
             )
             rows[r, 0:3] = [dx, dy, dth]
             rows[r, 3:6] = dp
@@ -955,8 +976,7 @@ def run_condition_trial(
     plant_cfg = plant_cfg or PlantConfig()
     scenario = make_scenario(scenario_name)
     frame = _trial_task_frame(trial_seed, cond.locomotion_variation)
-    expert = scripted_expert(scenario, seed=trial_seed)
-    policy = ExpertReplayPolicy(expert, task_frame=frame, label_frame=cond.label_frame)
+    policy = ExpertReplayPolicy(scenario.script, task_frame=frame, label_frame=cond.label_frame)
     lat = LatencyConfig.scaled_to(cond.latency_ms / 1000.0)
     lat.jitter_std = cond.jitter_ms / 1000.0
     exec_cfg = ExecutorConfig(

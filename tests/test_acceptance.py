@@ -502,8 +502,7 @@ def _episode_success_rate(weights, n_trials=20):
     scenario = make_scenario("nav_reach")
     for trial in range(n_trials):
         seed = int(np.random.SeedSequence([99, trial]).generate_state(1)[0])
-        expert = scripted_expert(scenario, seed=seed)
-        policy = ExpertReplayPolicy(expert)
+        policy = ExpertReplayPolicy(scenario.script)
         lat = LatencyConfig()
         lat.jitter_std = 0.018
         cfg = ExecutorConfig(

@@ -175,6 +175,18 @@ class TestSimulateCommand:
         )
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--trials", "0"), ("--latency-ms", "-5"), ("--jitter-ms", "-3")],
+    )
+    def test_bad_numeric_flag_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        rc = main(["simulate", "--trials", "1", flag, value, "--output", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"usage error: {flag}")
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_single_condition_table(self, tmp_path):

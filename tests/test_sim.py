@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mobman.executor import ExecutorConfig, PlantCommand
-from mobman.geometry import Pose3
+from mobman.geometry import Pose2, Pose3, slerp, wrap_angle
 from mobman.sim import (
     ARM_REACH,
     Condition,
     ExpertReplayPolicy,
+    GRASP_POSE,
     Plant,
     PlantConfig,
     SCENARIO_NAMES,
@@ -21,6 +22,45 @@ from mobman.sim import (
 )
 
 IDENT_Q = np.array([1.0, 0.0, 0.0, 0.0])
+
+# compare_conditions rows of the 2x2 matching x label-frame matrix (18 ms
+# jitter, locomotion variation, one trial, master seed 0), recorded before
+# the plant and replay policy were rewritten for speed. Fixed-seed outputs
+# must stay byte-identical, so these are compared exactly.
+GOLDEN_MATRIX_ROWS = [
+    {"condition": "match_on_label_relative", "scenario": "nav_reach", "trial": 0,
+     "success": 1, "completion_time_s": 9.9, "rollbacks": 0, "jitter": 0,
+     "i_star_mean": 1.2308, "i_star_std": 0.6966, "tracking_rms_m": 0.02631,
+     "stages_done": 3, "reason": ""},
+    {"condition": "match_on_label_global", "scenario": "nav_reach", "trial": 0,
+     "success": 0, "completion_time_s": 12.0, "rollbacks": 23, "jitter": 0,
+     "i_star_mean": 1.2667, "i_star_std": 3.0652, "tracking_rms_m": 0.02392,
+     "stages_done": 1, "reason": "timeout at stage 1"},
+    {"condition": "match_off_label_relative", "scenario": "nav_reach", "trial": 0,
+     "success": 0, "completion_time_s": 12.0, "rollbacks": 23, "jitter": 0,
+     "i_star_mean": 0.0, "i_star_std": 0.0, "tracking_rms_m": 0.02392,
+     "stages_done": 2, "reason": "timeout at stage 2"},
+    {"condition": "match_off_label_global", "scenario": "nav_reach", "trial": 0,
+     "success": 0, "completion_time_s": 12.0, "rollbacks": 23, "jitter": 0,
+     "i_star_mean": 0.0, "i_star_std": 0.0, "tracking_rms_m": 0.02392,
+     "stages_done": 1, "reason": "timeout at stage 1"},
+    {"condition": "match_on_label_relative", "scenario": "long_horizon", "trial": 0,
+     "success": 1, "completion_time_s": 28.9, "rollbacks": 0, "jitter": 0,
+     "i_star_mean": 1.2778, "i_star_std": 0.6503, "tracking_rms_m": 0.019928,
+     "stages_done": 4, "reason": ""},
+    {"condition": "match_on_label_global", "scenario": "long_horizon", "trial": 0,
+     "success": 0, "completion_time_s": 60.0, "rollbacks": 47, "jitter": 0,
+     "i_star_mean": 0.4667, "i_star_std": 0.4989, "tracking_rms_m": 0.014543,
+     "stages_done": 1, "reason": "timeout at stage 1"},
+    {"condition": "match_off_label_relative", "scenario": "long_horizon", "trial": 0,
+     "success": 1, "completion_time_s": 37.7, "rollbacks": 50, "jitter": 0,
+     "i_star_mean": 0.0, "i_star_std": 0.0, "tracking_rms_m": 0.017895,
+     "stages_done": 4, "reason": ""},
+    {"condition": "match_off_label_global", "scenario": "long_horizon", "trial": 0,
+     "success": 0, "completion_time_s": 60.0, "rollbacks": 47, "jitter": 0,
+     "i_star_mean": 0.0, "i_star_std": 0.0, "tracking_rms_m": 0.01455,
+     "stages_done": 1, "reason": "timeout at stage 1"},
+]
 
 
 def hold_cmd(v=0.0, hand=None, grip=1.0):
@@ -97,6 +137,51 @@ class TestPlant:
         assert plant.state_at(-5.0).base.x == plant.state_at(0.0).base.x
         assert plant.state_at(99.0).base.x == plant.state_at(0.2).base.x
 
+    def test_state_at_matches_recorded_snapshots(self):
+        # a lagged plant turning, driving, moving its hand and closing its grip
+        plant = Plant(PlantConfig())
+        target = Pose3(GRASP_POSE.rotation, np.array([0.5, 0.1, -0.3]))
+        plant.issue_command(PlantCommand(0.4, 0.02, 0.8, target, 0.2), t_effect=0.0)
+        snaps = [(plant.t, plant.read_state()[0])]
+        for k in range(1, 61):
+            plant.step_to(round(0.01 * k, 9))
+            snaps.append((plant.t, plant.read_state()[0]))
+
+        def same(a, b):
+            return (
+                a.base == b.base
+                and a.grip == b.grip
+                and np.array_equal(a.hand_pos, b.hand_pos)
+                and np.array_equal(a.hand_rot, b.hand_rot)
+            )
+
+        # at or beyond the ends of the history: the first or last snapshot
+        for t in (-1.0, 0.0):
+            assert same(plant.state_at(t), snaps[0][1])
+        for t in (0.6, 0.6 + 1e-12, 7.0):
+            assert same(plant.state_at(t), snaps[-1][1])
+        for (t0, s0), (t1, s1) in zip(snaps[:-1], snaps[1:]):
+            # exactly at an inner snapshot time: that snapshot, up to the
+            # rounding of the zero-weight interpolation
+            if t0 > 0.0:
+                s = plant.state_at(t0)
+                assert (s.base.x, s.base.y, s.grip) == (s0.base.x, s0.base.y, s0.grip)
+                assert np.array_equal(s.hand_pos, s0.hand_pos)
+                assert s.base.theta == pytest.approx(s0.base.theta, abs=1e-15)
+                assert np.allclose(s.hand_rot, s0.hand_rot, rtol=0.0, atol=1e-15)
+            # between snapshots: interpolated from the bracketing pair
+            t = t0 + 0.3 * (t1 - t0)
+            a = (t - t0) / (t1 - t0)
+            s = plant.state_at(t)
+            assert s.base == Pose2(
+                (1 - a) * s0.base.x + a * s1.base.x,
+                (1 - a) * s0.base.y + a * s1.base.y,
+                s0.base.theta + a * wrap_angle(s1.base.theta - s0.base.theta),
+            )
+            assert np.array_equal(s.hand_pos, (1 - a) * s0.hand_pos + a * s1.hand_pos)
+            assert np.array_equal(s.hand_rot, slerp(s0.hand_rot, s1.hand_rot, a))
+            assert s.grip == (1 - a) * s0.grip + a * s1.grip
+
     def test_lateral_channel_clipped(self):
         cfg = PlantConfig(kinematic=True)
         plant = Plant(cfg)
@@ -122,6 +207,21 @@ class TestScriptedExpert:
         expert = scripted_expert(make_scenario("nav_reach"), seed=0)
         assert len(expert.ref_base) == len(expert.ref_t)
         assert np.allclose(np.diff(expert.ref_t), 0.1)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_script_reference_is_the_seed_independent_session_reference(self, name):
+        # replay policies read the reference from the script alone, so the
+        # session a seed synthesizes must carry exactly the same grid
+        ref_t, ref_base, ref_hand, ref_grip = make_scenario(name).script.reference()
+        for seed in (0, 1, 17, 2**31 + 5):
+            expert = scripted_expert(make_scenario(name), seed=seed)
+            assert np.array_equal(expert.ref_t, ref_t)
+            assert expert.ref_base == ref_base
+            assert len(expert.ref_hand) == len(ref_hand)
+            for a, b in zip(expert.ref_hand, ref_hand):
+                assert np.array_equal(a.rotation, b.rotation)
+                assert np.array_equal(a.translation, b.translation)
+            assert np.array_equal(expert.ref_grip, ref_grip)
 
     def test_streams_cover_script(self):
         expert = scripted_expert(make_scenario("nav_reach"), seed=0)
@@ -170,8 +270,7 @@ class TestEpisodes:
 
     def test_start_pose_randomized_within_disk(self):
         sc = make_scenario("nav_reach")
-        expert = scripted_expert(sc, seed=2)
-        policy = ExpertReplayPolicy(expert)
+        policy = ExpertReplayPolicy(sc.script)
         _, log = run_episode(
             policy, sc, PlantConfig(kinematic=True), ExecutorConfig(), seed=2
         )
@@ -195,3 +294,20 @@ class TestEpisodes:
         b_rows = sorted((r["trial"], r["completion_time_s"]) for r in rows if r["condition"] == "b")
         assert a_rows == b_rows
         assert agg["a"]["trials"] == 2
+
+    def test_condition_matrix_rows_unchanged(self):
+        conds = [
+            Condition(
+                f"match_{m}_label_{label}",
+                matching=m == "on",
+                label_frame=label,
+                jitter_ms=18.0,
+                locomotion_variation=True,
+            )
+            for m in ("on", "off")
+            for label in ("relative", "global")
+        ]
+        rows = []
+        for name in ("nav_reach", "long_horizon"):
+            rows += compare_conditions(conds, name, n_trials=1, master_seed=0)[0]
+        assert rows == GOLDEN_MATRIX_ROWS
