@@ -41,7 +41,7 @@ from .diffusion import (
     train_toy,
 )
 from .geometry import Pose3
-from .jsonl import read_json, read_jsonl, write_json
+from .jsonl import MalformedLineError, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
     GripperCalib,
@@ -60,15 +60,13 @@ from .sim import (
     Condition,
     CruisePolicy,
     DEFAULT_CALIB,
-    ExpertReplayPolicy,
     PlantConfig,
     SCENARIO_NAMES,
-    _trial_task_frame,
-    make_scenario,
-    run_episode,
+    compare_conditions,
+    run_episode,  # noqa: F401  benchmarks/spans.py rebinds it under this name
     scripted_expert,  # noqa: F401  benchmarks/spans.py traces it under this name
 )
-from .executor import ExecutorConfig, LatencyConfig, PredictedState
+from .executor import PredictedState
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -217,7 +215,7 @@ def cmd_train_toy(cfg: dict) -> RunManifest:
     try:
         model, sched, curve = train_toy(conds, a0s, train_cfg)
     except TrainingDivergedError as exc:
-        raise DomainError(f"training diverged at step {exc}") from exc
+        raise DomainError(f"training diverged: {exc}") from exc
 
     out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,17 +271,6 @@ class DiffusionReplayPolicy:
         return ActionChunkTensor(rows, t0_obs=obs_t).canonicalized()
 
 
-def _make_policy(cfg: dict, scenario, trial_seed: int, task_frame):
-    source = cfg["policy"]
-    if source == "replay":
-        return ExpertReplayPolicy(
-            scenario.script, task_frame=task_frame, label_frame=cfg["label"]
-        )
-    if source == "cruise":
-        return CruisePolicy()
-    return DiffusionReplayPolicy(_require_file(source, "policy checkpoint"), seed=trial_seed)
-
-
 def cmd_simulate(cfg: dict) -> RunManifest:
     if cfg["scenario"] not in SCENARIO_NAMES:
         raise UsageError(
@@ -294,8 +281,14 @@ def cmd_simulate(cfg: dict) -> RunManifest:
     for flag in ("latency_ms", "jitter_ms"):
         if not (math.isfinite(cfg[flag]) and cfg[flag] >= 0):
             raise UsageError(f"--{flag.replace('_', '-')} must be finite and >= 0, got {cfg[flag]}")
-    scenario = make_scenario(cfg["scenario"])
-    plant_cfg = PlantConfig(kinematic=cfg["kinematic"])
+    source = cfg["policy"]
+    if source == "replay":
+        make_policy = None
+    elif source == "cruise":
+        make_policy = lambda trial_seed: CruisePolicy()
+    else:
+        ckpt = _require_file(source, "policy checkpoint")
+        make_policy = lambda trial_seed: DiffusionReplayPolicy(ckpt, seed=trial_seed)
     cond = Condition(
         name=f"match_{'on' if cfg['matching'] else 'off'}_label_{cfg['label']}",
         matching=cfg["matching"],
@@ -304,26 +297,14 @@ def cmd_simulate(cfg: dict) -> RunManifest:
         jitter_ms=cfg["jitter_ms"],
         locomotion_variation=cfg["variation"],
     )
-    rows = []
-    for trial in range(cfg["trials"]):
-        trial_seed = int(
-            np.random.SeedSequence([cfg["seed"], trial]).generate_state(1)[0]
-        )
-        frame = _trial_task_frame(trial_seed, cond.locomotion_variation)
-        policy = _make_policy(cfg, scenario, trial_seed, frame)
-        lat = LatencyConfig.scaled_to(cond.latency_ms / 1000.0)
-        lat.jitter_std = cond.jitter_ms / 1000.0
-        exec_cfg = ExecutorConfig(
-            matching=cond.matching,
-            latency=lat,
-            plant_response_s=0.0 if plant_cfg.kinematic else plant_cfg.tau_base,
-        )
-        metrics, _ = run_episode(
-            policy, scenario, plant_cfg, exec_cfg, trial_seed, task_frame=frame
-        )
-        row = {"condition": cond.name, "scenario": cfg["scenario"], "trial": trial}
-        row.update(metrics.to_row())
-        rows.append(row)
+    rows, aggregate = compare_conditions(
+        [cond],
+        cfg["scenario"],
+        cfg["trials"],
+        master_seed=cfg["seed"],
+        plant_cfg=PlantConfig(kinematic=cfg["kinematic"]),
+        make_policy=make_policy,
+    )
 
     out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,21 +313,10 @@ def cmd_simulate(cfg: dict) -> RunManifest:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
-    n = len(rows)
-    aggregate = {
-        cond.name: {
-            "trials": n,
-            "success_rate": sum(r["success"] for r in rows) / n,
-            "mean_time_s": round(float(np.mean([r["completion_time_s"] for r in rows])), 3),
-            "mean_rollbacks": round(float(np.mean([r["rollbacks"] for r in rows])), 3),
-            "mean_jitter": round(float(np.mean([r["jitter"] for r in rows])), 3),
-            "i_star_mean": round(float(np.mean([r["i_star_mean"] for r in rows])), 3),
-        }
-    }
     write_json(out_dir / "aggregate.json", aggregate)
     a = aggregate[cond.name]
     print(
-        f"{cond.name}: {n} trials, success {a['success_rate']:.1%}, "
+        f"{cond.name}: {a['trials']} trials, success {a['success_rate']:.1%}, "
         f"rollbacks {a['mean_rollbacks']}, jitter {a['mean_jitter']}, "
         f"i* {a['i_star_mean']}"
     )
@@ -490,7 +460,7 @@ def main(argv=None) -> int:
                 base / "manifest.json" if base.is_dir() else base.with_suffix(".manifest.json")
             )
             man.save(man_path)
-    except UsageError as exc:
+    except (UsageError, MalformedLineError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

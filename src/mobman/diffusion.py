@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import quat_canonical
+from .jsonl import read_json
 
 DEFAULT_K = 100
 DEFAULT_DDIM_STEPS = 10
@@ -472,8 +473,7 @@ def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict |
 
 
 def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
     model = ToyDenoiser(

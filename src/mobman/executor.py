@@ -90,39 +90,33 @@ class SpliceReport:
         return asdict(self)
 
 
-def forward_rollout(
-    s0: PredictedState, chunk: ActionChunkTensor, dt: float = CONTROL_DT
-) -> list[PredictedState]:
-    """Kinematic roll-out: geometric integration of the chunk, no dynamics.
-
-    rollout[i] is the state after applying the first i action rows to s0
-    (rollout[0] == s0). Base increments compose in the evolving base frame,
-    the hand integrates its translation and quaternion increments, and the
-    grip channel is absolute.
-    """
-    states = [s0]
-    for i in range(chunk.horizon - 1):
-        row = chunk.values[i]
-        prev = states[-1]
-        states.append(
-            PredictedState(
-                base=prev.base.compose(Pose2(row[0], row[1], row[2])),
-                hand_pos=prev.hand_pos + row[3:6],
-                hand_rot=quat_increment_apply(prev.hand_rot, row[6:10]),
-                grip=float(row[10]),
-            )
-        )
-    return states
-
-
 def advance_state(s: PredictedState, row: np.ndarray) -> PredictedState:
-    """Apply a single action row to a state."""
+    """Apply one action row to a state: the only row integrator.
+
+    The base increment composes in the current base frame, the hand adds
+    its translation increment and left-multiplies its quaternion increment,
+    and the grip channel is absolute.
+    """
     return PredictedState(
         base=s.base.compose(Pose2(row[0], row[1], row[2])),
         hand_pos=s.hand_pos + row[3:6],
         hand_rot=quat_increment_apply(s.hand_rot, row[6:10]),
         grip=float(row[10]),
     )
+
+
+def forward_rollout(
+    s0: PredictedState, chunk: ActionChunkTensor, dt: float = CONTROL_DT
+) -> list[PredictedState]:
+    """Kinematic roll-out: geometric integration of the chunk, no dynamics.
+
+    rollout[i] is the state after applying the first i action rows to s0
+    (rollout[0] == s0).
+    """
+    states = [s0]
+    for row in chunk.values[:-1]:
+        states.append(advance_state(states[-1], row))
+    return states
 
 
 def state_discrepancy(a: PredictedState, b: PredictedState, w: MatchWeights) -> tuple:

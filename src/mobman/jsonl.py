@@ -42,4 +42,7 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedLineError(path, exc.lineno, exc.msg) from exc

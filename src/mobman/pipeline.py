@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .anchoring import VioTrajectory
+from .executor import PredictedState, advance_state
 from .geometry import (
     Pose2,
     Pose3,
@@ -410,15 +411,13 @@ def integrate_labels(
     base0: Pose2, hand0: Pose3, grip0: float, labels: np.ndarray
 ) -> list[DemoStep]:
     """Chain action labels from an initial state; inverse of make_action_labels."""
+    state = PredictedState(base0, hand0.translation, hand0.rotation, grip0)
     steps = [DemoStep(t=0.0, base=base0, hand_rel=hand0, grip=grip0)]
     for i, row in enumerate(np.asarray(labels, dtype=float)):
-        prev = steps[-1]
-        base = prev.base.compose(Pose2(row[0], row[1], row[2]))
-        hand = Pose3(
-            quat_canonical(quat_mul(row[6:10], prev.hand_rel.rotation)),
-            prev.hand_rel.translation + row[3:6],
+        state = advance_state(state, row)
+        steps.append(
+            DemoStep(t=0.1 * (i + 1), base=state.base, hand_rel=state.hand_rel, grip=state.grip)
         )
-        steps.append(DemoStep(t=0.1 * (i + 1), base=base, hand_rel=hand, grip=float(row[10])))
     return steps
 
 

@@ -9,6 +9,7 @@ inputs always produce identical bytes.
 from __future__ import annotations
 
 import csv
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -62,13 +63,14 @@ _MATRIX_AXES = {
     ("off", "relative"),
     ("off", "global"),
 }
+_AXES_NAME = re.compile(r"match_(on|off)_label_(relative|global)")
 
 
-def _condition_axes(name: str):
-    """Parse 'match_<on|off>[_label_<relative|global>]'-style names, if possible."""
-    matching = "off" if "off" in name else "on" if "on" in name or "match" in name else None
-    label = "global" if "global" in name else "relative"
-    return matching, label
+def _condition_axes(name: str) -> tuple[str, str] | None:
+    """(matching, label frame) of a 'match_<on|off>_label_<relative|global>'
+    name, the form simulate writes; None for any other name."""
+    m = _AXES_NAME.fullmatch(name)
+    return m.groups() if m else None
 
 
 def markdown_report(rows: list[dict], title: str = "Condition comparison") -> str:
@@ -92,11 +94,9 @@ def markdown_report(rows: list[dict], title: str = "Condition comparison") -> st
         )
     lines.append("")
 
-    # 2x2 ablation matrix when both axes are represented
-    cells = {}
-    for cond, a in agg.items():
-        cells[_condition_axes(cond)] = a["success_rate"]
-    if len(cells) == 4 and set(cells) == _MATRIX_AXES:
+    # 2x2 ablation matrix when the conditions are exactly its four cells
+    cells = {_condition_axes(cond): a["success_rate"] for cond, a in agg.items()}
+    if set(cells) == _MATRIX_AXES:
         lines.append("## Ablation matrix (success rate)")
         lines.append("")
         lines.append("| | chest-relative labels | global labels |")

@@ -21,8 +21,10 @@ from .executor import (
     CONTROL_DT,
     EpisodeLog,
     ExecutorConfig,
+    LatencyConfig,
     PlantCommand,
     PredictedState,
+    advance_state,
     run_executor,
 )
 from .diffusion import ACTION_DIM, ActionChunkTensor, DEFAULT_HORIZON
@@ -38,6 +40,7 @@ from .geometry import (
     wrap_angle,
 )
 from .pipeline import GripperCalib, RawSession
+from .report import aggregate_rows
 
 CHEST_HEIGHT = 0.9  # m, chest frame above the ground plane
 ARM_REACH = 0.75  # m, hand position clamp radius around the chest origin
@@ -817,12 +820,7 @@ class ExpertReplayPolicy:
             rows[r, 3:6] = dp
             rows[r, 6:10] = dq
             rows[r, 10] = g
-            cur = PredictedState(
-                base=cur.base.compose(Pose2(dx, dy, dth)),
-                hand_pos=cur.hand_pos + dp,
-                hand_rot=quat_canonical(quat_mul(dq, cur.hand_rot)),
-                grip=g,
-            )
+            cur = advance_state(cur, rows[r])
         return ActionChunkTensor(rows, t0_obs=obs_t)
 
 
@@ -970,13 +968,20 @@ def run_condition_trial(
     scenario_name: str,
     trial_seed: int,
     plant_cfg: PlantConfig | None = None,
+    make_policy=None,
 ) -> tuple[EpisodeMetrics, EpisodeLog]:
-    from .executor import LatencyConfig
+    """One seeded episode under a condition.
 
+    make_policy(trial_seed) builds the policy; None replays the scenario's
+    expert script in the condition's label frame.
+    """
     plant_cfg = plant_cfg or PlantConfig()
     scenario = make_scenario(scenario_name)
     frame = _trial_task_frame(trial_seed, cond.locomotion_variation)
-    policy = ExpertReplayPolicy(scenario.script, task_frame=frame, label_frame=cond.label_frame)
+    if make_policy is None:
+        policy = ExpertReplayPolicy(scenario.script, task_frame=frame, label_frame=cond.label_frame)
+    else:
+        policy = make_policy(trial_seed)
     lat = LatencyConfig.scaled_to(cond.latency_ms / 1000.0)
     lat.jitter_std = cond.jitter_ms / 1000.0
     exec_cfg = ExecutorConfig(
@@ -987,40 +992,35 @@ def run_condition_trial(
     return run_episode(policy, scenario, plant_cfg, exec_cfg, trial_seed, task_frame=frame)
 
 
+_ROUNDED_MEANS = ("mean_time_s", "mean_rollbacks", "mean_jitter", "i_star_mean")
+
+
 def compare_conditions(
     conditions: list[Condition],
     scenario_name: str,
     n_trials: int,
     master_seed: int = 0,
     plant_cfg: PlantConfig | None = None,
+    make_policy=None,
 ) -> tuple[list[dict], dict]:
     """Run the condition matrix; same trial seeds across conditions.
 
     Returns per-episode rows (CSV-ready) and an aggregate summary keyed by
-    condition name.
+    condition name: report.aggregate_rows of the rows, means rounded to
+    3 decimals. make_policy is passed on to run_condition_trial.
     """
     rows = []
-    aggregate = {}
     for cond in conditions:
-        metrics = []
         for trial in range(n_trials):
             trial_seed = int(
                 np.random.SeedSequence([master_seed, trial]).generate_state(1)[0]
             )
-            m, _ = run_condition_trial(cond, scenario_name, trial_seed, plant_cfg)
-            metrics.append(m)
+            m, _ = run_condition_trial(cond, scenario_name, trial_seed, plant_cfg, make_policy)
             row = {"condition": cond.name, "scenario": scenario_name, "trial": trial}
             row.update(m.to_row())
             rows.append(row)
-        n = len(metrics)
-        aggregate[cond.name] = {
-            "trials": n,
-            "success_rate": sum(m.success for m in metrics) / n,
-            "mean_time_s": round(
-                float(np.mean([m.completion_time for m in metrics])), 3
-            ),
-            "mean_rollbacks": round(float(np.mean([m.rollback_count for m in metrics])), 3),
-            "mean_jitter": round(float(np.mean([m.jitter_count for m in metrics])), 3),
-            "i_star_mean": round(float(np.mean([m.i_star_mean for m in metrics])), 3),
-        }
+    aggregate = {
+        name: {k: round(v, 3) if k in _ROUNDED_MEANS else v for k, v in a.items()}
+        for name, a in aggregate_rows(rows).items()
+    }
     return rows, aggregate

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from mobman import cli
 from mobman.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from mobman.diffusion import TrainingDivergedError
 from mobman.jsonl import read_json
 from mobman.manifest import RunManifest, file_sha256
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
@@ -132,6 +134,22 @@ class TestTrainCommand:
         rc = main(["train-toy", "--dataset", str(ds), "--output", str(tmp_path / "m")])
         assert rc == EXIT_USAGE
 
+    def test_divergence_message(self, processed, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError(7)
+
+        monkeypatch.setattr(cli, "train_toy", diverge)
+        rc = main(
+            [
+                "train-toy",
+                "--dataset", str(processed / "dataset.jsonl"),
+                "--output", str(tmp_path / "m"),
+            ]
+        )
+        assert rc == EXIT_REJECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["rejected: training diverged: loss became non-finite at step 7"]
+
 
 class TestSimulateCommand:
     def _run(self, out, *extra):
@@ -187,6 +205,72 @@ class TestSimulateCommand:
         assert len(err) == 1 and err[0].startswith(f"usage error: {flag}")
         assert not out.exists()
 
+    # SHA-256 of (metrics.csv, aggregate.json) of `simulate --trials 2 --seed 3`
+    # with the extra flags of each run; a digest that moves means fixed-seed
+    # outputs changed.
+    GOLDEN_DIGESTS = {
+        ("replay", "on", "relative"): (
+            "0ad1e9c457e3812ad6ce860c3b86b23d811fac6df3c26abded52e23e5af4ba04",
+            "40c1fd52493e6a8d7b623a7f01d6e70a0689a7e72df91fb50bc17c8d36ab24b1",
+        ),
+        ("replay", "on", "global"): (
+            "ea9bb79c2f4cefa47efc3ee1b79f6c194903a7364cba04165d4237681858b3af",
+            "67566b87fc21b7d97479eb4163a49b7f6ddaa1cfa43840f9b761f0c4c6dccfa0",
+        ),
+        ("replay", "off", "relative"): (
+            "ec67b3702d99719babb2840cc84307544b0836832b7eebf8588bdf82827da10d",
+            "56246a585c2f10bb3f097c6f6a9d10bb31ee91444190ad3fcd2327c88e4178f0",
+        ),
+        ("replay", "off", "global"): (
+            "9895e2e90e6fcd6079c453aa47ee5e2020b49dab2f1d70b1fa547f3bdab770d1",
+            "14f03af7c5336d4ede06e625df26552dad5c730dbf931339b73fb1fab5a24810",
+        ),
+        ("cruise", "on", "relative"): (
+            "e75b0a7cd3de5ec123f4c7924f5e8448ea8aedd2208e4f559122719da9949ff2",
+            "1e129d42df90b1cf089e52f74956b4276fe3423529e10ad4a19abc106e9b97eb",
+        ),
+        ("cruise", "on", "global"): (
+            "baac30e0bc024d21e2da0b7e0d0a82c5ab20a49e6e21ecda2c344a21aec7a09c",
+            "57c7f6930e0ae8a5616f81338b41ad67bc071cec584399023cc8605811bcf84a",
+        ),
+        ("cruise", "off", "relative"): (
+            "bcb109cf80dceb49a4665a72026cd786cf532dc056bd59bbb8730df587b81376",
+            "268a4de30c236ffe136ea56bbe090b40d2b3a05352cec74b6adb7814dace00b9",
+        ),
+        ("cruise", "off", "global"): (
+            "966ed04d96bac0da2d6d1c286a98cec4c6300199ecae6a4ba545c6acba0477d2",
+            "b26608553b6fcda8a6c6c7d03ee7a77b16b5dc9e1704f0f05c6eaab28dac4aa5",
+        ),
+    }
+    KINEMATIC_DIGESTS = (
+        "0162b6b042b8f42799ad2599f531d0d07d59ed694d59bd66545b8715563c350e",
+        "0314a31dd1a7352d94e82c02874b2d8bbf21fb2e15e2da1d9a6a95c9f35ce30e",
+    )
+
+    @staticmethod
+    def _digests(out):
+        return (file_sha256(out / "metrics.csv"), file_sha256(out / "aggregate.json"))
+
+    def _run_golden(self, out, *extra):
+        return main(["simulate", "--trials", "2", "--seed", "3", "--output", str(out), *extra])
+
+    @pytest.mark.parametrize("policy, matching, label", sorted(GOLDEN_DIGESTS))
+    def test_golden_outputs(self, tmp_path, policy, matching, label):
+        rc = self._run_golden(
+            tmp_path,
+            "--policy", policy,
+            "--matching", matching,
+            "--label", label,
+            "--variation",
+            "--jitter-ms", "18",
+        )
+        assert rc == EXIT_OK
+        assert self._digests(tmp_path) == self.GOLDEN_DIGESTS[(policy, matching, label)]
+
+    def test_golden_outputs_kinematic(self, tmp_path):
+        assert self._run_golden(tmp_path, "--kinematic") == EXIT_OK
+        assert self._digests(tmp_path) == self.KINEMATIC_DIGESTS
+
 
 class TestReportCommand:
     def test_single_condition_table(self, tmp_path):
@@ -227,6 +311,65 @@ class TestReportCommand:
         )
         rc = main(["report", "--metrics", str(empty), "--output", str(tmp_path / "rep")])
         assert rc == EXIT_REJECTED
+
+
+def _corrupt_line(path, line_number):
+    """Replace one line of a text file with a truncated JSON record."""
+    lines = path.read_text().splitlines()
+    lines[line_number - 1] = '{"t": 0.1, '
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedInput:
+    """Malformed JSON/JSONL input is a usage error naming the file and line."""
+
+    def _anchor(self, raw_session, anchored, processed, tmp_path):
+        raw, _ = raw_session
+        traj = tmp_path / "trajectories.jsonl"
+        traj.write_text((raw / "trajectories.jsonl").read_text())
+        _corrupt_line(traj, 3)
+        argv = [
+            "anchor",
+            "--trajectories", str(traj),
+            "--detections", str(raw / "detections.jsonl"),
+            "--extrinsics", str(raw / "extrinsics.json"),
+            "--output", str(tmp_path / "a.json"),
+        ]
+        return argv, traj, 3
+
+    def _train_toy(self, raw_session, anchored, processed, tmp_path):
+        ds = tmp_path / "dataset.jsonl"
+        ds.write_text((processed / "dataset.jsonl").read_text())
+        _corrupt_line(ds, 5)
+        return ["train-toy", "--dataset", str(ds), "--output", str(tmp_path / "m")], ds, 5
+
+    def _replay(self, raw_session, anchored, processed, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--trials", "1", "--output", str(out)]) == EXIT_OK
+        man = out / "manifest.json"
+        text = man.read_text()
+        man.write_text(text[: len(text) // 2])
+        line = text[: len(text) // 2].count("\n") + 1
+        return ["replay", "--manifest", str(man)], man, line
+
+    def _simulate(self, raw_session, anchored, processed, tmp_path):
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text('{"version": 1,\n"K": ')
+        argv = ["simulate", "--policy", str(ckpt), "--trials", "1", "--output", str(tmp_path / "s")]
+        return argv, ckpt, 2
+
+    @pytest.mark.parametrize("command", ["anchor", "train_toy", "replay", "simulate"])
+    def test_usage_error_with_path_and_line(
+        self, command, raw_session, anchored, processed, tmp_path, capsys
+    ):
+        argv, path, line = getattr(self, f"_{command}")(
+            raw_session, anchored, processed, tmp_path
+        )
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"usage error: {path}:{line}: ")
 
 
 class TestReplayCommand:

@@ -2,11 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 
 from mobman.anchoring import VioTrajectory
-from mobman.geometry import Pose2, Pose3, geodesic_so3, quat_from_axis_angle, quat_mul
+from mobman.geometry import (
+    Pose2,
+    Pose3,
+    geodesic_so3,
+    quat_from_axis_angle,
+    quat_mul,
+    wrap_angle,
+)
 from mobman.pipeline import (
+    DemoDataset,
+    DemoStep,
     GripperCalib,
     PipelineConfig,
     PipelineError,
@@ -274,8 +285,6 @@ class TestQualityFilter:
 class TestActionLabels:
     def _dataset(self, seed=0, n=30):
         rng = np.random.default_rng(seed)
-        from mobman.pipeline import DemoDataset, DemoStep
-
         steps = []
         base = Pose2()
         hand = Pose3(
@@ -318,6 +327,51 @@ class TestActionLabels:
         ds.steps = ds.steps[:1]
         with pytest.raises(ValueError):
             make_action_labels(ds)
+
+
+_unit = st.floats(-1.0, 1.0)
+_axis = st.tuples(_unit, _unit, _unit).filter(lambda v: math.hypot(*v) > 0.1)
+_increment = st.tuples(
+    st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2), st.floats(-1.0, 1.0)),
+    st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+    _axis,
+    st.floats(-0.5, 0.5),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestLabelRoundTripProperty:
+    """integrate_labels(make_action_labels(ds)) reproduces any step sequence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.tuples(_axis, st.floats(-3.0, 3.0), st.floats(0.0, 1.0)),
+        increments=st.lists(_increment, min_size=1, max_size=40),
+    )
+    def test_round_trip(self, start, increments):
+        axis0, angle0, grip = start
+        base = Pose2()
+        hand = Pose3(quat_from_axis_angle(np.array(axis0), angle0), np.array([0.3, 0.0, -0.2]))
+        steps = [DemoStep(t=0.0, base=base, hand_rel=hand, grip=grip)]
+        for i, (db, dp, axis, angle, grip) in enumerate(increments, start=1):
+            base = base.compose(Pose2(*db))
+            dq = quat_from_axis_angle(np.array(axis), angle)
+            hand = Pose3(quat_mul(dq, hand.rotation), hand.translation + np.array(dp))
+            steps.append(DemoStep(t=0.1 * i, base=base, hand_rel=hand, grip=grip))
+        ds = DemoDataset(steps=steps)
+
+        s0 = ds.steps[0]
+        rebuilt = integrate_labels(s0.base, s0.hand_rel, s0.grip, make_action_labels(ds))
+        assert len(rebuilt) == len(ds)
+        for a, b in zip(ds.steps, rebuilt):
+            assert abs(a.base.x - b.base.x) < 1e-9
+            assert abs(a.base.y - b.base.y) < 1e-9
+            assert abs(wrap_angle(a.base.theta - b.base.theta)) < 1e-9
+            assert np.max(np.abs(a.hand_rel.translation - b.hand_rel.translation)) < 1e-9
+            qa, qb = a.hand_rel.rotation, b.hand_rel.rotation
+            # both canonical; near w = 0 the hemisphere may still differ
+            assert min(np.max(np.abs(qa - qb)), np.max(np.abs(qa + qb))) < 1e-9
+            assert abs(a.grip - b.grip) < 1e-9
 
 
 class TestEndToEnd:
