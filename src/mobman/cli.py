@@ -41,7 +41,7 @@ from .diffusion import (
     train_toy,
 )
 from .geometry import Pose3
-from .jsonl import MalformedLineError, read_json, read_jsonl, write_json
+from .jsonl import MalformedInputError, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
     GripperCalib,
@@ -88,12 +88,23 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
+def _check_flag(cfg: dict, name: str, ok, rule: str) -> None:
+    """Usage error naming the flag unless ok(cfg[name]); rule says what ok asks."""
+    if not ok(cfg[name]):
+        raise UsageError(f"--{name.replace('_', '-')} must be {rule}, got {cfg[name]}")
+
+
+def _finite_nonnegative(v) -> bool:
+    return math.isfinite(v) and v >= 0
+
+
 # ---------------------------------------------------------------------------
 # anchor
 # ---------------------------------------------------------------------------
 
 
 def cmd_anchor(cfg: dict) -> RunManifest:
+    _check_flag(cfg, "cov_threshold", _finite_nonnegative, "finite and >= 0")
     trajs = load_trajectories(_require_file(cfg["trajectories"], "trajectory file"))
     dets = load_detections(_require_file(cfg["detections"], "detection file"))
     exts = load_extrinsics(_require_file(cfg["extrinsics"], "extrinsics file"))
@@ -207,6 +218,8 @@ def _dataset_to_pairs(dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_train_toy(cfg: dict) -> RunManifest:
+    _check_flag(cfg, "steps", lambda v: v >= 1, "at least 1")
+    _check_flag(cfg, "seed", lambda v: v >= 0, ">= 0")
     dataset = load_dataset(_require_file(cfg["dataset"], "dataset file"))
     if len(dataset) < 2:
         raise UsageError("dataset too small to form training pairs")
@@ -276,11 +289,10 @@ def cmd_simulate(cfg: dict) -> RunManifest:
         raise UsageError(
             f"unknown scenario {cfg['scenario']!r}; choose from {', '.join(SCENARIO_NAMES)}"
         )
-    if cfg["trials"] < 1:
-        raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
+    _check_flag(cfg, "trials", lambda v: v >= 1, "at least 1")
+    _check_flag(cfg, "seed", lambda v: v >= 0, ">= 0")
     for flag in ("latency_ms", "jitter_ms"):
-        if not (math.isfinite(cfg[flag]) and cfg[flag] >= 0):
-            raise UsageError(f"--{flag.replace('_', '-')} must be finite and >= 0, got {cfg[flag]}")
+        _check_flag(cfg, flag, _finite_nonnegative, "finite and >= 0")
     source = cfg["policy"]
     if source == "replay":
         make_policy = None
@@ -460,7 +472,7 @@ def main(argv=None) -> int:
                 base / "manifest.json" if base.is_dir() else base.with_suffix(".manifest.json")
             )
             man.save(man_path)
-    except (UsageError, MalformedLineError) as exc:
+    except (UsageError, MalformedInputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

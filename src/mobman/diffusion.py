@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import quat_canonical
-from .jsonl import read_json
+from .jsonl import MalformedInputError, fields_of, read_json
 
 DEFAULT_K = 100
 DEFAULT_DDIM_STEPS = 10
@@ -474,16 +474,17 @@ def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict |
 
 def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule, dict]:
     doc = read_json(path)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    model = ToyDenoiser(
-        input_dim=doc["input_dim"],
-        cond_dim=doc["cond_dim"],
-        hidden=doc["hidden"],
-        kemb_dim=doc["kemb_dim"],
-        temb_dim=doc["temb_dim"],
-        params={n: np.array(v) for n, v in doc["params"].items()},
-        ema={n: np.array(v) for n, v in doc["ema"].items()},
-    )
-    sched = NoiseSchedule(K=doc["K"], alpha_bar=np.array(doc["alpha_bar"]))
-    return model, sched, doc.get("meta", {})
+    with fields_of(path):
+        if doc.get("version") != CHECKPOINT_VERSION:
+            raise MalformedInputError(path, f"unsupported checkpoint version {doc.get('version')}")
+        model = ToyDenoiser(
+            input_dim=doc["input_dim"],
+            cond_dim=doc["cond_dim"],
+            hidden=doc["hidden"],
+            kemb_dim=doc["kemb_dim"],
+            temb_dim=doc["temb_dim"],
+            params={n: np.array(v) for n, v in doc["params"].items()},
+            ema={n: np.array(v) for n, v in doc["ema"].items()},
+        )
+        sched = NoiseSchedule(K=doc["K"], alpha_bar=np.array(doc["alpha_bar"]))
+        return model, sched, doc.get("meta", {})

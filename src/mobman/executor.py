@@ -18,10 +18,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .diffusion import ActionChunkTensor
+from .diffusion import DEFAULT_HORIZON, ActionChunkTensor
 from .geometry import Pose2, Pose3, dist_se2, geodesic_so3, quat_increment_apply, wrap_angle
 
 CONTROL_DT = 0.1
+EXEC_HORIZON = 8  # T_a: rows executed between plan activations
+ROLLBACK_M = 0.005  # m behind the current pose, along heading, that counts as a rollback
+JITTER_WINDOW_S = 0.5  # s after a splice in which forward-velocity sign flips count
 
 
 @dataclass(frozen=True)
@@ -66,18 +69,8 @@ class MatchWeights:
 
 
 @dataclass
-class ChunkPlan:
-    """An arrived chunk plus its kinematic roll-out from the observed state."""
-
-    chunk: ActionChunkTensor
-    rollout: list[PredictedState]
-    t0_obs: float
-
-
-@dataclass
 class SpliceReport:
     i_star: int
-    discarded: int
     discrepancy: float
     term_base: float
     term_trans: float
@@ -105,16 +98,14 @@ def advance_state(s: PredictedState, row: np.ndarray) -> PredictedState:
     )
 
 
-def forward_rollout(
-    s0: PredictedState, chunk: ActionChunkTensor, dt: float = CONTROL_DT
-) -> list[PredictedState]:
+def forward_rollout(s0: PredictedState, chunk: ActionChunkTensor) -> list[PredictedState]:
     """Kinematic roll-out: geometric integration of the chunk, no dynamics.
 
-    rollout[i] is the state after applying the first i action rows to s0
-    (rollout[0] == s0).
+    rollout[i] is the state after applying the first i action rows to s0, for
+    i = 0..T_p, so the roll-out holds T_p + 1 states (rollout[0] == s0).
     """
     states = [s0]
-    for row in chunk.values[:-1]:
+    for row in chunk.values:
         states.append(advance_state(states[-1], row))
     return states
 
@@ -145,7 +136,6 @@ def state_match(
     total, i_star, tb, tt, tr, tg = best
     return SpliceReport(
         i_star=i_star,
-        discarded=i_star,
         discrepancy=total,
         term_base=tb,
         term_trans=tt,
@@ -163,20 +153,18 @@ class Waypoint:
     row: np.ndarray
 
 
-def splice(plan: ChunkPlan, i_star: int) -> tuple[list[Waypoint], bool]:
-    """Waypoints from i_star onward; flag requests an immediate replan when
-    only the degenerate tail remains."""
-    T_p = plan.chunk.horizon
+def splice(
+    chunk: ActionChunkTensor, rollout: list[PredictedState], i_star: int
+) -> tuple[list[Waypoint], bool]:
+    """Waypoints from i_star onward, row i targeting rollout[i + 1]; the flag
+    requests an immediate replan when only the degenerate tail remains."""
+    T_p = chunk.horizon
     if not 0 <= i_star < T_p:
         raise ValueError(f"i_star {i_star} out of range [0, {T_p})")
-    waypoints = []
-    for i in range(i_star, T_p):
-        row = plan.chunk.values[i]
-        waypoints.append(
-            Waypoint(index=i, target=advance_state(plan.rollout[i], row), row=row)
-        )
-    replan_now = i_star == T_p - 1
-    return waypoints, replan_now
+    waypoints = [
+        Waypoint(index=i, target=rollout[i + 1], row=chunk.values[i]) for i in range(i_star, T_p)
+    ]
+    return waypoints, i_star == T_p - 1
 
 
 @dataclass
@@ -215,14 +203,11 @@ class LatencyConfig:
 class ExecutorConfig:
     matching: bool = True
     weights: MatchWeights = field(default_factory=MatchWeights)
-    horizon: int = 16  # T_p
-    exec_horizon: int = 8  # T_a
+    horizon: int = DEFAULT_HORIZON  # T_p
     dt: float = CONTROL_DT
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     max_ticks: int = 1200
     seed: int = 0
-    rollback_threshold: float = 0.005  # m behind current pose, along heading
-    jitter_window: float = 0.5  # s after a splice in which sign flips count
     # plant motor time constant as seen by the dispatcher; lowers the
     # position-correction gain to dt / (dt + tau) so the loop stays damped on
     # a lagged plant (0 = deadbeat, for kinematic plants)
@@ -242,17 +227,35 @@ class PlantCommand:
 
 @dataclass
 class EpisodeLog:
+    """The event stream of one episode, the only record the loop keeps.
+
+    splices, rollback_count, jitter_count and i_star_values() are read-only
+    views of the events.
+    """
+
     events: list[dict] = field(default_factory=list)
-    splices: list[SpliceReport] = field(default_factory=list)
-    rollback_count: int = 0
-    jitter_count: int = 0
-    commands: list[tuple] = field(default_factory=list)  # (tick, v, v_lat, omega)
 
     def add(self, tick: int, t: float, kind: str, payload: dict):
         self.events.append({"tick": tick, "t": round(t, 6), "kind": kind, "payload": payload})
 
+    def payloads(self, kind: str) -> list[dict]:
+        return [e["payload"] for e in self.events if e["kind"] == kind]
+
+    @property
+    def splices(self) -> list[dict]:
+        """SpliceReport.to_dict() of every splice, in order."""
+        return self.payloads("splice")
+
+    @property
+    def rollback_count(self) -> int:
+        return len(self.payloads("rollback"))
+
+    @property
+    def jitter_count(self) -> int:
+        return len(self.payloads("jitter"))
+
     def i_star_values(self) -> list[int]:
-        return [s.i_star for s in self.splices]
+        return [s["i_star"] for s in self.splices]
 
 
 def command_to_target(
@@ -297,10 +300,10 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
     state_at(t) and issue_command(cmd, t_effect).
 
     Exactly one plan may be pending. A new plan is activated (matched and
-    spliced) at the first tick boundary at or after its arrival. The next
-    request is scheduled so the arrival lands T_a ticks after the previous
-    activation. With matching disabled, execution restarts from row 0 of
-    every arriving chunk.
+    spliced) at the first tick boundary at or after its arrival, and its
+    plan_arrival event is logged at that tick. The next request is scheduled
+    so the arrival lands T_a ticks after the previous activation. With
+    matching disabled, execution restarts from row 0 of every arriving chunk.
     """
     lat = config.latency
     dt = config.dt
@@ -338,49 +341,41 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
             arrival = t + lat.d_net + max(0.0, jitter())
             pending = (arrival, chunk, obs_state, obs_t)
             log.add(tick, t, "plan_request", {"obs_t": round(obs_t, 6)})
-            log.add(tick, t, "plan_arrival", {"t_arrival": round(arrival, 6)})
             request_tick = config.max_ticks  # re-armed at next activation
 
         # plan arrival -> match + splice at this tick boundary
         if pending is not None and pending[0] <= t + 1e-9:
-            arrival_t, chunk, obs_state, obs_t = pending
+            arrival, chunk, obs_state, obs_t = pending
             pending = None
-            plan = ChunkPlan(
-                chunk=chunk, rollout=forward_rollout(obs_state, chunk, dt), t0_obs=obs_t
-            )
+            log.add(tick, t, "plan_arrival", {"t_arrival": round(arrival, 6)})
+            rollout = forward_rollout(obs_state, chunk)
             now_state, v_now, omega_now = plant.read_state()
             now_eff = _advance_by_latency(now_state, v_now, omega_now, lat.d_exe)
-            if config.matching:
-                report = state_match(plan.rollout, now_eff, config.weights)
-            else:
-                _, tb, tt, tr, tg = state_discrepancy(
-                    plan.rollout[0], now_eff, config.weights
-                )
-                report = SpliceReport(0, 0, tb + tt + tr + tg, tb, tt, tr, tg)
+            # without matching, row 0 is the only candidate
+            candidates = rollout[:-1] if config.matching else rollout[:1]
+            report = state_match(candidates, now_eff, config.weights)
             report.t0_obs = obs_t
             report.tick = tick
-            waypoints, replan_now = splice(plan, report.i_star)
+            waypoints, replan_now = splice(chunk, rollout, report.i_star)
             wp_cursor = 0
             chunk_net_forward = float(np.sum(chunk.values[:, 0]))
-            log.splices.append(report)
             log.add(tick, t, "splice", report.to_dict())
             last_splice_tick = tick
             prev_v_sign = 0
             if replan_now:
                 request_tick = tick
             else:
-                request_tick = tick + max(
-                    0, config.exec_horizon - math.ceil(lat.d_net / dt - 1e-9)
-                )
+                request_tick = tick + max(0, EXEC_HORIZON - math.ceil(lat.d_net / dt - 1e-9))
 
-        # dispatch; before the first chunk arrives the plant is left alone
-        # (startup grace), afterwards an empty queue means hold-in-place
-        now_state, v_now, omega_now = plant.read_state()
-        payload_extra = {}
-        if wp_cursor >= len(waypoints) and last_splice_tick is None:
+        # startup grace: the plant is left alone until the first chunk arrives
+        if last_splice_tick is None:
             if tick_callback is not None and tick_callback(tick, t, plant):
                 break
             continue
+
+        # dispatch; an empty queue means hold-in-place
+        now_state, _, _ = plant.read_state()
+        tracking = {}
         if wp_cursor < len(waypoints):
             wp = waypoints[wp_cursor]
             wp_cursor += 1
@@ -389,14 +384,12 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
             )
             # rollback: executed waypoint behind the current pose along heading
             rel = wp.target.base.relative_to(now_state.base)
-            payload_extra = {"ex": round(rel.x, 9), "ey": round(rel.y, 9), "row": wp.index}
-            if rel.x < -config.rollback_threshold and chunk_net_forward > 1e-6:
-                log.rollback_count += 1
+            tracking = {"ex": round(rel.x, 9), "ey": round(rel.y, 9), "row": wp.index}
+            if rel.x < -ROLLBACK_M and chunk_net_forward > 1e-6:
                 log.add(tick, t, "rollback", {"behind_m": round(-rel.x, 6), "row": wp.index})
         else:
             cmd = PlantCommand(0.0, 0.0, 0.0, now_state.hand_rel, now_state.grip)
         plant.issue_command(cmd, t + lat.d_exe)
-        log.commands.append((tick, cmd.v, cmd.v_lat, cmd.omega))
         log.add(
             tick,
             t,
@@ -405,18 +398,14 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
                 "v": round(cmd.v, 9),
                 "v_lat": round(cmd.v_lat, 9),
                 "omega": round(cmd.omega, 9),
-                **payload_extra,
+                **tracking,
             },
         )
 
         # splice jitter: forward-velocity sign reversals shortly after a splice
         sign = 0 if abs(cmd.v) < 0.02 else (1 if cmd.v > 0 else -1)
-        if (
-            last_splice_tick is not None
-            and (tick - last_splice_tick) * dt <= config.jitter_window + 1e-9
-        ):
+        if (tick - last_splice_tick) * dt <= JITTER_WINDOW_S + 1e-9:
             if sign != 0 and prev_v_sign != 0 and sign != prev_v_sign:
-                log.jitter_count += 1
                 log.add(tick, t, "jitter", {"v": round(cmd.v, 6)})
         if sign != 0:
             prev_v_sign = sign

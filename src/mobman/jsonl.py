@@ -2,15 +2,33 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
 
 
-class MalformedLineError(ValueError):
-    def __init__(self, path, line_number: int, reason: str):
-        super().__init__(f"{path}:{line_number}: {reason}")
+class MalformedInputError(ValueError):
+    """A file that does not parse (at line_number), or parses but does not
+    hold what its format requires (line_number None)."""
+
+    def __init__(self, path, reason: str, line_number: int | None = None):
+        where = path if line_number is None else f"{path}:{line_number}"
+        super().__init__(f"{where}: {reason}")
         self.path = path
         self.line_number = line_number
+
+
+@contextmanager
+def fields_of(path):
+    """Report a missing or mistyped field read from `path` as MalformedInputError."""
+    try:
+        yield
+    except MalformedInputError:
+        raise
+    except KeyError as exc:
+        raise MalformedInputError(path, f"missing field {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise MalformedInputError(path, str(exc)) from exc
 
 
 def read_jsonl(path) -> Iterator[dict]:
@@ -22,7 +40,7 @@ def read_jsonl(path) -> Iterator[dict]:
             try:
                 yield json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, i, str(exc)) from exc
+                raise MalformedInputError(path, str(exc), i) from exc
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
@@ -45,4 +63,4 @@ def read_json(path):
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise MalformedLineError(path, exc.lineno, exc.msg) from exc
+            raise MalformedInputError(path, exc.msg, exc.lineno) from exc

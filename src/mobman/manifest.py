@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .jsonl import read_json, write_json
+from .jsonl import fields_of, read_json, write_json
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -67,14 +67,15 @@ class RunManifest:
     @staticmethod
     def load(path) -> "RunManifest":
         doc = read_json(path)
-        return RunManifest(
-            command=doc["command"],
-            config=doc["config"],
-            seed=int(doc["seed"]),
-            inputs=doc.get("inputs", {}),
-            outputs=doc.get("outputs", {}),
-            version=doc.get("version", ARTIFACT_VERSION),
-        )
+        with fields_of(path):
+            return RunManifest(
+                command=doc["command"],
+                config=doc["config"],
+                seed=int(doc["seed"]),
+                inputs=doc.get("inputs", {}),
+                outputs=doc.get("outputs", {}),
+                version=doc.get("version", ARTIFACT_VERSION),
+            )
 
     def verify_outputs(self) -> list[str]:
         """Paths whose current content no longer matches the recorded hash."""

@@ -25,7 +25,7 @@ from .geometry import (
     wrap_angle,
     yaw_project,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import fields_of, read_jsonl, write_jsonl
 
 
 class PipelineError(ValueError):
@@ -446,15 +446,16 @@ def save_dataset(path, dataset: DemoDataset) -> None:
 
 
 def load_dataset(path, session_id: str = "") -> DemoDataset:
-    steps = [
-        DemoStep(
-            t=float(rec["t"]),
-            base=Pose2.from_list(rec["base"]),
-            hand_rel=Pose3.from_list(rec["hand_rel"]),
-            grip=float(rec["grip"]),
-            chest_image_ref=rec.get("chest_image"),
-            hand_image_ref=rec.get("hand_image"),
-        )
-        for rec in read_jsonl(path)
-    ]
+    with fields_of(path):
+        steps = [
+            DemoStep(
+                t=float(rec["t"]),
+                base=Pose2.from_list(rec["base"]),
+                hand_rel=Pose3.from_list(rec["hand_rel"]),
+                grip=float(rec["grip"]),
+                chest_image_ref=rec.get("chest_image"),
+                hand_image_ref=rec.get("hand_image"),
+            )
+            for rec in read_jsonl(path)
+        ]
     return DemoDataset(steps=steps, session_id=session_id)

@@ -15,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsonl import fields_of
+
 
 def load_metrics(paths) -> list[dict]:
     rows = []
     for path in paths:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8") as fh, fields_of(path):
             for rec in csv.DictReader(fh):
                 rows.append(
                     {

@@ -87,7 +87,6 @@ class Plant:
         base: Pose2 = Pose2(),
         hand_rel: Pose3 | None = None,
         grip: float = 1.0,
-        v0: float = 0.0,
     ):
         self.config = config
         self.base = base
@@ -95,16 +94,14 @@ class Plant:
         self.hand_rot = hand_rel.rotation
         self.hand_pos = hand_rel.translation
         self.grip = float(grip)
-        self.v = float(v0)
+        self.v = 0.0
         self.omega = 0.0
         self.v_lat = 0.0
         self.t = 0.0
         self.cmd = PlantCommand(0.0, 0.0, 0.0, hand_rel, self.grip)
-        if config.kinematic:
-            self.cmd = replace(self.cmd, v=self.v)
         self._queue: list[tuple[float, PlantCommand]] = []
-        self._history: list[tuple[float, PredictedState, float, float]] = []
-        self._times: list[float] = []  # snapshot times, kept beside _history
+        self._times: list[float] = []  # snapshot times, kept beside _states
+        self._states: list[PredictedState] = []
         self._snapshot()
 
     @property
@@ -113,7 +110,7 @@ class Plant:
 
     def _snapshot(self):
         self._times.append(self.t)
-        self._history.append((self.t, *self.read_state()))
+        self._states.append(self.read_state()[0])
 
     def issue_command(self, cmd: PlantCommand, t_effect: float) -> None:
         self._queue.append((t_effect, cmd))
@@ -123,14 +120,14 @@ class Plant:
 
     def state_at(self, t: float) -> PredictedState:
         """State at a past time, interpolated between substep snapshots."""
-        hist = self._history
-        if t <= hist[0][0]:
-            return hist[0][1]
-        if t >= hist[-1][0]:
-            return hist[-1][1]
-        j = bisect.bisect_right(self._times, t)
-        (t0, s0, _, _), (t1, s1, _, _) = hist[j - 1], hist[j]
-        a = (t - t0) / (t1 - t0)
+        times, states = self._times, self._states
+        if t <= times[0]:
+            return states[0]
+        if t >= times[-1]:
+            return states[-1]
+        j = bisect.bisect_right(times, t)
+        s0, s1 = states[j - 1], states[j]
+        a = (t - times[j - 1]) / (times[j] - times[j - 1])
         return PredictedState(
             base=Pose2(
                 (1 - a) * s0.base.x + a * s1.base.x,
@@ -366,8 +363,6 @@ class SimScenario:
     script: ExpertScript
     goals: list[GoalStage]
     time_limit: float = 120.0
-    randomize_radius: float = 0.10  # m, initial position perturbation
-    randomize_heading: float = math.radians(15.0)
 
     def __post_init__(self):
         if self.script.duration >= self.time_limit:
@@ -520,11 +515,7 @@ class ExpertSession:
     detections: list[TagDetection]
     extrinsics: dict[str, Extrinsic]
     cross_node_true: Pose3  # ground truth T mapping hand-world into chest-world
-    script: ExpertScript
-    ref_t: np.ndarray  # 10 Hz reference grid, as script.reference() returns it
-    ref_base: list[Pose2]
-    ref_hand: list[Pose3]
-    ref_grip: np.ndarray
+    script: ExpertScript  # script.reference() is the 10 Hz reference grid
     calib: GripperCalib = DEFAULT_CALIB
 
 
@@ -643,17 +634,12 @@ def scripted_expert(
             )
         )
 
-    ref_t, ref_base, ref_hand, ref_grip = script.reference()
     return ExpertSession(
         session=session,
         detections=detections,
         extrinsics=EXTRINSICS,
         cross_node_true=g_true,
         script=script,
-        ref_t=ref_t,
-        ref_base=ref_base,
-        ref_hand=ref_hand,
-        ref_grip=ref_grip,
         calib=calib,
     )
 
@@ -828,6 +814,9 @@ class ExpertReplayPolicy:
 # Episodes and condition comparisons
 # ---------------------------------------------------------------------------
 
+START_RADIUS = 0.10  # m, initial position perturbation
+START_HEADING = math.radians(15.0)  # rad, initial heading perturbation
+
 
 @dataclass
 class EpisodeMetrics:
@@ -888,19 +877,18 @@ def run_episode(
     exec_cfg: ExecutorConfig,
     seed: int,
     task_frame: Pose2 = Pose2(),
-    start_velocity: float = 0.0,
 ) -> tuple[EpisodeMetrics, EpisodeLog]:
     """One deterministic virtual-time episode.
 
     The scenario's start pose (origin of its script, shifted by task_frame)
-    is perturbed inside the randomization disk/heading range; goals are
+    is perturbed inside a START_RADIUS disk and a +-START_HEADING range; goals are
     checked every control tick against the plant's true state and must be
     held for their dwell times in order.
     """
     rng = np.random.default_rng([seed, 0xEA])
-    r = scenario.randomize_radius * math.sqrt(rng.uniform())
+    r = START_RADIUS * math.sqrt(rng.uniform())
     phi = rng.uniform(0.0, 2.0 * math.pi)
-    dth = rng.uniform(-scenario.randomize_heading, scenario.randomize_heading)
+    dth = rng.uniform(-START_HEADING, START_HEADING)
     start = task_frame.compose(Pose2(r * math.cos(phi), r * math.sin(phi), dth))
 
     plant = Plant(
@@ -908,7 +896,6 @@ def run_episode(
         base=start,
         hand_rel=scenario.script.hand_at(0.0),
         grip=scenario.script.grip_at(0.0),
-        v0=start_velocity,
     )
     exec_cfg = replace(
         exec_cfg, max_ticks=int(round(scenario.time_limit / exec_cfg.dt)), seed=seed
@@ -922,11 +909,7 @@ def run_episode(
     log = run_executor(policy, plant, exec_cfg, tick_callback=on_tick)
 
     i_stars = log.i_star_values()
-    err_sq = [
-        (e["payload"]["ex"] ** 2 + e["payload"]["ey"] ** 2)
-        for e in log.events
-        if e["kind"] == "command" and "ex" in e["payload"]
-    ]
+    err_sq = [p["ex"] ** 2 + p["ey"] ** 2 for p in log.payloads("command") if "ex" in p]
     success = tracker.done_time is not None
     return (
         EpisodeMetrics(
@@ -1007,8 +990,12 @@ def compare_conditions(
 
     Returns per-episode rows (CSV-ready) and an aggregate summary keyed by
     condition name: report.aggregate_rows of the rows, means rounded to
-    3 decimals. make_policy is passed on to run_condition_trial.
+    3 decimals. make_policy is passed on to run_condition_trial. Condition
+    names must be distinct: they key both the rows and the aggregate.
     """
+    names = [c.name for c in conditions]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate condition names in {names}")
     rows = []
     for cond in conditions:
         for trial in range(n_trials):

@@ -372,6 +372,71 @@ class TestMalformedInput:
         assert err[0].startswith(f"usage error: {path}:{line}: ")
 
 
+    def _replay_schema(self, tmp_path):
+        man = tmp_path / "manifest.json"
+        man.write_text("{}\n")
+        return ["replay", "--manifest", str(man)], man
+
+    def _train_toy_schema(self, tmp_path):
+        ds = tmp_path / "dataset.jsonl"
+        ds.write_text('{"t": 0.0}\n')
+        return ["train-toy", "--dataset", str(ds), "--output", str(tmp_path / "m")], ds
+
+    def _report_schema(self, tmp_path):
+        csv_path = tmp_path / "metrics.csv"
+        csv_path.write_text(
+            "condition,scenario,trial,completion_time_s,rollbacks,jitter,i_star_mean\n"
+            "c,nav_reach,0,1.0,0,0,0.0\n"
+        )
+        return ["report", "--metrics", str(csv_path), "--output", str(tmp_path / "r")], csv_path
+
+    def _simulate_schema(self, tmp_path):
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text('{"version": 7}\n')
+        argv = ["simulate", "--policy", str(ckpt), "--trials", "1", "--output", str(tmp_path / "s")]
+        return argv, ckpt
+
+    @pytest.mark.parametrize("command", ["replay", "train_toy", "report", "simulate"])
+    def test_schema_violation_is_usage_error_with_path(self, command, tmp_path, capsys):
+        # well-formed JSON/CSV that lacks a field or holds another version
+        argv, path = getattr(self, f"_{command}_schema")(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"usage error: {path}: ")
+
+
+class TestBadFlags:
+    """Out-of-range numeric flags are one-line usage errors that write nothing."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--seed", "-1"),
+            ("train-toy", "--seed", "-1"),
+            ("train-toy", "--steps", "0"),
+            ("anchor", "--cov-threshold", "nan"),
+        ],
+    )
+    def test_usage_error(self, command, flag, value, raw_session, processed, tmp_path, capsys):
+        raw, _ = raw_session
+        inputs = {
+            "simulate": ["--trials", "1"],
+            "train-toy": ["--dataset", str(processed / "dataset.jsonl")],
+            "anchor": [
+                "--trajectories", str(raw / "trajectories.jsonl"),
+                "--detections", str(raw / "detections.jsonl"),
+                "--extrinsics", str(raw / "extrinsics.json"),
+            ],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *inputs, flag, value, "--output", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"usage error: {flag} ")
+        assert not out.exists()
+
+
 class TestReplayCommand:
     def test_replay_reproduces_simulate(self, tmp_path):
         out = tmp_path / "sim"

@@ -1,11 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobman.diffusion import ActionChunkTensor
 from mobman.executor import (
-    ChunkPlan,
     ExecutorConfig,
     LatencyConfig,
     MatchWeights,
@@ -41,7 +43,7 @@ class TestRollout:
     def test_starts_at_s0_and_has_horizon_length(self):
         s0 = state()
         roll = forward_rollout(s0, cruise_chunk())
-        assert len(roll) == 16
+        assert len(roll) == 17  # s0 and the state after each of the 16 rows
         assert roll[0] is s0
 
     def test_straight_line_integration(self):
@@ -117,26 +119,63 @@ class TestStateMatch:
 
 
 class TestSplice:
-    def _plan(self):
+    def _splice(self, i_star):
         chunk = cruise_chunk()
-        return ChunkPlan(chunk, forward_rollout(state(), chunk), 0.0)
+        return splice(chunk, forward_rollout(state(), chunk), i_star)
 
     def test_keeps_tail(self):
-        wps, replan = splice(self._plan(), 3)
+        wps, replan = self._splice(3)
         assert [w.index for w in wps] == list(range(3, 16))
         assert not replan
         # each waypoint target is one row ahead of its rollout state
         assert wps[0].target.base.x == pytest.approx(0.03 * 4, abs=1e-12)
 
     def test_replan_when_only_last_row_remains(self):
-        _, replan = splice(self._plan(), 15)
+        _, replan = self._splice(15)
         assert replan
 
     def test_range_checked(self):
         with pytest.raises(ValueError):
-            splice(self._plan(), 16)
+            self._splice(16)
         with pytest.raises(ValueError):
-            splice(self._plan(), -1)
+            self._splice(-1)
+
+
+_row = st.lists(st.floats(-1.0, 1.0), min_size=11, max_size=11).filter(
+    lambda r: math.hypot(*r[6:10]) > 0.1
+)
+
+
+class TestSpliceProperty:
+    """For any chunk and every i_star in [0, T_p), splice keeps rows
+    i_star..T_p-1, each targeting the roll-out state one row ahead."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(_row, min_size=1, max_size=20), off=st.integers(1, 1000))
+    def test_indexing(self, rows, off):
+        chunk = ActionChunkTensor(np.array(rows))
+        T_p = chunk.horizon
+        rollout = forward_rollout(state(), chunk)
+        assert len(rollout) == T_p + 1
+        for i_star in range(T_p):
+            wps, replan = splice(chunk, rollout, i_star)
+            assert [w.index for w in wps] == list(range(i_star, T_p))
+            assert replan == (i_star == T_p - 1)
+            for w in wps:
+                row = chunk.values[w.index]
+                want = advance_state(rollout[w.index], row)
+                assert np.array_equal(w.row, row)
+                assert (w.target.base.x, w.target.base.y, w.target.base.theta) == (
+                    want.base.x,
+                    want.base.y,
+                    want.base.theta,
+                )
+                assert np.array_equal(w.target.hand_pos, want.hand_pos)
+                assert np.array_equal(w.target.hand_rot, want.hand_rot)
+                assert w.target.grip == want.grip
+        for bad in (-off, T_p - 1 + off):
+            with pytest.raises(ValueError):
+                splice(chunk, rollout, bad)
 
 
 class TestLatencyConfig:
@@ -175,10 +214,10 @@ class TestCommandToTarget:
         assert cmd.v == pytest.approx((0.03 + 0.4 * (0.05 - 0.03)) / 0.1)
 
 
-def run_cruise(matching=True, latency=None, kinematic=True, ticks=80, jitter=0.0, seed=0, v0=0.0):
+def run_cruise(matching=True, latency=None, kinematic=True, ticks=80, jitter=0.0, seed=0):
     lat = latency if latency is not None else LatencyConfig()
     lat.jitter_std = jitter
-    plant = Plant(PlantConfig(kinematic=kinematic), v0=v0)
+    plant = Plant(PlantConfig(kinematic=kinematic))
     cfg = ExecutorConfig(
         matching=matching,
         latency=lat,
@@ -193,8 +232,8 @@ class TestExecutorLoop:
     def test_zero_latency_matching_is_identity(self):
         log_on, _ = run_cruise(matching=True, latency=LatencyConfig(0.0, 0.0, 0.0))
         log_off, _ = run_cruise(matching=False, latency=LatencyConfig(0.0, 0.0, 0.0))
-        assert log_on.commands == log_off.commands
-        assert all(s.i_star == 0 for s in log_on.splices[1:])
+        assert log_on.payloads("command") == log_off.payloads("command")
+        assert all(s["i_star"] == 0 for s in log_on.splices[1:])
         assert log_on.rollback_count == 0
 
     def test_kinematic_cruise_splice_offset_is_two(self):
@@ -232,8 +271,19 @@ class TestExecutorLoop:
     def test_deterministic_per_seed(self):
         a, _ = run_cruise(jitter=0.018, seed=5)
         b, _ = run_cruise(jitter=0.018, seed=5)
-        assert a.commands == b.commands
-        assert a.i_star_values() == b.i_star_values()
+        assert a.events == b.events
+
+    def test_plan_arrival_logged_at_activation_tick(self):
+        log, _ = run_cruise(jitter=0.018, seed=3, ticks=150)
+        events = log.events
+        arrivals = [i for i, e in enumerate(events) if e["kind"] == "plan_arrival"]
+        assert len(arrivals) >= 3
+        for i in arrivals:
+            e = events[i]
+            assert e["t"] >= e["payload"]["t_arrival"] - 1e-9
+            assert e["t"] < e["payload"]["t_arrival"] + 0.1 + 1e-9
+            assert events[i + 1]["kind"] == "splice"
+            assert events[i + 1]["tick"] == e["tick"]
 
     def test_policy_horizon_checked(self):
         plant = Plant(PlantConfig(kinematic=True))
@@ -255,5 +305,6 @@ class TestExecutorLoop:
 
     def test_splice_report_serializes(self):
         log, _ = run_cruise()
-        d = log.splices[1].to_dict()
+        d = log.splices[1]
         assert {"i_star", "discrepancy", "term_base", "tick"} <= set(d)
+        assert json.loads(json.dumps(log.events)) == log.events

@@ -384,10 +384,9 @@ class TestEndToEnd:
         ds = assemble_dataset(
             session, expert.calib, PipelineConfig(smoothing=False)
         )
-        assert len(ds) == len(expert.ref_t)
-        for step, base, hand, grip in zip(
-            ds.steps, expert.ref_base, expert.ref_hand, expert.ref_grip
-        ):
+        ref_t, ref_base, ref_hand, ref_grip = expert.script.reference()
+        assert len(ds) == len(ref_t)
+        for step, base, hand, grip in zip(ds.steps, ref_base, ref_hand, ref_grip):
             assert abs(step.base.x - base.x) < 1e-6
             assert abs(step.base.y - base.y) < 1e-6
             assert abs(step.base.theta - base.theta) < 1e-6
