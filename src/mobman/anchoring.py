@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose3, geodesic_so3, slerp
-from .jsonl import read_json, read_jsonl, write_json
+from .jsonl import fields_of, read_json, read_jsonl, write_json
 
 CHEST = "chest"
 HAND = "hand"
@@ -45,6 +45,8 @@ class VioTrajectory:
         self.cov_trace = np.asarray(self.cov_trace, dtype=float)
         if len(self.t) == 0:
             raise ValueError("trajectory must contain at least one sample")
+        if self.pos.shape != (len(self.t), 3) or self.quat.shape != (len(self.t), 4):
+            raise ValueError("trajectory poses must hold 3 position and 4 quaternion values")
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory timestamps must be strictly increasing")
         if np.any(self.cov_trace < 0.0):
@@ -203,20 +205,21 @@ def cross_node_transform(anchor_chest: Pose3, anchor_hand: Pose3) -> Pose3:
 
 def load_trajectories(path) -> dict[str, VioTrajectory]:
     rows: dict[str, list] = {}
-    for rec in read_jsonl(path):
-        rows.setdefault(rec["node"], []).append(
-            (float(rec["t"]), rec["pose"], float(rec.get("cov_trace", 0.0)))
-        )
     out = {}
-    for node, samples in rows.items():
-        samples.sort(key=lambda r: r[0])
-        out[node] = VioTrajectory(
-            node_id=node,
-            t=np.array([s[0] for s in samples]),
-            pos=np.array([s[1][0:3] for s in samples], dtype=float),
-            quat=np.array([s[1][3:7] for s in samples], dtype=float),
-            cov_trace=np.array([s[2] for s in samples]),
-        )
+    with fields_of(path):
+        for rec in read_jsonl(path):
+            rows.setdefault(rec["node"], []).append(
+                (float(rec["t"]), rec["pose"], float(rec.get("cov_trace", 0.0)))
+            )
+        for node, samples in rows.items():
+            samples.sort(key=lambda r: r[0])
+            out[node] = VioTrajectory(
+                node_id=node,
+                t=np.array([s[0] for s in samples]),
+                pos=np.array([s[1][0:3] for s in samples], dtype=float),
+                quat=np.array([s[1][3:7] for s in samples], dtype=float),
+                cov_trace=np.array([s[2] for s in samples]),
+            )
     return out
 
 
@@ -239,10 +242,11 @@ def save_trajectories(path, trajs: dict[str, VioTrajectory]) -> None:
 
 
 def load_detections(path) -> list[TagDetection]:
-    return [
-        TagDetection(rec["node"], float(rec["t"]), Pose3.from_list(rec["tag_pose"]))
-        for rec in read_jsonl(path)
-    ]
+    with fields_of(path):
+        return [
+            TagDetection(rec["node"], float(rec["t"]), Pose3.from_list(rec["tag_pose"]))
+            for rec in read_jsonl(path)
+        ]
 
 
 def save_detections(path, detections: list[TagDetection]) -> None:
@@ -259,7 +263,8 @@ def save_detections(path, detections: list[TagDetection]) -> None:
 
 def load_extrinsics(path) -> dict[str, Extrinsic]:
     doc = read_json(path)
-    return {node: Extrinsic(node, Pose3.from_list(vals)) for node, vals in doc.items()}
+    with fields_of(path):
+        return {node: Extrinsic(node, Pose3.from_list(vals)) for node, vals in doc.items()}
 
 
 def save_extrinsics(path, extrinsics: dict[str, Extrinsic]) -> None:

@@ -40,8 +40,8 @@ from .diffusion import (
     save_checkpoint,
     train_toy,
 )
-from .geometry import Pose3
-from .jsonl import MalformedInputError, read_json, read_jsonl, write_json
+from .geometry import DegeneratePitchError, Pose3
+from .jsonl import MalformedInputError, fields_of, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
     GripperCalib,
@@ -153,33 +153,41 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
     for node in (CHEST, HAND):
         if node not in trajs:
             raise UsageError(f"trajectory stream for node {node!r} missing")
-    markers = list(read_jsonl(_require_file(raw_dir / "markers.jsonl", "marker stream")))
+    markers_path = _require_file(raw_dir / "markers.jsonl", "marker stream")
+    markers = list(read_jsonl(markers_path))
     if not markers:
         raise DomainError("marker stream is empty")
+    with fields_of(markers_path):
+        marker_t = np.array([m["t"] for m in markers], dtype=float)
+        marker_d = np.array([m["distance_m"] for m in markers], dtype=float)
     return RawSession(
         session_id=raw_dir.name,
         chest=trajs[CHEST],
         hand=trajs[HAND],
         cross_node=cross_node,
-        marker_t=np.array([m["t"] for m in markers], dtype=float),
-        marker_d=np.array([m["distance_m"] for m in markers], dtype=float),
+        marker_t=marker_t,
+        marker_d=marker_d,
     )
 
 
 def cmd_process(cfg: dict) -> RunManifest:
     raw_dir = _require_file(cfg["raw"], "raw session directory")
-    anchor_doc = read_json(_require_file(cfg["anchor"], "anchor file"))
-    cross = Pose3.from_list(anchor_doc["cross_node"])
+    anchor_path = _require_file(cfg["anchor"], "anchor file")
+    anchor_doc = read_json(anchor_path)
+    with fields_of(anchor_path):
+        cross = Pose3.from_list(anchor_doc["cross_node"])
     if cfg.get("calib"):
-        cal_doc = read_json(_require_file(cfg["calib"], "calibration file"))
-        calib = GripperCalib(float(cal_doc["d_closed"]), float(cal_doc["d_open"]))
+        calib_path = _require_file(cfg["calib"], "calibration file")
+        cal_doc = read_json(calib_path)
+        with fields_of(calib_path):
+            calib = GripperCalib(float(cal_doc["d_closed"]), float(cal_doc["d_open"]))
     else:
         calib = DEFAULT_CALIB
     session = _load_raw_session(raw_dir, cross)
     pipe_cfg = PipelineConfig(smoothing=cfg["smoothing"])
     try:
         dataset = assemble_dataset(session, calib, pipe_cfg)
-    except (PipelineError, TimestampError) as exc:
+    except (PipelineError, TimestampError, DegeneratePitchError) as exc:
         raise DomainError(str(exc)) from exc
 
     out_dir = Path(cfg["output"])
@@ -262,9 +270,8 @@ class DiffusionReplayPolicy:
     are deterministic.
     """
 
-    def __init__(self, checkpoint_path, horizon: int = DEFAULT_HORIZON, seed: int = 0):
+    def __init__(self, checkpoint_path, seed: int = 0):
         self.model, self.sched, _ = load_checkpoint(checkpoint_path)
-        self.horizon = horizon
         self.seed = seed
         self._eps_fn = model_eps_fn(self.model)
         self._calls = 0
@@ -272,16 +279,16 @@ class DiffusionReplayPolicy:
     def __call__(self, obs: PredictedState, obs_t: float) -> ActionChunkTensor:
         rng = np.random.default_rng([self.seed, 0xD1, self._calls])
         self._calls += 1
-        rows = np.zeros((self.horizon, ACTION_DIM))
+        rows = np.zeros((DEFAULT_HORIZON, ACTION_DIM))
         prev = np.zeros(ACTION_DIM)
-        for r in range(self.horizon):
+        for r in range(DEFAULT_HORIZON):
             cond = obs_to_condition(obs.base, obs.hand_rel, obs.grip, prev, np.zeros(0))
             row = ddim_sample(
                 self._eps_fn, cond, self.sched, rng=rng, sample_dim=ACTION_DIM
             )[0]
             rows[r] = row
             prev = row
-        return ActionChunkTensor(rows, t0_obs=obs_t).canonicalized()
+        return ActionChunkTensor(rows).canonicalized()
 
 
 def cmd_simulate(cfg: dict) -> RunManifest:
@@ -374,10 +381,22 @@ _COMMANDS = {
 }
 
 
+def _config_keys(command: str) -> set[str]:
+    """The config keys that a command's flags resolve to."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
 def cmd_replay(cfg: dict) -> RunManifest:
-    recorded = RunManifest.load(_require_file(cfg["manifest"], "manifest"))
+    manifest_path = _require_file(cfg["manifest"], "manifest")
+    recorded = RunManifest.load(manifest_path)
     if recorded.command not in _COMMANDS:
         raise UsageError(f"manifest records unknown command {recorded.command!r}")
+    if not isinstance(recorded.config, dict):
+        raise MalformedInputError(manifest_path, "config must be an object")
+    missing = sorted(_config_keys(recorded.command) - set(recorded.config))
+    if missing:
+        raise MalformedInputError(manifest_path, f"config lacks {', '.join(missing)}")
     man = _COMMANDS[recorded.command](recorded.config)
     mismatched = [
         path

@@ -24,6 +24,8 @@ DEFAULT_DDIM_STEPS = 10
 DEFAULT_EMA_DECAY = 0.9999
 ACTION_DIM = 11
 DEFAULT_HORIZON = 16
+TRAIN_BATCH_SIZE = 64
+TRAIN_LR = 2e-3
 
 
 class TrainingDivergedError(RuntimeError):
@@ -69,14 +71,6 @@ def forward_noise(a0: np.ndarray, k: np.ndarray | int, eps: np.ndarray, sched: N
     if a0.ndim > 1 and ab.ndim == 1:
         ab = ab.reshape((-1,) + (1,) * (a0.ndim - 1))
     return np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps
-
-
-def mse_loss(eps: np.ndarray, eps_hat: np.ndarray) -> float:
-    eps = np.asarray(eps, dtype=float)
-    eps_hat = np.asarray(eps_hat, dtype=float)
-    if eps.shape != eps_hat.shape:
-        raise ValueError(f"shape mismatch: {eps.shape} vs {eps_hat.shape}")
-    return float(np.mean((eps - eps_hat) ** 2))
 
 
 def sinusoidal_embedding(k: np.ndarray, dim: int = 16) -> np.ndarray:
@@ -243,23 +237,17 @@ class Adam:
 
 @dataclass
 class TrainConfig:
-    K: int = DEFAULT_K
     steps: int = 3000
-    batch_size: int = 64
-    lr: float = 2e-3
-    ema_decay: float = DEFAULT_EMA_DECAY
     seed: int = 0
-    hidden: int = 64
 
 
-def train_toy(
-    conds: np.ndarray, a0s: np.ndarray, config: TrainConfig | None = None
-) -> tuple[ToyDenoiser, NoiseSchedule, list[float]]:
-    """Train a noise-prediction network on (condition, clean action) pairs.
+def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, list[float]]:
+    """The training loop both trainers share.
 
-    Mini-batch descent with per-sample uniform step k in [1, K]; the EMA shadow
-    is updated every step. Fully deterministic for a fixed seed. Returns the
-    model, the schedule it was trained under, and the per-step loss curve.
+    batch(rng, a0s[idx]) returns the (input, step, target) triple of one
+    mini-batch. Each step draws the batch indices first and then whatever
+    batch draws, so the random stream is fixed by the seed. The EMA shadow is
+    updated every step. Returns the model and the per-step loss curve.
     """
     config = config or TrainConfig()
     conds = np.atleast_2d(np.asarray(conds, dtype=float))
@@ -268,23 +256,40 @@ def train_toy(
         raise ValueError("empty dataset")
     if len(conds) != len(a0s):
         raise ValueError("condition/action count mismatch")
-    sched = cosine_schedule(config.K)
     rng = np.random.default_rng(config.seed)
-    model = ToyDenoiser(input_dim=a0s.shape[1], cond_dim=conds.shape[1], hidden=config.hidden)
+    model = ToyDenoiser(input_dim=a0s.shape[1], cond_dim=conds.shape[1])
     model.init_params(rng)
-    opt = Adam(model.params, lr=config.lr)
+    opt = Adam(model.params, lr=TRAIN_LR)
     curve = []
     for step in range(config.steps):
-        idx = rng.integers(0, len(a0s), size=config.batch_size)
-        k = rng.integers(1, config.K + 1, size=config.batch_size)
-        eps = rng.standard_normal((config.batch_size, a0s.shape[1]))
-        a_k = forward_noise(a0s[idx], k, eps, sched)
-        loss, grads = model.loss_and_grads(a_k, k, conds[idx], eps)
+        idx = rng.integers(0, len(a0s), size=TRAIN_BATCH_SIZE)
+        x, k, target = batch(rng, a0s[idx])
+        loss, grads = model.loss_and_grads(x, k, conds[idx], target)
         if not math.isfinite(loss):
             raise TrainingDivergedError(step)
         opt.step(model.params, grads)
-        ema_update(model.ema, model.params, config.ema_decay)
+        ema_update(model.ema, model.params)
         curve.append(loss)
+    return model, curve
+
+
+def train_toy(
+    conds: np.ndarray, a0s: np.ndarray, config: TrainConfig | None = None
+) -> tuple[ToyDenoiser, NoiseSchedule, list[float]]:
+    """Train a noise-prediction network on (condition, clean action) pairs.
+
+    Mini-batch descent with per-sample uniform step k in [1, K]. Fully
+    deterministic for a fixed seed. Returns the model, the schedule it was
+    trained under, and the per-step loss curve.
+    """
+    sched = cosine_schedule(DEFAULT_K)
+
+    def noised(rng, a0):
+        k = rng.integers(1, DEFAULT_K + 1, size=len(a0))
+        eps = rng.standard_normal(a0.shape)
+        return forward_noise(a0, k, eps, sched), k, eps
+
+    model, curve = _fit(conds, a0s, config, noised)
     return model, sched, curve
 
 
@@ -296,28 +301,11 @@ def train_regression(
     The denoiser input is zeroed and k pinned to 0, so the network can only
     map the condition to a point estimate; sampling is its plain forward pass.
     """
-    config = config or TrainConfig()
-    conds = np.atleast_2d(np.asarray(conds, dtype=float))
-    a0s = np.atleast_2d(np.asarray(a0s, dtype=float))
-    if len(conds) == 0:
-        raise ValueError("empty dataset")
-    rng = np.random.default_rng(config.seed)
-    model = ToyDenoiser(input_dim=a0s.shape[1], cond_dim=conds.shape[1], hidden=config.hidden)
-    model.init_params(rng)
-    opt = Adam(model.params, lr=config.lr)
-    curve = []
-    zeros = np.zeros_like(a0s[:1])
-    for step in range(config.steps):
-        idx = rng.integers(0, len(a0s), size=config.batch_size)
-        x = np.repeat(zeros, len(idx), axis=0)
-        k = np.zeros(len(idx), dtype=int)
-        loss, grads = model.loss_and_grads(x, k, conds[idx], a0s[idx])
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(step)
-        opt.step(model.params, grads)
-        ema_update(model.ema, model.params, config.ema_decay)
-        curve.append(loss)
-    return model, curve
+
+    def zeroed(rng, a0):
+        return np.zeros_like(a0), np.zeros(len(a0), dtype=int), a0
+
+    return _fit(conds, a0s, config, zeroed)
 
 
 def ddim_sample(
@@ -358,12 +346,12 @@ def ddim_sample(
     return x
 
 
-def model_eps_fn(model: ToyDenoiser, use_ema: bool = True):
+def model_eps_fn(model: ToyDenoiser):
     """Adapter: sample from the EMA weights, which gate deployment."""
 
     def fn(x, k, cond):
         ks = np.full(len(np.atleast_2d(x)), k)
-        return model.forward(x, ks, cond, use_ema=use_ema)
+        return model.forward(x, ks, cond, use_ema=True)
 
     return fn
 
@@ -375,10 +363,9 @@ def model_eps_fn(model: ToyDenoiser, use_ema: bool = True):
 
 @dataclass
 class ActionChunkTensor:
-    """A horizon of 11-D action rows plus the observation timestamp it is for."""
+    """A horizon of 11-D action rows."""
 
     values: np.ndarray  # (T_p, 11)
-    t0_obs: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -394,7 +381,7 @@ class ActionChunkTensor:
         vals = self.values.copy()
         for i in range(len(vals)):
             vals[i, 6:10] = quat_canonical(vals[i, 6:10])
-        return ActionChunkTensor(vals, self.t0_obs)
+        return ActionChunkTensor(vals)
 
 
 def sample_action_chunk(
@@ -404,7 +391,6 @@ def sample_action_chunk(
     horizon: int = DEFAULT_HORIZON,
     n_steps: int = DEFAULT_DDIM_STEPS,
     seed: int = 0,
-    t0_obs: float = 0.0,
 ) -> ActionChunkTensor:
     """One policy inference: sample a flattened chunk and canonicalize it.
 
@@ -419,7 +405,7 @@ def sample_action_chunk(
         seed=seed,
         sample_dim=horizon * ACTION_DIM,
     )
-    return ActionChunkTensor(flat[0].reshape(horizon, ACTION_DIM), t0_obs).canonicalized()
+    return ActionChunkTensor(flat[0].reshape(horizon, ACTION_DIM)).canonicalized()
 
 
 def obs_to_condition(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -193,8 +194,6 @@ class LatencyConfig:
     def scaled_to(total: float) -> "LatencyConfig":
         """Default 33/87/22 ms split rescaled to a new total latency."""
         base = LatencyConfig()
-        if base.total == 0:
-            raise ValueError("cannot scale a zero budget")
         f = total / base.total
         return LatencyConfig(base.d_in * f, base.d_net * f, base.d_exe * f)
 
@@ -203,8 +202,8 @@ class LatencyConfig:
 class ExecutorConfig:
     matching: bool = True
     weights: MatchWeights = field(default_factory=MatchWeights)
-    horizon: int = DEFAULT_HORIZON  # T_p
-    dt: float = CONTROL_DT
+    horizon: ClassVar[int] = DEFAULT_HORIZON  # T_p
+    dt: ClassVar[float] = CONTROL_DT
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     max_ticks: int = 1200
     seed: int = 0

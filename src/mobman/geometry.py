@@ -81,33 +81,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-def matrix_to_quat(R: np.ndarray) -> np.ndarray:
-    """Rotation matrix to canonical unit quaternion (Shepperd's method)."""
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] > R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    return quat_canonical(q)
-
-
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -171,10 +144,6 @@ class Pose3:
         object.__setattr__(self, "rotation", quat_canonical(self.rotation))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).copy())
 
-    @staticmethod
-    def identity() -> "Pose3":
-        return Pose3()
-
     def compose(self, other: "Pose3") -> "Pose3":
         return Pose3(
             quat_mul(self.rotation, other.rotation),
@@ -185,18 +154,11 @@ class Pose3:
         q_inv = quat_conj(self.rotation)
         return Pose3(q_inv, -quat_rotate(q_inv, self.translation))
 
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        return quat_rotate(self.rotation, np.asarray(point, dtype=float)) + self.translation
-
     def as_matrix(self) -> np.ndarray:
         M = np.eye(4)
         M[:3, :3] = quat_to_matrix(self.rotation)
         M[:3, 3] = self.translation
         return M
-
-    @staticmethod
-    def from_matrix(M: np.ndarray) -> "Pose3":
-        return Pose3(matrix_to_quat(M[:3, :3]), M[:3, 3])
 
     def to_list(self) -> list[float]:
         """Serialize as [px, py, pz, qw, qx, qy, qz]."""
@@ -221,10 +183,6 @@ class Pose2:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", wrap_angle(self.theta))
-
-    @staticmethod
-    def identity() -> "Pose2":
-        return Pose2()
 
     def compose(self, other: "Pose2") -> "Pose2":
         c, s = math.cos(self.theta), math.sin(self.theta)

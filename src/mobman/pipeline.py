@@ -1,15 +1,15 @@
 """Raw multi-rate capture streams -> decoupled 10 Hz demonstration dataset.
 
 The chain: quality filter, map the hand trajectory into the chest world frame,
-resample everything onto a uniform grid (nearest image, linear position, slerp
-rotation), optionally smooth, decouple the hand pose against the chest pose,
+resample everything onto a uniform grid (linear position, slerp rotation),
+optionally smooth, decouple the hand pose against the chest pose,
 project the chest onto the ground plane, and map fingertip marker distance to
 a normalized gripper aperture.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -26,6 +26,12 @@ from .geometry import (
     yaw_project,
 )
 from .jsonl import fields_of, read_jsonl, write_jsonl
+
+RATE_HZ = 10.0  # dataset grid rate
+SAVGOL_WINDOW = 9
+SAVGOL_ORDER = 2
+COV_THRESHOLD = 0.01  # m^2, largest accepted covariance trace
+WORKSPACE_BOUND = 5.0  # m, axis-aligned displacement box half-size
 
 
 class PipelineError(ValueError):
@@ -62,8 +68,6 @@ class RawSession:
     cross_node: Pose3 | None  # maps hand-world coords into the chest world
     marker_t: np.ndarray  # fingertip distance stream timestamps [s]
     marker_d: np.ndarray  # fingertip distances [m]
-    chest_images: list[tuple[float, str]] = field(default_factory=list)
-    hand_images: list[tuple[float, str]] = field(default_factory=list)
 
     def __post_init__(self):
         self.marker_t = np.asarray(self.marker_t, dtype=float)
@@ -72,12 +76,7 @@ class RawSession:
 
 @dataclass
 class PipelineConfig:
-    rate_hz: float = 10.0
     smoothing: bool = True
-    savgol_window: int = 9
-    savgol_order: int = 2
-    cov_threshold: float = 0.01  # m^2, trace
-    workspace_bound: float = 5.0  # m, axis-aligned displacement box half-size
 
 
 @dataclass
@@ -97,8 +96,6 @@ class DemoStep:
     base: Pose2
     hand_rel: Pose3
     grip: float
-    chest_image_ref: str | None = None
-    hand_image_ref: str | None = None
 
 
 @dataclass
@@ -121,19 +118,6 @@ class ResampledSession:
     hand_pos: np.ndarray
     hand_quat: np.ndarray
     marker_d: np.ndarray
-    chest_image_refs: list[str | None]
-    hand_image_refs: list[str | None]
-
-
-def _nearest_ref(grid: np.ndarray, stream: list[tuple[float, str]]) -> list[str | None]:
-    if not stream:
-        return [None] * len(grid)
-    ts = np.array([s[0] for s in stream])
-    refs = [s[1] for s in stream]
-    out = []
-    for t in grid:
-        out.append(refs[int(np.argmin(np.abs(ts - t)))])
-    return out
 
 
 def _resample_traj(traj: VioTrajectory, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,19 +141,19 @@ def map_hand_into_chest_world(hand: VioTrajectory, cross_node: Pose3) -> VioTraj
     return VioTrajectory(hand.node_id, hand.t.copy(), pos, quat, hand.cov_trace.copy())
 
 
-def resample_to_grid(session: RawSession, rate_hz: float = 10.0) -> ResampledSession:
-    """Align all modalities on a uniform grid covering the streams' overlap.
+def resample_to_grid(session: RawSession) -> ResampledSession:
+    """Align all streams on the RATE_HZ grid covering the streams' overlap.
 
     The grid starts at the latest stream start and ends at the earliest stream
-    end; images use nearest-neighbor lookup, positions linear interpolation,
-    rotations slerp. The hand trajectory must already be mapped into the chest
-    world (see map_hand_into_chest_world).
+    end; positions use linear interpolation, rotations slerp. The hand
+    trajectory must already be mapped into the chest world (see
+    map_hand_into_chest_world).
     """
     if len(session.marker_t) == 0:
         raise PipelineError("marker stream is empty")
     t0 = max(session.chest.t_start, session.hand.t_start, float(session.marker_t[0]))
     t1 = min(session.chest.t_end, session.hand.t_end, float(session.marker_t[-1]))
-    dt = 1.0 / rate_hz
+    dt = 1.0 / RATE_HZ
     n = int(math.floor((t1 - t0) / dt + 1e-9)) + 1
     if t1 < t0 or n < 1:
         raise PipelineError("streams have no temporal overlap")
@@ -185,8 +169,6 @@ def resample_to_grid(session: RawSession, rate_hz: float = 10.0) -> ResampledSes
         hand_pos=hand_pos,
         hand_quat=hand_quat,
         marker_d=marker,
-        chest_image_refs=_nearest_ref(grid, session.chest_images),
-        hand_image_refs=_nearest_ref(grid, session.hand_images),
     )
 
 
@@ -240,22 +222,18 @@ def smooth_pose_arrays(
     return sp, sq
 
 
-def quality_filter(
-    session: RawSession,
-    cov_threshold: float = 0.01,
-    workspace_bound: float = 5.0,
-) -> FilterReport:
+def quality_filter(session: RawSession) -> FilterReport:
     """Accept/reject a session; rejection is a value, never an exception."""
     reasons = []
     for traj in (session.chest, session.hand):
-        if np.any(traj.cov_trace > cov_threshold):
-            reasons.append(f"covariance: {traj.node_id} trace exceeds {cov_threshold} m^2")
+        if np.any(traj.cov_trace > COV_THRESHOLD):
+            reasons.append(f"covariance: {traj.node_id} trace exceeds {COV_THRESHOLD} m^2")
     for traj in (session.chest, session.hand):
         disp = np.max(np.abs(traj.pos - traj.pos[0]), axis=0)
-        if np.any(disp > workspace_bound):
+        if np.any(disp > WORKSPACE_BOUND):
             reasons.append(
                 f"workspace: {traj.node_id} displacement {disp.max():.2f} m exceeds "
-                f"{workspace_bound} m bound"
+                f"{WORKSPACE_BOUND} m bound"
             )
     return FilterReport(accepted=not reasons, reasons=reasons)
 
@@ -305,20 +283,6 @@ def lateral_quantile(residuals: np.ndarray, q: float = 0.99) -> float:
     return float(ordered[rank - 1])
 
 
-def saturation_filter(
-    v_perp: np.ndarray, clip: float = 0.05, tau: float = 0.2, dt: float = 0.1
-) -> np.ndarray:
-    """Clamp lateral velocity to +-clip, then first-order low-pass (tau)."""
-    alpha = 1.0 - math.exp(-dt / tau)
-    y = 0.0
-    out = np.empty(len(v_perp))
-    for i, u in enumerate(np.asarray(v_perp, dtype=float)):
-        u = min(max(u, -clip), clip)
-        y += alpha * (u - y)
-        out[i] = y
-    return out
-
-
 def grip_from_markers(d: float, calib: GripperCalib) -> float:
     """Linear map of marker distance to aperture in [0, 1], clamped."""
     g = (d - calib.d_closed) / (calib.d_open - calib.d_closed)
@@ -336,35 +300,23 @@ def assemble_dataset(
     streams do not overlap. Timestamps are rebased to start at 0.
     """
     config = config or PipelineConfig()
-    report = quality_filter(session, config.cov_threshold, config.workspace_bound)
+    report = quality_filter(session)
     if not report.accepted:
         raise PipelineError("session rejected: " + "; ".join(report.reasons))
     if session.cross_node is None:
         raise PipelineError("cross-node transform missing; run anchoring first")
 
     hand_in_wc = map_hand_into_chest_world(session.hand, session.cross_node)
-    aligned = resample_to_grid(
-        RawSession(
-            session_id=session.session_id,
-            chest=session.chest,
-            hand=hand_in_wc,
-            cross_node=session.cross_node,
-            marker_t=session.marker_t,
-            marker_d=session.marker_d,
-            chest_images=session.chest_images,
-            hand_images=session.hand_images,
-        ),
-        config.rate_hz,
-    )
+    aligned = resample_to_grid(replace(session, hand=hand_in_wc))
 
     chest_pos, chest_quat = aligned.chest_pos, aligned.chest_quat
     hand_pos, hand_quat = aligned.hand_pos, aligned.hand_quat
-    if config.smoothing and len(aligned.t) >= config.savgol_window:
+    if config.smoothing and len(aligned.t) >= SAVGOL_WINDOW:
         chest_pos, chest_quat = smooth_pose_arrays(
-            chest_pos, chest_quat, config.savgol_window, config.savgol_order
+            chest_pos, chest_quat, SAVGOL_WINDOW, SAVGOL_ORDER
         )
         hand_pos, hand_quat = smooth_pose_arrays(
-            hand_pos, hand_quat, config.savgol_window, config.savgol_order
+            hand_pos, hand_quat, SAVGOL_WINDOW, SAVGOL_ORDER
         )
 
     steps = []
@@ -378,8 +330,6 @@ def assemble_dataset(
                 base=yaw_project(chest),
                 hand_rel=decouple_step(chest, hand),
                 grip=grip_from_markers(float(aligned.marker_d[i]), calib),
-                chest_image_ref=aligned.chest_image_refs[i],
-                hand_image_ref=aligned.hand_image_refs[i],
             )
         )
     return DemoDataset(steps=steps, session_id=session.session_id, filter_report=report)
@@ -423,26 +373,18 @@ def integrate_labels(
 
 # ---------------------------------------------------------------------------
 # Dataset file format: JSONL, one step per line:
-#   {"t", "base": [x, y, theta], "hand_rel": [7], "grip", "chest_image",
-#    "hand_image"}
+#   {"t", "base": [x, y, theta], "hand_rel": [7], "grip"}
 # ---------------------------------------------------------------------------
 
 
 def save_dataset(path, dataset: DemoDataset) -> None:
-    records = []
-    for s in dataset.steps:
-        rec = {
-            "t": s.t,
-            "base": s.base.to_list(),
-            "hand_rel": s.hand_rel.to_list(),
-            "grip": s.grip,
-        }
-        if s.chest_image_ref is not None:
-            rec["chest_image"] = s.chest_image_ref
-        if s.hand_image_ref is not None:
-            rec["hand_image"] = s.hand_image_ref
-        records.append(rec)
-    write_jsonl(path, records)
+    write_jsonl(
+        path,
+        [
+            {"t": s.t, "base": s.base.to_list(), "hand_rel": s.hand_rel.to_list(), "grip": s.grip}
+            for s in dataset.steps
+        ],
+    )
 
 
 def load_dataset(path, session_id: str = "") -> DemoDataset:
@@ -453,8 +395,6 @@ def load_dataset(path, session_id: str = "") -> DemoDataset:
                 base=Pose2.from_list(rec["base"]),
                 hand_rel=Pose3.from_list(rec["hand_rel"]),
                 grip=float(rec["grip"]),
-                chest_image_ref=rec.get("chest_image"),
-                hand_image_ref=rec.get("hand_image"),
             )
             for rec in read_jsonl(path)
         ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,21 +56,21 @@ DEFAULT_CALIB = GripperCalib(d_closed=0.01, d_open=0.09)
 
 @dataclass
 class PlantConfig:
-    tau_base: float = 0.15  # s, motor response of v and omega
-    tau_arm: float = 0.08  # s, pose-tracking lag of the arm
-    lateral_clip: float = 0.05  # m/s, saturation of the lateral channel
-    lateral_tau: float = 0.2  # s, low-pass after the clip
-    grip_rate: float = 2.0  # 1/s, aperture slew limit
-    v_max: float = 0.8
-    omega_max: float = 1.5
-    dt_sub: float = 0.01
-    kinematic: bool = False  # tau -> 0 limit: velocities equal commands
+    """Plant constants; only the kinematic switch is settable."""
 
-    def __post_init__(self):
-        if min(self.tau_base, self.tau_arm, self.lateral_tau) <= 0:
-            raise ValueError("time constants must be positive")
-        if self.dt_sub <= 0:
-            raise ValueError("substep must be positive")
+    tau_base: ClassVar[float] = 0.15  # s, motor response of v and omega
+    tau_arm: ClassVar[float] = 0.08  # s, pose-tracking lag of the arm
+    lateral_clip: ClassVar[float] = 0.05  # m/s, saturation of the lateral channel
+    lateral_tau: ClassVar[float] = 0.2  # s, low-pass after the clip
+    grip_rate: ClassVar[float] = 2.0  # 1/s, aperture slew limit
+    v_max: ClassVar[float] = 0.8
+    omega_max: ClassVar[float] = 1.5
+    dt_sub: ClassVar[float] = 0.01
+    # per-substep decay factors of the three first-order lags
+    decay_base: ClassVar[float] = math.exp(-dt_sub / tau_base)
+    decay_lateral: ClassVar[float] = math.exp(-dt_sub / lateral_tau)
+    arm_gain: ClassVar[float] = 1.0 - math.exp(-dt_sub / tau_arm)
+    kinematic: bool = False  # tau -> 0 limit: velocities equal commands
 
 
 class Plant:
@@ -147,12 +148,13 @@ class Plant:
                 # last issued command wins when several are due
                 self.cmd = due[-1][1]
                 self._queue = [c for c in self._queue if c[0] > self.t + 1e-9]
-            self._substep(cfg.dt_sub)
+            self._substep()
             self.t = round(self.t + cfg.dt_sub, 9)
             self._snapshot()
 
-    def _substep(self, dt: float) -> None:
+    def _substep(self) -> None:
         cfg = self.config
+        dt = cfg.dt_sub
         cmd = self.cmd
         # min(max(x, lo), hi) is np.clip's result, signed zeros included
         v_cmd = float(min(max(cmd.v, -cfg.v_max), cfg.v_max))
@@ -161,11 +163,9 @@ class Plant:
         if cfg.kinematic:
             self.v, self.omega, self.v_lat = v_cmd, w_cmd, lat_cmd
         else:
-            decay_b = math.exp(-dt / cfg.tau_base)
-            self.v = v_cmd + (self.v - v_cmd) * decay_b
-            self.omega = w_cmd + (self.omega - w_cmd) * decay_b
-            decay_l = math.exp(-dt / cfg.lateral_tau)
-            self.v_lat = lat_cmd + (self.v_lat - lat_cmd) * decay_l
+            self.v = v_cmd + (self.v - v_cmd) * cfg.decay_base
+            self.omega = w_cmd + (self.omega - w_cmd) * cfg.decay_base
+            self.v_lat = lat_cmd + (self.v_lat - lat_cmd) * cfg.decay_lateral
         c, s = math.cos(self.base.theta), math.sin(self.base.theta)
         self.base = Pose2(
             self.base.x + (self.v * c - self.v_lat * s) * dt,
@@ -173,7 +173,7 @@ class Plant:
             self.base.theta + self.omega * dt,
         )
         # arm: first-order pose tracking toward the commanded target
-        a = 1.0 if cfg.kinematic else 1.0 - math.exp(-dt / cfg.tau_arm)
+        a = 1.0 if cfg.kinematic else cfg.arm_gain
         target = cmd.hand_target
         pos = self.hand_pos + a * (target.translation - self.hand_pos)
         r = math.sqrt(pos.dot(pos))
@@ -681,15 +681,13 @@ HOLD_ROW = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 class CruisePolicy:
     """Constant forward motion: every row advances 3 cm straight ahead."""
 
-    def __init__(self, step: float = 0.03, horizon: int = DEFAULT_HORIZON):
-        self.step = step
-        self.horizon = horizon
+    STEP = 0.03
 
     def __call__(self, obs: PredictedState, obs_t: float) -> ActionChunkTensor:
-        rows = np.tile(HOLD_ROW, (self.horizon, 1))
-        rows[:, 0] = self.step
+        rows = np.tile(HOLD_ROW, (DEFAULT_HORIZON, 1))
+        rows[:, 0] = self.STEP
         rows[:, 10] = obs.grip
-        return ActionChunkTensor(rows, t0_obs=obs_t)
+        return ActionChunkTensor(rows)
 
 
 class ExpertReplayPolicy:
@@ -723,12 +721,10 @@ class ExpertReplayPolicy:
         script: ExpertScript,
         task_frame: Pose2 = Pose2(),
         label_frame: str = "relative",
-        horizon: int = DEFAULT_HORIZON,
     ):
         if label_frame not in ("relative", "global"):
             raise ValueError("label_frame must be 'relative' or 'global'")
         self.label_frame = label_frame
-        self.horizon = horizon
         _, ref_base, ref_hand, ref_grip = script.reference()
         self.ref_base = [task_frame.compose(b) for b in ref_base]
         self.ref_hand = ref_hand
@@ -784,10 +780,10 @@ class ExpertReplayPolicy:
     def __call__(self, obs: PredictedState, obs_t: float) -> ActionChunkTensor:
         j = self._match_index(obs)
         n = len(self.ref_base)
-        rows = np.zeros((self.horizon, ACTION_DIM))
+        rows = np.zeros((DEFAULT_HORIZON, ACTION_DIM))
         cur = obs
         hand_world = chest_world_pose(obs.base).compose(obs.hand_rel)
-        for r in range(self.horizon):
+        for r in range(DEFAULT_HORIZON):
             k = min(j + r + 1, n - 1)
             dx, dy, dth = self._base_row(cur.base, self.ref_base[k])
             if self.label_frame == "relative":
@@ -807,7 +803,7 @@ class ExpertReplayPolicy:
             rows[r, 6:10] = dq
             rows[r, 10] = g
             cur = advance_state(cur, rows[r])
-        return ActionChunkTensor(rows, t0_obs=obs_t)
+        return ActionChunkTensor(rows)
 
 
 # ---------------------------------------------------------------------------

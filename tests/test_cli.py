@@ -1,4 +1,6 @@
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
@@ -100,6 +102,29 @@ class TestProcessCommand:
         )
         assert rc == EXIT_REJECTED
         assert "covariance" in capsys.readouterr().err
+
+    def test_vertical_chest_rejected(self, raw_session, anchored, tmp_path, capsys):
+        raw, _ = raw_session
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "markers.jsonl").write_text((raw / "markers.jsonl").read_text())
+        # pitched -90 deg about y: the chest's forward axis points straight up
+        up = [math.sqrt(0.5), 0.0, -math.sqrt(0.5), 0.0]
+        lines = []
+        for line in (raw / "trajectories.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            if rec["node"] == "chest":
+                rec["pose"][3:7] = up
+            lines.append(json.dumps(rec))
+        (bad / "trajectories.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(
+            ["process", "--raw", str(bad), "--anchor", str(anchored), "--output", str(tmp_path / "o")]
+        )
+        assert rc == EXIT_REJECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("rejected: ")
+        assert "vertical" in err[0]
 
     def test_missing_markers_usage_error(self, anchored, tmp_path):
         empty = tmp_path / "empty"
@@ -400,6 +425,83 @@ class TestMalformedInput:
     def test_schema_violation_is_usage_error_with_path(self, command, tmp_path, capsys):
         # well-formed JSON/CSV that lacks a field or holds another version
         argv, path = getattr(self, f"_{command}_schema")(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"usage error: {path}: ")
+
+    # case -> (command, input file, its new text as a function of the old)
+    FIELD_CASES = {
+        "anchor_node_missing": ("anchor", "trajectories.jsonl", lambda _: '{"t": 0.0}\n'),
+        "anchor_repeated_t": (
+            "anchor", "trajectories.jsonl", lambda text: text + text.splitlines()[-1] + "\n"
+        ),
+        "anchor_pose_6_values": (
+            "anchor",
+            "trajectories.jsonl",
+            lambda text: "".join(
+                json.dumps({**rec, "pose": rec["pose"][:6]}) + "\n"
+                for rec in map(json.loads, text.splitlines())
+            ),
+        ),
+        "anchor_extrinsic_6_values": (
+            "anchor",
+            "extrinsics.json",
+            lambda text: json.dumps({k: v[:6] for k, v in json.loads(text).items()}),
+        ),
+        "process_cross_node_missing": ("process", "anchors.json", lambda _: "{}"),
+        "process_cross_node_5_values": (
+            "process", "anchors.json", lambda _: json.dumps({"cross_node": [0, 0, 0, 1, 0]})
+        ),
+        "process_calib_empty": ("process", "calib.json", lambda _: "{}"),
+        "process_calib_open_below_closed": (
+            "process", "calib.json", lambda _: json.dumps({"d_closed": 0.09, "d_open": 0.01})
+        ),
+        "process_marker_distance_missing": ("process", "markers.jsonl", lambda _: '{"t": 0.0}\n'),
+        "replay_config_empty": (
+            "replay",
+            "manifest.json",
+            lambda _: json.dumps({"command": "simulate", "config": {}, "seed": 0}),
+        ),
+        "replay_config_list": (
+            "replay",
+            "manifest.json",
+            lambda _: json.dumps({"command": "simulate", "config": [], "seed": 0}),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(FIELD_CASES))
+    def test_bad_field_is_usage_error_with_path(
+        self, case, raw_session, anchored, tmp_path, capsys
+    ):
+        # well-formed JSON/JSONL whose fields are missing, misshapen or inconsistent
+        command, name, rewrite = self.FIELD_CASES[case]
+        raw, _ = raw_session
+        d = tmp_path / "in"
+        shutil.copytree(raw, d)
+        shutil.copy(anchored, d / "anchors.json")
+        (d / "calib.json").write_text(json.dumps({"d_closed": 0.01, "d_open": 0.09}))
+        (d / "manifest.json").write_text("")
+        path = d / name
+        path.write_text(rewrite(path.read_text()))
+        argv = {
+            "anchor": [
+                "anchor",
+                "--trajectories", str(d / "trajectories.jsonl"),
+                "--detections", str(d / "detections.jsonl"),
+                "--extrinsics", str(d / "extrinsics.json"),
+                "--output", str(tmp_path / "a.json"),
+            ],
+            "process": [
+                "process",
+                "--raw", str(d),
+                "--anchor", str(d / "anchors.json"),
+                "--calib", str(d / "calib.json"),
+                "--output", str(tmp_path / "p"),
+            ],
+            "replay": ["replay", "--manifest", str(path)],
+        }[command]
+        capsys.readouterr()
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1

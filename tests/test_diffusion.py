@@ -15,11 +15,11 @@ from mobman.diffusion import (
     ema_update,
     forward_noise,
     load_checkpoint,
-    mse_loss,
     obs_to_condition,
     sample_action_chunk,
     save_checkpoint,
     sinusoidal_embedding,
+    train_regression,
     train_toy,
 )
 from mobman.geometry import Pose2, Pose3
@@ -76,10 +76,6 @@ class TestForwardProcess:
         sched = cosine_schedule(100)
         with pytest.raises(ValueError):
             forward_noise(np.ones(3), 101, np.zeros(3), sched)
-
-    def test_mse_shape_check(self):
-        with pytest.raises(ValueError):
-            mse_loss(np.zeros(3), np.zeros(4))
 
 
 class TestDenoiser:
@@ -208,14 +204,14 @@ class TestTraining:
         rng = np.random.default_rng(4)
         conds = rng.normal(size=(256, 2))
         a0s = conds @ np.array([[1.0, 0.0], [0.0, -1.0]])
-        _, _, curve = train_toy(conds, a0s, TrainConfig(steps=300, seed=0, hidden=16))
+        _, _, curve = train_toy(conds, a0s, TrainConfig(steps=300, seed=0))
         assert np.mean(curve[-30:]) < np.mean(curve[:30])
 
     def test_deterministic_per_seed(self, tmp_path):
         rng = np.random.default_rng(5)
         conds = rng.normal(size=(64, 2))
         a0s = rng.normal(size=(64, 3))
-        cfg = TrainConfig(steps=50, seed=7, hidden=8)
+        cfg = TrainConfig(steps=50, seed=7)
         m1, s1, _ = train_toy(conds, a0s, cfg)
         m2, s2, _ = train_toy(conds, a0s, cfg)
         save_checkpoint(tmp_path / "a.json", m1, s1)
@@ -226,19 +222,34 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_toy(np.zeros((0, 2)), np.zeros((0, 3)))
 
-    def test_divergence_reports_step(self):
+    @pytest.mark.parametrize("trainer", [train_toy, train_regression])
+    @pytest.mark.parametrize("n_conds, n_labels", [(10, 5), (5, 10)])
+    def test_count_mismatch_rejected(self, trainer, n_conds, n_labels):
+        with pytest.raises(ValueError, match="count mismatch"):
+            trainer(np.zeros((n_conds, 2)), np.zeros((n_labels, 3)), TrainConfig(steps=1))
+
+    def test_divergence_reports_step(self, monkeypatch):
         rng = np.random.default_rng(6)
         conds = rng.normal(size=(32, 2))
         a0s = rng.normal(size=(32, 3))
-        with pytest.raises(TrainingDivergedError) as err, np.errstate(all="ignore"):
-            train_toy(conds, a0s, TrainConfig(steps=50, seed=0, lr=1e120, hidden=8))
-        assert err.value.step >= 0
+        loss_and_grads = ToyDenoiser.loss_and_grads
+        calls = []
+
+        def nan_at_step_3(self, *args):
+            loss, grads = loss_and_grads(self, *args)
+            calls.append(loss)
+            return (math.nan if len(calls) == 4 else loss), grads
+
+        monkeypatch.setattr(ToyDenoiser, "loss_and_grads", nan_at_step_3)
+        with pytest.raises(TrainingDivergedError) as err:
+            train_toy(conds, a0s, TrainConfig(steps=50, seed=0))
+        assert err.value.step == 3
 
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         conds = rng.normal(size=(32, 2))
         a0s = rng.normal(size=(32, 3))
-        m, sched, _ = train_toy(conds, a0s, TrainConfig(steps=20, seed=1, hidden=8))
+        m, sched, _ = train_toy(conds, a0s, TrainConfig(steps=20, seed=1))
         save_checkpoint(tmp_path / "m.json", m, sched, meta={"note": "x"})
         m2, sched2, meta = load_checkpoint(tmp_path / "m.json")
         assert meta == {"note": "x"}
@@ -259,11 +270,10 @@ class TestActionChunks:
     def test_canonicalized_quaternions(self):
         rng = np.random.default_rng(8)
         vals = rng.normal(size=(6, ACTION_DIM))
-        chunk = ActionChunkTensor(vals, t0_obs=1.5).canonicalized()
+        chunk = ActionChunkTensor(vals).canonicalized()
         for row in chunk.values:
             assert row[6] >= 0.0
             assert abs(np.linalg.norm(row[6:10]) - 1.0) < 1e-12
-        assert chunk.t0_obs == 1.5
 
     def test_sample_action_chunk_deterministic(self):
         rng = np.random.default_rng(9)

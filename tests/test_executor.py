@@ -289,7 +289,7 @@ class TestExecutorLoop:
         plant = Plant(PlantConfig(kinematic=True))
         with pytest.raises(ValueError, match="horizon"):
             run_executor(
-                CruisePolicy(horizon=4), plant, ExecutorConfig(max_ticks=10)
+                lambda obs, obs_t: cruise_chunk(horizon=4), plant, ExecutorConfig(max_ticks=10)
             )
 
     def test_tick_callback_stops_episode(self):

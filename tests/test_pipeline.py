@@ -33,7 +33,6 @@ from mobman.pipeline import (
     project_nonholonomic,
     quality_filter,
     resample_to_grid,
-    saturation_filter,
     save_dataset,
     savgol_smooth,
 )
@@ -84,7 +83,7 @@ class TestResample:
         chest = make_traj("chest", t, poses)
         hand = make_traj("hand", t, poses)
         session = RawSession("s", chest, hand, Pose3(), t, np.full(len(t), 0.05))
-        out = resample_to_grid(session, rate_hz=10.0)
+        out = resample_to_grid(session)
         assert np.allclose(out.t, np.arange(11) * 0.1, atol=1e-9)
         assert np.allclose(out.chest_pos[:, 0], 0.1 * out.t, atol=1e-12)
 
@@ -101,7 +100,7 @@ class TestResample:
             t_a,
             np.full(len(t_a), 0.05),
         )
-        out = resample_to_grid(session, rate_hz=10.0)
+        out = resample_to_grid(session)
         assert out.t[0] >= 0.35 - 1e-9
         assert out.t[-1] <= 1.0 + 1e-9
 
@@ -199,25 +198,6 @@ class TestNonholonomicProjection:
     def test_needs_two_poses(self):
         with pytest.raises(ValueError):
             project_nonholonomic([Pose2()])
-
-
-class TestSaturationFilter:
-    def test_clips_then_smooths(self):
-        out = saturation_filter(np.full(400, 0.10), clip=0.05, tau=0.2, dt=0.1)
-        assert out[-1] == pytest.approx(0.05, abs=1e-6)
-        assert np.all(out <= 0.05 + 1e-12)
-
-    def test_below_clip_converges_unclipped(self):
-        out = saturation_filter(np.full(400, 0.04))
-        assert out[-1] == pytest.approx(0.04, abs=1e-6)
-
-    def test_exact_first_order_step(self):
-        # y_n = u (1 - e^{-n dt/tau}) for a step input from rest
-        u, tau, dt = 0.03, 0.2, 0.1
-        out = saturation_filter(np.full(10, u), clip=0.05, tau=tau, dt=dt)
-        for n in range(1, 11):
-            expected = u * (1.0 - math.exp(-n * dt / tau))
-            assert out[n - 1] == pytest.approx(expected, abs=1e-12)
 
 
 class TestLateralQuantile:
