@@ -31,6 +31,8 @@ from .diffusion import (
     ACTION_DIM,
     ActionChunkTensor,
     DEFAULT_HORIZON,
+    NoiseSchedule,
+    ToyDenoiser,
     TrainConfig,
     TrainingDivergedError,
     ddim_sample,
@@ -262,7 +264,7 @@ def cmd_train_toy(cfg: dict) -> RunManifest:
 
 
 class DiffusionReplayPolicy:
-    """Policy adapter around a trained checkpoint.
+    """Policy adapter around a trained model and its noise schedule.
 
     Samples one 11-D action row at a time (the condition includes the
     previous row), chaining horizon rows into a chunk. Each chunk's sampler
@@ -270,10 +272,10 @@ class DiffusionReplayPolicy:
     are deterministic.
     """
 
-    def __init__(self, checkpoint_path, seed: int = 0):
-        self.model, self.sched, _ = load_checkpoint(checkpoint_path)
+    def __init__(self, model: ToyDenoiser, sched: NoiseSchedule, seed: int = 0):
+        self.sched = sched
         self.seed = seed
-        self._eps_fn = model_eps_fn(self.model)
+        self._eps_fn = model_eps_fn(model)
         self._calls = 0
 
     def __call__(self, obs: PredictedState, obs_t: float) -> ActionChunkTensor:
@@ -306,8 +308,8 @@ def cmd_simulate(cfg: dict) -> RunManifest:
     elif source == "cruise":
         make_policy = lambda trial_seed: CruisePolicy()
     else:
-        ckpt = _require_file(source, "policy checkpoint")
-        make_policy = lambda trial_seed: DiffusionReplayPolicy(ckpt, seed=trial_seed)
+        model, sched, _ = load_checkpoint(_require_file(source, "policy checkpoint"))
+        make_policy = lambda trial_seed: DiffusionReplayPolicy(model, sched, seed=trial_seed)
     cond = Condition(
         name=f"match_{'on' if cfg['matching'] else 'off'}_label_{cfg['label']}",
         matching=cfg["matching"],
@@ -381,10 +383,26 @@ _COMMANDS = {
 }
 
 
-def _config_keys(command: str) -> set[str]:
-    """The config keys that a command's flags resolve to."""
+def _flag_actions(command: str) -> list[argparse.Action]:
+    """The parser actions of a command's flags, one per config key."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+    return [a for a in sub.choices[command]._actions if a.dest != "help"]
+
+
+def _fits_flag(command: str, action: argparse.Action, value) -> bool:
+    """Whether value is one that the flag of action can put into the config."""
+    if action.nargs == 0 or (command, action.dest) in _ON_OFF_FLAGS:
+        return isinstance(value, bool)
+    if action.nargs == "+":
+        return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+    if action.choices is not None:
+        return isinstance(value, str) and value in action.choices
+    if action.type is int:
+        return type(value) is int
+    if action.type is float:
+        return type(value) in (int, float)
+    optional_none = value is None and action.default is None and not action.required
+    return isinstance(value, str) or optional_none
 
 
 def cmd_replay(cfg: dict) -> RunManifest:
@@ -394,9 +412,19 @@ def cmd_replay(cfg: dict) -> RunManifest:
         raise UsageError(f"manifest records unknown command {recorded.command!r}")
     if not isinstance(recorded.config, dict):
         raise MalformedInputError(manifest_path, "config must be an object")
-    missing = sorted(_config_keys(recorded.command) - set(recorded.config))
+    actions = _flag_actions(recorded.command)
+    missing = sorted({a.dest for a in actions} - set(recorded.config))
     if missing:
         raise MalformedInputError(manifest_path, f"config lacks {', '.join(missing)}")
+    misfits = [
+        f"{a.dest}={recorded.config[a.dest]!r}"
+        for a in actions
+        if not _fits_flag(recorded.command, a, recorded.config[a.dest])
+    ]
+    if misfits:
+        raise MalformedInputError(
+            manifest_path, f"config holds values its flags cannot give: {', '.join(misfits)}"
+        )
     man = _COMMANDS[recorded.command](recorded.config)
     mismatched = [
         path
@@ -469,10 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# (command, config key) of the on/off choices that the config records as a bool.
+_ON_OFF_FLAGS = {("simulate", "matching")}
+
+
 def _args_to_config(args: argparse.Namespace) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "command"}
-    if args.command == "simulate":
-        cfg["matching"] = cfg["matching"] == "on"
+    for command, key in _ON_OFF_FLAGS:
+        if args.command == command:
+            cfg[key] = cfg[key] == "on"
     return cfg
 
 

@@ -9,6 +9,7 @@ semantics are the ones that matter here.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,8 +44,10 @@ class NoiseSchedule:
 
     def __post_init__(self):
         ab = np.asarray(self.alpha_bar, dtype=float)
-        if len(ab) != self.K + 1:
-            raise ValueError("alpha_bar must have K+1 entries")
+        if ab.shape != (self.K + 1,):
+            raise ValueError(f"alpha_bar must have K+1 = {self.K + 1} entries, not {ab.shape}")
+        if not np.all((ab > 0.0) & (ab <= 1.0)):
+            raise ValueError("alpha_bar must lie in (0, 1]")
         if ab[0] < 0.999:
             raise ValueError("alpha_bar[0] must be ~1")
         object.__setattr__(self, "alpha_bar", ab)
@@ -80,6 +83,12 @@ def sinusoidal_embedding(k: np.ndarray, dim: int = 16) -> np.ndarray:
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
     ang = k[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+def _check_finite(params: dict) -> None:
+    for v in params.values():
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite parameters")
 
 
 @dataclass
@@ -123,18 +132,47 @@ class ToyDenoiser:
         }
         self.ema = {name: v.copy() for name, v in self.params.items()}
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape of every weight array, by name."""
+        H, D, C, E, T = self.hidden, self.input_dim, self.cond_dim, self.kemb_dim, self.temb_dim
+        return {
+            "W1": (D, H),
+            "b1": (H,),
+            "W2": (H, H),
+            "b2": (H,),
+            "W3": (H, D),
+            "b3": (D,),
+            "Wf": (C + T, 4 * H),
+            "bf": (4 * H,),
+            "Wk1": (E, T),
+            "bk1": (T,),
+            "Wk2": (T, T),
+            "bk2": (T,),
+        }
+
     # -- forward ------------------------------------------------------------
 
-    def _forward(self, params, x, k, cond):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        cond = np.atleast_2d(np.asarray(cond, dtype=float))
-        for v in params.values():
-            if not np.all(np.isfinite(v)):
-                raise ValueError("non-finite parameters")
-        H = self.hidden
+    def _step_embedding(self, params, k):
+        """(kfeat, t1, temb): sinusoidal features, hidden layer and embedding of steps k."""
         kfeat = sinusoidal_embedding(k, self.kemb_dim)
         t1 = np.tanh(kfeat @ params["Wk1"] + params["bk1"])
-        temb = t1 @ params["Wk2"] + params["bk2"]
+        return kfeat, t1, t1 @ params["Wk2"] + params["bk2"]
+
+    def _forward(self, params, x, k, cond, frozen=None):
+        """Output for batch x at steps k under cond, and its cache.
+
+        Checks params for finiteness and embeds k, unless frozen (a FrozenEma
+        whose params these are) supplies the memoised embedding.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        cond = np.atleast_2d(np.asarray(cond, dtype=float))
+        if frozen is None:
+            _check_finite(params)
+            kfeat, t1, temb = self._step_embedding(params, k)
+        else:
+            kfeat = t1 = None
+            temb = frozen.step_embedding(k)
+        H = self.hidden
         c = np.concatenate([cond, temb], axis=1)
         f = c @ params["Wf"] + params["bf"]
         g1, be1, g2, be2 = (
@@ -151,9 +189,21 @@ class ToyDenoiser:
         cache = (x, cond, kfeat, t1, c, g1, g2, h1, a1, h2, a2)
         return out, cache
 
-    def forward(self, x, k, cond, use_ema: bool = False) -> np.ndarray:
-        params = self.ema if use_ema else self.params
-        out, _ = self._forward(params, x, k, cond)
+    def forward(
+        self, x, k, cond, use_ema: bool = False, frozen: "FrozenEma | None" = None
+    ) -> np.ndarray:
+        """Predicted noise for batch x at steps k (one per row) under cond.
+
+        Reads the EMA weights if use_ema, else the training weights, and checks
+        them for finiteness on every call. A FrozenEma of this model passed as
+        `frozen` replaces both: the forward reads its weights, checked once
+        when it was built, and takes the step embedding from its memo.
+        """
+        if frozen is None:
+            params = self.ema if use_ema else self.params
+        else:
+            params = frozen.params
+        out, _ = self._forward(params, x, k, cond, frozen)
         return out
 
     # -- backward -----------------------------------------------------------
@@ -308,6 +358,12 @@ def train_regression(
     return _fit(conds, a0s, config, zeroed)
 
 
+@functools.lru_cache(maxsize=64)
+def _ddim_taus(K: int, n_steps: int) -> tuple[int, ...]:
+    """The uniform-stride sub-schedule 0 = tau_0 < ... < tau_n = K of DDIM."""
+    return tuple(int(t) for t in np.unique(np.round(np.linspace(0, K, n_steps + 1)).astype(int)))
+
+
 def ddim_sample(
     eps_fn,
     cond: np.ndarray,
@@ -334,10 +390,10 @@ def ddim_sample(
     cond = np.atleast_2d(np.asarray(cond, dtype=float))
     if sample_dim is None:
         raise ValueError("sample_dim required")
-    taus = np.unique(np.round(np.linspace(0, sched.K, n_steps + 1)).astype(int))
+    taus = _ddim_taus(sched.K, n_steps)
     x = rng.standard_normal((cond.shape[0], sample_dim))
     for i in range(len(taus) - 1, 0, -1):
-        k_hi, k_lo = int(taus[i]), int(taus[i - 1])
+        k_hi, k_lo = taus[i], taus[i - 1]
         ab_hi = sched.alpha_bar[k_hi]
         ab_lo = sched.alpha_bar[k_lo]
         eps_hat = eps_fn(x, k_hi, cond)
@@ -346,14 +402,49 @@ def ddim_sample(
     return x
 
 
-def model_eps_fn(model: ToyDenoiser):
-    """Adapter: sample from the EMA weights, which gate deployment."""
+class FrozenEma:
+    """A denoiser's EMA weights, frozen for sampling.
 
-    def fn(x, k, cond):
+    Sampling never changes the weights, so they are copied, made read-only and
+    checked for finiteness once, here, instead of in every forward. The step
+    embedding depends only on the weights, the batch size and the steps, and
+    the sampler only ever asks for its sub-schedule's steps, so it is
+    memoised. Memo and forward both read the copy, so a later change to
+    model.ema cannot make them disagree.
+    """
+
+    def __init__(self, model: ToyDenoiser):
+        self.model = model
+        self.params = {}
+        for name, v in model.ema.items():
+            v = np.array(v, dtype=float)
+            v.flags.writeable = False
+            self.params[name] = v
+        _check_finite(self.params)
+        self._temb: dict = {}
+
+    def step_embedding(self, k) -> np.ndarray:
+        """temb of the steps k, one per batch row, as the unmemoised forward computes it."""
+        k = np.asarray(k)
+        key = (k.shape, k.dtype.str, k.tobytes())
+        temb = self._temb.get(key)
+        if temb is None:
+            temb = self._temb[key] = self.model._step_embedding(self.params, k)[2]
+        return temb
+
+    def __call__(self, x, k, cond) -> np.ndarray:
+        """eps_fn for ddim_sample: the noise predicted for batch x at the scalar step k."""
         ks = np.full(len(np.atleast_2d(x)), k)
-        return model.forward(x, ks, cond, use_ema=True)
+        return self.model.forward(x, ks, cond, frozen=self)
 
-    return fn
+
+def model_eps_fn(model: ToyDenoiser) -> FrozenEma:
+    """Adapter: sample from the EMA weights, which gate deployment.
+
+    The weights are checked for finiteness when the adapter is built (a
+    ValueError if they are not), not on each of its forward calls.
+    """
+    return FrozenEma(model)
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +550,37 @@ def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict |
 
 
 def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule, dict]:
+    """Model, schedule and meta of a checkpoint file.
+
+    A file that is not a version-1 checkpoint of finite weights, shaped as its
+    dimensions say, is a MalformedInputError naming the path.
+    """
     doc = read_json(path)
     with fields_of(path):
         if doc.get("version") != CHECKPOINT_VERSION:
             raise MalformedInputError(path, f"unsupported checkpoint version {doc.get('version')}")
+        dims = {n: doc[n] for n in ("input_dim", "cond_dim", "hidden", "kemb_dim", "temb_dim")}
+        for name, v in {**dims, "K": doc["K"]}.items():
+            if type(v) is not int or v < 1:
+                raise MalformedInputError(path, f"{name} must be a positive integer, got {v!r}")
         model = ToyDenoiser(
-            input_dim=doc["input_dim"],
-            cond_dim=doc["cond_dim"],
-            hidden=doc["hidden"],
-            kemb_dim=doc["kemb_dim"],
-            temb_dim=doc["temb_dim"],
-            params={n: np.array(v) for n, v in doc["params"].items()},
-            ema={n: np.array(v) for n, v in doc["ema"].items()},
+            **dims,
+            params={n: np.array(v, dtype=float) for n, v in doc["params"].items()},
+            ema={n: np.array(v, dtype=float) for n, v in doc["ema"].items()},
         )
-        sched = NoiseSchedule(K=doc["K"], alpha_bar=np.array(doc["alpha_bar"]))
+        shapes = model.param_shapes()
+        for group in ("params", "ema"):
+            arrays = getattr(model, group)
+            if set(arrays) != set(shapes):
+                raise MalformedInputError(
+                    path, f"{group} holds {sorted(arrays)}, expected {sorted(shapes)}"
+                )
+            for name, shape in shapes.items():
+                if arrays[name].shape != shape:
+                    raise MalformedInputError(
+                        path, f"{group}.{name} has shape {arrays[name].shape}, expected {shape}"
+                    )
+                if not np.all(np.isfinite(arrays[name])):
+                    raise MalformedInputError(path, f"{group}.{name} holds non-finite values")
+        sched = NoiseSchedule(K=doc["K"], alpha_bar=np.array(doc["alpha_bar"], dtype=float))
         return model, sched, doc.get("meta", {})

@@ -7,7 +7,14 @@ import pytest
 
 from mobman import cli
 from mobman.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
-from mobman.diffusion import TrainingDivergedError
+from mobman.diffusion import (
+    ACTION_DIM,
+    ToyDenoiser,
+    TrainingDivergedError,
+    cosine_schedule,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mobman.jsonl import read_json
 from mobman.manifest import RunManifest, file_sha256
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
@@ -296,6 +303,45 @@ class TestSimulateCommand:
         assert self._run_golden(tmp_path, "--kinematic") == EXIT_OK
         assert self._digests(tmp_path) == self.KINEMATIC_DIGESTS
 
+    # SHA-256 of (model.json, curve.csv) of `train-toy --steps 40 --seed 3` on
+    # the processed nav_reach demo, and of (metrics.csv, aggregate.json) of
+    # `simulate --trials 2 --seed 3 --policy` on that checkpoint.
+    CHECKPOINT_DIGESTS = (
+        "4aa02e3dc022eb49b9d16fefd2fc042dc9dcbd1f60af694b00ed7a813bc2b317",
+        "012f44fe301eddbb43bcc8a4e0f54c6144243ab3985c1c471c58f13ed21736c5",
+    )
+    CHECKPOINT_POLICY_DIGESTS = (
+        "e779298802c681aafeacf997a099fcdc7bb0fe105c0bc6e89e155e4da1845922",
+        "7fb25bcf1d757327123611c8561cf79a4261cea2260a414f4f6d73f82abd6c29",
+    )
+
+    def test_golden_outputs_checkpoint_policy(self, processed, tmp_path):
+        ckpt_dir = tmp_path / "m"
+        dataset = str(processed / "dataset.jsonl")
+        argv = ["train-toy", "--dataset", dataset, "--output", str(ckpt_dir)]
+        assert main([*argv, "--steps", "40", "--seed", "3"]) == EXIT_OK
+        ckpt = ckpt_dir / "model.json"
+        assert (file_sha256(ckpt), file_sha256(ckpt_dir / "curve.csv")) == self.CHECKPOINT_DIGESTS
+        out = tmp_path / "s"
+        assert self._run_golden(out, "--policy", str(ckpt)) == EXIT_OK
+        assert self._digests(out) == self.CHECKPOINT_POLICY_DIGESTS
+
+    def test_checkpoint_loaded_once_per_call(self, processed, tmp_path, monkeypatch):
+        ckpt_dir = tmp_path / "m"
+        dataset = str(processed / "dataset.jsonl")
+        argv = ["train-toy", "--dataset", dataset, "--output", str(ckpt_dir)]
+        assert main([*argv, "--steps", "5"]) == EXIT_OK
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", counting_load)
+        out = tmp_path / "s"
+        assert self._run_golden(out, "--policy", str(ckpt_dir / "model.json")) == EXIT_OK
+        assert len(loads) == 1
+
 
 class TestReportCommand:
     def test_single_condition_table(self, tmp_path):
@@ -336,6 +382,15 @@ class TestReportCommand:
         )
         rc = main(["report", "--metrics", str(empty), "--output", str(tmp_path / "rep")])
         assert rc == EXIT_REJECTED
+
+
+def _replay_case(**config):
+    """A FIELD_CASES entry: replay of a simulate manifest whose default config
+    has config's entries replaced."""
+    args = cli.build_parser().parse_args(["simulate", "--output", "unused"])
+    recorded = {**cli._args_to_config(args), **config}
+    text = json.dumps({"command": "simulate", "config": recorded, "seed": 0})
+    return "replay", "manifest.json", lambda _: text
 
 
 def _corrupt_line(path, line_number):
@@ -468,13 +523,20 @@ class TestMalformedInput:
             "manifest.json",
             lambda _: json.dumps({"command": "simulate", "config": [], "seed": 0}),
         ),
+        "replay_trials_str": _replay_case(trials="x"),
+        "replay_trials_float": _replay_case(trials=2.5),
+        "replay_matching_str": _replay_case(matching="on"),
+        "replay_kinematic_int": _replay_case(kinematic=1),
+        "replay_label_unknown": _replay_case(label="both"),
+        "replay_latency_str": _replay_case(latency_ms="0"),
     }
 
     @pytest.mark.parametrize("case", list(FIELD_CASES))
     def test_bad_field_is_usage_error_with_path(
-        self, case, raw_session, anchored, tmp_path, capsys
+        self, case, raw_session, anchored, tmp_path, capsys, monkeypatch
     ):
         # well-formed JSON/JSONL whose fields are missing, misshapen or inconsistent
+        monkeypatch.chdir(tmp_path)  # a replay that wrongly runs writes its relative output here
         command, name, rewrite = self.FIELD_CASES[case]
         raw, _ = raw_session
         d = tmp_path / "in"
@@ -506,6 +568,76 @@ class TestMalformedInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"usage error: {path}: ")
+
+
+class TestBadCheckpoint:
+    """A checkpoint whose weights or schedule are bad is a usage error naming it."""
+
+    @pytest.fixture
+    def checkpoint_doc(self, tmp_path):
+        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=22, hidden=8, kemb_dim=8, temb_dim=8)
+        model.init_params(np.random.default_rng(0))
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model, cosine_schedule())
+        return path, read_json(path)
+
+    def _ema_w2_nan(doc):
+        doc["ema"]["W2"][0][0] = math.nan
+
+    def _ema_w2_1x3(doc):
+        doc["ema"]["W2"] = [[0.0, 0.0, 0.0]]
+
+    def _params_b1_inf(doc):
+        doc["params"]["b1"][2] = math.inf
+
+    def _params_wf_ragged(doc):
+        doc["params"]["Wf"][1] = doc["params"]["Wf"][1][:-1]
+
+    def _ema_bk2_missing(doc):
+        del doc["ema"]["bk2"]
+
+    def _hidden_float(doc):
+        doc["hidden"] = 8.0
+
+    def _alpha_bar_short(doc):
+        doc["alpha_bar"] = doc["alpha_bar"][:-1]
+
+    def _alpha_bar_nan(doc):
+        doc["alpha_bar"][5] = math.nan
+
+    def _k_str(doc):
+        doc["K"] = "100"
+
+    CASES = [
+        _ema_w2_nan,
+        _ema_w2_1x3,
+        _params_b1_inf,
+        _params_wf_ragged,
+        _ema_bk2_missing,
+        _hidden_float,
+        _alpha_bar_short,
+        _alpha_bar_nan,
+        _k_str,
+    ]
+
+    def test_unedited_checkpoint_runs(self, checkpoint_doc, tmp_path):
+        path, _ = checkpoint_doc
+        argv = ["simulate", "--policy", str(path), "--trials", "1", "--output", str(tmp_path / "s")]
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("edit", CASES, ids=[f.__name__[1:] for f in CASES])
+    def test_usage_error_names_checkpoint(self, edit, checkpoint_doc, tmp_path, capsys):
+        path, doc = checkpoint_doc
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "s"
+        capsys.readouterr()
+        argv = ["simulate", "--policy", str(path), "--trials", "1", "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"usage error: {path}: ")
+        assert not out.exists()
 
 
 class TestBadFlags:
@@ -545,6 +677,45 @@ class TestReplayCommand:
         assert main(["simulate", "--trials", "2", "--seed", "4", "--output", str(out)]) == EXIT_OK
         rc = main(["replay", "--manifest", str(out / "manifest.json")])
         assert rc == EXIT_OK
+
+    def test_replay_accepts_every_recorded_config(self, raw_session, anchored, processed, tmp_path):
+        # each command's own manifest passes replay's key and value checks
+        raw, _ = raw_session
+        (tmp_path / "calib.json").write_text(json.dumps({"d_closed": 0.01, "d_open": 0.09}))
+        sim = tmp_path / "sim"
+        runs = [
+            [
+                "anchor",
+                "--trajectories", str(raw / "trajectories.jsonl"),
+                "--detections", str(raw / "detections.jsonl"),
+                "--extrinsics", str(raw / "extrinsics.json"),
+                "--output", str(tmp_path / "a.json"),
+            ],
+            [
+                "process", "--raw", str(raw), "--anchor", str(anchored),
+                "--calib", str(tmp_path / "calib.json"), "--no-smoothing",
+                "--output", str(tmp_path / "p"),
+            ],
+            [
+                "train-toy", "--dataset", str(processed / "dataset.jsonl"),
+                "--output", str(tmp_path / "m"), "--steps", "5",
+            ],
+            [
+                "simulate", "--policy", str(tmp_path / "m" / "model.json"), "--matching", "off",
+                "--kinematic", "--variation", "--trials", "1", "--output", str(sim),
+            ],
+            ["report", "--metrics", str(sim / "metrics.csv"), "--output", str(tmp_path / "r")],
+        ]
+        manifests = [
+            tmp_path / "a.manifest.json",
+            tmp_path / "p" / "manifest.json",
+            tmp_path / "m" / "manifest.json",
+            sim / "manifest.json",
+            tmp_path / "r" / "manifest.json",
+        ]
+        for argv, man in zip(runs, manifests, strict=True):
+            assert main(argv) == EXIT_OK
+            assert main(["replay", "--manifest", str(man)]) == EXIT_OK, argv[0]
 
     def test_replay_detects_tampering(self, tmp_path):
         out = tmp_path / "sim"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from mobman.diffusion import (
     ema_update,
     forward_noise,
     load_checkpoint,
+    model_eps_fn,
     obs_to_condition,
     sample_action_chunk,
     save_checkpoint,
@@ -130,6 +132,10 @@ class TestDenoiser:
         with pytest.raises(ValueError):
             m.forward(np.zeros((1, 3)), np.array([1]), np.zeros((1, 2)))
 
+    def test_param_shapes_match_init(self):
+        m = self._model(np.random.default_rng(3))
+        assert {n: v.shape for n, v in m.params.items()} == m.param_shapes()
+
     def test_sinusoidal_embedding_shape(self):
         e = sinusoidal_embedding(np.array([0, 5, 99]), dim=16)
         assert e.shape == (3, 16)
@@ -197,6 +203,94 @@ class TestDdim:
             ddim_sample(fn, np.zeros((1, 1)), sched, n_steps=0, sample_dim=1)
         with pytest.raises(ValueError):
             ddim_sample(fn, np.zeros((1, 1)), sched)
+
+
+class TestFrozenEma:
+    """model_eps_fn's adapter: EMA weights checked once, step embeddings memoised."""
+
+    def _model(self, seed=10):
+        rng = np.random.default_rng(seed)
+        m = TestDenoiser()._model(rng, input_dim=ACTION_DIM, cond_dim=5, hidden=16)
+        m.ema = {n: v + rng.normal(0.0, 0.05, size=v.shape) for n, v in m.params.items()}
+        return m, rng
+
+    @staticmethod
+    def _sub_schedule_steps(K, n_steps):
+        # the steps ddim_sample evaluates its eps_fn at
+        return np.unique(np.round(np.linspace(0, K, n_steps + 1)).astype(int))[1:]
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_bit_identical_to_unmemoised_forward(self, batch):
+        m, rng = self._model()
+        eps_fn = model_eps_fn(m)
+        x = rng.normal(size=(batch, ACTION_DIM))
+        cond = rng.normal(size=(batch, 5))
+        for k in self._sub_schedule_steps(100, 10):
+            want = m.forward(x, np.full(batch, k), cond, use_ema=True)
+            assert np.array_equal(eps_fn(x, int(k), cond), want)
+            # a second call is served from the memo
+            assert np.array_equal(eps_fn(x, int(k), cond), want)
+
+    def test_sampling_bit_identical_to_unmemoised_forward(self):
+        m, _ = self._model()
+        sched = cosine_schedule(100)
+
+        def unmemoised(x, k, cond):
+            return m.forward(x, np.full(len(x), k), cond, use_ema=True)
+
+        cond = np.zeros((3, 5))
+        a = ddim_sample(model_eps_fn(m), cond, sched, seed=4, sample_dim=ACTION_DIM)
+        b = ddim_sample(unmemoised, cond, sched, seed=4, sample_dim=ACTION_DIM)
+        assert np.array_equal(a, b)
+
+    def test_nonfinite_ema_rejected_when_built(self):
+        m, _ = self._model()
+        m.ema["Wk2"][1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model_eps_fn(m)
+
+    def test_memo_cannot_go_stale(self):
+        m, rng = self._model()
+        built_on = dataclasses.replace(m, ema={n: v.copy() for n, v in m.ema.items()})
+        eps_fn = model_eps_fn(m)
+        x = rng.normal(size=(1, ACTION_DIM))
+        cond = rng.normal(size=(1, 5))
+        eps_fn(x, 50, cond)  # memoises step 50
+        m.ema["Wk1"] += 0.5  # in place
+        m.ema["Wk2"] = m.ema["Wk2"] * 2.0  # rebound
+        m.ema["W2"] += 0.5
+        for k in (50, 60):  # memoised before the change, and not
+            want = built_on.forward(x, np.full(1, k), cond, use_ema=True)
+            assert np.array_equal(eps_fn(x, k, cond), want)
+        # an adapter built after the change reads the new weights
+        fresh = model_eps_fn(m)(x, 50, cond)
+        assert np.array_equal(fresh, m.forward(x, np.full(1, 50), cond, use_ema=True))
+        assert not np.array_equal(fresh, eps_fn(x, 50, cond))
+
+    def test_one_forward_call_per_evaluation(self, monkeypatch):
+        m, _ = self._model()
+        forward = ToyDenoiser.forward
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1])
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(ToyDenoiser, "forward", counted)
+        sched = cosine_schedule(100)
+        ddim_sample(model_eps_fn(m), np.zeros((1, 5)), sched, seed=0, sample_dim=ACTION_DIM)
+        assert [int(k[0]) for k in calls] == list(self._sub_schedule_steps(100, 10))[::-1]
+
+    def test_training_path_still_checks_every_call(self):
+        m, _ = self._model()
+        model_eps_fn(m)
+        x, k, cond = np.zeros((1, ACTION_DIM)), np.array([3]), np.zeros((1, 5))
+        m.params["W1"][0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            m.loss_and_grads(x, k, cond, np.zeros((1, ACTION_DIM)))
+        m.ema["W1"][0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            m.forward(x, k, cond, use_ema=True)
 
 
 class TestTraining:
