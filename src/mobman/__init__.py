@@ -9,7 +9,8 @@ Modules:
     sim        -- deterministic plant, scripted experts, scenarios, metrics
     report     -- markdown + SVG rendering of condition comparisons
     manifest   -- reproducibility manifests for every CLI run
-    cli        -- operator commands: anchor, process, train-toy, simulate, report
+    jsonl      -- line-oriented JSON reading and writing shared by every file format
+    cli        -- operator commands: anchor, process, train-toy, simulate, report, replay
 """
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose3, geodesic_so3, slerp
-from .jsonl import fields_of, read_json, read_jsonl, write_json
+from .jsonl import fields_of, read_json, read_jsonl, write_json, write_jsonl
 
 CHEST = "chest"
 HAND = "hand"
@@ -224,8 +224,6 @@ def load_trajectories(path) -> dict[str, VioTrajectory]:
 
 
 def save_trajectories(path, trajs: dict[str, VioTrajectory]) -> None:
-    from .jsonl import write_jsonl
-
     records = []
     for traj in trajs.values():
         for i in range(len(traj.t)):
@@ -250,8 +248,6 @@ def load_detections(path) -> list[TagDetection]:
 
 
 def save_detections(path, detections: list[TagDetection]) -> None:
-    from .jsonl import write_jsonl
-
     write_jsonl(
         path,
         [

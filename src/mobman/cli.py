@@ -30,6 +30,7 @@ from .anchoring import (
 from .diffusion import (
     ACTION_DIM,
     ActionChunkTensor,
+    DEFAULT_DDIM_STEPS,
     DEFAULT_HORIZON,
     NoiseSchedule,
     ToyDenoiser,
@@ -272,6 +273,10 @@ class DiffusionReplayPolicy:
     are deterministic.
     """
 
+    # obs_to_condition's size without scenario features: base, hand position,
+    # hand quaternion, grip and the previous row
+    COND_DIM = 3 + 3 + 4 + 1 + ACTION_DIM
+
     def __init__(self, model: ToyDenoiser, sched: NoiseSchedule, seed: int = 0):
         self.sched = sched
         self.seed = seed
@@ -308,7 +313,16 @@ def cmd_simulate(cfg: dict) -> RunManifest:
     elif source == "cruise":
         make_policy = lambda trial_seed: CruisePolicy()
     else:
-        model, sched, _ = load_checkpoint(_require_file(source, "policy checkpoint"))
+        path = _require_file(source, "policy checkpoint")
+        model, sched, _ = load_checkpoint(path)
+        if sched.K < DEFAULT_DDIM_STEPS:
+            raise MalformedInputError(
+                path, f"schedule K {sched.K} is below the sampler's {DEFAULT_DDIM_STEPS} steps"
+            )
+        dims = (model.input_dim, model.cond_dim)
+        need = (ACTION_DIM, DiffusionReplayPolicy.COND_DIM)
+        if dims != need:
+            raise MalformedInputError(path, f"(input_dim, cond_dim) is {dims}, the policy needs {need}")
         make_policy = lambda trial_seed: DiffusionReplayPolicy(model, sched, seed=trial_seed)
     cond = Condition(
         name=f"match_{'on' if cfg['matching'] else 'off'}_label_{cfg['label']}",

@@ -111,25 +111,15 @@ class ToyDenoiser:
     ema: dict = field(default_factory=dict)
 
     def init_params(self, rng: np.random.Generator) -> None:
-        def dense(n_in, n_out, scale=None):
-            scale = scale if scale is not None else 1.0 / math.sqrt(n_in)
-            return rng.normal(0.0, scale, size=(n_in, n_out))
-
-        H, D, C = self.hidden, self.input_dim, self.cond_dim
-        self.params = {
-            "W1": dense(D, H),
-            "b1": np.zeros(H),
-            "W2": dense(H, H),
-            "b2": np.zeros(H),
-            "W3": dense(H, D, scale=1e-2 / math.sqrt(H)),
-            "b3": np.zeros(D),
-            "Wf": np.zeros((C + self.temb_dim, 4 * H)),
-            "bf": np.zeros(4 * H),
-            "Wk1": dense(self.kemb_dim, self.temb_dim),
-            "bk1": np.zeros(self.temb_dim),
-            "Wk2": dense(self.temb_dim, self.temb_dim),
-            "bk2": np.zeros(self.temb_dim),
-        }
+        """Zero biases and FiLM weights; normal weights of scale 1/sqrt(fan-in),
+        scaled down to 1e-2/sqrt(hidden) for the output layer W3."""
+        self.params = {}
+        for name, shape in self.param_shapes().items():
+            if len(shape) == 1 or name == "Wf":
+                self.params[name] = np.zeros(shape)
+            else:
+                scale = (1e-2 if name == "W3" else 1.0) / math.sqrt(shape[0])
+                self.params[name] = rng.normal(0.0, scale, size=shape)
         self.ema = {name: v.copy() for name, v in self.params.items()}
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -528,16 +518,13 @@ def obs_to_condition(
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_VERSION = 1
+CHECKPOINT_DIMS = ("input_dim", "cond_dim", "hidden", "kemb_dim", "temb_dim")
 
 
 def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict | None = None):
     doc = {
         "version": CHECKPOINT_VERSION,
-        "input_dim": model.input_dim,
-        "cond_dim": model.cond_dim,
-        "hidden": model.hidden,
-        "kemb_dim": model.kemb_dim,
-        "temb_dim": model.temb_dim,
+        **{n: getattr(model, n) for n in CHECKPOINT_DIMS},
         "K": sched.K,
         "alpha_bar": sched.alpha_bar.tolist(),
         "params": {n: v.tolist() for n, v in model.params.items()},
@@ -559,7 +546,7 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule, dict]:
     with fields_of(path):
         if doc.get("version") != CHECKPOINT_VERSION:
             raise MalformedInputError(path, f"unsupported checkpoint version {doc.get('version')}")
-        dims = {n: doc[n] for n in ("input_dim", "cond_dim", "hidden", "kemb_dim", "temb_dim")}
+        dims = {n: doc[n] for n in CHECKPOINT_DIMS}
         for name, v in {**dims, "K": doc["K"]}.items():
             if type(v) is not int or v < 1:
                 raise MalformedInputError(path, f"{name} must be a positive integer, got {v!r}")

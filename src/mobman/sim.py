@@ -12,12 +12,22 @@ from __future__ import annotations
 
 import bisect
 import math
+from pathlib import Path
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .anchoring import CHEST, HAND, Extrinsic, TagDetection, VioTrajectory
+from .anchoring import (
+    CHEST,
+    HAND,
+    Extrinsic,
+    TagDetection,
+    VioTrajectory,
+    save_detections,
+    save_extrinsics,
+    save_trajectories,
+)
 from .executor import (
     CONTROL_DT,
     EpisodeLog,
@@ -36,10 +46,12 @@ from .geometry import (
     quat_canonical,
     quat_conj,
     quat_from_axis_angle,
+    quat_increment_apply,
     quat_mul,
     slerp,
     wrap_angle,
 )
+from .jsonl import write_jsonl
 from .pipeline import GripperCalib, RawSession
 from .report import aggregate_rows
 
@@ -194,47 +206,41 @@ class Plant:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Segment:
-    t0: float
-    t1: float
-    b0: np.ndarray  # (x, y, theta) with theta unwrapped
-    b1: np.ndarray
-    h0: Pose3
-    h1: Pose3
-    g0: float
-    g1: float
-
-
 class ExpertScript:
     """Reference motion built from constant-rate primitives.
 
-    Every primitive is linear in (x, y, theta), hand pose and grip over its
-    duration, and durations are multiples of the control period, so sampling
-    at any rate whose grid contains the segment corners is exact.
+    The script is a knot table: knot j holds (time, base (x, y, theta) with
+    theta unwrapped, hand pose, grip). pause, turn, move_hand and set_grip
+    append one knot each, drive one per speed step. Between consecutive
+    knots base, hand and grip are linear in time (the hand rotation by
+    slerp). Durations are multiples of the control period, so sampling at
+    any rate whose grid contains the knots is exact. Times outside
+    [0, duration] sample the first or last knot.
     """
 
     def __init__(self, hand_home: Pose3, grip0: float = 1.0):
-        self._segments: list[_Segment] = []
-        self._b = np.array([0.0, 0.0, 0.0])
-        self._h = hand_home
-        self._g = float(grip0)
-        self._t = 0.0
+        self._knots: list[tuple[float, np.ndarray, Pose3, float]] = [
+            (0.0, np.array([0.0, 0.0, 0.0]), hand_home, float(grip0))
+        ]
+        # segment j runs from knot j to knot j + 1 and holds t <= _ends[j]
+        self._ends: list[float] = []
 
     @staticmethod
     def _round_duration(d: float) -> float:
         return max(CONTROL_DT, round(round(d / CONTROL_DT) * CONTROL_DT, 9))
 
     def _push(self, duration, b1=None, h1=None, g1=None):
-        d = self._round_duration(duration)
-        b1 = self._b if b1 is None else np.asarray(b1, dtype=float)
-        h1 = self._h if h1 is None else h1
-        g1 = self._g if g1 is None else float(g1)
-        self._segments.append(
-            _Segment(self._t, round(self._t + d, 9), self._b.copy(), b1, self._h, h1, self._g, g1)
+        t0, b0, h0, g0 = self._knots[-1]
+        t1 = round(t0 + self._round_duration(duration), 9)
+        self._knots.append(
+            (
+                t1,
+                b0 if b1 is None else np.asarray(b1, dtype=float),
+                h0 if h1 is None else h1,
+                g0 if g1 is None else float(g1),
+            )
         )
-        self._t = round(self._t + d, 9)
-        self._b, self._h, self._g = b1, h1, g1
+        self._ends.append(t1 + 1e-12)
         return self
 
     def pause(self, duration: float):
@@ -246,7 +252,7 @@ class ExpertScript:
         The ramp sheds speed/ramp_steps every 0.3 s so a first-order plant
         can brake without overshooting the stop point.
         """
-        th = self._b[2]
+        th = self._knots[-1][1][2]
         sgn = 1.0 if distance >= 0 else -1.0
         heading = np.array([math.cos(th), math.sin(th), 0.0])
         ramp = [speed * k / ramp_steps for k in range(ramp_steps - 1, 0, -1)]
@@ -254,13 +260,13 @@ class ExpertScript:
         ramp_dist = sum(v * 0.3 for v in ramp)
         cruise_dist = max(abs(distance) - ramp_dist, 0.0)
         if cruise_dist > 0:
-            self._push(cruise_dist / speed, b1=self._b + sgn * cruise_dist * heading)
+            self._push(cruise_dist / speed, b1=self._knots[-1][1] + sgn * cruise_dist * heading)
         for v in ramp:
-            self._push(0.3, b1=self._b + sgn * v * 0.3 * heading)
+            self._push(0.3, b1=self._knots[-1][1] + sgn * v * 0.3 * heading)
         return self
 
     def turn(self, dangle: float, duration: float):
-        return self._push(duration, b1=self._b + np.array([0.0, 0.0, dangle]))
+        return self._push(duration, b1=self._knots[-1][1] + np.array([0.0, 0.0, dangle]))
 
     def move_hand(self, target: Pose3, duration: float):
         return self._push(duration, h1=target)
@@ -270,35 +276,33 @@ class ExpertScript:
 
     @property
     def duration(self) -> float:
-        return self._t
+        return self._knots[-1][0]
 
-    def _segment_at(self, t: float) -> _Segment:
-        if not self._segments:
+    def _locate(self, t: float) -> tuple[int, float]:
+        """First segment j holding t, clamped to the script, and t's fraction a of it."""
+        if not self._ends:
             raise ValueError("empty script")
         t = min(max(t, 0.0), self.duration)
-        for seg in self._segments:
-            if t <= seg.t1 + 1e-12:
-                return seg
-        return self._segments[-1]
+        j = bisect.bisect_left(self._ends, t)
+        t0, t1 = self._knots[j][0], self._knots[j + 1][0]
+        return j, (min(t, t1) - t0) / (t1 - t0)
 
     def base_at(self, t: float) -> Pose2:
-        seg = self._segment_at(t)
-        a = 0.0 if seg.t1 == seg.t0 else (min(t, seg.t1) - seg.t0) / (seg.t1 - seg.t0)
-        b = (1 - a) * seg.b0 + a * seg.b1
+        j, a = self._locate(t)
+        b = (1 - a) * self._knots[j][1] + a * self._knots[j + 1][1]
         return Pose2(b[0], b[1], b[2])
 
     def hand_at(self, t: float) -> Pose3:
-        seg = self._segment_at(t)
-        a = 0.0 if seg.t1 == seg.t0 else (min(t, seg.t1) - seg.t0) / (seg.t1 - seg.t0)
+        j, a = self._locate(t)
+        h0, h1 = self._knots[j][2], self._knots[j + 1][2]
         return Pose3(
-            slerp(seg.h0.rotation, seg.h1.rotation, a),
-            (1 - a) * seg.h0.translation + a * seg.h1.translation,
+            slerp(h0.rotation, h1.rotation, a),
+            (1 - a) * h0.translation + a * h1.translation,
         )
 
     def grip_at(self, t: float) -> float:
-        seg = self._segment_at(t)
-        a = 0.0 if seg.t1 == seg.t0 else (min(t, seg.t1) - seg.t0) / (seg.t1 - seg.t0)
-        return (1 - a) * seg.g0 + a * seg.g1
+        j, a = self._locate(t)
+        return (1 - a) * self._knots[j][3] + a * self._knots[j + 1][3]
 
     def reference(self) -> tuple[np.ndarray, list[Pose2], list[Pose3], np.ndarray]:
         """The script on the 10 Hz control grid: (times, base, hand, grip)."""
@@ -423,58 +427,52 @@ _GRIP_CLOSED = ("<=", 0.15)
 _GRIP_OPEN = (">=", 0.8)
 
 
+# name -> (script builder, goal stages, time limit in s)
+_SCENARIOS = {
+    "nav_reach": (
+        _nav_reach_script,
+        (
+            GoalStage("arrive", base=(1.5, 0.0, 0.0, 0.06, 0.15), hold_s=0.5),
+            GoalStage("reach", hand=(GRASP_POSE.translation, 0.05), hold_s=0.3),
+            GoalStage("grasp", grip=_GRIP_CLOSED, hold_s=0.3),
+        ),
+        12.0,
+    ),
+    "nav_turn_place": (
+        _nav_turn_place_script,
+        (
+            GoalStage("arrive", base=(1.0, 0.8, math.pi / 2.0, 0.06, 0.15), hold_s=0.5),
+            GoalStage("place", hand=(PLACE_POSE.translation, 0.05), hold_s=0.3),
+            GoalStage("release", grip=_GRIP_OPEN, hold_s=0.3),
+        ),
+        40.0,
+    ),
+    "long_horizon": (
+        _long_horizon_script,
+        (
+            GoalStage("arrive_pick", base=(1.2, -1.0, -math.pi / 2.0, 0.06, 0.15), hold_s=0.5),
+            GoalStage("grasp", hand=(GRASP_POSE.translation, 0.05), grip=_GRIP_CLOSED),
+            GoalStage("arrive_drop", base=(1.2, -0.2, math.pi / 2.0, 0.06, 0.15), hold_s=0.5),
+            GoalStage("release", grip=_GRIP_OPEN, hold_s=0.3),
+        ),
+        60.0,
+    ),
+    "cruise": (
+        _cruise_script,
+        (GoalStage("arrive", base=(3.0, 0.0, 0.0, 0.08, 0.3), hold_s=0.3),),
+        30.0,
+    ),
+}
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+
 def make_scenario(name: str) -> SimScenario:
-    if name == "nav_reach":
-        return SimScenario(
-            name,
-            _nav_reach_script(),
-            goals=[
-                GoalStage("arrive", base=(1.5, 0.0, 0.0, 0.06, 0.15), hold_s=0.5),
-                GoalStage("reach", hand=(GRASP_POSE.translation, 0.05), hold_s=0.3),
-                GoalStage("grasp", grip=_GRIP_CLOSED, hold_s=0.3),
-            ],
-            time_limit=12.0,
-        )
-    if name == "nav_turn_place":
-        return SimScenario(
-            name,
-            _nav_turn_place_script(),
-            goals=[
-                GoalStage(
-                    "arrive", base=(1.0, 0.8, math.pi / 2.0, 0.06, 0.15), hold_s=0.5
-                ),
-                GoalStage("place", hand=(PLACE_POSE.translation, 0.05), hold_s=0.3),
-                GoalStage("release", grip=_GRIP_OPEN, hold_s=0.3),
-            ],
-            time_limit=40.0,
-        )
-    if name == "long_horizon":
-        return SimScenario(
-            name,
-            _long_horizon_script(),
-            goals=[
-                GoalStage(
-                    "arrive_pick", base=(1.2, -1.0, -math.pi / 2.0, 0.06, 0.15), hold_s=0.5
-                ),
-                GoalStage("grasp", hand=(GRASP_POSE.translation, 0.05), grip=_GRIP_CLOSED),
-                GoalStage(
-                    "arrive_drop", base=(1.2, -0.2, math.pi / 2.0, 0.06, 0.15), hold_s=0.5
-                ),
-                GoalStage("release", grip=_GRIP_OPEN, hold_s=0.3),
-            ],
-            time_limit=60.0,
-        )
-    if name == "cruise":
-        return SimScenario(
-            name,
-            _cruise_script(),
-            goals=[GoalStage("arrive", base=(3.0, 0.0, 0.0, 0.08, 0.3), hold_s=0.3)],
-            time_limit=30.0,
-        )
-    raise ValueError(f"unknown scenario {name!r}")
-
-
-SCENARIO_NAMES = ("nav_reach", "nav_turn_place", "long_horizon", "cruise")
+    """A fresh scenario: its own script and goal list."""
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    build, goals, time_limit = _SCENARIOS[name]
+    return SimScenario(name, build(), list(goals), time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +486,7 @@ BOARD_IN_WORLD = Pose3(
     ),
     np.array([0.8, -0.4, 0.5]),
 )
+N_DETECTIONS = 15  # board sightings per camera over the initial window
 
 EXTRINSICS = {
     CHEST: Extrinsic(
@@ -530,6 +529,11 @@ def chest_world_pose(base: Pose2) -> Pose3:
     return base.lift(CHEST_HEIGHT)
 
 
+def hand_world_pose(base: Pose2, hand_rel: Pose3) -> Pose3:
+    """Hand pose in the world, from the base pose and the chest-relative hand."""
+    return chest_world_pose(base).compose(hand_rel)
+
+
 def _noisy(pose: Pose3, rng, sigma_pos: float, sigma_rot: float) -> Pose3:
     if sigma_pos == 0.0 and sigma_rot == 0.0:
         return pose
@@ -548,7 +552,6 @@ def scripted_expert(
     seed: int = 0,
     sigma_pos: float = 0.0,
     sigma_rot: float = 0.0,
-    n_detections: int = 15,
     session_id: str | None = None,
 ) -> ExpertSession:
     """Synthesize one demonstration obeying the collection protocol.
@@ -574,7 +577,7 @@ def scripted_expert(
     g_inv = g_true.inverse()
     hand_poses = [
         _noisy(
-            g_inv.compose(chest_world_pose(script.base_at(ti)).compose(script.hand_at(ti))),
+            g_inv.compose(hand_world_pose(script.base_at(ti), script.hand_at(ti))),
             rng,
             sigma_pos,
             sigma_rot,
@@ -612,7 +615,7 @@ def scripted_expert(
     # board detections in both cameras over the initial window
     detections = []
     det_span = min(1.4, script.duration)
-    det_t = np.round(np.linspace(0.0, det_span, n_detections), 9)
+    det_t = np.round(np.linspace(0.0, det_span, N_DETECTIONS), 9)
     board_hand_world = g_inv.compose(BOARD_IN_WORLD)
     for ti in det_t:
         chest_imu = chest_world_pose(script.base_at(ti))
@@ -622,9 +625,7 @@ def scripted_expert(
                 CHEST, float(ti), _noisy(cam_c.inverse().compose(BOARD_IN_WORLD), rng, sigma_pos, sigma_rot)
             )
         )
-        hand_imu = g_inv.compose(
-            chest_world_pose(script.base_at(ti)).compose(script.hand_at(ti))
-        )
+        hand_imu = g_inv.compose(hand_world_pose(script.base_at(ti), script.hand_at(ti)))
         cam_h = hand_imu.compose(EXTRINSICS[HAND].T_imu_from_camera)
         detections.append(
             TagDetection(
@@ -646,11 +647,6 @@ def scripted_expert(
 
 def save_expert_session(out_dir, expert: ExpertSession) -> None:
     """Write one capture session in the on-disk raw layout the CLI reads."""
-    from pathlib import Path
-
-    from .anchoring import save_detections, save_extrinsics, save_trajectories
-    from .jsonl import write_jsonl
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_trajectories(
@@ -666,8 +662,6 @@ def save_expert_session(out_dir, expert: ExpertSession) -> None:
             for t, d in zip(expert.session.marker_t, expert.session.marker_d)
         ],
     )
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +726,7 @@ class ExpertReplayPolicy:
         # demo-world hand poses, as recorded (not shifted into the task frame);
         # only the global label frame reads them
         self.ref_hand_world = (
-            [chest_world_pose(b).compose(h) for b, h in zip(ref_base, ref_hand)]
+            [hand_world_pose(b, h) for b, h in zip(ref_base, ref_hand)]
             if label_frame == "global"
             else None
         )
@@ -782,19 +776,18 @@ class ExpertReplayPolicy:
         n = len(self.ref_base)
         rows = np.zeros((DEFAULT_HORIZON, ACTION_DIM))
         cur = obs
-        hand_world = chest_world_pose(obs.base).compose(obs.hand_rel)
+        if self.label_frame == "global":
+            hand_world = hand_world_pose(obs.base, obs.hand_rel)
+            world_pos, world_rot = hand_world.translation, hand_world.rotation
         for r in range(DEFAULT_HORIZON):
             k = min(j + r + 1, n - 1)
             dx, dy, dth = self._base_row(cur.base, self.ref_base[k])
             if self.label_frame == "relative":
                 dp, dq = self._hand_step(cur.hand_pos, cur.hand_rot, self.ref_hand[k])
             else:
-                dp, dq = self._hand_step(
-                    hand_world.translation, hand_world.rotation, self.ref_hand_world[k]
-                )
-                hand_world = Pose3(
-                    quat_mul(dq, hand_world.rotation), hand_world.translation + dp
-                )
+                dp, dq = self._hand_step(world_pos, world_rot, self.ref_hand_world[k])
+                # the hand rule of executor.advance_state, on the world-frame hand
+                world_pos, world_rot = world_pos + dp, quat_increment_apply(world_rot, dq)
             g = cur.grip + float(
                 min(max(self.ref_grip[k] - cur.grip, -self.MAX_DGRIP), self.MAX_DGRIP)
             )
@@ -812,6 +805,15 @@ class ExpertReplayPolicy:
 
 START_RADIUS = 0.10  # m, initial position perturbation
 START_HEADING = math.radians(15.0)  # rad, initial heading perturbation
+TASK_RADIUS = 0.25  # m, task-frame shift under locomotion variation
+TASK_HEADING = 0.35  # rad, task-frame rotation under locomotion variation
+
+
+def _disk_pose(rng: np.random.Generator, radius: float, heading: float) -> Pose2:
+    """Uniform position in a radius disk and heading in [-heading, heading]."""
+    r = radius * math.sqrt(rng.uniform())
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    return Pose2(r * math.cos(phi), r * math.sin(phi), rng.uniform(-heading, heading))
 
 
 @dataclass
@@ -882,10 +884,7 @@ def run_episode(
     held for their dwell times in order.
     """
     rng = np.random.default_rng([seed, 0xEA])
-    r = START_RADIUS * math.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    dth = rng.uniform(-START_HEADING, START_HEADING)
-    start = task_frame.compose(Pose2(r * math.cos(phi), r * math.sin(phi), dth))
+    start = task_frame.compose(_disk_pose(rng, START_RADIUS, START_HEADING))
 
     plant = Plant(
         plant_cfg,
@@ -933,15 +932,6 @@ class Condition:
     locomotion_variation: bool = False  # per-trial rigid shift of the whole task
 
 
-def _trial_task_frame(trial_seed: int, enabled: bool) -> Pose2:
-    if not enabled:
-        return Pose2()
-    rng = np.random.default_rng([trial_seed, 0xF0])
-    r = 0.25 * math.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    return Pose2(r * math.cos(phi), r * math.sin(phi), rng.uniform(-0.35, 0.35))
-
-
 def run_condition_trial(
     cond: Condition,
     scenario_name: str,
@@ -956,7 +946,9 @@ def run_condition_trial(
     """
     plant_cfg = plant_cfg or PlantConfig()
     scenario = make_scenario(scenario_name)
-    frame = _trial_task_frame(trial_seed, cond.locomotion_variation)
+    frame = Pose2()
+    if cond.locomotion_variation:
+        frame = _disk_pose(np.random.default_rng([trial_seed, 0xF0]), TASK_RADIUS, TASK_HEADING)
     if make_policy is None:
         policy = ExpertReplayPolicy(scenario.script, task_frame=frame, label_frame=cond.label_frame)
     else:

@@ -625,11 +625,8 @@ class TestBadCheckpoint:
         argv = ["simulate", "--policy", str(path), "--trials", "1", "--output", str(tmp_path / "s")]
         assert main(argv) == EXIT_OK
 
-    @pytest.mark.parametrize("edit", CASES, ids=[f.__name__[1:] for f in CASES])
-    def test_usage_error_names_checkpoint(self, edit, checkpoint_doc, tmp_path, capsys):
-        path, doc = checkpoint_doc
-        edit(doc)
-        path.write_text(json.dumps(doc))
+    @staticmethod
+    def _assert_usage_error(path, tmp_path, capsys):
         out = tmp_path / "s"
         capsys.readouterr()
         argv = ["simulate", "--policy", str(path), "--trials", "1", "--output", str(out)]
@@ -638,6 +635,26 @@ class TestBadCheckpoint:
         assert len(err) == 1
         assert err[0].startswith(f"usage error: {path}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit", CASES, ids=[f.__name__[1:] for f in CASES])
+    def test_usage_error_names_checkpoint(self, edit, checkpoint_doc, tmp_path, capsys):
+        path, doc = checkpoint_doc
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        self._assert_usage_error(path, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "input_dim, cond_dim, K",
+        [(ACTION_DIM, 22, 5), (3, 22, 100), (ACTION_DIM, 5, 100)],
+        ids=["schedule_K_5", "input_dim_3", "cond_dim_5"],
+    )
+    def test_well_formed_but_unusable(self, input_dim, cond_dim, K, tmp_path, capsys):
+        # the file is a valid checkpoint, but the CLI's row sampler cannot run it
+        model = ToyDenoiser(input_dim, cond_dim, hidden=8, kemb_dim=8, temb_dim=8)
+        model.init_params(np.random.default_rng(0))
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model, cosine_schedule(K))
+        self._assert_usage_error(path, tmp_path, capsys)
 
 
 class TestBadFlags:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -61,6 +62,54 @@ GOLDEN_MATRIX_ROWS = [
      "i_star_mean": 0.0, "i_star_std": 0.0, "tracking_rms_m": 0.01455,
      "stages_done": 1, "reason": "timeout at stage 1"},
 ]
+
+
+# SHA-256 of scripted_expert's streams per scenario over seeds 0 and 7, each
+# noiseless and at 1 mm / 1e-3 rad noise, and of script.reference(). Recorded
+# before the scripts became knot tables; synthesis must stay byte-identical.
+EXPERT_DIGESTS = {
+    "nav_reach": "1b51178b5ea01be5f030e8cd87e1fa79460c6dee292021988b37452605f154ff",
+    "nav_turn_place": "6c20f1a7b01c445bd032081f1f194bde35ef896cceae16ae09c3d754342262a5",
+    "long_horizon": "8e06d8db8d8d4f1bcbcb0abd1e2821bceb5f6d048d0f68fe18c497be387b8b7f",
+    "cruise": "e29c078e33df1a266d0bdd5ac2db71976ec90732a5ee3bb9f4f9428d32036fa7",
+}
+REFERENCE_DIGESTS = {
+    "nav_reach": "412cb61d7d1bc4c7c91bc4710b5850339f7533701e639376e37e9226a018b057",
+    "nav_turn_place": "dcd5121b3da5b5fd8081d2362944fc098d10bcf18e036ec081ac5375162cceae",
+    "long_horizon": "7670d885c27592c13f52d8c644bc1c28b5a0ee11cc3f101f892628befda911c4",
+    "cruise": "dbc122c46417b7e76c1fe47fd83b26a572c5f61fb4fea7ad329a7842819fe16a",
+}
+
+
+def expert_digest(name: str) -> str:
+    h = hashlib.sha256()
+    for seed in (0, 7):
+        for sigma in (0.0, 1e-3):
+            e = scripted_expert(make_scenario(name), seed=seed, sigma_pos=sigma, sigma_rot=sigma)
+            s = e.session
+            for a in (
+                s.chest.t, s.chest.pos, s.chest.quat,
+                s.hand.t, s.hand.pos, s.hand.quat,
+                s.marker_t, s.marker_d,
+            ):
+                h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+            for d in e.detections:
+                h.update(d.node_id.encode())
+                h.update(np.array([d.t, *d.T_cam_tag.rotation, *d.T_cam_tag.translation]).tobytes())
+            g = e.cross_node_true
+            h.update(np.concatenate([g.rotation, g.translation]).tobytes())
+    return h.hexdigest()
+
+
+def reference_digest(name: str) -> str:
+    t, base, hand, grip = make_scenario(name).script.reference()
+    h = hashlib.sha256()
+    h.update(np.asarray(t).tobytes())
+    h.update(np.array([[b.x, b.y, b.theta] for b in base], dtype=float).tobytes())
+    h.update(np.array([[*p.rotation, *p.translation] for p in hand]).tobytes())
+    h.update(np.asarray(grip, dtype=float).tobytes())
+    return h.hexdigest()
+
 
 
 def hold_cmd(v=0.0, hand=None, grip=1.0):
@@ -227,6 +276,23 @@ class TestScriptedExpert:
         b = scripted_expert(make_scenario("nav_reach"), seed=9)
         assert np.array_equal(a.session.chest.pos, b.session.chest.pos)
         assert np.array_equal(a.session.marker_d, b.session.marker_d)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_synthesis_bytes_unchanged(self, name):
+        assert expert_digest(name) == EXPERT_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_reference_bytes_unchanged(self, name):
+        assert reference_digest(name) == REFERENCE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_sampling_clamps_before_start(self, name):
+        script = make_scenario(name).script
+        assert script.base_at(-0.5) == script.base_at(0.0)
+        h0, h = script.hand_at(0.0), script.hand_at(-0.5)
+        assert np.array_equal(h.rotation, h0.rotation)
+        assert np.array_equal(h.translation, h0.translation)
+        assert script.grip_at(-0.5) == script.grip_at(0.0)
 
     def test_save_layout(self, tmp_path):
         expert = scripted_expert(make_scenario("nav_reach"), seed=1)

@@ -1,0 +1,68 @@
+"""The traced benchmark's wrappers still bind to the names mobman calls.
+
+benchmarks/spans.py rebinds mobman functions and methods by name. A rename in
+src would only show up in the benchmark's own smoke test, outside this suite;
+these tests install the wrappers, run one short episode through them and check
+that removing them restores every original.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import mobman.anchoring as anchoring
+import mobman.cli as cli
+import mobman.diffusion as diffusion
+import mobman.executor as executor
+import mobman.geometry as geometry
+import mobman.manifest as manifest
+import mobman.pipeline as pipeline
+import mobman.sim as sim
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+OWNERS = [
+    anchoring, cli, diffusion, executor, geometry, manifest, pipeline, sim,
+    sim.Plant, sim.ExpertReplayPolicy, cli.DiffusionReplayPolicy,
+    diffusion.ToyDenoiser, diffusion.Adam, geometry.Pose3,
+]
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("mobman_bench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot():
+    return [dict(vars(owner)) for owner in OWNERS]
+
+
+def test_install_wraps_and_uninstall_restores(spans):
+    before = _snapshot()
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        during = _snapshot()
+        sim.compare_conditions([sim.Condition("c")], "cruise", n_trials=1)
+    finally:
+        uninstall()
+    for owner, attr, _ in spans.SPANS:
+        i = OWNERS.index(owner)
+        assert during[i][attr] is not before[i][attr], (owner, attr)
+    after = _snapshot()
+    for owner, b, a in zip(OWNERS, before, after):
+        assert a.keys() == b.keys(), owner
+        assert all(a[k] is b[k] for k in b), owner
+    recorded = {span[0] for span in rec.spans}
+    for name in (
+        "sim.trial",
+        "sim.run_episode",
+        "sim.plant.step_to",
+        "sim.replay_policy.chunk",
+        "executor.run_executor",
+    ):
+        assert name in recorded
+    assert rec.counts["episodes"] == 1 and rec.counts["slerp"] > 0
