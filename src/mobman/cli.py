@@ -2,9 +2,9 @@
 
 Every command resolves its flags into a plain config dict, runs a pure
 function of that dict, and writes a run manifest next to its outputs. The
-replay command re-executes a manifest and verifies the regenerated outputs
-hash-match the recorded ones. Exit codes: 0 success, 1 domain rejection
-(filter/divergence/mismatch), 2 usage error.
+replay command re-executes a manifest into a temporary directory and
+verifies the regenerated outputs hash-match the recorded ones. Exit codes:
+0 success, 1 domain rejection (filter/divergence/mismatch), 2 usage error.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import argparse
 import csv
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .diffusion import (
     DEFAULT_DDIM_STEPS,
     DEFAULT_HORIZON,
     NoiseSchedule,
+    PREV_ACTION_OFFSET,
     ToyDenoiser,
     TrainConfig,
     TrainingDivergedError,
@@ -274,8 +276,8 @@ class DiffusionReplayPolicy:
     """
 
     # obs_to_condition's size without scenario features: base, hand position,
-    # hand quaternion, grip and the previous row
-    COND_DIM = 3 + 3 + 4 + 1 + ACTION_DIM
+    # hand quaternion and grip, then the previous row
+    COND_DIM = PREV_ACTION_OFFSET + ACTION_DIM
 
     def __init__(self, model: ToyDenoiser, sched: NoiseSchedule, seed: int = 0):
         self.sched = sched
@@ -287,14 +289,13 @@ class DiffusionReplayPolicy:
         rng = np.random.default_rng([self.seed, 0xD1, self._calls])
         self._calls += 1
         rows = np.zeros((DEFAULT_HORIZON, ACTION_DIM))
-        prev = np.zeros(ACTION_DIM)
+        cond = obs_to_condition(obs.base, obs.hand_rel, obs.grip, np.zeros(ACTION_DIM), np.zeros(0))
+        prev = cond[PREV_ACTION_OFFSET : PREV_ACTION_OFFSET + ACTION_DIM]
         for r in range(DEFAULT_HORIZON):
-            cond = obs_to_condition(obs.base, obs.hand_rel, obs.grip, prev, np.zeros(0))
-            row = ddim_sample(
+            rows[r] = ddim_sample(
                 self._eps_fn, cond, self.sched, rng=rng, sample_dim=ACTION_DIM
             )[0]
-            rows[r] = row
-            prev = row
+            prev[:] = rows[r]
         return ActionChunkTensor(rows).canonicalized()
 
 
@@ -439,12 +440,26 @@ def cmd_replay(cfg: dict) -> RunManifest:
         raise MalformedInputError(
             manifest_path, f"config holds values its flags cannot give: {', '.join(misfits)}"
         )
-    man = _COMMANDS[recorded.command](recorded.config)
-    mismatched = [
-        path
-        for path, digest in recorded.outputs.items()
-        if man.outputs.get(path) != digest
-    ]
+    root = Path(recorded.config["output"])
+    outside = [p for p in recorded.outputs if not Path(p).is_relative_to(root)]
+    if outside:
+        raise MalformedInputError(
+            manifest_path, f"outputs outside the recorded output {root}: {', '.join(outside)}"
+        )
+    # the rerun writes into a temporary directory, so a mismatch leaves the
+    # recorded outputs as they are; outputs are compared by their path
+    # relative to the output file or directory, and an output that only one
+    # side has is a mismatch too
+    with tempfile.TemporaryDirectory() as tmp:
+        rerun = Path(tmp) / "output"
+        man = _COMMANDS[recorded.command]({**recorded.config, "output": str(rerun)})
+    expected = {Path(p).relative_to(root): d for p, d in recorded.outputs.items()}
+    produced = {Path(p).relative_to(rerun): d for p, d in man.outputs.items()}
+    mismatched = sorted(
+        str(root / rel)
+        for rel in expected.keys() | produced.keys()
+        if expected.get(rel) != produced.get(rel)
+    )
     if mismatched:
         raise DomainError(
             "replay outputs differ from manifest: " + ", ".join(mismatched)

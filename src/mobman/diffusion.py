@@ -9,7 +9,6 @@ semantics are the ones that matter here.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,15 +40,19 @@ class NoiseSchedule:
 
     K: int
     alpha_bar: np.ndarray
+    # n_steps -> ddim_sample's coefficient table (see _ddim_table); alpha_bar is
+    # a read-only copy, so a table cannot go stale
+    _ddim_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ab = np.asarray(self.alpha_bar, dtype=float)
+        ab = np.array(self.alpha_bar, dtype=float)
         if ab.shape != (self.K + 1,):
             raise ValueError(f"alpha_bar must have K+1 = {self.K + 1} entries, not {ab.shape}")
         if not np.all((ab > 0.0) & (ab <= 1.0)):
             raise ValueError("alpha_bar must lie in (0, 1]")
         if ab[0] < 0.999:
             raise ValueError("alpha_bar[0] must be ~1")
+        ab.flags.writeable = False
         object.__setattr__(self, "alpha_bar", ab)
 
 
@@ -148,20 +151,21 @@ class ToyDenoiser:
         t1 = np.tanh(kfeat @ params["Wk1"] + params["bk1"])
         return kfeat, t1, t1 @ params["Wk2"] + params["bk2"]
 
-    def _forward(self, params, x, k, cond, frozen=None):
+    def _forward(self, params, x, k, cond):
         """Output for batch x at steps k under cond, and its cache.
 
-        Checks params for finiteness and embeds k, unless frozen (a FrozenEma
-        whose params these are) supplies the memoised embedding.
+        Converts x and cond to 2-D float arrays, checks params for finiteness
+        and embeds k.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
-        if frozen is None:
-            _check_finite(params)
-            kfeat, t1, temb = self._step_embedding(params, k)
-        else:
-            kfeat = t1 = None
-            temb = frozen.step_embedding(k)
+        _check_finite(params)
+        kfeat, t1, temb = self._step_embedding(params, k)
+        out, cache = self._film_mlp(params, x, cond, temb)
+        return out, (x, cond, kfeat, t1) + cache
+
+    def _film_mlp(self, params, x, cond, temb):
+        """Output for the 2-D float batch x under cond and step embedding temb, and its cache."""
         H = self.hidden
         c = np.concatenate([cond, temb], axis=1)
         f = c @ params["Wf"] + params["bf"]
@@ -176,8 +180,7 @@ class ToyDenoiser:
         h2 = np.tanh(a1 @ params["W2"] + params["b2"])
         a2 = g2 * h2 + be2
         out = a2 @ params["W3"] + params["b3"]
-        cache = (x, cond, kfeat, t1, c, g1, g2, h1, a1, h2, a2)
-        return out, cache
+        return out, (c, g1, g2, h1, a1, h2, a2)
 
     def forward(
         self, x, k, cond, use_ema: bool = False, frozen: "FrozenEma | None" = None
@@ -187,13 +190,12 @@ class ToyDenoiser:
         Reads the EMA weights if use_ema, else the training weights, and checks
         them for finiteness on every call. A FrozenEma of this model passed as
         `frozen` replaces both: the forward reads its weights, checked once
-        when it was built, and takes the step embedding from its memo.
+        when it was built, takes the step embedding from its memo, and takes
+        x and cond as the 2-D float arrays that ddim_sample passes.
         """
-        if frozen is None:
-            params = self.ema if use_ema else self.params
-        else:
-            params = frozen.params
-        out, _ = self._forward(params, x, k, cond, frozen)
+        if frozen is not None:
+            return self._film_mlp(frozen.params, x, cond, frozen.step_embedding(k))[0]
+        out, _ = self._forward(self.ema if use_ema else self.params, x, k, cond)
         return out
 
     # -- backward -----------------------------------------------------------
@@ -266,19 +268,47 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
+        """One update of params, and of the moments, in place.
+
+        Each element goes through the IEEE operations of
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        p -= lr (m / bc1) / (sqrt(v / bc2) + eps), in that order, so the
+        result does not depend on how the weights are split into arrays.
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for n, g in grads.items():
-            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
-            params[n] -= self.lr * (self.m[n] / bc1) / (np.sqrt(self.v[n] / bc2) + self.eps)
+            m, v = self.m[n], self.v[n]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            tmp = (1.0 - self.beta2) * g
+            tmp *= g
+            v *= self.beta2
+            v += tmp
+            step = m / bc1
+            step *= self.lr
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step /= tmp
+            params[n] -= step
 
 
 @dataclass
 class TrainConfig:
     steps: int = 3000
     seed: int = 0
+
+
+def _flat_views(arrays: dict) -> tuple[np.ndarray, dict]:
+    """One contiguous float64 copy of arrays, and a dict of views into it by name."""
+    flat = np.concatenate([v.ravel() for v in arrays.values()])
+    views, start = {}, 0
+    for name, v in arrays.items():
+        views[name] = flat[start : start + v.size].reshape(v.shape)
+        start += v.size
+    return flat, views
 
 
 def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, list[float]]:
@@ -288,6 +318,14 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
     mini-batch. Each step draws the batch indices first and then whatever
     batch draws, so the random stream is fixed by the seed. The EMA shadow is
     updated every step. Returns the model and the per-step loss curve.
+
+    The weights, their EMA shadow and both Adam moments each live in one
+    contiguous buffer, and model.params and model.ema are dicts of views
+    into the first two. Adam and the EMA then run once per step over every
+    weight, not once per array: their updates are element-wise, so the bits
+    are those of per-array updates. loss_and_grads still checks each array
+    of model.params, so a weight rebound or edited to NaN after training is
+    caught.
     """
     config = config or TrainConfig()
     conds = np.atleast_2d(np.asarray(conds, dtype=float))
@@ -299,7 +337,10 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
     rng = np.random.default_rng(config.seed)
     model = ToyDenoiser(input_dim=a0s.shape[1], cond_dim=conds.shape[1])
     model.init_params(rng)
-    opt = Adam(model.params, lr=TRAIN_LR)
+    weights, model.params = _flat_views(model.params)
+    shadow, model.ema = _flat_views(model.ema)
+    weights, shadow, grad = {"all": weights}, {"all": shadow}, {"all": np.empty_like(weights)}
+    opt = Adam(weights, lr=TRAIN_LR)
     curve = []
     for step in range(config.steps):
         idx = rng.integers(0, len(a0s), size=TRAIN_BATCH_SIZE)
@@ -307,8 +348,9 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
         loss, grads = model.loss_and_grads(x, k, conds[idx], target)
         if not math.isfinite(loss):
             raise TrainingDivergedError(step)
-        opt.step(model.params, grads)
-        ema_update(model.ema, model.params)
+        np.concatenate([grads[n].ravel() for n in model.params], out=grad["all"])
+        opt.step(weights, grad)
+        ema_update(shadow, weights)
         curve.append(loss)
     return model, curve
 
@@ -348,10 +390,28 @@ def train_regression(
     return _fit(conds, a0s, config, zeroed)
 
 
-@functools.lru_cache(maxsize=64)
-def _ddim_taus(K: int, n_steps: int) -> tuple[int, ...]:
-    """The uniform-stride sub-schedule 0 = tau_0 < ... < tau_n = K of DDIM."""
-    return tuple(int(t) for t in np.unique(np.round(np.linspace(0, K, n_steps + 1)).astype(int)))
+def _ddim_table(sched: NoiseSchedule, n_steps: int) -> tuple[tuple, ...]:
+    """The coefficients of DDIM's updates on the uniform-stride sub-schedule.
+
+    The sub-schedule is 0 = tau_0 < ... < tau_n = K. Its update from
+    k_hi = tau_i to k_lo = tau_(i-1) reads the row (k_hi, sqrt(1 - ab_hi),
+    sqrt(ab_hi), sqrt(ab_lo), sqrt(1 - ab_lo)) of Python floats; the rows run
+    from the top step down. The table is memoised on the schedule per n_steps.
+    """
+    table = sched._ddim_tables.get(n_steps)
+    if table is None:
+        taus = np.unique(np.round(np.linspace(0, sched.K, n_steps + 1)).astype(int))
+        rows = []
+        for i in range(len(taus) - 1, 0, -1):
+            k_hi, k_lo = int(taus[i]), int(taus[i - 1])
+            ab_hi = sched.alpha_bar[k_hi]
+            ab_lo = sched.alpha_bar[k_lo]
+            rows.append(
+                (k_hi, math.sqrt(1.0 - ab_hi), math.sqrt(ab_hi),
+                 math.sqrt(ab_lo), math.sqrt(1.0 - ab_lo))
+            )
+        table = sched._ddim_tables[n_steps] = tuple(rows)
+    return table
 
 
 def ddim_sample(
@@ -380,15 +440,12 @@ def ddim_sample(
     cond = np.atleast_2d(np.asarray(cond, dtype=float))
     if sample_dim is None:
         raise ValueError("sample_dim required")
-    taus = _ddim_taus(sched.K, n_steps)
+    table = _ddim_table(sched, n_steps)
     x = rng.standard_normal((cond.shape[0], sample_dim))
-    for i in range(len(taus) - 1, 0, -1):
-        k_hi, k_lo = taus[i], taus[i - 1]
-        ab_hi = sched.alpha_bar[k_hi]
-        ab_lo = sched.alpha_bar[k_lo]
+    for k_hi, noise_hi, signal_hi, signal_lo, noise_lo in table:
         eps_hat = eps_fn(x, k_hi, cond)
-        x0 = (x - math.sqrt(1.0 - ab_hi) * eps_hat) / math.sqrt(ab_hi)
-        x = math.sqrt(ab_lo) * x0 + math.sqrt(1.0 - ab_lo) * eps_hat
+        x0 = (x - noise_hi * eps_hat) / signal_hi
+        x = signal_lo * x0 + noise_lo * eps_hat
     return x
 
 
@@ -398,9 +455,10 @@ class FrozenEma:
     Sampling never changes the weights, so they are copied, made read-only and
     checked for finiteness once, here, instead of in every forward. The step
     embedding depends only on the weights, the batch size and the steps, and
-    the sampler only ever asks for its sub-schedule's steps, so it is
-    memoised. Memo and forward both read the copy, so a later change to
-    model.ema cannot make them disagree.
+    the sampler only ever asks for its sub-schedule's steps, so the step
+    array and its embedding are memoised per (batch size, step). Memo and
+    forward both read the copy, so a later change to model.ema cannot make
+    them disagree.
     """
 
     def __init__(self, model: ToyDenoiser):
@@ -411,20 +469,26 @@ class FrozenEma:
             v.flags.writeable = False
             self.params[name] = v
         _check_finite(self.params)
+        self._steps: dict = {}  # (batch size, step) -> read-only step array
+        # id(step array) -> its embedding; _steps keeps the arrays alive, so
+        # their ids stay unique
         self._temb: dict = {}
 
     def step_embedding(self, k) -> np.ndarray:
-        """temb of the steps k, one per batch row, as the unmemoised forward computes it."""
-        k = np.asarray(k)
-        key = (k.shape, k.dtype.str, k.tobytes())
-        temb = self._temb.get(key)
-        if temb is None:
-            temb = self._temb[key] = self.model._step_embedding(self.params, k)[2]
-        return temb
+        """temb of the step array k, as the unmemoised forward computes it.
+
+        Memoised for the step arrays that __call__ passes, computed for others.
+        """
+        temb = self._temb.get(id(k))
+        return self.model._step_embedding(self.params, k)[2] if temb is None else temb
 
     def __call__(self, x, k, cond) -> np.ndarray:
-        """eps_fn for ddim_sample: the noise predicted for batch x at the scalar step k."""
-        ks = np.full(len(np.atleast_2d(x)), k)
+        """eps_fn for ddim_sample: the noise predicted for the 2-D batch x at the scalar step k."""
+        ks = self._steps.get((len(x), k))
+        if ks is None:
+            ks = self._steps[len(x), k] = np.full(len(x), k)
+            ks.flags.writeable = False
+            self._temb[id(ks)] = self.model._step_embedding(self.params, ks)[2]
         return self.model.forward(x, ks, cond, frozen=self)
 
 
@@ -489,14 +553,19 @@ def sample_action_chunk(
     return ActionChunkTensor(flat[0].reshape(horizon, ACTION_DIM)).canonicalized()
 
 
+# Where obs_to_condition puts the previous action: after base (3), hand
+# position (3), hand quaternion (4) and grip (1).
+PREV_ACTION_OFFSET = 3 + 3 + 4 + 1
+
+
 def obs_to_condition(
     base, hand_rel, grip: float, prev_action: np.ndarray, scenario_features: np.ndarray
 ) -> np.ndarray:
     """Flatten an observation into the documented condition layout.
 
     Order: base [x, y, theta] (3), hand position (3), hand quaternion (4),
-    grip (1), previous 11-D action (11), scenario features (variable). The
-    scenario features stand in for image embeddings.
+    grip (1), previous 11-D action (11) from PREV_ACTION_OFFSET on, scenario
+    features (variable). The scenario features stand in for image embeddings.
     """
     prev_action = np.asarray(prev_action, dtype=float)
     if prev_action.shape != (ACTION_DIM,):
@@ -522,18 +591,37 @@ CHECKPOINT_DIMS = ("input_dim", "cond_dim", "hidden", "kemb_dim", "temb_dim")
 
 
 def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict | None = None):
+    """Write the checkpoint: the bytes of json.dump(doc, fh, sort_keys=True).
+
+    json.dump to a file runs the standard library's pure-Python encoder, which
+    is slow on the tens of thousands of weights. Each value is instead encoded
+    by json.dumps, which uses the C encoder, and the pieces are streamed
+    with json.dump's separators, so no more than one weight array's text is
+    held at a time.
+    """
     doc = {
         "version": CHECKPOINT_VERSION,
         **{n: getattr(model, n) for n in CHECKPOINT_DIMS},
         "K": sched.K,
         "alpha_bar": sched.alpha_bar.tolist(),
-        "params": {n: v.tolist() for n, v in model.params.items()},
-        "ema": {n: v.tolist() for n, v in model.ema.items()},
+        "params": model.params,
+        "ema": model.ema,
         "meta": meta or {},
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write("{")
+        for i, key in enumerate(sorted(doc)):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            if key in ("params", "ema"):
+                fh.write("{")
+                for j, name in enumerate(sorted(doc[key])):
+                    fh.write(f"{', ' if j else ''}{json.dumps(name)}: ")
+                    fh.write(json.dumps(doc[key][name].tolist()))
+                fh.write("}")
+            else:
+                fh.write(json.dumps(doc[key], sort_keys=True))
+        fh.write("}")
 
 
 def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule, dict]:

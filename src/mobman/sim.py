@@ -11,6 +11,7 @@ randomness flows from explicit seeds.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from pathlib import Path
 from dataclasses import dataclass, replace
@@ -224,6 +225,9 @@ class ExpertScript:
         ]
         # segment j runs from knot j to knot j + 1 and holds t <= _ends[j]
         self._ends: list[float] = []
+        # set by make_scenario: returns the shared reference of an identical
+        # script; a new knot clears it
+        self._shared_reference = None
 
     @staticmethod
     def _round_duration(d: float) -> float:
@@ -241,6 +245,7 @@ class ExpertScript:
             )
         )
         self._ends.append(t1 + 1e-12)
+        self._shared_reference = None
         return self
 
     def pause(self, duration: float):
@@ -304,16 +309,22 @@ class ExpertScript:
         j, a = self._locate(t)
         return (1 - a) * self._knots[j][3] + a * self._knots[j + 1][3]
 
-    def reference(self) -> tuple[np.ndarray, list[Pose2], list[Pose3], np.ndarray]:
-        """The script on the 10 Hz control grid: (times, base, hand, grip)."""
+    def reference(self) -> tuple[np.ndarray, tuple[Pose2, ...], tuple[Pose3, ...], np.ndarray]:
+        """The script on the 10 Hz control grid: (times, base, hand, grip).
+
+        The scripts of make_scenario share one reference per scenario name,
+        so it is read-only: tuples of poses, and arrays that cannot be
+        written.
+        """
+        if self._shared_reference is not None:
+            return self._shared_reference()
         n10 = int(round(self.duration * 10))
         ref_t = np.round(np.arange(n10 + 1) / 10.0, 9)
-        return (
-            ref_t,
-            [self.base_at(ti) for ti in ref_t],
-            [self.hand_at(ti) for ti in ref_t],
-            np.array([self.grip_at(ti) for ti in ref_t]),
-        )
+        hand = tuple(self.hand_at(ti) for ti in ref_t)
+        grip = np.array([self.grip_at(ti) for ti in ref_t])
+        for a in (ref_t, grip, *(h.rotation for h in hand), *(h.translation for h in hand)):
+            a.flags.writeable = False
+        return ref_t, tuple(self.base_at(ti) for ti in ref_t), hand, grip
 
 
 HAND_HOME = Pose3(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.30, 0.0, -0.20]))
@@ -467,12 +478,24 @@ _SCENARIOS = {
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
+@functools.lru_cache(maxsize=None)
+def _scenario_reference(name: str) -> tuple:
+    """The reference of the script that _SCENARIOS builds for name, built once."""
+    return _SCENARIOS[name][0]().reference()
+
+
 def make_scenario(name: str) -> SimScenario:
-    """A fresh scenario: its own script and goal list."""
+    """A fresh scenario: its own script and goal list.
+
+    Every script built for one name is the same knot table, so they all share
+    one read-only reference, built when the first of them is asked for it.
+    """
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}")
     build, goals, time_limit = _SCENARIOS[name]
-    return SimScenario(name, build(), list(goals), time_limit)
+    script = build()
+    script._shared_reference = functools.partial(_scenario_reference, name)
+    return SimScenario(name, script, list(goals), time_limit)
 
 
 # ---------------------------------------------------------------------------

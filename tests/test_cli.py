@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,12 +10,19 @@ from mobman import cli
 from mobman.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from mobman.diffusion import (
     ACTION_DIM,
+    DEFAULT_HORIZON,
+    ActionChunkTensor,
     ToyDenoiser,
     TrainingDivergedError,
     cosine_schedule,
+    ddim_sample,
     load_checkpoint,
+    model_eps_fn,
+    obs_to_condition,
     save_checkpoint,
 )
+from mobman.executor import PredictedState
+from mobman.geometry import Pose2
 from mobman.jsonl import read_json
 from mobman.manifest import RunManifest, file_sha256
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
@@ -341,6 +349,30 @@ class TestSimulateCommand:
         out = tmp_path / "s"
         assert self._run_golden(out, "--policy", str(ckpt_dir / "model.json")) == EXIT_OK
         assert len(loads) == 1
+
+
+class TestDiffusionReplayPolicy:
+    def test_chunk_matches_condition_rebuilt_per_row(self):
+        rng = np.random.default_rng(30)
+        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=cli.DiffusionReplayPolicy.COND_DIM)
+        model.init_params(rng)
+        model.ema = {n: v + rng.normal(0.0, 0.05, size=v.shape) for n, v in model.params.items()}
+        sched = cosine_schedule()
+        policy = cli.DiffusionReplayPolicy(model, sched, seed=7)
+        eps_fn = model_eps_fn(model)
+        for call in range(2):
+            obs = PredictedState(
+                Pose2(0.2 * call, 0.1, 0.3), np.array([0.3, 0.0, -0.2]), np.array([1.0, 0.0, 0.0, 0.0]), 0.4
+            )
+            got = policy(obs, 0.1 * call).values
+            # the adapter's rows, each sampled under a condition built afresh
+            row_rng = np.random.default_rng([7, 0xD1, call])
+            rows, prev = [], np.zeros(ACTION_DIM)
+            for _ in range(DEFAULT_HORIZON):
+                cond = obs_to_condition(obs.base, obs.hand_rel, obs.grip, prev, np.zeros(0))
+                prev = ddim_sample(eps_fn, cond, sched, rng=row_rng, sample_dim=ACTION_DIM)[0]
+                rows.append(prev)
+            assert np.array_equal(got, ActionChunkTensor(np.array(rows)).canonicalized().values)
 
 
 class TestReportCommand:
@@ -733,6 +765,50 @@ class TestReplayCommand:
         for argv, man in zip(runs, manifests, strict=True):
             assert main(argv) == EXIT_OK
             assert main(["replay", "--manifest", str(man)]) == EXIT_OK, argv[0]
+
+    def test_replay_mismatch_leaves_outputs_untouched(self, tmp_path, monkeypatch):
+        # a tampered output whose new hash is recorded: replay must reject it
+        # without overwriting the evidence, and clean up its rerun
+        out = tmp_path / "sim"
+        assert main(["simulate", "--trials", "2", "--seed", "4", "--output", str(out)]) == EXIT_OK
+        metrics = out / "metrics.csv"
+        with open(metrics, "a", encoding="utf-8") as fh:
+            fh.write("tampered\n")
+        tampered = metrics.read_bytes()
+        man_path = out / "manifest.json"
+        doc = read_json(man_path)
+        doc["outputs"][str(metrics)] = file_sha256(metrics)
+        man_path.write_text(json.dumps(doc))
+        aggregate = (out / "aggregate.json").read_bytes()
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert main(["replay", "--manifest", str(man_path)]) == EXIT_REJECTED
+        assert metrics.read_bytes() == tampered
+        assert (out / "aggregate.json").read_bytes() == aggregate
+        assert list(scratch.iterdir()) == []
+
+    @pytest.mark.parametrize("edit", ["emptied", "deleted"])
+    def test_replay_rejects_manifest_without_outputs(self, tmp_path, edit):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--trials", "1", "--output", str(out)]) == EXIT_OK
+        man_path = out / "manifest.json"
+        doc = read_json(man_path)
+        if edit == "emptied":
+            doc["outputs"] = {}
+        else:
+            del doc["outputs"]
+        man_path.write_text(json.dumps(doc))
+        assert main(["replay", "--manifest", str(man_path)]) == EXIT_REJECTED
+
+    def test_replay_rejects_output_outside_recorded_output(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--trials", "1", "--output", str(out)]) == EXIT_OK
+        man_path = out / "manifest.json"
+        doc = read_json(man_path)
+        doc["outputs"][str(tmp_path / "elsewhere.csv")] = "0" * 64
+        man_path.write_text(json.dumps(doc))
+        assert main(["replay", "--manifest", str(man_path)]) == EXIT_USAGE
 
     def test_replay_detects_tampering(self, tmp_path):
         out = tmp_path / "sim"

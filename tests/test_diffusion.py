@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,16 @@ import pytest
 
 from mobman.diffusion import (
     ACTION_DIM,
+    CHECKPOINT_DIMS,
+    CHECKPOINT_VERSION,
+    DEFAULT_EMA_DECAY,
+    DEFAULT_K,
+    PREV_ACTION_OFFSET,
+    TRAIN_BATCH_SIZE,
+    TRAIN_LR,
     ActionChunkTensor,
     Adam,
+    NoiseSchedule,
     ToyDenoiser,
     TrainConfig,
     TrainingDivergedError,
@@ -205,6 +214,47 @@ class TestDdim:
             ddim_sample(fn, np.zeros((1, 1)), sched)
 
 
+def reference_ddim_sample(eps_fn, cond, sched, n_steps, seed, sample_dim):
+    """ddim_sample as a loop that reads alpha_bar and takes square roots at every step."""
+    rng = np.random.default_rng(seed)
+    cond = np.atleast_2d(np.asarray(cond, dtype=float))
+    taus = np.unique(np.round(np.linspace(0, sched.K, n_steps + 1)).astype(int))
+    x = rng.standard_normal((cond.shape[0], sample_dim))
+    for i in range(len(taus) - 1, 0, -1):
+        k_hi, k_lo = int(taus[i]), int(taus[i - 1])
+        ab_hi = sched.alpha_bar[k_hi]
+        ab_lo = sched.alpha_bar[k_lo]
+        eps_hat = eps_fn(x, k_hi, cond)
+        x0 = (x - math.sqrt(1.0 - ab_hi) * eps_hat) / math.sqrt(ab_hi)
+        x = math.sqrt(ab_lo) * x0 + math.sqrt(1.0 - ab_lo) * eps_hat
+    return x
+
+
+class TestDdimTable:
+    """ddim_sample reads its coefficients from a table memoised on the schedule."""
+
+    @pytest.mark.parametrize("K, n_steps", [(100, 10), (100, 100), (100, 7), (20, 5)])
+    def test_bit_identical_to_per_step_loop(self, K, n_steps):
+        sched = cosine_schedule(K)
+        fn = gaussian_eps_fn(0.7, 1.0, sched)
+        cond = np.zeros((64, 1))
+        for _ in range(2):  # the second call reads the memoised table
+            got = ddim_sample(fn, cond, sched, n_steps=n_steps, seed=3, sample_dim=1)
+            want = reference_ddim_sample(fn, cond, sched, n_steps, seed=3, sample_dim=1)
+            assert np.array_equal(got, want)
+
+    def test_schedule_is_read_only(self):
+        ab = cosine_schedule(100).alpha_bar.copy()
+        sched = NoiseSchedule(K=100, alpha_bar=ab)
+        with pytest.raises(ValueError):
+            sched.alpha_bar[5] = 0.5
+        # the schedule holds a copy, so editing the caller's array cannot
+        # make a memoised table stale
+        ddim_sample(gaussian_eps_fn(0.0, 1.0, sched), np.zeros((1, 1)), sched, seed=0, sample_dim=1)
+        ab[50] = 0.5
+        assert sched.alpha_bar[50] != 0.5
+
+
 class TestFrozenEma:
     """model_eps_fn's adapter: EMA weights checked once, step embeddings memoised."""
 
@@ -356,6 +406,100 @@ class TestTraining:
         )
 
 
+def reference_train_toy(conds, a0s, steps, seed):
+    """train_toy as a loop in which Adam and the EMA update each weight array on its own."""
+    sched = cosine_schedule(DEFAULT_K)
+    rng = np.random.default_rng(seed)
+    model = ToyDenoiser(input_dim=a0s.shape[1], cond_dim=conds.shape[1])
+    model.init_params(rng)
+    m = {n: np.zeros_like(v) for n, v in model.params.items()}
+    v = {n: np.zeros_like(p) for n, p in model.params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    curve = []
+    for t in range(1, steps + 1):
+        idx = rng.integers(0, len(a0s), size=TRAIN_BATCH_SIZE)
+        a0 = a0s[idx]
+        k = rng.integers(1, DEFAULT_K + 1, size=len(a0))
+        noise = rng.standard_normal(a0.shape)
+        loss, grads = model.loss_and_grads(forward_noise(a0, k, noise, sched), k, conds[idx], noise)
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for n, g in grads.items():
+            m[n] = beta1 * m[n] + (1.0 - beta1) * g
+            v[n] = beta2 * v[n] + (1.0 - beta2) * g * g
+            model.params[n] -= TRAIN_LR * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps)
+        for n, p in model.params.items():
+            model.ema[n] *= DEFAULT_EMA_DECAY
+            model.ema[n] += (1.0 - DEFAULT_EMA_DECAY) * p
+        curve.append(loss)
+    return model, curve
+
+
+class TestSameBytes:
+    """The flat-buffer trainer and the streamed checkpoint writer change no bit."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_train_toy_matches_per_array_loop(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        conds = rng.normal(size=(48, 22))
+        a0s = 0.05 * rng.normal(size=(48, ACTION_DIM))
+        model, _, curve = train_toy(conds, a0s, TrainConfig(steps=50, seed=seed))
+        want, want_curve = reference_train_toy(conds, a0s, 50, seed)
+        assert curve == want_curve
+        for group in ("params", "ema"):
+            got, ref = getattr(model, group), getattr(want, group)
+            assert list(got) == list(ref)
+            for name in ref:
+                assert np.array_equal(got[name], ref[name]), (group, name)
+
+    def test_checkpoint_bytes_equal_json_dump(self, tmp_path):
+        rng = np.random.default_rng(21)
+        model, sched, _ = train_toy(rng.normal(size=(16, 4)), rng.normal(size=(16, 3)), TrainConfig(steps=5))
+        meta = {
+            "zeta": "ünïcødé ✓",
+            "nested": {"b": [1, 2.5, None, True], "a": {"é": "x", "Z": -0.0}},
+            "seed": 3,
+        }
+        save_checkpoint(tmp_path / "m.json", model, sched, meta=meta)
+        doc = {
+            "version": CHECKPOINT_VERSION,
+            **{n: getattr(model, n) for n in CHECKPOINT_DIMS},
+            "K": sched.K,
+            "alpha_bar": sched.alpha_bar.tolist(),
+            "params": {n: v.tolist() for n, v in model.params.items()},
+            "ema": {n: v.tolist() for n, v in model.ema.items()},
+            "meta": meta,
+        }
+        with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def _rebound(arrays, name):
+        arrays[name] = np.full_like(arrays[name], np.nan)
+
+    def _edited(arrays, name):
+        arrays[name].flat[1] = np.nan
+
+    @pytest.mark.parametrize("edit", [_rebound, _edited], ids=["rebound", "nan_in_place"])
+    @pytest.mark.parametrize("name", ["W1", "bf", "Wk2"])
+    def test_trained_weights_still_checked(self, edit, name):
+        rng = np.random.default_rng(22)
+        conds, a0s = rng.normal(size=(16, 4)), rng.normal(size=(16, 3))
+        x, k, cond = np.zeros((1, 3)), np.array([3]), np.zeros((1, 4))
+        model, _, _ = train_toy(conds, a0s, TrainConfig(steps=5))
+        edit(model.params, name)
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model.loss_and_grads(x, k, cond, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model.forward(x, k, cond)
+        model, _, _ = train_toy(conds, a0s, TrainConfig(steps=5))
+        edit(model.ema, name)
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model.forward(x, k, cond, use_ema=True)
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model_eps_fn(model)
+
+
 class TestActionChunks:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -392,3 +536,11 @@ class TestActionChunks:
         assert cond[-1] == 9.0
         with pytest.raises(ValueError):
             obs_to_condition(base, hand, 0.5, np.zeros(5), np.zeros(0))
+
+    def test_previous_action_offset(self):
+        base = Pose2(1.0, 2.0, 0.3)
+        hand = Pose3(np.array([1.0, 0, 0, 0]), np.array([0.3, 0.0, -0.2]))
+        prev = np.arange(ACTION_DIM, dtype=float) + 1.0
+        cond = obs_to_condition(base, hand, 0.5, prev, np.array([9.0, 8.0]))
+        assert np.array_equal(cond[PREV_ACTION_OFFSET : PREV_ACTION_OFFSET + ACTION_DIM], prev)
+        assert cond[PREV_ACTION_OFFSET - 1] == 0.5

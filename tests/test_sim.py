@@ -286,6 +286,23 @@ class TestScriptedExpert:
         assert reference_digest(name) == REFERENCE_DIGESTS[name]
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_reference_shared_and_read_only(self, name):
+        a, b = make_scenario(name).script, make_scenario(name).script
+        assert a is not b
+        ref = a.reference()
+        assert b.reference() is ref
+        t, base, hand, grip = ref
+        for arr in (t, grip, hand[0].translation, hand[-1].rotation):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(TypeError):
+            base[0] = Pose2()
+        # a knot added to one script gives that script its own, longer reference
+        a.pause(1.0)
+        assert len(a.reference()[0]) == len(t) + 10
+        assert b.reference() is ref and reference_digest(name) == REFERENCE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_sampling_clamps_before_start(self, name):
         script = make_scenario(name).script
         assert script.base_at(-0.5) == script.base_at(0.0)

@@ -3,11 +3,15 @@
 benchmarks/spans.py rebinds mobman functions and methods by name. A rename in
 src would only show up in the benchmark's own smoke test, outside this suite;
 these tests install the wrappers, run one short episode through them and check
-that removing them restores every original.
+that removing them restores every original. The training and sampling paths
+are checked too: a refactor that stops calling a wrapped name would zero its
+per-layer metrics without failing anything else.
 """
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mobman.anchoring as anchoring
@@ -66,3 +70,30 @@ def test_install_wraps_and_uninstall_restores(spans):
     ):
         assert name in recorded
     assert rec.counts["episodes"] == 1 and rec.counts["slerp"] > 0
+
+
+def test_training_and_chunk_spans_count_per_step(spans):
+    rng = np.random.default_rng(0)
+    conds = rng.normal(size=(16, cli.DiffusionReplayPolicy.COND_DIM))
+    a0s = 0.05 * rng.normal(size=(16, diffusion.ACTION_DIM))
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        model, sched, _ = cli.train_toy(conds, a0s, diffusion.TrainConfig(steps=3))
+        policy = cli.DiffusionReplayPolicy(model, sched)
+        obs = executor.PredictedState(
+            geometry.Pose2(), np.array([0.3, 0.0, -0.2]), np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+        )
+        forwards_before_chunk = rec.counts["forward"]
+        policy(obs, 0.0)
+    finally:
+        uninstall()
+    calls = Counter(span[0] for span in rec.spans)
+    assert calls["diffusion.train_toy"] == 1
+    assert calls["diffusion.loss_and_grads"] == 3
+    assert calls["diffusion.adam_step"] == 3
+    assert calls["diffusion.ema_update"] == 3
+    assert calls["diffusion.chunk"] == 1
+    assert calls["diffusion.ddim_sample"] == 16
+    # 16 rows of 10 DDIM steps, one forward each
+    assert rec.counts["forward"] - forwards_before_chunk == 160
