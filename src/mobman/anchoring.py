@@ -67,8 +67,6 @@ class VioTrajectory:
                 f"t={t} outside trajectory span [{self.t_start}, {self.t_end}] of {self.node_id}"
             )
         j = int(np.searchsorted(self.t, t, side="right"))
-        if j == 0:
-            return Pose3(self.quat[0], self.pos[0])
         if j >= len(self.t):
             return Pose3(self.quat[-1], self.pos[-1])
         i = j - 1
@@ -168,10 +166,7 @@ def anchor_node(
     for det in detections:
         if det.node_id != traj.node_id:
             continue
-        if det.t < traj.t_start or det.t > traj.t_end:
-            rejected += 1
-            continue
-        if traj.cov_at(det.t) > cov_threshold:
+        if det.t < traj.t_start or det.t > traj.t_end or traj.cov_at(det.t) > cov_threshold:
             rejected += 1
             continue
         board_poses.append(board_pose_in_world(traj, ext, det))

@@ -3,8 +3,9 @@
 Every command resolves its flags into a plain config dict, runs a pure
 function of that dict, and writes a run manifest next to its outputs. The
 replay command re-executes a manifest into a temporary directory and
-verifies the regenerated outputs hash-match the recorded ones. Exit codes:
-0 success, 1 domain rejection (filter/divergence/mismatch), 2 usage error.
+verifies that its inputs and regenerated outputs hash-match the recorded
+ones. Exit codes: 0 success, 1 domain rejection (filter/divergence/mismatch),
+2 usage error.
 """
 from __future__ import annotations
 
@@ -181,13 +182,12 @@ def cmd_process(cfg: dict) -> RunManifest:
     anchor_doc = read_json(anchor_path)
     with fields_of(anchor_path):
         cross = Pose3.from_list(anchor_doc["cross_node"])
-    if cfg.get("calib"):
+    calib = DEFAULT_CALIB
+    if cfg["calib"]:
         calib_path = _require_file(cfg["calib"], "calibration file")
         cal_doc = read_json(calib_path)
         with fields_of(calib_path):
             calib = GripperCalib(float(cal_doc["d_closed"]), float(cal_doc["d_open"]))
-    else:
-        calib = DEFAULT_CALIB
     session = _load_raw_session(raw_dir, cross)
     pipe_cfg = PipelineConfig(smoothing=cfg["smoothing"])
     try:
@@ -206,6 +206,8 @@ def cmd_process(cfg: dict) -> RunManifest:
     man = RunManifest("process", cfg, seed=0)
     man.add_input("raw", raw_dir)
     man.add_input("anchor", cfg["anchor"])
+    if cfg["calib"]:
+        man.add_input("calib", cfg["calib"])
     man.add_output(out_dir / "dataset.jsonl")
     man.add_output(out_dir / "filter_report.json")
     return man
@@ -420,6 +422,11 @@ def _fits_flag(command: str, action: argparse.Action, value) -> bool:
     return isinstance(value, str) or optional_none
 
 
+def _differing(recorded: dict, rerun: dict) -> list:
+    """The keys whose values differ between recorded and rerun, or that only one has."""
+    return [k for k in recorded.keys() | rerun.keys() if recorded.get(k) != rerun.get(k)]
+
+
 def cmd_replay(cfg: dict) -> RunManifest:
     manifest_path = _require_file(cfg["manifest"], "manifest")
     recorded = RunManifest.load(manifest_path)
@@ -448,22 +455,19 @@ def cmd_replay(cfg: dict) -> RunManifest:
         )
     # the rerun writes into a temporary directory, so a mismatch leaves the
     # recorded outputs as they are; outputs are compared by their path
-    # relative to the output file or directory, and an output that only one
-    # side has is a mismatch too
+    # relative to the output file or directory, and an input or output that
+    # only one side has is a mismatch too
     with tempfile.TemporaryDirectory() as tmp:
         rerun = Path(tmp) / "output"
         man = _COMMANDS[recorded.command]({**recorded.config, "output": str(rerun)})
+    changed = sorted(_differing(recorded.inputs, man.inputs))
+    if changed:
+        raise DomainError("replay inputs differ from manifest: " + ", ".join(changed))
     expected = {Path(p).relative_to(root): d for p, d in recorded.outputs.items()}
     produced = {Path(p).relative_to(rerun): d for p, d in man.outputs.items()}
-    mismatched = sorted(
-        str(root / rel)
-        for rel in expected.keys() | produced.keys()
-        if expected.get(rel) != produced.get(rel)
-    )
+    mismatched = sorted(str(root / rel) for rel in _differing(expected, produced))
     if mismatched:
-        raise DomainError(
-            "replay outputs differ from manifest: " + ", ".join(mismatched)
-        )
+        raise DomainError("replay outputs differ from manifest: " + ", ".join(mismatched))
     print(f"replay of {recorded.command!r} reproduced {len(man.outputs)} outputs")
     return man
 
@@ -547,8 +551,7 @@ def main(argv=None) -> int:
             man = cmd_replay(cfg)
         else:
             man = _COMMANDS[args.command](cfg)
-            out = cfg.get("output", cfg.get("manifest"))
-            base = Path(out)
+            base = Path(cfg["output"])
             man_path = (
                 base / "manifest.json" if base.is_dir() else base.with_suffix(".manifest.json")
             )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +28,8 @@ ACTION_DIM = 11
 DEFAULT_HORIZON = 16
 TRAIN_BATCH_SIZE = 64
 TRAIN_LR = 2e-3
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -182,19 +186,18 @@ class ToyDenoiser:
         out = a2 @ params["W3"] + params["b3"]
         return out, (c, g1, g2, h1, a1, h2, a2)
 
-    def forward(
-        self, x, k, cond, use_ema: bool = False, frozen: "FrozenEma | None" = None
-    ) -> np.ndarray:
+    def forward(self, x, k, cond, use_ema: bool = False, frozen: tuple | None = None) -> np.ndarray:
         """Predicted noise for batch x at steps k (one per row) under cond.
 
         Reads the EMA weights if use_ema, else the training weights, and checks
-        them for finiteness on every call. A FrozenEma of this model passed as
-        `frozen` replaces both: the forward reads its weights, checked once
-        when it was built, takes the step embedding from its memo, and takes
-        x and cond as the 2-D float arrays that ddim_sample passes.
+        them for finiteness on every call. model_eps_fn passes `frozen`, a pair
+        of weights it has checked and the embedding of k under them, which
+        replaces both; x and cond are then the 2-D float arrays that
+        ddim_sample passes.
         """
         if frozen is not None:
-            return self._film_mlp(frozen.params, x, cond, frozen.step_embedding(k))[0]
+            weights, temb = frozen
+            return self._film_mlp(weights, x, cond, temb)[0]
         out, _ = self._forward(self.ema if use_ema else self.params, x, k, cond)
         return out
 
@@ -244,55 +247,48 @@ class ToyDenoiser:
         return loss, grads
 
 
-def ema_update(shadow: dict, params: dict, decay: float = DEFAULT_EMA_DECAY) -> dict:
-    """In-place shadow <- decay * shadow + (1 - decay) * params."""
-    if not 0.0 <= decay < 1.0:
-        raise ValueError("decay must be in [0, 1)")
-    if set(shadow) != set(params):
-        raise ValueError("parameter name mismatch")
-    for name, v in params.items():
-        if shadow[name].shape != v.shape:
-            raise ValueError(f"shape mismatch for {name}")
-        shadow[name] *= decay
-        shadow[name] += (1.0 - decay) * v
-    return shadow
+def ema_update(shadow: np.ndarray, params: np.ndarray) -> None:
+    """In-place shadow <- decay * shadow + (1 - decay) * params, decay = DEFAULT_EMA_DECAY."""
+    if shadow.shape != params.shape:
+        raise ValueError(f"shape mismatch: {shadow.shape} vs {params.shape}")
+    shadow *= DEFAULT_EMA_DECAY
+    shadow += (1.0 - DEFAULT_EMA_DECAY) * params
 
 
 class Adam:
-    """Fixed-step-size Adam over a parameter dict."""
+    """Adam with the fixed step size TRAIN_LR over one weight array."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {n: np.zeros_like(v) for n, v in params.items()}
-        self.v = {n: np.zeros_like(v) for n, v in params.items()}
+    def __init__(self, weights: np.ndarray):
+        self.m = np.zeros_like(weights)
+        self.v = np.zeros_like(weights)
         self.t = 0
 
-    def step(self, params: dict, grads: dict) -> None:
-        """One update of params, and of the moments, in place.
+    def step(self, weights: np.ndarray, grad: np.ndarray) -> None:
+        """One update of weights, and of the moments, in place.
 
         Each element goes through the IEEE operations of
         m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-        p -= lr (m / bc1) / (sqrt(v / bc2) + eps), in that order, so the
+        w -= lr (m / bc1) / (sqrt(v / bc2) + eps), in that order, so the
         result does not depend on how the weights are split into arrays.
         """
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for n, g in grads.items():
-            m, v = self.m[n], self.v[n]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            tmp = (1.0 - self.beta2) * g
-            tmp *= g
-            v *= self.beta2
-            v += tmp
-            step = m / bc1
-            step *= self.lr
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            step /= tmp
-            params[n] -= step
+        beta1, beta2 = ADAM_BETAS
+        bc1 = 1.0 - beta1**self.t
+        bc2 = 1.0 - beta2**self.t
+        m, v = self.m, self.v
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        tmp = (1.0 - beta2) * grad
+        tmp *= grad
+        v *= beta2
+        v += tmp
+        step = m / bc1
+        step *= TRAIN_LR
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step /= tmp
+        weights -= step
 
 
 @dataclass
@@ -339,8 +335,8 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
     model.init_params(rng)
     weights, model.params = _flat_views(model.params)
     shadow, model.ema = _flat_views(model.ema)
-    weights, shadow, grad = {"all": weights}, {"all": shadow}, {"all": np.empty_like(weights)}
-    opt = Adam(weights, lr=TRAIN_LR)
+    grad = np.empty_like(weights)
+    opt = Adam(weights)
     curve = []
     for step in range(config.steps):
         idx = rng.integers(0, len(a0s), size=TRAIN_BATCH_SIZE)
@@ -348,7 +344,7 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
         loss, grads = model.loss_and_grads(x, k, conds[idx], target)
         if not math.isfinite(loss):
             raise TrainingDivergedError(step)
-        np.concatenate([grads[n].ravel() for n in model.params], out=grad["all"])
+        np.concatenate([grads[n].ravel() for n in model.params], out=grad)
         opt.step(weights, grad)
         ema_update(shadow, weights)
         curve.append(loss)
@@ -421,15 +417,16 @@ def ddim_sample(
     n_steps: int = DEFAULT_DDIM_STEPS,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    sample_dim: int | None = None,
+    *,
+    sample_dim: int,
 ) -> np.ndarray:
     """Deterministic (eta = 0) DDIM sampling on a uniform-stride sub-schedule.
 
     eps_fn(x, k, cond) predicts the noise for a batch x at scalar step k.
-    Starting from unit Gaussian noise keyed by the rng/seed, each update moves
-    the estimated clean sample to the previous sub-schedule step. The
-    randomness is only in the initial noise; the iteration itself is a pure
-    function of it.
+    Starting from unit Gaussian noise keyed by the rng/seed, sample_dim values
+    per condition row, each update moves the estimated clean sample to the
+    previous sub-schedule step. The randomness is only in the initial noise;
+    the iteration itself is a pure function of it.
     """
     if n_steps > sched.K:
         raise ValueError(f"n_steps {n_steps} exceeds schedule K {sched.K}")
@@ -438,8 +435,6 @@ def ddim_sample(
     if rng is None:
         rng = np.random.default_rng(seed)
     cond = np.atleast_2d(np.asarray(cond, dtype=float))
-    if sample_dim is None:
-        raise ValueError("sample_dim required")
     table = _ddim_table(sched, n_steps)
     x = rng.standard_normal((cond.shape[0], sample_dim))
     for k_hi, noise_hi, signal_hi, signal_lo, noise_lo in table:
@@ -449,56 +444,34 @@ def ddim_sample(
     return x
 
 
-class FrozenEma:
-    """A denoiser's EMA weights, frozen for sampling.
+def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, np.ndarray], np.ndarray]:
+    """eps_fn for ddim_sample that samples from the EMA weights, which gate deployment.
 
     Sampling never changes the weights, so they are copied, made read-only and
-    checked for finiteness once, here, instead of in every forward. The step
-    embedding depends only on the weights, the batch size and the steps, and
-    the sampler only ever asks for its sub-schedule's steps, so the step
-    array and its embedding are memoised per (batch size, step). Memo and
-    forward both read the copy, so a later change to model.ema cannot make
-    them disagree.
+    checked for finiteness once, here (a ValueError if they are not), instead
+    of in every forward. The step embedding depends only on the weights, the
+    batch size and the step, and the sampler only ever asks for its
+    sub-schedule's steps, so the step array and its embedding are memoised
+    per (batch size, step). Memo and forward both read the copy, so a later
+    change to model.ema cannot make them disagree.
     """
+    weights = {name: np.array(v, dtype=float) for name, v in model.ema.items()}
+    for v in weights.values():
+        v.flags.writeable = False
+    _check_finite(weights)
+    memo = {}  # (batch size, step) -> (read-only step array, its embedding)
 
-    def __init__(self, model: ToyDenoiser):
-        self.model = model
-        self.params = {}
-        for name, v in model.ema.items():
-            v = np.array(v, dtype=float)
-            v.flags.writeable = False
-            self.params[name] = v
-        _check_finite(self.params)
-        self._steps: dict = {}  # (batch size, step) -> read-only step array
-        # id(step array) -> its embedding; _steps keeps the arrays alive, so
-        # their ids stay unique
-        self._temb: dict = {}
-
-    def step_embedding(self, k) -> np.ndarray:
-        """temb of the step array k, as the unmemoised forward computes it.
-
-        Memoised for the step arrays that __call__ passes, computed for others.
-        """
-        temb = self._temb.get(id(k))
-        return self.model._step_embedding(self.params, k)[2] if temb is None else temb
-
-    def __call__(self, x, k, cond) -> np.ndarray:
-        """eps_fn for ddim_sample: the noise predicted for the 2-D batch x at the scalar step k."""
-        ks = self._steps.get((len(x), k))
-        if ks is None:
-            ks = self._steps[len(x), k] = np.full(len(x), k)
+    def eps_fn(x, k, cond):
+        """The noise predicted for the 2-D batch x at the scalar step k."""
+        hit = memo.get((len(x), k))
+        if hit is None:
+            ks = np.full(len(x), k)
             ks.flags.writeable = False
-            self._temb[id(ks)] = self.model._step_embedding(self.params, ks)[2]
-        return self.model.forward(x, ks, cond, frozen=self)
+            hit = memo[len(x), k] = (ks, model._step_embedding(weights, ks)[2])
+        ks, temb = hit
+        return model.forward(x, ks, cond, frozen=(weights, temb))
 
-
-def model_eps_fn(model: ToyDenoiser) -> FrozenEma:
-    """Adapter: sample from the EMA weights, which gate deployment.
-
-    The weights are checked for finiteness when the adapter is built (a
-    ValueError if they are not), not on each of its forward calls.
-    """
-    return FrozenEma(model)
+    return eps_fn
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +570,8 @@ def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict |
     is slow on the tens of thousands of weights. Each value is instead encoded
     by json.dumps, which uses the C encoder, and the pieces are streamed
     with json.dump's separators, so no more than one weight array's text is
-    held at a time.
+    held at a time, into a temporary file beside path that then replaces it:
+    a failed write leaves an earlier checkpoint at path as it was.
     """
     doc = {
         "version": CHECKPOINT_VERSION,
@@ -608,20 +582,27 @@ def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict |
         "ema": model.ema,
         "meta": meta or {},
     }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
-        for i, key in enumerate(sorted(doc)):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            if key in ("params", "ema"):
-                fh.write("{")
-                for j, name in enumerate(sorted(doc[key])):
-                    fh.write(f"{', ' if j else ''}{json.dumps(name)}: ")
-                    fh.write(json.dumps(doc[key][name].tolist()))
-                fh.write("}")
-            else:
-                fh.write(json.dumps(doc[key], sort_keys=True))
-        fh.write("}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("{")
+            for i, key in enumerate(sorted(doc)):
+                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                if key in ("params", "ema"):
+                    fh.write("{")
+                    for j, name in enumerate(sorted(doc[key])):
+                        fh.write(f"{', ' if j else ''}{json.dumps(name)}: ")
+                        fh.write(json.dumps(doc[key][name].tolist()))
+                    fh.write("}")
+                else:
+                    fh.write(json.dumps(doc[key], sort_keys=True))
+            fh.write("}")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule, dict]:

@@ -8,7 +8,7 @@ same inputs can be checked byte for byte.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .jsonl import fields_of, read_json, write_json
@@ -51,18 +51,8 @@ class RunManifest:
     def add_output(self, path) -> None:
         self.outputs[str(path)] = file_sha256(path)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "version": self.version,
-        }
-
     def save(self, path) -> None:
-        write_json(path, self.to_dict())
+        write_json(path, asdict(self))
 
     @staticmethod
     def load(path) -> "RunManifest":
@@ -76,11 +66,3 @@ class RunManifest:
                 outputs=doc.get("outputs", {}),
                 version=doc.get("version", ARTIFACT_VERSION),
             )
-
-    def verify_outputs(self) -> list[str]:
-        """Paths whose current content no longer matches the recorded hash."""
-        stale = []
-        for path, digest in self.outputs.items():
-            if not Path(path).is_file() or file_sha256(path) != digest:
-                stale.append(path)
-        return stale

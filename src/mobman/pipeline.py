@@ -101,7 +101,6 @@ class DemoStep:
 @dataclass
 class DemoDataset:
     steps: list[DemoStep]
-    session_id: str = ""
     filter_report: FilterReport | None = None
 
     def __len__(self) -> int:
@@ -332,7 +331,7 @@ def assemble_dataset(
                 grip=grip_from_markers(float(aligned.marker_d[i]), calib),
             )
         )
-    return DemoDataset(steps=steps, session_id=session.session_id, filter_report=report)
+    return DemoDataset(steps=steps, filter_report=report)
 
 
 def make_action_labels(dataset: DemoDataset) -> np.ndarray:
@@ -387,7 +386,7 @@ def save_dataset(path, dataset: DemoDataset) -> None:
     )
 
 
-def load_dataset(path, session_id: str = "") -> DemoDataset:
+def load_dataset(path) -> DemoDataset:
     with fields_of(path):
         steps = [
             DemoStep(
@@ -398,4 +397,4 @@ def load_dataset(path, session_id: str = "") -> DemoDataset:
             )
             for rec in read_jsonl(path)
         ]
-    return DemoDataset(steps=steps, session_id=session_id)
+    return DemoDataset(steps=steps)

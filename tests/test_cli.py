@@ -92,7 +92,27 @@ class TestAnchorCommand:
     def test_writes_manifest(self, anchored):
         man = RunManifest.load(anchored.with_suffix(".manifest.json"))
         assert man.command == "anchor"
-        assert man.verify_outputs() == []
+        assert man.outputs == {str(anchored): file_sha256(anchored)}
+
+
+class TestManifest:
+    # the bytes RunManifest.save wrote for this content before it used dataclasses.asdict
+    PINNED_SHA256 = "5b630acc08b0beee60fa5d1ed89a6812f5b0bcefd67bab0bf9d011cdd15789e4"
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        man = RunManifest(
+            "process",
+            {"raw": "r", "anchor": "a.json", "calib": None, "output": "out", "smoothing": True},
+            seed=7,
+            inputs={
+                "raw": {"markers.jsonl": "0" * 64, "trajectories.jsonl": "f" * 64},
+                "anchor": {"a.json": "ab" * 32},
+            },
+            outputs={"out/dataset.jsonl": "cd" * 32, "out/filter_report.json": "ef" * 32},
+        )
+        man.save(tmp_path / "m.json")
+        assert file_sha256(tmp_path / "m.json") == self.PINNED_SHA256
+        assert RunManifest.load(tmp_path / "m.json") == man
 
 
 class TestProcessCommand:
@@ -140,6 +160,21 @@ class TestProcessCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("rejected: ")
         assert "vertical" in err[0]
+
+    def test_calib_recorded_as_input(self, raw_session, anchored, tmp_path, capsys):
+        raw, _ = raw_session
+        calib = tmp_path / "calib.json"
+        calib.write_text(json.dumps({"d_closed": 0.01, "d_open": 0.09}))
+        out = tmp_path / "p"
+        argv = ["process", "--raw", str(raw), "--anchor", str(anchored), "--calib", str(calib)]
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        man = RunManifest.load(out / "manifest.json")
+        assert man.inputs["calib"] == {"calib.json": file_sha256(calib)}
+        # a calibration edited after the run makes its replay fail
+        calib.write_text(json.dumps({"d_closed": 0.02, "d_open": 0.09}))
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(out / "manifest.json")]) == EXIT_REJECTED
+        assert "rejected: replay inputs differ from manifest: calib" in capsys.readouterr().err
 
     def test_missing_markers_usage_error(self, anchored, tmp_path):
         empty = tmp_path / "empty"
@@ -809,6 +844,28 @@ class TestReplayCommand:
         doc["outputs"][str(tmp_path / "elsewhere.csv")] = "0" * 64
         man_path.write_text(json.dumps(doc))
         assert main(["replay", "--manifest", str(man_path)]) == EXIT_USAGE
+
+    def test_replay_rejects_changed_input(self, raw_session, tmp_path, capsys):
+        # blank lines change the file's hash but not what anchor reads from it,
+        # so only the input check can catch them
+        raw = shutil.copytree(raw_session[0], tmp_path / "raw")
+        out = tmp_path / "a.json"
+        argv = [
+            "anchor",
+            "--trajectories", str(raw / "trajectories.jsonl"),
+            "--detections", str(raw / "detections.jsonl"),
+            "--extrinsics", str(raw / "extrinsics.json"),
+            "--output", str(out),
+        ]
+        assert main(argv) == EXIT_OK
+        anchors = out.read_bytes()
+        with open(raw / "trajectories.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("\n\n")
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(tmp_path / "a.manifest.json")]) == EXIT_REJECTED
+        err = capsys.readouterr().err
+        assert "rejected: replay inputs differ from manifest: trajectories" in err
+        assert out.read_bytes() == anchors
 
     def test_replay_detects_tampering(self, tmp_path):
         out = tmp_path / "sim"

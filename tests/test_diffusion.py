@@ -153,25 +153,20 @@ class TestDenoiser:
 
 class TestEmaAndAdam:
     def test_ema_update_math(self):
-        shadow = {"w": np.ones(3)}
-        params = {"w": np.zeros(3)}
-        ema_update(shadow, params, decay=0.9)
-        assert np.allclose(shadow["w"], 0.9)
+        shadow = np.ones(3)
+        ema_update(shadow, np.zeros(3))
+        assert np.allclose(shadow, DEFAULT_EMA_DECAY)
 
     def test_ema_validates(self):
         with pytest.raises(ValueError):
-            ema_update({"a": np.ones(2)}, {"b": np.ones(2)})
-        with pytest.raises(ValueError):
-            ema_update({"a": np.ones(2)}, {"a": np.ones(3)})
-        with pytest.raises(ValueError):
-            ema_update({"a": np.ones(2)}, {"a": np.ones(2)}, decay=1.0)
+            ema_update(np.ones(2), np.ones(3))
 
     def test_adam_descends_quadratic(self):
-        params = {"w": np.array([5.0])}
-        opt = Adam(params, lr=0.1)
-        for _ in range(200):
-            opt.step(params, {"w": 2.0 * params["w"]})
-        assert abs(params["w"][0]) < 1e-2
+        weights = np.array([0.5, -0.3])
+        opt = Adam(weights)
+        for _ in range(1000):
+            opt.step(weights, 2.0 * weights)
+        assert np.max(np.abs(weights)) < 1e-2
 
 
 def gaussian_eps_fn(mu, sigma, sched):
@@ -210,7 +205,7 @@ class TestDdim:
             ddim_sample(fn, np.zeros((1, 1)), sched, n_steps=101, sample_dim=1)
         with pytest.raises(ValueError):
             ddim_sample(fn, np.zeros((1, 1)), sched, n_steps=0, sample_dim=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ddim_sample(fn, np.zeros((1, 1)), sched)
 
 
@@ -404,6 +399,18 @@ class TestTraining:
             m.forward(x, np.array([5] * 4), cond, use_ema=True),
             m2.forward(x, np.array([5] * 4), cond, use_ema=True),
         )
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(8)
+        m, sched, _ = train_toy(rng.normal(size=(16, 2)), rng.normal(size=(16, 3)), TrainConfig(steps=3))
+        path = tmp_path / "m.json"
+        save_checkpoint(path, m, sched)
+        before = path.read_bytes()
+        # the weights are written before meta, which json cannot encode
+        with pytest.raises(TypeError):
+            save_checkpoint(path, m, sched, meta={"n": np.float32(1.0)})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def reference_train_toy(conds, a0s, steps, seed):

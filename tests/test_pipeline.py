@@ -279,7 +279,7 @@ class TestActionLabels:
             dq = quat_from_axis_angle(rng.normal(size=3), rng.uniform(-0.05, 0.05))
             hand = Pose3(quat_mul(dq, hand.rotation), hand.translation + rng.uniform(-0.02, 0.02, 3))
             grip = float(np.clip(grip + rng.uniform(-0.2, 0.2), 0, 1))
-        return DemoDataset(steps=steps, session_id="t")
+        return DemoDataset(steps=steps)
 
     def test_round_trip(self):
         ds = self._dataset()
@@ -388,7 +388,7 @@ class TestEndToEnd:
         session.cross_node = expert.cross_node_true
         ds = assemble_dataset(session, expert.calib, PipelineConfig(smoothing=False))
         save_dataset(tmp_path / "d.jsonl", ds)
-        ds2 = load_dataset(tmp_path / "d.jsonl", session_id=ds.session_id)
+        ds2 = load_dataset(tmp_path / "d.jsonl")
         assert len(ds2) == len(ds)
         for a, b in zip(ds.steps, ds2.steps):
             assert a.t == b.t
