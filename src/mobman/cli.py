@@ -166,6 +166,15 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
     with fields_of(markers_path):
         marker_t = np.array([m["t"] for m in markers], dtype=float)
         marker_d = np.array([m["distance_m"] for m in markers], dtype=float)
+    unordered = marker_t[~np.isfinite(marker_t)]
+    if len(unordered):
+        raise MalformedInputError(markers_path, f"non-finite marker timestamp t={unordered[0]}")
+    # lines may come in any order, as trajectory samples may
+    order = np.argsort(marker_t, kind="stable")
+    marker_t, marker_d = marker_t[order], marker_d[order]
+    repeated = marker_t[1:][np.diff(marker_t) == 0.0]
+    if len(repeated):
+        raise MalformedInputError(markers_path, f"repeated marker timestamp t={repeated[0]}")
     return RawSession(
         session_id=raw_dir.name,
         chest=trajs[CHEST],
@@ -427,6 +436,16 @@ def _differing(recorded: dict, rerun: dict) -> list:
     return [k for k in recorded.keys() | rerun.keys() if recorded.get(k) != rerun.get(k)]
 
 
+def _machine() -> str:
+    """This process's numpy and BLAS. Byte-exact outputs rest on the BLAS dot
+    kernel, so a replay on another machine can differ in the last bit."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (
+        f"this machine runs numpy {np.__version__} with BLAS "
+        f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+    )
+
+
 def cmd_replay(cfg: dict) -> RunManifest:
     manifest_path = _require_file(cfg["manifest"], "manifest")
     recorded = RunManifest.load(manifest_path)
@@ -467,7 +486,9 @@ def cmd_replay(cfg: dict) -> RunManifest:
     produced = {Path(p).relative_to(rerun): d for p, d in man.outputs.items()}
     mismatched = sorted(str(root / rel) for rel in _differing(expected, produced))
     if mismatched:
-        raise DomainError("replay outputs differ from manifest: " + ", ".join(mismatched))
+        raise DomainError(
+            f"replay outputs differ from manifest: {', '.join(mismatched)} ({_machine()})"
+        )
     print(f"replay of {recorded.command!r} reproduced {len(man.outputs)} outputs")
     return man
 

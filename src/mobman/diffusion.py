@@ -515,9 +515,19 @@ def sample_action_chunk(
     Intermediate diffusion iterates are unconstrained noise carriers; the
     quaternion block is normalized only on the final output.
     """
+    if model.input_dim != horizon * ACTION_DIM:
+        raise ValueError(
+            f"model input_dim {model.input_dim} is not the chunk size "
+            f"{horizon * ACTION_DIM} (horizon {horizon} x {ACTION_DIM})"
+        )
+    cond = np.atleast_2d(cond)
+    if cond.shape[1] != model.cond_dim:
+        raise ValueError(
+            f"condition has {cond.shape[1]} values, the model's cond_dim is {model.cond_dim}"
+        )
     flat = ddim_sample(
         model_eps_fn(model),
-        np.atleast_2d(cond),
+        cond,
         sched,
         n_steps=n_steps,
         seed=seed,

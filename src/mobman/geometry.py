@@ -6,6 +6,15 @@
 #   - stored quaternions are canonical: unit norm, w >= 0;
 #   - angles are wrapped to (-pi, pi], with ties at pi mapped to +pi;
 #   - a pose T_A_B maps coordinates from frame B to frame A.
+#
+# The *_rows functions apply a scalar function to every row of an (N, 4)
+# quaternion or (N, 3) vector array and return the same bits, row for row:
+#   - element-wise arithmetic keeps the scalar code's operation order;
+#   - every row dot is np.vecdot, which takes the same BLAS dot as the scalar
+#     q.dot(q) when the rows have the same memory stride (a contiguous copy
+#     and a strided view of the same numbers can round differently);
+#   - transcendentals stay per-row math calls, because np.arccos, np.arctan2
+#     and np.hypot round some inputs differently from math.
 from __future__ import annotations
 
 import math
@@ -46,6 +55,20 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def quat_canonical_rows(q: np.ndarray) -> np.ndarray:
+    """quat_canonical of every row of an (N, 4) array."""
+    q = np.asarray(q, dtype=float)
+    n = np.sqrt(np.vecdot(q, q))
+    if not np.all(np.isfinite(n) & (n != 0.0)):
+        raise ValueError("cannot canonicalize a zero or non-finite quaternion")
+    q = q / n[:, None]
+    flip = q[:, 0] < 0.0
+    for i in np.flatnonzero(q[:, 0] == 0.0):
+        nonzero = q[i, 1:][q[i, 1:] != 0.0]
+        flip[i] = nonzero[0] < 0.0
+    return np.where(flip[:, None], -q, q)
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b (no normalization)."""
     aw, ax, ay, az = a
@@ -60,14 +83,43 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """quat_mul of matching rows; either side may be a single (4,) quaternion."""
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ],
+        axis=-1,
+    )
+
+
 def quat_conj(q: np.ndarray) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def quat_conj_rows(q: np.ndarray) -> np.ndarray:
+    """quat_conj of every row of an (N, 4) array, or of one (4,) quaternion."""
+    q = np.asarray(q, dtype=float)
+    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector by a unit quaternion."""
     qv = np.array([0.0, v[0], v[1], v[2]])
     return quat_mul(quat_mul(q, qv), quat_conj(q))[1:]
+
+
+def quat_rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """quat_rotate of matching rows; q may be one (4,) and v one (3,)."""
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    qv = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
+    return quat_mul_rows(quat_mul_rows(q, qv), quat_conj_rows(q))[..., 1:]
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -118,6 +170,36 @@ def slerp(q0: np.ndarray, q1: np.ndarray, s: float) -> np.ndarray:
     return out / math.sqrt(out.dot(out))
 
 
+def slerp_rows(q0: np.ndarray, q1: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """slerp of matching rows of two (N, 4) arrays at the N fractions s."""
+    q0 = np.asarray(q0, dtype=float)
+    q1 = np.asarray(q1, dtype=float)
+    s = np.asarray(s, dtype=float)
+    dot = np.vecdot(q0, q1)
+    neg = dot < 0.0
+    q1 = np.where(neg[:, None], -q1, q1)
+    dot = np.where(neg, -dot, dot)
+    out = np.empty_like(q0)
+    lin = (dot > 1.0 - 1e-12) | (dot < 1e-6)
+    if lin.any():
+        sl = s[lin][:, None]
+        o = (1.0 - sl) * q0[lin] + sl * q1[lin]
+        n = np.sqrt(np.vecdot(o, o))
+        tiny = n < 1e-12
+        out[lin] = np.where(tiny[:, None], q0[lin], o / np.where(tiny, 1.0, n)[:, None])
+    gen = ~lin
+    if gen.any():
+        wa, wb = [], []
+        for d, sg in zip(np.minimum(dot[gen], 1.0).tolist(), s[gen].tolist()):
+            omega = math.acos(d)
+            so = math.sin(omega)
+            wa.append(math.sin((1.0 - sg) * omega) / so)
+            wb.append(math.sin(sg * omega) / so)
+        o = np.array(wa)[:, None] * q0[gen] + np.array(wb)[:, None] * q1[gen]
+        out[gen] = o / np.sqrt(np.vecdot(o, o))[:, None]
+    return out
+
+
 def geodesic_so3(r0: np.ndarray, r1: np.ndarray) -> float:
     """Geodesic angle between two rotations, in [0, pi]."""
     dot = abs(float(np.dot(np.asarray(r0, dtype=float), np.asarray(r1, dtype=float))))
@@ -153,6 +235,15 @@ class Pose3:
     def inverse(self) -> "Pose3":
         q_inv = quat_conj(self.rotation)
         return Pose3(q_inv, -quat_rotate(q_inv, self.translation))
+
+    @classmethod
+    def of_canonical(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose3":
+        """A pose that takes a canonical rotation as it is, without the
+        renormalisation in __post_init__, which could move its last bit."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rotation", rotation)
+        object.__setattr__(pose, "translation", translation)
+        return pose
 
     def as_matrix(self) -> np.ndarray:
         M = np.eye(4)
@@ -226,15 +317,19 @@ def dist_se2(a: Pose2, b: Pose2, fold_radius: float = 0.5) -> float:
     return math.sqrt((b.x - a.x) ** 2 + (b.y - a.y) ** 2 + (fold_radius * dth) ** 2)
 
 
-def yaw_project(p: Pose3) -> Pose2:
-    """Project a level-ish SE(3) pose to the ground plane.
+def yaw_project_rows(pos: np.ndarray, rot: np.ndarray) -> list[Pose2]:
+    """Project level-ish SE(3) poses, given as (N, 3) positions and (N, 4)
+    canonical rotations, to the ground plane.
 
-    Yaw is the heading of the pose's forward (+x) axis projected onto the
-    ground plane. Raises DegeneratePitchError when the forward axis is within
+    Yaw is the heading of each pose's forward (+x) axis projected onto the
+    ground plane. Raises DegeneratePitchError when a forward axis is within
     1 degree of vertical (pitch beyond +-89 deg), where heading is undefined.
     """
-    fwd = quat_rotate(p.rotation, np.array([1.0, 0.0, 0.0]))
-    horiz = math.hypot(fwd[0], fwd[1])
-    if horiz < math.cos(math.radians(89.0)):
+    fwd = quat_rotate_rows(rot, np.array([1.0, 0.0, 0.0])).tolist()
+    min_horiz = math.cos(math.radians(89.0))
+    if any(math.hypot(fx, fy) < min_horiz for fx, fy, _ in fwd):
         raise DegeneratePitchError("forward axis is near-vertical; yaw undefined")
-    return Pose2(p.translation[0], p.translation[1], math.atan2(fwd[1], fwd[0]))
+    pos = np.asarray(pos, dtype=float)
+    return [
+        Pose2(x, y, math.atan2(fy, fx)) for x, y, (fx, fy, _) in zip(pos[:, 0], pos[:, 1], fwd)
+    ]

@@ -5,13 +5,20 @@ resample everything onto a uniform grid (linear position, slerp rotation),
 optionally smooth, decouple the hand pose against the chest pose,
 project the chest onto the ground plane, and map fingertip marker distance to
 a normalized gripper aperture.
+
+Each stage is a whole-array numpy pass over the session's samples, built on
+geometry's *_rows helpers. The passes write the bytes that a chain of scalar
+Pose3 operations per sample would write, under the bit rules listed at the
+top of geometry.py; only DemoStep assembly is a per-step loop.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .anchoring import VioTrajectory
 from .executor import PredictedState, advance_state
@@ -19,11 +26,15 @@ from .geometry import (
     Pose2,
     Pose3,
     quat_canonical,
+    quat_canonical_rows,
     quat_conj,
+    quat_conj_rows,
     quat_mul,
-    slerp,
+    quat_mul_rows,
+    quat_rotate_rows,
+    slerp_rows,
     wrap_angle,
-    yaw_project,
+    yaw_project_rows,
 )
 from .jsonl import fields_of, read_jsonl, write_jsonl
 
@@ -120,23 +131,29 @@ class ResampledSession:
 
 
 def _resample_traj(traj: VioTrajectory, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """traj.sample_at at every grid time inside the span, as position and
+    canonical quaternion arrays."""
+    j = np.searchsorted(traj.t, grid, side="right")
+    last = j >= len(traj.t)
+    inner = ~last
     pos = np.empty((len(grid), 3))
     quat = np.empty((len(grid), 4))
-    for i, t in enumerate(grid):
-        p = traj.sample_at(float(t))
-        pos[i] = p.translation
-        quat[i] = p.rotation
-    return pos, quat
+    pos[last] = traj.pos[-1]
+    quat[last] = traj.quat[-1]
+    j = j[inner]
+    i = j - 1
+    s = (grid[inner] - traj.t[i]) / (traj.t[j] - traj.t[i])
+    pos[inner] = (1.0 - s)[:, None] * traj.pos[i] + s[:, None] * traj.pos[j]
+    quat[inner] = slerp_rows(traj.quat[i], traj.quat[j], s)
+    return pos, quat_canonical_rows(quat)
 
 
 def map_hand_into_chest_world(hand: VioTrajectory, cross_node: Pose3) -> VioTrajectory:
     """Re-express every hand sample through the inter-node transform."""
-    pos = np.empty_like(hand.pos)
-    quat = np.empty_like(hand.quat)
-    for i in range(len(hand.t)):
-        mapped = cross_node.compose(Pose3(hand.quat[i], hand.pos[i]))
-        pos[i] = mapped.translation
-        quat[i] = mapped.rotation
+    quat = quat_canonical_rows(
+        quat_mul_rows(cross_node.rotation, quat_canonical_rows(hand.quat))
+    )
+    pos = cross_node.translation + quat_rotate_rows(cross_node.rotation, hand.pos)
     return VioTrajectory(hand.node_id, hand.t.copy(), pos, quat, hand.cov_trace.copy())
 
 
@@ -187,19 +204,28 @@ def savgol_smooth(series: np.ndarray, window: int = 9, order: int = 2) -> np.nda
     if window > n:
         raise ValueError(f"window {window} exceeds series length {n}")
     half = window // 2
-    # center-evaluation weights for each half-width actually used
-    weights: dict[int, np.ndarray] = {}
-    for h in set(min(half, i, n - 1 - i) for i in range(n)):
-        x = np.arange(-h, h + 1, dtype=float)
-        deg = min(order, 2 * h)
-        A = np.vander(x, deg + 1, increasing=True)
-        # value of the LS fit at x=0 is the first row of (A^T A)^-1 A^T
-        weights[h] = np.linalg.solve(A.T @ A, A.T)[0]
     out = np.empty(n)
-    for i in range(n):
-        h = min(half, i, n - 1 - i)
-        out[i] = weights[h] @ series[i - h : i + h + 1]
+    # each window keeps the series' memory stride, so np.vecdot rounds every
+    # full window as `weights @ series[i - half : i + half + 1]` would
+    out[half : n - half] = np.vecdot(
+        _savgol_weights(half, order), sliding_window_view(series, window)
+    )
+    for i in (*range(half), *range(n - half, n)):
+        h = min(i, n - 1 - i)
+        out[i] = _savgol_weights(h, order) @ series[i - h : i + h + 1]
     return out
+
+
+@functools.cache
+def _savgol_weights(h: int, order: int) -> np.ndarray:
+    """Center-evaluation weights of the savgol fit over 2h + 1 samples."""
+    x = np.arange(-h, h + 1, dtype=float)
+    deg = min(order, 2 * h)
+    A = np.vander(x, deg + 1, increasing=True)
+    # value of the LS fit at x=0 is the first row of (A^T A)^-1 A^T
+    weights = np.linalg.solve(A.T @ A, A.T)[0]
+    weights.flags.writeable = False
+    return weights
 
 
 def smooth_pose_arrays(
@@ -212,13 +238,16 @@ def smooth_pose_arrays(
     to their predecessor first so no sign flips corrupt the fit.
     """
     sp = np.column_stack([savgol_smooth(pos[:, k], window, order) for k in range(3)])
-    aligned = quat.copy()
-    for i in range(1, len(aligned)):
-        if float(np.dot(aligned[i - 1], aligned[i])) < 0.0:
-            aligned[i] = -aligned[i]
+    # contiguous rows, so that each dot rounds as on a copy of the array; sample
+    # i flips when its dot with the (possibly flipped) sample i - 1 is
+    # negative, and flipping i - 1 negates that dot exactly
+    quat = np.ascontiguousarray(quat)
+    flip = [False]
+    for d in np.vecdot(quat[:-1], quat[1:]).tolist():
+        flip.append(d > 0.0 if flip[-1] else d < 0.0)
+    aligned = np.where(np.array(flip)[:, None], -quat, quat)
     sq = np.column_stack([savgol_smooth(aligned[:, k], window, order) for k in range(4)])
-    sq = np.stack([quat_canonical(q) for q in sq])
-    return sp, sq
+    return sp, quat_canonical_rows(sq)
 
 
 def quality_filter(session: RawSession) -> FilterReport:
@@ -237,12 +266,20 @@ def quality_filter(session: RawSession) -> FilterReport:
     return FilterReport(accepted=not reasons, reasons=reasons)
 
 
-def decouple_step(chest_world: Pose3, hand_world: Pose3) -> Pose3:
-    """Hand pose relative to the chest; cancels shared locomotion.
+def decouple_rows(
+    chest_pos: np.ndarray, chest_rot: np.ndarray, hand_pos: np.ndarray, hand_rot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hand poses relative to the chest; cancels shared locomotion.
 
-    Both poses must be expressed in the chest world frame.
+    Row i of the result is chest_i.inverse().compose(hand_i) as (position,
+    canonical quaternion) arrays. Both poses must be expressed in the chest
+    world frame, with canonical rotations.
     """
-    return chest_world.inverse().compose(hand_world)
+    inv_raw = quat_conj_rows(chest_rot)
+    inv_pos = -quat_rotate_rows(inv_raw, chest_pos)
+    inv_rot = quat_canonical_rows(inv_raw)
+    rel_rot = quat_canonical_rows(quat_mul_rows(inv_rot, hand_rot))
+    return inv_pos + quat_rotate_rows(inv_rot, hand_pos), rel_rot
 
 
 def project_nonholonomic(
@@ -318,19 +355,23 @@ def assemble_dataset(
             hand_pos, hand_quat, SAVGOL_WINDOW, SAVGOL_ORDER
         )
 
-    steps = []
-    t0 = aligned.t[0]
-    for i in range(len(aligned.t)):
-        chest = Pose3(chest_quat[i], chest_pos[i])
-        hand = Pose3(hand_quat[i], hand_pos[i])
-        steps.append(
-            DemoStep(
-                t=round(float(aligned.t[i] - t0), 9),
-                base=yaw_project(chest),
-                hand_rel=decouple_step(chest, hand),
-                grip=grip_from_markers(float(aligned.marker_d[i]), calib),
-            )
+    # as a Pose3 built per step did, renormalise the stored quaternions once more
+    chest_rot = quat_canonical_rows(chest_quat)
+    bases = yaw_project_rows(chest_pos, chest_rot)
+    rel_pos, rel_rot = decouple_rows(
+        chest_pos, chest_rot, hand_pos, quat_canonical_rows(hand_quat)
+    )
+    steps = [
+        DemoStep(
+            t=round(t, 9),
+            base=base,
+            hand_rel=Pose3.of_canonical(q, p),
+            grip=grip_from_markers(d, calib),
         )
+        for t, base, q, p, d in zip(
+            (aligned.t - aligned.t[0]).tolist(), bases, rel_rot, rel_pos, aligned.marker_d.tolist()
+        )
+    ]
     return DemoDataset(steps=steps, filter_report=report)
 
 

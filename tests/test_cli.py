@@ -184,6 +184,115 @@ class TestProcessCommand:
         )
         assert rc == EXIT_USAGE
 
+    def _process_markers(self, raw, anchored, tmp_path, lines):
+        bad = tmp_path / "raw"
+        bad.mkdir()
+        (bad / "trajectories.jsonl").write_text((raw / "trajectories.jsonl").read_text())
+        (bad / "markers.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        return main(["process", "--raw", str(bad), "--anchor", str(anchored), "--output", str(out)]), out
+
+    def test_out_of_order_markers_sorted(self, raw_session, anchored, processed, tmp_path):
+        raw, _ = raw_session
+        lines = (raw / "markers.jsonl").read_text().splitlines()
+        np.random.default_rng(0).shuffle(lines)
+        rc, out = self._process_markers(raw, anchored, tmp_path, lines)
+        assert rc == EXIT_OK
+        # the same bytes as the file in time order
+        assert file_sha256(out / "dataset.jsonl") == file_sha256(processed / "dataset.jsonl")
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [("repeat", "repeated marker timestamp t=0.06"), ("nan", "non-finite marker timestamp t=nan")],
+    )
+    def test_unordered_marker_usage_error(self, edit, reason, raw_session, anchored, tmp_path, capsys):
+        raw, _ = raw_session
+        lines = (raw / "markers.jsonl").read_text().splitlines()
+        if edit == "repeat":
+            lines.insert(7, lines[3])  # t = 0.06 twice
+        else:
+            rec = json.loads(lines[3])
+            rec["t"] = math.nan
+            lines[3] = json.dumps(rec)
+        capsys.readouterr()
+        rc, out = self._process_markers(raw, anchored, tmp_path, lines)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: {tmp_path / 'raw' / 'markers.jsonl'}: {reason}"]
+        assert not (out / "dataset.jsonl").exists()
+
+
+class TestProcessDigests:
+    # SHA-256 of anchors.json, then of dataset.jsonl from `process` and from
+    # `process --no-smoothing`, for the scripted_expert session of seed 13,
+    # noiseless or at 1 mm / 1e-3 rad; a digest that moves means the dataset
+    # bytes changed.
+    DIGESTS = {
+        ("nav_reach", False): (
+            "4879607f1544d30606296d36d5d7d5d6ff68ed12b0004bdfb7425ffb87bd7648",
+            "b5748b07985a876d390c68e9f7ae3b8599defb8fcdef583dc01663acaadb5c82",
+            "002df02344e2d832ca90864c8baa885ccd5fcbe07617912595ba7a0a57173e6b",
+        ),
+        ("nav_reach", True): (
+            "f242b4b26c186480958f87c06428074c7536319d6a3bca5a5450d38b698c1be5",
+            "dc95721cd759874ed8e209408fbc641a105259345ae54963a7b0cd56094f426b",
+            "fb4674d2475cf50a18482a597c5e8bba00c21a906209e97fff4bc3b449852507",
+        ),
+        ("nav_turn_place", False): (
+            "78e945963b17444b1f4919ad093c9d9bb64ec02e9380a49c74cfedf7793df79b",
+            "a351ae651df2c336964762d377ea65d48796854fcbc295e3ce79f6f1600a75d5",
+            "f2d84e8bcb3ecad6b292d63e63ebc04687bb7bd699b7950857458b061b2cfd8a",
+        ),
+        ("nav_turn_place", True): (
+            "5cd9e98d6be5e766d9378b67d8b00d9ca17717458f1116ecf671b65e15884291",
+            "4e784d35fa0c1cf392d40cc315d485cc8501bcadfb8f809ce3a63b10f450f145",
+            "7dd2e5129bdc5de1feab603fe9327c4d967b9f511be037053e8fca1372016cb4",
+        ),
+        ("long_horizon", False): (
+            "0b5ce47e39f3bb9f718a4f6c12c5e8a8c2e7ad78bc4d87bc8305b3227918da4a",
+            "552e80b2c9ff8e3a8b0328def205d4ec68edc113e4b324fa18a4acc57b791ed2",
+            "728cc7f5a4311776db887a2e0cd579c4690d47b76495f8b329a0d41cd8dc5a1d",
+        ),
+        ("long_horizon", True): (
+            "b15ef79e4145383ff9eb2b19937a551c44c4b86ae53b927ffacfc364a31f4039",
+            "e477420416241979d563c3cb9af0b055c17187423df3ff2b0e2f4c4be07f21da",
+            "caeed0eb166e09ed5ec064e66b0397de952a01894ef6678e8a96d831afe5370e",
+        ),
+        ("cruise", False): (
+            "6d42856867d7ad2ca586cb09c34f225f16137dada819d18349e11a843433a1d0",
+            "f6fffbf33bc462c141d9e9c507314b22524edfbbd35c1d5786e0e8f126746f9a",
+            "bf36d0cdff57c7e21ad6b7da2337702f0522517c66e895bdb701e64ebc5af691",
+        ),
+        ("cruise", True): (
+            "7db22c217cc9038c13ea73898bb6e2ca8bbcee6bb7c705aea55ac93393791b27",
+            "5fe79ff61f9bfb466ba9659cda25f9bc07e9a778fcc926dc8430932ded9d7c51",
+            "d6283bb55428397535fd758f8ee5d080b7657958e4743a3e5df4841b30f0ecaf",
+        ),
+    }
+
+    @pytest.mark.parametrize("scenario, noisy", sorted(DIGESTS))
+    def test_anchor_and_process_bytes_pinned(self, scenario, noisy, tmp_path):
+        sigma = 1e-3 if noisy else 0.0
+        expert = scripted_expert(make_scenario(scenario), seed=13, sigma_pos=sigma, sigma_rot=sigma)
+        raw = tmp_path / "raw"
+        save_expert_session(raw, expert)
+        anchors = tmp_path / "anchors.json"
+        argv = [
+            "anchor",
+            "--trajectories", str(raw / "trajectories.jsonl"),
+            "--detections", str(raw / "detections.jsonl"),
+            "--extrinsics", str(raw / "extrinsics.json"),
+            "--output", str(anchors),
+        ]
+        assert main(argv) == EXIT_OK
+        digests = [file_sha256(anchors)]
+        for name, extra in (("smooth", []), ("raw", ["--no-smoothing"])):
+            out = tmp_path / name
+            argv = ["process", "--raw", str(raw), "--anchor", str(anchors), "--output", str(out)]
+            assert main([*argv, *extra]) == EXIT_OK
+            digests.append(file_sha256(out / "dataset.jsonl"))
+        assert tuple(digests) == self.DIGESTS[(scenario, noisy)]
+
 
 class TestTrainCommand:
     def test_seed_repeat_identical_checkpoint(self, processed, tmp_path):
@@ -867,7 +976,7 @@ class TestReplayCommand:
         assert "rejected: replay inputs differ from manifest: trajectories" in err
         assert out.read_bytes() == anchors
 
-    def test_replay_detects_tampering(self, tmp_path):
+    def test_replay_detects_tampering(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert main(["simulate", "--trials", "2", "--seed", "4", "--output", str(out)]) == EXIT_OK
         man_path = out / "manifest.json"
@@ -875,5 +984,10 @@ class TestReplayCommand:
         next_key = next(iter(doc["outputs"]))
         doc["outputs"][next_key] = "0" * 64
         man_path.write_text(json.dumps(doc))
+        capsys.readouterr()
         rc = main(["replay", "--manifest", str(man_path)])
         assert rc == EXIT_REJECTED
+        # the message names what the bytes depend on: numpy and its BLAS
+        err = capsys.readouterr().err
+        assert f"replay outputs differ from manifest: {next_key}" in err
+        assert f"numpy {np.__version__} with BLAS " in err

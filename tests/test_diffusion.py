@@ -532,6 +532,18 @@ class TestActionChunks:
         assert np.array_equal(a.values, b.values)
         assert a.horizon == horizon
 
+    def test_sample_action_chunk_names_mismatched_sizes(self):
+        rng = np.random.default_rng(10)
+        sched = cosine_schedule(20)
+        row_model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=3, hidden=8, kemb_dim=8, temb_dim=8)
+        row_model.init_params(rng)
+        with pytest.raises(ValueError, match=f"input_dim {ACTION_DIM} .* {4 * ACTION_DIM}"):
+            sample_action_chunk(row_model, rng.normal(size=3), sched, horizon=4, n_steps=5)
+        m = ToyDenoiser(input_dim=4 * ACTION_DIM, cond_dim=3, hidden=8, kemb_dim=8, temb_dim=8)
+        m.init_params(rng)
+        with pytest.raises(ValueError, match="condition has 5 values, .* cond_dim is 3"):
+            sample_action_chunk(m, rng.normal(size=5), sched, horizon=4, n_steps=5)
+
     def test_obs_to_condition_layout(self):
         base = Pose2(1.0, 2.0, 0.3)
         hand = Pose3(np.array([1.0, 0, 0, 0]), np.array([0.3, 0.0, -0.2]))

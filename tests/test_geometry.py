@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation, Slerp
 
@@ -13,15 +14,20 @@ from mobman.geometry import (
     dist_se2,
     geodesic_so3,
     quat_canonical,
+    quat_canonical_rows,
     quat_conj,
+    quat_conj_rows,
     quat_from_axis_angle,
     quat_mul,
+    quat_mul_rows,
     quat_rotate,
+    quat_rotate_rows,
     quat_to_matrix,
     rot_z,
     slerp,
+    slerp_rows,
     wrap_angle,
-    yaw_project,
+    yaw_project_rows,
 )
 
 
@@ -235,7 +241,7 @@ class TestPose2:
         lifted = a.lift().compose(b.lift())
         flat = a.compose(b)
         assert np.allclose(lifted.translation[:2], [flat.x, flat.y], atol=1e-12)
-        assert abs(wrap_angle(yaw_project(lifted).theta - flat.theta)) < 1e-12
+        assert abs(wrap_angle(_yaw(lifted).theta - flat.theta)) < 1e-12
 
     def test_theta_wrapped_on_construction(self):
         p = Pose2(0, 0, 3 * math.pi)
@@ -259,10 +265,14 @@ class TestDistSe2:
             dist_se2(Pose2(), Pose2(), fold_radius=0.0)
 
 
+def _yaw(p: Pose3) -> Pose2:
+    return yaw_project_rows(p.translation[None], p.rotation[None])[0]
+
+
 class TestYawProject:
     def test_level_pose(self):
         p = Pose2(1.0, 2.0, 0.7).lift(0.9)
-        flat = yaw_project(p)
+        flat = _yaw(p)
         assert flat.x == pytest.approx(1.0)
         assert flat.y == pytest.approx(2.0)
         assert flat.theta == pytest.approx(0.7)
@@ -270,9 +280,153 @@ class TestYawProject:
     def test_small_pitch_keeps_heading(self):
         tilt = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.2)
         q = quat_mul(rot_z(0.7), tilt)
-        assert yaw_project(Pose3(q, np.zeros(3))).theta == pytest.approx(0.7, abs=1e-9)
+        assert _yaw(Pose3(q, np.zeros(3))).theta == pytest.approx(0.7, abs=1e-9)
 
     def test_near_vertical_raises(self):
         q = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), math.pi / 2 - 0.001)
         with pytest.raises(DegeneratePitchError):
-            yaw_project(Pose3(q, np.zeros(3)))
+            _yaw(Pose3(q, np.zeros(3)))
+
+
+# ---------------------------------------------------------------------------
+# Row-batch helpers: each must return the bytes of its scalar counterpart,
+# row for row, so tobytes comparisons also catch a flipped signed zero.
+# ---------------------------------------------------------------------------
+
+
+def _yaw_project(p: Pose3) -> Pose2:
+    """The scalar ground-plane projection that yaw_project_rows batches."""
+    fwd = quat_rotate(p.rotation, np.array([1.0, 0.0, 0.0]))
+    horiz = math.hypot(fwd[0], fwd[1])
+    if horiz < math.cos(math.radians(89.0)):
+        raise DegeneratePitchError("forward axis is near-vertical; yaw undefined")
+    return Pose2(p.translation[0], p.translation[1], math.atan2(fwd[1], fwd[0]))
+
+
+def _assert_rows_match(rows_call, scalar_call, n):
+    """rows_call() equals scalar_call(i) stacked over i < n, or both raise alike."""
+    try:
+        expected = np.stack([np.asarray(scalar_call(i), dtype=float) for i in range(n)])
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            rows_call()
+        return
+    got = np.asarray(rows_call(), dtype=float)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+# components with signed zeros, w < 0 and w == 0 drawn on purpose
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+_quat_rows = st.lists(st.tuples(*[_component] * 4), min_size=1, max_size=12)
+_vec_rows = st.lists(st.tuples(*[_component] * 3), min_size=1, max_size=12)
+
+
+def _matching_rows(rows, n):
+    """n rows, repeating the drawn ones as needed, as a C-ordered array."""
+    return np.array([rows[i % len(rows)] for i in range(n)], dtype=float)
+
+
+@st.composite
+def _slerp_cases(draw):
+    """(q0, q1, s) rows that reach every branch of slerp."""
+    cases = []
+    for _ in range(draw(st.integers(1, 10))):
+        q0 = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
+        if not np.dot(q0, q0) > 1e-6:
+            q0 = np.array([1.0, 0.0, 0.0, 0.0])
+        q0 = quat_canonical(q0) * draw(st.sampled_from([1.0, 1.0, 2.5, 1e-13]))
+        w, x, y, z = q0
+        kind = draw(st.sampled_from(["same", "opposite", "orthogonal", "general"]))
+        if kind == "same":  # dot > 1 - 1e-12: normalised lerp
+            q1 = q0.copy()
+        elif kind == "opposite":  # aligned to q0 first
+            q1 = -q0
+        elif kind == "orthogonal":  # dot < 1e-6: normalised lerp near 180 degrees
+            q1 = np.array([-x, w, -z, y])
+        else:
+            q1 = quat_canonical(np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4))) + 1e-3)
+        s = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        cases.append((q0, q1, s))
+    return cases
+
+
+class TestRowHelpers:
+    @given(_quat_rows)
+    @example([(0.0, -0.0, 0.0, -2.0), (-0.0, 0.0, -3.0, 1.0), (0.0, 0.0, 0.0, 1e-3)])
+    @example([(-1.0, 0.5, -0.0, 0.0)])
+    @example([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    def test_canonical_rows(self, rows):
+        q = np.array(rows, dtype=float)
+        _assert_rows_match(lambda: quat_canonical_rows(q), lambda i: quat_canonical(q[i]), len(q))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_canonical_rows_non_finite_raises_alike(self, bad):
+        q = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, bad, 0.1, 0.0]])
+        _assert_rows_match(lambda: quat_canonical_rows(q), lambda i: quat_canonical(q[i]), len(q))
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            quat_canonical_rows(q)
+
+    @given(_quat_rows, _quat_rows)
+    def test_mul_and_conj_rows(self, rows, other):
+        a = np.array(rows, dtype=float)
+        b = _matching_rows(other, len(a))
+        _assert_rows_match(lambda: quat_mul_rows(a, b), lambda i: quat_mul(a[i], b[i]), len(a))
+        # one quaternion against every row, as map_hand_into_chest_world uses it
+        _assert_rows_match(lambda: quat_mul_rows(a[0], b), lambda i: quat_mul(a[0], b[i]), len(a))
+        _assert_rows_match(lambda: quat_conj_rows(a), lambda i: quat_conj(a[i]), len(a))
+
+    @given(_quat_rows, _vec_rows)
+    def test_rotate_rows(self, rows, vecs):
+        q = np.array(rows, dtype=float)
+        v = _matching_rows(vecs, len(q))
+        _assert_rows_match(lambda: quat_rotate_rows(q, v), lambda i: quat_rotate(q[i], v[i]), len(q))
+        _assert_rows_match(lambda: quat_rotate_rows(q[0], v), lambda i: quat_rotate(q[0], v[i]), len(q))
+        _assert_rows_match(lambda: quat_rotate_rows(q, v[0]), lambda i: quat_rotate(q[i], v[0]), len(q))
+
+    @given(_slerp_cases())
+    def test_slerp_rows(self, cases):
+        q0 = np.array([c[0] for c in cases])
+        q1 = np.array([c[1] for c in cases])
+        s = np.array([c[2] for c in cases])
+        _assert_rows_match(lambda: slerp_rows(q0, q1, s), lambda i: slerp(q0[i], q1[i], s[i]), len(s))
+
+    def test_slerp_rows_takes_every_branch(self):
+        q0 = np.array([[1.0, 0.0, 0.0, 0.0]] * 4)
+        q1 = np.array(
+            [
+                [1.0, 0.0, 0.0, 0.0],  # dot > 1 - 1e-12
+                [0.0, 1.0, 0.0, 0.0],  # dot < 1e-6
+                quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.5),  # general
+                [-0.6, 0.8, 0.0, 0.0],  # aligned to q0, then general
+            ]
+        )
+        for s in (0.0, 1.0, 0.3):
+            sv = np.full(4, s)
+            _assert_rows_match(lambda: slerp_rows(q0, q1, sv), lambda i: slerp(q0[i], q1[i], s), 4)
+        tiny = q0 * 1e-13  # lerp norm below 1e-12 returns q0
+        _assert_rows_match(
+            lambda: slerp_rows(tiny, tiny, np.full(4, 0.5)), lambda i: slerp(tiny[i], tiny[i], 0.5), 4
+        )
+
+    @given(_quat_rows, _vec_rows)
+    @example([(math.sqrt(0.5), 0.0, -math.sqrt(0.5), 0.0)], [(1.0, 2.0, 3.0)])
+    def test_yaw_project_rows(self, rows, vecs):
+        q = np.array([r if any(r) else (1.0, 0.0, 0.0, 0.0) for r in rows], dtype=float)
+        try:
+            rot = quat_canonical_rows(q)
+        except ValueError:
+            return
+        pos = _matching_rows(vecs, len(q))
+
+        def as_row(b: Pose2) -> list[float]:
+            return [b.x, b.y, b.theta]
+
+        _assert_rows_match(
+            lambda: [as_row(b) for b in yaw_project_rows(pos, rot)],
+            lambda i: as_row(_yaw_project(Pose3.of_canonical(rot[i], pos[i]))),
+            len(q),
+        )

@@ -11,6 +11,7 @@ from mobman.geometry import (
     Pose2,
     Pose3,
     geodesic_so3,
+    quat_canonical,
     quat_from_axis_angle,
     quat_mul,
     wrap_angle,
@@ -23,7 +24,7 @@ from mobman.pipeline import (
     PipelineError,
     RawSession,
     assemble_dataset,
-    decouple_step,
+    decouple_rows,
     grip_from_markers,
     integrate_labels,
     lateral_quantile,
@@ -35,6 +36,7 @@ from mobman.pipeline import (
     resample_to_grid,
     save_dataset,
     savgol_smooth,
+    smooth_pose_arrays,
 )
 from mobman.sim import make_scenario, scripted_expert
 
@@ -118,6 +120,17 @@ class TestResample:
         )
         with pytest.raises(PipelineError):
             resample_to_grid(session)
+
+
+def decouple_step(chest_world: Pose3, hand_world: Pose3) -> Pose3:
+    """decouple_rows on one pair of poses."""
+    pos, rot = decouple_rows(
+        chest_world.translation[None],
+        chest_world.rotation[None],
+        hand_world.translation[None],
+        hand_world.rotation[None],
+    )
+    return Pose3.of_canonical(rot[0], pos[0])
 
 
 class TestDecoupling:
@@ -406,3 +419,152 @@ class TestEndToEnd:
         raw = assemble_dataset(session, expert.calib, PipelineConfig(smoothing=False))
         mid = len(smooth.steps) // 4  # inside the constant-speed cruise phase
         assert abs(smooth.steps[mid].base.x - raw.steps[mid].base.x) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The array passes against the per-sample loops they replaced, kept here as
+# references: the outputs must be the same bytes, so that dataset files do
+# not change.
+# ---------------------------------------------------------------------------
+
+
+def _savgol_loop(series, window, order):
+    series = np.asarray(series, dtype=float)
+    n = len(series)
+    half = window // 2
+    weights = {}
+    for h in set(min(half, i, n - 1 - i) for i in range(n)):
+        x = np.arange(-h, h + 1, dtype=float)
+        deg = min(order, 2 * h)
+        A = np.vander(x, deg + 1, increasing=True)
+        weights[h] = np.linalg.solve(A.T @ A, A.T)[0]
+    out = np.empty(n)
+    for i in range(n):
+        h = min(half, i, n - 1 - i)
+        out[i] = weights[h] @ series[i - h : i + h + 1]
+    return out
+
+
+def _smooth_loop(pos, quat, window, order):
+    sp = np.column_stack([_savgol_loop(pos[:, k], window, order) for k in range(3)])
+    aligned = quat.copy()
+    for i in range(1, len(aligned)):
+        if float(np.dot(aligned[i - 1], aligned[i])) < 0.0:
+            aligned[i] = -aligned[i]
+    sq = np.column_stack([_savgol_loop(aligned[:, k], window, order) for k in range(4)])
+    return sp, np.stack([quat_canonical(q) for q in sq])
+
+
+def _map_hand_loop(hand, cross_node):
+    pos = np.empty_like(hand.pos)
+    quat = np.empty_like(hand.quat)
+    for i in range(len(hand.t)):
+        mapped = cross_node.compose(Pose3(hand.quat[i], hand.pos[i]))
+        pos[i] = mapped.translation
+        quat[i] = mapped.rotation
+    return pos, quat
+
+
+def _resample_loop(traj, grid):
+    pos = np.empty((len(grid), 3))
+    quat = np.empty((len(grid), 4))
+    for i, t in enumerate(grid):
+        p = traj.sample_at(float(t))
+        pos[i] = p.translation
+        quat[i] = p.rotation
+    return pos, quat
+
+
+def _random_traj(rng, node, n, regular=False):
+    """n samples at irregular times, or every 50 ms from 0 if regular, so that
+    grid points fall on the last sample; raw quaternions of any norm and sign."""
+    t = np.round(np.arange(n) * 0.05, 9) if regular else np.cumsum(rng.uniform(0.01, 0.08, n)) - 0.05
+    quat = rng.normal(size=(n, 4)) * 0.05 + np.array([1.0, 0.2, -0.1, 0.3])
+    quat = np.cumsum(quat, axis=0) * rng.choice([-1.0, 1.0, 2.0], size=(n, 1))
+    pos = np.cumsum(rng.normal(0.0, 0.02, size=(n, 3)), axis=0)
+    return VioTrajectory(node, t, pos, quat, np.full(n, 1e-4))
+
+
+def _same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+_seeds = st.integers(0, 2**32 - 1)
+
+
+class TestArrayPassesMatchLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_seeds,
+        n=st.integers(11, 40),
+        window=st.sampled_from([5, 7, 9, 11]),
+        order=st.integers(1, 3),
+        width=st.integers(1, 4),
+    )
+    def test_savgol_on_strided_columns(self, seed, n, window, order, width):
+        # a column of a wider array is a strided view, as smooth_pose_arrays passes
+        cols = np.random.default_rng(seed).normal(size=(n, width)).cumsum(axis=0)
+        for k in range(width):
+            assert _same_bytes(savgol_smooth(cols[:, k], window, order), _savgol_loop(cols[:, k], window, order))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, n=st.integers(9, 40))
+    def test_smooth_pose_arrays(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pos = rng.normal(size=(n, 3)).cumsum(axis=0)
+        traj = _random_traj(rng, "chest", n)
+        quat = np.stack([quat_canonical(q) for q in traj.quat])
+        quat *= rng.choice([-1.0, 1.0], size=(n, 1))  # hemisphere flips to undo
+        if n % 3 == 0:
+            quat[rng.integers(n)] = 0.0  # zero dots: the next sample is never flipped
+        try:
+            expected = _smooth_loop(pos, quat, 9, 2)
+        except ValueError:  # a zero row smoothed at an edge stays zero
+            with pytest.raises(ValueError, match="zero or non-finite"):
+                smooth_pose_arrays(pos, quat, 9, 2)
+            return
+        got = smooth_pose_arrays(pos, quat, 9, 2)
+        assert _same_bytes(got[0], expected[0]) and _same_bytes(got[1], expected[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, n=st.integers(1, 40))
+    def test_map_hand_into_chest_world(self, seed, n):
+        rng = np.random.default_rng(seed)
+        hand = _random_traj(rng, "hand", n)
+        cross = Pose3(rng.normal(size=4), rng.normal(size=3))
+        mapped = map_hand_into_chest_world(hand, cross)
+        pos, quat = _map_hand_loop(hand, cross)
+        assert _same_bytes(mapped.pos, pos) and _same_bytes(mapped.quat, quat)
+        assert _same_bytes(mapped.t, hand.t) and _same_bytes(mapped.cov_trace, hand.cov_trace)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, n=st.integers(2, 60), regular=st.booleans())
+    def test_resample_to_grid(self, seed, n, regular):
+        rng = np.random.default_rng(seed)
+        chest = _random_traj(rng, "chest", n, regular)
+        hand = _random_traj(rng, "hand", n + 3, regular)
+        markers = np.linspace(-0.1, chest.t_end + rng.uniform(0.0, 0.2), 7)
+        session = RawSession("s", chest, hand, Pose3(), markers, np.full(7, 0.05))
+        try:
+            out = resample_to_grid(session)
+        except PipelineError:
+            return
+        for traj, pos, quat in ((chest, out.chest_pos, out.chest_quat), (hand, out.hand_pos, out.hand_quat)):
+            ref_pos, ref_quat = _resample_loop(traj, out.t)
+            assert _same_bytes(pos, ref_pos) and _same_bytes(quat, ref_quat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, n=st.integers(1, 20))
+    def test_decouple_rows(self, seed, n):
+        rng = np.random.default_rng(seed)
+        chest = [Pose3(rng.normal(size=4), rng.normal(size=3)) for _ in range(n)]
+        hand = [Pose3(rng.normal(size=4), rng.normal(size=3)) for _ in range(n)]
+        pos, rot = decouple_rows(
+            np.array([p.translation for p in chest]),
+            np.array([p.rotation for p in chest]),
+            np.array([p.translation for p in hand]),
+            np.array([p.rotation for p in hand]),
+        )
+        rel = [c.inverse().compose(h) for c, h in zip(chest, hand)]
+        assert _same_bytes(pos, [p.translation for p in rel])
+        assert _same_bytes(rot, [p.rotation for p in rel])
