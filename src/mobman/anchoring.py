@@ -47,6 +47,15 @@ class VioTrajectory:
             raise ValueError("trajectory must contain at least one sample")
         if self.pos.shape != (len(self.t), 3) or self.quat.shape != (len(self.t), 4):
             raise ValueError("trajectory poses must hold 3 position and 4 quaternion values")
+        for what, values in (
+            ("timestamp", self.t),
+            ("position", self.pos),
+            ("quaternion", self.quat),
+            ("covariance trace", self.cov_trace),
+        ):
+            bad = values[~np.isfinite(values)]
+            if len(bad):
+                raise ValueError(f"non-finite trajectory {what} value {bad[0]}")
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory timestamps must be strictly increasing")
         if np.any(self.cov_trace < 0.0):

@@ -169,6 +169,9 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
     unordered = marker_t[~np.isfinite(marker_t)]
     if len(unordered):
         raise MalformedInputError(markers_path, f"non-finite marker timestamp t={unordered[0]}")
+    bad_d = marker_d[~np.isfinite(marker_d)]
+    if len(bad_d):
+        raise MalformedInputError(markers_path, f"non-finite marker distance distance_m={bad_d[0]}")
     # lines may come in any order, as trajectory samples may
     order = np.argsort(marker_t, kind="stable")
     marker_t, marker_d = marker_t[order], marker_d[order]

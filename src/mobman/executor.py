@@ -20,7 +20,15 @@ from typing import ClassVar
 import numpy as np
 
 from .diffusion import DEFAULT_HORIZON, ActionChunkTensor
-from .geometry import Pose2, Pose3, dist_se2, geodesic_so3, quat_increment_apply, wrap_angle
+from .geometry import (
+    Pose2,
+    Pose3,
+    dist_se2,
+    geodesic_so3,
+    quat_canonical_floats,
+    quat_mul_floats,
+    wrap_angle,
+)
 
 CONTROL_DT = 0.1
 EXEC_HORIZON = 8  # T_a: rows executed between plan activations
@@ -84,19 +92,56 @@ class SpliceReport:
         return asdict(self)
 
 
+def hand_increment_floats(
+    px, py, pz, qw, qx, qy, qz, ex, ey, ez, dw, dqx, dqy, dqz
+) -> tuple[float, ...]:
+    """The hand rule of advance_state on floats: the position adds (ex, ey,
+    ez), the quaternion is left-multiplied by (dw, dqx, dqy, dqz) and
+    canonicalised. Returns (px, py, pz, qw, qx, qy, qz)."""
+    return (
+        px + ex,
+        py + ey,
+        pz + ez,
+        *quat_canonical_floats(*quat_mul_floats(dw, dqx, dqy, dqz, qw, qx, qy, qz)),
+    )
+
+
+def advance_floats(x, y, th, px, py, pz, qw, qx, qy, qz, row) -> tuple[float, ...]:
+    """advance_state on a state given as floats (base x, y, theta, hand
+    position, hand quaternion) and an 11-D row given as a sequence; returns
+    the new (x, y, theta, px, py, pz, qw, qx, qy, qz) with advance_state's
+    bits. The row's heading increment and the composed heading are wrapped as
+    the Pose2 constructor wraps them.
+    """
+    dx, dy, dth = row[0], row[1], row[2]
+    c, s = math.cos(th), math.sin(th)
+    return (
+        x + c * dx - s * dy,
+        y + s * dx + c * dy,
+        wrap_angle(th + wrap_angle(dth)),
+        *hand_increment_floats(px, py, pz, qw, qx, qy, qz, *row[3:10]),
+    )
+
+
 def advance_state(s: PredictedState, row: np.ndarray) -> PredictedState:
-    """Apply one action row to a state: the only row integrator.
+    """Apply one action row to a state, by advance_floats, the only row integrator.
 
     The base increment composes in the current base frame, the hand adds
     its translation increment and left-multiplies its quaternion increment,
     and the grip channel is absolute.
     """
-    return PredictedState(
-        base=s.base.compose(Pose2(row[0], row[1], row[2])),
-        hand_pos=s.hand_pos + row[3:6],
-        hand_rot=quat_increment_apply(s.hand_rot, row[6:10]),
-        grip=float(row[10]),
-    )
+    row = np.asarray(row, dtype=float).tolist()
+    return _state(advance_floats(*_floats(s), row), row[10])
+
+
+def _floats(s: PredictedState) -> tuple[float, ...]:
+    """The arguments of advance_floats that describe s."""
+    return (s.base.x, s.base.y, s.base.theta, *s.hand_pos.tolist(), *s.hand_rot.tolist())
+
+
+def _state(f: tuple[float, ...], grip: float) -> PredictedState:
+    """The PredictedState of advance_floats' result f and a grip."""
+    return PredictedState(Pose2.of_wrapped(f[0], f[1], f[2]), np.array(f[3:6]), np.array(f[6:10]), grip)
 
 
 def forward_rollout(s0: PredictedState, chunk: ActionChunkTensor) -> list[PredictedState]:
@@ -106,8 +151,10 @@ def forward_rollout(s0: PredictedState, chunk: ActionChunkTensor) -> list[Predic
     i = 0..T_p, so the roll-out holds T_p + 1 states (rollout[0] == s0).
     """
     states = [s0]
-    for row in chunk.values:
-        states.append(advance_state(states[-1], row))
+    f = _floats(s0)
+    for row in chunk.values.tolist():
+        f = advance_floats(*f, row)
+        states.append(_state(f, row[10]))
     return states
 
 

@@ -39,20 +39,26 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
     canonicalization is deterministic and idempotent.
     """
     q = np.asarray(q, dtype=float)
-    # sqrt(q.dot(q)) is what np.linalg.norm computes, without its dispatch
-    n = math.sqrt(q.dot(q))
+    # sqrt(q.dot(q)) is what np.linalg.norm computes, without its dispatch;
+    # it is taken on q itself, because a copy with another stride can round
+    # differently
+    return np.array(_canonical_by_norm(*q.tolist(), math.sqrt(q.dot(q))))
+
+
+def quat_canonical_floats(w: float, x: float, y: float, z: float) -> tuple[float, float, float, float]:
+    """quat_canonical of the quaternion (w, x, y, z), given and returned as
+    four floats with the bits quat_canonical gives its array."""
+    q = np.array((w, x, y, z))
+    return _canonical_by_norm(w, x, y, z, math.sqrt(q.dot(q)))
+
+
+def _canonical_by_norm(w, x, y, z, n: float) -> tuple[float, float, float, float]:
     if n == 0.0 or not math.isfinite(n):
         raise ValueError("cannot canonicalize a zero or non-finite quaternion")
-    q = q / n
-    if q[0] < 0.0:
-        q = -q
-    elif q[0] == 0.0:
-        for c in q[1:]:
-            if c != 0.0:
-                if c < 0.0:
-                    q = -q
-                break
-    return q
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0.0 or (w == 0.0 and (x < 0.0 if x != 0.0 else y < 0.0 if y != 0.0 else z < 0.0)):
+        return -w, -x, -y, -z
+    return w, x, y, z
 
 
 def quat_canonical_rows(q: np.ndarray) -> np.ndarray:
@@ -69,18 +75,20 @@ def quat_canonical_rows(q: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None], -q, q)
 
 
+def quat_mul_floats(aw, ax, ay, az, bw, bx, by, bz) -> tuple[float, float, float, float]:
+    """Hamilton product (aw, ax, ay, az) * (bw, bx, by, bz) of quaternions
+    given as floats (no normalization)."""
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b (no normalization)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+    return np.array(quat_mul_floats(*a, *b))
 
 
 def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,21 +161,32 @@ def slerp(q0: np.ndarray, q1: np.ndarray, s: float) -> np.ndarray:
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    dot = float(q0.dot(q1))
+    return np.array(slerp_floats(q0.tolist(), q1.tolist(), s, float(q0.dot(q1))))
+
+
+def slerp_floats(q0, q1, s: float, dot: float) -> tuple[float, float, float, float]:
+    """slerp of two quaternions given as sequences of four floats, whose dot
+    product the caller has taken with ndarray.dot; four floats with slerp's
+    bits. The normalising dot runs on a new array, as in slerp."""
+    w0, x0, y0, z0 = q0
+    w1, x1, y1, z1 = q1
     if dot < 0.0:
-        q1 = -q1
+        w1, x1, y1, z1 = -w1, -x1, -y1, -z1
         dot = -dot
-    if dot > 1.0 - 1e-12 or dot < 1e-6:
-        out = (1.0 - s) * q0 + s * q1
-        n = math.sqrt(out.dot(out))
-        if n < 1e-12:
-            return q0.copy()
-        return out / n
-    dot = min(dot, 1.0)
-    omega = math.acos(dot)
-    so = math.sin(omega)
-    out = (math.sin((1.0 - s) * omega) / so) * q0 + (math.sin(s * omega) / so) * q1
-    return out / math.sqrt(out.dot(out))
+    linear = dot > 1.0 - 1e-12 or dot < 1e-6
+    if linear:
+        a, b = 1.0 - s, s
+    else:
+        dot = min(dot, 1.0)
+        omega = math.acos(dot)
+        so = math.sin(omega)
+        a, b = math.sin((1.0 - s) * omega) / so, math.sin(s * omega) / so
+    out = np.array((a * w0 + b * w1, a * x0 + b * x1, a * y0 + b * y1, a * z0 + b * z1))
+    n = math.sqrt(out.dot(out))
+    if linear and n < 1e-12:
+        return w0, x0, y0, z0
+    w, x, y, z = out.tolist()
+    return w / n, x / n, y / n, z / n
 
 
 def slerp_rows(q0: np.ndarray, q1: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -205,11 +224,6 @@ def geodesic_so3(r0: np.ndarray, r1: np.ndarray) -> float:
     dot = abs(float(np.dot(np.asarray(r0, dtype=float), np.asarray(r1, dtype=float))))
     dot = min(dot, 1.0)
     return 2.0 * math.acos(dot)
-
-
-def quat_increment_apply(q_t: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """Apply a rotation increment: q_{t+1} = dq * q_t, renormalized."""
-    return quat_canonical(quat_mul(dq, q_t))
 
 
 _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -274,6 +288,16 @@ class Pose2:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", wrap_angle(self.theta))
+
+    @classmethod
+    def of_wrapped(cls, x: float, y: float, theta: float) -> "Pose2":
+        """A pose that takes a heading already wrapped to (-pi, pi] as it is:
+        wrapping it again in __post_init__ can move its last bit."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "x", x)
+        object.__setattr__(pose, "y", y)
+        object.__setattr__(pose, "theta", theta)
+        return pose
 
     def compose(self, other: "Pose2") -> "Pose2":
         c, s = math.cos(self.theta), math.sin(self.theta)

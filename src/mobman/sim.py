@@ -36,20 +36,20 @@ from .executor import (
     LatencyConfig,
     PlantCommand,
     PredictedState,
-    advance_state,
+    advance_floats,
+    hand_increment_floats,
     run_executor,
 )
-from .diffusion import ACTION_DIM, ActionChunkTensor, DEFAULT_HORIZON
+from .diffusion import ActionChunkTensor, DEFAULT_HORIZON
 from .geometry import (
     Pose2,
     Pose3,
-    geodesic_so3,
-    quat_canonical,
-    quat_conj,
+    quat_canonical_floats,
     quat_from_axis_angle,
-    quat_increment_apply,
     quat_mul,
+    quat_mul_floats,
     slerp,
+    slerp_floats,
     wrap_angle,
 )
 from .jsonl import write_jsonl
@@ -58,6 +58,9 @@ from .report import aggregate_rows
 
 CHEST_HEIGHT = 0.9  # m, chest frame above the ground plane
 ARM_REACH = 0.75  # m, hand position clamp radius around the chest origin
+# a float sum of squares of the hand position at or below this puts its BLAS
+# norm below ARM_REACH whatever the rounding of either, so the clamp is off
+_REACH_PREFILTER = ARM_REACH * ARM_REACH * (1.0 - 1e-9)
 
 DEFAULT_CALIB = GripperCalib(d_closed=0.01, d_open=0.09)
 
@@ -91,8 +94,28 @@ class Plant:
 
     Commands are applied at the first substep boundary at or after their
     effect time (virtual-clock quantization). A snapshot history backs
-    state_at() for aged observations. The hand is held as a canonical
-    quaternion and a position array rather than a Pose3.
+    state_at() for aged observations.
+
+    State layout: the history holds one plain tuple per substep, (base x, y,
+    theta, hand position x, y, z, canonical hand quaternion array, grip), and
+    its last tuple is the current state; v, omega and v_lat are floats.
+    PredictedState objects are built only by read_state and state_at. A
+    command's clipped twist and hand target are taken apart into floats once,
+    when it takes effect, and the queue is scanned only when an effect time is
+    due.
+
+    The substep is float code with the bits of the Pose2/Pose3 code it
+    replaced:
+      - every reduction is an ndarray.dot, because the BLAS dot rounds
+        differently from a Python sum of squares (it uses FMA);
+      - element-wise + - * / give the same bits on floats as on arrays, and
+        min(max(x, lo), hi) gives np.clip's;
+      - theta is wrapped wherever the Pose2 constructor wrapped it, and only
+        there, since wrapping an in-range angle again can move its last bit;
+      - the slerp result is canonicalised a second time, as the Pose3
+        constructor did;
+      - the reach clamp takes its norm only when a float sum of squares with
+        a margin says the hand may be beyond ARM_REACH.
     """
 
     def __init__(
@@ -103,103 +126,142 @@ class Plant:
         grip: float = 1.0,
     ):
         self.config = config
-        self.base = base
         hand_rel = hand_rel if hand_rel is not None else Pose3()
-        self.hand_rot = hand_rel.rotation
-        self.hand_pos = hand_rel.translation
-        self.grip = float(grip)
         self.v = 0.0
         self.omega = 0.0
         self.v_lat = 0.0
         self.t = 0.0
-        self.cmd = PlantCommand(0.0, 0.0, 0.0, hand_rel, self.grip)
+        self._k = 0  # substeps taken; t is k / (substeps per second)
+        self._take(PlantCommand(0.0, 0.0, 0.0, hand_rel, float(grip)))
         self._queue: list[tuple[float, PlantCommand]] = []
-        self._times: list[float] = []  # snapshot times, kept beside _states
-        self._states: list[PredictedState] = []
-        self._snapshot()
+        self._next_due = math.inf  # earliest effect time in _queue
+        self._times = [0.0]  # snapshot times, kept beside _states
+        self._states = [
+            (base.x, base.y, base.theta, *hand_rel.translation.tolist(), hand_rel.rotation, float(grip))
+        ]
+
+    @property
+    def base(self) -> Pose2:
+        x, y, th = self._states[-1][:3]
+        return Pose2.of_wrapped(x, y, th)
 
     @property
     def hand_rel(self) -> Pose3:
-        return Pose3(self.hand_rot, self.hand_pos)
+        s = self._states[-1]
+        return Pose3(s[6], np.array(s[3:6]))
 
-    def _snapshot(self):
-        self._times.append(self.t)
-        self._states.append(self.read_state()[0])
+    @property
+    def grip(self) -> float:
+        return self._states[-1][7]
 
     def issue_command(self, cmd: PlantCommand, t_effect: float) -> None:
         self._queue.append((t_effect, cmd))
+        if t_effect < self._next_due:
+            self._next_due = t_effect
+
+    @staticmethod
+    def _state(s: tuple) -> PredictedState:
+        return PredictedState(Pose2.of_wrapped(s[0], s[1], s[2]), np.array(s[3:6]), s[6], s[7])
 
     def read_state(self) -> tuple[PredictedState, float, float]:
-        return PredictedState(self.base, self.hand_pos, self.hand_rot, self.grip), self.v, self.omega
+        return self._state(self._states[-1]), self.v, self.omega
 
     def state_at(self, t: float) -> PredictedState:
         """State at a past time, interpolated between substep snapshots."""
         times, states = self._times, self._states
         if t <= times[0]:
-            return states[0]
+            return self._state(states[0])
         if t >= times[-1]:
-            return states[-1]
+            return self._state(states[-1])
         j = bisect.bisect_right(times, t)
-        s0, s1 = states[j - 1], states[j]
+        x0, y0, th0, px0, py0, pz0, q0, g0 = states[j - 1]
+        x1, y1, th1, px1, py1, pz1, q1, g1 = states[j]
         a = (t - times[j - 1]) / (times[j] - times[j - 1])
         return PredictedState(
-            base=Pose2(
-                (1 - a) * s0.base.x + a * s1.base.x,
-                (1 - a) * s0.base.y + a * s1.base.y,
-                s0.base.theta + a * wrap_angle(s1.base.theta - s0.base.theta),
-            ),
-            hand_pos=(1 - a) * s0.hand_pos + a * s1.hand_pos,
-            hand_rot=slerp(s0.hand_rot, s1.hand_rot, a),
-            grip=(1 - a) * s0.grip + a * s1.grip,
+            base=Pose2((1 - a) * x0 + a * x1, (1 - a) * y0 + a * y1, th0 + a * wrap_angle(th1 - th0)),
+            hand_pos=np.array(((1 - a) * px0 + a * px1, (1 - a) * py0 + a * py1, (1 - a) * pz0 + a * pz1)),
+            hand_rot=slerp(q0, q1, a),
+            grip=(1 - a) * g0 + a * g1,
         )
+
+    def _take(self, cmd: PlantCommand) -> None:
+        """Make cmd the active command, taken apart into the floats a substep reads."""
+        cfg = self.config
+        target = cmd.hand_target
+        q1 = target.rotation
+        self._cmd = (
+            # min(max(x, lo), hi) is np.clip's result, signed zeros included
+            float(min(max(cmd.v, -cfg.v_max), cfg.v_max)),
+            float(min(max(cmd.omega, -cfg.omega_max), cfg.omega_max)),
+            float(min(max(cmd.v_lat, -cfg.lateral_clip), cfg.lateral_clip)),
+            *target.translation.tolist(),
+            q1,
+            q1.tolist(),
+            cmd.grip_target,
+        )
+
+    def _take_due(self, now: float) -> None:
+        """Activate the last issued of the commands due at now; drop them all."""
+        due = [c for c in self._queue if c[0] <= now + 1e-9]
+        self._take(due[-1][1])
+        self._queue = [c for c in self._queue if c[0] > now + 1e-9]
+        self._next_due = math.inf
+        for t_effect, _ in self._queue:
+            if t_effect < self._next_due:
+                self._next_due = t_effect
 
     def step_to(self, t: float) -> None:
         cfg = self.config
-        while self.t < t - 1e-9:
-            due = [c for c in self._queue if c[0] <= self.t + 1e-9]
-            if due:
-                # last issued command wins when several are due
-                self.cmd = due[-1][1]
-                self._queue = [c for c in self._queue if c[0] > self.t + 1e-9]
-            self._substep()
-            self.t = round(self.t + cfg.dt_sub, 9)
-            self._snapshot()
-
-    def _substep(self) -> None:
-        cfg = self.config
         dt = cfg.dt_sub
-        cmd = self.cmd
-        # min(max(x, lo), hi) is np.clip's result, signed zeros included
-        v_cmd = float(min(max(cmd.v, -cfg.v_max), cfg.v_max))
-        w_cmd = float(min(max(cmd.omega, -cfg.omega_max), cfg.omega_max))
-        lat_cmd = float(min(max(cmd.v_lat, -cfg.lateral_clip), cfg.lateral_clip))
-        if cfg.kinematic:
-            self.v, self.omega, self.v_lat = v_cmd, w_cmd, lat_cmd
-        else:
-            self.v = v_cmd + (self.v - v_cmd) * cfg.decay_base
-            self.omega = w_cmd + (self.omega - w_cmd) * cfg.decay_base
-            self.v_lat = lat_cmd + (self.v_lat - lat_cmd) * cfg.decay_lateral
-        c, s = math.cos(self.base.theta), math.sin(self.base.theta)
-        self.base = Pose2(
-            self.base.x + (self.v * c - self.v_lat * s) * dt,
-            self.base.y + (self.v * s + self.v_lat * c) * dt,
-            self.base.theta + self.omega * dt,
-        )
-        # arm: first-order pose tracking toward the commanded target
-        a = 1.0 if cfg.kinematic else cfg.arm_gain
-        target = cmd.hand_target
-        pos = self.hand_pos + a * (target.translation - self.hand_pos)
-        r = math.sqrt(pos.dot(pos))
-        if r > ARM_REACH:
-            pos = pos * (ARM_REACH / r)
-        # slerp normalises, then quat_canonical normalises again as the Pose3
-        # constructor does; without the second pass the last bits of every
-        # episode state change
-        self.hand_rot = quat_canonical(slerp(self.hand_rot, target.rotation, a))
-        self.hand_pos = pos
+        kinematic = cfg.kinematic
+        decay_base, decay_lateral = cfg.decay_base, cfg.decay_lateral
+        a = 1.0 if kinematic else cfg.arm_gain
         rate = cfg.grip_rate * dt
-        dg = min(max(cmd.grip_target - self.grip, -rate), rate)
-        self.grip = float(min(max(self.grip + dg, 0.0), 1.0))
+        # k / per_s is the time that round(t + dt, 9) chained from 0 reaches
+        per_s = round(1.0 / dt)
+        times, states = self._times, self._states
+        x, y, th, px, py, pz, rot, grip = states[-1]
+        qw, qx, qy, qz = rot.tolist()
+        v, omega, v_lat = self.v, self.omega, self.v_lat
+        v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
+        now, k = self.t, self._k
+        while now < t - 1e-9:
+            if self._next_due <= now + 1e-9:
+                self._take_due(now)
+                v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
+            if kinematic:
+                v, omega, v_lat = v_cmd, w_cmd, lat_cmd
+            else:
+                v = v_cmd + (v - v_cmd) * decay_base
+                omega = w_cmd + (omega - w_cmd) * decay_base
+                v_lat = lat_cmd + (v_lat - lat_cmd) * decay_lateral
+            c, s = math.cos(th), math.sin(th)
+            x = x + (v * c - v_lat * s) * dt
+            y = y + (v * s + v_lat * c) * dt
+            th = wrap_angle(th + omega * dt)
+            # arm: first-order pose tracking toward the commanded target
+            px = px + a * (tx - px)
+            py = py + a * (ty - py)
+            pz = pz + a * (tz - pz)
+            if px * px + py * py + pz * pz > _REACH_PREFILTER:
+                pos = np.array((px, py, pz))
+                r = math.sqrt(pos.dot(pos))
+                if r > ARM_REACH:
+                    f = ARM_REACH / r
+                    px, py, pz = px * f, py * f, pz * f
+            # slerp normalises, then quat_canonical normalises again as the
+            # Pose3 constructor did; without the second pass the last bits of
+            # every episode state change
+            qw, qx, qy, qz = quat_canonical_floats(*slerp_floats((qw, qx, qy, qz), q1f, a, float(rot.dot(q1))))
+            rot = np.array((qw, qx, qy, qz))
+            dg = min(max(g_cmd - grip, -rate), rate)
+            grip = float(min(max(grip + dg, 0.0), 1.0))
+            k += 1
+            now = k / per_s
+            times.append(now)
+            states.append((x, y, th, px, py, pz, rot, grip))
+        self.v, self.omega, self.v_lat = v, omega, v_lat
+        self.t, self._k = now, k
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +287,9 @@ class ExpertScript:
         ]
         # segment j runs from knot j to knot j + 1 and holds t <= _ends[j]
         self._ends: list[float] = []
-        # set by make_scenario: returns the shared reference of an identical
-        # script; a new knot clears it
-        self._shared_reference = None
+        # set by make_scenario: the scenario name whose shared reference and
+        # world hand tables this script's knots give; a new knot clears it
+        self._scenario: str | None = None
 
     @staticmethod
     def _round_duration(d: float) -> float:
@@ -245,7 +307,7 @@ class ExpertScript:
             )
         )
         self._ends.append(t1 + 1e-12)
-        self._shared_reference = None
+        self._scenario = None
         return self
 
     def pause(self, duration: float):
@@ -316,8 +378,8 @@ class ExpertScript:
         so it is read-only: tuples of poses, and arrays that cannot be
         written.
         """
-        if self._shared_reference is not None:
-            return self._shared_reference()
+        if self._scenario is not None:
+            return _scenario_reference(self._scenario)
         n10 = int(round(self.duration * 10))
         ref_t = np.round(np.arange(n10 + 1) / 10.0, 9)
         hand = tuple(self.hand_at(ti) for ti in ref_t)
@@ -325,6 +387,13 @@ class ExpertScript:
         for a in (ref_t, grip, *(h.rotation for h in hand), *(h.translation for h in hand)):
             a.flags.writeable = False
         return ref_t, tuple(self.base_at(ti) for ti in ref_t), hand, grip
+
+    def world_hand(self) -> tuple[tuple[float, ...], ...]:
+        """hand_world_pose of the reference's base and hand at every 10 Hz
+        step, as (px, py, pz, qw, qx, qy, qz). Shared like reference()."""
+        if self._scenario is not None:
+            return _scenario_world_hand(self._scenario)
+        return _world_hand(self.reference())
 
 
 HAND_HOME = Pose3(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.30, 0.0, -0.20]))
@@ -484,17 +553,31 @@ def _scenario_reference(name: str) -> tuple:
     return _SCENARIOS[name][0]().reference()
 
 
+def _world_hand(reference: tuple) -> tuple[tuple[float, ...], ...]:
+    _, base, hand, _ = reference
+    return tuple(
+        (*p.translation.tolist(), *p.rotation.tolist()) for p in map(hand_world_pose, base, hand)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario_world_hand(name: str) -> tuple[tuple[float, ...], ...]:
+    """ExpertScript.world_hand of the scripts built for name, built once."""
+    return _world_hand(_scenario_reference(name))
+
+
 def make_scenario(name: str) -> SimScenario:
     """A fresh scenario: its own script and goal list.
 
     Every script built for one name is the same knot table, so they all share
-    one read-only reference, built when the first of them is asked for it.
+    one read-only reference and world hand table, each built when the first
+    of them is asked for it.
     """
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}")
     build, goals, time_limit = _SCENARIOS[name]
     script = build()
-    script._shared_reference = functools.partial(_scenario_reference, name)
+    script._scenario = name
     return SimScenario(name, script, list(goals), time_limit)
 
 
@@ -691,7 +774,7 @@ def save_expert_session(out_dir, expert: ExpertSession) -> None:
 # Policies
 # ---------------------------------------------------------------------------
 
-_IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+_IDENTITY_Q4 = (1.0, 0.0, 0.0, 0.0)
 HOLD_ROW = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
@@ -722,6 +805,10 @@ class ExpertReplayPolicy:
     motion, which entangles locomotion with manipulation — the row increments
     then contain the demo's base motion and point at the demo's absolute
     grasp location regardless of the executed path.
+
+    The rows are computed on floats, with the bits of the Pose2/Pose3 code
+    they replaced (the bit rules of Plant), and the running state is chained
+    with executor.advance_floats.
     """
 
     MAX_DX = 0.045
@@ -743,30 +830,39 @@ class ExpertReplayPolicy:
             raise ValueError("label_frame must be 'relative' or 'global'")
         self.label_frame = label_frame
         _, ref_base, ref_hand, ref_grip = script.reference()
-        self.ref_base = [task_frame.compose(b) for b in ref_base]
-        self.ref_hand = ref_hand
-        self.ref_grip = ref_grip
-        # demo-world hand poses, as recorded (not shifted into the task frame);
-        # only the global label frame reads them
-        self.ref_hand_world = (
-            [hand_world_pose(b, h) for b, h in zip(ref_base, ref_hand)]
+        # task_frame.compose(b) of every reference base pose, as (x, y, theta)
+        fx, fy, fth = task_frame.x, task_frame.y, task_frame.theta
+        c, s = math.cos(fth), math.sin(fth)
+        self.ref_base = [
+            (fx + c * b.x - s * b.y, fy + s * b.x + c * b.y, wrap_angle(fth + b.theta))
+            for b in ref_base
+        ]
+        self.ref_hand_pos = np.array([h.translation for h in ref_hand])
+        self.ref_grip = ref_grip.tolist()
+        # hand targets as (px, py, pz, qw, qx, qy, qz): chest-relative, or the
+        # demo-world hand poses as recorded (not shifted into the task frame)
+        self.ref_hand = (
+            script.world_hand()
             if label_frame == "global"
-            else None
+            else [(*h.translation.tolist(), *h.rotation.tolist()) for h in ref_hand]
         )
         self._cursor = 0
 
     def _match_index(self, obs: PredictedState) -> int:
         lo = self._cursor
         hi = min(len(self.ref_base), lo + 30)
+        # row-wise BLAS dots of contiguous rows, as the 3-vector dots they replace
+        dp = self.ref_hand_pos[lo:hi] - obs.hand_pos
+        hand_d = np.sqrt(np.vecdot(dp, dp)).tolist()
+        x, y, th, grip = obs.base.x, obs.base.y, obs.base.theta, obs.grip
         best, best_j = None, lo
-        for j in range(lo, hi):
-            d = math.hypot(
-                self.ref_base[j].x - obs.base.x, self.ref_base[j].y - obs.base.y
-            )
-            d += 0.5 * abs(wrap_angle(self.ref_base[j].theta - obs.base.theta))
-            dp = self.ref_hand[j].translation - obs.hand_pos
-            d += math.sqrt(dp.dot(dp))
-            d += 0.1 * abs(self.ref_grip[j] - obs.grip)
+        for j, (bx, by, bth), dh, g in zip(
+            range(lo, hi), self.ref_base[lo:hi], hand_d, self.ref_grip[lo:hi]
+        ):
+            d = math.hypot(bx - x, by - y)
+            d += 0.5 * abs(wrap_angle(bth - th))
+            d += dh
+            d += 0.1 * abs(g - grip)
             # prefer the latest of equally close reference steps (idle phases)
             if best is None or d < best - 1e-9:
                 best, best_j = d, j
@@ -775,51 +871,62 @@ class ExpertReplayPolicy:
         self._cursor = best_j
         return best_j
 
-    def _base_row(self, cur: Pose2, target: Pose2) -> tuple[float, float, float]:
-        e = target.relative_to(cur)
-        dx = float(min(max(e.x, -self.MAX_DX), self.MAX_DX))
-        dy = float(min(max(e.y, -self.MAX_DY), self.MAX_DY))
-        steer = float(min(max(self.STEER_GAIN * e.y, -self.MAX_STEER), self.MAX_STEER))
-        dth = float(min(max(wrap_angle(e.theta) + steer, -self.MAX_DTH), self.MAX_DTH))
+    def _base_row(self, x, y, th, tx, ty, tth) -> tuple[float, float, float]:
+        """The base increment toward (tx, ty, tth) from (x, y, th)."""
+        # e = target.relative_to(cur) = cur.inverse().compose(target)
+        c, s = math.cos(th), math.sin(th)
+        ix, iy, ith = -(c * x + s * y), -(-s * x + c * y), wrap_angle(-th)
+        c, s = math.cos(ith), math.sin(ith)
+        ex, ey, eth = ix + c * tx - s * ty, iy + s * tx + c * ty, wrap_angle(ith + tth)
+        dx = float(min(max(ex, -self.MAX_DX), self.MAX_DX))
+        dy = float(min(max(ey, -self.MAX_DY), self.MAX_DY))
+        steer = float(min(max(self.STEER_GAIN * ey, -self.MAX_STEER), self.MAX_STEER))
+        dth = float(min(max(wrap_angle(eth) + steer, -self.MAX_DTH), self.MAX_DTH))
         return dx, dy, dth
 
-    def _hand_step(self, pos, rot, target: Pose3):
-        ep = target.translation - pos
-        n = math.sqrt(ep.dot(ep))
+    def _hand_step(self, px, py, pz, qw, qx, qy, qz, target) -> tuple[float, ...]:
+        """The bounded hand increment (dp, dq) toward target (px, ..., qz)."""
+        tpx, tpy, tpz, tw, tx, ty, tz = target
+        ex, ey, ez = tpx - px, tpy - py, tpz - pz
+        e = np.array((ex, ey, ez))
+        n = math.sqrt(e.dot(e))
         if n > self.MAX_HAND_STEP:
-            ep = ep * (self.MAX_HAND_STEP / n)
-        q_err = quat_canonical(quat_mul(target.rotation, quat_conj(rot)))
-        ang = geodesic_so3(_IDENTITY_Q, q_err)
+            f = self.MAX_HAND_STEP / n
+            ex, ey, ez = ex * f, ey * f, ez * f
+        # q_err = canonical(target * conj(rot))
+        q_err = quat_canonical_floats(*quat_mul_floats(tw, tx, ty, tz, qw, -qx, -qy, -qz))
+        # geodesic_so3(identity, q_err) and slerp(identity, q_err, frac) take
+        # identity . q_err, which every summation order gives exactly as w
+        w = q_err[0]
+        ang = 2.0 * math.acos(min(abs(w), 1.0))
         frac = 1.0 if ang <= self.MAX_HAND_ROT else self.MAX_HAND_ROT / ang
-        dq = slerp(_IDENTITY_Q, q_err, frac)
-        return ep, dq
+        return ex, ey, ez, *slerp_floats(_IDENTITY_Q4, q_err, frac, w)
 
     def __call__(self, obs: PredictedState, obs_t: float) -> ActionChunkTensor:
         j = self._match_index(obs)
-        n = len(self.ref_base)
-        rows = np.zeros((DEFAULT_HORIZON, ACTION_DIM))
-        cur = obs
-        if self.label_frame == "global":
-            hand_world = hand_world_pose(obs.base, obs.hand_rel)
-            world_pos, world_rot = hand_world.translation, hand_world.rotation
+        last = len(self.ref_base) - 1
+        ref_base, ref_hand, ref_grip = self.ref_base, self.ref_hand, self.ref_grip
+        state = (obs.base.x, obs.base.y, obs.base.theta, *obs.hand_pos.tolist(), *obs.hand_rot.tolist())
+        grip = obs.grip
+        relative = self.label_frame == "relative"
+        if not relative:
+            world = hand_world_pose(obs.base, obs.hand_rel)
+            hand = (*world.translation.tolist(), *world.rotation.tolist())
+        rows = []
         for r in range(DEFAULT_HORIZON):
-            k = min(j + r + 1, n - 1)
-            dx, dy, dth = self._base_row(cur.base, self.ref_base[k])
-            if self.label_frame == "relative":
-                dp, dq = self._hand_step(cur.hand_pos, cur.hand_rot, self.ref_hand[k])
+            k = min(j + r + 1, last)
+            base_row = self._base_row(*state[:3], *ref_base[k])
+            if relative:
+                hand_row = self._hand_step(*state[3:], ref_hand[k])
             else:
-                dp, dq = self._hand_step(world_pos, world_rot, self.ref_hand_world[k])
-                # the hand rule of executor.advance_state, on the world-frame hand
-                world_pos, world_rot = world_pos + dp, quat_increment_apply(world_rot, dq)
-            g = cur.grip + float(
-                min(max(self.ref_grip[k] - cur.grip, -self.MAX_DGRIP), self.MAX_DGRIP)
-            )
-            rows[r, 0:3] = [dx, dy, dth]
-            rows[r, 3:6] = dp
-            rows[r, 6:10] = dq
-            rows[r, 10] = g
-            cur = advance_state(cur, rows[r])
-        return ActionChunkTensor(rows)
+                hand_row = self._hand_step(*hand, ref_hand[k])
+                # the hand rule of executor.advance_floats, on the world-frame hand
+                hand = hand_increment_floats(*hand, *hand_row)
+            grip += float(min(max(ref_grip[k] - grip, -self.MAX_DGRIP), self.MAX_DGRIP))
+            row = (*base_row, *hand_row, grip)
+            rows.append(row)
+            state = advance_floats(*state, row)
+        return ActionChunkTensor(np.array(rows))
 
 
 # ---------------------------------------------------------------------------

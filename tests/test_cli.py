@@ -222,6 +222,84 @@ class TestProcessCommand:
         assert not (out / "dataset.jsonl").exists()
 
 
+    def test_non_finite_marker_distance_usage_error(self, raw_session, anchored, tmp_path, capsys):
+        raw, _ = raw_session
+        lines = (raw / "markers.jsonl").read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["distance_m"] = math.nan
+        lines[3] = json.dumps(rec)
+        capsys.readouterr()
+        rc, out = self._process_markers(raw, anchored, tmp_path, lines)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            f"usage error: {tmp_path / 'raw' / 'markers.jsonl'}: non-finite marker distance distance_m=nan"
+        ]
+        assert not (out / "dataset.jsonl").exists()
+
+
+def _set_t(rec, value):
+    rec["t"] = value
+
+
+def _set_position(rec, value):
+    rec["pose"][1] = value
+
+
+def _set_quaternion(rec, value):
+    rec["pose"][4] = value
+
+
+def _set_cov_trace(rec, value):
+    rec["cov_trace"] = value
+
+
+class TestNonFiniteTrajectory:
+    """A non-finite trajectory value is a usage error naming the file, for
+    anchor and for process, instead of a traceback or a silent acceptance."""
+
+    @pytest.mark.parametrize("command", ["anchor", "process"])
+    @pytest.mark.parametrize(
+        "edit, value, reason",
+        [
+            (_set_t, math.nan, "non-finite trajectory timestamp value nan"),
+            (_set_position, math.inf, "non-finite trajectory position value inf"),
+            (_set_quaternion, math.nan, "non-finite trajectory quaternion value nan"),
+            (_set_cov_trace, math.nan, "non-finite trajectory covariance trace value nan"),
+        ],
+        ids=["t", "position", "quaternion", "cov_trace"],
+    )
+    def test_usage_error_names_file(
+        self, command, edit, value, reason, raw_session, anchored, tmp_path, capsys
+    ):
+        raw, _ = raw_session
+        bad = tmp_path / "raw"
+        bad.mkdir()
+        (bad / "markers.jsonl").write_text((raw / "markers.jsonl").read_text())
+        lines = (raw / "trajectories.jsonl").read_text().splitlines()
+        rec = json.loads(lines[5])
+        edit(rec, value)
+        lines[5] = json.dumps(rec)
+        traj = bad / "trajectories.jsonl"
+        traj.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if command == "anchor":
+            argv = [
+                "anchor",
+                "--trajectories", str(traj),
+                "--detections", str(raw / "detections.jsonl"),
+                "--extrinsics", str(raw / "extrinsics.json"),
+                "--output", str(out / "anchors.json"),
+            ]
+        else:
+            argv = ["process", "--raw", str(bad), "--anchor", str(anchored), "--output", str(out)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: {traj}: {reason}"]
+        assert not out.exists()
+
+
 class TestProcessDigests:
     # SHA-256 of anchors.json, then of dataset.jsonl from `process` and from
     # `process --no-smoothing`, for the scripted_expert session of seed 13,

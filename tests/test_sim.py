@@ -1,11 +1,31 @@
+import bisect
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobman.executor import ExecutorConfig, PlantCommand
-from mobman.geometry import Pose2, Pose3, slerp, wrap_angle
+import mobman.sim as sim
+from mobman.diffusion import ActionChunkTensor
+from mobman.executor import (
+    ExecutorConfig,
+    PlantCommand,
+    PredictedState,
+    advance_state,
+    forward_rollout,
+    run_executor,
+)
+from mobman.geometry import (
+    Pose2,
+    Pose3,
+    quat_canonical,
+    quat_canonical_floats,
+    quat_mul,
+    slerp,
+    wrap_angle,
+)
 from mobman.sim import (
     ARM_REACH,
     Condition,
@@ -79,6 +99,65 @@ REFERENCE_DIGESTS = {
     "long_horizon": "7670d885c27592c13f52d8c644bc1c28b5a0ee11cc3f101f892628befda911c4",
     "cruise": "dbc122c46417b7e76c1fe47fd83b26a572c5f61fb4fea7ad329a7842819fe16a",
 }
+
+
+# SHA-256 of every closed-loop state of the episodes that state_fingerprint
+# runs: each tick's plant state, each observation state_at returned and each
+# chunk's rows, all at full precision. Recorded before the plant, the row
+# integrator and the replay policy were rewritten as float code. The rounded
+# pins above cannot see last-bit drift (dropping the plant's second quaternion
+# canonicalisation moves state bits but not the rows), this can.
+STATE_FINGERPRINT = "474e501fedacd48d9a457403aa95cfd70b4e06cbee93c828f53efca19aadc697"
+
+FINGERPRINT_MATRIX = [
+    Condition(
+        f"match_{m}_label_{label}",
+        matching=m == "on",
+        label_frame=label,
+        jitter_ms=18.0,
+        locomotion_variation=True,
+    )
+    for m in ("on", "off")
+    for label in ("relative", "global")
+]
+
+
+def state_fingerprint(monkeypatch) -> str:
+    """Hash of the episodes of every scenario under the four matrix conditions
+    on the lagged plant (trial seeds of master seed 0, trials 0 and 1), plus
+    one kinematic-plant episode per scenario."""
+    h = hashlib.sha256()
+
+    def put(state, *scalars):
+        b = state.base
+        h.update(" ".join(float.hex(float(x)) for x in (b.x, b.y, b.theta, state.grip, *scalars)).encode())
+        h.update(state.hand_pos.tobytes())
+        h.update(state.hand_rot.tobytes())
+
+    def recording_run_executor(policy, plant, config, tick_callback=None):
+        def recording_policy(obs, obs_t):
+            put(obs, obs_t)
+            chunk = policy(obs, obs_t)
+            h.update(chunk.values.tobytes())
+            return chunk
+
+        def recording_tick(tick, t, pl):
+            state, v, omega = pl.read_state()
+            put(state, v, omega)
+            return tick_callback(tick, t, pl)
+
+        return run_executor(recording_policy, plant, config, tick_callback=recording_tick)
+
+    monkeypatch.setattr(sim, "run_executor", recording_run_executor)
+    seeds = [int(np.random.SeedSequence([0, k]).generate_state(1)[0]) for k in (0, 1)]
+    for name in SCENARIO_NAMES:
+        for cond in FINGERPRINT_MATRIX:
+            for seed in seeds:
+                h.update(f"{name}/{cond.name}/{seed}".encode())
+                run_condition_trial(cond, name, seed)
+        h.update(f"{name}/kinematic".encode())
+        run_condition_trial(FINGERPRINT_MATRIX[0], name, seeds[0], PlantConfig(kinematic=True))
+    return h.hexdigest()
 
 
 def expert_digest(name: str) -> str:
@@ -364,6 +443,9 @@ class TestEpisodes:
         with pytest.raises(ValueError, match="duplicate condition names"):
             compare_conditions(conds, "nav_reach", n_trials=1)
 
+    def test_episode_states_unchanged(self, monkeypatch):
+        assert state_fingerprint(monkeypatch) == STATE_FINGERPRINT
+
     def test_condition_matrix_rows_unchanged(self):
         conds = [
             Condition(
@@ -380,3 +462,342 @@ class TestEpisodes:
         for name in ("nav_reach", "long_horizon"):
             rows += compare_conditions(conds, name, n_trials=1, master_seed=0)[0]
         assert rows == GOLDEN_MATRIX_ROWS
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the plant, the row integrator and the quaternion
+# helpers they call, as they were before they became float code. The float
+# code must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_quat_canonical(q):
+    q = np.asarray(q, dtype=float)
+    n = math.sqrt(q.dot(q))
+    if n == 0.0 or not math.isfinite(n):
+        raise ValueError("cannot canonicalize a zero or non-finite quaternion")
+    q = q / n
+    if q[0] < 0.0:
+        q = -q
+    elif q[0] == 0.0:
+        for c in q[1:]:
+            if c != 0.0:
+                if c < 0.0:
+                    q = -q
+                break
+    return q
+
+
+def _ref_quat_mul(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def _ref_slerp(q0, q1, s):
+    q0 = np.asarray(q0, dtype=float)
+    q1 = np.asarray(q1, dtype=float)
+    dot = float(q0.dot(q1))
+    if dot < 0.0:
+        q1 = -q1
+        dot = -dot
+    if dot > 1.0 - 1e-12 or dot < 1e-6:
+        out = (1.0 - s) * q0 + s * q1
+        n = math.sqrt(out.dot(out))
+        if n < 1e-12:
+            return q0.copy()
+        return out / n
+    dot = min(dot, 1.0)
+    omega = math.acos(dot)
+    so = math.sin(omega)
+    out = (math.sin((1.0 - s) * omega) / so) * q0 + (math.sin(s * omega) / so) * q1
+    return out / math.sqrt(out.dot(out))
+
+
+def _ref_advance_state(s, row):
+    return PredictedState(
+        base=s.base.compose(Pose2(row[0], row[1], row[2])),
+        hand_pos=s.hand_pos + row[3:6],
+        hand_rot=_ref_quat_canonical(_ref_quat_mul(row[6:10], s.hand_rot)),
+        grip=float(row[10]),
+    )
+
+
+class _RefPlant:
+    """Plant with Pose2 base, array hand and one PredictedState per substep."""
+
+    def __init__(self, config, base=Pose2(), hand_rel=None, grip=1.0):
+        self.config = config
+        self.base = base
+        hand_rel = hand_rel if hand_rel is not None else Pose3()
+        self.hand_rot = hand_rel.rotation
+        self.hand_pos = hand_rel.translation
+        self.grip = float(grip)
+        self.v = 0.0
+        self.omega = 0.0
+        self.v_lat = 0.0
+        self.t = 0.0
+        self.cmd = PlantCommand(0.0, 0.0, 0.0, hand_rel, self.grip)
+        self._queue = []
+        self._times = []
+        self._states = []
+        self._snapshot()
+
+    def _snapshot(self):
+        self._times.append(self.t)
+        self._states.append(self.read_state()[0])
+
+    def issue_command(self, cmd, t_effect):
+        self._queue.append((t_effect, cmd))
+
+    def read_state(self):
+        return PredictedState(self.base, self.hand_pos, self.hand_rot, self.grip), self.v, self.omega
+
+    def state_at(self, t):
+        times, states = self._times, self._states
+        if t <= times[0]:
+            return states[0]
+        if t >= times[-1]:
+            return states[-1]
+        j = bisect.bisect_right(times, t)
+        s0, s1 = states[j - 1], states[j]
+        a = (t - times[j - 1]) / (times[j] - times[j - 1])
+        return PredictedState(
+            base=Pose2(
+                (1 - a) * s0.base.x + a * s1.base.x,
+                (1 - a) * s0.base.y + a * s1.base.y,
+                s0.base.theta + a * wrap_angle(s1.base.theta - s0.base.theta),
+            ),
+            hand_pos=(1 - a) * s0.hand_pos + a * s1.hand_pos,
+            hand_rot=_ref_slerp(s0.hand_rot, s1.hand_rot, a),
+            grip=(1 - a) * s0.grip + a * s1.grip,
+        )
+
+    def step_to(self, t):
+        cfg = self.config
+        while self.t < t - 1e-9:
+            due = [c for c in self._queue if c[0] <= self.t + 1e-9]
+            if due:
+                self.cmd = due[-1][1]
+                self._queue = [c for c in self._queue if c[0] > self.t + 1e-9]
+            self._substep()
+            self.t = round(self.t + cfg.dt_sub, 9)
+            self._snapshot()
+
+    def _substep(self):
+        cfg = self.config
+        dt = cfg.dt_sub
+        cmd = self.cmd
+        v_cmd = float(min(max(cmd.v, -cfg.v_max), cfg.v_max))
+        w_cmd = float(min(max(cmd.omega, -cfg.omega_max), cfg.omega_max))
+        lat_cmd = float(min(max(cmd.v_lat, -cfg.lateral_clip), cfg.lateral_clip))
+        if cfg.kinematic:
+            self.v, self.omega, self.v_lat = v_cmd, w_cmd, lat_cmd
+        else:
+            self.v = v_cmd + (self.v - v_cmd) * cfg.decay_base
+            self.omega = w_cmd + (self.omega - w_cmd) * cfg.decay_base
+            self.v_lat = lat_cmd + (self.v_lat - lat_cmd) * cfg.decay_lateral
+        c, s = math.cos(self.base.theta), math.sin(self.base.theta)
+        self.base = Pose2(
+            self.base.x + (self.v * c - self.v_lat * s) * dt,
+            self.base.y + (self.v * s + self.v_lat * c) * dt,
+            self.base.theta + self.omega * dt,
+        )
+        a = 1.0 if cfg.kinematic else cfg.arm_gain
+        target = cmd.hand_target
+        pos = self.hand_pos + a * (target.translation - self.hand_pos)
+        r = math.sqrt(pos.dot(pos))
+        if r > ARM_REACH:
+            pos = pos * (ARM_REACH / r)
+        self.hand_rot = _ref_quat_canonical(_ref_slerp(self.hand_rot, target.rotation, a))
+        self.hand_pos = pos
+        rate = cfg.grip_rate * dt
+        dg = min(max(cmd.grip_target - self.grip, -rate), rate)
+        self.grip = float(min(max(self.grip + dg, 0.0), 1.0))
+
+
+def _bits(state) -> bytes:
+    """Every bit of a PredictedState; -0.0 and 0.0 differ."""
+    b = state.base
+    head = np.array([b.x, b.y, b.theta, state.grip], dtype=float).tobytes()
+    return head + state.hand_pos.tobytes() + state.hand_rot.tobytes()
+
+
+def _unit(rng, n=4):
+    v = rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+# hand rotation targets relative to the plant's current rotation q
+_ROTATION_KINDS = {
+    "random": lambda rng, q: _unit(rng),
+    "same": lambda rng, q: q.copy(),
+    "near": lambda rng, q: q + 1e-9 * rng.normal(size=4),
+    # conjugate: a negative dot for rotations beyond 90 degrees, slerp flips it
+    "conjugate": lambda rng, q: q * np.array([1.0, -1.0, -1.0, -1.0]),
+    # orthogonal: 180 degrees apart, slerp's linear branch with a zero dot
+    "orthogonal": lambda rng, q: np.array([-q[1], q[0], -q[3], q[2]]),
+    "w0": lambda rng, q: np.concatenate([[0.0], _unit(rng, 3)]),
+    "w0_axis": lambda rng, q: np.array([0.0, 0.0, -1.0, 0.0]),
+}
+
+# hand position targets: inside, beyond and on the reach sphere
+_TRANSLATION_KINDS = {
+    "inside": lambda rng: rng.uniform(-0.4, 0.4, size=3),
+    "beyond": lambda rng: _unit(rng, 3) * rng.uniform(0.8, 3.0),
+    "on_reach": lambda rng: _unit(rng, 3) * ARM_REACH,
+    "on_reach_axis": lambda rng: np.array([0.0, -ARM_REACH, 0.0]),
+    "on_reach_sum": lambda rng: np.array([0.45, 0.6, 0.0]),
+}
+
+_twist = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 0.8, -0.8, 1.5, -1.5, 0.05, -0.05, 2.5, -2.5]),
+)
+
+
+@st.composite
+def _plant_runs(draw):
+    ticks = []
+    for _ in range(draw(st.integers(1, 8))):
+        commands = [
+            (
+                draw(_twist),
+                draw(_twist),
+                draw(_twist),
+                draw(st.sampled_from(sorted(_TRANSLATION_KINDS))),
+                draw(st.sampled_from(sorted(_ROTATION_KINDS))),
+                draw(st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0]))),
+                # several commands due on one substep: the last issued wins
+                draw(st.sampled_from([0.0, 0.0, 0.004, 0.022, 0.1, 0.25])),
+            )
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        ticks.append((commands, draw(st.sampled_from([0.01, 0.03, 0.1, 0.1, 0.27]))))
+    return draw(st.booleans()), draw(st.integers(0, 2**32 - 1)), ticks
+
+
+class TestFloatCodeMatchesReference:
+    """The float plant and row integrator give the bits of the Pose2/Pose3
+    code they replaced (the reference implementations above)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_plant_runs())
+    def test_plant_snapshots_and_state_at(self, run):
+        kinematic, seed, ticks = run
+        rng = np.random.default_rng(seed)
+        cfg = PlantConfig(kinematic=kinematic)
+        base = Pose2(*rng.uniform(-2.0, 2.0, size=2), rng.uniform(-math.pi, math.pi))
+        hand = Pose3(_unit(rng), rng.uniform(-0.4, 0.4, size=3))
+        grip = rng.uniform()
+        plant, ref = Plant(cfg, base, hand, grip), _RefPlant(cfg, base, hand, grip)
+        t = 0.0
+        for commands, step in ticks:
+            for v, v_lat, omega, where, turn, grip_target, delay in commands:
+                target = Pose3(
+                    _ROTATION_KINDS[turn](rng, ref.hand_rot), _TRANSLATION_KINDS[where](rng)
+                )
+                cmd = PlantCommand(v, v_lat, omega, target, grip_target)
+                plant.issue_command(cmd, t + delay)
+                ref.issue_command(cmd, t + delay)
+            t = round(t + step, 9)
+            plant.step_to(t)
+            ref.step_to(t)
+            assert plant.t == ref.t
+            assert [x.hex() for x in (plant.v, plant.omega, plant.v_lat)] == [
+                x.hex() for x in (ref.v, ref.omega, ref.v_lat)
+            ]
+            state, v, omega = plant.read_state()
+            assert _bits(state) == _bits(ref.read_state()[0])
+            assert plant._times == ref._times
+            assert [_bits(plant._state(s)) for s in plant._states] == [
+                _bits(s) for s in ref._states
+            ]
+            for q in np.concatenate([rng.uniform(-0.05, t + 0.05, size=4), [0.0, t, t / 3]]):
+                assert _bits(plant.state_at(q)) == _bits(ref.state_at(q))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "w0", "turn", "near_pi"]))
+    def test_advance_state_and_rollout(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(scale=0.3, size=(16, 11))
+        if kind == "w0":
+            rows[:, 6] = 0.0  # quaternion increments with w = 0
+        elif kind == "turn":
+            rows[:, 2] = rng.uniform(-7.0, 7.0, size=16)  # heading increments beyond pi
+        elif kind == "near_pi":
+            rows[:, 2] = math.pi * rng.choice([-1.0, 1.0], size=16) * (1 + 1e-16 * rng.normal(size=16))
+        rot = _unit(rng)
+        if kind == "w0":
+            rot[0] = 0.0
+        s0 = PredictedState(
+            Pose2(*rng.normal(size=2), rng.uniform(-math.pi, math.pi)), rng.normal(size=3), rot, 0.5
+        )
+        chunk = ActionChunkTensor(rows)
+        expected = [s0]
+        for row in chunk.values:
+            expected.append(_ref_advance_state(expected[-1], row))
+            assert _bits(advance_state(expected[-2], row)) == _bits(expected[-1])
+        assert [_bits(s) for s in forward_rollout(s0, chunk)] == [_bits(s) for s in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["random", "same", "near", "conjugate", "orthogonal", "w0", "opposite"]),
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5])),
+    )
+    def test_slerp_and_quaternion_helpers(self, seed, kind, s):
+        rng = np.random.default_rng(seed)
+        q0 = _unit(rng) * rng.uniform(0.5, 2.0)
+        q1 = -q0 if kind == "opposite" else _ROTATION_KINDS.get(kind, _ROTATION_KINDS["random"])(rng, q0)
+        assert slerp(q0, q1, s).tobytes() == _ref_slerp(q0, q1, s).tobytes()
+        assert quat_mul(q0, q1).tobytes() == _ref_quat_mul(q0, q1).tobytes()
+        assert np.array(quat_canonical_floats(*q1)).tobytes() == _ref_quat_canonical(q1).tobytes()
+        # quat_canonical takes its norm on the array it is given, strided or not
+        strided = np.stack([q1, q0], axis=1)[:, 0]
+        for q in (q1, strided):
+            assert quat_canonical(q).tobytes() == _ref_quat_canonical(q).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_identity_dot_is_w(self, seed, w0):
+        # the replay policy reads identity . q as q's w, for canonical q
+        q = _unit(np.random.default_rng(seed))
+        if w0:
+            q[0] = 0.0
+        q = _ref_quat_canonical(q)
+        ident = np.array([1.0, 0.0, 0.0, 0.0])
+        d = float(ident.dot(q))
+        # equal up to the sign of a zero w, and never negative, so slerp never flips
+        assert abs(d) == abs(q[0]) and not d < 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+    def test_row_dots_match_vector_dots(self, seed, m):
+        # the replay policy's match takes the hand distances of a slice of
+        # reference rows with one np.vecdot
+        rng = np.random.default_rng(seed)
+        ref = rng.normal(scale=0.5, size=(m + 5, 3))
+        p = rng.normal(scale=0.5, size=3)
+        rows = ref[2 : 2 + m] - p
+        got = np.sqrt(np.vecdot(rows, rows)).tolist()
+        for i, d in enumerate(got):
+            dp = ref[2 + i] - p
+            assert d.hex() == math.sqrt(dp.dot(dp)).hex()
+
+    def test_substep_clock(self):
+        # the plant counts substeps; k / (1 / dt_sub) is the time that
+        # round(t + dt_sub, 9) chained from 0 reaches after k substeps
+        dt = PlantConfig.dt_sub
+        per_s = round(1.0 / dt)
+        t = 0.0
+        for k in range(1, 100_001):
+            t = round(t + dt, 9)
+            assert t == k / per_s
