@@ -141,7 +141,8 @@ def _floats(s: PredictedState) -> tuple[float, ...]:
 
 def _state(f: tuple[float, ...], grip: float) -> PredictedState:
     """The PredictedState of advance_floats' result f and a grip."""
-    return PredictedState(Pose2.of_wrapped(f[0], f[1], f[2]), np.array(f[3:6]), np.array(f[6:10]), grip)
+    base = Pose2.of_wrapped(f[0], f[1], f[2])
+    return PredictedState(base, np.array(f[3:6]), np.array(f[6:10]), grip)
 
 
 def forward_rollout(s0: PredictedState, chunk: ActionChunkTensor) -> list[PredictedState]:

@@ -45,14 +45,14 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
     return np.array(_canonical_by_norm(*q.tolist(), math.sqrt(q.dot(q))))
 
 
-def quat_canonical_floats(w: float, x: float, y: float, z: float) -> tuple[float, float, float, float]:
+def quat_canonical_floats(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
     """quat_canonical of the quaternion (w, x, y, z), given and returned as
     four floats with the bits quat_canonical gives its array."""
     q = np.array((w, x, y, z))
     return _canonical_by_norm(w, x, y, z, math.sqrt(q.dot(q)))
 
 
-def _canonical_by_norm(w, x, y, z, n: float) -> tuple[float, float, float, float]:
+def _canonical_by_norm(w, x, y, z, n: float) -> tuple[float, ...]:
     if n == 0.0 or not math.isfinite(n):
         raise ValueError("cannot canonicalize a zero or non-finite quaternion")
     w, x, y, z = w / n, x / n, y / n, z / n

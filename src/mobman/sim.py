@@ -104,12 +104,12 @@ class Plant:
     when it takes effect, and the queue is scanned only when an effect time is
     due.
 
-    The substep is float code with the bits of the Pose2/Pose3 code it
-    replaced:
+    The substep is float code that gives the bits of the Pose2/Pose3
+    operations it stands for:
       - every reduction is an ndarray.dot, because the BLAS dot rounds
         differently from a Python sum of squares (it uses FMA);
       - element-wise + - * / give the same bits on floats as on arrays, and
-        min(max(x, lo), hi) gives np.clip's;
+        min(max(x, lo), hi) gives np.clip's; transcendentals are math calls;
       - theta is wrapped wherever the Pose2 constructor wrapped it, and only
         there, since wrapping an in-range angle again can move its last bit;
       - the slerp result is canonicalised a second time, as the Pose3
@@ -136,9 +136,8 @@ class Plant:
         self._queue: list[tuple[float, PlantCommand]] = []
         self._next_due = math.inf  # earliest effect time in _queue
         self._times = [0.0]  # snapshot times, kept beside _states
-        self._states = [
-            (base.x, base.y, base.theta, *hand_rel.translation.tolist(), hand_rel.rotation, float(grip))
-        ]
+        pos = hand_rel.translation.tolist()
+        self._states = [(base.x, base.y, base.theta, *pos, hand_rel.rotation, float(grip))]
 
     @property
     def base(self) -> Pose2:
@@ -148,7 +147,7 @@ class Plant:
     @property
     def hand_rel(self) -> Pose3:
         s = self._states[-1]
-        return Pose3(s[6], np.array(s[3:6]))
+        return Pose3(s[6], s[3:6])
 
     @property
     def grip(self) -> float:
@@ -177,11 +176,12 @@ class Plant:
         x0, y0, th0, px0, py0, pz0, q0, g0 = states[j - 1]
         x1, y1, th1, px1, py1, pz1, q1, g1 = states[j]
         a = (t - times[j - 1]) / (times[j] - times[j - 1])
+        b = 1 - a
         return PredictedState(
-            base=Pose2((1 - a) * x0 + a * x1, (1 - a) * y0 + a * y1, th0 + a * wrap_angle(th1 - th0)),
-            hand_pos=np.array(((1 - a) * px0 + a * px1, (1 - a) * py0 + a * py1, (1 - a) * pz0 + a * pz1)),
+            base=Pose2(b * x0 + a * x1, b * y0 + a * y1, th0 + a * wrap_angle(th1 - th0)),
+            hand_pos=np.array((b * px0 + a * px1, b * py0 + a * py1, b * pz0 + a * pz1)),
             hand_rot=slerp(q0, q1, a),
-            grip=(1 - a) * g0 + a * g1,
+            grip=b * g0 + a * g1,
         )
 
     def _take(self, cmd: PlantCommand) -> None:
@@ -252,7 +252,8 @@ class Plant:
             # slerp normalises, then quat_canonical normalises again as the
             # Pose3 constructor did; without the second pass the last bits of
             # every episode state change
-            qw, qx, qy, qz = quat_canonical_floats(*slerp_floats((qw, qx, qy, qz), q1f, a, float(rot.dot(q1))))
+            q = slerp_floats((qw, qx, qy, qz), q1f, a, float(rot.dot(q1)))
+            qw, qx, qy, qz = quat_canonical_floats(*q)
             rot = np.array((qw, qx, qy, qz))
             dg = min(max(g_cmd - grip, -rate), rate)
             grip = float(min(max(grip + dg, 0.0), 1.0))
@@ -774,7 +775,7 @@ def save_expert_session(out_dir, expert: ExpertSession) -> None:
 # Policies
 # ---------------------------------------------------------------------------
 
-_IDENTITY_Q4 = (1.0, 0.0, 0.0, 0.0)
+_IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 HOLD_ROW = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
@@ -806,9 +807,9 @@ class ExpertReplayPolicy:
     then contain the demo's base motion and point at the demo's absolute
     grasp location regardless of the executed path.
 
-    The rows are computed on floats, with the bits of the Pose2/Pose3 code
-    they replaced (the bit rules of Plant), and the running state is chained
-    with executor.advance_floats.
+    The rows are computed on floats under Plant's bit rules, so they have
+    the bits the Pose2/Pose3 operations give, and the running state is
+    chained with executor.advance_floats.
     """
 
     MAX_DX = 0.045
@@ -851,7 +852,7 @@ class ExpertReplayPolicy:
     def _match_index(self, obs: PredictedState) -> int:
         lo = self._cursor
         hi = min(len(self.ref_base), lo + 30)
-        # row-wise BLAS dots of contiguous rows, as the 3-vector dots they replace
+        # np.vecdot of contiguous rows rounds as ndarray.dot of each row does
         dp = self.ref_hand_pos[lo:hi] - obs.hand_pos
         hand_d = np.sqrt(np.vecdot(dp, dp)).tolist()
         x, y, th, grip = obs.base.x, obs.base.y, obs.base.theta, obs.grip
@@ -900,13 +901,14 @@ class ExpertReplayPolicy:
         w = q_err[0]
         ang = 2.0 * math.acos(min(abs(w), 1.0))
         frac = 1.0 if ang <= self.MAX_HAND_ROT else self.MAX_HAND_ROT / ang
-        return ex, ey, ez, *slerp_floats(_IDENTITY_Q4, q_err, frac, w)
+        return ex, ey, ez, *slerp_floats(_IDENTITY_Q, q_err, frac, w)
 
     def __call__(self, obs: PredictedState, obs_t: float) -> ActionChunkTensor:
         j = self._match_index(obs)
         last = len(self.ref_base) - 1
         ref_base, ref_hand, ref_grip = self.ref_base, self.ref_hand, self.ref_grip
-        state = (obs.base.x, obs.base.y, obs.base.theta, *obs.hand_pos.tolist(), *obs.hand_rot.tolist())
+        b = obs.base
+        state = (b.x, b.y, b.theta, *obs.hand_pos.tolist(), *obs.hand_rot.tolist())
         grip = obs.grip
         relative = self.label_frame == "relative"
         if not relative:

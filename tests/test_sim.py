@@ -376,10 +376,14 @@ class TestScriptedExpert:
                 arr[0] = 0.0
         with pytest.raises(TypeError):
             base[0] = Pose2()
+        world = a.world_hand()
+        assert b.world_hand() is world and len(world) == len(t)
         # a knot added to one script gives that script its own, longer reference
         a.pause(1.0)
         assert len(a.reference()[0]) == len(t) + 10
         assert b.reference() is ref and reference_digest(name) == REFERENCE_DIGESTS[name]
+        assert a.world_hand()[: len(t)] == world and len(a.world_hand()) == len(t) + 10
+        assert b.world_hand() is world
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_sampling_clamps_before_start(self, name):
