@@ -72,7 +72,7 @@ from .sim import (
     run_episode,  # noqa: F401  benchmarks/spans.py rebinds it under this name
     scripted_expert,  # noqa: F401  benchmarks/spans.py traces it under this name
 )
-from .executor import PredictedState
+from .executor import NonFiniteChunkError, PredictedState
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -310,7 +310,18 @@ class DiffusionReplayPolicy:
                 self._eps_fn, cond, self.sched, rng=rng, sample_dim=ACTION_DIM
             )[0]
             prev[:] = rows[r]
-        return ActionChunkTensor(rows).canonicalized()
+        # rows with a NaN or infinite entry, or with a quaternion block so large
+        # that its norm overflows, are rejected before anything executes them
+        bad = NonFiniteChunkError(
+            "sampled an action chunk with a non-finite entry or a quaternion block "
+            f"that cannot be normalised (trial seed {self.seed})"
+        )
+        if not np.isfinite(rows).all():
+            raise bad
+        try:
+            return ActionChunkTensor(rows).canonicalized()
+        except ValueError as exc:
+            raise bad from exc
 
 
 def cmd_simulate(cfg: dict) -> RunManifest:
@@ -347,14 +358,17 @@ def cmd_simulate(cfg: dict) -> RunManifest:
         jitter_ms=cfg["jitter_ms"],
         locomotion_variation=cfg["variation"],
     )
-    rows, aggregate = compare_conditions(
-        [cond],
-        cfg["scenario"],
-        cfg["trials"],
-        master_seed=cfg["seed"],
-        plant_cfg=PlantConfig(kinematic=cfg["kinematic"]),
-        make_policy=make_policy,
-    )
+    try:
+        rows, aggregate = compare_conditions(
+            [cond],
+            cfg["scenario"],
+            cfg["trials"],
+            master_seed=cfg["seed"],
+            plant_cfg=PlantConfig(kinematic=cfg["kinematic"]),
+            make_policy=make_policy,
+        )
+    except NonFiniteChunkError as exc:
+        raise DomainError(f"policy {source}: {exc}") from exc
 
     out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)

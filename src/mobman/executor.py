@@ -14,8 +14,8 @@ plant, so episodes are bit-identical per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
-from typing import ClassVar
+from dataclasses import dataclass, field
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .geometry import (
     geodesic_so3,
     quat_canonical_floats,
     quat_mul_floats,
+    relative_floats,
     wrap_angle,
 )
 
@@ -77,19 +78,20 @@ class MatchWeights:
         )
 
 
-@dataclass
-class SpliceReport:
+class SpliceReport(NamedTuple):
+    """The matched index and its discrepancy terms; the splice event's
+    payload is these fields, then t0_obs and tick."""
+
     i_star: int
     discrepancy: float
     term_base: float
     term_trans: float
     term_rot: float
     term_grip: float
-    t0_obs: float = 0.0
-    tick: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+class NonFiniteChunkError(ValueError):
+    """A policy produced an action chunk with a NaN or infinite entry."""
 
 
 def hand_increment_floats(
@@ -145,74 +147,66 @@ def _state(f: tuple[float, ...], grip: float) -> PredictedState:
     return PredictedState(base, np.array(f[3:6]), np.array(f[6:10]), grip)
 
 
-def forward_rollout(s0: PredictedState, chunk: ActionChunkTensor) -> list[PredictedState]:
+def forward_rollout(s0: PredictedState, chunk: ActionChunkTensor) -> list[tuple]:
     """Kinematic roll-out: geometric integration of the chunk, no dynamics.
 
     rollout[i] is the state after applying the first i action rows to s0, for
-    i = 0..T_p, so the roll-out holds T_p + 1 states (rollout[0] == s0).
+    i = 0..T_p, so the roll-out holds T_p + 1 states. Each is a state tuple
+    (x, y, theta, px, py, pz, qw, qx, qy, qz, grip); rollout[0] is s0's.
     """
-    states = [s0]
-    f = _floats(s0)
+    s = (*_floats(s0), s0.grip)
+    states = [s]
     for row in chunk.values.tolist():
-        f = advance_floats(*f, row)
-        states.append(_state(f, row[10]))
+        s = (*advance_floats(*s[:10], row), row[10])
+        states.append(s)
     return states
 
 
-def state_discrepancy(a: PredictedState, b: PredictedState, w: MatchWeights) -> tuple:
-    tb = w.w_b * dist_se2(a.base, b.base, w.fold_radius) ** 2
-    tt = w.w_t * float(np.sum((a.hand_pos - b.hand_pos) ** 2))
-    tr = w.w_r * geodesic_so3(a.hand_rot, b.hand_rot) ** 2
-    tg = w.w_g * (a.grip - b.grip) ** 2
-    return tb + tt + tr + tg, tb, tt, tr, tg
-
-
-def state_match(
-    rollout: list[PredictedState], now: PredictedState, w: MatchWeights | None = None
-) -> SpliceReport:
+def state_match(rollout: list[tuple], now: tuple, w: MatchWeights | None = None) -> SpliceReport:
     """Index of the roll-out state closest to the current physical state.
 
-    Ties break toward the smaller index so less of the plan is discarded.
+    rollout and now are state tuples. The discrepancy of candidate s is
+    w_b * dist_se2(s, now)^2 + w_t * |hand position error|^2
+    + w_r * geodesic_so3(s, now)^2 + w_g * (grip error)^2. Ties break toward
+    the smaller index so less of the plan is discarded.
     """
     if not rollout:
         raise ValueError("empty rollout")
     w = w or MatchWeights()
+    q_now = np.array(now[6:10])
+    _, _, _, px, py, pz, _, _, _, _, grip = now
     best = None
     for i, s in enumerate(rollout):
-        total, tb, tt, tr, tg = state_discrepancy(s, now, w)
-        if best is None or total < best[0]:
-            best = (total, i, tb, tt, tr, tg)
-    total, i_star, tb, tt, tr, tg = best
-    return SpliceReport(
-        i_star=i_star,
-        discrepancy=total,
-        term_base=tb,
-        term_trans=tt,
-        term_rot=tr,
-        term_grip=tg,
-    )
+        tb = w.w_b * dist_se2(s, now, w.fold_radius) ** 2
+        # np.sum of three squares adds them left to right
+        d0, d1, d2 = s[3] - px, s[4] - py, s[5] - pz
+        tt = w.w_t * (d0 * d0 + d1 * d1 + d2 * d2)
+        tr = w.w_r * geodesic_so3(np.array(s[6:10]), q_now) ** 2
+        tg = w.w_g * (s[10] - grip) ** 2
+        total = tb + tt + tr + tg
+        if best is None or total < best[1]:
+            best = (i, total, tb, tt, tr, tg)
+    return SpliceReport(*best)
 
 
-@dataclass
-class Waypoint:
-    """One dispatchable target state, tagged with its chunk row."""
+class Waypoint(NamedTuple):
+    """One dispatchable target: chunk row index, target state tuple, chunk row."""
 
     index: int
-    target: PredictedState
+    target: tuple
     row: np.ndarray
 
 
 def splice(
-    chunk: ActionChunkTensor, rollout: list[PredictedState], i_star: int
+    chunk: ActionChunkTensor, rollout: list[tuple], i_star: int
 ) -> tuple[list[Waypoint], bool]:
     """Waypoints from i_star onward, row i targeting rollout[i + 1]; the flag
     requests an immediate replan when only the degenerate tail remains."""
     T_p = chunk.horizon
     if not 0 <= i_star < T_p:
         raise ValueError(f"i_star {i_star} out of range [0, {T_p})")
-    waypoints = [
-        Waypoint(index=i, target=rollout[i + 1], row=chunk.values[i]) for i in range(i_star, T_p)
-    ]
+    rows = chunk.values
+    waypoints = [Waypoint(i, rollout[i + 1], rows[i]) for i in range(i_star, T_p)]
     return waypoints, i_star == T_p - 1
 
 
@@ -306,36 +300,43 @@ class EpisodeLog:
 
 
 def command_to_target(
-    now: PredictedState, wp: Waypoint, dt: float, gain: float = 1.0
-) -> PlantCommand:
+    now: tuple, wp: Waypoint, dt: float, gain: float = 1.0
+) -> tuple[PlantCommand, float, float]:
     """Command toward a waypoint: action-row feedforward plus error correction.
 
-    gain = 1 is deadbeat (kinematic plants); on a lagged plant the caller
-    lowers it to dt / (dt + tau) so the position loop stays damped while the
-    feedforward keeps steady-state tracking exact.
+    now is the plant's current tuple (Plant.current). Returns the command and
+    the target's position (ex, ey) in the current base frame, which the
+    rollback check reads. gain = 1 is deadbeat (kinematic plants); on a lagged
+    plant the caller lowers it to dt / (dt + tau) so the position loop stays
+    damped while the feedforward keeps steady-state tracking exact.
     """
-    rel = wp.target.base.relative_to(now.base)
-    return PlantCommand(
-        v=(wp.row[0] + gain * (rel.x - wp.row[0])) / dt,
-        v_lat=(wp.row[1] + gain * (rel.y - wp.row[1])) / dt,
-        omega=(wp.row[2] + gain * (wrap_angle(rel.theta) - wp.row[2])) / dt,
-        hand_target=wp.target.hand_rel,
-        grip_target=wp.target.grip,
+    target, row = wp.target, wp.row
+    ex, ey, eth = relative_floats(*target[:3], now[0], now[1], now[2])
+    # the quaternion is canonicalised again, as the Pose3 constructor did
+    q = np.array(quat_canonical_floats(*target[6:10]))
+    cmd = PlantCommand(
+        v=(row[0] + gain * (ex - row[0])) / dt,
+        v_lat=(row[1] + gain * (ey - row[1])) / dt,
+        omega=(row[2] + gain * (wrap_angle(eth) - row[2])) / dt,
+        hand_target=Pose3.of_canonical(q, np.array(target[3:6])),
+        grip_target=target[10],
     )
+    return cmd, ex, ey
 
 
-def _advance_by_latency(state: PredictedState, v: float, omega: float, d_exe: float):
-    """Where the base will be when a command issued now takes effect."""
-    th = state.base.theta
-    return PredictedState(
-        base=Pose2(
-            state.base.x + v * math.cos(th) * d_exe,
-            state.base.y + v * math.sin(th) * d_exe,
-            th + omega * d_exe,
-        ),
-        hand_pos=state.hand_pos,
-        hand_rot=state.hand_rot,
-        grip=state.grip,
+def _advance_by_latency(s: tuple, v: float, omega: float, d_exe: float) -> tuple:
+    """The state tuple of the plant tuple s with the base moved to where it
+    will be when a command issued now takes effect."""
+    x, y, th, px, py, pz, rot, grip = s
+    return (
+        x + v * math.cos(th) * d_exe,
+        y + v * math.sin(th) * d_exe,
+        wrap_angle(th + omega * d_exe),
+        px,
+        py,
+        pz,
+        *rot.tolist(),
+        grip,
     )
 
 
@@ -343,17 +344,34 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
     """Drive the plant with chunks from the policy on a virtual clock.
 
     policy(obs_state, obs_t) -> ActionChunkTensor of the configured horizon.
-    plant must expose step_to(t), read_state() -> (PredictedState, v, omega),
-    state_at(t) and issue_command(cmd, t_effect).
+    plant must expose step_to(t), state_at(t) -> PredictedState,
+    issue_command(cmd, t_effect), the floats v and omega, hand_rel and grip,
+    and current: the plant's state as the tuple (x, y, theta, px, py, pz,
+    rot, grip), rot a canonical quaternion array. tick_callback(tick, t,
+    plant) is called once per tick; a true result ends the episode.
 
     Exactly one plan may be pending. A new plan is activated (matched and
     spliced) at the first tick boundary at or after its arrival, and its
     plan_arrival event is logged at that tick. The next request is scheduled
     so the arrival lands T_a ticks after the previous activation. With
     matching disabled, execution restarts from row 0 of every arriving chunk.
+    An arriving chunk with a NaN or infinite entry raises NonFiniteChunkError
+    before any of its rows is matched or dispatched.
+
+    A tick builds no pose objects. Roll-out, match and waypoint targets are
+    state tuples (x, y, theta, px, py, pz, qw, qx, qy, qz, grip); dispatch
+    reads Plant.current and takes the target's pose relative to the base
+    once, on floats. The float code keeps the bits of the Pose2/Pose3 code it
+    replaced: every heading is wrapped where a Pose2 constructor wrapped it,
+    and only there; quaternion dots stay ndarray dots (BLAS rounding); the
+    hand position term adds its three squares left to right, as np.sum does;
+    transcendentals are math calls; a command's hand target quaternion is
+    canonicalised again, as the Pose3 constructor did; event payloads keep
+    their round() calls on the same values and their key order.
     """
     lat = config.latency
     dt = config.dt
+    gain = dt / (dt + config.plant_response_s)
     rng = np.random.default_rng(config.seed)
     log = EpisodeLog()
 
@@ -394,19 +412,20 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
         if pending is not None and pending[0] <= t + 1e-9:
             arrival, chunk, obs_state, obs_t = pending
             pending = None
+            if not np.isfinite(chunk.values).all():
+                raise NonFiniteChunkError(
+                    f"policy chunk has a non-finite entry (trial seed {config.seed}, tick {tick})"
+                )
             log.add(tick, t, "plan_arrival", {"t_arrival": round(arrival, 6)})
             rollout = forward_rollout(obs_state, chunk)
-            now_state, v_now, omega_now = plant.read_state()
-            now_eff = _advance_by_latency(now_state, v_now, omega_now, lat.d_exe)
+            now_eff = _advance_by_latency(plant.current, plant.v, plant.omega, lat.d_exe)
             # without matching, row 0 is the only candidate
             candidates = rollout[:-1] if config.matching else rollout[:1]
             report = state_match(candidates, now_eff, config.weights)
-            report.t0_obs = obs_t
-            report.tick = tick
             waypoints, replan_now = splice(chunk, rollout, report.i_star)
             wp_cursor = 0
             chunk_net_forward = float(np.sum(chunk.values[:, 0]))
-            log.add(tick, t, "splice", report.to_dict())
+            log.add(tick, t, "splice", {**report._asdict(), "t0_obs": obs_t, "tick": tick})
             last_splice_tick = tick
             prev_v_sign = 0
             if replan_now:
@@ -421,33 +440,23 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
             continue
 
         # dispatch; an empty queue means hold-in-place
-        now_state, _, _ = plant.read_state()
         tracking = {}
         if wp_cursor < len(waypoints):
             wp = waypoints[wp_cursor]
             wp_cursor += 1
-            cmd = command_to_target(
-                now_state, wp, dt, gain=dt / (dt + config.plant_response_s)
-            )
+            cmd, ex, ey = command_to_target(plant.current, wp, dt, gain)
             # rollback: executed waypoint behind the current pose along heading
-            rel = wp.target.base.relative_to(now_state.base)
-            tracking = {"ex": round(rel.x, 9), "ey": round(rel.y, 9), "row": wp.index}
-            if rel.x < -ROLLBACK_M and chunk_net_forward > 1e-6:
-                log.add(tick, t, "rollback", {"behind_m": round(-rel.x, 6), "row": wp.index})
+            tracking = {"ex": round(ex, 9), "ey": round(ey, 9), "row": wp.index}
+            if ex < -ROLLBACK_M and chunk_net_forward > 1e-6:
+                log.add(tick, t, "rollback", {"behind_m": round(-ex, 6), "row": wp.index})
         else:
-            cmd = PlantCommand(0.0, 0.0, 0.0, now_state.hand_rel, now_state.grip)
+            cmd = PlantCommand(0.0, 0.0, 0.0, plant.hand_rel, plant.grip)
         plant.issue_command(cmd, t + lat.d_exe)
-        log.add(
-            tick,
-            t,
-            "command",
-            {
-                "v": round(cmd.v, 9),
-                "v_lat": round(cmd.v_lat, 9),
-                "omega": round(cmd.omega, 9),
-                **tracking,
-            },
-        )
+        # a dispatched command's velocities are numpy scalars, and round() of
+        # one is ndarray.round of it; rounding the three in one array gives
+        # the same values (and 0.0 for a hold, as Python's round does)
+        v, v_lat, omega = np.array((cmd.v, cmd.v_lat, cmd.omega)).round(9).tolist()
+        log.add(tick, t, "command", {"v": v, "v_lat": v_lat, "omega": omega, **tracking})
 
         # splice jitter: forward-velocity sign reversals shortly after a splice
         sign = 0 if abs(cmd.v) < 0.02 else (1 if cmd.v > 0 else -1)

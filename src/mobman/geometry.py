@@ -329,16 +329,28 @@ class Pose2:
         return Pose3(rot_z(self.theta), np.array([self.x, self.y, z]))
 
 
-def dist_se2(a: Pose2, b: Pose2, fold_radius: float = 0.5) -> float:
+def relative_floats(x, y, theta, rx, ry, rtheta) -> tuple[float, float, float]:
+    """Pose2(x, y, theta).relative_to(Pose2(rx, ry, rtheta)) on floats whose
+    headings are already wrapped: the inverse of the reference wraps -rtheta
+    and the composition wraps its heading sum, as the Pose2 constructor did.
+    Returns (x, y, theta) of the relative pose."""
+    c, s = math.cos(rtheta), math.sin(rtheta)
+    ix, iy, ith = -(c * rx + s * ry), -(-s * rx + c * ry), wrap_angle(-rtheta)
+    c, s = math.cos(ith), math.sin(ith)
+    return ix + c * x - s * y, iy + s * x + c * y, wrap_angle(ith + theta)
+
+
+def dist_se2(a, b, fold_radius: float = 0.5) -> float:
     """Planar distance with the heading error folded in as an arc length.
 
-    Default fold radius 0.5 m matches the base's turning radius used by the
-    state matcher.
+    a and b are (x, y, theta, ...) sequences; entries after theta are not
+    read, so a state tuple can be passed as it is. Default fold radius 0.5 m
+    matches the base's turning radius used by the state matcher.
     """
     if fold_radius <= 0.0:
         raise ValueError("fold_radius must be positive")
-    dth = wrap_angle(b.theta - a.theta)
-    return math.sqrt((b.x - a.x) ** 2 + (b.y - a.y) ** 2 + (fold_radius * dth) ** 2)
+    dth = wrap_angle(b[2] - a[2])
+    return math.sqrt((b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2 + (fold_radius * dth) ** 2)
 
 
 def yaw_project_rows(pos: np.ndarray, rot: np.ndarray) -> list[Pose2]:

@@ -48,6 +48,7 @@ from .geometry import (
     quat_from_axis_angle,
     quat_mul,
     quat_mul_floats,
+    relative_floats,
     slerp,
     slerp_floats,
     wrap_angle,
@@ -98,11 +99,11 @@ class Plant:
 
     State layout: the history holds one plain tuple per substep, (base x, y,
     theta, hand position x, y, z, canonical hand quaternion array, grip), and
-    its last tuple is the current state; v, omega and v_lat are floats.
-    PredictedState objects are built only by read_state and state_at. A
-    command's clipped twist and hand target are taken apart into floats once,
-    when it takes effect, and the queue is scanned only when an effect time is
-    due.
+    its last tuple is the current state, which `current` returns; v, omega
+    and v_lat are floats. PredictedState objects are built only by state_at.
+    A command's clipped twist and hand target are taken apart into floats
+    once, when it takes effect, and the queue is scanned only when an effect
+    time is due.
 
     The substep is float code that gives the bits of the Pose2/Pose3
     operations it stands for:
@@ -140,6 +141,12 @@ class Plant:
         self._states = [(base.x, base.y, base.theta, *pos, hand_rel.rotation, float(grip))]
 
     @property
+    def current(self) -> tuple:
+        """The current state: (x, y, theta, px, py, pz, rot, grip), rot a
+        canonical quaternion array. The tuple is the history's own entry."""
+        return self._states[-1]
+
+    @property
     def base(self) -> Pose2:
         x, y, th = self._states[-1][:3]
         return Pose2.of_wrapped(x, y, th)
@@ -161,9 +168,6 @@ class Plant:
     @staticmethod
     def _state(s: tuple) -> PredictedState:
         return PredictedState(Pose2.of_wrapped(s[0], s[1], s[2]), np.array(s[3:6]), s[6], s[7])
-
-    def read_state(self) -> tuple[PredictedState, float, float]:
-        return self._state(self._states[-1]), self.v, self.omega
 
     def state_at(self, t: float) -> PredictedState:
         """State at a past time, interpolated between substep snapshots."""
@@ -421,23 +425,35 @@ class GoalStage:
     grip: tuple | None = None  # (op '<=' or '>=', threshold)
     hold_s: float = 0.3
 
-    def satisfied(self, state: PredictedState, frame: Pose2) -> bool:
+    def base_in(self, frame: Pose2) -> tuple[float, float, float] | None:
+        """The base goal placed in the task frame, as (x, y, theta)."""
+        if self.base is None:
+            return None
+        x, y, th = self.base[:3]
+        goal = frame.compose(Pose2(x, y, th))
+        return goal.x, goal.y, goal.theta
+
+    def satisfied(self, s: tuple, base_goal: tuple[float, float, float] | None) -> bool:
+        """Whether the plant tuple s (Plant.current) meets this stage;
+        base_goal is base_in(task frame)."""
         if self.base is not None:
-            x, y, th, pos_tol, ang_tol = self.base
-            goal = frame.compose(Pose2(x, y, th))
-            if math.hypot(state.base.x - goal.x, state.base.y - goal.y) > pos_tol:
+            gx, gy, gth = base_goal
+            pos_tol, ang_tol = self.base[3:]
+            if math.hypot(s[0] - gx, s[1] - gy) > pos_tol:
                 return False
-            if abs(wrap_angle(state.base.theta - goal.theta)) > ang_tol:
+            if abs(wrap_angle(s[2] - gth)) > ang_tol:
                 return False
         if self.hand is not None:
             pos, tol = self.hand
-            if float(np.linalg.norm(state.hand_pos - np.asarray(pos))) > tol:
+            # sqrt(e.dot(e)) is what np.linalg.norm computes for a vector
+            e = np.array((s[3] - pos[0], s[4] - pos[1], s[5] - pos[2]))
+            if math.sqrt(e.dot(e)) > tol:
                 return False
         if self.grip is not None:
             op, thr = self.grip
-            if op == "<=" and not state.grip <= thr:
+            if op == "<=" and not s[7] <= thr:
                 return False
-            if op == ">=" and not state.grip >= thr:
+            if op == ">=" and not s[7] >= thr:
                 return False
         return True
 
@@ -874,11 +890,7 @@ class ExpertReplayPolicy:
 
     def _base_row(self, x, y, th, tx, ty, tth) -> tuple[float, float, float]:
         """The base increment toward (tx, ty, tth) from (x, y, th)."""
-        # e = target.relative_to(cur) = cur.inverse().compose(target)
-        c, s = math.cos(th), math.sin(th)
-        ix, iy, ith = -(c * x + s * y), -(-s * x + c * y), wrap_angle(-th)
-        c, s = math.cos(ith), math.sin(ith)
-        ex, ey, eth = ix + c * tx - s * ty, iy + s * tx + c * ty, wrap_angle(ith + tth)
+        ex, ey, eth = relative_floats(tx, ty, tth, x, y, th)
         dx = float(min(max(ex, -self.MAX_DX), self.MAX_DX))
         dy = float(min(max(ey, -self.MAX_DY), self.MAX_DY))
         steer = float(min(max(self.STEER_GAIN * ey, -self.MAX_STEER), self.MAX_STEER))
@@ -977,17 +989,20 @@ class EpisodeMetrics:
 class _StageTracker:
     def __init__(self, goals: list[GoalStage], frame: Pose2, dt: float):
         self.goals = goals
-        self.frame = frame
+        # each stage's base goal in the task frame, placed once per episode
+        self.base_goals = [g.base_in(frame) for g in goals]
         self.dt = dt
         self.stage = 0
         self.held = 0.0
         self.done_time = None
 
-    def update(self, t: float, state: PredictedState) -> bool:
+    def update(self, t: float, s: tuple) -> bool:
+        """Advance on the plant tuple s (Plant.current) at time t; True once
+        every stage has been held."""
         if self.stage >= len(self.goals):
             return True
         goal = self.goals[self.stage]
-        if goal.satisfied(state, self.frame):
+        if goal.satisfied(s, self.base_goals[self.stage]):
             self.held += self.dt
             if self.held >= goal.hold_s - 1e-9:
                 self.stage += 1
@@ -1030,8 +1045,7 @@ def run_episode(
     tracker = _StageTracker(scenario.goals, task_frame, exec_cfg.dt)
 
     def on_tick(tick, t, pl) -> bool:
-        state, _, _ = pl.read_state()
-        return tracker.update(t, state)
+        return tracker.update(t, pl.current)
 
     log = run_executor(policy, plant, exec_cfg, tick_callback=on_tick)
 

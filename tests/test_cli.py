@@ -1069,3 +1069,47 @@ class TestReplayCommand:
         err = capsys.readouterr().err
         assert f"replay outputs differ from manifest: {next_key}" in err
         assert f"numpy {np.__version__} with BLAS " in err
+
+
+class TestNonFiniteChunkRejected:
+    """A policy chunk with a NaN or infinite entry exits 1 with one line that
+    names the policy and the trial seed, and writes no outputs."""
+
+    TRIAL_SEED = int(np.random.SeedSequence([0, 0]).generate_state(1)[0])
+
+    @staticmethod
+    def _assert_rejected(policy, tmp_path, capsys):
+        out = tmp_path / "s"
+        capsys.readouterr()
+        argv = ["simulate", "--policy", policy, "--trials", "1", "--output", str(out)]
+        with np.errstate(all="ignore"):
+            assert main(argv) == EXIT_REJECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"rejected: policy {policy}: ")
+        assert f"trial seed {TestNonFiniteChunkRejected.TRIAL_SEED}" in err[0]
+        assert not out.exists()
+
+    def test_nan_in_cruise_chunk(self, tmp_path, capsys, monkeypatch):
+        class NanThirdChunk(cli.CruisePolicy):
+            calls = 0
+
+            def __call__(self, obs, obs_t):
+                chunk = super().__call__(obs, obs_t)
+                self.calls += 1
+                if self.calls == 3:
+                    chunk.values[0, 0] = math.nan
+                return chunk
+
+        monkeypatch.setattr(cli, "CruisePolicy", NanThirdChunk)
+        self._assert_rejected("cruise", tmp_path, capsys)
+
+    def test_checkpoint_with_huge_output_weights(self, tmp_path, capsys):
+        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=22, hidden=8, kemb_dim=8, temb_dim=8)
+        model.init_params(np.random.default_rng(0))
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model, cosine_schedule())
+        doc = read_json(path)
+        doc["ema"]["W3"] = [[1e300] * len(r) for r in doc["ema"]["W3"]]
+        path.write_text(json.dumps(doc))
+        self._assert_rejected(str(path), tmp_path, capsys)

@@ -6,11 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobman.diffusion import ActionChunkTensor
+from mobman.cli import DiffusionReplayPolicy
+from mobman.diffusion import (
+    ACTION_DIM,
+    ActionChunkTensor,
+    ToyDenoiser,
+    cosine_schedule,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mobman.executor import (
     ExecutorConfig,
     LatencyConfig,
     MatchWeights,
+    NonFiniteChunkError,
     PredictedState,
     Waypoint,
     advance_state,
@@ -18,17 +27,32 @@ from mobman.executor import (
     forward_rollout,
     run_executor,
     splice,
-    state_discrepancy,
     state_match,
 )
 from mobman.geometry import Pose2
-from mobman.sim import CruisePolicy, Plant, PlantConfig
+from mobman.jsonl import read_json
+from mobman.sim import Condition, CruisePolicy, Plant, PlantConfig, run_condition_trial
 
 IDENT_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def state(x=0.0, y=0.0, th=0.0, hand=(0.3, 0.0, -0.2), grip=1.0):
     return PredictedState(Pose2(x, y, th), np.array(hand, float), IDENT_Q.copy(), grip)
+
+
+def tup(x=0.0, y=0.0, th=0.0, hand=(0.3, 0.0, -0.2), grip=1.0):
+    """The state tuple (x, y, theta, px, py, pz, qw, qx, qy, qz, grip) of state(...)."""
+    return (x, y, Pose2(x, y, th).theta, *map(float, hand), *IDENT_Q.tolist(), grip)
+
+
+def as_state(s: tuple) -> PredictedState:
+    """The PredictedState of a state tuple."""
+    return PredictedState(Pose2.of_wrapped(*s[:3]), np.array(s[3:6]), np.array(s[6:10]), s[10])
+
+
+def plant_tuple(s: tuple) -> tuple:
+    """The Plant.current layout (x, y, theta, px, py, pz, rot array, grip) of a state tuple."""
+    return (*s[:6], np.array(s[6:10]), s[10])
 
 
 def cruise_chunk(step=0.03, horizon=16, grip=1.0):
@@ -44,13 +68,13 @@ class TestRollout:
         s0 = state()
         roll = forward_rollout(s0, cruise_chunk())
         assert len(roll) == 17  # s0 and the state after each of the 16 rows
-        assert roll[0] is s0
+        assert roll[0] == tup()
 
     def test_straight_line_integration(self):
         roll = forward_rollout(state(), cruise_chunk(step=0.03))
         for i, s in enumerate(roll):
-            assert s.base.x == pytest.approx(0.03 * i, abs=1e-12)
-            assert s.base.y == 0.0
+            assert s[0] == pytest.approx(0.03 * i, abs=1e-12)
+            assert s[1] == 0.0
 
     def test_base_increments_compose_in_body_frame(self):
         rows = np.zeros((3, 11))
@@ -58,14 +82,14 @@ class TestRollout:
         rows[0] = [0.1, 0, math.pi / 2, 0, 0, 0, 1, 0, 0, 0, 1]
         rows[1] = [0.1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
         roll = forward_rollout(state(), ActionChunkTensor(rows))
-        assert roll[2].base.x == pytest.approx(0.1, abs=1e-12)
-        assert roll[2].base.y == pytest.approx(0.1, abs=1e-12)
+        assert roll[2][0] == pytest.approx(0.1, abs=1e-12)
+        assert roll[2][1] == pytest.approx(0.1, abs=1e-12)
 
     def test_advance_state_matches_rollout(self):
         chunk = cruise_chunk()
         roll = forward_rollout(state(), chunk)
-        stepped = advance_state(roll[4], chunk.values[4])
-        assert stepped.base.x == pytest.approx(roll[5].base.x, abs=1e-12)
+        stepped = advance_state(as_state(roll[4]), chunk.values[4])
+        assert stepped.base.x == pytest.approx(roll[5][0], abs=1e-12)
 
 
 class TestMatchWeights:
@@ -84,23 +108,23 @@ class TestMatchWeights:
 class TestStateMatch:
     def test_picks_nearest(self):
         roll = forward_rollout(state(), cruise_chunk(step=0.03))
-        rep = state_match(roll, state(x=0.0852))  # between indices 2 and 3
+        rep = state_match(roll, tup(x=0.0852))  # between indices 2 and 3
         assert rep.i_star == 3
 
     def test_tie_breaks_to_smaller_index(self):
         roll = forward_rollout(state(), cruise_chunk(step=0.03))
-        rep = state_match(roll, state(x=0.045))  # exactly between 1 and 2
+        rep = state_match(roll, tup(x=0.045))  # exactly between 1 and 2
         assert rep.i_star == 1
 
     def test_empty_rollout_raises(self):
         with pytest.raises(ValueError):
-            state_match([], state())
+            state_match([], tup())
 
     def test_weight_scaling_leaves_argmin(self):
         rng = np.random.default_rng(0)
         roll = forward_rollout(state(), cruise_chunk())
         for _ in range(50):
-            probe = state(
+            probe = tup(
                 x=rng.uniform(0, 0.5),
                 y=rng.uniform(-0.05, 0.05),
                 th=rng.uniform(-0.2, 0.2),
@@ -111,8 +135,9 @@ class TestStateMatch:
                 assert state_match(roll, probe, MatchWeights().scaled(f)).i_star == base
 
     def test_discrepancy_terms_sum(self):
-        a, b = state(), state(x=0.1, grip=0.5)
-        total, tb, tt, tr, tg = state_discrepancy(a, b, MatchWeights())
+        # with one candidate, state_match reports that candidate's terms
+        a, b = tup(), tup(x=0.1, grip=0.5)
+        _, total, tb, tt, tr, tg = state_match([a], b, MatchWeights())
         assert total == pytest.approx(tb + tt + tr + tg)
         assert tt == 0.0 and tr == 0.0
         assert tg == pytest.approx(0.1 * 0.25)
@@ -128,7 +153,7 @@ class TestSplice:
         assert [w.index for w in wps] == list(range(3, 16))
         assert not replan
         # each waypoint target is one row ahead of its rollout state
-        assert wps[0].target.base.x == pytest.approx(0.03 * 4, abs=1e-12)
+        assert wps[0].target[0] == pytest.approx(0.03 * 4, abs=1e-12)
 
     def test_replan_when_only_last_row_remains(self):
         _, replan = self._splice(15)
@@ -163,16 +188,16 @@ class TestSpliceProperty:
             assert replan == (i_star == T_p - 1)
             for w in wps:
                 row = chunk.values[w.index]
-                want = advance_state(rollout[w.index], row)
+                want = advance_state(as_state(rollout[w.index]), row)
                 assert np.array_equal(w.row, row)
-                assert (w.target.base.x, w.target.base.y, w.target.base.theta) == (
+                assert (w.target[0], w.target[1], w.target[2]) == (
                     want.base.x,
                     want.base.y,
                     want.base.theta,
                 )
-                assert np.array_equal(w.target.hand_pos, want.hand_pos)
-                assert np.array_equal(w.target.hand_rot, want.hand_rot)
-                assert w.target.grip == want.grip
+                assert np.array_equal(np.array(w.target[3:6]), want.hand_pos)
+                assert np.array_equal(np.array(w.target[6:10]), want.hand_rot)
+                assert w.target[10] == want.grip
         for bad in (-off, T_p - 1 + off):
             with pytest.raises(ValueError):
                 splice(chunk, rollout, bad)
@@ -199,18 +224,18 @@ class TestCommandToTarget:
         # waypoint exactly one row ahead: command equals the feedforward row
         roll = forward_rollout(state(), cruise_chunk(step=0.03))
         wp = Waypoint(0, roll[1], cruise_chunk().values[0])
-        cmd = command_to_target(roll[0], wp, dt=0.1)
+        cmd, _, _ = command_to_target(plant_tuple(roll[0]), wp, dt=0.1)
         assert cmd.v == pytest.approx(0.3)
         assert cmd.omega == 0.0
 
     def test_deadbeat_corrects_error(self):
-        wp = Waypoint(0, state(x=0.05), np.r_[0.03, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1.0])
-        cmd = command_to_target(state(x=0.0), wp, dt=0.1)
+        wp = Waypoint(0, tup(x=0.05), np.r_[0.03, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1.0])
+        cmd, _, _ = command_to_target(plant_tuple(tup(x=0.0)), wp, dt=0.1)
         assert cmd.v == pytest.approx(0.5)
 
     def test_damped_gain_blends(self):
-        wp = Waypoint(0, state(x=0.05), np.r_[0.03, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1.0])
-        cmd = command_to_target(state(x=0.0), wp, dt=0.1, gain=0.4)
+        wp = Waypoint(0, tup(x=0.05), np.r_[0.03, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1.0])
+        cmd, _, _ = command_to_target(plant_tuple(tup(x=0.0)), wp, dt=0.1, gain=0.4)
         assert cmd.v == pytest.approx((0.03 + 0.4 * (0.05 - 0.03)) / 0.1)
 
 
@@ -308,3 +333,55 @@ class TestExecutorLoop:
         d = log.splices[1]
         assert {"i_star", "discrepancy", "term_base", "tick"} <= set(d)
         assert json.loads(json.dumps(log.events)) == log.events
+
+
+class _NanThirdChunk(CruisePolicy):
+    """CruisePolicy whose third chunk holds one NaN, in column 0 of row 0."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, obs, obs_t):
+        chunk = super().__call__(obs, obs_t)
+        self.calls += 1
+        if self.calls == 3:
+            chunk.values[0, 0] = math.nan
+        return chunk
+
+
+def _checkpoint_with_huge_output_weights(path):
+    """A checkpoint whose finite EMA output-layer weights are all 1e300."""
+    model = ToyDenoiser(ACTION_DIM, DiffusionReplayPolicy.COND_DIM, hidden=8, kemb_dim=8, temb_dim=8)
+    model.init_params(np.random.default_rng(0))
+    save_checkpoint(path, model, cosine_schedule())
+    doc = read_json(path)
+    doc["ema"]["W3"] = [[1e300] * len(r) for r in doc["ema"]["W3"]]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestNonFiniteChunks:
+    def test_nan_chunk_rejected_before_dispatch(self, monkeypatch):
+        # before the guard this episode finished with tracking_rms_m nan
+        issued = []
+        issue = Plant.issue_command
+
+        def recording_issue(self, cmd, t_effect):
+            issued.append((cmd.v, cmd.v_lat, cmd.omega))
+            issue(self, cmd, t_effect)
+
+        monkeypatch.setattr(Plant, "issue_command", recording_issue)
+        policy = _NanThirdChunk()
+        with pytest.raises(NonFiniteChunkError, match="trial seed 11"):
+            run_condition_trial(Condition("c"), "nav_reach", 11, make_policy=lambda s: policy)
+        assert policy.calls == 3
+        assert issued and all(math.isfinite(x) for cmd in issued for x in cmd)
+
+    def test_checkpoint_policy_overflow_rejected(self, tmp_path):
+        # before the guard canonicalising the sampled rows raised a bare
+        # "cannot canonicalize a zero or non-finite quaternion"
+        model, sched, _ = load_checkpoint(_checkpoint_with_huge_output_weights(tmp_path / "m.json"))
+        policy = DiffusionReplayPolicy(model, sched, seed=5)
+        plant = Plant(PlantConfig(kinematic=True))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteChunkError, match="trial seed 5"):
+            run_executor(policy, plant, ExecutorConfig(max_ticks=10))

@@ -142,8 +142,7 @@ def state_fingerprint(monkeypatch) -> str:
             return chunk
 
         def recording_tick(tick, t, pl):
-            state, v, omega = pl.read_state()
-            put(state, v, omega)
+            put(Plant._state(pl.current), pl.v, pl.omega)
             return tick_callback(tick, t, pl)
 
         return run_executor(recording_policy, plant, config, tick_callback=recording_tick)
@@ -157,6 +156,41 @@ def state_fingerprint(monkeypatch) -> str:
                 run_condition_trial(cond, name, seed)
         h.update(f"{name}/kinematic".encode())
         run_condition_trial(FINGERPRINT_MATRIX[0], name, seeds[0], PlantConfig(kinematic=True))
+    return h.hexdigest()
+
+
+# SHA-256 of every event of the same episodes: tick, t, kind and payload, each
+# float as float.hex, in key order. Recorded before the executor tick became
+# float code. STATE_FINGERPRINT sees states and chunk rows but not the log;
+# this sees splice discrepancy terms, t0_obs, rollback rows and command
+# payloads at full precision, which the rounded CSV rows cannot.
+EVENT_FINGERPRINT = "fd438287f97b84ebb32e7e20767504ead7b6b508d2b65f83844095a97e4a28a5"
+
+
+def _event_line(e: dict) -> bytes:
+    def text(v):
+        return float.hex(v) if isinstance(v, float) else repr(v)
+
+    payload = " ".join(f"{k}={text(v)}" for k, v in e["payload"].items())
+    return f"{e['tick']} {float.hex(e['t'])} {e['kind']} {payload}\n".encode()
+
+
+def event_fingerprint() -> str:
+    """Hash of the event logs of the episodes that state_fingerprint runs."""
+    h = hashlib.sha256()
+
+    def run(label, *args):
+        h.update(label.encode())
+        _, log = run_condition_trial(*args)
+        for e in log.events:
+            h.update(_event_line(e))
+
+    seeds = [int(np.random.SeedSequence([0, k]).generate_state(1)[0]) for k in (0, 1)]
+    for name in SCENARIO_NAMES:
+        for cond in FINGERPRINT_MATRIX:
+            for seed in seeds:
+                run(f"{name}/{cond.name}/{seed}", cond, name, seed)
+        run(f"{name}/kinematic", FINGERPRINT_MATRIX[0], name, seeds[0], PlantConfig(kinematic=True))
     return h.hexdigest()
 
 
@@ -200,8 +234,7 @@ class TestPlant:
         plant = Plant(PlantConfig(kinematic=True))
         plant.issue_command(hold_cmd(v=0.3), t_effect=0.0)
         plant.step_to(0.1)
-        _, v, _ = plant.read_state()
-        assert v == pytest.approx(0.3)
+        assert plant.v == pytest.approx(0.3)
         assert plant.base.x == pytest.approx(0.3 * 0.1, abs=1e-9)
 
     def test_lagged_velocity_is_exact_exponential(self):
@@ -211,8 +244,7 @@ class TestPlant:
         plant.step_to(0.3)
         n = round(0.3 / cfg.dt_sub)  # the command applies from the first substep
         expected = 0.5 * (1.0 - math.exp(-n * cfg.dt_sub / cfg.tau_base))
-        _, v, _ = plant.read_state()
-        assert v == pytest.approx(expected, abs=1e-12)
+        assert plant.v == pytest.approx(expected, abs=1e-12)
 
     def test_command_queue_respects_effect_time(self):
         plant = Plant(PlantConfig(kinematic=True))
@@ -264,10 +296,10 @@ class TestPlant:
         plant = Plant(PlantConfig())
         target = Pose3(GRASP_POSE.rotation, np.array([0.5, 0.1, -0.3]))
         plant.issue_command(PlantCommand(0.4, 0.02, 0.8, target, 0.2), t_effect=0.0)
-        snaps = [(plant.t, plant.read_state()[0])]
+        snaps = [(plant.t, plant._state(plant.current))]
         for k in range(1, 61):
             plant.step_to(round(0.01 * k, 9))
-            snaps.append((plant.t, plant.read_state()[0]))
+            snaps.append((plant.t, plant._state(plant.current)))
 
         def same(a, b):
             return (
@@ -449,6 +481,9 @@ class TestEpisodes:
 
     def test_episode_states_unchanged(self, monkeypatch):
         assert state_fingerprint(monkeypatch) == STATE_FINGERPRINT
+
+    def test_episode_events_unchanged(self):
+        assert event_fingerprint() == EVENT_FINGERPRINT
 
     def test_condition_matrix_rows_unchanged(self):
         conds = [
@@ -634,6 +669,12 @@ def _bits(state) -> bytes:
     return head + state.hand_pos.tobytes() + state.hand_rot.tobytes()
 
 
+def _tuple_bits(s: tuple) -> bytes:
+    """_bits of the PredictedState that the state tuple s stands for."""
+    head = np.array([s[0], s[1], s[2], s[10]], dtype=float).tobytes()
+    return head + np.array(s[3:6]).tobytes() + np.array(s[6:10]).tobytes()
+
+
 def _unit(rng, n=4):
     v = rng.normal(size=n)
     return v / np.linalg.norm(v)
@@ -718,8 +759,7 @@ class TestFloatCodeMatchesReference:
             assert [x.hex() for x in (plant.v, plant.omega, plant.v_lat)] == [
                 x.hex() for x in (ref.v, ref.omega, ref.v_lat)
             ]
-            state, v, omega = plant.read_state()
-            assert _bits(state) == _bits(ref.read_state()[0])
+            assert _bits(plant._state(plant.current)) == _bits(ref.read_state()[0])
             assert plant._times == ref._times
             assert [_bits(plant._state(s)) for s in plant._states] == [
                 _bits(s) for s in ref._states
@@ -749,7 +789,7 @@ class TestFloatCodeMatchesReference:
         for row in chunk.values:
             expected.append(_ref_advance_state(expected[-1], row))
             assert _bits(advance_state(expected[-2], row)) == _bits(expected[-1])
-        assert [_bits(s) for s in forward_rollout(s0, chunk)] == [_bits(s) for s in expected]
+        assert [_tuple_bits(s) for s in forward_rollout(s0, chunk)] == [_bits(s) for s in expected]
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -69,6 +69,16 @@ def test_install_wraps_and_uninstall_restores(spans):
         "executor.run_executor",
     ):
         assert name in recorded
+    # the per-layer split of one executor tick: each layer is a module function
+    # that run_executor calls by name, so inlining one would zero its metrics
+    calls = Counter(span[0] for span in rec.spans)
+    for name in (
+        "executor.forward_rollout",
+        "executor.state_match",
+        "executor.splice",
+        "executor.command_to_target",
+    ):
+        assert calls[name] >= 1, name
     assert rec.counts["episodes"] == 1 and rec.counts["slerp"] > 0
 
 
