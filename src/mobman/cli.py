@@ -312,16 +312,15 @@ class DiffusionReplayPolicy:
             prev[:] = rows[r]
         # rows with a NaN or infinite entry, or with a quaternion block so large
         # that its norm overflows, are rejected before anything executes them
-        bad = NonFiniteChunkError(
+        if np.isfinite(rows).all():
+            try:
+                return ActionChunkTensor(rows).canonicalized()
+            except ValueError:  # a quaternion block that cannot be normalised
+                pass
+        raise NonFiniteChunkError(
             "sampled an action chunk with a non-finite entry or a quaternion block "
             f"that cannot be normalised (trial seed {self.seed})"
         )
-        if not np.isfinite(rows).all():
-            raise bad
-        try:
-            return ActionChunkTensor(rows).canonicalized()
-        except ValueError as exc:
-            raise bad from exc
 
 
 def cmd_simulate(cfg: dict) -> RunManifest:

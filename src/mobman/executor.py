@@ -366,8 +366,8 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
     and only there; quaternion dots stay ndarray dots (BLAS rounding); the
     hand position term adds its three squares left to right, as np.sum does;
     transcendentals are math calls; a command's hand target quaternion is
-    canonicalised again, as the Pose3 constructor did; event payloads keep
-    their round() calls on the same values and their key order.
+    canonicalised again, as the Pose3 constructor did; event payloads round
+    the same values by the same rule and keep their key order.
     """
     lat = config.latency
     dt = config.dt
