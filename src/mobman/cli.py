@@ -46,7 +46,7 @@ from .diffusion import (
     save_checkpoint,
     train_toy,
 )
-from .geometry import DegeneratePitchError, Pose3
+from .geometry import DegeneratePitchError, Pose2, Pose3
 from .jsonl import MalformedInputError, fields_of, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
@@ -72,7 +72,7 @@ from .sim import (
     run_episode,  # noqa: F401  benchmarks/spans.py rebinds it under this name
     scripted_expert,  # noqa: F401  benchmarks/spans.py traces it under this name
 )
-from .executor import NonFiniteChunkError, PredictedState
+from .executor import NonFiniteChunkError
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -299,11 +299,13 @@ class DiffusionReplayPolicy:
         self._eps_fn = model_eps_fn(model)
         self._calls = 0
 
-    def __call__(self, obs: PredictedState, obs_t: float) -> ActionChunkTensor:
+    def __call__(self, obs: tuple, obs_t: float) -> ActionChunkTensor:
         rng = np.random.default_rng([self.seed, 0xD1, self._calls])
         self._calls += 1
         rows = np.zeros((DEFAULT_HORIZON, ACTION_DIM))
-        cond = obs_to_condition(obs.base, obs.hand_rel, obs.grip, np.zeros(ACTION_DIM), np.zeros(0))
+        # the Pose3 constructor canonicalises the quaternion again
+        base, hand = Pose2.of_wrapped(*obs[:3]), Pose3(np.array(obs[6:10]), np.array(obs[3:6]))
+        cond = obs_to_condition(base, hand, obs[10], np.zeros(ACTION_DIM), np.zeros(0))
         prev = cond[PREV_ACTION_OFFSET : PREV_ACTION_OFFSET + ACTION_DIM]
         for r in range(DEFAULT_HORIZON):
             rows[r] = ddim_sample(

@@ -10,6 +10,18 @@ resumes from the spatially aligned point instead of rolling back.
 Everything here runs on a virtual clock: planner latency is simulated as a
 delayed arrival, command dispatch latency as a delayed effect inside the
 plant, so episodes are bit-identical per seed.
+
+State layout: every robot state, from the plant's history and its current
+state through observations to roll-out states and waypoint targets, is one
+tuple of 11 floats (x, y, theta, px, py, pz, qw, qx, qy, qz, grip): base
+pose in the world with theta wrapped to (-pi, pi], chest-relative hand
+position and canonical hand quaternion, and gripper aperture. An action row
+uses the same 11 slots for increments (see advance_floats).
+
+The float code keeps the bits of the Pose2/Pose3 code it replaced: every
+heading is wrapped where a Pose2 constructor wrapped it, and only there;
+quaternion dots stay ndarray dots (BLAS rounding); transcendentals are math
+calls.
 """
 from __future__ import annotations
 
@@ -21,8 +33,6 @@ import numpy as np
 
 from .diffusion import DEFAULT_HORIZON, ActionChunkTensor
 from .geometry import (
-    Pose2,
-    Pose3,
     dist_se2,
     geodesic_so3,
     quat_canonical_floats,
@@ -35,20 +45,6 @@ CONTROL_DT = 0.1
 EXEC_HORIZON = 8  # T_a: rows executed between plan activations
 ROLLBACK_M = 0.005  # m behind the current pose, along heading, that counts as a rollback
 JITTER_WINDOW_S = 0.5  # s after a splice in which forward-velocity sign flips count
-
-
-@dataclass(frozen=True)
-class PredictedState:
-    """Decomposed robot state: base pose, hand position/rotation, aperture."""
-
-    base: Pose2
-    hand_pos: np.ndarray
-    hand_rot: np.ndarray
-    grip: float
-
-    @property
-    def hand_rel(self) -> Pose3:
-        return Pose3(self.hand_rot, self.hand_pos)
 
 
 @dataclass(frozen=True)
@@ -97,9 +93,9 @@ class NonFiniteChunkError(ValueError):
 def hand_increment_floats(
     px, py, pz, qw, qx, qy, qz, ex, ey, ez, dw, dqx, dqy, dqz
 ) -> tuple[float, ...]:
-    """The hand rule of advance_state on floats: the position adds (ex, ey,
-    ez), the quaternion is left-multiplied by (dw, dqx, dqy, dqz) and
-    canonicalised. Returns (px, py, pz, qw, qx, qy, qz)."""
+    """The hand rule of advance_floats: the position adds (ex, ey, ez), the
+    quaternion is left-multiplied by (dw, dqx, dqy, dqz) and canonicalised.
+    Returns (px, py, pz, qw, qx, qy, qz)."""
     return (
         px + ex,
         py + ey,
@@ -109,11 +105,12 @@ def hand_increment_floats(
 
 
 def advance_floats(x, y, th, px, py, pz, qw, qx, qy, qz, row) -> tuple[float, ...]:
-    """advance_state on a state given as floats (base x, y, theta, hand
-    position, hand quaternion) and an 11-D row given as a sequence; returns
-    the new (x, y, theta, px, py, pz, qw, qx, qy, qz) with advance_state's
-    bits. The row's heading increment and the composed heading are wrapped as
-    the Pose2 constructor wraps them.
+    """Apply one action row (a sequence) to the first ten floats of a state;
+    returns them, the only row integrator. The base increment composes in the
+    current base frame, wrapping the row's heading increment and the composed
+    heading as the Pose2 constructor did; the hand follows
+    hand_increment_floats. The grip channel row[10] is absolute and left to
+    the caller.
     """
     dx, dy, dth = row[0], row[1], row[2]
     c, s = math.cos(th), math.sin(th)
@@ -125,36 +122,13 @@ def advance_floats(x, y, th, px, py, pz, qw, qx, qy, qz, row) -> tuple[float, ..
     )
 
 
-def advance_state(s: PredictedState, row: np.ndarray) -> PredictedState:
-    """Apply one action row to a state, by advance_floats, the only row integrator.
-
-    The base increment composes in the current base frame, the hand adds
-    its translation increment and left-multiplies its quaternion increment,
-    and the grip channel is absolute.
-    """
-    row = np.asarray(row, dtype=float).tolist()
-    return _state(advance_floats(*_floats(s), row), row[10])
-
-
-def _floats(s: PredictedState) -> tuple[float, ...]:
-    """The arguments of advance_floats that describe s."""
-    return (s.base.x, s.base.y, s.base.theta, *s.hand_pos.tolist(), *s.hand_rot.tolist())
-
-
-def _state(f: tuple[float, ...], grip: float) -> PredictedState:
-    """The PredictedState of advance_floats' result f and a grip."""
-    base = Pose2.of_wrapped(f[0], f[1], f[2])
-    return PredictedState(base, np.array(f[3:6]), np.array(f[6:10]), grip)
-
-
-def forward_rollout(s0: PredictedState, chunk: ActionChunkTensor) -> list[tuple]:
+def forward_rollout(s0: tuple, chunk: ActionChunkTensor) -> list[tuple]:
     """Kinematic roll-out: geometric integration of the chunk, no dynamics.
 
     rollout[i] is the state after applying the first i action rows to s0, for
-    i = 0..T_p, so the roll-out holds T_p + 1 states. Each is a state tuple
-    (x, y, theta, px, py, pz, qw, qx, qy, qz, grip); rollout[0] is s0's.
+    i = 0..T_p, so the roll-out holds T_p + 1 states; rollout[0] is s0.
     """
-    s = (*_floats(s0), s0.grip)
+    s = s0
     states = [s]
     for row in chunk.values.tolist():
         s = (*advance_floats(*s[:10], row), row[10])
@@ -165,10 +139,10 @@ def forward_rollout(s0: PredictedState, chunk: ActionChunkTensor) -> list[tuple]
 def state_match(rollout: list[tuple], now: tuple, w: MatchWeights | None = None) -> SpliceReport:
     """Index of the roll-out state closest to the current physical state.
 
-    rollout and now are state tuples. The discrepancy of candidate s is
-    w_b * dist_se2(s, now)^2 + w_t * |hand position error|^2
-    + w_r * geodesic_so3(s, now)^2 + w_g * (grip error)^2. Ties break toward
-    the smaller index so less of the plan is discarded.
+    The discrepancy of candidate s is w_b * dist_se2(s, now)^2
+    + w_t * |hand position error|^2 + w_r * geodesic_so3(s, now)^2
+    + w_g * (grip error)^2. Ties break toward the smaller index so less of
+    the plan is discarded.
     """
     if not rollout:
         raise ValueError("empty rollout")
@@ -190,7 +164,7 @@ def state_match(rollout: list[tuple], now: tuple, w: MatchWeights | None = None)
 
 
 class Waypoint(NamedTuple):
-    """One dispatchable target: chunk row index, target state tuple, chunk row."""
+    """One dispatchable target: chunk row index, target state, chunk row."""
 
     index: int
     target: tuple
@@ -257,12 +231,15 @@ class ExecutorConfig:
 
 @dataclass
 class PlantCommand:
-    """One control-tick command: base twist plus hand and grip targets."""
+    """One control-tick command: base twist plus hand and grip targets.
+
+    hand_target is (px, py, pz, qw, qx, qy, qz) with a canonical quaternion.
+    """
 
     v: float
     v_lat: float
     omega: float
-    hand_target: Pose3
+    hand_target: tuple
     grip_target: float
 
 
@@ -284,7 +261,8 @@ class EpisodeLog:
 
     @property
     def splices(self) -> list[dict]:
-        """SpliceReport.to_dict() of every splice, in order."""
+        """The payload of every splice event, in order: SpliceReport's
+        fields, then t0_obs and tick."""
         return self.payloads("splice")
 
     @property
@@ -304,39 +282,39 @@ def command_to_target(
 ) -> tuple[PlantCommand, float, float]:
     """Command toward a waypoint: action-row feedforward plus error correction.
 
-    now is the plant's current tuple (Plant.current). Returns the command and
-    the target's position (ex, ey) in the current base frame, which the
-    rollback check reads. gain = 1 is deadbeat (kinematic plants); on a lagged
-    plant the caller lowers it to dt / (dt + tau) so the position loop stays
-    damped while the feedforward keeps steady-state tracking exact.
+    now is the plant's current state. Returns the command and the target's
+    position (ex, ey) in the current base frame, which the rollback check
+    reads. gain = 1 is deadbeat (kinematic plants); on a lagged plant the
+    caller lowers it to dt / (dt + tau) so the position loop stays damped
+    while the feedforward keeps steady-state tracking exact.
     """
     target, row = wp.target, wp.row
     ex, ey, eth = relative_floats(*target[:3], now[0], now[1], now[2])
-    # the quaternion is canonicalised again, as the Pose3 constructor did
-    q = np.array(quat_canonical_floats(*target[6:10]))
     cmd = PlantCommand(
         v=(row[0] + gain * (ex - row[0])) / dt,
         v_lat=(row[1] + gain * (ey - row[1])) / dt,
         omega=(row[2] + gain * (wrap_angle(eth) - row[2])) / dt,
-        hand_target=Pose3.of_canonical(q, np.array(target[3:6])),
+        hand_target=_hand_target(target),
         grip_target=target[10],
     )
     return cmd, ex, ey
 
 
+def _hand_target(s: tuple) -> tuple:
+    """The hand of state s as a PlantCommand hand target; the quaternion is
+    canonicalised again, as the Pose3 constructor of the hand target did."""
+    return (*s[3:6], *quat_canonical_floats(*s[6:10]))
+
+
 def _advance_by_latency(s: tuple, v: float, omega: float, d_exe: float) -> tuple:
-    """The state tuple of the plant tuple s with the base moved to where it
-    will be when a command issued now takes effect."""
-    x, y, th, px, py, pz, rot, grip = s
+    """State s with the base moved to where it will be when a command issued
+    now takes effect."""
+    x, y, th = s[:3]
     return (
         x + v * math.cos(th) * d_exe,
         y + v * math.sin(th) * d_exe,
         wrap_angle(th + omega * d_exe),
-        px,
-        py,
-        pz,
-        *rot.tolist(),
-        grip,
+        *s[3:],
     )
 
 
@@ -344,11 +322,10 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
     """Drive the plant with chunks from the policy on a virtual clock.
 
     policy(obs_state, obs_t) -> ActionChunkTensor of the configured horizon.
-    plant must expose step_to(t), state_at(t) -> PredictedState,
-    issue_command(cmd, t_effect), the floats v and omega, hand_rel and grip,
-    and current: the plant's state as the tuple (x, y, theta, px, py, pz,
-    rot, grip), rot a canonical quaternion array. tick_callback(tick, t,
-    plant) is called once per tick; a true result ends the episode.
+    plant must expose step_to(t), state_at(t) and current (states),
+    issue_command(cmd, t_effect) and the floats v and omega.
+    tick_callback(tick, t, plant) is called once per tick; a true result ends
+    the episode.
 
     Exactly one plan may be pending. A new plan is activated (matched and
     spliced) at the first tick boundary at or after its arrival, and its
@@ -358,16 +335,8 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
     An arriving chunk with a NaN or infinite entry raises NonFiniteChunkError
     before any of its rows is matched or dispatched.
 
-    A tick builds no pose objects. Roll-out, match and waypoint targets are
-    state tuples (x, y, theta, px, py, pz, qw, qx, qy, qz, grip); dispatch
-    reads Plant.current and takes the target's pose relative to the base
-    once, on floats. The float code keeps the bits of the Pose2/Pose3 code it
-    replaced: every heading is wrapped where a Pose2 constructor wrapped it,
-    and only there; quaternion dots stay ndarray dots (BLAS rounding); the
-    hand position term adds its three squares left to right, as np.sum does;
-    transcendentals are math calls; a command's hand target quaternion is
-    canonicalised again, as the Pose3 constructor did; event payloads round
-    the same values by the same rule and keep their key order.
+    A tick builds no pose objects. Event payloads round the same values by
+    the same rule as the pose-object code did and keep its key order.
     """
     lat = config.latency
     dt = config.dt
@@ -450,7 +419,8 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
             if ex < -ROLLBACK_M and chunk_net_forward > 1e-6:
                 log.add(tick, t, "rollback", {"behind_m": round(-ex, 6), "row": wp.index})
         else:
-            cmd = PlantCommand(0.0, 0.0, 0.0, plant.hand_rel, plant.grip)
+            s = plant.current
+            cmd = PlantCommand(0.0, 0.0, 0.0, _hand_target(s), s[10])
         plant.issue_command(cmd, t + lat.d_exe)
         # a dispatched command's velocities are numpy scalars, and round() of
         # one is ndarray.round of it; rounding the three in one array gives

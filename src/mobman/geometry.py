@@ -274,7 +274,7 @@ class Pose3:
     def from_list(values) -> "Pose3":
         if len(values) != 7:
             raise ValueError(f"pose must have 7 values, got {len(values)}")
-        v = [float(x) for x in values]
+        v = _finite_floats(values)
         return Pose3(np.array(v[3:7]), np.array(v[0:3]))
 
 
@@ -322,11 +322,18 @@ class Pose2:
     def from_list(values) -> "Pose2":
         if len(values) != 3:
             raise ValueError(f"planar pose must have 3 values, got {len(values)}")
-        return Pose2(float(values[0]), float(values[1]), float(values[2]))
+        return Pose2(*_finite_floats(values))
 
     def lift(self, z: float = 0.0) -> Pose3:
         """Embed in SE(3) as a level pose at height z."""
         return Pose3(rot_z(self.theta), np.array([self.x, self.y, z]))
+
+
+def _finite_floats(values) -> list[float]:
+    v = [float(x) for x in values]
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"pose values must be finite, got {v}")
+    return v
 
 
 def relative_floats(x, y, theta, rx, ry, rtheta) -> tuple[float, float, float]:
@@ -344,7 +351,7 @@ def dist_se2(a, b, fold_radius: float = 0.5) -> float:
     """Planar distance with the heading error folded in as an arc length.
 
     a and b are (x, y, theta, ...) sequences; entries after theta are not
-    read, so a state tuple can be passed as it is. Default fold radius 0.5 m
+    read, so a state can be passed as it is. Default fold radius 0.5 m
     matches the base's turning radius used by the state matcher.
     """
     if fold_radius <= 0.0:

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .anchoring import VioTrajectory
-from .executor import PredictedState, advance_state
+from .executor import advance_floats
 from .geometry import (
     Pose2,
     Pose3,
@@ -57,6 +57,8 @@ class GripperCalib:
     d_open: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.d_closed) and math.isfinite(self.d_open)):
+            raise ValueError(f"d_closed {self.d_closed} and d_open {self.d_open} must be finite")
         if not self.d_open > self.d_closed:
             raise ValueError("d_open must exceed d_closed")
 
@@ -401,13 +403,14 @@ def integrate_labels(
     base0: Pose2, hand0: Pose3, grip0: float, labels: np.ndarray
 ) -> list[DemoStep]:
     """Chain action labels from an initial state; inverse of make_action_labels."""
-    state = PredictedState(base0, hand0.translation, hand0.rotation, grip0)
+    s = (base0.x, base0.y, base0.theta, *hand0.translation.tolist(), *hand0.rotation.tolist())
     steps = [DemoStep(t=0.0, base=base0, hand_rel=hand0, grip=grip0)]
-    for i, row in enumerate(np.asarray(labels, dtype=float)):
-        state = advance_state(state, row)
-        steps.append(
-            DemoStep(t=0.1 * (i + 1), base=state.base, hand_rel=state.hand_rel, grip=state.grip)
-        )
+    for i, row in enumerate(np.asarray(labels, dtype=float).tolist()):
+        s = advance_floats(*s, row)
+        # the Pose3 constructor canonicalises the chained quaternion again
+        hand = Pose3(np.array(s[6:10]), np.array(s[3:6]))
+        base = Pose2.of_wrapped(*s[:3])
+        steps.append(DemoStep(t=0.1 * (i + 1), base=base, hand_rel=hand, grip=row[10]))
     return steps
 
 

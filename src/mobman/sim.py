@@ -35,7 +35,6 @@ from .executor import (
     ExecutorConfig,
     LatencyConfig,
     PlantCommand,
-    PredictedState,
     advance_floats,
     hand_increment_floats,
     run_executor,
@@ -94,29 +93,17 @@ class Plant:
     """100 Hz plant with a command queue honoring dispatch latency.
 
     Commands are applied at the first substep boundary at or after their
-    effect time (virtual-clock quantization). A snapshot history backs
-    state_at() for aged observations.
+    effect time (virtual-clock quantization). The history holds one state
+    (executor's 11-float layout) per substep and backs state_at() for aged
+    observations; its last entry is `current`. A command is taken apart into
+    floats once, when it takes effect.
 
-    State layout: the history holds one plain tuple per substep, (base x, y,
-    theta, hand position x, y, z, canonical hand quaternion array, grip), and
-    its last tuple is the current state, which `current` returns; v, omega
-    and v_lat are floats. PredictedState objects are built only by state_at.
-    A command's clipped twist and hand target are taken apart into floats
-    once, when it takes effect, and the queue is scanned only when an effect
-    time is due.
-
-    The substep is float code that gives the bits of the Pose2/Pose3
-    operations it stands for:
-      - every reduction is an ndarray.dot, because the BLAS dot rounds
-        differently from a Python sum of squares (it uses FMA);
-      - element-wise + - * / give the same bits on floats as on arrays, and
-        min(max(x, lo), hi) gives np.clip's; transcendentals are math calls;
-      - theta is wrapped wherever the Pose2 constructor wrapped it, and only
-        there, since wrapping an in-range angle again can move its last bit;
-      - the slerp result is canonicalised a second time, as the Pose3
-        constructor did;
-      - the reach clamp takes its norm only when a float sum of squares with
-        a margin says the hand may be beyond ARM_REACH.
+    The substep keeps the bits of the Pose2/Pose3 code it replaced (see
+    executor): element-wise + - * / and min(max(x, lo), hi) give the bits of
+    their array forms and np.clip; the slerp result is canonicalised a second
+    time, as the Pose3 constructor did; the reach clamp takes its BLAS norm
+    only when a float sum of squares with a margin says the hand may be
+    beyond ARM_REACH.
     """
 
     def __init__(
@@ -128,79 +115,67 @@ class Plant:
     ):
         self.config = config
         hand_rel = hand_rel if hand_rel is not None else Pose3()
+        hand = (*hand_rel.translation.tolist(), *hand_rel.rotation.tolist())
         self.v = 0.0
         self.omega = 0.0
         self.v_lat = 0.0
         self.t = 0.0
         self._k = 0  # substeps taken; t is k / (substeps per second)
-        self._take(PlantCommand(0.0, 0.0, 0.0, hand_rel, float(grip)))
+        self._take(PlantCommand(0.0, 0.0, 0.0, hand, float(grip)))
         self._queue: list[tuple[float, PlantCommand]] = []
         self._next_due = math.inf  # earliest effect time in _queue
         self._times = [0.0]  # snapshot times, kept beside _states
-        pos = hand_rel.translation.tolist()
-        self._states = [(base.x, base.y, base.theta, *pos, hand_rel.rotation, float(grip))]
+        self._states = [(base.x, base.y, base.theta, *hand, float(grip))]
 
     @property
     def current(self) -> tuple:
-        """The current state: (x, y, theta, px, py, pz, rot, grip), rot a
-        canonical quaternion array. The tuple is the history's own entry."""
+        """The current state, the history's own last entry."""
         return self._states[-1]
-
-    @property
-    def base(self) -> Pose2:
-        x, y, th = self._states[-1][:3]
-        return Pose2.of_wrapped(x, y, th)
-
-    @property
-    def hand_rel(self) -> Pose3:
-        s = self._states[-1]
-        return Pose3(s[6], s[3:6])
-
-    @property
-    def grip(self) -> float:
-        return self._states[-1][7]
 
     def issue_command(self, cmd: PlantCommand, t_effect: float) -> None:
         self._queue.append((t_effect, cmd))
         if t_effect < self._next_due:
             self._next_due = t_effect
 
-    @staticmethod
-    def _state(s: tuple) -> PredictedState:
-        return PredictedState(Pose2.of_wrapped(s[0], s[1], s[2]), np.array(s[3:6]), s[6], s[7])
-
-    def state_at(self, t: float) -> PredictedState:
+    def state_at(self, t: float) -> tuple:
         """State at a past time, interpolated between substep snapshots."""
         times, states = self._times, self._states
         if t <= times[0]:
-            return self._state(states[0])
+            return states[0]
         if t >= times[-1]:
-            return self._state(states[-1])
+            return states[-1]
         j = bisect.bisect_right(times, t)
-        x0, y0, th0, px0, py0, pz0, q0, g0 = states[j - 1]
-        x1, y1, th1, px1, py1, pz1, q1, g1 = states[j]
+        x0, y0, th0, px0, py0, pz0, *q0, g0 = states[j - 1]
+        x1, y1, th1, px1, py1, pz1, *q1, g1 = states[j]
         a = (t - times[j - 1]) / (times[j] - times[j - 1])
         b = 1 - a
-        return PredictedState(
-            base=Pose2(b * x0 + a * x1, b * y0 + a * y1, th0 + a * wrap_angle(th1 - th0)),
-            hand_pos=np.array((b * px0 + a * px1, b * py0 + a * py1, b * pz0 + a * pz1)),
-            hand_rot=slerp(q0, q1, a),
-            grip=b * g0 + a * g1,
+        # slerp's dot, an ndarray dot
+        dot = float(np.array(q0).dot(np.array(q1)))
+        return (
+            b * x0 + a * x1,
+            b * y0 + a * y1,
+            wrap_angle(th0 + a * wrap_angle(th1 - th0)),
+            b * px0 + a * px1,
+            b * py0 + a * py1,
+            b * pz0 + a * pz1,
+            *slerp_floats(q0, q1, a, dot),
+            b * g0 + a * g1,
         )
 
     def _take(self, cmd: PlantCommand) -> None:
         """Make cmd the active command, taken apart into the floats a substep reads."""
         cfg = self.config
-        target = cmd.hand_target
-        q1 = target.rotation
+        tx, ty, tz, *q1 = cmd.hand_target
         self._cmd = (
             # min(max(x, lo), hi) is np.clip's result, signed zeros included
             float(min(max(cmd.v, -cfg.v_max), cfg.v_max)),
             float(min(max(cmd.omega, -cfg.omega_max), cfg.omega_max)),
             float(min(max(cmd.v_lat, -cfg.lateral_clip), cfg.lateral_clip)),
-            *target.translation.tolist(),
+            tx,
+            ty,
+            tz,
+            np.array(q1),
             q1,
-            q1.tolist(),
             cmd.grip_target,
         )
 
@@ -224,8 +199,7 @@ class Plant:
         # k / per_s is the time that round(t + dt, 9) chained from 0 reaches
         per_s = round(1.0 / dt)
         times, states = self._times, self._states
-        x, y, th, px, py, pz, rot, grip = states[-1]
-        qw, qx, qy, qz = rot.tolist()
+        x, y, th, px, py, pz, qw, qx, qy, qz, grip = states[-1]
         v, omega, v_lat = self.v, self.omega, self.v_lat
         v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
         now, k = self.t, self._k
@@ -256,15 +230,15 @@ class Plant:
             # slerp normalises, then quat_canonical normalises again as the
             # Pose3 constructor did; without the second pass the last bits of
             # every episode state change
+            rot = np.array((qw, qx, qy, qz))
             q = slerp_floats((qw, qx, qy, qz), q1f, a, float(rot.dot(q1)))
             qw, qx, qy, qz = quat_canonical_floats(*q)
-            rot = np.array((qw, qx, qy, qz))
             dg = min(max(g_cmd - grip, -rate), rate)
             grip = float(min(max(grip + dg, 0.0), 1.0))
             k += 1
             now = k / per_s
             times.append(now)
-            states.append((x, y, th, px, py, pz, rot, grip))
+            states.append((x, y, th, px, py, pz, qw, qx, qy, qz, grip))
         self.v, self.omega, self.v_lat = v, omega, v_lat
         self.t, self._k = now, k
 
@@ -434,8 +408,7 @@ class GoalStage:
         return goal.x, goal.y, goal.theta
 
     def satisfied(self, s: tuple, base_goal: tuple[float, float, float] | None) -> bool:
-        """Whether the plant tuple s (Plant.current) meets this stage;
-        base_goal is base_in(task frame)."""
+        """Whether state s meets this stage; base_goal is base_in(task frame)."""
         if self.base is not None:
             gx, gy, gth = base_goal
             pos_tol, ang_tol = self.base[3:]
@@ -451,9 +424,9 @@ class GoalStage:
                 return False
         if self.grip is not None:
             op, thr = self.grip
-            if op == "<=" and not s[7] <= thr:
+            if op == "<=" and not s[10] <= thr:
                 return False
-            if op == ">=" and not s[7] >= thr:
+            if op == ">=" and not s[10] >= thr:
                 return False
         return True
 
@@ -800,10 +773,10 @@ class CruisePolicy:
 
     STEP = 0.03
 
-    def __call__(self, obs: PredictedState, obs_t: float) -> ActionChunkTensor:
+    def __call__(self, obs: tuple, obs_t: float) -> ActionChunkTensor:
         rows = np.tile(HOLD_ROW, (DEFAULT_HORIZON, 1))
         rows[:, 0] = self.STEP
-        rows[:, 10] = obs.grip
+        rows[:, 10] = obs[10]
         return ActionChunkTensor(rows)
 
 
@@ -865,13 +838,13 @@ class ExpertReplayPolicy:
         )
         self._cursor = 0
 
-    def _match_index(self, obs: PredictedState) -> int:
+    def _match_index(self, obs: tuple) -> int:
         lo = self._cursor
         hi = min(len(self.ref_base), lo + 30)
         # np.vecdot of contiguous rows rounds as ndarray.dot of each row does
-        dp = self.ref_hand_pos[lo:hi] - obs.hand_pos
+        dp = self.ref_hand_pos[lo:hi] - np.array(obs[3:6])
         hand_d = np.sqrt(np.vecdot(dp, dp)).tolist()
-        x, y, th, grip = obs.base.x, obs.base.y, obs.base.theta, obs.grip
+        x, y, th, grip = obs[0], obs[1], obs[2], obs[10]
         best, best_j = None, lo
         for j, (bx, by, bth), dh, g in zip(
             range(lo, hi), self.ref_base[lo:hi], hand_d, self.ref_grip[lo:hi]
@@ -915,16 +888,17 @@ class ExpertReplayPolicy:
         frac = 1.0 if ang <= self.MAX_HAND_ROT else self.MAX_HAND_ROT / ang
         return ex, ey, ez, *slerp_floats(_IDENTITY_Q, q_err, frac, w)
 
-    def __call__(self, obs: PredictedState, obs_t: float) -> ActionChunkTensor:
+    def __call__(self, obs: tuple, obs_t: float) -> ActionChunkTensor:
         j = self._match_index(obs)
         last = len(self.ref_base) - 1
         ref_base, ref_hand, ref_grip = self.ref_base, self.ref_hand, self.ref_grip
-        b = obs.base
-        state = (b.x, b.y, b.theta, *obs.hand_pos.tolist(), *obs.hand_rot.tolist())
-        grip = obs.grip
+        state, grip = obs[:10], obs[10]
         relative = self.label_frame == "relative"
         if not relative:
-            world = hand_world_pose(obs.base, obs.hand_rel)
+            # the Pose3 constructor canonicalises the quaternion again
+            world = hand_world_pose(
+                Pose2.of_wrapped(*obs[:3]), Pose3(np.array(obs[6:10]), np.array(obs[3:6]))
+            )
             hand = (*world.translation.tolist(), *world.rotation.tolist())
         rows = []
         for r in range(DEFAULT_HORIZON):
@@ -997,8 +971,8 @@ class _StageTracker:
         self.done_time = None
 
     def update(self, t: float, s: tuple) -> bool:
-        """Advance on the plant tuple s (Plant.current) at time t; True once
-        every stage has been held."""
+        """Advance on the plant's state s at time t; True once every stage
+        has been held."""
         if self.stage >= len(self.goals):
             return True
         goal = self.goals[self.stage]

@@ -21,8 +21,7 @@ from mobman.diffusion import (
     obs_to_condition,
     save_checkpoint,
 )
-from mobman.executor import PredictedState
-from mobman.geometry import Pose2
+from mobman.geometry import Pose2, Pose3
 from mobman.jsonl import read_json
 from mobman.manifest import RunManifest, file_sha256
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
@@ -583,15 +582,14 @@ class TestDiffusionReplayPolicy:
         policy = cli.DiffusionReplayPolicy(model, sched, seed=7)
         eps_fn = model_eps_fn(model)
         for call in range(2):
-            obs = PredictedState(
-                Pose2(0.2 * call, 0.1, 0.3), np.array([0.3, 0.0, -0.2]), np.array([1.0, 0.0, 0.0, 0.0]), 0.4
-            )
+            obs = (0.2 * call, 0.1, 0.3, 0.3, 0.0, -0.2, 1.0, 0.0, 0.0, 0.0, 0.4)
             got = policy(obs, 0.1 * call).values
             # the adapter's rows, each sampled under a condition built afresh
             row_rng = np.random.default_rng([7, 0xD1, call])
             rows, prev = [], np.zeros(ACTION_DIM)
+            base, hand = Pose2.of_wrapped(*obs[:3]), Pose3(np.array(obs[6:10]), np.array(obs[3:6]))
             for _ in range(DEFAULT_HORIZON):
-                cond = obs_to_condition(obs.base, obs.hand_rel, obs.grip, prev, np.zeros(0))
+                cond = obs_to_condition(base, hand, obs[10], prev, np.zeros(0))
                 prev = ddim_sample(eps_fn, cond, sched, rng=row_rng, sample_dim=ACTION_DIM)[0]
                 rows.append(prev)
             assert np.array_equal(got, ActionChunkTensor(np.array(rows)).canonicalized().values)
@@ -758,13 +756,35 @@ class TestMalformedInput:
             "extrinsics.json",
             lambda text: json.dumps({k: v[:6] for k, v in json.loads(text).items()}),
         ),
+        "anchor_tag_position_nan": (
+            "anchor",
+            "detections.jsonl",
+            lambda text: "".join(
+                json.dumps({**rec, "tag_pose": [math.nan, *rec["tag_pose"][1:]]} if i == 0 else rec)
+                + "\n"
+                for i, rec in enumerate(map(json.loads, text.splitlines()))
+            ),
+        ),
         "process_cross_node_missing": ("process", "anchors.json", lambda _: "{}"),
+        "process_cross_node_position_nan": (
+            "process",
+            "anchors.json",
+            lambda text: json.dumps(
+                {**json.loads(text), "cross_node": [math.nan, *json.loads(text)["cross_node"][1:]]}
+            ),
+        ),
         "process_cross_node_5_values": (
             "process", "anchors.json", lambda _: json.dumps({"cross_node": [0, 0, 0, 1, 0]})
         ),
         "process_calib_empty": ("process", "calib.json", lambda _: "{}"),
         "process_calib_open_below_closed": (
             "process", "calib.json", lambda _: json.dumps({"d_closed": 0.09, "d_open": 0.01})
+        ),
+        "process_calib_closed_minus_inf": (
+            "process", "calib.json", lambda _: json.dumps({"d_closed": -math.inf, "d_open": 0.09})
+        ),
+        "process_calib_open_inf": (
+            "process", "calib.json", lambda _: json.dumps({"d_closed": 0.01, "d_open": math.inf})
         ),
         "process_marker_distance_missing": ("process", "markers.jsonl", lambda _: '{"t": 0.0}\n'),
         "replay_config_empty": (

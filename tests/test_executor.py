@@ -20,39 +20,24 @@ from mobman.executor import (
     LatencyConfig,
     MatchWeights,
     NonFiniteChunkError,
-    PredictedState,
     Waypoint,
-    advance_state,
+    advance_floats,
     command_to_target,
     forward_rollout,
     run_executor,
     splice,
     state_match,
 )
-from mobman.geometry import Pose2
+from mobman.geometry import Pose2, quat_canonical, quat_canonical_floats
 from mobman.jsonl import read_json
 from mobman.sim import Condition, CruisePolicy, Plant, PlantConfig, run_condition_trial
 
 IDENT_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def state(x=0.0, y=0.0, th=0.0, hand=(0.3, 0.0, -0.2), grip=1.0):
-    return PredictedState(Pose2(x, y, th), np.array(hand, float), IDENT_Q.copy(), grip)
-
-
 def tup(x=0.0, y=0.0, th=0.0, hand=(0.3, 0.0, -0.2), grip=1.0):
-    """The state tuple (x, y, theta, px, py, pz, qw, qx, qy, qz, grip) of state(...)."""
+    """The state (x, y, theta, px, py, pz, qw, qx, qy, qz, grip), theta wrapped."""
     return (x, y, Pose2(x, y, th).theta, *map(float, hand), *IDENT_Q.tolist(), grip)
-
-
-def as_state(s: tuple) -> PredictedState:
-    """The PredictedState of a state tuple."""
-    return PredictedState(Pose2.of_wrapped(*s[:3]), np.array(s[3:6]), np.array(s[6:10]), s[10])
-
-
-def plant_tuple(s: tuple) -> tuple:
-    """The Plant.current layout (x, y, theta, px, py, pz, rot array, grip) of a state tuple."""
-    return (*s[:6], np.array(s[6:10]), s[10])
 
 
 def cruise_chunk(step=0.03, horizon=16, grip=1.0):
@@ -65,13 +50,13 @@ def cruise_chunk(step=0.03, horizon=16, grip=1.0):
 
 class TestRollout:
     def test_starts_at_s0_and_has_horizon_length(self):
-        s0 = state()
+        s0 = tup()
         roll = forward_rollout(s0, cruise_chunk())
         assert len(roll) == 17  # s0 and the state after each of the 16 rows
         assert roll[0] == tup()
 
     def test_straight_line_integration(self):
-        roll = forward_rollout(state(), cruise_chunk(step=0.03))
+        roll = forward_rollout(tup(), cruise_chunk(step=0.03))
         for i, s in enumerate(roll):
             assert s[0] == pytest.approx(0.03 * i, abs=1e-12)
             assert s[1] == 0.0
@@ -81,15 +66,15 @@ class TestRollout:
         rows[:, 6] = 1.0
         rows[0] = [0.1, 0, math.pi / 2, 0, 0, 0, 1, 0, 0, 0, 1]
         rows[1] = [0.1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
-        roll = forward_rollout(state(), ActionChunkTensor(rows))
+        roll = forward_rollout(tup(), ActionChunkTensor(rows))
         assert roll[2][0] == pytest.approx(0.1, abs=1e-12)
         assert roll[2][1] == pytest.approx(0.1, abs=1e-12)
 
     def test_advance_state_matches_rollout(self):
         chunk = cruise_chunk()
-        roll = forward_rollout(state(), chunk)
-        stepped = advance_state(as_state(roll[4]), chunk.values[4])
-        assert stepped.base.x == pytest.approx(roll[5][0], abs=1e-12)
+        roll = forward_rollout(tup(), chunk)
+        stepped = advance_floats(*roll[4][:10], chunk.values[4].tolist())
+        assert stepped[0] == pytest.approx(roll[5][0], abs=1e-12)
 
 
 class TestMatchWeights:
@@ -107,12 +92,12 @@ class TestMatchWeights:
 
 class TestStateMatch:
     def test_picks_nearest(self):
-        roll = forward_rollout(state(), cruise_chunk(step=0.03))
+        roll = forward_rollout(tup(), cruise_chunk(step=0.03))
         rep = state_match(roll, tup(x=0.0852))  # between indices 2 and 3
         assert rep.i_star == 3
 
     def test_tie_breaks_to_smaller_index(self):
-        roll = forward_rollout(state(), cruise_chunk(step=0.03))
+        roll = forward_rollout(tup(), cruise_chunk(step=0.03))
         rep = state_match(roll, tup(x=0.045))  # exactly between 1 and 2
         assert rep.i_star == 1
 
@@ -122,7 +107,7 @@ class TestStateMatch:
 
     def test_weight_scaling_leaves_argmin(self):
         rng = np.random.default_rng(0)
-        roll = forward_rollout(state(), cruise_chunk())
+        roll = forward_rollout(tup(), cruise_chunk())
         for _ in range(50):
             probe = tup(
                 x=rng.uniform(0, 0.5),
@@ -146,7 +131,7 @@ class TestStateMatch:
 class TestSplice:
     def _splice(self, i_star):
         chunk = cruise_chunk()
-        return splice(chunk, forward_rollout(state(), chunk), i_star)
+        return splice(chunk, forward_rollout(tup(), chunk), i_star)
 
     def test_keeps_tail(self):
         wps, replan = self._splice(3)
@@ -180,7 +165,7 @@ class TestSpliceProperty:
     def test_indexing(self, rows, off):
         chunk = ActionChunkTensor(np.array(rows))
         T_p = chunk.horizon
-        rollout = forward_rollout(state(), chunk)
+        rollout = forward_rollout(tup(), chunk)
         assert len(rollout) == T_p + 1
         for i_star in range(T_p):
             wps, replan = splice(chunk, rollout, i_star)
@@ -188,16 +173,9 @@ class TestSpliceProperty:
             assert replan == (i_star == T_p - 1)
             for w in wps:
                 row = chunk.values[w.index]
-                want = advance_state(as_state(rollout[w.index]), row)
+                want = advance_floats(*rollout[w.index][:10], row.tolist())
                 assert np.array_equal(w.row, row)
-                assert (w.target[0], w.target[1], w.target[2]) == (
-                    want.base.x,
-                    want.base.y,
-                    want.base.theta,
-                )
-                assert np.array_equal(np.array(w.target[3:6]), want.hand_pos)
-                assert np.array_equal(np.array(w.target[6:10]), want.hand_rot)
-                assert w.target[10] == want.grip
+                assert w.target == (*want, row[10])
         for bad in (-off, T_p - 1 + off):
             with pytest.raises(ValueError):
                 splice(chunk, rollout, bad)
@@ -222,20 +200,20 @@ class TestLatencyConfig:
 class TestCommandToTarget:
     def test_deadbeat_on_track(self):
         # waypoint exactly one row ahead: command equals the feedforward row
-        roll = forward_rollout(state(), cruise_chunk(step=0.03))
+        roll = forward_rollout(tup(), cruise_chunk(step=0.03))
         wp = Waypoint(0, roll[1], cruise_chunk().values[0])
-        cmd, _, _ = command_to_target(plant_tuple(roll[0]), wp, dt=0.1)
+        cmd, _, _ = command_to_target(roll[0], wp, dt=0.1)
         assert cmd.v == pytest.approx(0.3)
         assert cmd.omega == 0.0
 
     def test_deadbeat_corrects_error(self):
         wp = Waypoint(0, tup(x=0.05), np.r_[0.03, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1.0])
-        cmd, _, _ = command_to_target(plant_tuple(tup(x=0.0)), wp, dt=0.1)
+        cmd, _, _ = command_to_target(tup(x=0.0), wp, dt=0.1)
         assert cmd.v == pytest.approx(0.5)
 
     def test_damped_gain_blends(self):
         wp = Waypoint(0, tup(x=0.05), np.r_[0.03, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1.0])
-        cmd, _, _ = command_to_target(plant_tuple(tup(x=0.0)), wp, dt=0.1, gain=0.4)
+        cmd, _, _ = command_to_target(tup(x=0.0), wp, dt=0.1, gain=0.4)
         assert cmd.v == pytest.approx((0.03 + 0.4 * (0.05 - 0.03)) / 0.1)
 
 
@@ -333,6 +311,50 @@ class TestExecutorLoop:
         d = log.splices[1]
         assert {"i_star", "discrepancy", "term_base", "tick"} <= set(d)
         assert json.loads(json.dumps(log.events)) == log.events
+
+
+class _ProtocolPlant:
+    """Only what run_executor may use of a plant, around a state that never
+    moves; it records each issued command with its tick time."""
+
+    __slots__ = ("current", "v", "omega", "t", "issued")
+
+    def __init__(self, state):
+        self.current = state
+        self.v = self.omega = self.t = 0.0
+        self.issued = []
+
+    def step_to(self, t):
+        self.t = t
+
+    def state_at(self, t):
+        return self.current
+
+    def issue_command(self, cmd, t_effect):
+        self.issued.append((round(self.t, 9), cmd))
+
+
+class TestPlantProtocol:
+    def test_grace_splice_and_hold_on_the_narrow_protocol(self):
+        q = quat_canonical(np.array([0.9, -0.1, 0.3, 0.2])).tolist()
+        plant = _ProtocolPlant((0.4, -0.2, 2.5, 0.3, 0.05, -0.2, *q, 0.7))
+        # a 2 s planning leg: the first chunk lands at tick 20, its 16 rows run
+        # out at tick 36, and the next chunk (requested at tick 21) at tick 41
+        lat = LatencyConfig(d_in=0.0, d_net=2.0, d_exe=0.0)
+        log = run_executor(CruisePolicy(), plant, ExecutorConfig(latency=lat, max_ticks=45))
+        assert [e["tick"] for e in log.events if e["kind"] == "splice"] == [20, 41]
+        # startup grace: nothing is issued before the first chunk arrives
+        assert [round(t * 10) for t, _ in plant.issued] == list(range(20, 45))
+        commands = log.payloads("command")
+        held = [p for p in commands if "row" not in p]
+        assert len(held) == 5 and all(p == {"v": 0.0, "v_lat": 0.0, "omega": 0.0} for p in held)
+        hold = (*plant.current[3:6], *quat_canonical_floats(*plant.current[6:10]))
+        for t, cmd in plant.issued:
+            if 3.6 <= t < 4.1:
+                assert (cmd.v, cmd.v_lat, cmd.omega) == (0.0, 0.0, 0.0)
+                assert cmd.hand_target == hold and cmd.grip_target == 0.7
+            else:
+                assert cmd.v != 0.0
 
 
 class _NanThirdChunk(CruisePolicy):

@@ -2,15 +2,16 @@
 
 The reference functions below are copies of the executor's roll-out, match,
 splice, dispatch and latency projection and of the goal check as they were
-when they built PredictedState, Pose2 and Pose3 objects on every tick. The
-tests compare them with the float code by float.hex and tobytes, on the
-cases that episodes rarely reach: headings at and near +-pi, a waypoint at
-the rollback threshold, exact ties in the match, antipodal and w = 0
-quaternions, grips on the goal thresholds, matching off and a match on the
-last row.
+when they built state objects (_RefState here), Pose2 and Pose3 objects on
+every tick. The tests compare them with the float code by float.hex and
+tobytes, on the cases that episodes rarely reach: headings at and near +-pi,
+a waypoint at the rollback threshold, exact ties in the match, antipodal and
+w = 0 quaternions, grips on the goal thresholds, matching off and a match on
+the last row.
 """
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from mobman.executor import (
     LatencyConfig,
     MatchWeights,
     PlantCommand,
-    PredictedState,
     Waypoint,
     _advance_by_latency,
     advance_floats,
@@ -33,7 +33,7 @@ from mobman.executor import (
     splice,
     state_match,
 )
-from mobman.geometry import Pose2, quat_canonical, relative_floats, wrap_angle
+from mobman.geometry import Pose2, Pose3, quat_canonical, relative_floats, wrap_angle
 from mobman.sim import CruisePolicy, GoalStage, GRASP_POSE, Plant, PlantConfig
 
 PI = math.pi
@@ -57,13 +57,23 @@ EDGE_HEADINGS = [
 # ---------------------------------------------------------------------------
 
 
+class _RefState(NamedTuple):
+    """The state record of the reference code: a Pose2 base, the hand as
+    position and quaternion arrays, and the grip."""
+
+    base: Pose2
+    hand_pos: np.ndarray
+    hand_rot: np.ndarray
+    grip: float
+
+
 def _ref_floats(s):
     return (s.base.x, s.base.y, s.base.theta, *s.hand_pos.tolist(), *s.hand_rot.tolist())
 
 
 def _ref_state(f, grip):
     base = Pose2.of_wrapped(f[0], f[1], f[2])
-    return PredictedState(base, np.array(f[3:6]), np.array(f[6:10]), grip)
+    return _RefState(base, np.array(f[3:6]), np.array(f[6:10]), grip)
 
 
 def _ref_forward_rollout(s0, chunk):
@@ -122,7 +132,7 @@ def _ref_command_to_target(now, target, row, dt, gain=1.0):
         v=(row[0] + gain * (rel.x - row[0])) / dt,
         v_lat=(row[1] + gain * (rel.y - row[1])) / dt,
         omega=(row[2] + gain * (wrap_angle(rel.theta) - row[2])) / dt,
-        hand_target=target.hand_rel,
+        hand_target=Pose3(target.hand_rot, target.hand_pos),
         grip_target=target.grip,
     )
     return cmd, rel
@@ -130,7 +140,7 @@ def _ref_command_to_target(now, target, row, dt, gain=1.0):
 
 def _ref_advance_by_latency(state, v, omega, d_exe):
     th = state.base.theta
-    return PredictedState(
+    return _RefState(
         base=Pose2(
             state.base.x + v * math.cos(th) * d_exe,
             state.base.y + v * math.sin(th) * d_exe,
@@ -172,7 +182,7 @@ def _hex(*xs) -> list[str]:
     return [float.hex(float(x)) for x in xs]
 
 
-def _state_bits(s: PredictedState) -> tuple:
+def _state_bits(s: _RefState) -> tuple:
     b = s.base
     return (*_hex(b.x, b.y, b.theta, s.grip), s.hand_pos.tobytes(), s.hand_rot.tobytes())
 
@@ -181,10 +191,10 @@ def _tuple_bits(s: tuple) -> tuple:
     return (*_hex(s[0], s[1], s[2], s[10]), np.array(s[3:6]).tobytes(), np.array(s[6:10]).tobytes())
 
 
-def _plant_tuple(s: PredictedState) -> tuple:
-    """The Plant.current tuple of the plant state s (which read_state returned)."""
+def _tuple(s: _RefState) -> tuple:
+    """The state (x, y, theta, px, py, pz, qw, qx, qy, qz, grip) of s."""
     b = s.base
-    return (b.x, b.y, b.theta, *s.hand_pos.tolist(), s.hand_rot, s.grip)
+    return (b.x, b.y, b.theta, *s.hand_pos.tolist(), *s.hand_rot.tolist(), s.grip)
 
 
 def _payload_bits(d: dict) -> list:
@@ -210,9 +220,9 @@ def _quat(rng, kind) -> np.ndarray:
     return quat_canonical(q)
 
 
-def _state(rng, th, kind, grip=None) -> PredictedState:
+def _state(rng, th, kind, grip=None) -> _RefState:
     """A plant-like state: wrapped heading, canonical quaternion array."""
-    return PredictedState(
+    return _RefState(
         Pose2(*rng.normal(scale=0.5, size=2), th),
         rng.normal(scale=0.3, size=3),
         _quat(rng, kind),
@@ -255,7 +265,7 @@ class TestTickMatchesPoseCode:
         obs = _state(rng, th_obs, q_obs)
         chunk = _chunk(rng, rows)
         ref_roll = _ref_forward_rollout(obs, chunk)
-        roll = forward_rollout(obs, chunk)
+        roll = forward_rollout(_tuple(obs), chunk)
         assert [_tuple_bits(s) for s in roll] == [_state_bits(s) for s in ref_roll]
 
         now = _state(rng, th_now, q_now)
@@ -265,10 +275,10 @@ class TestTickMatchesPoseCode:
             k = int(rng.integers(len(ref_roll)))
             s = ref_roll[k]
             rot = -s.hand_rot if where == "antipodal" else s.hand_rot
-            now = PredictedState(s.base, s.hand_pos.copy(), rot.copy(), s.grip)
+            now = _RefState(s.base, s.hand_pos.copy(), rot.copy(), s.grip)
         v, omega, d_exe = rng.normal(scale=0.3), rng.normal(scale=0.5), rng.uniform(0.0, 0.05)
         ref_now = _ref_advance_by_latency(now, v, omega, d_exe)
-        now_eff = _advance_by_latency(_plant_tuple(now), v, omega, d_exe)
+        now_eff = _advance_by_latency(_tuple(now), v, omega, d_exe)
         assert _tuple_bits(now_eff) == _state_bits(ref_now)
 
         w = MatchWeights() if rng.uniform() < 0.5 else MatchWeights(*rng.uniform(0.0, 2.0, size=4))
@@ -294,7 +304,7 @@ class TestTickMatchesPoseCode:
         rng = np.random.default_rng(3)
         obs = _state(rng, 0.3, "random")
         chunk = _chunk(rng, "still")
-        roll = forward_rollout(obs, chunk)
+        roll = forward_rollout(_tuple(obs), chunk)
         assert len(set(roll[1:])) == 1 and roll[0] != roll[1]
         report = state_match(roll, roll[5])
         assert report.i_star == 1 and report.discrepancy == 0.0
@@ -322,9 +332,9 @@ class TestTickMatchesPoseCode:
             rel = Pose2(-ROLLBACK_M + int(rng.integers(-2, 3)) * ulp, rng.normal(scale=1e-3), th_rel)
         if where == "origin_rollback":
             # from the origin at heading 0 the relative pose is exact
-            now = PredictedState(Pose2(), now.hand_pos, now.hand_rot, now.grip)
+            now = _RefState(Pose2(), now.hand_pos, now.hand_rot, now.grip)
         b = now.base.compose(rel)
-        target = PredictedState(
+        target = _RefState(
             Pose2.of_wrapped(b.x, b.y, b.theta),
             rng.normal(scale=0.3, size=3),
             _quat(rng, q_kind),
@@ -332,9 +342,8 @@ class TestTickMatchesPoseCode:
         )
         row = np.concatenate([rng.normal(scale=0.05, size=10), [target.grip]])
         ref_cmd, ref_rel = _ref_command_to_target(now, target, row, 0.1, gain)
-        t = target
-        wp = Waypoint(7, (t.base.x, t.base.y, t.base.theta, *t.hand_pos.tolist(), *t.hand_rot.tolist(), t.grip), row)
-        cmd, ex, ey = command_to_target(_plant_tuple(now), wp, 0.1, gain)
+        wp = Waypoint(7, _tuple(target), row)
+        cmd, ex, ey = command_to_target(_tuple(now), wp, 0.1, gain)
         assert _hex(cmd.v, cmd.v_lat, cmd.omega, cmd.grip_target) == _hex(
             ref_cmd.v, ref_cmd.v_lat, ref_cmd.omega, ref_cmd.grip_target
         )
@@ -343,8 +352,8 @@ class TestTickMatchesPoseCode:
         assert [type(x) for x in (cmd.v, cmd.v_lat, cmd.omega)] == [
             type(x) for x in (ref_cmd.v, ref_cmd.v_lat, ref_cmd.omega)
         ]
-        assert cmd.hand_target.rotation.tobytes() == ref_cmd.hand_target.rotation.tobytes()
-        assert cmd.hand_target.translation.tobytes() == ref_cmd.hand_target.translation.tobytes()
+        assert np.array(cmd.hand_target[3:]).tobytes() == ref_cmd.hand_target.rotation.tobytes()
+        assert np.array(cmd.hand_target[:3]).tobytes() == ref_cmd.hand_target.translation.tobytes()
         assert _hex(ex, ey) == _hex(ref_rel.x, ref_rel.y)
         assert (ex < -ROLLBACK_M) == (ref_rel.x < -ROLLBACK_M)
         # the command event's payload: the same round() calls on the same values
@@ -401,9 +410,9 @@ class TestGoalCheckMatchesPoseCode:
             bx, by = g.x + rng.normal(scale=scale), g.y + rng.normal(scale=scale)
             bth = g.theta + rng.normal(scale=0.1)
         hand = GRASP_POSE.translation + rng.normal(scale=scale, size=3)
-        state = PredictedState(Pose2(bx, by, bth), hand, _quat(rng, "random"), grip)
+        state = _RefState(Pose2(bx, by, bth), hand, _quat(rng, "random"), grip)
         want = _ref_satisfied(goal, state, frame)
-        assert goal.satisfied(_plant_tuple(state), goal.base_in(frame)) == want
+        assert goal.satisfied(_tuple(state), goal.base_in(frame)) == want
 
 
 class TestCommandPayload:

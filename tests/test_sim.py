@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from mobman.diffusion import ActionChunkTensor
 from mobman.executor import (
     ExecutorConfig,
     PlantCommand,
-    PredictedState,
-    advance_state,
+    advance_floats,
     forward_rollout,
     run_executor,
 )
@@ -128,11 +128,11 @@ def state_fingerprint(monkeypatch) -> str:
     one kinematic-plant episode per scenario."""
     h = hashlib.sha256()
 
-    def put(state, *scalars):
-        b = state.base
-        h.update(" ".join(float.hex(float(x)) for x in (b.x, b.y, b.theta, state.grip, *scalars)).encode())
-        h.update(state.hand_pos.tobytes())
-        h.update(state.hand_rot.tobytes())
+    def put(s, *scalars):
+        head = (s[0], s[1], s[2], s[10], *scalars)
+        h.update(" ".join(float.hex(float(x)) for x in head).encode())
+        h.update(np.array(s[3:6]).tobytes())
+        h.update(np.array(s[6:10]).tobytes())
 
     def recording_run_executor(policy, plant, config, tick_callback=None):
         def recording_policy(obs, obs_t):
@@ -142,7 +142,7 @@ def state_fingerprint(monkeypatch) -> str:
             return chunk
 
         def recording_tick(tick, t, pl):
-            put(Plant._state(pl.current), pl.v, pl.omega)
+            put(pl.current, pl.v, pl.omega)
             return tick_callback(tick, t, pl)
 
         return run_executor(recording_policy, plant, config, tick_callback=recording_tick)
@@ -225,8 +225,8 @@ def reference_digest(name: str) -> str:
 
 
 
-def hold_cmd(v=0.0, hand=None, grip=1.0):
-    return PlantCommand(v, 0.0, 0.0, hand or Pose3(IDENT_Q, np.array([0.3, 0.0, -0.2])), grip)
+def hold_cmd(v=0.0, hand=(0.3, 0.0, -0.2, *IDENT_Q.tolist()), grip=1.0):
+    return PlantCommand(v, 0.0, 0.0, hand, grip)
 
 
 class TestPlant:
@@ -235,7 +235,7 @@ class TestPlant:
         plant.issue_command(hold_cmd(v=0.3), t_effect=0.0)
         plant.step_to(0.1)
         assert plant.v == pytest.approx(0.3)
-        assert plant.base.x == pytest.approx(0.3 * 0.1, abs=1e-9)
+        assert plant.current[0] == pytest.approx(0.3 * 0.1, abs=1e-9)
 
     def test_lagged_velocity_is_exact_exponential(self):
         cfg = PlantConfig()
@@ -265,16 +265,16 @@ class TestPlant:
         plant = Plant(cfg, grip=1.0)
         plant.issue_command(hold_cmd(grip=0.0), t_effect=0.0)
         plant.step_to(0.2)
-        assert plant.grip == pytest.approx(1.0 - cfg.grip_rate * 0.2, abs=1e-9)
+        assert plant.current[10] == pytest.approx(1.0 - cfg.grip_rate * 0.2, abs=1e-9)
         plant.step_to(1.0)
-        assert plant.grip == 0.0
+        assert plant.current[10] == 0.0
 
     def test_arm_reach_clamped(self):
         plant = Plant(PlantConfig(kinematic=True))
-        far = Pose3(IDENT_Q, np.array([2.0, 0.0, 0.0]))
+        far = (2.0, 0.0, 0.0, *IDENT_Q.tolist())
         plant.issue_command(PlantCommand(0, 0, 0, far, 1.0), t_effect=0.0)
         plant.step_to(0.5)
-        assert np.linalg.norm(plant.hand_rel.translation) <= ARM_REACH + 1e-9
+        assert np.linalg.norm(plant.current[3:6]) <= ARM_REACH + 1e-9
 
     def test_state_at_interpolates_history(self):
         plant = Plant(PlantConfig(kinematic=True))
@@ -283,63 +283,57 @@ class TestPlant:
         s = plant.state_at(0.505)
         lo = plant.state_at(0.50)
         hi = plant.state_at(0.51)
-        assert lo.base.x <= s.base.x <= hi.base.x
+        assert lo[0] <= s[0] <= hi[0]
 
     def test_state_at_clamps_to_history_ends(self):
         plant = Plant(PlantConfig(kinematic=True))
         plant.step_to(0.2)
-        assert plant.state_at(-5.0).base.x == plant.state_at(0.0).base.x
-        assert plant.state_at(99.0).base.x == plant.state_at(0.2).base.x
+        assert plant.state_at(-5.0)[0] == plant.state_at(0.0)[0]
+        assert plant.state_at(99.0)[0] == plant.state_at(0.2)[0]
 
     def test_state_at_matches_recorded_snapshots(self):
         # a lagged plant turning, driving, moving its hand and closing its grip
         plant = Plant(PlantConfig())
-        target = Pose3(GRASP_POSE.rotation, np.array([0.5, 0.1, -0.3]))
+        target = (0.5, 0.1, -0.3, *GRASP_POSE.rotation.tolist())
         plant.issue_command(PlantCommand(0.4, 0.02, 0.8, target, 0.2), t_effect=0.0)
-        snaps = [(plant.t, plant._state(plant.current))]
+        snaps = [(plant.t, plant.current)]
         for k in range(1, 61):
             plant.step_to(round(0.01 * k, 9))
-            snaps.append((plant.t, plant._state(plant.current)))
-
-        def same(a, b):
-            return (
-                a.base == b.base
-                and a.grip == b.grip
-                and np.array_equal(a.hand_pos, b.hand_pos)
-                and np.array_equal(a.hand_rot, b.hand_rot)
-            )
+            snaps.append((plant.t, plant.current))
 
         # at or beyond the ends of the history: the first or last snapshot
         for t in (-1.0, 0.0):
-            assert same(plant.state_at(t), snaps[0][1])
+            assert plant.state_at(t) == snaps[0][1]
         for t in (0.6, 0.6 + 1e-12, 7.0):
-            assert same(plant.state_at(t), snaps[-1][1])
+            assert plant.state_at(t) == snaps[-1][1]
         for (t0, s0), (t1, s1) in zip(snaps[:-1], snaps[1:]):
             # exactly at an inner snapshot time: that snapshot, up to the
             # rounding of the zero-weight interpolation
             if t0 > 0.0:
                 s = plant.state_at(t0)
-                assert (s.base.x, s.base.y, s.grip) == (s0.base.x, s0.base.y, s0.grip)
-                assert np.array_equal(s.hand_pos, s0.hand_pos)
-                assert s.base.theta == pytest.approx(s0.base.theta, abs=1e-15)
-                assert np.allclose(s.hand_rot, s0.hand_rot, rtol=0.0, atol=1e-15)
+                assert (s[0], s[1], s[10]) == (s0[0], s0[1], s0[10])
+                assert s[3:6] == s0[3:6]
+                assert s[2] == pytest.approx(s0[2], abs=1e-15)
+                assert np.allclose(s[6:10], s0[6:10], rtol=0.0, atol=1e-15)
             # between snapshots: interpolated from the bracketing pair
             t = t0 + 0.3 * (t1 - t0)
             a = (t - t0) / (t1 - t0)
             s = plant.state_at(t)
-            assert s.base == Pose2(
-                (1 - a) * s0.base.x + a * s1.base.x,
-                (1 - a) * s0.base.y + a * s1.base.y,
-                s0.base.theta + a * wrap_angle(s1.base.theta - s0.base.theta),
+            b = Pose2(
+                (1 - a) * s0[0] + a * s1[0],
+                (1 - a) * s0[1] + a * s1[1],
+                s0[2] + a * wrap_angle(s1[2] - s0[2]),
             )
-            assert np.array_equal(s.hand_pos, (1 - a) * s0.hand_pos + a * s1.hand_pos)
-            assert np.array_equal(s.hand_rot, slerp(s0.hand_rot, s1.hand_rot, a))
-            assert s.grip == (1 - a) * s0.grip + a * s1.grip
+            assert s[:3] == (b.x, b.y, b.theta)
+            p0, p1 = np.array(s0[3:6]), np.array(s1[3:6])
+            assert np.array_equal(s[3:6], (1 - a) * p0 + a * p1)
+            assert np.array_equal(s[6:10], slerp(np.array(s0[6:10]), np.array(s1[6:10]), a))
+            assert s[10] == (1 - a) * s0[10] + a * s1[10]
 
     def test_lateral_channel_clipped(self):
         cfg = PlantConfig(kinematic=True)
         plant = Plant(cfg)
-        plant.issue_command(PlantCommand(0.0, 1.0, 0.0, Pose3(), 1.0), t_effect=0.0)
+        plant.issue_command(PlantCommand(0.0, 1.0, 0.0, hold_cmd().hand_target, 1.0), t_effect=0.0)
         plant.step_to(1.0)
         assert abs(plant.v_lat) <= cfg.lateral_clip + 1e-12
 
@@ -510,6 +504,16 @@ class TestEpisodes:
 # ---------------------------------------------------------------------------
 
 
+class _RefState(NamedTuple):
+    """The state record of the reference code: a Pose2 base, the hand as
+    position and quaternion arrays, and the grip."""
+
+    base: Pose2
+    hand_pos: np.ndarray
+    hand_rot: np.ndarray
+    grip: float
+
+
 def _ref_quat_canonical(q):
     q = np.asarray(q, dtype=float)
     n = math.sqrt(q.dot(q))
@@ -561,7 +565,7 @@ def _ref_slerp(q0, q1, s):
 
 
 def _ref_advance_state(s, row):
-    return PredictedState(
+    return _RefState(
         base=s.base.compose(Pose2(row[0], row[1], row[2])),
         hand_pos=s.hand_pos + row[3:6],
         hand_rot=_ref_quat_canonical(_ref_quat_mul(row[6:10], s.hand_rot)),
@@ -570,7 +574,9 @@ def _ref_advance_state(s, row):
 
 
 class _RefPlant:
-    """Plant with Pose2 base, array hand and one PredictedState per substep."""
+    """Plant with Pose2 base, array hand and one _RefState per substep.
+
+    Commands carry the hand target as (px, py, pz, qw, qx, qy, qz)."""
 
     def __init__(self, config, base=Pose2(), hand_rel=None, grip=1.0):
         self.config = config
@@ -583,7 +589,8 @@ class _RefPlant:
         self.omega = 0.0
         self.v_lat = 0.0
         self.t = 0.0
-        self.cmd = PlantCommand(0.0, 0.0, 0.0, hand_rel, self.grip)
+        hand = (*hand_rel.translation.tolist(), *hand_rel.rotation.tolist())
+        self.cmd = PlantCommand(0.0, 0.0, 0.0, hand, self.grip)
         self._queue = []
         self._times = []
         self._states = []
@@ -597,7 +604,7 @@ class _RefPlant:
         self._queue.append((t_effect, cmd))
 
     def read_state(self):
-        return PredictedState(self.base, self.hand_pos, self.hand_rot, self.grip), self.v, self.omega
+        return _RefState(self.base, self.hand_pos, self.hand_rot, self.grip), self.v, self.omega
 
     def state_at(self, t):
         times, states = self._times, self._states
@@ -608,7 +615,7 @@ class _RefPlant:
         j = bisect.bisect_right(times, t)
         s0, s1 = states[j - 1], states[j]
         a = (t - times[j - 1]) / (times[j] - times[j - 1])
-        return PredictedState(
+        return _RefState(
             base=Pose2(
                 (1 - a) * s0.base.x + a * s1.base.x,
                 (1 - a) * s0.base.y + a * s1.base.y,
@@ -650,12 +657,12 @@ class _RefPlant:
             self.base.theta + self.omega * dt,
         )
         a = 1.0 if cfg.kinematic else cfg.arm_gain
-        target = cmd.hand_target
-        pos = self.hand_pos + a * (target.translation - self.hand_pos)
+        target_pos, target_rot = np.array(cmd.hand_target[:3]), np.array(cmd.hand_target[3:])
+        pos = self.hand_pos + a * (target_pos - self.hand_pos)
         r = math.sqrt(pos.dot(pos))
         if r > ARM_REACH:
             pos = pos * (ARM_REACH / r)
-        self.hand_rot = _ref_quat_canonical(_ref_slerp(self.hand_rot, target.rotation, a))
+        self.hand_rot = _ref_quat_canonical(_ref_slerp(self.hand_rot, target_rot, a))
         self.hand_pos = pos
         rate = cfg.grip_rate * dt
         dg = min(max(cmd.grip_target - self.grip, -rate), rate)
@@ -663,16 +670,22 @@ class _RefPlant:
 
 
 def _bits(state) -> bytes:
-    """Every bit of a PredictedState; -0.0 and 0.0 differ."""
+    """Every bit of a _RefState; -0.0 and 0.0 differ."""
     b = state.base
     head = np.array([b.x, b.y, b.theta, state.grip], dtype=float).tobytes()
     return head + state.hand_pos.tobytes() + state.hand_rot.tobytes()
 
 
 def _tuple_bits(s: tuple) -> bytes:
-    """_bits of the PredictedState that the state tuple s stands for."""
+    """_bits of the _RefState that the state s stands for."""
     head = np.array([s[0], s[1], s[2], s[10]], dtype=float).tobytes()
     return head + np.array(s[3:6]).tobytes() + np.array(s[6:10]).tobytes()
+
+
+def _as_tuple(s: _RefState) -> tuple:
+    """The state (x, y, theta, px, py, pz, qw, qx, qy, qz, grip) of s."""
+    b = s.base
+    return (b.x, b.y, b.theta, *s.hand_pos.tolist(), *s.hand_rot.tolist(), s.grip)
 
 
 def _unit(rng, n=4):
@@ -749,7 +762,8 @@ class TestFloatCodeMatchesReference:
                 target = Pose3(
                     _ROTATION_KINDS[turn](rng, ref.hand_rot), _TRANSLATION_KINDS[where](rng)
                 )
-                cmd = PlantCommand(v, v_lat, omega, target, grip_target)
+                hand = (*target.translation.tolist(), *target.rotation.tolist())
+                cmd = PlantCommand(v, v_lat, omega, hand, grip_target)
                 plant.issue_command(cmd, t + delay)
                 ref.issue_command(cmd, t + delay)
             t = round(t + step, 9)
@@ -759,13 +773,11 @@ class TestFloatCodeMatchesReference:
             assert [x.hex() for x in (plant.v, plant.omega, plant.v_lat)] == [
                 x.hex() for x in (ref.v, ref.omega, ref.v_lat)
             ]
-            assert _bits(plant._state(plant.current)) == _bits(ref.read_state()[0])
+            assert _tuple_bits(plant.current) == _bits(ref.read_state()[0])
             assert plant._times == ref._times
-            assert [_bits(plant._state(s)) for s in plant._states] == [
-                _bits(s) for s in ref._states
-            ]
+            assert [_tuple_bits(s) for s in plant._states] == [_bits(s) for s in ref._states]
             for q in np.concatenate([rng.uniform(-0.05, t + 0.05, size=4), [0.0, t, t / 3]]):
-                assert _bits(plant.state_at(q)) == _bits(ref.state_at(q))
+                assert _tuple_bits(plant.state_at(q)) == _bits(ref.state_at(q))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "w0", "turn", "near_pi"]))
@@ -781,15 +793,17 @@ class TestFloatCodeMatchesReference:
         rot = _unit(rng)
         if kind == "w0":
             rot[0] = 0.0
-        s0 = PredictedState(
+        s0 = _RefState(
             Pose2(*rng.normal(size=2), rng.uniform(-math.pi, math.pi)), rng.normal(size=3), rot, 0.5
         )
         chunk = ActionChunkTensor(rows)
         expected = [s0]
         for row in chunk.values:
             expected.append(_ref_advance_state(expected[-1], row))
-            assert _bits(advance_state(expected[-2], row)) == _bits(expected[-1])
-        assert [_tuple_bits(s) for s in forward_rollout(s0, chunk)] == [_bits(s) for s in expected]
+            stepped = advance_floats(*_as_tuple(expected[-2])[:10], row.tolist())
+            assert _tuple_bits((*stepped, row[10])) == _bits(expected[-1])
+        got = forward_rollout(_as_tuple(s0), chunk)
+        assert [_tuple_bits(s) for s in got] == [_bits(s) for s in expected]
 
     @settings(max_examples=200, deadline=None)
     @given(

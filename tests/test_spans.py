@@ -91,9 +91,7 @@ def test_training_and_chunk_spans_count_per_step(spans):
     try:
         model, sched, _ = cli.train_toy(conds, a0s, diffusion.TrainConfig(steps=3))
         policy = cli.DiffusionReplayPolicy(model, sched)
-        obs = executor.PredictedState(
-            geometry.Pose2(), np.array([0.3, 0.0, -0.2]), np.array([1.0, 0.0, 0.0, 0.0]), 1.0
-        )
+        obs = (0.0, 0.0, 0.0, 0.3, 0.0, -0.2, 1.0, 0.0, 0.0, 0.0, 1.0)
         forwards_before_chunk = rec.counts["forward"]
         policy(obs, 0.0)
     finally:
