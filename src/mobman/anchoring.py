@@ -208,21 +208,36 @@ def cross_node_transform(anchor_chest: Pose3, anchor_hand: Pose3) -> Pose3:
 
 
 def load_trajectories(path) -> dict[str, VioTrajectory]:
-    rows: dict[str, list] = {}
+    """Per-node trajectories of a file whose lines may come in any order.
+
+    Each node's samples are ordered by a stable sort on their times, so tied
+    times keep their file order. Its pos and quat are C-contiguous copies,
+    not strided views, because the row kernels in geometry can round a
+    strided operand differently.
+    """
+    columns: dict[str, tuple[list, list, list]] = {}
     out = {}
     with fields_of(path):
         for rec in read_jsonl(path):
-            rows.setdefault(rec["node"], []).append(
-                (float(rec["t"]), rec["pose"], float(rec.get("cov_trace", 0.0)))
-            )
-        for node, samples in rows.items():
-            samples.sort(key=lambda r: r[0])
+            node = rec["node"]
+            t, pose, cov = float(rec["t"]), rec["pose"], float(rec.get("cov_trace", 0.0))
+            if len(pose) != 7:
+                raise ValueError(f"trajectory pose must have 7 values, got {len(pose)}")
+            if node not in columns:
+                columns[node] = ([], [], [])
+            node_t, node_poses, node_cov = columns[node]
+            node_t.append(t)
+            node_poses.append(pose)
+            node_cov.append(cov)
+        for node, (t, poses, cov) in columns.items():
+            order = sorted(range(len(t)), key=t.__getitem__)
+            rows = np.array(poses, dtype=float)[order]
             out[node] = VioTrajectory(
                 node_id=node,
-                t=np.array([s[0] for s in samples]),
-                pos=np.array([s[1][0:3] for s in samples], dtype=float),
-                quat=np.array([s[1][3:7] for s in samples], dtype=float),
-                cov_trace=np.array([s[2] for s in samples]),
+                t=np.array(t)[order],
+                pos=rows[:, 0:3].copy(),
+                quat=rows[:, 3:7].copy(),
+                cov_trace=np.array(cov)[order],
             )
     return out
 

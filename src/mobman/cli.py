@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import tempfile
@@ -522,7 +523,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing does not change it."""
     p = _Parser(prog="mobman", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

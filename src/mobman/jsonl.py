@@ -31,11 +31,31 @@ def fields_of(path):
         raise MalformedInputError(path, str(exc)) from exc
 
 
+# json.loads and json.dumps(..., sort_keys=True) each resolve or build a codec
+# per call; the per-line readers and writers reuse one of each, with the same
+# settings, so they accept, yield and write exactly what those calls do.
+_scan_once = json.JSONDecoder().scan_once
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def read_jsonl(path) -> Iterator[dict]:
+    """Yield the value of each non-blank line, one line at a time.
+
+    A line is accepted when one JSON value spans all of it once stripped;
+    any other line is parsed again by json.loads, whose error (the same as
+    for any line it rejects) becomes a MalformedInputError at that line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
+                continue
+            try:
+                value, end = _scan_once(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end == len(line):
+                yield value
                 continue
             try:
                 yield json.loads(line)
@@ -47,7 +67,7 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write(_encode_sorted(rec))
             fh.write("\n")
 
 

@@ -430,14 +430,21 @@ def save_dataset(path, dataset: DemoDataset) -> None:
     )
 
 
+def _finite_field(name: str, value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite dataset {name} value {v}")
+    return v
+
+
 def load_dataset(path) -> DemoDataset:
     with fields_of(path):
         steps = [
             DemoStep(
-                t=float(rec["t"]),
+                t=_finite_field("t", rec["t"]),
                 base=Pose2.from_list(rec["base"]),
                 hand_rel=Pose3.from_list(rec["hand_rel"]),
-                grip=float(rec["grip"]),
+                grip=_finite_field("grip", rec["grip"]),
             )
             for rec in read_jsonl(path)
         ]

@@ -652,6 +652,14 @@ def _corrupt_line(path, line_number):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _eighth_pose_value(text):
+    """trajectories.jsonl text whose fourth record's pose holds an 8th value."""
+    lines = text.splitlines()
+    rec = json.loads(lines[3])
+    lines[3] = json.dumps({**rec, "pose": [*rec["pose"], 0.0]})
+    return "\n".join(lines) + "\n"
+
+
 class TestMalformedInput:
     """Malformed JSON/JSONL input is a usage error naming the file and line."""
 
@@ -751,6 +759,8 @@ class TestMalformedInput:
                 for rec in map(json.loads, text.splitlines())
             ),
         ),
+        "anchor_pose_8_values": ("anchor", "trajectories.jsonl", _eighth_pose_value),
+        "process_pose_8_values": ("process", "trajectories.jsonl", _eighth_pose_value),
         "anchor_extrinsic_6_values": (
             "anchor",
             "extrinsics.json",
@@ -842,6 +852,46 @@ class TestMalformedInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"usage error: {path}: ")
+
+
+    @pytest.mark.parametrize("field", ["t", "grip"])
+    def test_non_finite_dataset_field_is_usage_error(self, field, processed, tmp_path, capsys):
+        lines = (processed / "dataset.jsonl").read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec[field] = math.nan
+        lines[3] = json.dumps(rec)
+        ds = tmp_path / "dataset.jsonl"
+        ds.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m"
+        capsys.readouterr()
+        argv = ["train-toy", "--dataset", str(ds), "--steps", "5", "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: {ds}: non-finite dataset {field} value nan"]
+        assert not out.exists()
+
+
+class TestParserReuse:
+    """cli.main builds its parser once per process; every call still parses
+    its own arguments, whatever an earlier call passed or got wrong."""
+
+    def test_calls_do_not_share_flags(self, raw_session, anchored, processed, tmp_path):
+        raw, _ = raw_session
+
+        def process(out, *flags):
+            argv = ["process", "--raw", str(raw), "--anchor", str(anchored), "--output", str(out)]
+            return main([*argv, *flags])
+
+        assert process(tmp_path / "off", "--no-smoothing") == EXIT_OK
+        assert process(tmp_path / "bad", "--no-smoothing", "--smoothing") == EXIT_USAGE
+        assert process(tmp_path / "on") == EXIT_OK
+        assert read_json(tmp_path / "off" / "manifest.json")["config"]["smoothing"] is False
+        assert read_json(tmp_path / "on" / "manifest.json")["config"]["smoothing"] is True
+        assert not (tmp_path / "bad").exists()
+        dataset = (processed / "dataset.jsonl").read_bytes()
+        assert (tmp_path / "on" / "dataset.jsonl").read_bytes() == dataset
+        assert (tmp_path / "off" / "dataset.jsonl").read_bytes() != dataset
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestBadCheckpoint:
