@@ -31,9 +31,10 @@ def fields_of(path):
         raise MalformedInputError(path, str(exc)) from exc
 
 
-# json.loads and json.dumps(..., sort_keys=True) each resolve or build a codec
-# per call; the per-line readers and writers reuse one of each, with the same
-# settings, so they accept, yield and write exactly what those calls do.
+# json.dumps(..., sort_keys=True) builds an encoder per call, and json.loads
+# adds a whitespace scan and an end check per call; the per-line reader and
+# writer reuse one default decoder's scanner and one sorting encoder, so they
+# accept, yield and write exactly what those calls do.
 _scan_once = json.JSONDecoder().scan_once
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
