@@ -56,6 +56,13 @@ class VioTrajectory:
             bad = values[~np.isfinite(values)]
             if len(bad):
                 raise ValueError(f"non-finite trajectory {what} value {bad[0]}")
+        # a finite quaternion can still have a norm that overflows or underflows
+        with np.errstate(over="ignore", under="ignore"):
+            norm = np.sqrt(np.vecdot(self.quat, self.quat))
+        bad = ~(np.isfinite(norm) & (norm != 0.0))
+        if bad.any():
+            t = self.t[bad][0]
+            raise ValueError(f"trajectory quaternion at t={t} has a zero or non-finite norm")
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory timestamps must be strictly increasing")
         if np.any(self.cov_trace < 0.0):
@@ -207,6 +214,12 @@ def cross_node_transform(anchor_chest: Pose3, anchor_hand: Pose3) -> Pose3:
 # ---------------------------------------------------------------------------
 
 
+def _check_node(node) -> str:
+    if not isinstance(node, str):
+        raise ValueError(f"node must be a string, got {node!r}")
+    return node
+
+
 def load_trajectories(path) -> dict[str, VioTrajectory]:
     """Per-node trajectories of a file whose lines may come in any order.
 
@@ -230,6 +243,7 @@ def load_trajectories(path) -> dict[str, VioTrajectory]:
             node_poses.append(pose)
             node_cov.append(cov)
         for node, (t, poses, cov) in columns.items():
+            _check_node(node)
             order = sorted(range(len(t)), key=t.__getitem__)
             rows = np.array(poses, dtype=float)[order]
             out[node] = VioTrajectory(
@@ -259,11 +273,14 @@ def save_trajectories(path, trajs: dict[str, VioTrajectory]) -> None:
 
 
 def load_detections(path) -> list[TagDetection]:
+    detections = []
     with fields_of(path):
-        return [
-            TagDetection(rec["node"], float(rec["t"]), Pose3.from_list(rec["tag_pose"]))
-            for rec in read_jsonl(path)
-        ]
+        for rec in read_jsonl(path):
+            node, t = _check_node(rec["node"]), float(rec["t"])
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite detection timestamp t={t}")
+            detections.append(TagDetection(node, t, Pose3.from_list(rec["tag_pose"])))
+    return detections
 
 
 def save_detections(path, detections: list[TagDetection]) -> None:

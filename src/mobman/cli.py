@@ -47,7 +47,7 @@ from .diffusion import (
     save_checkpoint,
     train_toy,
 )
-from .geometry import DegeneratePitchError, Pose2, Pose3
+from .geometry import DegeneratePitchError, Pose3, quat_canonical_floats
 from .jsonl import MalformedInputError, fields_of, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
@@ -232,17 +232,11 @@ def cmd_process(cfg: dict) -> RunManifest:
 
 
 def _dataset_to_pairs(dataset) -> tuple[np.ndarray, np.ndarray]:
-    """(condition, next-action) training pairs from one processed demo."""
+    """(condition, next-action) training pairs from one processed demo: row i
+    is obs_to_condition of state i and of label i - 1 (zeros for i = 0)."""
     labels = make_action_labels(dataset)
-    conds = []
-    prev = np.zeros(ACTION_DIM)
-    for i in range(len(labels)):
-        s = dataset.steps[i]
-        conds.append(
-            obs_to_condition(s.base, s.hand_rel, s.grip, prev, np.zeros(0))
-        )
-        prev = labels[i]
-    return np.array(conds), labels
+    prev = np.vstack([np.zeros(ACTION_DIM), labels[:-1]])
+    return np.hstack([dataset.states[:-1], prev]), labels
 
 
 def cmd_train_toy(cfg: dict) -> RunManifest:
@@ -290,8 +284,7 @@ class DiffusionReplayPolicy:
     are deterministic.
     """
 
-    # obs_to_condition's size without scenario features: base, hand position,
-    # hand quaternion and grip, then the previous row
+    # obs_to_condition's size without scenario features: the state, then the previous row
     COND_DIM = PREV_ACTION_OFFSET + ACTION_DIM
 
     def __init__(self, model: ToyDenoiser, sched: NoiseSchedule, seed: int = 0):
@@ -304,9 +297,9 @@ class DiffusionReplayPolicy:
         rng = np.random.default_rng([self.seed, 0xD1, self._calls])
         self._calls += 1
         rows = np.zeros((DEFAULT_HORIZON, ACTION_DIM))
-        # the Pose3 constructor canonicalises the quaternion again
-        base, hand = Pose2.of_wrapped(*obs[:3]), Pose3(np.array(obs[6:10]), np.array(obs[3:6]))
-        cond = obs_to_condition(base, hand, obs[10], np.zeros(ACTION_DIM), np.zeros(0))
+        # the hand quaternion is canonicalised again, as a Pose3 of it was
+        state = (*obs[:6], *quat_canonical_floats(*obs[6:10]), obs[10])
+        cond = obs_to_condition(state, np.zeros(ACTION_DIM), np.zeros(0))
         prev = cond[PREV_ACTION_OFFSET : PREV_ACTION_OFFSET + ACTION_DIM]
         for r in range(DEFAULT_HORIZON):
             rows[r] = ddim_sample(

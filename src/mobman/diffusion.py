@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import quat_canonical
+from .geometry import quat_canonical_rows
 from .jsonl import MalformedInputError, fields_of, read_json
 
 DEFAULT_K = 100
@@ -497,8 +497,7 @@ class ActionChunkTensor:
     def canonicalized(self) -> "ActionChunkTensor":
         """Renormalize the quaternion-increment block row-wise, w >= 0."""
         vals = self.values.copy()
-        for i in range(len(vals)):
-            vals[i, 6:10] = quat_canonical(vals[i, 6:10])
+        vals[:, 6:10] = quat_canonical_rows(vals[:, 6:10])
         return ActionChunkTensor(vals)
 
 
@@ -536,33 +535,22 @@ def sample_action_chunk(
     return ActionChunkTensor(flat[0].reshape(horizon, ACTION_DIM)).canonicalized()
 
 
-# Where obs_to_condition puts the previous action: after base (3), hand
-# position (3), hand quaternion (4) and grip (1).
+# Where obs_to_condition puts the previous action: after the 11-float state.
 PREV_ACTION_OFFSET = 3 + 3 + 4 + 1
 
 
-def obs_to_condition(
-    base, hand_rel, grip: float, prev_action: np.ndarray, scenario_features: np.ndarray
-) -> np.ndarray:
+def obs_to_condition(state, prev_action: np.ndarray, scenario_features: np.ndarray) -> np.ndarray:
     """Flatten an observation into the documented condition layout.
 
-    Order: base [x, y, theta] (3), hand position (3), hand quaternion (4),
-    grip (1), previous 11-D action (11) from PREV_ACTION_OFFSET on, scenario
-    features (variable). The scenario features stand in for image embeddings.
+    Order: the state's 11 floats as the executor lays them out, base
+    [x, y, theta] (3), hand position (3), hand quaternion (4), grip (1); the
+    previous 11-D action (11) from PREV_ACTION_OFFSET on; scenario features
+    (variable). The scenario features stand in for image embeddings.
     """
     prev_action = np.asarray(prev_action, dtype=float)
     if prev_action.shape != (ACTION_DIM,):
         raise ValueError(f"previous action must be ({ACTION_DIM},)")
-    return np.concatenate(
-        [
-            [base.x, base.y, base.theta],
-            hand_rel.translation,
-            hand_rel.rotation,
-            [grip],
-            prev_action,
-            np.asarray(scenario_features, dtype=float),
-        ]
-    )
+    return np.concatenate([state, prev_action, np.asarray(scenario_features, dtype=float)])
 
 
 # ---------------------------------------------------------------------------

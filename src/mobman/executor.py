@@ -188,9 +188,10 @@ def splice(
 class LatencyConfig:
     """End-to-end latency budget: observation age, planning, command dispatch [s].
 
-    jitter_std is the total-latency jitter. Each plan draws N(0, jitter_std / 3)
-    once for d_in and once for d_net; each draw is clipped at 0, so jitter
-    only ever adds latency. d_exe gets no jitter.
+    jitter_std (sigma) jitters two legs: each plan draws N(0, sigma / 3) for
+    d_in and for d_net and clips each draw at 0, so jitter only adds latency,
+    on average 2 sigma / (3 sqrt(2 pi)) ~ 0.266 sigma with standard deviation
+    (sigma / 3) sqrt(1 - 1 / pi) ~ 0.275 sigma. d_exe gets no jitter.
     """
 
     d_in: float = 0.033

@@ -360,9 +360,10 @@ def dist_se2(a, b, fold_radius: float = 0.5) -> float:
     return math.sqrt((b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2 + (fold_radius * dth) ** 2)
 
 
-def yaw_project_rows(pos: np.ndarray, rot: np.ndarray) -> list[Pose2]:
+def yaw_project_rows(pos: np.ndarray, rot: np.ndarray) -> np.ndarray:
     """Project level-ish SE(3) poses, given as (N, 3) positions and (N, 4)
-    canonical rotations, to the ground plane.
+    canonical rotations, to the ground plane; returns (N, 3) rows of
+    (x, y, theta) with theta wrapped to (-pi, pi].
 
     Yaw is the heading of each pose's forward (+x) axis projected onto the
     ground plane. Raises DegeneratePitchError when a forward axis is within
@@ -373,6 +374,5 @@ def yaw_project_rows(pos: np.ndarray, rot: np.ndarray) -> list[Pose2]:
     if any(math.hypot(fx, fy) < min_horiz for fx, fy, _ in fwd):
         raise DegeneratePitchError("forward axis is near-vertical; yaw undefined")
     pos = np.asarray(pos, dtype=float)
-    return [
-        Pose2(x, y, math.atan2(fy, fx)) for x, y, (fx, fy, _) in zip(pos[:, 0], pos[:, 1], fwd)
-    ]
+    theta = [wrap_angle(math.atan2(fy, fx)) for fx, fy, _ in fwd]
+    return np.column_stack([pos[:, 0], pos[:, 1], theta])

@@ -9,7 +9,12 @@ a normalized gripper aperture.
 Each stage is a whole-array numpy pass over the session's samples, built on
 geometry's *_rows helpers. The passes write the bytes that a chain of scalar
 Pose3 operations per sample would write, under the bit rules listed at the
-top of geometry.py; only DemoStep assembly is a per-step loop.
+top of geometry.py.
+
+A dataset is times t (n,) and states (n, 11) in the executor's state layout
+(x, y, theta, px, py, pz, qw, qx, qy, qz, grip); action labels are row passes
+over them. Pose objects appear only in the capture stages, at file input and
+in the DemoDataset.steps view.
 """
 from __future__ import annotations
 
@@ -25,13 +30,11 @@ from .executor import advance_floats
 from .geometry import (
     Pose2,
     Pose3,
-    quat_canonical,
     quat_canonical_rows,
-    quat_conj,
     quat_conj_rows,
-    quat_mul,
     quat_mul_rows,
     quat_rotate_rows,
+    relative_floats,
     slerp_rows,
     wrap_angle,
     yaw_project_rows,
@@ -111,13 +114,29 @@ class DemoStep:
     grip: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemoDataset:
-    steps: list[DemoStep]
+    """Times t (n,) and states (n, 11) of a demo, in the module docstring's layout."""
+
+    t: np.ndarray
+    states: np.ndarray
     filter_report: FilterReport | None = None
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.t)
+
+    @property
+    def steps(self) -> list[DemoStep]:
+        """The rows as DemoStep records, built afresh on every read."""
+        return [
+            DemoStep(
+                t,
+                Pose2.of_wrapped(*s[:3]),
+                Pose3.of_canonical(np.array(s[6:10]), np.array(s[3:6])),
+                s[10],
+            )
+            for t, s in zip(self.t.tolist(), self.states.tolist())
+        ]
 
 
 @dataclass
@@ -359,22 +378,15 @@ def assemble_dataset(
 
     # as a Pose3 built per step did, renormalise the stored quaternions once more
     chest_rot = quat_canonical_rows(chest_quat)
-    bases = yaw_project_rows(chest_pos, chest_rot)
     rel_pos, rel_rot = decouple_rows(
         chest_pos, chest_rot, hand_pos, quat_canonical_rows(hand_quat)
     )
-    steps = [
-        DemoStep(
-            t=round(t, 9),
-            base=base,
-            hand_rel=Pose3.of_canonical(q, p),
-            grip=grip_from_markers(d, calib),
-        )
-        for t, base, q, p, d in zip(
-            (aligned.t - aligned.t[0]).tolist(), bases, rel_rot, rel_pos, aligned.marker_d.tolist()
-        )
-    ]
-    return DemoDataset(steps=steps, filter_report=report)
+    # Python's round and grip_from_markers per value: numpy's rounding and
+    # clipping can differ from them in the last bit or the sign of a zero
+    t = np.array([round(t, 9) for t in (aligned.t - aligned.t[0]).tolist()])
+    grip = [grip_from_markers(d, calib) for d in aligned.marker_d.tolist()]
+    states = np.column_stack([yaw_project_rows(chest_pos, chest_rot), rel_pos, rel_rot, grip])
+    return DemoDataset(t, states, filter_report=report)
 
 
 def make_action_labels(dataset: DemoDataset) -> np.ndarray:
@@ -387,16 +399,10 @@ def make_action_labels(dataset: DemoDataset) -> np.ndarray:
     """
     if len(dataset) < 2:
         raise ValueError("need at least two steps to form labels")
-    labels = np.empty((len(dataset) - 1, 11))
-    for i in range(len(dataset) - 1):
-        a, b = dataset.steps[i], dataset.steps[i + 1]
-        d = b.base.relative_to(a.base)
-        dq = quat_canonical(quat_mul(b.hand_rel.rotation, quat_conj(a.hand_rel.rotation)))
-        labels[i, 0:3] = [d.x, d.y, d.theta]
-        labels[i, 3:6] = b.hand_rel.translation - a.hand_rel.translation
-        labels[i, 6:10] = dq
-        labels[i, 10] = b.grip
-    return labels
+    a, b = dataset.states[:-1], dataset.states[1:]
+    base = [relative_floats(*sb, *sa) for sa, sb in zip(a[:, :3].tolist(), b[:, :3].tolist())]
+    dq = quat_canonical_rows(quat_mul_rows(b[:, 6:10], quat_conj_rows(a[:, 6:10])))
+    return np.column_stack([base, b[:, 3:6] - a[:, 3:6], dq, b[:, 10]])
 
 
 def integrate_labels(
@@ -404,14 +410,14 @@ def integrate_labels(
 ) -> list[DemoStep]:
     """Chain action labels from an initial state; inverse of make_action_labels."""
     s = (base0.x, base0.y, base0.theta, *hand0.translation.tolist(), *hand0.rotation.tolist())
-    steps = [DemoStep(t=0.0, base=base0, hand_rel=hand0, grip=grip0)]
-    for i, row in enumerate(np.asarray(labels, dtype=float).tolist()):
+    states = [(*s, grip0)]
+    for row in np.asarray(labels, dtype=float).tolist():
         s = advance_floats(*s, row)
-        # the Pose3 constructor canonicalises the chained quaternion again
-        hand = Pose3(np.array(s[6:10]), np.array(s[3:6]))
-        base = Pose2.of_wrapped(*s[:3])
-        steps.append(DemoStep(t=0.1 * (i + 1), base=base, hand_rel=hand, grip=row[10]))
-    return steps
+        states.append((*s, row[10]))
+    states = np.array(states)
+    # each stored quaternion is canonicalised again, as the Pose3 constructor did
+    states[1:, 6:10] = quat_canonical_rows(states[1:, 6:10])
+    return DemoDataset(0.1 * np.arange(len(states)), states).steps
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +430,8 @@ def save_dataset(path, dataset: DemoDataset) -> None:
     write_jsonl(
         path,
         [
-            {"t": s.t, "base": s.base.to_list(), "hand_rel": s.hand_rel.to_list(), "grip": s.grip}
-            for s in dataset.steps
+            {"t": t, "base": s[:3], "hand_rel": s[3:10], "grip": s[10]}
+            for t, s in zip(dataset.t.tolist(), dataset.states.tolist())
         ],
     )
 
@@ -438,14 +444,12 @@ def _finite_field(name: str, value) -> float:
 
 
 def load_dataset(path) -> DemoDataset:
+    """A save_dataset file, its headings wrapped and quaternions canonicalised."""
+    t, states = [], []
     with fields_of(path):
-        steps = [
-            DemoStep(
-                t=_finite_field("t", rec["t"]),
-                base=Pose2.from_list(rec["base"]),
-                hand_rel=Pose3.from_list(rec["hand_rel"]),
-                grip=_finite_field("grip", rec["grip"]),
-            )
-            for rec in read_jsonl(path)
-        ]
-    return DemoDataset(steps=steps)
+        for rec in read_jsonl(path):
+            t.append(_finite_field("t", rec["t"]))
+            base, hand = Pose2.from_list(rec["base"]), Pose3.from_list(rec["hand_rel"])
+            grip = _finite_field("grip", rec["grip"])
+            states.append((base.x, base.y, base.theta, *hand.to_list(), grip))
+    return DemoDataset(np.array(t), np.array(states).reshape(-1, 11))

@@ -53,7 +53,7 @@ from .geometry import (
     wrap_angle,
 )
 from .jsonl import write_jsonl
-from .pipeline import GripperCalib, RawSession
+from .pipeline import DemoDataset, GripperCalib, RawSession
 from .report import aggregate_rows
 
 CHEST_HEIGHT = 0.9  # m, chest frame above the ground plane
@@ -350,29 +350,30 @@ class ExpertScript:
         j, a = self._locate(t)
         return (1 - a) * self._knots[j][3] + a * self._knots[j + 1][3]
 
-    def reference(self) -> tuple[np.ndarray, tuple[Pose2, ...], tuple[Pose3, ...], np.ndarray]:
-        """The script on the 10 Hz control grid: (times, base, hand, grip).
-
-        The scripts of make_scenario share one reference per scenario name,
-        so it is read-only: tuples of poses, and arrays that cannot be
-        written.
-        """
+    def reference(self) -> DemoDataset:
+        """The script on the 10 Hz control grid. The scripts of make_scenario
+        share one reference per scenario name, so its arrays cannot be written."""
         if self._scenario is not None:
             return _scenario_reference(self._scenario)
         n10 = int(round(self.duration * 10))
         ref_t = np.round(np.arange(n10 + 1) / 10.0, 9)
-        hand = tuple(self.hand_at(ti) for ti in ref_t)
-        grip = np.array([self.grip_at(ti) for ti in ref_t])
-        for a in (ref_t, grip, *(h.rotation for h in hand), *(h.translation for h in hand)):
-            a.flags.writeable = False
-        return ref_t, tuple(self.base_at(ti) for ti in ref_t), hand, grip
+        states = np.array(
+            [
+                (*self.base_at(ti).to_list(), *self.hand_at(ti).to_list(), self.grip_at(ti))
+                for ti in ref_t
+            ]
+        )
+        ref_t.flags.writeable = False
+        states.flags.writeable = False
+        return DemoDataset(ref_t, states)
 
     def world_hand(self) -> tuple[tuple[float, ...], ...]:
         """hand_world_pose of the reference's base and hand at every 10 Hz
         step, as (px, py, pz, qw, qx, qy, qz). Shared like reference()."""
         if self._scenario is not None:
             return _scenario_world_hand(self._scenario)
-        return _world_hand(self.reference())
+        poses = (hand_world_pose(s.base, s.hand_rel) for s in self.reference().steps)
+        return tuple((*p.translation.tolist(), *p.rotation.tolist()) for p in poses)
 
 
 HAND_HOME = Pose3(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.30, 0.0, -0.20]))
@@ -538,22 +539,15 @@ SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 @functools.lru_cache(maxsize=None)
-def _scenario_reference(name: str) -> tuple:
+def _scenario_reference(name: str) -> DemoDataset:
     """The reference of the script that _SCENARIOS builds for name, built once."""
     return _SCENARIOS[name][0]().reference()
-
-
-def _world_hand(reference: tuple) -> tuple[tuple[float, ...], ...]:
-    _, base, hand, _ = reference
-    return tuple(
-        (*p.translation.tolist(), *p.rotation.tolist()) for p in map(hand_world_pose, base, hand)
-    )
 
 
 @functools.lru_cache(maxsize=None)
 def _scenario_world_hand(name: str) -> tuple[tuple[float, ...], ...]:
     """ExpertScript.world_hand of the scripts built for name, built once."""
-    return _world_hand(_scenario_reference(name))
+    return _SCENARIOS[name][0]().world_hand()
 
 
 def make_scenario(name: str) -> SimScenario:
@@ -819,22 +813,20 @@ class ExpertReplayPolicy:
         if label_frame not in ("relative", "global"):
             raise ValueError("label_frame must be 'relative' or 'global'")
         self.label_frame = label_frame
-        _, ref_base, ref_hand, ref_grip = script.reference()
+        ref = script.reference().states
         # task_frame.compose(b) of every reference base pose, as (x, y, theta)
         fx, fy, fth = task_frame.x, task_frame.y, task_frame.theta
         c, s = math.cos(fth), math.sin(fth)
         self.ref_base = [
-            (fx + c * b.x - s * b.y, fy + s * b.x + c * b.y, wrap_angle(fth + b.theta))
-            for b in ref_base
+            (fx + c * x - s * y, fy + s * x + c * y, wrap_angle(fth + th))
+            for x, y, th in ref[:, :3].tolist()
         ]
-        self.ref_hand_pos = np.array([h.translation for h in ref_hand])
-        self.ref_grip = ref_grip.tolist()
+        self.ref_hand_pos = ref[:, 3:6]
+        self.ref_grip = ref[:, 10].tolist()
         # hand targets as (px, py, pz, qw, qx, qy, qz): chest-relative, or the
         # demo-world hand poses as recorded (not shifted into the task frame)
         self.ref_hand = (
-            script.world_hand()
-            if label_frame == "global"
-            else [(*h.translation.tolist(), *h.rotation.tolist()) for h in ref_hand]
+            script.world_hand() if label_frame == "global" else ref[:, 3:10].tolist()
         )
         self._cursor = 0
 

@@ -49,6 +49,15 @@ class TestVioTrajectory:
         with pytest.raises(ValueError):
             make_traj("n", [p, p], t=[0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "q", [(0.0, 0.0, 0.0, 0.0), (1e308, 0.0, 0.0, 0.0), (0.0, -1e200, 1e200, 0.0), (1e-170, 0.0, 0.0, 0.0)]
+    )
+    def test_rejects_zero_or_non_finite_quaternion_norm(self, q):
+        # every component is finite; the norm is zero, overflows or underflows
+        quat = np.array([[1.0, 0.0, 0.0, 0.0], q, [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"at t=1\.0 has a zero or non-finite norm"):
+            VioTrajectory("n", [0.0, 1.0, 2.0], np.zeros((3, 3)), quat, np.zeros(3))
+
     def test_sample_interpolates(self):
         a = Pose3(np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 0]))
         b = Pose3(np.array([1.0, 0, 0, 0]), np.array([2.0, 0, 0]))

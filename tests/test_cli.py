@@ -21,7 +21,8 @@ from mobman.diffusion import (
     obs_to_condition,
     save_checkpoint,
 )
-from mobman.geometry import Pose2, Pose3
+from mobman.executor import NonFiniteChunkError
+from mobman.geometry import Pose3
 from mobman.jsonl import read_json
 from mobman.manifest import RunManifest, file_sha256
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
@@ -587,12 +588,23 @@ class TestDiffusionReplayPolicy:
             # the adapter's rows, each sampled under a condition built afresh
             row_rng = np.random.default_rng([7, 0xD1, call])
             rows, prev = [], np.zeros(ACTION_DIM)
-            base, hand = Pose2.of_wrapped(*obs[:3]), Pose3(np.array(obs[6:10]), np.array(obs[3:6]))
+            hand = Pose3(np.array(obs[6:10]), np.array(obs[3:6]))
+            state = (*obs[:3], *hand.to_list(), obs[10])
             for _ in range(DEFAULT_HORIZON):
-                cond = obs_to_condition(base, hand, obs[10], prev, np.zeros(0))
+                cond = obs_to_condition(state, prev, np.zeros(0))
                 prev = ddim_sample(eps_fn, cond, sched, rng=row_rng, sample_dim=ACTION_DIM)[0]
                 rows.append(prev)
             assert np.array_equal(got, ActionChunkTensor(np.array(rows)).canonicalized().values)
+
+    def test_zero_quaternion_block_is_non_finite_chunk(self, monkeypatch):
+        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=cli.DiffusionReplayPolicy.COND_DIM)
+        model.init_params(np.random.default_rng(31))
+        row = np.array([[0.01, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+        monkeypatch.setattr(cli, "ddim_sample", lambda *args, **kwargs: row.copy())
+        policy = cli.DiffusionReplayPolicy(model, cosine_schedule(), seed=3)
+        obs = (0.0, 0.0, 0.0, 0.3, 0.0, -0.2, 1.0, 0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(NonFiniteChunkError, match="cannot be normalised"):
+            policy(obs, 0.0)
 
 
 class TestReportCommand:
@@ -658,6 +670,24 @@ def _eighth_pose_value(text):
     rec = json.loads(lines[3])
     lines[3] = json.dumps({**rec, "pose": [*rec["pose"], 0.0]})
     return "\n".join(lines) + "\n"
+
+
+def _edit_record(edit, middle=False):
+    """A FIELD_CASES rewrite of a JSONL file: its first record, or its middle
+    one, replaced by edit(record)."""
+
+    def rewrite(text):
+        lines = text.splitlines()
+        i = len(lines) // 2 if middle else 0
+        lines[i] = json.dumps(edit(json.loads(lines[i])))
+        return "\n".join(lines) + "\n"
+
+    return rewrite
+
+
+def _pose_quaternion(q):
+    """The record with the quaternion of its pose replaced by q(old quaternion)."""
+    return lambda rec: {**rec, "pose": [*rec["pose"][:3], *q(rec["pose"][3:])]}
 
 
 class TestMalformedInput:
@@ -775,6 +805,31 @@ class TestMalformedInput:
                 for i, rec in enumerate(map(json.loads, text.splitlines()))
             ),
         ),
+        **{
+            f"anchor_detection_t_{name}": (
+                "anchor", "detections.jsonl", _edit_record(lambda rec, v=v: {**rec, "t": v})
+            )
+            for name, v in (("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf))
+        },
+        "anchor_detection_node_int": (
+            "anchor", "detections.jsonl", _edit_record(lambda rec: {**rec, "node": 5})
+        ),
+        **{
+            f"{command}_trajectory_node_int": (
+                command, "trajectories.jsonl", _edit_record(lambda rec: {**rec, "node": 5}, middle=True)
+            )
+            for command in ("anchor", "process")
+        },
+        **{
+            f"{command}_quaternion_{name}": (
+                command, "trajectories.jsonl", _edit_record(_pose_quaternion(q), middle=True)
+            )
+            for command in ("anchor", "process")
+            for name, q in (
+                ("1e308", lambda q: [1e308, *q[1:]]),
+                ("zero", lambda q: [0.0, 0.0, 0.0, 0.0]),
+            )
+        },
         "process_cross_node_missing": ("process", "anchors.json", lambda _: "{}"),
         "process_cross_node_position_nan": (
             "process",

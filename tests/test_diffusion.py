@@ -33,7 +33,7 @@ from mobman.diffusion import (
     train_regression,
     train_toy,
 )
-from mobman.geometry import Pose2, Pose3
+from mobman.geometry import Pose2, Pose3, quat_canonical
 
 
 class TestSchedule:
@@ -520,6 +520,29 @@ class TestActionChunks:
             assert row[6] >= 0.0
             assert abs(np.linalg.norm(row[6:10]) - 1.0) < 1e-12
 
+    def test_canonicalized_matches_per_row_loop(self):
+        rng = np.random.default_rng(31)
+        vals = rng.normal(size=(9, ACTION_DIM))
+        vals[1, 6:10] = (0.0, -0.3, 0.4, 0.0)  # w == 0: the first nonzero component decides
+        vals[2, 6:10] = (-0.0, 0.0, 0.0, 2.0)
+        vals[3, 6:10] = (0.0, 0.0, -0.0, -1e-3)
+        vals[4, 6:10] = (-1e-150, 5e-151, 0.0, 0.0)
+        vals[5, 6:10] = (1e150, -1e150, 3e149, 0.0)
+        # the loop canonicalized ran before it became one row call
+        expected = vals.copy()
+        for i in range(len(expected)):
+            expected[i, 6:10] = quat_canonical(expected[i, 6:10])
+        got = ActionChunkTensor(vals).canonicalized().values
+        assert got.tobytes() == expected.tobytes()
+        assert got[1, 7] > 0.0 and got[3, 9] > 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_canonicalized_rejects_a_degenerate_block(self, bad):
+        vals = np.tile([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], (4, 1))
+        vals[2, 6:10] = (bad, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^cannot canonicalize a zero or non-finite quaternion$"):
+            ActionChunkTensor(vals).canonicalized()
+
     def test_sample_action_chunk_deterministic(self):
         rng = np.random.default_rng(9)
         horizon = 4
@@ -548,18 +571,19 @@ class TestActionChunks:
         base = Pose2(1.0, 2.0, 0.3)
         hand = Pose3(np.array([1.0, 0, 0, 0]), np.array([0.3, 0.0, -0.2]))
         prev = np.arange(ACTION_DIM, dtype=float)
-        cond = obs_to_condition(base, hand, 0.5, prev, np.array([9.0]))
+        state = (*base.to_list(), *hand.to_list(), 0.5)
+        cond = obs_to_condition(state, prev, np.array([9.0]))
         assert cond.shape == (3 + 3 + 4 + 1 + ACTION_DIM + 1,)
         assert np.allclose(cond[:3], [1.0, 2.0, 0.3])
         assert cond[10] == 0.5
         assert cond[-1] == 9.0
         with pytest.raises(ValueError):
-            obs_to_condition(base, hand, 0.5, np.zeros(5), np.zeros(0))
+            obs_to_condition(state, np.zeros(5), np.zeros(0))
 
     def test_previous_action_offset(self):
         base = Pose2(1.0, 2.0, 0.3)
         hand = Pose3(np.array([1.0, 0, 0, 0]), np.array([0.3, 0.0, -0.2]))
         prev = np.arange(ACTION_DIM, dtype=float) + 1.0
-        cond = obs_to_condition(base, hand, 0.5, prev, np.array([9.0, 8.0]))
+        cond = obs_to_condition((*base.to_list(), *hand.to_list(), 0.5), prev, np.array([9.0, 8.0]))
         assert np.array_equal(cond[PREV_ACTION_OFFSET : PREV_ACTION_OFFSET + ACTION_DIM], prev)
         assert cond[PREV_ACTION_OFFSET - 1] == 0.5

@@ -231,6 +231,45 @@ def run_cruise(matching=True, latency=None, kinematic=True, ticks=80, jitter=0.0
     return run_executor(CruisePolicy(), plant, cfg), plant
 
 
+class TestLatencyJitter:
+    """The latency that jitter_std = sigma adds to a plan, recovered from the
+    logged obs_t of each plan_request and t_arrival of its plan_arrival."""
+
+    SIGMA = 0.06
+
+    def _added_legs(self) -> np.ndarray:
+        """(added d_in, added d_net) of every plan of four seeded episodes."""
+        lat = LatencyConfig()
+        legs = []
+        for seed in range(4):
+            log, _ = run_cruise(jitter=self.SIGMA, seed=seed, ticks=1200)
+            for e in log.events:
+                if e["kind"] == "plan_request":
+                    t, obs_t = e["t"], e["payload"]["obs_t"]
+                elif e["kind"] == "plan_arrival" and obs_t > 0.0:  # obs_t is clipped at 0
+                    legs.append((t - obs_t - lat.d_in, e["payload"]["t_arrival"] - t - lat.d_net))
+        return np.array(legs)
+
+    def test_added_latency_mean_and_std(self):
+        legs = self._added_legs()
+        n = len(legs)
+        assert n >= 500
+        # logged times are rounded to 1 us; no draw takes latency away
+        assert legs.min() > -1e-6
+        s = self.SIGMA / 3
+        mean, std = 2 * s / math.sqrt(2 * math.pi), s * math.sqrt(1 - 1 / math.pi)
+        assert mean == pytest.approx(0.266 * self.SIGMA, abs=1e-3 * self.SIGMA)
+        assert std == pytest.approx(0.275 * self.SIGMA, abs=1e-3 * self.SIGMA)
+        added = legs.sum(axis=1)
+        # 4 standard errors: std / sqrt(n) for the mean, and for the sample std
+        # about 0.9 std / sqrt(n), as the sum of two clipped normals has kurtosis 4.2
+        assert abs(added.mean() - mean) < 4 * std / math.sqrt(n)
+        assert abs(added.std() - std) < 4 * std / math.sqrt(n)
+        # each leg is left as it is in half of the plans (4 binomial standard errors)
+        for leg in legs.T:
+            assert abs(np.mean(leg < 1e-6) - 0.5) < 4 * 0.5 / math.sqrt(n)
+
+
 class TestExecutorLoop:
     def test_zero_latency_matching_is_identity(self):
         log_on, _ = run_cruise(matching=True, latency=LatencyConfig(0.0, 0.0, 0.0))

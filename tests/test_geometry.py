@@ -267,7 +267,7 @@ class TestDistSe2:
 
 
 def _yaw(p: Pose3) -> Pose2:
-    return yaw_project_rows(p.translation[None], p.rotation[None])[0]
+    return Pose2.of_wrapped(*yaw_project_rows(p.translation[None], p.rotation[None])[0].tolist())
 
 
 class TestYawProject:
@@ -302,6 +302,17 @@ def _yaw_project(p: Pose3) -> Pose2:
     if horiz < math.cos(math.radians(89.0)):
         raise DegeneratePitchError("forward axis is near-vertical; yaw undefined")
     return Pose2(p.translation[0], p.translation[1], math.atan2(fwd[1], fwd[0]))
+
+
+# half-angles of yaw rotations whose heading lies at or next to the +-pi wrap
+_NEAR_HALF_PI = [
+    math.pi / 2,
+    math.nextafter(math.pi / 2, 0.0),
+    math.nextafter(math.pi / 2, 4.0),
+    math.pi / 2 - 1e-9,
+    math.pi / 2 + 1e-9,
+    -math.pi / 2,
+]
 
 
 def _assert_rows_match(rows_call, scalar_call, n):
@@ -415,6 +426,8 @@ class TestRowHelpers:
 
     @given(_quat_rows, _vec_rows)
     @example([(math.sqrt(0.5), 0.0, -math.sqrt(0.5), 0.0)], [(1.0, 2.0, 3.0)])
+    @example([(0.0, 0.0, 0.0, 1.0)], [(1.0, 2.0, 3.0)])
+    @example([(math.cos(h), 0.0, 0.0, math.sin(h)) for h in _NEAR_HALF_PI], [(0.5, -0.0, 1.0)])
     def test_yaw_project_rows(self, rows, vecs):
         q = np.array([r if any(r) else (1.0, 0.0, 0.0, 0.0) for r in rows], dtype=float)
         try:
@@ -427,7 +440,7 @@ class TestRowHelpers:
             return [b.x, b.y, b.theta]
 
         _assert_rows_match(
-            lambda: [as_row(b) for b in yaw_project_rows(pos, rot)],
+            lambda: yaw_project_rows(pos, rot),
             lambda i: as_row(_yaw_project(Pose3.of_canonical(rot[i], pos[i]))),
             len(q),
         )

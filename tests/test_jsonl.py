@@ -225,11 +225,15 @@ class TestLoadTrajectories:
     )
     def test_shuffled_interleaved_file(self, scratch, data, sizes):
         finite = st.floats(-10.0, 10.0, allow_nan=False)
+        # VioTrajectory rejects a quaternion whose norm is zero
+        pose = st.lists(finite, min_size=7, max_size=7).filter(
+            lambda p: sum(v * v for v in p[3:]) > 0.0
+        )
         records = [
             {
                 "node": node,
                 "t": t,
-                "pose": data.draw(st.lists(finite, min_size=7, max_size=7)),
+                "pose": data.draw(pose),
                 "cov_trace": data.draw(st.floats(0.0, 1.0)),
             }
             for node, n in sizes.items()

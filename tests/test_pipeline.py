@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 
+from mobman import cli
 from mobman.anchoring import VioTrajectory
+from mobman.executor import advance_floats
 from mobman.geometry import (
     Pose2,
     Pose3,
     geodesic_so3,
     quat_canonical,
+    quat_canonical_rows,
+    quat_conj,
     quat_from_axis_angle,
     quat_mul,
     wrap_angle,
@@ -275,6 +279,14 @@ class TestQualityFilter:
             assemble_dataset(s, CALIB)
 
 
+def _dataset_of(steps) -> DemoDataset:
+    """The dataset whose steps view gives these steps."""
+    return DemoDataset(
+        np.array([s.t for s in steps]),
+        np.array([(*s.base.to_list(), *s.hand_rel.to_list(), s.grip) for s in steps]),
+    )
+
+
 class TestActionLabels:
     def _dataset(self, seed=0, n=30):
         rng = np.random.default_rng(seed)
@@ -292,7 +304,7 @@ class TestActionLabels:
             dq = quat_from_axis_angle(rng.normal(size=3), rng.uniform(-0.05, 0.05))
             hand = Pose3(quat_mul(dq, hand.rotation), hand.translation + rng.uniform(-0.02, 0.02, 3))
             grip = float(np.clip(grip + rng.uniform(-0.2, 0.2), 0, 1))
-        return DemoDataset(steps=steps)
+        return _dataset_of(steps)
 
     def test_round_trip(self):
         ds = self._dataset()
@@ -317,7 +329,7 @@ class TestActionLabels:
 
     def test_needs_two_steps(self):
         ds = self._dataset()
-        ds.steps = ds.steps[:1]
+        ds = DemoDataset(ds.t[:1], ds.states[:1])
         with pytest.raises(ValueError):
             make_action_labels(ds)
 
@@ -351,7 +363,7 @@ class TestLabelRoundTripProperty:
             dq = quat_from_axis_angle(np.array(axis), angle)
             hand = Pose3(quat_mul(dq, hand.rotation), hand.translation + np.array(dp))
             steps.append(DemoStep(t=0.1 * i, base=base, hand_rel=hand, grip=grip))
-        ds = DemoDataset(steps=steps)
+        ds = _dataset_of(steps)
 
         s0 = ds.steps[0]
         rebuilt = integrate_labels(s0.base, s0.hand_rel, s0.grip, make_action_labels(ds))
@@ -377,9 +389,10 @@ class TestEndToEnd:
         ds = assemble_dataset(
             session, expert.calib, PipelineConfig(smoothing=False)
         )
-        ref_t, ref_base, ref_hand, ref_grip = expert.script.reference()
-        assert len(ds) == len(ref_t)
-        for step, base, hand, grip in zip(ds.steps, ref_base, ref_hand, ref_grip):
+        ref = expert.script.reference()
+        assert len(ds) == len(ref.t)
+        for step, r in zip(ds.steps, ref.steps):
+            base, hand, grip = r.base, r.hand_rel, r.grip
             assert abs(step.base.x - base.x) < 1e-6
             assert abs(step.base.y - base.y) < 1e-6
             assert abs(step.base.theta - base.theta) < 1e-6
@@ -568,3 +581,133 @@ class TestArrayPassesMatchLoops:
         rel = [c.inverse().compose(h) for c, h in zip(chest, hand)]
         assert _same_bytes(pos, [p.translation for p in rel])
         assert _same_bytes(rot, [p.rotation for p in rel])
+
+
+# ---------------------------------------------------------------------------
+# The dataset's row passes against the per-step loops they replaced, which
+# read DemoStep records; kept here as references.
+# ---------------------------------------------------------------------------
+
+
+def _make_action_labels_loop(dataset):
+    steps = dataset.steps
+    labels = np.empty((len(steps) - 1, 11))
+    for i in range(len(steps) - 1):
+        a, b = steps[i], steps[i + 1]
+        d = b.base.relative_to(a.base)
+        dq = quat_canonical(quat_mul(b.hand_rel.rotation, quat_conj(a.hand_rel.rotation)))
+        labels[i, 0:3] = [d.x, d.y, d.theta]
+        labels[i, 3:6] = b.hand_rel.translation - a.hand_rel.translation
+        labels[i, 6:10] = dq
+        labels[i, 10] = b.grip
+    return labels
+
+
+def _dataset_to_pairs_loop(dataset):
+    """The training pairs, each condition built from pose objects."""
+    labels = _make_action_labels_loop(dataset)
+    conds = []
+    prev = np.zeros(11)
+    for s, label in zip(dataset.steps, labels):
+        b, h = s.base, s.hand_rel
+        conds.append(np.concatenate([[b.x, b.y, b.theta], h.translation, h.rotation, [s.grip], prev]))
+        prev = label
+    return np.array(conds), labels
+
+
+def _integrate_labels_loop(base0, hand0, grip0, labels):
+    s = (base0.x, base0.y, base0.theta, *hand0.translation.tolist(), *hand0.rotation.tolist())
+    steps = [DemoStep(t=0.0, base=base0, hand_rel=hand0, grip=grip0)]
+    for i, row in enumerate(np.asarray(labels, dtype=float).tolist()):
+        s = advance_floats(*s, row)
+        hand = Pose3(np.array(s[6:10]), np.array(s[3:6]))
+        steps.append(DemoStep(t=0.1 * (i + 1), base=Pose2.of_wrapped(*s[:3]), hand_rel=hand, grip=row[10]))
+    return steps
+
+
+def _step_columns(steps):
+    return [
+        np.array([s.t for s in steps]),
+        np.array([s.base.to_list() for s in steps]),
+        np.array([s.hand_rel.to_list() for s in steps]),
+        np.array([s.grip for s in steps]),
+    ]
+
+
+# wrapped headings, at and next to the +-pi wrap included
+_heading = st.one_of(
+    st.sampled_from(
+        [math.pi, math.nextafter(math.pi, 0.0), -math.nextafter(math.pi, 0.0), 0.0, -0.0, 1e-300]
+    ),
+    st.floats(-math.pi, math.pi, exclude_min=True),
+)
+# quaternion w components at and near 0 included; rows are canonicalised
+_w = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-17, 1e-9]), st.floats(-1.0, 1.0))
+_c = st.floats(-1.0, 1.0)
+_state_rows = st.lists(
+    st.tuples(
+        st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), _heading,
+        _c, _c, _c, _w, _c, _c, _c, st.floats(0.0, 1.0),
+    ),
+    min_size=2,
+    max_size=25,
+)
+
+
+def _dataset_of_rows(rows) -> DemoDataset:
+    states = np.array(rows, dtype=float)
+    q = states[:, 6:10]
+    q[np.sqrt(np.vecdot(q, q)) < 1e-150] = (1.0, 0.0, 0.0, 0.0)
+    states[:, 6:10] = quat_canonical_rows(q)
+    return DemoDataset(0.1 * np.arange(len(states)), states)
+
+
+def _noisy_demo(name, seed):
+    expert = scripted_expert(make_scenario(name), seed=seed, sigma_pos=1e-3, sigma_rot=1e-3)
+    session = expert.session
+    session.cross_node = expert.cross_node_true
+    return assemble_dataset(session, expert.calib)
+
+
+class TestRowPassesMatchStepLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_state_rows)
+    def test_make_action_labels(self, rows):
+        ds = _dataset_of_rows(rows)
+        assert _same_bytes(make_action_labels(ds), _make_action_labels_loop(ds))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_state_rows)
+    def test_training_conditions(self, rows):
+        ds = _dataset_of_rows(rows)
+        conds, labels = cli._dataset_to_pairs(ds)
+        ref_conds, ref_labels = _dataset_to_pairs_loop(ds)
+        assert _same_bytes(conds, ref_conds) and _same_bytes(labels, ref_labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_state_rows)
+    def test_integrate_labels(self, rows):
+        ds = _dataset_of_rows(rows)
+        s0 = ds.steps[0]
+        labels = make_action_labels(ds)
+        got = integrate_labels(s0.base, s0.hand_rel, s0.grip, labels)
+        expected = _integrate_labels_loop(s0.base, s0.hand_rel, s0.grip, labels)
+        for a, b in zip(_step_columns(got), _step_columns(expected), strict=True):
+            assert _same_bytes(a, b)
+
+    @pytest.mark.parametrize("name", ["nav_turn_place", "long_horizon"])
+    def test_on_a_noisy_demo(self, name):
+        ds = _noisy_demo(name, seed=4)
+        assert _same_bytes(make_action_labels(ds), _make_action_labels_loop(ds))
+        conds, labels = cli._dataset_to_pairs(ds)
+        ref_conds, ref_labels = _dataset_to_pairs_loop(ds)
+        assert _same_bytes(conds, ref_conds) and _same_bytes(labels, ref_labels)
+
+    def test_steps_view(self):
+        ds = _noisy_demo("nav_reach", seed=2)
+        steps = ds.steps
+        assert len(steps) == len(ds) and steps is not ds.steps
+        for s, t, row in zip(steps, ds.t.tolist(), ds.states.tolist()):
+            assert s.t == t and s.grip == row[10]
+            assert [s.base.x, s.base.y, s.base.theta] == row[0:3]
+            assert s.hand_rel.to_list() == row[3:10]

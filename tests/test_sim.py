@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import hashlib
 import math
 from typing import NamedTuple
@@ -215,12 +216,13 @@ def expert_digest(name: str) -> str:
 
 
 def reference_digest(name: str) -> str:
-    t, base, hand, grip = make_scenario(name).script.reference()
+    ref = make_scenario(name).script.reference()
     h = hashlib.sha256()
-    h.update(np.asarray(t).tobytes())
-    h.update(np.array([[b.x, b.y, b.theta] for b in base], dtype=float).tobytes())
-    h.update(np.array([[*p.rotation, *p.translation] for p in hand]).tobytes())
-    h.update(np.asarray(grip, dtype=float).tobytes())
+    h.update(np.asarray(ref.t).tobytes())
+    # base (x, y, theta), then each hand pose as rotation and translation, then grip
+    h.update(np.ascontiguousarray(ref.states[:, 0:3]).tobytes())
+    h.update(ref.states[:, [6, 7, 8, 9, 3, 4, 5]].tobytes())
+    h.update(np.ascontiguousarray(ref.states[:, 10]).tobytes())
     return h.hexdigest()
 
 
@@ -353,7 +355,8 @@ class TestScenarios:
 class TestScriptedExpert:
     def test_reference_grids_align(self):
         expert = scripted_expert(make_scenario("nav_reach"), seed=0)
-        ref_t, ref_base, _, _ = expert.script.reference()
+        ref = expert.script.reference()
+        ref_t, ref_base = ref.t, ref.states[:, 0:3]
         assert len(ref_base) == len(ref_t)
         assert np.allclose(np.diff(ref_t), 0.1)
 
@@ -372,8 +375,8 @@ class TestScriptedExpert:
 
         hand0 = Pose3(expert.session.hand.quat[0], expert.session.hand.pos[0])
         world0 = expert.cross_node_true.compose(hand0)
-        _, ref_base, ref_hand, _ = expert.script.reference()
-        ref = chest_world_pose(ref_base[0]).compose(ref_hand[0])
+        step0 = expert.script.reference().steps[0]
+        ref = chest_world_pose(step0.base).compose(step0.hand_rel)
         assert np.max(np.abs(world0.as_matrix() - ref.as_matrix())) < 1e-9
 
     def test_deterministic_per_seed(self):
@@ -396,17 +399,19 @@ class TestScriptedExpert:
         assert a is not b
         ref = a.reference()
         assert b.reference() is ref
-        t, base, hand, grip = ref
-        for arr in (t, grip, hand[0].translation, hand[-1].rotation):
+        t, states = ref.t, ref.states
+        for arr in (t, states[:, 10], states[0, 3:6], states[-1, 6:10]):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        with pytest.raises(TypeError):
-            base[0] = Pose2()
+        with pytest.raises(ValueError):
+            states[0, 0:3] = Pose2().to_list()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ref.states = states.copy()
         world = a.world_hand()
         assert b.world_hand() is world and len(world) == len(t)
         # a knot added to one script gives that script its own, longer reference
         a.pause(1.0)
-        assert len(a.reference()[0]) == len(t) + 10
+        assert len(a.reference().t) == len(t) + 10
         assert b.reference() is ref and reference_digest(name) == REFERENCE_DIGESTS[name]
         assert a.world_hand()[: len(t)] == world and len(a.world_hand()) == len(t) + 10
         assert b.world_hand() is world
