@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import math
 import sys
 import tempfile
 from pathlib import Path
@@ -47,7 +46,7 @@ from .diffusion import (
     save_checkpoint,
     train_toy,
 )
-from .geometry import DegeneratePitchError, Pose3, quat_canonical_floats
+from .geometry import DegeneratePitchError, Pose2, Pose3, quat_canonical_floats
 from .jsonl import MalformedInputError, fields_of, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
@@ -62,7 +61,7 @@ from .pipeline import (
     project_nonholonomic,
     save_dataset,
 )
-from .report import load_metrics, write_report
+from .report import _finite_nonnegative, load_metrics, write_report
 from .sim import (
     Condition,
     CruisePolicy,
@@ -92,6 +91,27 @@ def _require_file(path, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"{what} not found: {p}")
+    if p.is_dir():
+        raise UsageError(f"{what} is a directory: {p}")
+    return p
+
+
+def _require_dir(path, what: str) -> Path:
+    p = Path(path)
+    if not p.is_dir():
+        raise UsageError(f"{what} is not a directory: {p}")
+    return p
+
+
+def _require_output(path, is_dir: bool) -> Path:
+    """Usage error naming path unless a directory (is_dir) or a file can be
+    written there: an existing path of the other kind, or one under a file."""
+    p = Path(path)
+    nearest = next(q for q in (p, *p.parents) if q.exists())
+    if nearest != p and not nearest.is_dir():
+        raise UsageError(f"output {p} lies under {nearest}, which is not a directory")
+    if nearest == p and p.is_dir() != is_dir:
+        raise UsageError(f"output {p} is {'not ' if is_dir else ''}a directory")
     return p
 
 
@@ -101,16 +121,13 @@ def _check_flag(cfg: dict, name: str, ok, rule: str) -> None:
         raise UsageError(f"--{name.replace('_', '-')} must be {rule}, got {cfg[name]}")
 
 
-def _finite_nonnegative(v) -> bool:
-    return math.isfinite(v) and v >= 0
-
-
 # ---------------------------------------------------------------------------
 # anchor
 # ---------------------------------------------------------------------------
 
 
 def cmd_anchor(cfg: dict) -> RunManifest:
+    _require_output(cfg["output"], is_dir=False)
     _check_flag(cfg, "cov_threshold", _finite_nonnegative, "finite and >= 0")
     trajs = load_trajectories(_require_file(cfg["trajectories"], "trajectory file"))
     dets = load_detections(_require_file(cfg["detections"], "detection file"))
@@ -190,7 +207,8 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
 
 
 def cmd_process(cfg: dict) -> RunManifest:
-    raw_dir = _require_file(cfg["raw"], "raw session directory")
+    out_dir = _require_output(cfg["output"], is_dir=True)
+    raw_dir = _require_dir(cfg["raw"], "raw session directory")
     anchor_path = _require_file(cfg["anchor"], "anchor file")
     anchor_doc = read_json(anchor_path)
     with fields_of(anchor_path):
@@ -208,11 +226,11 @@ def cmd_process(cfg: dict) -> RunManifest:
     except (PipelineError, TimestampError, DegeneratePitchError) as exc:
         raise DomainError(str(exc)) from exc
 
-    out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(out_dir / "dataset.jsonl", dataset)
     write_json(out_dir / "filter_report.json", dataset.filter_report.to_dict())
-    _, residuals = project_nonholonomic([s.base for s in dataset.steps], dt=0.1)
+    bases = [Pose2.of_wrapped(*b) for b in dataset.states[:, :3].tolist()]
+    _, residuals = project_nonholonomic(bases, dt=0.1)
     q99 = lateral_quantile(residuals)
     print(f"{len(dataset)} steps, lateral q0.99 = {q99:.4f} m/s")
 
@@ -240,6 +258,7 @@ def _dataset_to_pairs(dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_train_toy(cfg: dict) -> RunManifest:
+    out_dir = _require_output(cfg["output"], is_dir=True)
     _check_flag(cfg, "steps", lambda v: v >= 1, "at least 1")
     _check_flag(cfg, "seed", lambda v: v >= 0, ">= 0")
     dataset = load_dataset(_require_file(cfg["dataset"], "dataset file"))
@@ -252,7 +271,6 @@ def cmd_train_toy(cfg: dict) -> RunManifest:
     except TrainingDivergedError as exc:
         raise DomainError(f"training diverged: {exc}") from exc
 
-    out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "model.json"
     save_checkpoint(ckpt, model, sched, meta={"seed": cfg["seed"], "steps": cfg["steps"]})
@@ -320,6 +338,7 @@ class DiffusionReplayPolicy:
 
 
 def cmd_simulate(cfg: dict) -> RunManifest:
+    out_dir = _require_output(cfg["output"], is_dir=True)
     if cfg["scenario"] not in SCENARIO_NAMES:
         raise UsageError(
             f"unknown scenario {cfg['scenario']!r}; choose from {', '.join(SCENARIO_NAMES)}"
@@ -365,7 +384,6 @@ def cmd_simulate(cfg: dict) -> RunManifest:
     except NonFiniteChunkError as exc:
         raise DomainError(f"policy {source}: {exc}") from exc
 
-    out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
@@ -394,6 +412,7 @@ def cmd_simulate(cfg: dict) -> RunManifest:
 
 
 def cmd_report(cfg: dict) -> RunManifest:
+    _require_output(cfg["output"], is_dir=True)
     paths = [_require_file(p, "metrics file") for p in cfg["metrics"]]
     rows = load_metrics(paths)
     if not rows:
@@ -523,28 +542,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("anchor", help="average board detections into a cross-node transform")
-    a.add_argument("--trajectories", required=True)
-    a.add_argument("--detections", required=True)
-    a.add_argument("--extrinsics", required=True)
-    a.add_argument("--output", required=True)
+    a.add_argument("--trajectories", required=True, metavar="FILE")
+    a.add_argument("--detections", required=True, metavar="FILE")
+    a.add_argument("--extrinsics", required=True, metavar="FILE")
+    a.add_argument("--output", required=True, metavar="FILE")
     a.add_argument("--cov-threshold", type=float, default=0.01)
 
     pr = sub.add_parser("process", help="raw capture session -> 10 Hz demo dataset")
-    pr.add_argument("--raw", required=True, help="session directory")
-    pr.add_argument("--anchor", required=True, help="anchor JSON from the anchor command")
-    pr.add_argument("--calib", default=None, help="gripper calibration JSON")
-    pr.add_argument("--output", required=True)
+    pr.add_argument("--raw", required=True, metavar="DIR", help="session directory")
+    pr.add_argument(
+        "--anchor", required=True, metavar="FILE", help="anchor JSON from the anchor command"
+    )
+    pr.add_argument("--calib", default=None, metavar="FILE", help="gripper calibration JSON")
+    pr.add_argument("--output", required=True, metavar="DIR")
     pr.add_argument("--no-smoothing", dest="smoothing", action="store_false")
 
     tr = sub.add_parser("train-toy", help="train the toy denoiser on a demo dataset")
-    tr.add_argument("--dataset", required=True)
-    tr.add_argument("--output", required=True)
+    tr.add_argument("--dataset", required=True, metavar="FILE")
+    tr.add_argument("--output", required=True, metavar="DIR")
     tr.add_argument("--steps", type=int, default=3000)
     tr.add_argument("--seed", type=int, default=0)
 
     si = sub.add_parser("simulate", help="run seeded episodes under one condition")
     si.add_argument("--scenario", default="nav_reach")
-    si.add_argument("--policy", default="replay", help="'replay', 'cruise' or checkpoint path")
+    si.add_argument(
+        "--policy", default="replay", metavar="FILE", help="'replay', 'cruise' or checkpoint path"
+    )
     si.add_argument("--matching", choices=("on", "off"), default="on")
     si.add_argument("--label", choices=("relative", "global"), default="relative")
     si.add_argument("--latency-ms", type=float, default=142.0)
@@ -553,15 +576,15 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--seed", type=int, default=0)
     si.add_argument("--kinematic", action="store_true")
     si.add_argument("--variation", action="store_true", help="per-trial task-frame shift")
-    si.add_argument("--output", required=True)
+    si.add_argument("--output", required=True, metavar="DIR")
 
     re = sub.add_parser("report", help="render metrics CSVs into markdown + SVG")
-    re.add_argument("--metrics", nargs="+", required=True)
-    re.add_argument("--output", required=True)
+    re.add_argument("--metrics", nargs="+", required=True, metavar="FILE")
+    re.add_argument("--output", required=True, metavar="DIR")
     re.add_argument("--title", default="Condition comparison")
 
     rp = sub.add_parser("replay", help="re-run a manifest and verify identical outputs")
-    rp.add_argument("--manifest", required=True)
+    rp.add_argument("--manifest", required=True, metavar="FILE")
     return p
 
 

@@ -347,6 +347,14 @@ def relative_floats(x, y, theta, rx, ry, rtheta) -> tuple[float, float, float]:
     return ix + c * x - s * y, iy + s * x + c * y, wrap_angle(ith + theta)
 
 
+def compose_floats(x, y, theta, ox, oy, otheta) -> tuple[float, float, float]:
+    """Pose2(x, y, theta).compose(Pose2(ox, oy, otheta)) on floats whose
+    headings are already wrapped; the heading sum is wrapped, as the Pose2
+    constructor did. Returns (x, y, theta) of the composed pose."""
+    c, s = math.cos(theta), math.sin(theta)
+    return x + c * ox - s * oy, y + s * ox + c * oy, wrap_angle(theta + otheta)
+
+
 def dist_se2(a, b, fold_radius: float = 0.5) -> float:
     """Planar distance with the heading error folded in as an arc length.
 

@@ -9,6 +9,7 @@ inputs always produce identical bytes.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -18,22 +19,33 @@ import numpy as np
 from .jsonl import fields_of
 
 
+def _finite_nonnegative(v: float) -> bool:
+    return math.isfinite(v) and v >= 0.0
+
+
+# metric column -> (parser, domain check, what the check asks)
+_METRIC_FIELDS = {
+    "success": (int, lambda v: v in (0, 1), "0 or 1"),
+    "completion_time_s": (float, _finite_nonnegative, "finite and >= 0"),
+    "rollbacks": (int, lambda v: v >= 0, ">= 0"),
+    "jitter": (int, lambda v: v >= 0, ">= 0"),
+    "i_star_mean": (float, _finite_nonnegative, "finite and >= 0"),
+}
+
+
 def load_metrics(paths) -> list[dict]:
+    """The rows of metrics CSVs; a value outside its column's domain is a
+    MalformedInputError naming the file."""
     rows = []
     for path in paths:
         with open(path, newline="", encoding="utf-8") as fh, fields_of(path):
             for rec in csv.DictReader(fh):
-                rows.append(
-                    {
-                        "condition": rec["condition"],
-                        "scenario": rec.get("scenario", ""),
-                        "success": int(rec["success"]),
-                        "completion_time_s": float(rec["completion_time_s"]),
-                        "rollbacks": int(rec["rollbacks"]),
-                        "jitter": int(rec["jitter"]),
-                        "i_star_mean": float(rec["i_star_mean"]),
-                    }
-                )
+                row = {"condition": rec["condition"], "scenario": rec.get("scenario", "")}
+                for name, (parse, ok, rule) in _METRIC_FIELDS.items():
+                    row[name] = parse(rec[name])
+                    if not ok(row[name]):
+                        raise ValueError(f"{name} must be {rule}, got {rec[name]}")
+                rows.append(row)
     return rows
 
 

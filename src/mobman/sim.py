@@ -43,13 +43,16 @@ from .diffusion import ActionChunkTensor, DEFAULT_HORIZON
 from .geometry import (
     Pose2,
     Pose3,
+    compose_floats,
     quat_canonical_floats,
+    quat_canonical_rows,
     quat_from_axis_angle,
     quat_mul,
     quat_mul_floats,
     relative_floats,
-    slerp,
+    slerp,  # noqa: F401  benchmarks/spans.py counts calls to it under this name
     slerp_floats,
+    slerp_rows,
     wrap_angle,
 )
 from .jsonl import write_jsonl
@@ -63,6 +66,12 @@ ARM_REACH = 0.75  # m, hand position clamp radius around the chest origin
 _REACH_PREFILTER = ARM_REACH * ARM_REACH * (1.0 - 1e-9)
 
 DEFAULT_CALIB = GripperCalib(d_closed=0.01, d_open=0.09)
+
+# a plant's default initial state: base at the origin, hand at the chest
+# origin with the identity rotation, gripper open
+REST_STATE = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+# the task frame (x, y, theta) of a task that is not shifted
+ORIGIN = (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +103,9 @@ class Plant:
 
     Commands are applied at the first substep boundary at or after their
     effect time (virtual-clock quantization). The history holds one state
-    (executor's 11-float layout) per substep and backs state_at() for aged
-    observations; its last entry is `current`. A command is taken apart into
-    floats once, when it takes effect.
+    (executor's 11-float layout) per substep, from the initial state given,
+    and backs state_at() for aged observations; its last entry is `current`.
+    A command is taken apart into floats once, when it takes effect.
 
     The substep keeps the bits of the Pose2/Pose3 code it replaced (see
     executor): element-wise + - * / and min(max(x, lo), hi) give the bits of
@@ -106,26 +115,20 @@ class Plant:
     beyond ARM_REACH.
     """
 
-    def __init__(
-        self,
-        config: PlantConfig,
-        base: Pose2 = Pose2(),
-        hand_rel: Pose3 | None = None,
-        grip: float = 1.0,
-    ):
+    def __init__(self, config: PlantConfig, state: tuple = REST_STATE):
         self.config = config
-        hand_rel = hand_rel if hand_rel is not None else Pose3()
-        hand = (*hand_rel.translation.tolist(), *hand_rel.rotation.tolist())
+        state = tuple(map(float, state))
         self.v = 0.0
         self.omega = 0.0
         self.v_lat = 0.0
         self.t = 0.0
         self._k = 0  # substeps taken; t is k / (substeps per second)
-        self._take(PlantCommand(0.0, 0.0, 0.0, hand, float(grip)))
+        # the initial command holds the initial hand and grip
+        self._take(PlantCommand(0.0, 0.0, 0.0, state[3:10], state[10]))
         self._queue: list[tuple[float, PlantCommand]] = []
         self._next_due = math.inf  # earliest effect time in _queue
         self._times = [0.0]  # snapshot times, kept beside _states
-        self._states = [(base.x, base.y, base.theta, *hand, float(grip))]
+        self._states = [state]
 
     @property
     def current(self) -> tuple:
@@ -251,21 +254,18 @@ class Plant:
 class ExpertScript:
     """Reference motion built from constant-rate primitives.
 
-    The script is a knot table: knot j holds (time, base (x, y, theta) with
-    theta unwrapped, hand pose, grip). pause, turn, move_hand and set_grip
-    append one knot each, drive one per speed step. Between consecutive
-    knots base, hand and grip are linear in time (the hand rotation by
-    slerp). Durations are multiples of the control period, so sampling at
-    any rate whose grid contains the knots is exact. Times outside
-    [0, duration] sample the first or last knot.
+    The script is a knot table: knot j is a state in the executor's 11-float
+    layout, with theta unwrapped, at time _times[j]. pause, turn, move_hand
+    and set_grip append one knot each, drive one per speed step. Between
+    consecutive knots the state is linear in time (the hand rotation by
+    slerp). Durations are multiples of the control period, so sampling at any
+    rate whose grid contains the knots is exact. Times outside [0, duration]
+    sample the first or last knot.
     """
 
     def __init__(self, hand_home: Pose3, grip0: float = 1.0):
-        self._knots: list[tuple[float, np.ndarray, Pose3, float]] = [
-            (0.0, np.array([0.0, 0.0, 0.0]), hand_home, float(grip0))
-        ]
-        # segment j runs from knot j to knot j + 1 and holds t <= _ends[j]
-        self._ends: list[float] = []
+        self._knots = [np.array([0.0, 0.0, 0.0, *hand_home.to_list(), grip0])]
+        self._times = [0.0]
         # set by make_scenario: the scenario name whose shared reference and
         # world hand tables this script's knots give; a new knot clears it
         self._scenario: str | None = None
@@ -275,17 +275,16 @@ class ExpertScript:
         return max(CONTROL_DT, round(round(d / CONTROL_DT) * CONTROL_DT, 9))
 
     def _push(self, duration, b1=None, h1=None, g1=None):
-        t0, b0, h0, g0 = self._knots[-1]
-        t1 = round(t0 + self._round_duration(duration), 9)
-        self._knots.append(
-            (
-                t1,
-                b0 if b1 is None else np.asarray(b1, dtype=float),
-                h0 if h1 is None else h1,
-                g0 if g1 is None else float(g1),
-            )
-        )
-        self._ends.append(t1 + 1e-12)
+        knot = self._knots[-1].copy()
+        if b1 is not None:
+            knot[:3] = b1
+        if h1 is not None:
+            knot[3:10] = h1.to_list()
+        if g1 is not None:
+            knot[10] = g1
+        t1 = round(self._times[-1] + self._round_duration(duration), 9)
+        self._knots.append(knot)
+        self._times.append(t1)
         self._scenario = None
         return self
 
@@ -298,7 +297,7 @@ class ExpertScript:
         The ramp sheds speed/ramp_steps every 0.3 s so a first-order plant
         can brake without overshooting the stop point.
         """
-        th = self._knots[-1][1][2]
+        th = self._knots[-1][2]
         sgn = 1.0 if distance >= 0 else -1.0
         heading = np.array([math.cos(th), math.sin(th), 0.0])
         ramp = [speed * k / ramp_steps for k in range(ramp_steps - 1, 0, -1)]
@@ -306,13 +305,13 @@ class ExpertScript:
         ramp_dist = sum(v * 0.3 for v in ramp)
         cruise_dist = max(abs(distance) - ramp_dist, 0.0)
         if cruise_dist > 0:
-            self._push(cruise_dist / speed, b1=self._knots[-1][1] + sgn * cruise_dist * heading)
+            self._push(cruise_dist / speed, b1=self._knots[-1][:3] + sgn * cruise_dist * heading)
         for v in ramp:
-            self._push(0.3, b1=self._knots[-1][1] + sgn * v * 0.3 * heading)
+            self._push(0.3, b1=self._knots[-1][:3] + sgn * v * 0.3 * heading)
         return self
 
     def turn(self, dangle: float, duration: float):
-        return self._push(duration, b1=self._knots[-1][1] + np.array([0.0, 0.0, dangle]))
+        return self._push(duration, b1=self._knots[-1][:3] + np.array([0.0, 0.0, dangle]))
 
     def move_hand(self, target: Pose3, duration: float):
         return self._push(duration, h1=target)
@@ -322,33 +321,26 @@ class ExpertScript:
 
     @property
     def duration(self) -> float:
-        return self._knots[-1][0]
+        return self._times[-1]
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        """First segment j holding t, clamped to the script, and t's fraction a of it."""
-        if not self._ends:
+    def states_at(self, times) -> np.ndarray:
+        """The states at an array of times, as (n, 11) rows with theta wrapped."""
+        if len(self._times) < 2:
             raise ValueError("empty script")
-        t = min(max(t, 0.0), self.duration)
-        j = bisect.bisect_left(self._ends, t)
-        t0, t1 = self._knots[j][0], self._knots[j + 1][0]
-        return j, (min(t, t1) - t0) / (t1 - t0)
-
-    def base_at(self, t: float) -> Pose2:
-        j, a = self._locate(t)
-        b = (1 - a) * self._knots[j][1] + a * self._knots[j + 1][1]
-        return Pose2(b[0], b[1], b[2])
-
-    def hand_at(self, t: float) -> Pose3:
-        j, a = self._locate(t)
-        h0, h1 = self._knots[j][2], self._knots[j + 1][2]
-        return Pose3(
-            slerp(h0.rotation, h1.rotation, a),
-            (1 - a) * h0.translation + a * h1.translation,
-        )
-
-    def grip_at(self, t: float) -> float:
-        j, a = self._locate(t)
-        return (1 - a) * self._knots[j][3] + a * self._knots[j + 1][3]
+        knot_t, knots = np.array(self._times), np.array(self._knots)
+        t = np.asarray(times, dtype=float)
+        # np.maximum would turn -0.0 into 0.0; max(t, 0.0) keeps it
+        t = np.minimum(np.where(t < 0.0, 0.0, t), self.duration)
+        # segment j runs from knot j to knot j + 1 and holds t <= knot_t[j + 1] + 1e-12
+        j = np.searchsorted(knot_t[1:] + 1e-12, t, side="left")
+        t0, t1 = knot_t[j], knot_t[j + 1]
+        a = (np.minimum(t, t1) - t0) / (t1 - t0)
+        k0, k1 = knots[j], knots[j + 1]
+        states = (1 - a[:, None]) * k0 + a[:, None] * k1
+        # slerp, then quat_canonical again, as the Pose3 constructor did
+        states[:, 6:10] = quat_canonical_rows(slerp_rows(k0[:, 6:10], k1[:, 6:10], a))
+        states[:, 2] = [wrap_angle(th) for th in states[:, 2].tolist()]
+        return states
 
     def reference(self) -> DemoDataset:
         """The script on the 10 Hz control grid. The scripts of make_scenario
@@ -357,22 +349,17 @@ class ExpertScript:
             return _scenario_reference(self._scenario)
         n10 = int(round(self.duration * 10))
         ref_t = np.round(np.arange(n10 + 1) / 10.0, 9)
-        states = np.array(
-            [
-                (*self.base_at(ti).to_list(), *self.hand_at(ti).to_list(), self.grip_at(ti))
-                for ti in ref_t
-            ]
-        )
+        states = self.states_at(ref_t)
         ref_t.flags.writeable = False
         states.flags.writeable = False
         return DemoDataset(ref_t, states)
 
     def world_hand(self) -> tuple[tuple[float, ...], ...]:
-        """hand_world_pose of the reference's base and hand at every 10 Hz
-        step, as (px, py, pz, qw, qx, qy, qz). Shared like reference()."""
+        """hand_world_pose of the reference's states at every 10 Hz step, as
+        (px, py, pz, qw, qx, qy, qz). Shared like reference()."""
         if self._scenario is not None:
             return _scenario_world_hand(self._scenario)
-        poses = (hand_world_pose(s.base, s.hand_rel) for s in self.reference().steps)
+        poses = map(hand_world_pose, self.reference().states.tolist())
         return tuple((*p.translation.tolist(), *p.rotation.tolist()) for p in poses)
 
 
@@ -400,13 +387,12 @@ class GoalStage:
     grip: tuple | None = None  # (op '<=' or '>=', threshold)
     hold_s: float = 0.3
 
-    def base_in(self, frame: Pose2) -> tuple[float, float, float] | None:
-        """The base goal placed in the task frame, as (x, y, theta)."""
+    def base_in(self, frame: tuple) -> tuple[float, float, float] | None:
+        """The base goal placed in the task frame (x, y, theta), as (x, y, theta)."""
         if self.base is None:
             return None
         x, y, th = self.base[:3]
-        goal = frame.compose(Pose2(x, y, th))
-        return goal.x, goal.y, goal.theta
+        return compose_floats(*frame, x, y, wrap_angle(th))
 
     def satisfied(self, s: tuple, base_goal: tuple[float, float, float] | None) -> bool:
         """Whether state s meets this stage; base_goal is base_in(task frame)."""
@@ -615,13 +601,15 @@ def _random_rigid(rng: np.random.Generator) -> Pose3:
     return Pose3(q, rng.uniform(-2.0, 2.0, size=3))
 
 
-def chest_world_pose(base: Pose2) -> Pose3:
-    return base.lift(CHEST_HEIGHT)
+def chest_world_pose(s) -> Pose3:
+    """Chest pose in the world of the state s, whose heading is wrapped."""
+    return Pose2.of_wrapped(*s[:3]).lift(CHEST_HEIGHT)
 
 
-def hand_world_pose(base: Pose2, hand_rel: Pose3) -> Pose3:
-    """Hand pose in the world, from the base pose and the chest-relative hand."""
-    return chest_world_pose(base).compose(hand_rel)
+def hand_world_pose(s) -> Pose3:
+    """Hand pose in the world of the state s; the chest-relative hand's
+    quaternion is canonicalised again, as a Pose3 of it is."""
+    return chest_world_pose(s).compose(Pose3(np.array(s[6:10]), np.array(s[3:6])))
 
 
 def _noisy(pose: Pose3, rng, sigma_pos: float, sigma_rot: float) -> Pose3:
@@ -662,25 +650,16 @@ def scripted_expert(
     t_m = np.round(np.arange(int(round(script.duration * 50)) + 1) / 50.0, 9)
 
     chest_poses = [
-        _noisy(chest_world_pose(script.base_at(ti)), rng, sigma_pos, sigma_rot) for ti in t_c
+        _noisy(chest_world_pose(st), rng, sigma_pos, sigma_rot)
+        for st in script.states_at(t_c).tolist()
     ]
     g_inv = g_true.inverse()
     hand_poses = [
-        _noisy(
-            g_inv.compose(hand_world_pose(script.base_at(ti), script.hand_at(ti))),
-            rng,
-            sigma_pos,
-            sigma_rot,
-        )
-        for ti in t_h
+        _noisy(g_inv.compose(hand_world_pose(st)), rng, sigma_pos, sigma_rot)
+        for st in script.states_at(t_h).tolist()
     ]
     calib = DEFAULT_CALIB
-    marker_d = np.array(
-        [
-            calib.d_closed + script.grip_at(ti) * (calib.d_open - calib.d_closed)
-            for ti in t_m
-        ]
-    )
+    marker_d = calib.d_closed + script.states_at(t_m)[:, 10] * (calib.d_open - calib.d_closed)
     if sigma_pos > 0.0:
         marker_d = marker_d + rng.normal(0.0, sigma_pos / 5.0, size=len(marker_d))
 
@@ -707,20 +686,20 @@ def scripted_expert(
     det_span = min(1.4, script.duration)
     det_t = np.round(np.linspace(0.0, det_span, N_DETECTIONS), 9)
     board_hand_world = g_inv.compose(BOARD_IN_WORLD)
-    for ti in det_t:
-        chest_imu = chest_world_pose(script.base_at(ti))
+    for ti, st in zip(det_t.tolist(), script.states_at(det_t).tolist()):
+        chest_imu = chest_world_pose(st)
         cam_c = chest_imu.compose(EXTRINSICS[CHEST].T_imu_from_camera)
         detections.append(
             TagDetection(
-                CHEST, float(ti), _noisy(cam_c.inverse().compose(BOARD_IN_WORLD), rng, sigma_pos, sigma_rot)
+                CHEST, ti, _noisy(cam_c.inverse().compose(BOARD_IN_WORLD), rng, sigma_pos, sigma_rot)
             )
         )
-        hand_imu = g_inv.compose(hand_world_pose(script.base_at(ti), script.hand_at(ti)))
+        hand_imu = g_inv.compose(hand_world_pose(st))
         cam_h = hand_imu.compose(EXTRINSICS[HAND].T_imu_from_camera)
         detections.append(
             TagDetection(
                 HAND,
-                float(ti),
+                ti,
                 _noisy(cam_h.inverse().compose(board_hand_world), rng, sigma_pos, sigma_rot),
             )
         )
@@ -807,20 +786,15 @@ class ExpertReplayPolicy:
     def __init__(
         self,
         script: ExpertScript,
-        task_frame: Pose2 = Pose2(),
+        task_frame: tuple = ORIGIN,
         label_frame: str = "relative",
     ):
         if label_frame not in ("relative", "global"):
             raise ValueError("label_frame must be 'relative' or 'global'")
         self.label_frame = label_frame
         ref = script.reference().states
-        # task_frame.compose(b) of every reference base pose, as (x, y, theta)
-        fx, fy, fth = task_frame.x, task_frame.y, task_frame.theta
-        c, s = math.cos(fth), math.sin(fth)
-        self.ref_base = [
-            (fx + c * x - s * y, fy + s * x + c * y, wrap_angle(fth + th))
-            for x, y, th in ref[:, :3].tolist()
-        ]
+        # every reference base pose placed in the task frame (x, y, theta)
+        self.ref_base = [compose_floats(*task_frame, *b) for b in ref[:, :3].tolist()]
         self.ref_hand_pos = ref[:, 3:6]
         self.ref_grip = ref[:, 10].tolist()
         # hand targets as (px, py, pz, qw, qx, qy, qz): chest-relative, or the
@@ -887,10 +861,7 @@ class ExpertReplayPolicy:
         state, grip = obs[:10], obs[10]
         relative = self.label_frame == "relative"
         if not relative:
-            # the Pose3 constructor canonicalises the quaternion again
-            world = hand_world_pose(
-                Pose2.of_wrapped(*obs[:3]), Pose3(np.array(obs[6:10]), np.array(obs[3:6]))
-            )
+            world = hand_world_pose(obs)
             hand = (*world.translation.tolist(), *world.rotation.tolist())
         rows = []
         for r in range(DEFAULT_HORIZON):
@@ -919,11 +890,12 @@ TASK_RADIUS = 0.25  # m, task-frame shift under locomotion variation
 TASK_HEADING = 0.35  # rad, task-frame rotation under locomotion variation
 
 
-def _disk_pose(rng: np.random.Generator, radius: float, heading: float) -> Pose2:
-    """Uniform position in a radius disk and heading in [-heading, heading]."""
+def _disk_pose(rng: np.random.Generator, radius: float, heading: float) -> tuple:
+    """Uniform position in a radius disk and heading in [-heading, heading],
+    as (x, y, theta) with theta wrapped."""
     r = radius * math.sqrt(rng.uniform())
     phi = rng.uniform(0.0, 2.0 * math.pi)
-    return Pose2(r * math.cos(phi), r * math.sin(phi), rng.uniform(-heading, heading))
+    return r * math.cos(phi), r * math.sin(phi), wrap_angle(rng.uniform(-heading, heading))
 
 
 @dataclass
@@ -953,7 +925,7 @@ class EpisodeMetrics:
 
 
 class _StageTracker:
-    def __init__(self, goals: list[GoalStage], frame: Pose2, dt: float):
+    def __init__(self, goals: list[GoalStage], frame: tuple, dt: float):
         self.goals = goals
         # each stage's base goal in the task frame, placed once per episode
         self.base_goals = [g.base_in(frame) for g in goals]
@@ -987,24 +959,19 @@ def run_episode(
     plant_cfg: PlantConfig,
     exec_cfg: ExecutorConfig,
     seed: int,
-    task_frame: Pose2 = Pose2(),
+    task_frame: tuple = ORIGIN,
 ) -> tuple[EpisodeMetrics, EpisodeLog]:
     """One deterministic virtual-time episode.
 
-    The scenario's start pose (origin of its script, shifted by task_frame)
-    is perturbed inside a START_RADIUS disk and a +-START_HEADING range; goals are
+    The scenario's start pose (origin of its script, shifted by the task
+    frame (x, y, theta)) is perturbed inside a START_RADIUS disk and a
+    +-START_HEADING range; hand and grip start as the script does. Goals are
     checked every control tick against the plant's true state and must be
     held for their dwell times in order.
     """
     rng = np.random.default_rng([seed, 0xEA])
-    start = task_frame.compose(_disk_pose(rng, START_RADIUS, START_HEADING))
-
-    plant = Plant(
-        plant_cfg,
-        base=start,
-        hand_rel=scenario.script.hand_at(0.0),
-        grip=scenario.script.grip_at(0.0),
-    )
+    start = compose_floats(*task_frame, *_disk_pose(rng, START_RADIUS, START_HEADING))
+    plant = Plant(plant_cfg, (*start, *scenario.script.states_at([0.0])[0, 3:].tolist()))
     exec_cfg = replace(
         exec_cfg, max_ticks=int(round(scenario.time_limit / exec_cfg.dt)), seed=seed
     )
@@ -1058,7 +1025,7 @@ def run_condition_trial(
     """
     plant_cfg = plant_cfg or PlantConfig()
     scenario = make_scenario(scenario_name)
-    frame = Pose2()
+    frame = ORIGIN
     if cond.locomotion_variation:
         frame = _disk_pose(np.random.default_rng([trial_seed, 0xF0]), TASK_RADIUS, TASK_HEADING)
     if make_policy is None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shutil
@@ -690,6 +691,26 @@ def _pose_quaternion(q):
     return lambda rec: {**rec, "pose": [*rec["pose"][:3], *q(rec["pose"][3:])]}
 
 
+# one simulate metrics row, as cmd_simulate writes it
+METRICS_CSV = (
+    "condition,scenario,trial,success,completion_time_s,rollbacks,jitter,"
+    "i_star_mean,i_star_std,tracking_rms_m,stages_done,reason\n"
+    "match_on_label_relative,nav_reach,0,1,9.9,0,0,1.2308,0.6966,0.02631,3,\n"
+)
+
+
+def _edit_metric(field, value):
+    """A FIELD_CASES rewrite of a metrics CSV: field of its first row set to value."""
+
+    def rewrite(text):
+        header, row, *rest = text.splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index(field)] = value
+        return "\n".join([header, ",".join(cells), *rest]) + "\n"
+
+    return rewrite
+
+
 class TestMalformedInput:
     """Malformed JSON/JSONL input is a usage error naming the file and line."""
 
@@ -868,6 +889,18 @@ class TestMalformedInput:
         "replay_kinematic_int": _replay_case(kinematic=1),
         "replay_label_unknown": _replay_case(label="both"),
         "replay_latency_str": _replay_case(latency_ms="0"),
+        **{
+            f"report_{field}_{name}": ("report", "metrics.csv", _edit_metric(field, value))
+            for field, name, value in (
+                ("completion_time_s", "nan", "nan"),
+                ("completion_time_s", "1e400", "1e400"),
+                ("i_star_mean", "nan", "nan"),
+                ("i_star_mean", "inf", "inf"),
+                ("success", "7", "7"),
+                ("rollbacks", "minus_3", "-3"),
+                ("jitter", "minus_1", "-1"),
+            )
+        },
     }
 
     @pytest.mark.parametrize("case", list(FIELD_CASES))
@@ -883,6 +916,7 @@ class TestMalformedInput:
         shutil.copy(anchored, d / "anchors.json")
         (d / "calib.json").write_text(json.dumps({"d_closed": 0.01, "d_open": 0.09}))
         (d / "manifest.json").write_text("")
+        (d / "metrics.csv").write_text(METRICS_CSV)
         path = d / name
         path.write_text(rewrite(path.read_text()))
         argv = {
@@ -901,6 +935,7 @@ class TestMalformedInput:
                 "--output", str(tmp_path / "p"),
             ],
             "replay": ["replay", "--manifest", str(path)],
+            "report": ["report", "--metrics", str(path), "--output", str(tmp_path / "r")],
         }[command]
         capsys.readouterr()
         assert main(argv) == EXIT_USAGE
@@ -1065,6 +1100,76 @@ class TestBadFlags:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"usage error: {flag} ")
         assert not out.exists()
+
+
+def _path_flags() -> list[tuple[str, str, str]]:
+    """(command, flag, metavar) of every flag that build_parser marks as a
+    file (FILE) or directory (DIR) path; the flag named --output is written,
+    the others are read."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, a.option_strings[0], a.metavar)
+        for command in sub.choices
+        for a in cli._flag_actions(command)
+        if a.metavar in ("FILE", "DIR")
+    ]
+
+
+class TestPathKinds:
+    """A path flag given a path of the wrong kind is a one-line usage error
+    naming that path: a directory for a file, a file for a directory, and an
+    output under a file."""
+
+    @pytest.fixture
+    def argvs(self, raw_session, anchored, processed, tmp_path):
+        raw, _ = raw_session
+        calib = tmp_path / "calib.json"
+        calib.write_text(json.dumps({"d_closed": 0.01, "d_open": 0.09}))
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(METRICS_CSV)
+        out = tmp_path / "out"
+        return {
+            "anchor": [
+                "anchor",
+                "--trajectories", str(raw / "trajectories.jsonl"),
+                "--detections", str(raw / "detections.jsonl"),
+                "--extrinsics", str(raw / "extrinsics.json"),
+                "--output", str(out / "a.json"),
+            ],
+            "process": [
+                "process", "--raw", str(raw), "--anchor", str(anchored), "--calib", str(calib),
+                "--output", str(out),
+            ],
+            "train-toy": [
+                "train-toy", "--dataset", str(processed / "dataset.jsonl"), "--steps", "1",
+                "--output", str(out),
+            ],
+            "simulate": ["simulate", "--trials", "1", "--output", str(out)],
+            "report": ["report", "--metrics", str(metrics), "--output", str(out)],
+            "replay": ["replay", "--manifest", str(tmp_path / "manifest.json")],
+        }
+
+    def test_every_writing_command_has_a_path_output(self):
+        written = {command for command, flag, _ in _path_flags() if flag == "--output"}
+        assert written == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command, flag, kind", _path_flags())
+    def test_wrong_kind_is_usage_error(self, command, flag, kind, argvs, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("x\n")
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        wrong = a_dir if kind == "FILE" else a_file
+        for path in [wrong, a_file / "sub"] if flag == "--output" else [wrong]:
+            argv = list(argvs[command])
+            if flag in argv:
+                argv[argv.index(flag) + 1] = str(path)
+            else:
+                argv += [flag, str(path)]
+            capsys.readouterr()
+            assert main(argv) == EXIT_USAGE, argv
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("usage error: ") and str(path) in err[0]
 
 
 class TestReplayCommand:

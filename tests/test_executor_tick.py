@@ -412,7 +412,7 @@ class TestGoalCheckMatchesPoseCode:
         hand = GRASP_POSE.translation + rng.normal(scale=scale, size=3)
         state = _RefState(Pose2(bx, by, bth), hand, _quat(rng, "random"), grip)
         want = _ref_satisfied(goal, state, frame)
-        assert goal.satisfied(_tuple(state), goal.base_in(frame)) == want
+        assert goal.satisfied(_tuple(state), goal.base_in((frame.x, frame.y, frame.theta))) == want
 
 
 class TestCommandPayload:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import mobman.sim as sim
 from mobman.diffusion import ActionChunkTensor
 from mobman.executor import (
+    CONTROL_DT,
     ExecutorConfig,
     PlantCommand,
     advance_floats,
@@ -21,8 +22,10 @@ from mobman.executor import (
 from mobman.geometry import (
     Pose2,
     Pose3,
+    compose_floats,
     quat_canonical,
     quat_canonical_floats,
+    quat_canonical_rows,
     quat_mul,
     slerp,
     wrap_angle,
@@ -34,8 +37,10 @@ from mobman.sim import (
     GRASP_POSE,
     Plant,
     PlantConfig,
+    REST_STATE,
     SCENARIO_NAMES,
     compare_conditions,
+    hand_world_pose,
     make_scenario,
     run_condition_trial,
     run_episode,
@@ -264,7 +269,7 @@ class TestPlant:
 
     def test_grip_slew_limited(self):
         cfg = PlantConfig()
-        plant = Plant(cfg, grip=1.0)
+        plant = Plant(cfg, (*REST_STATE[:10], 1.0))
         plant.issue_command(hold_cmd(grip=0.0), t_effect=0.0)
         plant.step_to(0.2)
         assert plant.current[10] == pytest.approx(1.0 - cfg.grip_rate * 0.2, abs=1e-9)
@@ -371,12 +376,9 @@ class TestScriptedExpert:
         expert = scripted_expert(make_scenario("nav_reach"), seed=4)
         # mapping the first hand sample back through the true transform must
         # land on chest-world hand pose
-        from mobman.sim import chest_world_pose
-
         hand0 = Pose3(expert.session.hand.quat[0], expert.session.hand.pos[0])
         world0 = expert.cross_node_true.compose(hand0)
-        step0 = expert.script.reference().steps[0]
-        ref = chest_world_pose(step0.base).compose(step0.hand_rel)
+        ref = hand_world_pose(expert.script.reference().states[0].tolist())
         assert np.max(np.abs(world0.as_matrix() - ref.as_matrix())) < 1e-9
 
     def test_deterministic_per_seed(self):
@@ -419,11 +421,11 @@ class TestScriptedExpert:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_sampling_clamps_before_start(self, name):
         script = make_scenario(name).script
-        assert script.base_at(-0.5) == script.base_at(0.0)
-        h0, h = script.hand_at(0.0), script.hand_at(-0.5)
-        assert np.array_equal(h.rotation, h0.rotation)
-        assert np.array_equal(h.translation, h0.translation)
-        assert script.grip_at(-0.5) == script.grip_at(0.0)
+        before, start = script.states_at([-0.5, 0.0])
+        assert before[:3].tolist() == start[:3].tolist()
+        assert np.array_equal(before[6:10], start[6:10])
+        assert np.array_equal(before[3:6], start[3:6])
+        assert before[10] == start[10]
 
     def test_save_layout(self, tmp_path):
         expert = scripted_expert(make_scenario("nav_reach"), seed=1)
@@ -760,7 +762,8 @@ class TestFloatCodeMatchesReference:
         base = Pose2(*rng.uniform(-2.0, 2.0, size=2), rng.uniform(-math.pi, math.pi))
         hand = Pose3(_unit(rng), rng.uniform(-0.4, 0.4, size=3))
         grip = rng.uniform()
-        plant, ref = Plant(cfg, base, hand, grip), _RefPlant(cfg, base, hand, grip)
+        state = (base.x, base.y, base.theta, *hand.translation.tolist(), *hand.rotation.tolist(), grip)
+        plant, ref = Plant(cfg, state), _RefPlant(cfg, base, hand, grip)
         t = 0.0
         for commands, step in ticks:
             for v, v_lat, omega, where, turn, grip_target, delay in commands:
@@ -864,3 +867,249 @@ class TestFloatCodeMatchesReference:
         for k in range(1, 100_001):
             t = round(t + dt, 9)
             assert t == k / per_s
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the pose-object script samplers, task-frame
+# composition and world-hand constructions that the 11-float state layout
+# replaced. The state-layout code must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+class _PoseScript:
+    """ExpertScript as a knot table of (time, base array, Pose3 hand, grip),
+    sampled by base_at, hand_at and grip_at."""
+
+    def __init__(self, hand_home, grip0=1.0):
+        self._knots = [(0.0, np.array([0.0, 0.0, 0.0]), hand_home, float(grip0))]
+        self._ends = []
+
+    @staticmethod
+    def _round_duration(d):
+        return max(CONTROL_DT, round(round(d / CONTROL_DT) * CONTROL_DT, 9))
+
+    def _push(self, duration, b1=None, h1=None, g1=None):
+        t0, b0, h0, g0 = self._knots[-1]
+        t1 = round(t0 + self._round_duration(duration), 9)
+        self._knots.append(
+            (
+                t1,
+                b0 if b1 is None else np.asarray(b1, dtype=float),
+                h0 if h1 is None else h1,
+                g0 if g1 is None else float(g1),
+            )
+        )
+        self._ends.append(t1 + 1e-12)
+        return self
+
+    def pause(self, duration):
+        return self._push(duration)
+
+    def drive(self, distance, speed=0.3, ramp_steps=10):
+        th = self._knots[-1][1][2]
+        sgn = 1.0 if distance >= 0 else -1.0
+        heading = np.array([math.cos(th), math.sin(th), 0.0])
+        ramp = [speed * k / ramp_steps for k in range(ramp_steps - 1, 0, -1)]
+        ramp += [speed * f for f in (1.0 / 15, 1.0 / 25, 1.0 / 50, 1.0 / 150)]
+        ramp_dist = sum(v * 0.3 for v in ramp)
+        cruise_dist = max(abs(distance) - ramp_dist, 0.0)
+        if cruise_dist > 0:
+            self._push(cruise_dist / speed, b1=self._knots[-1][1] + sgn * cruise_dist * heading)
+        for v in ramp:
+            self._push(0.3, b1=self._knots[-1][1] + sgn * v * 0.3 * heading)
+        return self
+
+    def turn(self, dangle, duration):
+        return self._push(duration, b1=self._knots[-1][1] + np.array([0.0, 0.0, dangle]))
+
+    def move_hand(self, target, duration):
+        return self._push(duration, h1=target)
+
+    def set_grip(self, value, duration):
+        return self._push(duration, g1=value)
+
+    @property
+    def duration(self):
+        return self._knots[-1][0]
+
+    def _locate(self, t):
+        t = min(max(t, 0.0), self.duration)
+        j = bisect.bisect_left(self._ends, t)
+        t0, t1 = self._knots[j][0], self._knots[j + 1][0]
+        return j, (min(t, t1) - t0) / (t1 - t0)
+
+    def base_at(self, t):
+        j, a = self._locate(t)
+        b = (1 - a) * self._knots[j][1] + a * self._knots[j + 1][1]
+        return Pose2(b[0], b[1], b[2])
+
+    def hand_at(self, t):
+        j, a = self._locate(t)
+        h0, h1 = self._knots[j][2], self._knots[j + 1][2]
+        return Pose3(
+            slerp(h0.rotation, h1.rotation, a), (1 - a) * h0.translation + a * h1.translation
+        )
+
+    def grip_at(self, t):
+        j, a = self._locate(t)
+        return (1 - a) * self._knots[j][3] + a * self._knots[j + 1][3]
+
+    def states_at(self, times):
+        """The three samplers' values at each time, in the state layout."""
+        return np.array(
+            [
+                [*self.base_at(t).to_list(), *self.hand_at(t).to_list(), self.grip_at(t)]
+                for t in times
+            ]
+        )
+
+
+def _pose_hand_world(base: Pose2, hand_rel: Pose3) -> Pose3:
+    """hand_world_pose on a Pose2 base and a Pose3 chest-relative hand."""
+    return base.lift(sim.CHEST_HEIGHT).compose(hand_rel)
+
+
+def _pose_bits(p: Pose3) -> bytes:
+    return p.rotation.tobytes() + p.translation.tobytes()
+
+
+def _sample_times(script, extra):
+    """Knot times and their neighbours, times before 0 and past the end, a
+    10 ms grid and the extra times."""
+    knots = [k[0] for k in script._knots]
+    end = script.duration
+    times = [*knots, *(t + 1e-13 for t in knots), *(t - 1e-13 for t in knots)]
+    times += [-0.5, -1e-300, -0.0, 0.0, end, end + 1e-12, end + 0.5, *extra]
+    return times + np.round(np.arange(-5, int(end * 100) + 6) / 100.0, 9).tolist()
+
+
+_durations = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.3, 1.5]), st.floats(0.0, 3.0))
+_script_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("pause"), _durations),
+        st.tuples(st.just("drive"), st.floats(-2.0, 2.0), st.sampled_from([0.1, 0.3, 0.45])),
+        st.tuples(
+            st.just("turn"),
+            st.one_of(st.floats(-7.0, 7.0), st.sampled_from([math.pi, -math.pi, 3 * math.pi])),
+            _durations,
+        ),
+        st.tuples(
+            st.just("move_hand"),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from(sorted(_ROTATION_KINDS)),
+            _durations,
+        ),
+        st.tuples(st.just("set_grip"), st.floats(0.0, 1.0), _durations),
+    ),
+    min_size=1,
+    max_size=6,
+)
+# wrapped headings, with the values at and next to the +-pi wrap
+_wrapped = st.one_of(
+    st.floats(-4.0, 4.0).map(wrap_angle),
+    st.sampled_from(
+        [math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0), 0.0, -0.0]
+    ),
+)
+_coord = st.floats(-5.0, 5.0)
+
+
+class TestStateLayoutMatchesPoseCode:
+    """states_at, compose_floats and hand_world_pose(s) give the bits of the
+    pose-object code they replaced (the reference implementations above)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        # a -0.0 grip tells a time of -0.0 from one clamped to 0.0
+        st.one_of(st.floats(0.0, 1.0), st.just(-0.0)),
+        _script_ops,
+        st.lists(st.floats(-1.0, 40.0), max_size=20),
+    )
+    def test_states_at_matches_samplers(self, seed, grip0, ops, extra):
+        rng = np.random.default_rng(seed)
+        home = Pose3(_unit(rng), rng.uniform(-0.5, 0.5, size=3))
+        pose_script, script = _PoseScript(home, grip0), sim.ExpertScript(home, grip0)
+        for op, *args in ops:
+            if op == "move_hand":
+                hand_rng = np.random.default_rng(args[0])
+                rot = _ROTATION_KINDS[args[1]](hand_rng, pose_script._knots[-1][2].rotation)
+                args = (Pose3(rot, hand_rng.uniform(-0.5, 0.5, size=3)), args[2])
+            getattr(pose_script, op)(*args)
+            getattr(script, op)(*args)
+        assert script.duration == pose_script.duration
+        times = _sample_times(pose_script, extra)
+        assert script.states_at(times).tobytes() == pose_script.states_at(times).tobytes()
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_states_at_matches_samplers_on_scenarios(self, name, monkeypatch):
+        script = sim._SCENARIOS[name][0]()
+        monkeypatch.setattr(sim, "ExpertScript", _PoseScript)
+        pose_script = sim._SCENARIOS[name][0]()
+        times = _sample_times(pose_script, np.random.default_rng(3).uniform(-1, 30, 2000))
+        assert script.states_at(times).tobytes() == pose_script.states_at(times).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coord, _coord, _wrapped, _coord, _coord, _wrapped, st.floats(-7.0, 7.0))
+    def test_compose_floats(self, x, y, th, ox, oy, oth, goal_th):
+        want = Pose2.of_wrapped(x, y, th).compose(Pose2.of_wrapped(ox, oy, oth))
+        got = compose_floats(x, y, th, ox, oy, oth)
+        assert [v.hex() for v in got] == [float(v).hex() for v in want.to_list()]
+        # the replay policy's inline composition of a reference base pose
+        c, s = math.cos(th), math.sin(th)
+        inline = (x + c * ox - s * oy, y + s * ox + c * oy, wrap_angle(th + oth))
+        assert [v.hex() for v in got] == [v.hex() for v in inline]
+        # a goal's heading need not be wrapped; Pose2 wrapped it
+        goal = sim.GoalStage("g", base=(ox, oy, goal_th, 0.1, 0.1))
+        want = Pose2.of_wrapped(x, y, th).compose(Pose2(ox, oy, goal_th))
+        got = goal.base_in((x, y, th))
+        assert [v.hex() for v in got] == [float(v).hex() for v in want.to_list()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 2.0))
+    def test_disk_pose(self, seed, heading):
+        want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        r = 0.3 * math.sqrt(want_rng.uniform())
+        phi = want_rng.uniform(0.0, 2.0 * math.pi)
+        want = Pose2(r * math.cos(phi), r * math.sin(phi), want_rng.uniform(-heading, heading))
+        got = sim._disk_pose(rng, 0.3, heading)
+        assert [v.hex() for v in got] == [float(v).hex() for v in want.to_list()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        _wrapped,
+        st.sampled_from(["random", "w0", "w0_axis", "negative_w"]),
+    )
+    def test_hand_world_pose_of_any_state(self, seed, th, kind):
+        # the global-label replay branch built a Pose3 of the observed hand,
+        # which canonicalises its quaternion again
+        rng = np.random.default_rng(seed)
+        q = _ROTATION_KINDS.get(kind, _ROTATION_KINDS["random"])(rng, None)
+        if kind == "negative_w":
+            q = -np.abs(q)
+        s = (*rng.uniform(-3.0, 3.0, size=2), th, *rng.uniform(-0.6, 0.6, size=3), *q, 0.5)
+        s = tuple(map(float, s))
+        hand = Pose3(np.array(s[6:10]), np.array(s[3:6]))
+        want = _pose_hand_world(Pose2.of_wrapped(*s[:3]), hand)
+        assert _pose_bits(hand_world_pose(s)) == _pose_bits(want)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_world_hand_and_synthesis_quaternions(self, name):
+        # world_hand built its poses from the steps view, whose hand quaternion
+        # is not canonicalised again; hand_world_pose(s) canonicalises it, which
+        # leaves the bits alone because every quaternion the script gives is
+        # already canonical, at the reference and at every synthesis time
+        script = make_scenario(name).script
+        want = tuple(
+            (*p.translation.tolist(), *p.rotation.tolist())
+            for p in (_pose_hand_world(st_.base, st_.hand_rel) for st_ in script.reference().steps)
+        )
+        assert script.world_hand() == want
+        d = script.duration
+        for hz in (10, 20, 30, 50):
+            q = script.states_at(np.round(np.arange(int(round(d * hz)) + 1) / hz, 9))[:, 6:10]
+            assert quat_canonical_rows(q).tobytes() == q.tobytes()
+        det_t = np.round(np.linspace(0.0, min(1.4, d), sim.N_DETECTIONS), 9)
+        q = script.states_at(det_t)[:, 6:10]
+        assert quat_canonical_rows(q).tobytes() == q.tobytes()

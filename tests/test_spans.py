@@ -79,7 +79,31 @@ def test_install_wraps_and_uninstall_restores(spans):
         "executor.command_to_target",
     ):
         assert calls[name] >= 1, name
-    assert rec.counts["episodes"] == 1 and rec.counts["slerp"] > 0
+    assert rec.counts["episodes"] == 1
+
+
+def test_anchoring_slerps_are_counted(spans, tmp_path):
+    # episodes sample their script with slerp_rows and call slerp no more;
+    # anchoring still does, once per detection it interpolates a pose for
+    expert = sim.scripted_expert(sim.make_scenario("cruise"), seed=0)
+    sim.save_expert_session(tmp_path, expert)
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        rc = cli.main(
+            [
+                "anchor",
+                "--trajectories", str(tmp_path / "trajectories.jsonl"),
+                "--detections", str(tmp_path / "detections.jsonl"),
+                "--extrinsics", str(tmp_path / "extrinsics.json"),
+                "--output", str(tmp_path / "anchors.json"),
+            ]
+        )
+    finally:
+        uninstall()
+    assert rc == 0
+    assert Counter(span[0] for span in rec.spans)["anchoring.anchor_node"] == 2
+    assert rec.counts["slerp"] > 0
 
 
 def test_training_and_chunk_spans_count_per_step(spans):
