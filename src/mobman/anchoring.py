@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .geometry import Pose3, geodesic_so3, slerp
-from .jsonl import fields_of, read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import check_numbers, fields_of, read_json, read_jsonl, write_json, write_jsonl
 
 CHEST = "chest"
 HAND = "hand"
@@ -233,7 +234,7 @@ def load_trajectories(path) -> dict[str, VioTrajectory]:
     with fields_of(path):
         for rec in read_jsonl(path):
             node = rec["node"]
-            t, pose, cov = float(rec["t"]), rec["pose"], float(rec.get("cov_trace", 0.0))
+            t, pose, cov = rec["t"], rec["pose"], rec.get("cov_trace", 0.0)
             if len(pose) != 7:
                 raise ValueError(f"trajectory pose must have 7 values, got {len(pose)}")
             if node not in columns:
@@ -244,14 +245,17 @@ def load_trajectories(path) -> dict[str, VioTrajectory]:
             node_cov.append(cov)
         for node, (t, poses, cov) in columns.items():
             _check_node(node)
+            check_numbers(t, "trajectory t")
+            check_numbers(chain.from_iterable(poses), "trajectory pose")
+            check_numbers(cov, "trajectory cov_trace")
             order = sorted(range(len(t)), key=t.__getitem__)
             rows = np.array(poses, dtype=float)[order]
             out[node] = VioTrajectory(
                 node_id=node,
-                t=np.array(t)[order],
+                t=np.array(t, dtype=float)[order],
                 pos=rows[:, 0:3].copy(),
                 quat=rows[:, 3:7].copy(),
-                cov_trace=np.array(cov)[order],
+                cov_trace=np.array(cov, dtype=float)[order],
             )
     return out
 
@@ -276,7 +280,9 @@ def load_detections(path) -> list[TagDetection]:
     detections = []
     with fields_of(path):
         for rec in read_jsonl(path):
-            node, t = _check_node(rec["node"]), float(rec["t"])
+            node, t = _check_node(rec["node"]), rec["t"]
+            check_numbers((t,), "detection t")
+            t = float(t)
             if not math.isfinite(t):
                 raise ValueError(f"non-finite detection timestamp t={t}")
             detections.append(TagDetection(node, t, Pose3.from_list(rec["tag_pose"])))

@@ -47,7 +47,7 @@ from .diffusion import (
     train_toy,
 )
 from .geometry import DegeneratePitchError, Pose2, Pose3, quat_canonical_floats
-from .jsonl import MalformedInputError, fields_of, read_json, read_jsonl, write_json
+from .jsonl import MalformedInputError, check_numbers, fields_of, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
     GripperCalib,
@@ -103,15 +103,26 @@ def _require_dir(path, what: str) -> Path:
     return p
 
 
+def _manifest_path(output, is_dir: bool) -> Path:
+    """Where main saves the manifest of a command whose output is a directory
+    (is_dir) or a file: inside the directory, or beside the file."""
+    p = Path(output)
+    return p / "manifest.json" if is_dir else p.with_suffix(".manifest.json")
+
+
 def _require_output(path, is_dir: bool) -> Path:
     """Usage error naming path unless a directory (is_dir) or a file can be
-    written there: an existing path of the other kind, or one under a file."""
+    written there: an existing path of the other kind, or one under a file.
+    The same holds for the manifest that main saves with the output."""
     p = Path(path)
     nearest = next(q for q in (p, *p.parents) if q.exists())
     if nearest != p and not nearest.is_dir():
         raise UsageError(f"output {p} lies under {nearest}, which is not a directory")
     if nearest == p and p.is_dir() != is_dir:
         raise UsageError(f"output {p} is {'not ' if is_dir else ''}a directory")
+    manifest = _manifest_path(p, is_dir)
+    if manifest.is_dir():
+        raise UsageError(f"manifest {manifest} of output {p} is a directory")
     return p
 
 
@@ -182,8 +193,10 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
     if not markers:
         raise DomainError("marker stream is empty")
     with fields_of(markers_path):
-        marker_t = np.array([m["t"] for m in markers], dtype=float)
-        marker_d = np.array([m["distance_m"] for m in markers], dtype=float)
+        marker_t, marker_d = [m["t"] for m in markers], [m["distance_m"] for m in markers]
+        check_numbers(marker_t, "marker t")
+        check_numbers(marker_d, "marker distance_m")
+        marker_t, marker_d = np.array(marker_t, dtype=float), np.array(marker_d, dtype=float)
     unordered = marker_t[~np.isfinite(marker_t)]
     if len(unordered):
         raise MalformedInputError(markers_path, f"non-finite marker timestamp t={unordered[0]}")
@@ -218,7 +231,9 @@ def cmd_process(cfg: dict) -> RunManifest:
         calib_path = _require_file(cfg["calib"], "calibration file")
         cal_doc = read_json(calib_path)
         with fields_of(calib_path):
-            calib = GripperCalib(float(cal_doc["d_closed"]), float(cal_doc["d_open"]))
+            d_closed, d_open = cal_doc["d_closed"], cal_doc["d_open"]
+            check_numbers((d_closed, d_open), "calibration")
+            calib = GripperCalib(float(d_closed), float(d_open))
     session = _load_raw_session(raw_dir, cross)
     pipe_cfg = PipelineConfig(smoothing=cfg["smoothing"])
     try:
@@ -273,7 +288,7 @@ def cmd_train_toy(cfg: dict) -> RunManifest:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "model.json"
-    save_checkpoint(ckpt, model, sched, meta={"seed": cfg["seed"], "steps": cfg["steps"]})
+    save_checkpoint(ckpt, model, sched)
     with open(out_dir / "curve.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "loss"])
@@ -354,7 +369,7 @@ def cmd_simulate(cfg: dict) -> RunManifest:
         make_policy = lambda trial_seed: CruisePolicy()
     else:
         path = _require_file(source, "policy checkpoint")
-        model, sched, _ = load_checkpoint(path)
+        model, sched = load_checkpoint(path)
         if sched.K < DEFAULT_DDIM_STEPS:
             raise MalformedInputError(
                 path, f"schedule K {sched.K} is below the sampler's {DEFAULT_DDIM_STEPS} steps"
@@ -610,10 +625,7 @@ def main(argv=None) -> int:
         else:
             man = _COMMANDS[args.command](cfg)
             base = Path(cfg["output"])
-            man_path = (
-                base / "manifest.json" if base.is_dir() else base.with_suffix(".manifest.json")
-            )
-            man.save(man_path)
+            man.save(_manifest_path(base, base.is_dir()))
     except (UsageError, MalformedInputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,12 +14,13 @@ import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import quat_canonical_rows
-from .jsonl import MalformedInputError, fields_of, read_json
+from .jsonl import MalformedInputError, check_numbers, fields_of, read_json
 
 DEFAULT_K = 100
 DEFAULT_DDIM_STEPS = 10
@@ -501,40 +502,6 @@ class ActionChunkTensor:
         return ActionChunkTensor(vals)
 
 
-def sample_action_chunk(
-    model: ToyDenoiser,
-    cond: np.ndarray,
-    sched: NoiseSchedule,
-    horizon: int = DEFAULT_HORIZON,
-    n_steps: int = DEFAULT_DDIM_STEPS,
-    seed: int = 0,
-) -> ActionChunkTensor:
-    """One policy inference: sample a flattened chunk and canonicalize it.
-
-    Intermediate diffusion iterates are unconstrained noise carriers; the
-    quaternion block is normalized only on the final output.
-    """
-    if model.input_dim != horizon * ACTION_DIM:
-        raise ValueError(
-            f"model input_dim {model.input_dim} is not the chunk size "
-            f"{horizon * ACTION_DIM} (horizon {horizon} x {ACTION_DIM})"
-        )
-    cond = np.atleast_2d(cond)
-    if cond.shape[1] != model.cond_dim:
-        raise ValueError(
-            f"condition has {cond.shape[1]} values, the model's cond_dim is {model.cond_dim}"
-        )
-    flat = ddim_sample(
-        model_eps_fn(model),
-        cond,
-        sched,
-        n_steps=n_steps,
-        seed=seed,
-        sample_dim=horizon * ACTION_DIM,
-    )
-    return ActionChunkTensor(flat[0].reshape(horizon, ACTION_DIM)).canonicalized()
-
-
 # Where obs_to_condition puts the previous action: after the 11-float state.
 PREV_ACTION_OFFSET = 3 + 3 + 4 + 1
 
@@ -554,15 +521,18 @@ def obs_to_condition(state, prev_action: np.ndarray, scenario_features: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: JSON with shapes, parameters, EMA shadow, schedule.
+# Checkpoint format: JSON with the dims, the schedule and the EMA weights.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CHECKPOINT_DIMS = ("input_dim", "cond_dim", "hidden", "kemb_dim", "temb_dim")
 
 
-def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict | None = None):
+def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule):
     """Write the checkpoint: the bytes of json.dump(doc, fh, sort_keys=True).
+
+    The doc holds what sampling reads: the dims, the schedule and model.ema
+    (see model_eps_fn). The training weights are not kept.
 
     json.dump to a file runs the standard library's pure-Python encoder, which
     is slow on the tens of thousands of weights. Each value is instead encoded
@@ -576,9 +546,7 @@ def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict |
         **{n: getattr(model, n) for n in CHECKPOINT_DIMS},
         "K": sched.K,
         "alpha_bar": sched.alpha_bar.tolist(),
-        "params": model.params,
         "ema": model.ema,
-        "meta": meta or {},
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -588,14 +556,14 @@ def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict |
             fh.write("{")
             for i, key in enumerate(sorted(doc)):
                 fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-                if key in ("params", "ema"):
+                if key == "ema":
                     fh.write("{")
                     for j, name in enumerate(sorted(doc[key])):
                         fh.write(f"{', ' if j else ''}{json.dumps(name)}: ")
                         fh.write(json.dumps(doc[key][name].tolist()))
                     fh.write("}")
                 else:
-                    fh.write(json.dumps(doc[key], sort_keys=True))
+                    fh.write(json.dumps(doc[key]))
             fh.write("}")
         os.replace(tmp, path)
     except BaseException:
@@ -603,38 +571,36 @@ def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule, meta: dict |
         raise
 
 
-def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule, dict]:
-    """Model, schedule and meta of a checkpoint file.
+def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
+    """Model and schedule of a checkpoint file. The model's ema holds the
+    weights and its params is empty: it samples, but does not train.
 
-    A file that is not a version-1 checkpoint of finite weights, shaped as its
-    dimensions say, is a MalformedInputError naming the path.
+    A file that is not a version-2 checkpoint of finite numbers, its weights
+    shaped as its dimensions say, is a MalformedInputError naming the path.
     """
     doc = read_json(path)
     with fields_of(path):
-        if doc.get("version") != CHECKPOINT_VERSION:
-            raise MalformedInputError(path, f"unsupported checkpoint version {doc.get('version')}")
+        version = doc.get("version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise MalformedInputError(path, f"unsupported checkpoint version {version!r}")
         dims = {n: doc[n] for n in CHECKPOINT_DIMS}
         for name, v in {**dims, "K": doc["K"]}.items():
             if type(v) is not int or v < 1:
                 raise MalformedInputError(path, f"{name} must be a positive integer, got {v!r}")
-        model = ToyDenoiser(
-            **dims,
-            params={n: np.array(v, dtype=float) for n, v in doc["params"].items()},
-            ema={n: np.array(v, dtype=float) for n, v in doc["ema"].items()},
-        )
+        model = ToyDenoiser(**dims)
         shapes = model.param_shapes()
-        for group in ("params", "ema"):
-            arrays = getattr(model, group)
-            if set(arrays) != set(shapes):
-                raise MalformedInputError(
-                    path, f"{group} holds {sorted(arrays)}, expected {sorted(shapes)}"
-                )
-            for name, shape in shapes.items():
-                if arrays[name].shape != shape:
-                    raise MalformedInputError(
-                        path, f"{group}.{name} has shape {arrays[name].shape}, expected {shape}"
-                    )
-                if not np.all(np.isfinite(arrays[name])):
-                    raise MalformedInputError(path, f"{group}.{name} holds non-finite values")
+        ema = doc["ema"]
+        if set(ema) != set(shapes):
+            raise MalformedInputError(path, f"ema holds {sorted(ema)}, expected {sorted(shapes)}")
+        for name, shape in shapes.items():
+            w = np.array(ema[name], dtype=float)
+            if w.shape != shape:
+                raise MalformedInputError(path, f"ema.{name} has shape {w.shape}, expected {shape}")
+            values = chain.from_iterable(ema[name]) if w.ndim == 2 else ema[name]
+            check_numbers(values, f"ema.{name}")
+            if not np.all(np.isfinite(w)):
+                raise MalformedInputError(path, f"ema.{name} holds non-finite values")
+            model.ema[name] = w
+        check_numbers(doc["alpha_bar"], "alpha_bar")
         sched = NoiseSchedule(K=doc["K"], alpha_bar=np.array(doc["alpha_bar"], dtype=float))
-        return model, sched, doc.get("meta", {})
+        return model, sched

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonl import check_numbers
+
 
 class DegeneratePitchError(ValueError):
     """Raised when a pose is too far from level to define a ground-plane yaw."""
@@ -330,6 +332,7 @@ class Pose2:
 
 
 def _finite_floats(values) -> list[float]:
+    check_numbers(values, "pose")
     v = [float(x) for x in values]
     if not all(map(math.isfinite, v)):
         raise ValueError(f"pose values must be finite, got {v}")

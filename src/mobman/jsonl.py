@@ -27,8 +27,21 @@ def fields_of(path):
         raise
     except KeyError as exc:
         raise MalformedInputError(path, f"missing field {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedInputError(path, str(exc)) from exc
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def check_numbers(values: Iterable, what: str) -> None:
+    """ValueError unless every item of values is an int or a float (numpy's
+    float64 included): never a bool, a string or None, which float() and
+    numpy would take as numbers. Only the set of the items' types is looked
+    at, so a column of numbers costs one pass in C."""
+    for kind in set(map(type, values)) - _NUMBER_TYPES:
+        if kind is bool or not issubclass(kind, (int, float)):
+            raise ValueError(f"non-numeric {what} value of type {kind.__name__}")
 
 
 # json.dumps(..., sort_keys=True) builds an encoder per call, and json.loads

@@ -39,7 +39,7 @@ from .geometry import (
     wrap_angle,
     yaw_project_rows,
 )
-from .jsonl import fields_of, read_jsonl, write_jsonl
+from .jsonl import check_numbers, fields_of, read_jsonl, write_jsonl
 
 RATE_HZ = 10.0  # dataset grid rate
 SAVGOL_WINDOW = 9
@@ -437,6 +437,7 @@ def save_dataset(path, dataset: DemoDataset) -> None:
 
 
 def _finite_field(name: str, value) -> float:
+    check_numbers((value,), f"dataset {name}")
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"non-finite dataset {name} value {v}")

@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mobman import cli
 from mobman.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from mobman.diffusion import (
     ACTION_DIM,
+    CHECKPOINT_DIMS,
     DEFAULT_HORIZON,
     ActionChunkTensor,
     ToyDenoiser,
@@ -538,7 +540,7 @@ class TestSimulateCommand:
     # the processed nav_reach demo, and of (metrics.csv, aggregate.json) of
     # `simulate --trials 2 --seed 3 --policy` on that checkpoint.
     CHECKPOINT_DIGESTS = (
-        "4aa02e3dc022eb49b9d16fefd2fc042dc9dcbd1f60af694b00ed7a813bc2b317",
+        "611c84e0a35ee32b93037872e409f10ac88231932e95c59b99cb31bc11da2139",
         "012f44fe301eddbb43bcc8a4e0f54c6144243ab3985c1c471c58f13ed21736c5",
     )
     CHECKPOINT_POLICY_DIGESTS = (
@@ -851,6 +853,53 @@ class TestMalformedInput:
                 ("zero", lambda q: [0.0, 0.0, 0.0, 0.0]),
             )
         },
+        # strings and booleans where a number belongs, which float() would take
+        **{
+            f"{command}_trajectory_{name}": (
+                command, "trajectories.jsonl", _edit_record(edit, middle=True)
+            )
+            for command in ("anchor", "process")
+            for name, edit in (
+                ("t_str", lambda rec: {**rec, "t": str(rec["t"])}),
+                ("pose_true", lambda rec: {**rec, "pose": [True, *rec["pose"][1:]]}),
+                ("cov_trace_str", lambda rec: {**rec, "cov_trace": str(rec["cov_trace"])}),
+            )
+        },
+        "anchor_detection_t_str": (
+            "anchor", "detections.jsonl", _edit_record(lambda rec: {**rec, "t": str(rec["t"])})
+        ),
+        "anchor_tag_pose_false": (
+            "anchor",
+            "detections.jsonl",
+            _edit_record(lambda rec: {**rec, "tag_pose": [False, *rec["tag_pose"][1:]]}),
+        ),
+        "anchor_extrinsic_str": (
+            "anchor",
+            "extrinsics.json",
+            lambda text: json.dumps({k: [str(v[0]), *v[1:]] for k, v in json.loads(text).items()}),
+        ),
+        "process_cross_node_str": (
+            "process",
+            "anchors.json",
+            lambda text: json.dumps(
+                {**json.loads(text), "cross_node": ["0", *json.loads(text)["cross_node"][1:]]}
+            ),
+        ),
+        "process_calib_open_str": (
+            "process", "calib.json", lambda _: json.dumps({"d_closed": 0.01, "d_open": "0.09"})
+        ),
+        "process_marker_distance_str": (
+            "process",
+            "markers.jsonl",
+            _edit_record(lambda rec: {**rec, "distance_m": str(rec["distance_m"])}, middle=True),
+        ),
+        "process_marker_t_str": (
+            "process", "markers.jsonl", _edit_record(lambda rec: {**rec, "t": str(rec["t"])}, middle=True)
+        ),
+        # an integer too large for a float
+        "process_marker_distance_401_digits": (
+            "process", "markers.jsonl", _edit_record(lambda rec: {**rec, "distance_m": 10**400})
+        ),
         "process_cross_node_missing": ("process", "anchors.json", lambda _: "{}"),
         "process_cross_node_position_nan": (
             "process",
@@ -944,6 +993,25 @@ class TestMalformedInput:
         assert err[0].startswith(f"usage error: {path}: ")
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", "0.3"), ("grip", True), ("base", [0.0, "0.0", 0.0]), ("hand_rel", [False] * 7)],
+    )
+    def test_non_numeric_dataset_field_is_usage_error(
+        self, field, value, processed, tmp_path, capsys
+    ):
+        lines = (processed / "dataset.jsonl").read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), field: value})
+        ds = tmp_path / "dataset.jsonl"
+        ds.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m"
+        capsys.readouterr()
+        argv = ["train-toy", "--dataset", str(ds), "--steps", "5", "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"usage error: {ds}: non-numeric ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["t", "grip"])
     def test_non_finite_dataset_field_is_usage_error(self, field, processed, tmp_path, capsys):
         lines = (processed / "dataset.jsonl").read_text().splitlines()
@@ -984,6 +1052,16 @@ class TestParserReuse:
         assert cli.build_parser() is cli.build_parser()
 
 
+def _deleted(key):
+    """A TestBadCheckpoint edit that deletes the checkpoint's top-level key."""
+
+    def edit(doc):
+        del doc[key]
+
+    edit.__name__ = f"_{key}_missing"
+    return edit
+
+
 class TestBadCheckpoint:
     """A checkpoint whose weights or schedule are bad is a usage error naming it."""
 
@@ -1001,11 +1079,30 @@ class TestBadCheckpoint:
     def _ema_w2_1x3(doc):
         doc["ema"]["W2"] = [[0.0, 0.0, 0.0]]
 
-    def _params_b1_inf(doc):
-        doc["params"]["b1"][2] = math.inf
+    def _ema_b1_inf(doc):
+        doc["ema"]["b1"][2] = math.inf
 
-    def _params_wf_ragged(doc):
-        doc["params"]["Wf"][1] = doc["params"]["Wf"][1][:-1]
+    def _ema_wf_ragged(doc):
+        doc["ema"]["Wf"][1] = doc["ema"]["Wf"][1][:-1]
+
+    def _ema_w1_str(doc):
+        doc["ema"]["W1"][0][1] = str(doc["ema"]["W1"][0][1])
+
+    def _ema_bf_true(doc):
+        doc["ema"]["bf"][3] = True
+
+    def _alpha_bar_str(doc):
+        doc["alpha_bar"][5] = str(doc["alpha_bar"][5])
+
+    def _alpha_bar_true(doc):
+        doc["alpha_bar"][0] = True
+
+    def _version_float(doc):
+        doc["version"] = 2.0
+
+    def _version_1(doc):
+        # the format before version 2: the training weights and a meta block beside the EMA
+        doc.update(version=1, params=doc["ema"], meta={"seed": 0, "steps": 1})
 
     def _ema_bk2_missing(doc):
         del doc["ema"]["bk2"]
@@ -1025,13 +1122,21 @@ class TestBadCheckpoint:
     CASES = [
         _ema_w2_nan,
         _ema_w2_1x3,
-        _params_b1_inf,
-        _params_wf_ragged,
+        _ema_b1_inf,
+        _ema_wf_ragged,
         _ema_bk2_missing,
+        _ema_w1_str,
+        _ema_bf_true,
         _hidden_float,
         _alpha_bar_short,
         _alpha_bar_nan,
+        _alpha_bar_str,
+        _alpha_bar_true,
         _k_str,
+        _version_float,
+        _version_1,
+        # every top-level key that the loader reads, deleted
+        *[_deleted(key) for key in ("version", *CHECKPOINT_DIMS, "K", "alpha_bar", "ema")],
     ]
 
     def test_unedited_checkpoint_runs(self, checkpoint_doc, tmp_path):
@@ -1152,6 +1257,25 @@ class TestPathKinds:
     def test_every_writing_command_has_a_path_output(self):
         written = {command for command, flag, _ in _path_flags() if flag == "--output"}
         assert written == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize(
+        "command, kind", [(command, kind) for command, flag, kind in _path_flags() if flag == "--output"]
+    )
+    def test_manifest_path_that_is_a_directory(self, command, kind, argvs, capsys):
+        # main saves the manifest inside a directory output, and beside a file output
+        argv = argvs[command]
+        out = Path(argv[argv.index("--output") + 1])
+        manifest = out / "manifest.json" if kind == "DIR" else out.with_suffix(".manifest.json")
+        manifest.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and str(manifest) in err[0]
+        # the check comes before any work, so no output is written
+        if kind == "DIR":
+            assert list(out.iterdir()) == [manifest]
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, kind", _path_flags())
     def test_wrong_kind_is_usage_error(self, command, flag, kind, argvs, tmp_path, capsys):

@@ -441,7 +441,7 @@ class TestNonFiniteChunks:
     def test_checkpoint_policy_overflow_rejected(self, tmp_path):
         # before the guard canonicalising the sampled rows raised a bare
         # "cannot canonicalize a zero or non-finite quaternion"
-        model, sched, _ = load_checkpoint(_checkpoint_with_huge_output_weights(tmp_path / "m.json"))
+        model, sched = load_checkpoint(_checkpoint_with_huge_output_weights(tmp_path / "m.json"))
         policy = DiffusionReplayPolicy(model, sched, seed=5)
         plant = Plant(PlantConfig(kinematic=True))
         with np.errstate(all="ignore"), pytest.raises(NonFiniteChunkError, match="trial seed 5"):

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "as_matrix": "the rotation-matrix oracle of acceptance criterion 1",
     "scaled": "acceptance criterion 8 scales MatchWeights with it",
-    "sample_action_chunk": "the batch chunk sampler that ROADMAP item 3 builds on",
     "train_regression": "the mean-regression control of criterion 5d and ROADMAP item 4",
 }
 
