@@ -15,7 +15,8 @@ from itertools import chain
 import numpy as np
 
 from .geometry import Pose3, geodesic_so3, slerp
-from .jsonl import check_numbers, fields_of, read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import check_numbers, fields_of, finite_numbers, finite_rows, read_json, read_jsonl
+from .jsonl import write_json, write_jsonl
 
 CHEST = "chest"
 HAND = "hand"
@@ -277,16 +278,15 @@ def save_trajectories(path, trajs: dict[str, VioTrajectory]) -> None:
 
 
 def load_detections(path) -> list[TagDetection]:
-    detections = []
+    nodes, t, poses = [], [], []
     with fields_of(path):
         for rec in read_jsonl(path):
-            node, t = _check_node(rec["node"]), rec["t"]
-            check_numbers((t,), "detection t")
-            t = float(t)
-            if not math.isfinite(t):
-                raise ValueError(f"non-finite detection timestamp t={t}")
-            detections.append(TagDetection(node, t, Pose3.from_list(rec["tag_pose"])))
-    return detections
+            nodes.append(_check_node(rec["node"]))
+            t.append(rec["t"])
+            poses.append(rec["tag_pose"])
+        t = finite_numbers(t, "detection t").tolist()
+        poses = [Pose3(v[3:7], v[0:3]) for v in finite_rows(poses, 7, "detection tag_pose")]
+    return list(map(TagDetection, nodes, t, poses))
 
 
 def save_detections(path, detections: list[TagDetection]) -> None:

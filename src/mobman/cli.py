@@ -47,7 +47,7 @@ from .diffusion import (
     train_toy,
 )
 from .geometry import DegeneratePitchError, Pose2, Pose3, quat_canonical_floats
-from .jsonl import MalformedInputError, check_numbers, fields_of, read_json, read_jsonl, write_json
+from .jsonl import MalformedInputError, fields_of, finite_numbers, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
     GripperCalib,
@@ -61,7 +61,7 @@ from .pipeline import (
     project_nonholonomic,
     save_dataset,
 )
-from .report import _finite_nonnegative, load_metrics, write_report
+from .report import REPORT_FILES, _finite_nonnegative, load_metrics, write_report
 from .sim import (
     Condition,
     CruisePolicy,
@@ -110,19 +110,31 @@ def _manifest_path(output, is_dir: bool) -> Path:
     return p / "manifest.json" if is_dir else p.with_suffix(".manifest.json")
 
 
-def _require_output(path, is_dir: bool) -> Path:
-    """Usage error naming path unless a directory (is_dir) or a file can be
-    written there: an existing path of the other kind, or one under a file.
-    The same holds for the manifest that main saves with the output."""
+# The files each command writes into its --output directory, by these names;
+# _require_output checks each before the command does any work.
+_OUTPUT_FILES = {
+    "process": ("dataset.jsonl", "filter_report.json"),
+    "train-toy": ("model.json", "curve.csv"),
+    "simulate": ("metrics.csv", "aggregate.json"),
+    "report": REPORT_FILES,
+}
+
+
+def _require_output(path, files: tuple[str, ...] | None = None) -> Path:
+    """Usage error naming path unless a file (files None) or a directory that
+    will hold `files` can be written there: an existing path of the other
+    kind, one under a file, or a directory where the directory's files or the
+    manifest that main saves with the output go."""
     p = Path(path)
+    is_dir = files is not None
     nearest = next(q for q in (p, *p.parents) if q.exists())
     if nearest != p and not nearest.is_dir():
         raise UsageError(f"output {p} lies under {nearest}, which is not a directory")
     if nearest == p and p.is_dir() != is_dir:
         raise UsageError(f"output {p} is {'not ' if is_dir else ''}a directory")
-    manifest = _manifest_path(p, is_dir)
-    if manifest.is_dir():
-        raise UsageError(f"manifest {manifest} of output {p} is a directory")
+    for q in (*(p / name for name in files or ()), _manifest_path(p, is_dir)):
+        if q.is_dir():
+            raise UsageError(f"output file {q} is a directory")
     return p
 
 
@@ -138,7 +150,7 @@ def _check_flag(cfg: dict, name: str, ok, rule: str) -> None:
 
 
 def cmd_anchor(cfg: dict) -> RunManifest:
-    _require_output(cfg["output"], is_dir=False)
+    _require_output(cfg["output"])
     _check_flag(cfg, "cov_threshold", _finite_nonnegative, "finite and >= 0")
     trajs = load_trajectories(_require_file(cfg["trajectories"], "trajectory file"))
     dets = load_detections(_require_file(cfg["detections"], "detection file"))
@@ -193,16 +205,8 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
     if not markers:
         raise DomainError("marker stream is empty")
     with fields_of(markers_path):
-        marker_t, marker_d = [m["t"] for m in markers], [m["distance_m"] for m in markers]
-        check_numbers(marker_t, "marker t")
-        check_numbers(marker_d, "marker distance_m")
-        marker_t, marker_d = np.array(marker_t, dtype=float), np.array(marker_d, dtype=float)
-    unordered = marker_t[~np.isfinite(marker_t)]
-    if len(unordered):
-        raise MalformedInputError(markers_path, f"non-finite marker timestamp t={unordered[0]}")
-    bad_d = marker_d[~np.isfinite(marker_d)]
-    if len(bad_d):
-        raise MalformedInputError(markers_path, f"non-finite marker distance distance_m={bad_d[0]}")
+        marker_t = finite_numbers([m["t"] for m in markers], "marker t")
+        marker_d = finite_numbers([m["distance_m"] for m in markers], "marker distance_m")
     # lines may come in any order, as trajectory samples may
     order = np.argsort(marker_t, kind="stable")
     marker_t, marker_d = marker_t[order], marker_d[order]
@@ -220,7 +224,7 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
 
 
 def cmd_process(cfg: dict) -> RunManifest:
-    out_dir = _require_output(cfg["output"], is_dir=True)
+    out_dir = _require_output(cfg["output"], _OUTPUT_FILES["process"])
     raw_dir = _require_dir(cfg["raw"], "raw session directory")
     anchor_path = _require_file(cfg["anchor"], "anchor file")
     anchor_doc = read_json(anchor_path)
@@ -231,9 +235,8 @@ def cmd_process(cfg: dict) -> RunManifest:
         calib_path = _require_file(cfg["calib"], "calibration file")
         cal_doc = read_json(calib_path)
         with fields_of(calib_path):
-            d_closed, d_open = cal_doc["d_closed"], cal_doc["d_open"]
-            check_numbers((d_closed, d_open), "calibration")
-            calib = GripperCalib(float(d_closed), float(d_open))
+            d = finite_numbers((cal_doc["d_closed"], cal_doc["d_open"]), "calibration")
+            calib = GripperCalib(*d.tolist())
     session = _load_raw_session(raw_dir, cross)
     pipe_cfg = PipelineConfig(smoothing=cfg["smoothing"])
     try:
@@ -242,8 +245,9 @@ def cmd_process(cfg: dict) -> RunManifest:
         raise DomainError(str(exc)) from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_dataset(out_dir / "dataset.jsonl", dataset)
-    write_json(out_dir / "filter_report.json", dataset.filter_report.to_dict())
+    dataset_path, report_path = (out_dir / name for name in _OUTPUT_FILES["process"])
+    save_dataset(dataset_path, dataset)
+    write_json(report_path, dataset.filter_report.to_dict())
     bases = [Pose2.of_wrapped(*b) for b in dataset.states[:, :3].tolist()]
     _, residuals = project_nonholonomic(bases, dt=0.1)
     q99 = lateral_quantile(residuals)
@@ -254,8 +258,8 @@ def cmd_process(cfg: dict) -> RunManifest:
     man.add_input("anchor", cfg["anchor"])
     if cfg["calib"]:
         man.add_input("calib", cfg["calib"])
-    man.add_output(out_dir / "dataset.jsonl")
-    man.add_output(out_dir / "filter_report.json")
+    man.add_output(dataset_path)
+    man.add_output(report_path)
     return man
 
 
@@ -273,7 +277,7 @@ def _dataset_to_pairs(dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_train_toy(cfg: dict) -> RunManifest:
-    out_dir = _require_output(cfg["output"], is_dir=True)
+    out_dir = _require_output(cfg["output"], _OUTPUT_FILES["train-toy"])
     _check_flag(cfg, "steps", lambda v: v >= 1, "at least 1")
     _check_flag(cfg, "seed", lambda v: v >= 0, ">= 0")
     dataset = load_dataset(_require_file(cfg["dataset"], "dataset file"))
@@ -287,9 +291,9 @@ def cmd_train_toy(cfg: dict) -> RunManifest:
         raise DomainError(f"training diverged: {exc}") from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = out_dir / "model.json"
+    ckpt, curve_path = (out_dir / name for name in _OUTPUT_FILES["train-toy"])
     save_checkpoint(ckpt, model, sched)
-    with open(out_dir / "curve.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(curve_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "loss"])
         for i, loss in enumerate(curve):
@@ -299,7 +303,7 @@ def cmd_train_toy(cfg: dict) -> RunManifest:
     man = RunManifest("train-toy", cfg, seed=cfg["seed"])
     man.add_input("dataset", cfg["dataset"])
     man.add_output(ckpt)
-    man.add_output(out_dir / "curve.csv")
+    man.add_output(curve_path)
     return man
 
 
@@ -353,7 +357,7 @@ class DiffusionReplayPolicy:
 
 
 def cmd_simulate(cfg: dict) -> RunManifest:
-    out_dir = _require_output(cfg["output"], is_dir=True)
+    out_dir = _require_output(cfg["output"], _OUTPUT_FILES["simulate"])
     if cfg["scenario"] not in SCENARIO_NAMES:
         raise UsageError(
             f"unknown scenario {cfg['scenario']!r}; choose from {', '.join(SCENARIO_NAMES)}"
@@ -400,12 +404,12 @@ def cmd_simulate(cfg: dict) -> RunManifest:
         raise DomainError(f"policy {source}: {exc}") from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.csv"
+    metrics_path, aggregate_path = (out_dir / name for name in _OUTPUT_FILES["simulate"])
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
-    write_json(out_dir / "aggregate.json", aggregate)
+    write_json(aggregate_path, aggregate)
     a = aggregate[cond.name]
     print(
         f"{cond.name}: {a['trials']} trials, success {a['success_rate']:.1%}, "
@@ -417,7 +421,7 @@ def cmd_simulate(cfg: dict) -> RunManifest:
     if cfg["policy"] not in ("replay", "cruise"):
         man.add_input("policy", cfg["policy"])
     man.add_output(metrics_path)
-    man.add_output(out_dir / "aggregate.json")
+    man.add_output(aggregate_path)
     return man
 
 
@@ -427,7 +431,7 @@ def cmd_simulate(cfg: dict) -> RunManifest:
 
 
 def cmd_report(cfg: dict) -> RunManifest:
-    _require_output(cfg["output"], is_dir=True)
+    _require_output(cfg["output"], _OUTPUT_FILES["report"])
     paths = [_require_file(p, "metrics file") for p in cfg["metrics"]]
     rows = load_metrics(paths)
     if not rows:

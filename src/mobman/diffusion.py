@@ -14,13 +14,12 @@ import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import quat_canonical_rows
-from .jsonl import MalformedInputError, check_numbers, fields_of, read_json
+from .jsonl import MalformedInputError, fields_of, finite_numbers, read_json
 
 DEFAULT_K = 100
 DEFAULT_DDIM_STEPS = 10
@@ -593,14 +592,9 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
         if set(ema) != set(shapes):
             raise MalformedInputError(path, f"ema holds {sorted(ema)}, expected {sorted(shapes)}")
         for name, shape in shapes.items():
-            w = np.array(ema[name], dtype=float)
+            w = finite_numbers(ema[name], f"ema.{name}")
             if w.shape != shape:
                 raise MalformedInputError(path, f"ema.{name} has shape {w.shape}, expected {shape}")
-            values = chain.from_iterable(ema[name]) if w.ndim == 2 else ema[name]
-            check_numbers(values, f"ema.{name}")
-            if not np.all(np.isfinite(w)):
-                raise MalformedInputError(path, f"ema.{name} holds non-finite values")
             model.ema[name] = w
-        check_numbers(doc["alpha_bar"], "alpha_bar")
-        sched = NoiseSchedule(K=doc["K"], alpha_bar=np.array(doc["alpha_bar"], dtype=float))
+        sched = NoiseSchedule(K=doc["K"], alpha_bar=finite_numbers(doc["alpha_bar"], "alpha_bar"))
         return model, sched

@@ -423,10 +423,7 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
             s = plant.current
             cmd = PlantCommand(0.0, 0.0, 0.0, _hand_target(s), s[10])
         plant.issue_command(cmd, t + lat.d_exe)
-        # a dispatched command's velocities are numpy scalars, and round() of
-        # one is ndarray.round of it; rounding the three in one array gives
-        # the same values (and 0.0 for a hold, as Python's round does)
-        v, v_lat, omega = np.array((cmd.v, cmd.v_lat, cmd.omega)).round(9).tolist()
+        v, v_lat, omega = (round(float(x), 9) for x in (cmd.v, cmd.v_lat, cmd.omega))
         log.add(tick, t, "command", {"v": v, "v_lat": v_lat, "omega": omega, **tracking})
 
         # splice jitter: forward-velocity sign reversals shortly after a splice

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonl import check_numbers
+from .jsonl import finite_rows
 
 
 class DegeneratePitchError(ValueError):
@@ -95,17 +95,9 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """quat_mul of matching rows; either side may be a single (4,) quaternion."""
-    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    a = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    b = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack(quat_mul_floats(*a, *b), axis=-1)
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -274,10 +266,8 @@ class Pose3:
 
     @staticmethod
     def from_list(values) -> "Pose3":
-        if len(values) != 7:
-            raise ValueError(f"pose must have 7 values, got {len(values)}")
-        v = _finite_floats(values)
-        return Pose3(np.array(v[3:7]), np.array(v[0:3]))
+        v = finite_rows([values], 7, "pose")[0]
+        return Pose3(v[3:7], v[0:3])
 
 
 @dataclass(frozen=True)
@@ -320,23 +310,9 @@ class Pose2:
     def to_list(self) -> list[float]:
         return [self.x, self.y, self.theta]
 
-    @staticmethod
-    def from_list(values) -> "Pose2":
-        if len(values) != 3:
-            raise ValueError(f"planar pose must have 3 values, got {len(values)}")
-        return Pose2(*_finite_floats(values))
-
     def lift(self, z: float = 0.0) -> Pose3:
         """Embed in SE(3) as a level pose at height z."""
         return Pose3(rot_z(self.theta), np.array([self.x, self.y, z]))
-
-
-def _finite_floats(values) -> list[float]:
-    check_numbers(values, "pose")
-    v = [float(x) for x in values]
-    if not all(map(math.isfinite, v)):
-        raise ValueError(f"pose values must be finite, got {v}")
-    return v
 
 
 def relative_floats(x, y, theta, rx, ry, rtheta) -> tuple[float, float, float]:

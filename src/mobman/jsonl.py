@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class MalformedInputError(ValueError):
@@ -42,6 +45,33 @@ def check_numbers(values: Iterable, what: str) -> None:
     for kind in set(map(type, values)) - _NUMBER_TYPES:
         if kind is bool or not issubclass(kind, (int, float)):
             raise ValueError(f"non-numeric {what} value of type {kind.__name__}")
+
+
+def finite_numbers(values: Sequence, what: str) -> np.ndarray:
+    """values, a list of numbers or of equal-length rows of them, as one float
+    array; a ValueError naming `what` unless check_numbers passes the numbers
+    and every one is finite. The loaders read every numeric field through it,
+    but for trajectory columns, whose finiteness VioTrajectory checks."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list of numbers, got {type(values).__name__}")
+    # the numbers of rows are checked; only a list of rows pays for the pass
+    rows = values and type(values[0]) is list and set(map(type, values)) == {list}
+    check_numbers(chain.from_iterable(values) if rows else values, what)
+    array = np.array(values, dtype=float)
+    bad = array[~np.isfinite(array)]
+    if len(bad):
+        raise ValueError(f"non-finite {what} value {bad[0]}")
+    return array
+
+
+def finite_rows(values: Sequence, width: int, what: str) -> np.ndarray:
+    """values, a list of rows of `width` numbers each, as one (n, width)
+    float array read by finite_numbers; a ValueError naming `what` for a row
+    of another length."""
+    widths = set(map(len, values)) - {width}
+    if widths:
+        raise ValueError(f"{what} must have {width} values, got {min(widths)}")
+    return finite_numbers(values, what).reshape(-1, width)
 
 
 # json.dumps(..., sort_keys=True) builds an encoder per call, and json.loads

@@ -39,7 +39,7 @@ from .geometry import (
     wrap_angle,
     yaw_project_rows,
 )
-from .jsonl import check_numbers, fields_of, read_jsonl, write_jsonl
+from .jsonl import fields_of, finite_numbers, finite_rows, read_jsonl, write_jsonl
 
 RATE_HZ = 10.0  # dataset grid rate
 SAVGOL_WINDOW = 9
@@ -436,21 +436,19 @@ def save_dataset(path, dataset: DemoDataset) -> None:
     )
 
 
-def _finite_field(name: str, value) -> float:
-    check_numbers((value,), f"dataset {name}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite dataset {name} value {v}")
-    return v
-
-
 def load_dataset(path) -> DemoDataset:
-    """A save_dataset file, its headings wrapped and quaternions canonicalised."""
-    t, states = [], []
+    """A save_dataset file, read a column at a time, its headings wrapped and
+    quaternions canonicalised as the Pose2 and Pose3 constructors do."""
+    t, base, hand, grip = [], [], [], []
     with fields_of(path):
         for rec in read_jsonl(path):
-            t.append(_finite_field("t", rec["t"]))
-            base, hand = Pose2.from_list(rec["base"]), Pose3.from_list(rec["hand_rel"])
-            grip = _finite_field("grip", rec["grip"])
-            states.append((base.x, base.y, base.theta, *hand.to_list(), grip))
-    return DemoDataset(np.array(t), np.array(states).reshape(-1, 11))
+            t.append(rec["t"])
+            base.append(rec["base"])
+            hand.append(rec["hand_rel"])
+            grip.append(rec["grip"])
+        t, grip = finite_numbers(t, "dataset t"), finite_numbers(grip, "dataset grip")
+        base, hand = finite_rows(base, 3, "dataset base"), finite_rows(hand, 7, "dataset hand_rel")
+        # a contiguous copy: the norms of a strided view can round differently
+        quat = quat_canonical_rows(hand[:, 3:].copy())
+    theta = [wrap_angle(th) for th in base[:, 2].tolist()]
+    return DemoDataset(t, np.column_stack([base[:, :2], theta, hand[:, :3], quat, grip]))

@@ -230,20 +230,18 @@ def counts_bars_svg(rows: list[dict]) -> str:
     return bar_chart_svg("mean rollback / jitter events per episode", groups, series)
 
 
+# the files write_report writes, in the order it returns them
+REPORT_FILES = ("report.md", "i_star_hist.svg", "event_counts.svg")
+
+
 def write_report(rows: list[dict], out_dir, title: str = "Condition comparison") -> list[Path]:
     """Write report.md plus the SVG charts; returns the written paths."""
     if not rows:
         raise ValueError("no metrics rows to report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    md = out / "report.md"
-    md.write_text(markdown_report(rows, title), encoding="utf-8")
-    written.append(md)
-    hist = out / "i_star_hist.svg"
-    hist.write_text(i_star_histogram_svg(rows), encoding="utf-8")
-    written.append(hist)
-    bars = out / "event_counts.svg"
-    bars.write_text(counts_bars_svg(rows), encoding="utf-8")
-    written.append(bars)
+    texts = (markdown_report(rows, title), i_star_histogram_svg(rows), counts_bars_svg(rows))
+    written = [out / name for name in REPORT_FILES]
+    for path, text in zip(written, texts):
+        path.write_text(text, encoding="utf-8")
     return written

@@ -206,7 +206,10 @@ class TestProcessCommand:
 
     @pytest.mark.parametrize(
         "edit, reason",
-        [("repeat", "repeated marker timestamp t=0.06"), ("nan", "non-finite marker timestamp t=nan")],
+        [
+            ("repeat", "repeated marker timestamp t=0.06"),
+            pytest.param("nan", "non-finite marker t value nan", id="nan"),
+        ],
     )
     def test_unordered_marker_usage_error(self, edit, reason, raw_session, anchored, tmp_path, capsys):
         raw, _ = raw_session
@@ -236,7 +239,7 @@ class TestProcessCommand:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [
-            f"usage error: {tmp_path / 'raw' / 'markers.jsonl'}: non-finite marker distance distance_m=nan"
+            f"usage error: {tmp_path / 'raw' / 'markers.jsonl'}: non-finite marker distance_m value nan"
         ]
         assert not (out / "dataset.jsonl").exists()
 
@@ -713,6 +716,58 @@ def _edit_metric(field, value):
     return rewrite
 
 
+# the values that the sweep puts in each numeric leaf: not finite, or not a number
+BAD_NUMBERS = {
+    "nan": math.nan,
+    "inf": math.inf,
+    "minus_inf": -math.inf,
+    "str": "1",
+    "true": True,
+    "null": None,
+    "list": [1.0],
+}
+
+# (command, input file, field, index or None) of numeric leaves that each
+# command reads, at least one per field
+NUMERIC_LEAVES = [
+    *[
+        (command, "trajectories.jsonl", field, index)
+        for command in ("anchor", "process")
+        for field, index in (("t", None), ("pose", 0), ("pose", 3), ("cov_trace", None))
+    ],
+    ("anchor", "detections.jsonl", "t", None),
+    ("anchor", "detections.jsonl", "tag_pose", 0),
+    ("anchor", "detections.jsonl", "tag_pose", 4),
+    ("anchor", "extrinsics.json", "chest", 1),
+    ("anchor", "extrinsics.json", "hand", 5),
+    ("process", "anchors.json", "cross_node", 2),
+    ("process", "anchors.json", "cross_node", 6),
+    ("process", "calib.json", "d_closed", None),
+    ("process", "calib.json", "d_open", None),
+    ("process", "markers.jsonl", "t", None),
+    ("process", "markers.jsonl", "distance_m", None),
+    ("train-toy", "dataset.jsonl", "t", None),
+    ("train-toy", "dataset.jsonl", "grip", None),
+    ("train-toy", "dataset.jsonl", "base", 2),
+    ("train-toy", "dataset.jsonl", "hand_rel", 1),
+    ("train-toy", "dataset.jsonl", "hand_rel", 5),
+]
+
+
+def _set_leaf(name, field, index, value):
+    """A FIELD_CASES rewrite that sets field, or its item at index, to value:
+    in the middle record of a JSONL file, or in the document of a JSON file."""
+
+    def edit(rec):
+        if index is None:
+            return {**rec, field: value}
+        return {**rec, field: [*rec[field][:index], value, *rec[field][index + 1 :]]}
+
+    if name.endswith(".jsonl"):
+        return _edit_record(edit, middle=True)
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+
 class TestMalformedInput:
     """Malformed JSON/JSONL input is a usage error naming the file and line."""
 
@@ -834,6 +889,20 @@ class TestMalformedInput:
             )
             for name, v in (("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf))
         },
+        # a pose with a value too few or too many
+        "anchor_tag_pose_6_values": (
+            "anchor",
+            "detections.jsonl",
+            _edit_record(lambda rec: {**rec, "tag_pose": rec["tag_pose"][:6]}, middle=True),
+        ),
+        "train-toy_dataset_base_2_values": (
+            "train-toy", "dataset.jsonl", _edit_record(lambda rec: {**rec, "base": rec["base"][:2]})
+        ),
+        "train-toy_dataset_hand_rel_8_values": (
+            "train-toy",
+            "dataset.jsonl",
+            _edit_record(lambda rec: {**rec, "hand_rel": [*rec["hand_rel"], 0.0]}, middle=True),
+        ),
         "anchor_detection_node_int": (
             "anchor", "detections.jsonl", _edit_record(lambda rec: {**rec, "node": 5})
         ),
@@ -950,11 +1019,19 @@ class TestMalformedInput:
                 ("jitter", "minus_1", "-1"),
             )
         },
+        # every bad value in each of NUMERIC_LEAVES
+        **{
+            f"{command}_{name.split('.')[0]}_{field}{'' if i is None else i}_{vname}": (
+                command, name, _set_leaf(name, field, i, value)
+            )
+            for command, name, field, i in NUMERIC_LEAVES
+            for vname, value in BAD_NUMBERS.items()
+        },
     }
 
     @pytest.mark.parametrize("case", list(FIELD_CASES))
     def test_bad_field_is_usage_error_with_path(
-        self, case, raw_session, anchored, tmp_path, capsys, monkeypatch
+        self, case, raw_session, anchored, processed, tmp_path, capsys, monkeypatch
     ):
         # well-formed JSON/JSONL whose fields are missing, misshapen or inconsistent
         monkeypatch.chdir(tmp_path)  # a replay that wrongly runs writes its relative output here
@@ -963,6 +1040,7 @@ class TestMalformedInput:
         d = tmp_path / "in"
         shutil.copytree(raw, d)
         shutil.copy(anchored, d / "anchors.json")
+        shutil.copy(processed / "dataset.jsonl", d / "dataset.jsonl")
         (d / "calib.json").write_text(json.dumps({"d_closed": 0.01, "d_open": 0.09}))
         (d / "manifest.json").write_text("")
         (d / "metrics.csv").write_text(METRICS_CSV)
@@ -982,6 +1060,9 @@ class TestMalformedInput:
                 "--anchor", str(d / "anchors.json"),
                 "--calib", str(d / "calib.json"),
                 "--output", str(tmp_path / "p"),
+            ],
+            "train-toy": [
+                "train-toy", "--dataset", str(path), "--steps", "1", "--output", str(tmp_path / "m"),
             ],
             "replay": ["replay", "--manifest", str(path)],
             "report": ["report", "--metrics", str(path), "--output", str(tmp_path / "r")],
@@ -1050,6 +1131,18 @@ class TestParserReuse:
         assert (tmp_path / "on" / "dataset.jsonl").read_bytes() == dataset
         assert (tmp_path / "off" / "dataset.jsonl").read_bytes() != dataset
         assert cli.build_parser() is cli.build_parser()
+
+
+def _leaf_edit(keys, vname):
+    """A TestBadCheckpoint edit that sets the checkpoint's leaf at keys to BAD_NUMBERS[vname]."""
+
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = BAD_NUMBERS[vname]
+
+    edit.__name__ = "_" + "_".join(map(str, keys)) + f"_{vname}"
+    return edit
 
 
 def _deleted(key):
@@ -1135,6 +1228,17 @@ class TestBadCheckpoint:
         _k_str,
         _version_float,
         _version_1,
+        # the sweep's bad values that the cases above leave out, in a weight,
+        # a bias and the schedule
+        *[
+            _leaf_edit(keys, vname)
+            for keys, vnames in (
+                (("ema", "W2", 0, 0), ("minus_inf", "null", "list")),
+                (("ema", "b1", 2), ("minus_inf", "null", "list")),
+                (("alpha_bar", 5), ("inf", "minus_inf", "null", "list")),
+            )
+            for vname in vnames
+        ],
         # every top-level key that the loader reads, deleted
         *[_deleted(key) for key in ("version", *CHECKPOINT_DIMS, "K", "alpha_bar", "ema")],
     ]
@@ -1276,6 +1380,28 @@ class TestPathKinds:
             assert list(out.iterdir()) == [manifest]
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("process", "dataset.jsonl"),
+            ("train-toy", "curve.csv"),
+            ("simulate", "aggregate.json"),
+            ("report", "event_counts.svg"),
+        ],
+    )
+    def test_output_file_that_is_a_directory(self, command, name, argvs, capsys):
+        # a file that the command writes into its output directory
+        argv = argvs[command]
+        out = Path(argv[argv.index("--output") + 1])
+        blocked = out / name
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and str(blocked) in err[0]
+        # the check comes before any work, so no output is written
+        assert list(out.iterdir()) == [blocked]
 
     @pytest.mark.parametrize("command, flag, kind", _path_flags())
     def test_wrong_kind_is_usage_error(self, command, flag, kind, argvs, tmp_path, capsys):

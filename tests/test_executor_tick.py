@@ -416,10 +416,11 @@ class TestGoalCheckMatchesPoseCode:
 
 
 class TestCommandPayload:
-    def test_velocities_round_as_numpy_scalars(self, monkeypatch):
+    def test_velocities_round_as_python_floats(self, monkeypatch):
         # velocities one half unit past the 9th decimal, near-ties on which
         # numpy's round (multiply, rint, divide) and Python's correctly
-        # rounded round() disagree
+        # rounded round() disagree; the event takes Python's, as it does for
+        # its other floats
         ties = [np.float64((k + 0.5) / 1e9) for k in (12345, -678901, 2500001, 31, -4)]
         assert any(round(x, 9) != round(float(x), 9) for x in ties)
         command_to_target_ = executor.command_to_target
@@ -438,7 +439,7 @@ class TestCommandPayload:
         assert len(payloads) == len(sent) > 0
         for p, v in zip(payloads, sent):
             assert _hex(p["v"], p["v_lat"], p["omega"]) == _hex(
-                round(v, 9), round(-v, 9), round(v * 3, 9)
+                round(float(v), 9), round(float(-v), 9), round(float(v * 3), 9)
             )
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mobman import anchoring
 from mobman.anchoring import load_trajectories
-from mobman.jsonl import MalformedInputError, read_jsonl, write_jsonl
+from mobman.jsonl import MalformedInputError, finite_numbers, finite_rows, read_jsonl, write_jsonl
 
 
 def reference_read_jsonl(path):
@@ -247,3 +247,53 @@ class TestLoadTrajectories:
             for node, tr in trajs.items()
         }
         _assert_same_columns(got, reference_columns(scratch))
+
+
+class TestFiniteNumbers:
+    """The one reader of numbers from a file: its type rule, its single
+    conversion and its two message forms."""
+
+    def test_column_and_rows(self):
+        column = finite_numbers([1, 2.5, np.float64(-3.0)], "x")
+        assert column.dtype == float and column.tolist() == [1.0, 2.5, -3.0]
+        rows = finite_numbers([[1, 2], [3.0, 4.0]], "x")
+        assert rows.shape == (2, 2) and rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert finite_numbers([], "x").shape == (0,)
+
+    @pytest.mark.parametrize(
+        "values, kind",
+        [
+            ([1.0, "1"], "str"),
+            ([True, 1.0], "bool"),
+            ([None], "NoneType"),
+            ([1.0, [1.0]], "list"),
+            ([[1.0], 1.0], "list"),
+            ([[1.0, False]], "bool"),
+            ([[1.0], [[1.0]]], "list"),
+        ],
+    )
+    def test_non_numeric(self, values, kind):
+        with pytest.raises(ValueError, match=f"^non-numeric x value of type {kind}$"):
+            finite_numbers(values, "x")
+
+    @pytest.mark.parametrize("values", [5, "1234567", {"a": 1.0}, None])
+    def test_not_a_list(self, values):
+        with pytest.raises(ValueError, match="^x must be a list of numbers, got "):
+            finite_numbers(values, "x")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, bad):
+        for values in ([0.0, bad, math.nan], [[0.0, 1.0], [2.0, bad]]):
+            with pytest.raises(ValueError, match=f"^non-finite x value {bad}$"):
+                finite_numbers(values, "x")
+
+    def test_rows_of_one_width(self):
+        assert finite_rows([[1, 2, 3], [4.0, 5.0, 6.0]], 3, "x").shape == (2, 3)
+        assert finite_rows([], 3, "x").shape == (0, 3)
+        with pytest.raises(ValueError, match="^x must have 3 values, got 2$"):
+            finite_rows([[1.0, 2.0, 3.0], [1.0, 2.0]], 3, "x")
+        with pytest.raises(ValueError, match="^x must have 3 values, got 4$"):
+            finite_rows([[1.0, 2.0, 3.0, 4.0]], 3, "x")
+        with pytest.raises(ValueError, match="^non-finite x value nan$"):
+            finite_rows([[1.0, 2.0, 3.0], [1.0, math.nan, 3.0]], 3, "x")
+

@@ -9,6 +9,7 @@ from scipy.signal import savgol_filter
 from mobman import cli
 from mobman.anchoring import VioTrajectory
 from mobman.executor import advance_floats
+from mobman.jsonl import read_jsonl, write_jsonl
 from mobman.geometry import (
     Pose2,
     Pose3,
@@ -502,6 +503,17 @@ def _same_bytes(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def _load_dataset_loop(path) -> np.ndarray:
+    """The states of a dataset file as load_dataset read them, one record at
+    a time through the Pose2 and Pose3 constructors."""
+    states = []
+    for rec in read_jsonl(path):
+        base = Pose2(*rec["base"])
+        hand = Pose3(np.array(rec["hand_rel"][3:7]), np.array(rec["hand_rel"][0:3]))
+        states.append((base.x, base.y, base.theta, *hand.to_list(), rec["grip"]))
+    return np.array(states).reshape(-1, 11)
+
+
 _seeds = st.integers(0, 2**32 - 1)
 
 
@@ -694,6 +706,20 @@ class TestRowPassesMatchStepLoops:
         expected = _integrate_labels_loop(s0.base, s0.hand_rel, s0.grip, labels)
         for a, b in zip(_step_columns(got), _step_columns(expected), strict=True):
             assert _same_bytes(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, n=st.integers(0, 30))
+    def test_load_dataset(self, seed, n, tmp_path_factory):
+        # headings outside (-pi, pi] and quaternions of any norm and sign
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, 12)) * rng.choice([1e-3, 1.0, 10.0], size=(n, 12))
+        path = tmp_path_factory.mktemp("dataset") / "dataset.jsonl"
+        write_jsonl(
+            path,
+            [{"t": r[0], "base": r[1:4], "hand_rel": r[4:11], "grip": r[11]} for r in rows.tolist()],
+        )
+        ds = load_dataset(path)
+        assert _same_bytes(ds.t, rows[:, 0]) and _same_bytes(ds.states, _load_dataset_loop(path))
 
     @pytest.mark.parametrize("name", ["nav_turn_place", "long_horizon"])
     def test_on_a_noisy_demo(self, name):
