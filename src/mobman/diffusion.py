@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import quat_canonical_rows
-from .jsonl import MalformedInputError, fields_of, finite_numbers, read_json
+from .jsonl import MalformedInputError, fields_of, finite_float64, finite_numbers, float64_text, read_json
 
 DEFAULT_K = 100
 DEFAULT_DDIM_STEPS = 10
@@ -523,47 +523,32 @@ def obs_to_condition(state, prev_action: np.ndarray, scenario_features: np.ndarr
 # Checkpoint format: JSON with the dims, the schedule and the EMA weights.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 CHECKPOINT_DIMS = ("input_dim", "cond_dim", "hidden", "kemb_dim", "temb_dim")
 
 
 def save_checkpoint(path, model: ToyDenoiser, sched: NoiseSchedule):
-    """Write the checkpoint: the bytes of json.dump(doc, fh, sort_keys=True).
+    """Write the checkpoint: the bytes of json.dumps(doc, sort_keys=True).
 
-    The doc holds what sampling reads: the dims, the schedule and model.ema
-    (see model_eps_fn). The training weights are not kept.
-
-    json.dump to a file runs the standard library's pure-Python encoder, which
-    is slow on the tens of thousands of weights. Each value is instead encoded
-    by json.dumps, which uses the C encoder, and the pieces are streamed
-    with json.dump's separators, so no more than one weight array's text is
-    held at a time, into a temporary file beside path that then replaces it:
-    a failed write leaves an earlier checkpoint at path as it was.
+    The doc holds what sampling reads: the dims and the schedule as JSON
+    numbers, and each array of model.ema (see model_eps_fn) as jsonl's
+    float64_text, its exact float64 bytes. The training weights are not kept.
+    The text goes to a temporary file beside path that then replaces it: a
+    failed save leaves an earlier checkpoint at path as it was.
     """
     doc = {
         "version": CHECKPOINT_VERSION,
         **{n: getattr(model, n) for n in CHECKPOINT_DIMS},
         "K": sched.K,
         "alpha_bar": sched.alpha_bar.tolist(),
-        "ema": model.ema,
+        "ema": {name: float64_text(w) for name, w in model.ema.items()},
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("{")
-            for i, key in enumerate(sorted(doc)):
-                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-                if key == "ema":
-                    fh.write("{")
-                    for j, name in enumerate(sorted(doc[key])):
-                        fh.write(f"{', ' if j else ''}{json.dumps(name)}: ")
-                        fh.write(json.dumps(doc[key][name].tolist()))
-                    fh.write("}")
-                else:
-                    fh.write(json.dumps(doc[key]))
-            fh.write("}")
+            fh.write(json.dumps(doc, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -574,8 +559,9 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
     """Model and schedule of a checkpoint file. The model's ema holds the
     weights and its params is empty: it samples, but does not train.
 
-    A file that is not a version-2 checkpoint of finite numbers, its weights
-    shaped as its dimensions say, is a MalformedInputError naming the path.
+    A file that is not a version-3 checkpoint of finite numbers, each weight
+    array holding the values its dimensions say, is a MalformedInputError
+    naming the path.
     """
     doc = read_json(path)
     with fields_of(path):
@@ -592,9 +578,6 @@ def load_checkpoint(path) -> tuple[ToyDenoiser, NoiseSchedule]:
         if set(ema) != set(shapes):
             raise MalformedInputError(path, f"ema holds {sorted(ema)}, expected {sorted(shapes)}")
         for name, shape in shapes.items():
-            w = finite_numbers(ema[name], f"ema.{name}")
-            if w.shape != shape:
-                raise MalformedInputError(path, f"ema.{name} has shape {w.shape}, expected {shape}")
-            model.ema[name] = w
+            model.ema[name] = finite_float64(ema[name], shape, f"ema.{name}")
         sched = NoiseSchedule(K=doc["K"], alpha_bar=finite_numbers(doc["alpha_bar"], "alpha_bar"))
         return model, sched

@@ -45,6 +45,8 @@ CONTROL_DT = 0.1
 EXEC_HORIZON = 8  # T_a: rows executed between plan activations
 ROLLBACK_M = 0.005  # m behind the current pose, along heading, that counts as a rollback
 JITTER_WINDOW_S = 0.5  # s after a splice in which forward-velocity sign flips count
+# largest |entry| of an arriving chunk: sums of squared rows over an episode stay finite
+CHUNK_BOUND = 1e100
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class SpliceReport(NamedTuple):
 
 
 class NonFiniteChunkError(ValueError):
-    """A policy produced an action chunk with a NaN or infinite entry."""
+    """A policy produced an action chunk with a NaN, infinite or out-of-range entry."""
 
 
 def hand_increment_floats(
@@ -333,8 +335,8 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
     plan_arrival event is logged at that tick. The next request is scheduled
     so the arrival lands T_a ticks after the previous activation. With
     matching disabled, execution restarts from row 0 of every arriving chunk.
-    An arriving chunk with a NaN or infinite entry raises NonFiniteChunkError
-    before any of its rows is matched or dispatched.
+    An arriving chunk with a NaN or infinite entry, or one beyond CHUNK_BOUND,
+    raises NonFiniteChunkError before any of its rows is matched or dispatched.
 
     A tick builds no pose objects. Event payloads round the same values by
     the same rule as the pose-object code did and keep its key order.
@@ -382,9 +384,10 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
         if pending is not None and pending[0] <= t + 1e-9:
             arrival, chunk, obs_state, obs_t = pending
             pending = None
-            if not np.isfinite(chunk.values).all():
+            if not (np.abs(chunk.values) <= CHUNK_BOUND).all():  # false for NaN too
                 raise NonFiniteChunkError(
-                    f"policy chunk has a non-finite entry (trial seed {config.seed}, tick {tick})"
+                    "policy chunk has a non-finite or out-of-range entry "
+                    f"(trial seed {config.seed}, tick {tick})"
                 )
             log.add(tick, t, "plan_arrival", {"t_arrival": round(arrival, 6)})
             rollout = forward_rollout(obs_state, chunk)
@@ -430,7 +433,7 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
         sign = 0 if abs(cmd.v) < 0.02 else (1 if cmd.v > 0 else -1)
         if (tick - last_splice_tick) * dt <= JITTER_WINDOW_S + 1e-9:
             if sign != 0 and prev_v_sign != 0 and sign != prev_v_sign:
-                log.add(tick, t, "jitter", {"v": round(cmd.v, 6)})
+                log.add(tick, t, "jitter", {"v": round(float(cmd.v), 6)})
         if sign != 0:
             prev_v_sign = sign
 

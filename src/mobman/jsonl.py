@@ -1,7 +1,9 @@
 """Line-oriented JSON helpers shared by every file format in the toolkit."""
 from __future__ import annotations
 
+import base64
 import json
+import math
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
@@ -51,7 +53,8 @@ def finite_numbers(values: Sequence, what: str) -> np.ndarray:
     """values, a list of numbers or of equal-length rows of them, as one float
     array; a ValueError naming `what` unless check_numbers passes the numbers
     and every one is finite. The loaders read every numeric field through it,
-    but for trajectory columns, whose finiteness VioTrajectory checks."""
+    but for checkpoint weights (finite_float64) and trajectory columns, whose
+    finiteness VioTrajectory checks."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{what} must be a list of numbers, got {type(values).__name__}")
     # the numbers of rows are checked; only a list of rows pays for the pass
@@ -72,6 +75,32 @@ def finite_rows(values: Sequence, width: int, what: str) -> np.ndarray:
     if widths:
         raise ValueError(f"{what} must have {width} values, got {min(widths)}")
     return finite_numbers(values, what).reshape(-1, width)
+
+
+def float64_text(values) -> str:
+    """Base64 of values' little-endian float64 bytes in C order, which
+    finite_float64 reads back bit for bit; raises unless values are numbers."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def finite_float64(text, shape: tuple, what: str) -> np.ndarray:
+    """A float array of `shape` from float64_text's text; a ValueError naming
+    `what` unless text is a strict base64 string of exactly the float64 bytes
+    the shape holds, each value finite."""
+    if not isinstance(text, str):
+        raise ValueError(f"{what} must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{what} is not base64: {exc}") from exc
+    n = math.prod(shape)
+    if len(raw) != 8 * n:
+        raise ValueError(f"{what} must hold {n} float64 values, got {len(raw)} bytes")
+    array = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    bad = array[~np.isfinite(array)]
+    if len(bad):
+        raise ValueError(f"non-finite {what} value {bad[0]}")
+    return array
 
 
 # json.dumps(..., sort_keys=True) builds an encoder per call, and json.loads

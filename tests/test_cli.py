@@ -1,4 +1,5 @@
 import argparse
+import base64
 import json
 import math
 import shutil
@@ -26,7 +27,7 @@ from mobman.diffusion import (
 )
 from mobman.executor import NonFiniteChunkError
 from mobman.geometry import Pose3
-from mobman.jsonl import read_json
+from mobman.jsonl import finite_float64, float64_text, read_json
 from mobman.manifest import RunManifest, file_sha256
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
 
@@ -543,7 +544,7 @@ class TestSimulateCommand:
     # the processed nav_reach demo, and of (metrics.csv, aggregate.json) of
     # `simulate --trials 2 --seed 3 --policy` on that checkpoint.
     CHECKPOINT_DIGESTS = (
-        "611c84e0a35ee32b93037872e409f10ac88231932e95c59b99cb31bc11da2139",
+        "97ad1323893740ace6f23e94f24ea20c4a27f85b8a0f13417e0c1eb019445405",
         "012f44fe301eddbb43bcc8a4e0f54c6144243ab3985c1c471c58f13ed21736c5",
     )
     CHECKPOINT_POLICY_DIGESTS = (
@@ -611,6 +612,19 @@ class TestDiffusionReplayPolicy:
         obs = (0.0, 0.0, 0.0, 0.3, 0.0, -0.2, 1.0, 0.0, 0.0, 0.0, 1.0)
         with pytest.raises(NonFiniteChunkError, match="cannot be normalised"):
             policy(obs, 0.0)
+
+    def test_saved_and_reloaded_checkpoint_samples_same_chunk_bytes(self, tmp_path):
+        rng = np.random.default_rng(32)
+        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=cli.DiffusionReplayPolicy.COND_DIM)
+        model.init_params(rng)
+        model.ema = {n: v + rng.normal(0.0, 0.05, size=v.shape) for n, v in model.params.items()}
+        sched = cosine_schedule()
+        save_checkpoint(tmp_path / "m.json", model, sched)
+        want = cli.DiffusionReplayPolicy(model, sched, seed=7)
+        got = cli.DiffusionReplayPolicy(*load_checkpoint(tmp_path / "m.json"), seed=7)
+        for call in range(2):
+            obs = (0.2 * call, 0.1, 0.3, 0.3, 0.0, -0.2, 1.0, 0.0, 0.0, 0.0, 0.4)
+            assert got(obs, 0.1 * call).values.tobytes() == want(obs, 0.1 * call).values.tobytes()
 
 
 class TestReportCommand:
@@ -1155,6 +1169,19 @@ def _deleted(key):
     return edit
 
 
+def _weights(doc, name):
+    """The unedited checkpoint doc's weight array `name`, shaped as its dims say."""
+    shape = ToyDenoiser(**{n: doc[n] for n in CHECKPOINT_DIMS}).param_shapes()[name]
+    return finite_float64(doc["ema"][name], shape, name)
+
+
+def _set_weight(doc, name, index, value):
+    """Set the checkpoint doc's weight array `name` at index to value."""
+    w = _weights(doc, name)
+    w[index] = value
+    doc["ema"][name] = float64_text(w)
+
+
 class TestBadCheckpoint:
     """A checkpoint whose weights or schedule are bad is a usage error naming it."""
 
@@ -1167,22 +1194,33 @@ class TestBadCheckpoint:
         return path, read_json(path)
 
     def _ema_w2_nan(doc):
-        doc["ema"]["W2"][0][0] = math.nan
+        _set_weight(doc, "W2", (0, 0), math.nan)
 
     def _ema_w2_1x3(doc):
-        doc["ema"]["W2"] = [[0.0, 0.0, 0.0]]
+        doc["ema"]["W2"] = float64_text(np.zeros(3))
 
     def _ema_b1_inf(doc):
-        doc["ema"]["b1"][2] = math.inf
+        _set_weight(doc, "b1", 2, math.inf)
+
+    def _ema_w2_minus_inf(doc):
+        _set_weight(doc, "W2", (0, 0), -math.inf)
+
+    def _ema_b1_minus_inf(doc):
+        _set_weight(doc, "b1", 2, -math.inf)
 
     def _ema_wf_ragged(doc):
-        doc["ema"]["Wf"][1] = doc["ema"]["Wf"][1][:-1]
+        # a byte count that is not a multiple of 8
+        doc["ema"]["Wf"] = base64.b64encode(base64.b64decode(doc["ema"]["Wf"])[:-3]).decode()
 
-    def _ema_w1_str(doc):
-        doc["ema"]["W1"][0][1] = str(doc["ema"]["W1"][0][1])
+    def _ema_w1_v2_list(doc):
+        # the weights as version 2 held them, a list of rows of numbers
+        doc["ema"]["W1"] = _weights(doc, "W1").tolist()
 
     def _ema_bf_true(doc):
-        doc["ema"]["bf"][3] = True
+        doc["ema"]["bf"] = True
+
+    def _ema_w2_not_base64(doc):
+        doc["ema"]["W2"] = "*" + doc["ema"]["W2"][1:]
 
     def _alpha_bar_str(doc):
         doc["alpha_bar"][5] = str(doc["alpha_bar"][5])
@@ -1196,6 +1234,10 @@ class TestBadCheckpoint:
     def _version_1(doc):
         # the format before version 2: the training weights and a meta block beside the EMA
         doc.update(version=1, params=doc["ema"], meta={"seed": 0, "steps": 1})
+
+    def _version_2(doc):
+        # the format before version 3: each weight array as lists of decimal numbers
+        doc.update(version=2, ema={n: _weights(doc, n).tolist() for n in doc["ema"]})
 
     def _ema_bk2_missing(doc):
         del doc["ema"]["bk2"]
@@ -1216,10 +1258,13 @@ class TestBadCheckpoint:
         _ema_w2_nan,
         _ema_w2_1x3,
         _ema_b1_inf,
+        _ema_w2_minus_inf,
+        _ema_b1_minus_inf,
         _ema_wf_ragged,
         _ema_bk2_missing,
-        _ema_w1_str,
+        _ema_w1_v2_list,
         _ema_bf_true,
+        _ema_w2_not_base64,
         _hidden_float,
         _alpha_bar_short,
         _alpha_bar_nan,
@@ -1228,13 +1273,14 @@ class TestBadCheckpoint:
         _k_str,
         _version_float,
         _version_1,
-        # the sweep's bad values that the cases above leave out, in a weight,
-        # a bias and the schedule
+        _version_2,
+        # the sweep's bad values that the cases above leave out, as a weight
+        # array, a bias array and a schedule entry
         *[
             _leaf_edit(keys, vname)
             for keys, vnames in (
-                (("ema", "W2", 0, 0), ("minus_inf", "null", "list")),
-                (("ema", "b1", 2), ("minus_inf", "null", "list")),
+                (("ema", "W2"), ("str", "true", "null", "list")),
+                (("ema", "b1"), ("null", "list")),
                 (("alpha_bar", 5), ("inf", "minus_inf", "null", "list")),
             )
             for vname in vnames
@@ -1570,26 +1616,36 @@ class TestNonFiniteChunkRejected:
         assert f"trial seed {TestNonFiniteChunkRejected.TRIAL_SEED}" in err[0]
         assert not out.exists()
 
-    def test_nan_in_cruise_chunk(self, tmp_path, capsys, monkeypatch):
-        class NanThirdChunk(cli.CruisePolicy):
+    @staticmethod
+    def _cruise_with_third_chunk_entry(value):
+        """CruisePolicy whose third chunk holds value in column 0 of row 0."""
+
+        class ThirdChunkEntry(cli.CruisePolicy):
             calls = 0
 
             def __call__(self, obs, obs_t):
                 chunk = super().__call__(obs, obs_t)
                 self.calls += 1
                 if self.calls == 3:
-                    chunk.values[0, 0] = math.nan
+                    chunk.values[0, 0] = value
                 return chunk
 
-        monkeypatch.setattr(cli, "CruisePolicy", NanThirdChunk)
+        return ThirdChunkEntry
+
+    def test_nan_in_cruise_chunk(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "CruisePolicy", self._cruise_with_third_chunk_entry(math.nan))
+        self._assert_rejected("cruise", tmp_path, capsys)
+
+    def test_huge_finite_entry_in_cruise_chunk(self, tmp_path, capsys, monkeypatch):
+        # finite, but its square overflows in the match's distance: before the
+        # range guard this ended in an OverflowError traceback
+        monkeypatch.setattr(cli, "CruisePolicy", self._cruise_with_third_chunk_entry(1e300))
         self._assert_rejected("cruise", tmp_path, capsys)
 
     def test_checkpoint_with_huge_output_weights(self, tmp_path, capsys):
         model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=22, hidden=8, kemb_dim=8, temb_dim=8)
         model.init_params(np.random.default_rng(0))
+        model.ema["W3"][:] = 1e300
         path = tmp_path / "model.json"
         save_checkpoint(path, model, cosine_schedule())
-        doc = read_json(path)
-        doc["ema"]["W3"] = [[1e300] * len(r) for r in doc["ema"]["W3"]]
-        path.write_text(json.dumps(doc))
         self._assert_rejected(str(path), tmp_path, capsys)

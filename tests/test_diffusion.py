@@ -1,9 +1,15 @@
+import base64
 import dataclasses
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mobman.diffusion import (
     ACTION_DIM,
@@ -408,9 +414,9 @@ class TestTraining:
         path = tmp_path / "m.json"
         save_checkpoint(path, m, sched)
         before = path.read_bytes()
-        # json cannot encode this EMA weight, so the save fails with the file half written
-        m.ema["b3"] = np.array([np.float32(1.0)] * 3, dtype=object)
-        with pytest.raises(TypeError):
+        # this EMA weight cannot become float64, so the save fails
+        m.ema["b3"] = np.array(["x"] * 3, dtype=object)
+        with pytest.raises(ValueError):
             save_checkpoint(path, m, sched)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
@@ -446,7 +452,7 @@ def reference_train_toy(conds, a0s, steps, seed):
 
 
 class TestSameBytes:
-    """The flat-buffer trainer and the streamed checkpoint writer change no bit."""
+    """The flat-buffer trainer changes no bit; the checkpoint keeps every bit of the EMA weights."""
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_train_toy_matches_per_array_loop(self, seed):
@@ -466,16 +472,49 @@ class TestSameBytes:
         rng = np.random.default_rng(21)
         model, sched, _ = train_toy(rng.normal(size=(16, 4)), rng.normal(size=(16, 3)), TrainConfig(steps=5))
         save_checkpoint(tmp_path / "m.json", model, sched)
+        # each EMA array as base64 of its little-endian float64 bytes in C order
+        ema = {
+            n: base64.b64encode(v.astype("<f8").tobytes()).decode("ascii") for n, v in model.ema.items()
+        }
         doc = {
             "version": CHECKPOINT_VERSION,
             **{n: getattr(model, n) for n in CHECKPOINT_DIMS},
             "K": sched.K,
             "alpha_bar": sched.alpha_bar.tolist(),
-            "ema": {n: v.tolist() for n, v in model.ema.items()},
+            "ema": ema,
         }
-        with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        assert (tmp_path / "m.json").read_bytes() == json.dumps(doc, sort_keys=True).encode("utf-8")
+
+    # weights with every kind of finite float64: signed zeros, subnormals,
+    # the smallest normal and the largest magnitudes
+    SPECIAL = [
+        0.0, -0.0, 5e-324, -2.5e-310, sys.float_info.min, sys.float_info.max, -sys.float_info.max
+    ]
+    SHAPES = ToyDenoiser(input_dim=2, cond_dim=1, hidden=2, kemb_dim=2, temb_dim=2).param_shapes()
+    N_WEIGHTS = sum(math.prod(shape) for shape in SHAPES.values())
+
+    @settings(max_examples=40, deadline=None)
+    @example(values=(SPECIAL * N_WEIGHTS)[:N_WEIGHTS])
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=N_WEIGHTS,
+            max_size=N_WEIGHTS,
+        )
+    )
+    def test_checkpoint_weights_round_trip_bit_for_bit(self, values):
+        model = ToyDenoiser(input_dim=2, cond_dim=1, hidden=2, kemb_dim=2, temb_dim=2)
+        flat, at = np.array(values), 0
+        for name, shape in self.SHAPES.items():
+            n = math.prod(shape)
+            model.ema[name] = flat[at:at + n].reshape(shape)
+            at += n
+        with tempfile.TemporaryDirectory() as d:
+            save_checkpoint(Path(d) / "m.json", model, cosine_schedule())
+            loaded, _ = load_checkpoint(Path(d) / "m.json")
+        assert list(loaded.ema) == list(model.ema)
+        for name, w in model.ema.items():
+            assert loaded.ema[name].tobytes() == w.tobytes(), name
 
     def _rebound(arrays, name):
         arrays[name] = np.full_like(arrays[name], np.nan)

@@ -442,6 +442,33 @@ class TestCommandPayload:
                 round(float(v), 9), round(float(-v), 9), round(float(v * 3), 9)
             )
 
+    def test_jitter_velocity_rounds_as_python_float(self, monkeypatch):
+        # forward velocities of alternating sign, each one half unit past the
+        # 6th decimal, so that dispatches inside the jitter window log jitter
+        # events; on these near-ties numpy's round and Python's disagree, and
+        # the jitter event takes Python's, as the command event does
+        ties = [
+            np.float64(s * (k + 0.5) / 1e6)
+            for s, k in ((1, 123456), (-1, 67890), (1, 250001), (-1, 31415))
+        ]
+        command_to_target_ = executor.command_to_target
+        sent = []
+
+        def tie_command(now, wp, dt, gain=1.0):
+            cmd, ex, ey = command_to_target_(now, wp, dt, gain)
+            sent.append(ties[len(sent) % len(ties)])
+            return dataclasses.replace(cmd, v=sent[-1]), ex, ey
+
+        monkeypatch.setattr(executor, "command_to_target", tie_command)
+        cfg = ExecutorConfig(latency=LatencyConfig(0.0, 0.0, 0.0), max_ticks=12)
+        log = executor.run_executor(CruisePolicy(), Plant(PlantConfig(kinematic=True)), cfg)
+        ticks = [e["tick"] for e in log.events if e["kind"] == "command" and "row" in e["payload"]]
+        v_at = dict(zip(ticks, sent, strict=True))
+        jitters = [(v_at[e["tick"]], e["payload"]["v"]) for e in log.events if e["kind"] == "jitter"]
+        assert any(round(v, 6) != round(float(v), 6) for v, _ in jitters)
+        for v, logged in jitters:
+            assert _hex(logged) == _hex(round(float(v), 6))
+
 
 class TestSummationOrder:
     def test_sum_of_three_squares_is_left_to_right(self):

@@ -5,6 +5,7 @@ and `reference_columns` builds a trajectory's arrays from one list of samples
 per node sorted by time; the module's readers must give the same values, the
 same errors and the same array bytes.
 """
+import base64
 import json
 import math
 
@@ -15,7 +16,15 @@ from hypothesis import strategies as st
 
 from mobman import anchoring
 from mobman.anchoring import load_trajectories
-from mobman.jsonl import MalformedInputError, finite_numbers, finite_rows, read_jsonl, write_jsonl
+from mobman.jsonl import (
+    MalformedInputError,
+    finite_float64,
+    finite_numbers,
+    finite_rows,
+    float64_text,
+    read_jsonl,
+    write_jsonl,
+)
 
 
 def reference_read_jsonl(path):
@@ -297,3 +306,35 @@ class TestFiniteNumbers:
         with pytest.raises(ValueError, match="^non-finite x value nan$"):
             finite_rows([[1.0, 2.0, 3.0], [1.0, math.nan, 3.0]], 3, "x")
 
+
+class TestFiniteFloat64:
+    """The reader of a weight array stored as float64 bytes: strict base64,
+    exactly the values of its shape, each finite."""
+
+    def test_round_trip(self):
+        w = np.array([[0.0, -0.0, 5e-324], [1.5, -1e300, math.pi]])
+        got = finite_float64(float64_text(w), (2, 3), "x")
+        assert got.dtype == float and got.flags.writeable and got.tobytes() == w.tobytes()
+        # C order, whatever the layout of the array saved
+        assert finite_float64(float64_text(w.T), (3, 2), "x").tobytes() == w.T.copy().tobytes()
+
+    @pytest.mark.parametrize("text", [None, 1.0, True, [1.0], {"a": "AA=="}])
+    def test_not_a_string(self, text):
+        with pytest.raises(ValueError, match="^x must be a base64 string, got "):
+            finite_float64(text, (1,), "x")
+
+    @pytest.mark.parametrize("text", ["*" + "A" * 11, "AAAAAAAAAAA", "AAAA\nAAAAAAAA", "AAAAAAAAAAé="])
+    def test_not_base64(self, text):
+        with pytest.raises(ValueError, match="^x is not base64: "):
+            finite_float64(text, (1,), "x")
+
+    @pytest.mark.parametrize("n_bytes", [0, 7, 9, 16])
+    def test_wrong_byte_count(self, n_bytes):
+        text = base64.b64encode(bytes(n_bytes)).decode()
+        with pytest.raises(ValueError, match=f"^x must hold 1 float64 values, got {n_bytes} bytes$"):
+            finite_float64(text, (1, 1), "x")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(ValueError, match=f"^non-finite x value {bad}$"):
+            finite_float64(float64_text([0.0, bad, math.nan]), (3,), "x")
