@@ -207,6 +207,9 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
     with fields_of(markers_path):
         marker_t = finite_numbers([m["t"] for m in markers], "marker t")
         marker_d = finite_numbers([m["distance_m"] for m in markers], "marker distance_m")
+    negative = marker_d[marker_d < 0.0]
+    if len(negative):
+        raise MalformedInputError(markers_path, f"negative marker distance_m value {negative[0]}")
     # lines may come in any order, as trajectory samples may
     order = np.argsort(marker_t, kind="stable")
     marker_t, marker_d = marker_t[order], marker_d[order]

@@ -56,6 +56,8 @@ class NoiseSchedule:
             raise ValueError("alpha_bar must lie in (0, 1]")
         if ab[0] < 0.999:
             raise ValueError("alpha_bar[0] must be ~1")
+        if np.any(np.diff(ab) > 0.0):
+            raise ValueError("alpha_bar must not increase with k")
         ab.flags.writeable = False
         object.__setattr__(self, "alpha_bar", ab)
 

@@ -250,31 +250,35 @@ class Plant:
 # Scripted expert: piecewise-linear reference motion
 # ---------------------------------------------------------------------------
 
+# speed steps of drive's deceleration ramp, before its slow tail
+RAMP_STEPS = 10
+
 
 class ExpertScript:
     """Reference motion built from constant-rate primitives.
 
-    The script is a knot table: knot j is a state in the executor's 11-float
-    layout, with theta unwrapped, at time _times[j]. pause, turn, move_hand
-    and set_grip append one knot each, drive one per speed step. Between
-    consecutive knots the state is linear in time (the hand rotation by
-    slerp). Durations are multiples of the control period, so sampling at any
-    rate whose grid contains the knots is exact. Times outside [0, duration]
-    sample the first or last knot.
+    A script is a value: a knot table, where knot j is a read-only state in the
+    executor's 11-float layout, with theta unwrapped, at time _times[j]. pause,
+    turn, move_hand and set_grip each return a new script with one more knot,
+    drive one more per speed step; the receiver stays as it was, and scripts
+    share their common prefix of knots. Between consecutive knots the state is
+    linear in time (the hand rotation by slerp). Durations are multiples of the
+    control period, so sampling at any rate whose grid contains the knots is
+    exact. Times outside [0, duration] sample the first or last knot.
     """
 
     def __init__(self, hand_home: Pose3, grip0: float = 1.0):
-        self._knots = [np.array([0.0, 0.0, 0.0, *hand_home.to_list(), grip0])]
-        self._times = [0.0]
-        # set by make_scenario: the scenario name whose shared reference and
-        # world hand tables this script's knots give; a new knot clears it
-        self._scenario: str | None = None
+        knot = np.array([0.0, 0.0, 0.0, *hand_home.to_list(), grip0])
+        knot.flags.writeable = False
+        self._knots = (knot,)
+        self._times = (0.0,)
 
     @staticmethod
     def _round_duration(d: float) -> float:
         return max(CONTROL_DT, round(round(d / CONTROL_DT) * CONTROL_DT, 9))
 
-    def _push(self, duration, b1=None, h1=None, g1=None):
+    def _push(self, duration, b1=None, h1=None, g1=None) -> ExpertScript:
+        """This script with one knot appended, duration after its last."""
         knot = self._knots[-1].copy()
         if b1 is not None:
             knot[:3] = b1
@@ -282,41 +286,43 @@ class ExpertScript:
             knot[3:10] = h1.to_list()
         if g1 is not None:
             knot[10] = g1
-        t1 = round(self._times[-1] + self._round_duration(duration), 9)
-        self._knots.append(knot)
-        self._times.append(t1)
-        self._scenario = None
-        return self
+        knot.flags.writeable = False
+        script = object.__new__(type(self))
+        script._knots = (*self._knots, knot)
+        script._times = (*self._times, round(self._times[-1] + self._round_duration(duration), 9))
+        return script
 
-    def pause(self, duration: float):
+    def pause(self, duration: float) -> ExpertScript:
         return self._push(duration)
 
-    def drive(self, distance: float, speed: float = 0.3, ramp_steps: int = 10):
+    def drive(self, distance: float, speed: float = 0.3) -> ExpertScript:
         """Straight drive ending in a stepped deceleration ramp.
 
-        The ramp sheds speed/ramp_steps every 0.3 s so a first-order plant
+        The ramp sheds speed/RAMP_STEPS every 0.3 s so a first-order plant
         can brake without overshooting the stop point.
         """
         th = self._knots[-1][2]
         sgn = 1.0 if distance >= 0 else -1.0
         heading = np.array([math.cos(th), math.sin(th), 0.0])
-        ramp = [speed * k / ramp_steps for k in range(ramp_steps - 1, 0, -1)]
+        ramp = [speed * k / RAMP_STEPS for k in range(RAMP_STEPS - 1, 0, -1)]
         ramp += [speed * f for f in (1.0 / 15, 1.0 / 25, 1.0 / 50, 1.0 / 150)]
-        ramp_dist = sum(v * 0.3 for v in ramp)
-        cruise_dist = max(abs(distance) - ramp_dist, 0.0)
+        # (duration, distance) of each constant-speed step: the cruise, then the ramp
+        steps = [(0.3, v * 0.3) for v in ramp]
+        cruise_dist = max(abs(distance) - sum(d for _, d in steps), 0.0)
         if cruise_dist > 0:
-            self._push(cruise_dist / speed, b1=self._knots[-1][:3] + sgn * cruise_dist * heading)
-        for v in ramp:
-            self._push(0.3, b1=self._knots[-1][:3] + sgn * v * 0.3 * heading)
-        return self
+            steps.insert(0, (cruise_dist / speed, cruise_dist))
+        script = self
+        for duration, dist in steps:
+            script = script._push(duration, b1=script._knots[-1][:3] + sgn * dist * heading)
+        return script
 
-    def turn(self, dangle: float, duration: float):
+    def turn(self, dangle: float, duration: float) -> ExpertScript:
         return self._push(duration, b1=self._knots[-1][:3] + np.array([0.0, 0.0, dangle]))
 
-    def move_hand(self, target: Pose3, duration: float):
+    def move_hand(self, target: Pose3, duration: float) -> ExpertScript:
         return self._push(duration, h1=target)
 
-    def set_grip(self, value: float, duration: float):
+    def set_grip(self, value: float, duration: float) -> ExpertScript:
         return self._push(duration, g1=value)
 
     @property
@@ -342,11 +348,10 @@ class ExpertScript:
         states[:, 2] = [wrap_angle(th) for th in states[:, 2].tolist()]
         return states
 
+    @functools.cached_property
     def reference(self) -> DemoDataset:
-        """The script on the 10 Hz control grid. The scripts of make_scenario
-        share one reference per scenario name, so its arrays cannot be written."""
-        if self._scenario is not None:
-            return _scenario_reference(self._scenario)
+        """The script on the 10 Hz control grid, computed once per script, so
+        its arrays cannot be written."""
         n10 = int(round(self.duration * 10))
         ref_t = np.round(np.arange(n10 + 1) / 10.0, 9)
         states = self.states_at(ref_t)
@@ -354,12 +359,11 @@ class ExpertScript:
         states.flags.writeable = False
         return DemoDataset(ref_t, states)
 
+    @functools.cached_property
     def world_hand(self) -> tuple[tuple[float, ...], ...]:
         """hand_world_pose of the reference's states at every 10 Hz step, as
-        (px, py, pz, qw, qx, qy, qz). Shared like reference()."""
-        if self._scenario is not None:
-            return _scenario_world_hand(self._scenario)
-        poses = map(hand_world_pose, self.reference().states.tolist())
+        (px, py, pz, qw, qx, qy, qz), computed once per script."""
+        poses = map(hand_world_pose, self.reference.states.tolist())
         return tuple((*p.translation.tolist(), *p.rotation.tolist()) for p in poses)
 
 
@@ -418,11 +422,11 @@ class GoalStage:
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimScenario:
     name: str
     script: ExpertScript
-    goals: list[GoalStage]
+    goals: tuple[GoalStage, ...]
     time_limit: float = 120.0
 
     def __post_init__(self):
@@ -524,31 +528,18 @@ _SCENARIOS = {
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
-@functools.lru_cache(maxsize=None)
-def _scenario_reference(name: str) -> DemoDataset:
-    """The reference of the script that _SCENARIOS builds for name, built once."""
-    return _SCENARIOS[name][0]().reference()
-
-
-@functools.lru_cache(maxsize=None)
-def _scenario_world_hand(name: str) -> tuple[tuple[float, ...], ...]:
-    """ExpertScript.world_hand of the scripts built for name, built once."""
-    return _SCENARIOS[name][0]().world_hand()
+# one scenario per name, built at import; a scenario and its script are values
+_SCENARIO_VALUES = {
+    name: SimScenario(name, build(), goals, time_limit)
+    for name, (build, goals, time_limit) in _SCENARIOS.items()
+}
 
 
 def make_scenario(name: str) -> SimScenario:
-    """A fresh scenario: its own script and goal list.
-
-    Every script built for one name is the same knot table, so they all share
-    one read-only reference and world hand table, each built when the first
-    of them is asked for it.
-    """
-    if name not in _SCENARIOS:
+    """The scenario of a name, the same value on every call."""
+    if name not in _SCENARIO_VALUES:
         raise ValueError(f"unknown scenario {name!r}")
-    build, goals, time_limit = _SCENARIOS[name]
-    script = build()
-    script._scenario = name
-    return SimScenario(name, script, list(goals), time_limit)
+    return _SCENARIO_VALUES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +581,7 @@ class ExpertSession:
     detections: list[TagDetection]
     extrinsics: dict[str, Extrinsic]
     cross_node_true: Pose3  # ground truth T mapping hand-world into chest-world
-    script: ExpertScript  # script.reference() is the 10 Hz reference grid
+    script: ExpertScript  # script.reference is the 10 Hz reference grid
     calib: GripperCalib = DEFAULT_CALIB
 
 
@@ -792,7 +783,7 @@ class ExpertReplayPolicy:
         if label_frame not in ("relative", "global"):
             raise ValueError("label_frame must be 'relative' or 'global'")
         self.label_frame = label_frame
-        ref = script.reference().states
+        ref = script.reference.states
         # every reference base pose placed in the task frame (x, y, theta)
         self.ref_base = [compose_floats(*task_frame, *b) for b in ref[:, :3].tolist()]
         self.ref_hand_pos = ref[:, 3:6]
@@ -800,7 +791,7 @@ class ExpertReplayPolicy:
         # hand targets as (px, py, pz, qw, qx, qy, qz): chest-relative, or the
         # demo-world hand poses as recorded (not shifted into the task frame)
         self.ref_hand = (
-            script.world_hand() if label_frame == "global" else ref[:, 3:10].tolist()
+            script.world_hand if label_frame == "global" else ref[:, 3:10].tolist()
         )
         self._cursor = 0
 

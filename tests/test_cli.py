@@ -244,6 +244,23 @@ class TestProcessCommand:
         ]
         assert not (out / "dataset.jsonl").exists()
 
+    def test_negative_marker_distance_usage_error(self, raw_session, anchored, tmp_path, capsys):
+        # finite but outside the domain of a distance; the grip map would clamp it to 0
+        raw, _ = raw_session
+        lines = []
+        for line in (raw / "markers.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            rec["distance_m"] = -0.5
+            lines.append(json.dumps(rec))
+        capsys.readouterr()
+        rc, out = self._process_markers(raw, anchored, tmp_path, lines)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            f"usage error: {tmp_path / 'raw' / 'markers.jsonl'}: negative marker distance_m value -0.5"
+        ]
+        assert not (out / "dataset.jsonl").exists()
+
 
 def _set_t(rec, value):
     rec["t"] = value
@@ -1251,6 +1268,10 @@ class TestBadCheckpoint:
     def _alpha_bar_nan(doc):
         doc["alpha_bar"][5] = math.nan
 
+    def _alpha_bar_rising(doc):
+        ab = doc["alpha_bar"]
+        ab[50], ab[51] = ab[51], ab[50]
+
     def _k_str(doc):
         doc["K"] = "100"
 
@@ -1268,6 +1289,7 @@ class TestBadCheckpoint:
         _hidden_float,
         _alpha_bar_short,
         _alpha_bar_nan,
+        _alpha_bar_rising,
         _alpha_bar_str,
         _alpha_bar_true,
         _k_str,

@@ -390,7 +390,7 @@ class TestEndToEnd:
         ds = assemble_dataset(
             session, expert.calib, PipelineConfig(smoothing=False)
         )
-        ref = expert.script.reference()
+        ref = expert.script.reference
         assert len(ds) == len(ref.t)
         for step, r in zip(ds.steps, ref.steps):
             base, hand, grip = r.base, r.hand_rel, r.grip

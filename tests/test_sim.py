@@ -91,7 +91,7 @@ GOLDEN_MATRIX_ROWS = [
 
 
 # SHA-256 of scripted_expert's streams per scenario over seeds 0 and 7, each
-# noiseless and at 1 mm / 1e-3 rad noise, and of script.reference(). Recorded
+# noiseless and at 1 mm / 1e-3 rad noise, and of script.reference. Recorded
 # before the scripts became knot tables; synthesis must stay byte-identical.
 EXPERT_DIGESTS = {
     "nav_reach": "1b51178b5ea01be5f030e8cd87e1fa79460c6dee292021988b37452605f154ff",
@@ -221,7 +221,7 @@ def expert_digest(name: str) -> str:
 
 
 def reference_digest(name: str) -> str:
-    ref = make_scenario(name).script.reference()
+    ref = make_scenario(name).script.reference
     h = hashlib.sha256()
     h.update(np.asarray(ref.t).tobytes())
     # base (x, y, theta), then each hand pose as rotation and translation, then grip
@@ -360,7 +360,7 @@ class TestScenarios:
 class TestScriptedExpert:
     def test_reference_grids_align(self):
         expert = scripted_expert(make_scenario("nav_reach"), seed=0)
-        ref = expert.script.reference()
+        ref = expert.script.reference
         ref_t, ref_base = ref.t, ref.states[:, 0:3]
         assert len(ref_base) == len(ref_t)
         assert np.allclose(np.diff(ref_t), 0.1)
@@ -378,7 +378,7 @@ class TestScriptedExpert:
         # land on chest-world hand pose
         hand0 = Pose3(expert.session.hand.quat[0], expert.session.hand.pos[0])
         world0 = expert.cross_node_true.compose(hand0)
-        ref = hand_world_pose(expert.script.reference().states[0].tolist())
+        ref = hand_world_pose(expert.script.reference.states[0].tolist())
         assert np.max(np.abs(world0.as_matrix() - ref.as_matrix())) < 1e-9
 
     def test_deterministic_per_seed(self):
@@ -397,26 +397,30 @@ class TestScriptedExpert:
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_reference_shared_and_read_only(self, name):
-        a, b = make_scenario(name).script, make_scenario(name).script
-        assert a is not b
-        ref = a.reference()
-        assert b.reference() is ref
+        sc = make_scenario(name)
+        assert make_scenario(name) is sc
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.goals = ()
+        a = sc.script
+        ref = a.reference
+        assert a.reference is ref
         t, states = ref.t, ref.states
-        for arr in (t, states[:, 10], states[0, 3:6], states[-1, 6:10]):
+        for arr in (t, states[:, 10], states[0, 3:6], states[-1, 6:10], a._knots[-1]):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         with pytest.raises(ValueError):
             states[0, 0:3] = Pose2().to_list()
         with pytest.raises(dataclasses.FrozenInstanceError):
             ref.states = states.copy()
-        world = a.world_hand()
-        assert b.world_hand() is world and len(world) == len(t)
-        # a knot added to one script gives that script its own, longer reference
-        a.pause(1.0)
-        assert len(a.reference().t) == len(t) + 10
-        assert b.reference() is ref and reference_digest(name) == REFERENCE_DIGESTS[name]
-        assert a.world_hand()[: len(t)] == world and len(a.world_hand()) == len(t) + 10
-        assert b.world_hand() is world
+        world = a.world_hand
+        assert a.world_hand is world and len(world) == len(t)
+        # a knot added to a script gives a new script with its own, longer
+        # reference; the receiver keeps its own
+        longer = a.pause(1.0)
+        assert len(longer.reference.t) == len(t) + 10
+        assert longer.world_hand[: len(t)] == world and len(longer.world_hand) == len(t) + 10
+        assert a.reference is ref and a.world_hand is world
+        assert reference_digest(name) == REFERENCE_DIGESTS[name]
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_sampling_clamps_before_start(self, name):
@@ -1014,6 +1018,44 @@ _wrapped = st.one_of(
 _coord = st.floats(-5.0, 5.0)
 
 
+def _builder_args(op, args, rotation):
+    """The arguments of a _script_ops builder call; move_hand's target is drawn
+    from its seed, its rotation relative to the receiver's hand rotation."""
+    if op != "move_hand":
+        return args
+    hand_rng = np.random.default_rng(args[0])
+    rot = _ROTATION_KINDS[args[1]](hand_rng, rotation)
+    return Pose3(rot, hand_rng.uniform(-0.5, 0.5, size=3)), args[2]
+
+
+class TestScriptValues:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        _script_ops,
+        st.lists(st.integers(0, 5), min_size=6, max_size=6),
+    )
+    def test_builders_leave_receivers_unchanged(self, seed, ops, picks):
+        # each builder call extends a script picked from those built so far,
+        # so receivers are called again after scripts have been built on them
+        rng = np.random.default_rng(seed)
+        scripts = [sim.ExpertScript(Pose3(_unit(rng), rng.uniform(-0.5, 0.5, size=3)))]
+
+        def value(s):
+            ref = (s.reference.t.tobytes(), s.reference.states.tobytes()) if s.duration else None
+            return s.duration, [k.tobytes() for k in s._knots], ref
+
+        values = [value(scripts[0])]
+        for (op, *args), pick in zip(ops, picks):
+            receiver = scripts[pick % len(scripts)]
+            args = _builder_args(op, args, receiver._knots[-1][6:10])
+            scripts.append(getattr(receiver, op)(*args))
+            values.append(value(scripts[-1]))
+        assert [value(s) for s in scripts] == values
+        for s in scripts[1:]:
+            assert s.reference.states.tobytes() == s.states_at(s.reference.t).tobytes()
+
+
 class TestStateLayoutMatchesPoseCode:
     """states_at, compose_floats and hand_world_pose(s) give the bits of the
     pose-object code they replaced (the reference implementations above)."""
@@ -1031,12 +1073,9 @@ class TestStateLayoutMatchesPoseCode:
         home = Pose3(_unit(rng), rng.uniform(-0.5, 0.5, size=3))
         pose_script, script = _PoseScript(home, grip0), sim.ExpertScript(home, grip0)
         for op, *args in ops:
-            if op == "move_hand":
-                hand_rng = np.random.default_rng(args[0])
-                rot = _ROTATION_KINDS[args[1]](hand_rng, pose_script._knots[-1][2].rotation)
-                args = (Pose3(rot, hand_rng.uniform(-0.5, 0.5, size=3)), args[2])
+            args = _builder_args(op, args, pose_script._knots[-1][2].rotation)
             getattr(pose_script, op)(*args)
-            getattr(script, op)(*args)
+            script = getattr(script, op)(*args)
         assert script.duration == pose_script.duration
         times = _sample_times(pose_script, extra)
         assert script.states_at(times).tobytes() == pose_script.states_at(times).tobytes()
@@ -1103,9 +1142,9 @@ class TestStateLayoutMatchesPoseCode:
         script = make_scenario(name).script
         want = tuple(
             (*p.translation.tolist(), *p.rotation.tolist())
-            for p in (_pose_hand_world(st_.base, st_.hand_rel) for st_ in script.reference().steps)
+            for p in (_pose_hand_world(st_.base, st_.hand_rel) for st_ in script.reference.steps)
         )
-        assert script.world_hand() == want
+        assert script.world_hand == want
         d = script.duration
         for hz in (10, 20, 30, 50):
             q = script.states_at(np.round(np.arange(int(round(d * hz)) + 1) / hz, 9))[:, 6:10]
