@@ -14,7 +14,8 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import Pose3, geodesic_so3, slerp
+from .geometry import Pose3, compose_rows, geodesic_of_dot, quat_canonical_rows, slerp_rows
+from .geometry import slerp  # noqa: F401  benchmarks/spans.py counts calls to it under this name
 from .jsonl import check_numbers, fields_of, finite_numbers, finite_rows, read_json, read_jsonl
 from .jsonl import write_json, write_jsonl
 
@@ -78,24 +79,31 @@ class VioTrajectory:
     def t_end(self) -> float:
         return float(self.t[-1])
 
-    def sample_at(self, t: float) -> Pose3:
-        """Interpolated pose at time t: linear position, slerp rotation."""
-        if t < self.t_start or t > self.t_end:
-            raise TimestampError(
-                f"t={t} outside trajectory span [{self.t_start}, {self.t_end}] of {self.node_id}"
-            )
-        j = int(np.searchsorted(self.t, t, side="right"))
-        if j >= len(self.t):
-            return Pose3(self.quat[-1], self.pos[-1])
-        i = j - 1
-        s = (t - self.t[i]) / (self.t[j] - self.t[i])
-        pos = (1.0 - s) * self.pos[i] + s * self.pos[j]
-        return Pose3(slerp(self.quat[i], self.quat[j], s), pos)
+    def sample_rows(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interpolated poses at the given times, as (N, 3) position and
+        canonical (N, 4) quaternion arrays: linear position, slerp rotation.
 
-    def cov_at(self, t: float) -> float:
-        if t < self.t_start or t > self.t_end:
-            raise TimestampError(f"t={t} outside trajectory span of {self.node_id}")
-        return float(np.interp(t, self.t, self.cov_trace))
+        Raises TimestampError unless every time lies in [t_start, t_end].
+        """
+        times = np.asarray(times, dtype=float)
+        if not np.all((times >= self.t_start) & (times <= self.t_end)):
+            raise TimestampError(
+                f"query times outside trajectory span [{self.t_start}, {self.t_end}] "
+                f"of {self.node_id}"
+            )
+        j = np.searchsorted(self.t, times, side="right")
+        last = j >= len(self.t)
+        inner = ~last
+        pos = np.empty((len(times), 3))
+        quat = np.empty((len(times), 4))
+        pos[last] = self.pos[-1]
+        quat[last] = self.quat[-1]
+        j = j[inner]
+        i = j - 1
+        s = (times[inner] - self.t[i]) / (self.t[j] - self.t[i])
+        pos[inner] = (1.0 - s)[:, None] * self.pos[i] + s[:, None] * self.pos[j]
+        quat[inner] = slerp_rows(self.quat[i], self.quat[j], s)
+        return pos, quat_canonical_rows(quat)
 
 
 @dataclass(frozen=True)
@@ -128,46 +136,6 @@ class AnchorResult:
     rejected_count: int = 0
 
 
-def board_pose_in_world(traj: VioTrajectory, ext: Extrinsic, det: TagDetection) -> Pose3:
-    """Board pose in the node's world frame from a single detection.
-
-    Chains trajectory sample (interpolated to the detection time), the fixed
-    camera extrinsic, and the detected board-in-camera pose. Raises
-    TimestampError for detections outside the trajectory span.
-    """
-    T_world_imu = traj.sample_at(det.t)
-    return T_world_imu.compose(ext.T_imu_from_camera).compose(det.T_cam_tag)
-
-
-def rotation_spread(poses: list[Pose3]) -> float:
-    """Largest geodesic angle [rad] between any rotation and the first one."""
-    if not poses:
-        return 0.0
-    q0 = poses[0].rotation
-    return max(geodesic_so3(q0, p.rotation) for p in poses)
-
-
-def average_poses(poses: list[Pose3]) -> Pose3:
-    """Least-squares average: arithmetic mean translation, chordal mean rotation.
-
-    Quaternions are hemisphere-aligned to the first pose before the
-    component-wise mean; the mean is renormalized. Exact for identical inputs
-    and accurate for small spreads; spreads beyond 90 degrees should be
-    flagged by the caller (see rotation_spread).
-    """
-    if not poses:
-        raise ValueError("cannot average an empty pose list")
-    trans = np.mean([p.translation for p in poses], axis=0)
-    q0 = poses[0].rotation
-    acc = np.zeros(4)
-    for p in poses:
-        q = p.rotation
-        if float(np.dot(q0, q)) < 0.0:
-            q = -q
-        acc += q
-    return Pose3(acc, trans)
-
-
 def anchor_node(
     traj: VioTrajectory,
     ext: Extrinsic,
@@ -177,30 +145,45 @@ def anchor_node(
     """Anchor one node: average the board pose over all valid detections.
 
     A detection is valid when its timestamp lies inside the trajectory span
-    and the interpolated covariance trace at that time is below cov_threshold.
+    and the interpolated covariance trace at that time is not above
+    cov_threshold. Each valid detection's board pose in the node's world
+    frame is the trajectory sample at its time, composed with the camera
+    extrinsic and the detected board-in-camera pose. The mean is the
+    arithmetic mean translation and the chordal mean rotation: quaternions
+    are hemisphere-aligned to the first one, summed in detection order and
+    renormalized. It is exact for identical inputs and accurate for small
+    spreads; a spread beyond 90 degrees sets ill_conditioned.
     """
-    board_poses = []
-    rejected = 0
-    for det in detections:
-        if det.node_id != traj.node_id:
-            continue
-        if det.t < traj.t_start or det.t > traj.t_end or traj.cov_at(det.t) > cov_threshold:
-            rejected += 1
-            continue
-        board_poses.append(board_pose_in_world(traj, ext, det))
-    if not board_poses:
+    dets = [d for d in detections if d.node_id == traj.node_id]
+    t = np.array([d.t for d in dets], dtype=float)
+    cov = np.interp(t, traj.t, traj.cov_trace)
+    valid = (t >= traj.t_start) & (t <= traj.t_end) & ~(cov > cov_threshold)
+    if not valid.any():
         raise ValueError(f"no valid detections for node {traj.node_id}")
-    mean = average_poses(board_poses)
-    pos_sq = [float(np.sum((p.translation - mean.translation) ** 2)) for p in board_poses]
-    rot_sq = [geodesic_so3(p.rotation, mean.rotation) ** 2 for p in board_poses]
+    seen = [d.T_cam_tag for d, ok in zip(dets, valid.tolist()) if ok]
+    cam = ext.T_imu_from_camera
+    pos, rot = compose_rows(*traj.sample_rows(t[valid]), cam.translation, cam.rotation)
+    pos, rot = compose_rows(
+        pos, rot, np.array([p.translation for p in seen]), np.array([p.rotation for p in seen])
+    )
+    # geodesic angles to the first rotation: a negative dot flips the row
+    # before the sum, and the largest angle is the spread
+    to_first = np.vecdot(rot[0], rot)
+    acc = np.zeros(4)
+    for q in np.where((to_first < 0.0)[:, None], -rot, rot):
+        acc += q
+    mean = Pose3(acc, np.mean(pos, axis=0))
+    # np.sum of each row's squares, not np.vecdot, which rounds differently
+    pos_sq = np.sum((pos - mean.translation) ** 2, axis=1).tolist()
+    rot_sq = [geodesic_of_dot(d) ** 2 for d in np.vecdot(rot, mean.rotation).tolist()]
     return AnchorResult(
         node_id=traj.node_id,
         T_world_tag=mean,
-        detection_count=len(board_poses),
+        detection_count=len(seen),
         position_rms=math.sqrt(sum(pos_sq) / len(pos_sq)),
         rotation_rms=math.sqrt(sum(rot_sq) / len(rot_sq)),
-        ill_conditioned=rotation_spread(board_poses) > math.pi / 2.0,
-        rejected_count=rejected,
+        ill_conditioned=max(map(geodesic_of_dot, to_first.tolist())) > math.pi / 2.0,
+        rejected_count=len(dets) - len(seen),
     )
 
 
@@ -264,15 +247,9 @@ def load_trajectories(path) -> dict[str, VioTrajectory]:
 def save_trajectories(path, trajs: dict[str, VioTrajectory]) -> None:
     records = []
     for traj in trajs.values():
-        for i in range(len(traj.t)):
-            records.append(
-                {
-                    "node": traj.node_id,
-                    "t": float(traj.t[i]),
-                    "pose": Pose3(traj.quat[i], traj.pos[i]).to_list(),
-                    "cov_trace": float(traj.cov_trace[i]),
-                }
-            )
+        poses = np.column_stack([traj.pos, quat_canonical_rows(traj.quat)]).tolist()
+        for t, pose, cov in zip(traj.t.tolist(), poses, traj.cov_trace.tolist()):
+            records.append({"node": traj.node_id, "t": t, "pose": pose, "cov_trace": cov})
     records.sort(key=lambda r: (r["t"], r["node"]))
     write_jsonl(path, records)
 

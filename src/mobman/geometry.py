@@ -124,6 +124,15 @@ def quat_rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return quat_mul_rows(quat_mul_rows(q, qv), quat_conj_rows(q))[..., 1:]
 
 
+def compose_rows(
+    pa: np.ndarray, qa: np.ndarray, pb: np.ndarray, qb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row i is Pose3(qa_i, pa_i).compose(Pose3(qb_i, pb_i)) for canonical qa
+    and qb, as (position, canonical quaternion) arrays; either side may be a
+    single (3,) position and (4,) quaternion."""
+    return pa + quat_rotate_rows(qa, pb), quat_canonical_rows(quat_mul_rows(qa, qb))
+
+
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     w, x, y, z = q
     return np.array(
@@ -215,9 +224,12 @@ def slerp_rows(q0: np.ndarray, q1: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def geodesic_so3(r0: np.ndarray, r1: np.ndarray) -> float:
     """Geodesic angle between two rotations, in [0, pi]."""
-    dot = abs(float(np.dot(np.asarray(r0, dtype=float), np.asarray(r1, dtype=float))))
-    dot = min(dot, 1.0)
-    return 2.0 * math.acos(dot)
+    return geodesic_of_dot(float(np.dot(np.asarray(r0, dtype=float), np.asarray(r1, dtype=float))))
+
+
+def geodesic_of_dot(dot: float) -> float:
+    """geodesic_so3 of two unit quaternions whose dot product is given."""
+    return 2.0 * math.acos(min(abs(dot), 1.0))
 
 
 _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])

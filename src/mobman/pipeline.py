@@ -30,12 +30,12 @@ from .executor import advance_floats
 from .geometry import (
     Pose2,
     Pose3,
+    compose_rows,
     quat_canonical_rows,
     quat_conj_rows,
     quat_mul_rows,
     quat_rotate_rows,
     relative_floats,
-    slerp_rows,
     wrap_angle,
     yaw_project_rows,
 )
@@ -151,30 +151,11 @@ class ResampledSession:
     marker_d: np.ndarray
 
 
-def _resample_traj(traj: VioTrajectory, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """traj.sample_at at every grid time inside the span, as position and
-    canonical quaternion arrays."""
-    j = np.searchsorted(traj.t, grid, side="right")
-    last = j >= len(traj.t)
-    inner = ~last
-    pos = np.empty((len(grid), 3))
-    quat = np.empty((len(grid), 4))
-    pos[last] = traj.pos[-1]
-    quat[last] = traj.quat[-1]
-    j = j[inner]
-    i = j - 1
-    s = (grid[inner] - traj.t[i]) / (traj.t[j] - traj.t[i])
-    pos[inner] = (1.0 - s)[:, None] * traj.pos[i] + s[:, None] * traj.pos[j]
-    quat[inner] = slerp_rows(traj.quat[i], traj.quat[j], s)
-    return pos, quat_canonical_rows(quat)
-
-
 def map_hand_into_chest_world(hand: VioTrajectory, cross_node: Pose3) -> VioTrajectory:
     """Re-express every hand sample through the inter-node transform."""
-    quat = quat_canonical_rows(
-        quat_mul_rows(cross_node.rotation, quat_canonical_rows(hand.quat))
+    pos, quat = compose_rows(
+        cross_node.translation, cross_node.rotation, hand.pos, quat_canonical_rows(hand.quat)
     )
-    pos = cross_node.translation + quat_rotate_rows(cross_node.rotation, hand.pos)
     return VioTrajectory(hand.node_id, hand.t.copy(), pos, quat, hand.cov_trace.copy())
 
 
@@ -196,8 +177,8 @@ def resample_to_grid(session: RawSession) -> ResampledSession:
         raise PipelineError("streams have no temporal overlap")
     # the last point can drift past t1 by float error; clamp into the overlap
     grid = np.minimum(t0 + dt * np.arange(n), t1)
-    chest_pos, chest_quat = _resample_traj(session.chest, grid)
-    hand_pos, hand_quat = _resample_traj(session.hand, grid)
+    chest_pos, chest_quat = session.chest.sample_rows(grid)
+    hand_pos, hand_quat = session.hand.sample_rows(grid)
     marker = np.interp(grid, session.marker_t, session.marker_d)
     return ResampledSession(
         t=grid,
@@ -298,9 +279,7 @@ def decouple_rows(
     """
     inv_raw = quat_conj_rows(chest_rot)
     inv_pos = -quat_rotate_rows(inv_raw, chest_pos)
-    inv_rot = quat_canonical_rows(inv_raw)
-    rel_rot = quat_canonical_rows(quat_mul_rows(inv_rot, hand_rot))
-    return inv_pos + quat_rotate_rows(inv_rot, hand_pos), rel_rot
+    return compose_rows(inv_pos, quat_canonical_rows(inv_raw), hand_pos, hand_rot)
 
 
 def project_nonholonomic(

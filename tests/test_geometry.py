@@ -11,6 +11,7 @@ from mobman.geometry import (
     DegeneratePitchError,
     Pose2,
     Pose3,
+    compose_rows,
     dist_se2,
     geodesic_so3,
     quat_canonical,
@@ -398,6 +399,31 @@ class TestRowHelpers:
         _assert_rows_match(lambda: quat_rotate_rows(q, v), lambda i: quat_rotate(q[i], v[i]), len(q))
         _assert_rows_match(lambda: quat_rotate_rows(q[0], v), lambda i: quat_rotate(q[0], v[i]), len(q))
         _assert_rows_match(lambda: quat_rotate_rows(q, v[0]), lambda i: quat_rotate(q[i], v[0]), len(q))
+
+    @given(_quat_rows, _vec_rows, _quat_rows, _vec_rows)
+    @example([(0.0, -0.0, 0.0, -2.0)], [(1.0, -0.0, 0.0)], [(-1.0, 0.5, -0.0, 0.0)], [(0.0, 2.0, -3.0)])
+    def test_compose_rows(self, qa_rows, pa_rows, qb_rows, pb_rows):
+        # canonical rotations, as Pose3 stores them; a zero row becomes the identity
+        n = len(qa_rows)
+
+        def canonical(rows):
+            q = _matching_rows(rows, n)
+            q[~(np.vecdot(q, q) > 0.0)] = (1.0, 0.0, 0.0, 0.0)
+            return quat_canonical_rows(q)
+
+        qa, qb = canonical(qa_rows), canonical(qb_rows)
+        pa, pb = _matching_rows(pa_rows, n), _matching_rows(pb_rows, n)
+
+        def scalar(ia, ib):
+            pose = Pose3.of_canonical(qa[ia], pa[ia]).compose(Pose3.of_canonical(qb[ib], pb[ib]))
+            return np.concatenate([pose.translation, pose.rotation])
+
+        for rows_call, scalar_call in (
+            (lambda: compose_rows(pa, qa, pb, qb), lambda i: scalar(i, i)),
+            (lambda: compose_rows(pa[0], qa[0], pb, qb), lambda i: scalar(0, i)),
+            (lambda: compose_rows(pa, qa, pb[0], qb[0]), lambda i: scalar(i, 0)),
+        ):
+            _assert_rows_match(lambda: np.column_stack(rows_call()), scalar_call, n)
 
     @given(_slerp_cases())
     def test_slerp_rows(self, cases):

@@ -19,6 +19,7 @@ from mobman.geometry import (
     quat_conj,
     quat_from_axis_angle,
     quat_mul,
+    slerp,
     wrap_angle,
 )
 from mobman.pipeline import (
@@ -479,11 +480,22 @@ def _map_hand_loop(hand, cross_node):
     return pos, quat
 
 
+def _sample_at(traj, t):
+    """The pose at time t inside the span, as VioTrajectory.sample_at gave it
+    before sample_rows replaced it: linear position, slerp rotation."""
+    j = int(np.searchsorted(traj.t, t, side="right"))
+    if j >= len(traj.t):
+        return Pose3(traj.quat[-1], traj.pos[-1])
+    i = j - 1
+    s = (t - traj.t[i]) / (traj.t[j] - traj.t[i])
+    return Pose3(slerp(traj.quat[i], traj.quat[j], s), (1.0 - s) * traj.pos[i] + s * traj.pos[j])
+
+
 def _resample_loop(traj, grid):
     pos = np.empty((len(grid), 3))
     quat = np.empty((len(grid), 4))
     for i, t in enumerate(grid):
-        p = traj.sample_at(float(t))
+        p = _sample_at(traj, float(t))
         pos[i] = p.translation
         quat[i] = p.rotation
     return pos, quat

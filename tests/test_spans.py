@@ -82,9 +82,10 @@ def test_install_wraps_and_uninstall_restores(spans):
     assert rec.counts["episodes"] == 1
 
 
-def test_anchoring_slerps_are_counted(spans, tmp_path):
-    # episodes sample their script with slerp_rows and call slerp no more;
-    # anchoring still does, once per detection it interpolates a pose for
+def test_anchoring_calls_no_slerp(spans, tmp_path):
+    # episodes sample their script with slerp_rows, and anchoring samples all
+    # of a node's detections in one sample_rows call: neither calls slerp,
+    # which the wrapper still counts under its old name
     expert = sim.scripted_expert(sim.make_scenario("cruise"), seed=0)
     sim.save_expert_session(tmp_path, expert)
     rec = spans.Recorder()
@@ -103,7 +104,7 @@ def test_anchoring_slerps_are_counted(spans, tmp_path):
         uninstall()
     assert rc == 0
     assert Counter(span[0] for span in rec.spans)["anchoring.anchor_node"] == 2
-    assert rec.counts["slerp"] > 0
+    assert rec.counts["slerp"] == 0
 
 
 def test_training_and_chunk_spans_count_per_step(spans):
