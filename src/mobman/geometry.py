@@ -151,6 +151,16 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return quat_canonical(np.concatenate(([math.cos(h)], math.sin(h) * axis)))
 
 
+def quat_from_axis_angle_rows(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """quat_from_axis_angle of matching rows of an (N, 3) axis array and N angles."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.sqrt(np.vecdot(axis, axis))[:, None]
+    h = (0.5 * np.asarray(angle, dtype=float)).tolist()
+    cos_h = np.array([math.cos(x) for x in h])
+    sin_h = np.array([math.sin(x) for x in h])
+    return quat_canonical_rows(np.column_stack([cos_h, sin_h[:, None] * axis]))
+
+
 def rot_z(angle: float) -> np.ndarray:
     return quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angle)
 

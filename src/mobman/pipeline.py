@@ -275,7 +275,8 @@ def decouple_rows(
 
     Row i of the result is chest_i.inverse().compose(hand_i) as (position,
     canonical quaternion) arrays. Both poses must be expressed in the chest
-    world frame, with canonical rotations.
+    world frame, with canonical rotations; the hand may be a single (3,)
+    position and (4,) quaternion (sim.scripted_expert's board in a camera).
     """
     inv_raw = quat_conj_rows(chest_rot)
     inv_pos = -quat_rotate_rows(inv_raw, chest_pos)

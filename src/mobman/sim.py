@@ -44,11 +44,14 @@ from .geometry import (
     Pose2,
     Pose3,
     compose_floats,
+    compose_rows,
     quat_canonical_floats,
     quat_canonical_rows,
     quat_from_axis_angle,
+    quat_from_axis_angle_rows,
     quat_mul,
     quat_mul_floats,
+    quat_mul_rows,
     relative_floats,
     slerp,  # noqa: F401  benchmarks/spans.py counts calls to it under this name
     slerp_floats,
@@ -56,7 +59,7 @@ from .geometry import (
     wrap_angle,
 )
 from .jsonl import write_jsonl
-from .pipeline import DemoDataset, GripperCalib, RawSession
+from .pipeline import DemoDataset, GripperCalib, RawSession, decouple_rows
 from .report import aggregate_rows
 
 CHEST_HEIGHT = 0.9  # m, chest frame above the ground plane
@@ -554,6 +557,7 @@ BOARD_IN_WORLD = Pose3(
     np.array([0.8, -0.4, 0.5]),
 )
 N_DETECTIONS = 15  # board sightings per camera over the initial window
+_IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
 EXTRINSICS = {
     CHEST: Extrinsic(
@@ -603,17 +607,44 @@ def hand_world_pose(s) -> Pose3:
     return chest_world_pose(s).compose(Pose3(np.array(s[6:10]), np.array(s[3:6])))
 
 
-def _noisy(pose: Pose3, rng, sigma_pos: float, sigma_rot: float) -> Pose3:
-    if sigma_pos == 0.0 and sigma_rot == 0.0:
-        return pose
-    dq = np.array([1.0, 0.0, 0.0, 0.0])
-    if sigma_rot > 0.0:
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        dq = quat_from_axis_angle(axis, rng.normal(0.0, sigma_rot))
-    return Pose3(
-        quat_mul(dq, pose.rotation), pose.translation + rng.normal(0.0, sigma_pos, size=3)
+def _chest_world_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chest_world_pose of every row of an (n, 11) state array, as (position,
+    canonical quaternion) arrays with the bits it gives."""
+    n = len(states)
+    # rot_z, then quat_canonical again, as the Pose3 that lift builds did
+    rot = quat_from_axis_angle_rows(np.broadcast_to((0.0, 0.0, 1.0), (n, 3)), states[:, 2])
+    return np.column_stack([states[:, :2], np.full(n, CHEST_HEIGHT)]), quat_canonical_rows(rot)
+
+
+def _hand_world_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hand_world_pose of every row of an (n, 11) state array, as (position,
+    canonical quaternion) arrays with the bits it gives."""
+    return compose_rows(
+        *_chest_world_rows(states), states[:, 3:6], quat_canonical_rows(states[:, 6:10])
     )
+
+
+def _noise_rows(pos, rot, rng, sigma_pos: float, sigma_rot: float):
+    """Sensor noise on (n, 3) positions and (n, 4) canonical quaternions: an
+    N(0, sigma_rot) turn about a random axis on the left, N(0, sigma_pos) per
+    coordinate. One block of normals, pose by pose axis (3), angle (1) and
+    position (3), or the position alone when sigma_rot is 0, each computed as
+    loc + scale * z like Generator.normal, holds the bits of per-pose draws."""
+    if sigma_pos == 0.0 and sigma_rot == 0.0:
+        return pos, rot
+    if sigma_rot > 0.0:
+        scale = np.array([1.0, 1.0, 1.0, sigma_rot, sigma_pos, sigma_pos, sigma_pos])
+        z = 0.0 + scale * rng.standard_normal((len(pos), 7))
+        axis = z[:, :3]
+        # normalised here and again in quat_from_axis_angle_rows, as the
+        # per-pose draw normalised its axis before quat_from_axis_angle did
+        axis = axis / np.sqrt(np.vecdot(axis, axis))[:, None]
+        dq = quat_from_axis_angle_rows(axis, z[:, 3])
+    else:
+        z = 0.0 + sigma_pos * rng.standard_normal((len(pos), 3))
+        # the identity turn still renormalises, as a Pose3 of the product did
+        dq = _IDENTITY_Q
+    return pos + z[:, -3:], quat_canonical_rows(quat_mul_rows(dq, rot))
 
 
 def scripted_expert(
@@ -630,70 +661,65 @@ def scripted_expert(
     noiseless session round-trips through the pipeline exactly. The hand
     stream lives in its own world frame, displaced from the chest world by a
     seed-random rigid transform that anchoring must recover from the shared
-    board detections.
+    board detections. sigma_pos [m] and sigma_rot [rad] are the standard
+    deviations of the sensor noise, finite and >= 0.
     """
+    for name, sigma in (("sigma_pos", sigma_pos), ("sigma_rot", sigma_rot)):
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"{name} must be a finite value >= 0, got {sigma}")
     rng = np.random.default_rng([seed, 0xE0])
     script = scenario.script
     g_true = _random_rigid(rng)
+    g_inv = g_true.inverse()
+
+    def hand_imu_rows(states):
+        return compose_rows(g_inv.translation, g_inv.rotation, *_hand_world_rows(states))
 
     t_c = np.round(np.arange(int(round(script.duration * 30)) + 1) / 30.0, 9)
     t_h = np.round(np.arange(int(round(script.duration * 20)) + 1) / 20.0, 9)
     t_m = np.round(np.arange(int(round(script.duration * 50)) + 1) / 50.0, 9)
 
-    chest_poses = [
-        _noisy(chest_world_pose(st), rng, sigma_pos, sigma_rot)
-        for st in script.states_at(t_c).tolist()
-    ]
-    g_inv = g_true.inverse()
-    hand_poses = [
-        _noisy(g_inv.compose(hand_world_pose(st)), rng, sigma_pos, sigma_rot)
-        for st in script.states_at(t_h).tolist()
-    ]
+    chest = _noise_rows(*_chest_world_rows(script.states_at(t_c)), rng, sigma_pos, sigma_rot)
+    hand = _noise_rows(*hand_imu_rows(script.states_at(t_h)), rng, sigma_pos, sigma_rot)
     calib = DEFAULT_CALIB
     marker_d = calib.d_closed + script.states_at(t_m)[:, 10] * (calib.d_open - calib.d_closed)
     if sigma_pos > 0.0:
         marker_d = marker_d + rng.normal(0.0, sigma_pos / 5.0, size=len(marker_d))
 
-    def make_traj(node, t, poses):
-        return VioTrajectory(
-            node_id=node,
-            t=t,
-            pos=np.array([p.translation for p in poses]),
-            quat=np.array([p.rotation for p in poses]),
-            cov_trace=np.full(len(t), 1e-4),
-        )
+    def make_traj(node, t, pos, quat):
+        return VioTrajectory(node, t, pos, quat, cov_trace=np.full(len(t), 1e-4))
 
     session = RawSession(
         session_id=session_id or f"{scenario.name}-{seed}",
-        chest=make_traj(CHEST, t_c, chest_poses),
-        hand=make_traj(HAND, t_h, hand_poses),
+        chest=make_traj(CHEST, t_c, *chest),
+        hand=make_traj(HAND, t_h, *hand),
         cross_node=None,
         marker_t=t_m,
         marker_d=marker_d,
     )
 
-    # board detections in both cameras over the initial window
-    detections = []
-    det_span = min(1.4, script.duration)
-    det_t = np.round(np.linspace(0.0, det_span, N_DETECTIONS), 9)
+    # board detections in both cameras over the initial window: camera pose
+    # = IMU pose ∘ extrinsic, board in the camera = camera⁻¹ ∘ board
+    det_t = np.round(np.linspace(0.0, min(1.4, script.duration), N_DETECTIONS), 9)
+    det_states = script.states_at(det_t)
     board_hand_world = g_inv.compose(BOARD_IN_WORLD)
-    for ti, st in zip(det_t.tolist(), script.states_at(det_t).tolist()):
-        chest_imu = chest_world_pose(st)
-        cam_c = chest_imu.compose(EXTRINSICS[CHEST].T_imu_from_camera)
-        detections.append(
-            TagDetection(
-                CHEST, ti, _noisy(cam_c.inverse().compose(BOARD_IN_WORLD), rng, sigma_pos, sigma_rot)
-            )
+    seen = []
+    for node, imu, board in (
+        (CHEST, _chest_world_rows(det_states), BOARD_IN_WORLD),
+        (HAND, hand_imu_rows(det_states), board_hand_world),
+    ):
+        cam = EXTRINSICS[node].T_imu_from_camera
+        cam_pos, cam_rot = compose_rows(*imu, cam.translation, cam.rotation)
+        seen.append(decouple_rows(cam_pos, cam_rot, board.translation, board.rotation))
+    # the chest and hand sightings of each time alternate, and so do their draws
+    pos, rot = (np.hstack(rows).reshape(2 * N_DETECTIONS, -1) for rows in zip(*seen))
+    pos, rot = _noise_rows(pos, rot, rng, sigma_pos, sigma_rot)
+    detections = [
+        TagDetection(node, ti, Pose3.of_canonical(q, p))
+        for node, ti, p, q in zip(
+            (CHEST, HAND) * N_DETECTIONS, np.repeat(det_t, 2).tolist(), pos, rot
         )
-        hand_imu = g_inv.compose(hand_world_pose(st))
-        cam_h = hand_imu.compose(EXTRINSICS[HAND].T_imu_from_camera)
-        detections.append(
-            TagDetection(
-                HAND,
-                ti,
-                _noisy(cam_h.inverse().compose(board_hand_world), rng, sigma_pos, sigma_rot),
-            )
-        )
+    ]
 
     return ExpertSession(
         session=session,
@@ -728,7 +754,6 @@ def save_expert_session(out_dir, expert: ExpertSession) -> None:
 # Policies
 # ---------------------------------------------------------------------------
 
-_IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 HOLD_ROW = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 

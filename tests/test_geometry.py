@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation, Slerp
 
@@ -19,6 +19,7 @@ from mobman.geometry import (
     quat_conj,
     quat_conj_rows,
     quat_from_axis_angle,
+    quat_from_axis_angle_rows,
     quat_mul,
     quat_mul_rows,
     quat_rotate,
@@ -424,6 +425,39 @@ class TestRowHelpers:
             (lambda: compose_rows(pa, qa, pb[0], qb[0]), lambda i: scalar(i, 0)),
         ):
             _assert_rows_match(lambda: np.column_stack(rows_call()), scalar_call, n)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        _vec_rows,
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi]),
+                st.floats(-10.0, 10.0),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(0, 4),
+    )
+    def test_from_axis_angle_rows(self, axes, angles, first_col):
+        # non-unit axes; a zero axis becomes the x axis
+        axis = _matching_rows(axes, len(angles))
+        axis[~(np.vecdot(axis, axis) > 0.0)] = (1.0, 0.0, 0.0)
+        angle = np.array(angles)
+        _assert_rows_match(
+            lambda: quat_from_axis_angle_rows(axis, angle),
+            lambda i: quat_from_axis_angle(axis[i], angle[i]),
+            len(angle),
+        )
+        # a strided axis view of an (n, 7) block, as sim's noise rows take it
+        block = np.zeros((len(angle), 7))
+        block[:, first_col : first_col + 3] = axis
+        view = block[:, first_col : first_col + 3]
+        _assert_rows_match(
+            lambda: quat_from_axis_angle_rows(view, angle),
+            lambda i: quat_from_axis_angle(view[i].copy(), angle[i]),
+            len(angle),
+        )
 
     @given(_slerp_cases())
     def test_slerp_rows(self, cases):

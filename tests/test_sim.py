@@ -26,6 +26,7 @@ from mobman.geometry import (
     quat_canonical,
     quat_canonical_floats,
     quat_canonical_rows,
+    quat_from_axis_angle,
     quat_mul,
     slerp,
     wrap_angle,
@@ -357,6 +358,68 @@ class TestScenarios:
             make_scenario("nope")
 
 
+def _pose_noisy(pose: Pose3, rng, sigma_pos: float, sigma_rot: float) -> Pose3:
+    """The per-pose sensor noise scripted_expert drew before its streams
+    became row passes."""
+    if sigma_pos == 0.0 and sigma_rot == 0.0:
+        return pose
+    dq = np.array([1.0, 0.0, 0.0, 0.0])
+    if sigma_rot > 0.0:
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        dq = quat_from_axis_angle(axis, rng.normal(0.0, sigma_rot))
+    return Pose3(
+        quat_mul(dq, pose.rotation), pose.translation + rng.normal(0.0, sigma_pos, size=3)
+    )
+
+
+def _pose_scripted_expert(scenario, seed, sigma_pos, sigma_rot):
+    """scripted_expert's synthesis as it was, one Pose3 per sample: its
+    streams as (name, array) pairs, its detections as (node, t, pose) and
+    the true cross-node transform."""
+    rng = np.random.default_rng([seed, 0xE0])
+    script = scenario.script
+    g_true = sim._random_rigid(rng)
+    t_c = np.round(np.arange(int(round(script.duration * 30)) + 1) / 30.0, 9)
+    t_h = np.round(np.arange(int(round(script.duration * 20)) + 1) / 20.0, 9)
+    t_m = np.round(np.arange(int(round(script.duration * 50)) + 1) / 50.0, 9)
+    chest = [
+        _pose_noisy(sim.chest_world_pose(s), rng, sigma_pos, sigma_rot)
+        for s in script.states_at(t_c).tolist()
+    ]
+    g_inv = g_true.inverse()
+    hand = [
+        _pose_noisy(g_inv.compose(hand_world_pose(s)), rng, sigma_pos, sigma_rot)
+        for s in script.states_at(t_h).tolist()
+    ]
+    calib = sim.DEFAULT_CALIB
+    marker_d = calib.d_closed + script.states_at(t_m)[:, 10] * (calib.d_open - calib.d_closed)
+    if sigma_pos > 0.0:
+        marker_d = marker_d + rng.normal(0.0, sigma_pos / 5.0, size=len(marker_d))
+    streams = [
+        ("chest.t", t_c),
+        ("chest.pos", np.array([p.translation for p in chest])),
+        ("chest.quat", np.array([p.rotation for p in chest])),
+        ("hand.t", t_h),
+        ("hand.pos", np.array([p.translation for p in hand])),
+        ("hand.quat", np.array([p.rotation for p in hand])),
+        ("marker_t", t_m),
+        ("marker_d", marker_d),
+    ]
+    detections = []
+    det_t = np.round(np.linspace(0.0, min(1.4, script.duration), sim.N_DETECTIONS), 9)
+    board_hand_world = g_inv.compose(sim.BOARD_IN_WORLD)
+    for ti, s in zip(det_t.tolist(), script.states_at(det_t).tolist()):
+        cam_c = sim.chest_world_pose(s).compose(sim.EXTRINSICS[sim.CHEST].T_imu_from_camera)
+        board_c = cam_c.inverse().compose(sim.BOARD_IN_WORLD)
+        detections.append((sim.CHEST, ti, _pose_noisy(board_c, rng, sigma_pos, sigma_rot)))
+        hand_imu = g_inv.compose(hand_world_pose(s))
+        cam_h = hand_imu.compose(sim.EXTRINSICS[sim.HAND].T_imu_from_camera)
+        board_h = cam_h.inverse().compose(board_hand_world)
+        detections.append((sim.HAND, ti, _pose_noisy(board_h, rng, sigma_pos, sigma_rot)))
+    return streams, detections, g_true
+
+
 class TestScriptedExpert:
     def test_reference_grids_align(self):
         expert = scripted_expert(make_scenario("nav_reach"), seed=0)
@@ -430,6 +493,64 @@ class TestScriptedExpert:
         assert np.array_equal(before[6:10], start[6:10])
         assert np.array_equal(before[3:6], start[3:6])
         assert before[10] == start[10]
+
+    # the noise levels EXPERT_DIGESTS pins, then position only, rotation only
+    # and a large one
+    NOISE_LEVELS = [(0.0, 0.0), (1e-3, 1e-3), (1e-3, 0.0), (0.0, 1e-3), (5e-3, 0.05)]
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_synthesis_matches_pose_code(self, name):
+        scenario = make_scenario(name)
+        for seed in (3, 12):
+            for sigma_pos, sigma_rot in self.NOISE_LEVELS:
+                want, want_dets, want_g = _pose_scripted_expert(
+                    scenario, seed, sigma_pos, sigma_rot
+                )
+                e = scripted_expert(scenario, seed=seed, sigma_pos=sigma_pos, sigma_rot=sigma_rot)
+                s = e.session
+                got = [
+                    s.chest.t, s.chest.pos, s.chest.quat,
+                    s.hand.t, s.hand.pos, s.hand.quat,
+                    s.marker_t, s.marker_d,
+                ]
+                for (what, w), g in zip(want, got):
+                    case = (what, seed, sigma_pos, sigma_rot)
+                    assert g.shape == w.shape and g.flags.c_contiguous, case
+                    assert g.tobytes() == w.tobytes(), case
+                assert [(d.node_id, d.t) for d in e.detections] == [d[:2] for d in want_dets]
+                for d, (_, _, pose) in zip(e.detections, want_dets):
+                    assert _pose_bits(d.T_cam_tag) == _pose_bits(pose), (seed, sigma_pos, sigma_rot)
+                assert _pose_bits(e.cross_node_true) == _pose_bits(want_g)
+
+    def test_pose_objects_do_not_grow_with_session_length(self, monkeypatch):
+        # a per-sample pose loop would make the longer session build more
+        built = {}
+        post_init = Pose3.__post_init__
+        for name in ("nav_reach", "long_horizon"):
+            n = 0
+
+            def counting(pose):
+                nonlocal n
+                n += 1
+                post_init(pose)
+
+            monkeypatch.setattr(Pose3, "__post_init__", counting)
+            scripted_expert(make_scenario(name), seed=0, sigma_pos=1e-3, sigma_rot=1e-3)
+            monkeypatch.setattr(Pose3, "__post_init__", post_init)
+            built[name] = n
+        durations = {name: make_scenario(name).script.duration for name in built}
+        assert durations["long_horizon"] > 2 * durations["nav_reach"]
+        assert 0 < built["nav_reach"] == built["long_horizon"]
+
+    @pytest.mark.parametrize("arg", ["sigma_pos", "sigma_rot"])
+    @pytest.mark.parametrize("value", [-1e-3, -math.inf, math.inf, math.nan])
+    def test_bad_noise_level_raises_before_any_draw(self, arg, value, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            scripted_expert(make_scenario("nav_reach"), seed=0, **{arg: value})
 
     def test_save_layout(self, tmp_path):
         expert = scripted_expert(make_scenario("nav_reach"), seed=1)
