@@ -32,10 +32,10 @@ from .anchoring import (
 from .diffusion import (
     ACTION_DIM,
     ActionChunkTensor,
+    COND_DIM,
     DEFAULT_DDIM_STEPS,
     DEFAULT_HORIZON,
     NoiseSchedule,
-    PREV_ACTION_OFFSET,
     ToyDenoiser,
     TrainConfig,
     TrainingDivergedError,
@@ -276,7 +276,7 @@ def _dataset_to_pairs(dataset) -> tuple[np.ndarray, np.ndarray]:
     is obs_to_condition of state i and of label i - 1 (zeros for i = 0)."""
     labels = make_action_labels(dataset)
     prev = np.vstack([np.zeros(ACTION_DIM), labels[:-1]])
-    return np.hstack([dataset.states[:-1], prev]), labels
+    return obs_to_condition(dataset.states[:-1], prev, ()), labels
 
 
 def cmd_train_toy(cfg: dict) -> RunManifest:
@@ -324,9 +324,6 @@ class DiffusionReplayPolicy:
     are deterministic.
     """
 
-    # obs_to_condition's size without scenario features: the state, then the previous row
-    COND_DIM = PREV_ACTION_OFFSET + ACTION_DIM
-
     def __init__(self, model: ToyDenoiser, sched: NoiseSchedule, seed: int = 0):
         self.sched = sched
         self.seed = seed
@@ -336,16 +333,14 @@ class DiffusionReplayPolicy:
     def __call__(self, obs: tuple, obs_t: float) -> ActionChunkTensor:
         rng = np.random.default_rng([self.seed, 0xD1, self._calls])
         self._calls += 1
-        rows = np.zeros((DEFAULT_HORIZON, ACTION_DIM))
         # the hand quaternion is canonicalised again, as a Pose3 of it was
-        state = (*obs[:6], *quat_canonical_floats(*obs[6:10]), obs[10])
-        cond = obs_to_condition(state, np.zeros(ACTION_DIM), np.zeros(0))
-        prev = cond[PREV_ACTION_OFFSET : PREV_ACTION_OFFSET + ACTION_DIM]
-        for r in range(DEFAULT_HORIZON):
-            rows[r] = ddim_sample(
-                self._eps_fn, cond, self.sched, rng=rng, sample_dim=ACTION_DIM
-            )[0]
-            prev[:] = rows[r]
+        state = np.array((*obs[:6], *quat_canonical_floats(*obs[6:10]), obs[10]))
+        prev, rows = np.zeros(ACTION_DIM), []
+        for _ in range(DEFAULT_HORIZON):
+            cond = obs_to_condition(state, prev, ())
+            prev = ddim_sample(self._eps_fn, cond, self.sched, rng=rng, sample_dim=ACTION_DIM)[0]
+            rows.append(prev)
+        rows = np.array(rows)
         # rows with a NaN or infinite entry, or with a quaternion block so large
         # that its norm overflows, are rejected before anything executes them
         if np.isfinite(rows).all():
@@ -382,7 +377,7 @@ def cmd_simulate(cfg: dict) -> RunManifest:
                 path, f"schedule K {sched.K} is below the sampler's {DEFAULT_DDIM_STEPS} steps"
             )
         dims = (model.input_dim, model.cond_dim)
-        need = (ACTION_DIM, DiffusionReplayPolicy.COND_DIM)
+        need = (ACTION_DIM, COND_DIM)
         if dims != need:
             raise MalformedInputError(path, f"(input_dim, cond_dim) is {dims}, the policy needs {need}")
         make_policy = lambda trial_seed: DiffusionReplayPolicy(model, sched, seed=trial_seed)
@@ -504,8 +499,6 @@ def cmd_replay(cfg: dict) -> RunManifest:
     recorded = RunManifest.load(manifest_path)
     if recorded.command not in _COMMANDS:
         raise UsageError(f"manifest records unknown command {recorded.command!r}")
-    if not isinstance(recorded.config, dict):
-        raise MalformedInputError(manifest_path, "config must be an object")
     actions = _flag_actions(recorded.command)
     missing = sorted({a.dest for a in actions} - set(recorded.config))
     if missing:

@@ -503,22 +503,24 @@ class ActionChunkTensor:
         return ActionChunkTensor(vals)
 
 
-# Where obs_to_condition puts the previous action: after the 11-float state.
-PREV_ACTION_OFFSET = 3 + 3 + 4 + 1
+# obs_to_condition's width without scenario features: the state, then the previous action
+COND_DIM = 2 * ACTION_DIM
 
 
-def obs_to_condition(state, prev_action: np.ndarray, scenario_features: np.ndarray) -> np.ndarray:
-    """Flatten an observation into the documented condition layout.
+def obs_to_condition(state, prev_action, scenario_features) -> np.ndarray:
+    """Flatten one observation, or matching rows of them, into the documented
+    condition layout, concatenated on the last axis.
 
     Order: the state's 11 floats as the executor lays them out, base
     [x, y, theta] (3), hand position (3), hand quaternion (4), grip (1); the
-    previous 11-D action (11) from PREV_ACTION_OFFSET on; scenario features
-    (variable). The scenario features stand in for image embeddings.
+    previous 11-D action (11); scenario features (variable), the same for
+    every row. The scenario features stand in for image embeddings.
     """
     prev_action = np.asarray(prev_action, dtype=float)
-    if prev_action.shape != (ACTION_DIM,):
-        raise ValueError(f"previous action must be ({ACTION_DIM},)")
-    return np.concatenate([state, prev_action, np.asarray(scenario_features, dtype=float)])
+    if prev_action.shape[-1:] != (ACTION_DIM,):
+        raise ValueError(f"previous action must be ({ACTION_DIM},) per row")
+    features = np.broadcast_to(scenario_features, (*prev_action.shape[:-1], len(scenario_features)))
+    return np.concatenate([np.asarray(state, dtype=float), prev_action, features], axis=-1)
 
 
 # ---------------------------------------------------------------------------

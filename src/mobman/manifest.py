@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .jsonl import fields_of, read_json, write_json
+from .jsonl import MalformedInputError, fields_of, read_json, write_json
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -56,13 +56,23 @@ class RunManifest:
 
     @staticmethod
     def load(path) -> "RunManifest":
+        """The manifest a file holds; a MalformedInputError naming it unless each
+        field has the type that save writes. Missing inputs or outputs are empty."""
         doc = read_json(path)
         with fields_of(path):
-            return RunManifest(
-                command=doc["command"],
-                config=doc["config"],
-                seed=int(doc["seed"]),
-                inputs=doc.get("inputs", {}),
-                outputs=doc.get("outputs", {}),
-                version=doc.get("version", ARTIFACT_VERSION),
+            man = RunManifest(
+                doc["command"], doc["config"], doc["seed"],
+                doc.get("inputs", {}), doc.get("outputs", {}), doc.get("version", ARTIFACT_VERSION),
             )
+        hashes = lambda d: isinstance(d, dict) and all(isinstance(v, str) for v in d.values())
+        for name, ok, rule in (
+            ("command", isinstance(man.command, str), "a string"),
+            ("config", isinstance(man.config, dict), "an object"),
+            ("seed", type(man.seed) is int, "an integer"),
+            ("inputs", isinstance(man.inputs, dict) and all(map(hashes, man.inputs.values())),
+             "an object of {file: hash} objects"),
+            ("outputs", hashes(man.outputs), "an object of {path: hash}"),
+        ):
+            if not ok:
+                raise MalformedInputError(path, f"{name} must be {rule}, not {getattr(man, name)!r}")
+        return man

@@ -66,14 +66,6 @@ class GripperCalib:
             raise ValueError("d_open must exceed d_closed")
 
 
-@dataclass(frozen=True)
-class BaseCommand:
-    """Differential-drive command: forward velocity [m/s] and yaw rate [rad/s]."""
-
-    v: float
-    omega: float
-
-
 @dataclass
 class RawSession:
     """Unprocessed capture streams of one demonstration."""
@@ -165,7 +157,8 @@ def resample_to_grid(session: RawSession) -> ResampledSession:
     The grid starts at the latest stream start and ends at the earliest stream
     end; positions use linear interpolation, rotations slerp. The hand
     trajectory must already be mapped into the chest world (see
-    map_hand_into_chest_world).
+    map_hand_into_chest_world). An overlap of fewer than two grid steps, which
+    cannot form an action label, is a PipelineError.
     """
     if len(session.marker_t) == 0:
         raise PipelineError("marker stream is empty")
@@ -173,8 +166,8 @@ def resample_to_grid(session: RawSession) -> ResampledSession:
     t1 = min(session.chest.t_end, session.hand.t_end, float(session.marker_t[-1]))
     dt = 1.0 / RATE_HZ
     n = int(math.floor((t1 - t0) / dt + 1e-9)) + 1
-    if t1 < t0 or n < 1:
-        raise PipelineError("streams have no temporal overlap")
+    if t1 < t0 or n < 2:
+        raise PipelineError(f"streams overlap for fewer than two {RATE_HZ:g} Hz steps")
     # the last point can drift past t1 by float error; clamp into the overlap
     grid = np.minimum(t0 + dt * np.arange(n), t1)
     chest_pos, chest_quat = session.chest.sample_rows(grid)
@@ -283,19 +276,18 @@ def decouple_rows(
     return compose_rows(inv_pos, quat_canonical_rows(inv_raw), hand_pos, hand_rot)
 
 
-def project_nonholonomic(
-    poses: list[Pose2], dt: float = 0.1
-) -> tuple[list[BaseCommand], np.ndarray]:
+def project_nonholonomic(poses: list[Pose2], dt: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
     """Project a free planar trajectory onto differential-drive commands.
 
     Finite differences at the grid rate give (xdot, ydot, thetadot); the
     feasible command is v = xdot*cos(theta) + ydot*sin(theta), omega = thetadot
-    (wrapped differencing). The discarded lateral component
-    v_perp = -xdot*sin(theta) + ydot*cos(theta) is returned for diagnostics.
+    (wrapped differencing). Returns the commands as (n - 1, 2) rows of
+    (v [m/s], omega [rad/s]), and the discarded lateral component
+    v_perp = -xdot*sin(theta) + ydot*cos(theta) for diagnostics.
     """
     if len(poses) < 2:
         raise ValueError("need at least two poses")
-    cmds = []
+    commands = np.empty((len(poses) - 1, 2))
     residuals = np.empty(len(poses) - 1)
     for i in range(len(poses) - 1):
         a, b = poses[i], poses[i + 1]
@@ -303,9 +295,9 @@ def project_nonholonomic(
         yd = (b.y - a.y) / dt
         thd = wrap_angle(b.theta - a.theta) / dt
         c, s = math.cos(a.theta), math.sin(a.theta)
-        cmds.append(BaseCommand(v=xd * c + yd * s, omega=thd))
+        commands[i] = xd * c + yd * s, thd
         residuals[i] = -xd * s + yd * c
-    return cmds, residuals
+    return commands, residuals
 
 
 def lateral_quantile(residuals: np.ndarray, q: float = 0.99) -> float:

@@ -45,6 +45,7 @@ from .geometry import (
     Pose3,
     compose_floats,
     compose_rows,
+    geodesic_of_dot,
     quat_canonical_floats,
     quat_canonical_rows,
     quat_from_axis_angle,
@@ -351,12 +352,16 @@ class ExpertScript:
         states[:, 2] = [wrap_angle(th) for th in states[:, 2].tolist()]
         return states
 
+    def grid(self, rate: int) -> np.ndarray:
+        """The times k / rate from 0 to the script's duration, rounded to 1e-9:
+        the 10 Hz control grid and the capture streams' grids."""
+        return np.round(np.arange(int(round(self.duration * rate)) + 1) / rate, 9)
+
     @functools.cached_property
     def reference(self) -> DemoDataset:
         """The script on the 10 Hz control grid, computed once per script, so
         its arrays cannot be written."""
-        n10 = int(round(self.duration * 10))
-        ref_t = np.round(np.arange(n10 + 1) / 10.0, 9)
+        ref_t = self.grid(10)
         states = self.states_at(ref_t)
         ref_t.flags.writeable = False
         states.flags.writeable = False
@@ -366,8 +371,7 @@ class ExpertScript:
     def world_hand(self) -> tuple[tuple[float, ...], ...]:
         """hand_world_pose of the reference's states at every 10 Hz step, as
         (px, py, pz, qw, qx, qy, qz), computed once per script."""
-        poses = map(hand_world_pose, self.reference.states.tolist())
-        return tuple((*p.translation.tolist(), *p.rotation.tolist()) for p in poses)
+        return tuple(map(tuple, np.hstack(_hand_world_rows(self.reference.states)).tolist()))
 
 
 HAND_HOME = Pose3(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.30, 0.0, -0.20]))
@@ -596,20 +600,17 @@ def _random_rigid(rng: np.random.Generator) -> Pose3:
     return Pose3(q, rng.uniform(-2.0, 2.0, size=3))
 
 
-def chest_world_pose(s) -> Pose3:
-    """Chest pose in the world of the state s, whose heading is wrapped."""
-    return Pose2.of_wrapped(*s[:3]).lift(CHEST_HEIGHT)
-
-
 def hand_world_pose(s) -> Pose3:
-    """Hand pose in the world of the state s; the chest-relative hand's
-    quaternion is canonicalised again, as a Pose3 of it is."""
-    return chest_world_pose(s).compose(Pose3(np.array(s[6:10]), np.array(s[3:6])))
+    """Hand pose in the world of one state s (_hand_world_rows gives its bits
+    for arrays); the chest-relative hand's quaternion is canonicalised again."""
+    chest = Pose2.of_wrapped(*s[:3]).lift(CHEST_HEIGHT)
+    return chest.compose(Pose3(np.array(s[6:10]), np.array(s[3:6])))
 
 
 def _chest_world_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """chest_world_pose of every row of an (n, 11) state array, as (position,
-    canonical quaternion) arrays with the bits it gives."""
+    """The chest pose in the world of every row of an (n, 11) state array,
+    the base lifted to CHEST_HEIGHT, as (position, canonical quaternion)
+    arrays with the bits that Pose2.of_wrapped(...).lift gives."""
     n = len(states)
     # rot_z, then quat_canonical again, as the Pose3 that lift builds did
     rot = quat_from_axis_angle_rows(np.broadcast_to((0.0, 0.0, 1.0), (n, 3)), states[:, 2])
@@ -675,9 +676,7 @@ def scripted_expert(
     def hand_imu_rows(states):
         return compose_rows(g_inv.translation, g_inv.rotation, *_hand_world_rows(states))
 
-    t_c = np.round(np.arange(int(round(script.duration * 30)) + 1) / 30.0, 9)
-    t_h = np.round(np.arange(int(round(script.duration * 20)) + 1) / 20.0, 9)
-    t_m = np.round(np.arange(int(round(script.duration * 50)) + 1) / 50.0, 9)
+    t_c, t_h, t_m = script.grid(30), script.grid(20), script.grid(50)
 
     chest = _noise_rows(*_chest_world_rows(script.states_at(t_c)), rng, sigma_pos, sigma_rot)
     hand = _noise_rows(*hand_imu_rows(script.states_at(t_h)), rng, sigma_pos, sigma_rot)
@@ -866,7 +865,7 @@ class ExpertReplayPolicy:
         # geodesic_so3(identity, q_err) and slerp(identity, q_err, frac) take
         # identity . q_err, which every summation order gives exactly as w
         w = q_err[0]
-        ang = 2.0 * math.acos(min(abs(w), 1.0))
+        ang = geodesic_of_dot(w)
         frac = 1.0 if ang <= self.MAX_HAND_ROT else self.MAX_HAND_ROT / ang
         return ex, ey, ez, *slerp_floats(_IDENTITY_Q, q_err, frac, w)
 

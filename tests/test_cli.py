@@ -14,6 +14,7 @@ from mobman.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from mobman.diffusion import (
     ACTION_DIM,
     CHECKPOINT_DIMS,
+    COND_DIM,
     DEFAULT_HORIZON,
     ActionChunkTensor,
     ToyDenoiser,
@@ -195,6 +196,18 @@ class TestProcessCommand:
         (bad / "markers.jsonl").write_text("\n".join(lines) + "\n")
         out = tmp_path / "o"
         return main(["process", "--raw", str(bad), "--anchor", str(anchored), "--output", str(out)]), out
+
+    @pytest.mark.parametrize("keep", [1, 5])
+    def test_overlap_under_two_steps_rejected(self, raw_session, anchored, tmp_path, capsys, keep):
+        # markers for 0.08 s or less leave one 10 Hz step, which forms no label
+        raw, _ = raw_session
+        lines = (raw / "markers.jsonl").read_text().splitlines()[:keep]
+        capsys.readouterr()
+        rc, out = self._process_markers(raw, anchored, tmp_path, lines)
+        assert rc == EXIT_REJECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["rejected: streams overlap for fewer than two 10 Hz steps"]
+        assert not out.exists()
 
     def test_out_of_order_markers_sorted(self, raw_session, anchored, processed, tmp_path):
         raw, _ = raw_session
@@ -600,7 +613,7 @@ class TestSimulateCommand:
 class TestDiffusionReplayPolicy:
     def test_chunk_matches_condition_rebuilt_per_row(self):
         rng = np.random.default_rng(30)
-        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=cli.DiffusionReplayPolicy.COND_DIM)
+        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=COND_DIM)
         model.init_params(rng)
         model.ema = {n: v + rng.normal(0.0, 0.05, size=v.shape) for n, v in model.params.items()}
         sched = cosine_schedule()
@@ -621,7 +634,7 @@ class TestDiffusionReplayPolicy:
             assert np.array_equal(got, ActionChunkTensor(np.array(rows)).canonicalized().values)
 
     def test_zero_quaternion_block_is_non_finite_chunk(self, monkeypatch):
-        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=cli.DiffusionReplayPolicy.COND_DIM)
+        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=COND_DIM)
         model.init_params(np.random.default_rng(31))
         row = np.array([[0.01, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
         monkeypatch.setattr(cli, "ddim_sample", lambda *args, **kwargs: row.copy())
@@ -632,7 +645,7 @@ class TestDiffusionReplayPolicy:
 
     def test_saved_and_reloaded_checkpoint_samples_same_chunk_bytes(self, tmp_path):
         rng = np.random.default_rng(32)
-        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=cli.DiffusionReplayPolicy.COND_DIM)
+        model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=COND_DIM)
         model.init_params(rng)
         model.ema = {n: v + rng.normal(0.0, 0.05, size=v.shape) for n, v in model.params.items()}
         sched = cosine_schedule()
@@ -692,6 +705,15 @@ def _replay_case(**config):
     recorded = {**cli._args_to_config(args), **config}
     text = json.dumps({"command": "simulate", "config": recorded, "seed": 0})
     return "replay", "manifest.json", lambda _: text
+
+
+def _manifest_case(**fields):
+    """A FIELD_CASES entry: replay of a one-trial simulate manifest, with no
+    outputs unless fields sets them, whose fields are replaced by fields'
+    values. A manifest that load passes reruns."""
+    args = cli.build_parser().parse_args(["simulate", "--trials", "1", "--output", "sim"])
+    doc = {"command": "simulate", "config": cli._args_to_config(args), "seed": 0, **fields}
+    return "replay", "manifest.json", lambda _: json.dumps(doc)
 
 
 def _corrupt_line(path, line_number):
@@ -1022,16 +1044,23 @@ class TestMalformedInput:
             "process", "calib.json", lambda _: json.dumps({"d_closed": 0.01, "d_open": math.inf})
         ),
         "process_marker_distance_missing": ("process", "markers.jsonl", lambda _: '{"t": 0.0}\n'),
-        "replay_config_empty": (
-            "replay",
-            "manifest.json",
-            lambda _: json.dumps({"command": "simulate", "config": {}, "seed": 0}),
-        ),
-        "replay_config_list": (
-            "replay",
-            "manifest.json",
-            lambda _: json.dumps({"command": "simulate", "config": [], "seed": 0}),
-        ),
+        # every manifest field of the wrong type
+        **{
+            f"replay_{case}": _manifest_case(**{field: value})
+            for case, field, value in (
+                ("config_empty", "config", {}),
+                ("config_list", "config", []),
+                ("command_list", "command", ["simulate"]),
+                ("seed_float", "seed", 1.5),
+                ("seed_bool", "seed", True),
+                ("seed_str", "seed", "0"),
+                ("inputs_str", "inputs", "abc"),
+                ("inputs_list", "inputs", []),
+                ("inputs_hash_int", "inputs", {"policy": {"model.json": 7}}),
+                ("outputs_list", "outputs", []),
+                ("outputs_hash_null", "outputs", {"sim/metrics.csv": None}),
+            )
+        },
         "replay_trials_str": _replay_case(trials="x"),
         "replay_trials_float": _replay_case(trials=2.5),
         "replay_matching_str": _replay_case(matching="on"),

@@ -15,9 +15,9 @@ from mobman.diffusion import (
     ACTION_DIM,
     CHECKPOINT_DIMS,
     CHECKPOINT_VERSION,
+    COND_DIM,
     DEFAULT_EMA_DECAY,
     DEFAULT_K,
-    PREV_ACTION_OFFSET,
     TRAIN_BATCH_SIZE,
     TRAIN_LR,
     ActionChunkTensor,
@@ -596,5 +596,18 @@ class TestActionChunks:
         hand = Pose3(np.array([1.0, 0, 0, 0]), np.array([0.3, 0.0, -0.2]))
         prev = np.arange(ACTION_DIM, dtype=float) + 1.0
         cond = obs_to_condition((*base.to_list(), *hand.to_list(), 0.5), prev, np.array([9.0, 8.0]))
-        assert np.array_equal(cond[PREV_ACTION_OFFSET : PREV_ACTION_OFFSET + ACTION_DIM], prev)
-        assert cond[PREV_ACTION_OFFSET - 1] == 0.5
+        # the previous action fills the second half of the COND_DIM floats
+        assert np.array_equal(cond[COND_DIM - ACTION_DIM : COND_DIM], prev)
+        assert cond[COND_DIM - ACTION_DIM - 1] == 0.5
+        assert cond.shape == (COND_DIM + 2,)
+
+    @pytest.mark.parametrize("features", [(), (9.0, 8.0)])
+    def test_stacked_rows_match_row_by_row(self, features):
+        rng = np.random.default_rng(33)
+        states, prevs = rng.normal(size=(5, ACTION_DIM)), rng.normal(size=(5, ACTION_DIM))
+        stacked = obs_to_condition(states, prevs, features)
+        rows = [obs_to_condition(s, p, features) for s, p in zip(states, prevs)]
+        assert stacked.tobytes() == np.array(rows).tobytes()
+        assert stacked.shape == (5, COND_DIM + len(features))
+        with pytest.raises(ValueError):
+            obs_to_condition(states, prevs[:, :5], features)

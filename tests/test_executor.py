@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mobman.cli import DiffusionReplayPolicy
 from mobman.diffusion import (
     ACTION_DIM,
+    COND_DIM,
     ActionChunkTensor,
     ToyDenoiser,
     cosine_schedule,
@@ -411,7 +412,7 @@ class _NanThirdChunk(CruisePolicy):
 
 def _checkpoint_with_huge_output_weights(path):
     """A checkpoint whose finite EMA output-layer weights are all 1e300."""
-    model = ToyDenoiser(ACTION_DIM, DiffusionReplayPolicy.COND_DIM, hidden=8, kemb_dim=8, temb_dim=8)
+    model = ToyDenoiser(ACTION_DIM, COND_DIM, hidden=8, kemb_dim=8, temb_dim=8)
     model.init_params(np.random.default_rng(0))
     model.ema["W3"][:] = 1e300
     save_checkpoint(path, model, cosine_schedule())

@@ -373,6 +373,11 @@ def _pose_noisy(pose: Pose3, rng, sigma_pos: float, sigma_rot: float) -> Pose3:
     )
 
 
+def _pose_chest_world(s) -> Pose3:
+    """The chest pose in the world of the state s, as the pose code built it."""
+    return Pose2.of_wrapped(*s[:3]).lift(sim.CHEST_HEIGHT)
+
+
 def _pose_scripted_expert(scenario, seed, sigma_pos, sigma_rot):
     """scripted_expert's synthesis as it was, one Pose3 per sample: its
     streams as (name, array) pairs, its detections as (node, t, pose) and
@@ -384,7 +389,7 @@ def _pose_scripted_expert(scenario, seed, sigma_pos, sigma_rot):
     t_h = np.round(np.arange(int(round(script.duration * 20)) + 1) / 20.0, 9)
     t_m = np.round(np.arange(int(round(script.duration * 50)) + 1) / 50.0, 9)
     chest = [
-        _pose_noisy(sim.chest_world_pose(s), rng, sigma_pos, sigma_rot)
+        _pose_noisy(_pose_chest_world(s), rng, sigma_pos, sigma_rot)
         for s in script.states_at(t_c).tolist()
     ]
     g_inv = g_true.inverse()
@@ -410,7 +415,7 @@ def _pose_scripted_expert(scenario, seed, sigma_pos, sigma_rot):
     det_t = np.round(np.linspace(0.0, min(1.4, script.duration), sim.N_DETECTIONS), 9)
     board_hand_world = g_inv.compose(sim.BOARD_IN_WORLD)
     for ti, s in zip(det_t.tolist(), script.states_at(det_t).tolist()):
-        cam_c = sim.chest_world_pose(s).compose(sim.EXTRINSICS[sim.CHEST].T_imu_from_camera)
+        cam_c = _pose_chest_world(s).compose(sim.EXTRINSICS[sim.CHEST].T_imu_from_camera)
         board_c = cam_c.inverse().compose(sim.BOARD_IN_WORLD)
         detections.append((sim.CHEST, ti, _pose_noisy(board_c, rng, sigma_pos, sigma_rot)))
         hand_imu = g_inv.compose(hand_world_pose(s))
@@ -1253,6 +1258,16 @@ class TestStateLayoutMatchesPoseCode:
         hand = Pose3(np.array(s[6:10]), np.array(s[3:6]))
         want = _pose_hand_world(Pose2.of_wrapped(*s[:3]), hand)
         assert _pose_bits(hand_world_pose(s)) == _pose_bits(want)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_world_hand_is_hand_world_pose_of_each_reference_row(self, name):
+        # world_hand runs on the row kernel; the one-state form must agree
+        script = make_scenario(name).script
+        want = [hand_world_pose(s) for s in script.reference.states.tolist()]
+        got = np.array(script.world_hand)
+        assert got.shape == (len(want), 7)
+        assert got[:, 3:].tobytes() == np.array([p.rotation for p in want]).tobytes()
+        assert got[:, :3].tobytes() == np.array([p.translation for p in want]).tobytes()
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_world_hand_and_synthesis_quaternions(self, name):

@@ -109,7 +109,7 @@ def test_anchoring_calls_no_slerp(spans, tmp_path):
 
 def test_training_and_chunk_spans_count_per_step(spans):
     rng = np.random.default_rng(0)
-    conds = rng.normal(size=(16, cli.DiffusionReplayPolicy.COND_DIM))
+    conds = rng.normal(size=(16, diffusion.COND_DIM))
     a0s = 0.05 * rng.normal(size=(16, diffusion.ACTION_DIM))
     rec = spans.Recorder()
     uninstall = spans.install(rec)
