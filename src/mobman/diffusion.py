@@ -483,14 +483,29 @@ def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, np.ndarray], 
 
 @dataclass
 class ActionChunkTensor:
-    """A horizon of 11-D action rows."""
+    """A horizon of 11-D action rows, and optionally their roll-out.
+
+    rollout, when given, holds the T_p + 1 states that
+    executor.forward_rollout(rollout[0], chunk) would compute, bit for bit:
+    a policy that chains them while it builds the rows hands them over so the
+    executor does not integrate the rows again. values is then read-only, and
+    a chunk rebuilt from other values (canonicalized) carries no roll-out.
+    """
 
     values: np.ndarray  # (T_p, 11)
+    rollout: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] != ACTION_DIM:
             raise ValueError(f"chunk must be (T_p, {ACTION_DIM})")
+        if self.rollout is not None:
+            self.rollout = tuple(self.rollout)
+            if len(self.rollout) != self.horizon + 1:
+                raise ValueError(
+                    f"rollout must hold T_p + 1 = {self.horizon + 1} states, got {len(self.rollout)}"
+                )
+            self.values.flags.writeable = False
 
     @property
     def horizon(self) -> int:

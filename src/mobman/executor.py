@@ -128,8 +128,12 @@ def forward_rollout(s0: tuple, chunk: ActionChunkTensor) -> list[tuple]:
     """Kinematic roll-out: geometric integration of the chunk, no dynamics.
 
     rollout[i] is the state after applying the first i action rows to s0, for
-    i = 0..T_p, so the roll-out holds T_p + 1 states; rollout[0] is s0.
+    i = 0..T_p, so the roll-out holds T_p + 1 states; rollout[0] is s0. A
+    chunk that carries a roll-out from s0 itself (the same object) returns a
+    copy of it, which has the bits the integration would give.
     """
+    if chunk.rollout is not None and chunk.rollout[0] is s0:
+        return list(chunk.rollout)
     s = s0
     states = [s]
     for row in chunk.values.tolist():

@@ -57,7 +57,8 @@ class RunManifest:
     @staticmethod
     def load(path) -> "RunManifest":
         """The manifest a file holds; a MalformedInputError naming it unless each
-        field has the type that save writes. Missing inputs or outputs are empty."""
+        field has the type that save writes and version is ARTIFACT_VERSION.
+        Missing inputs or outputs are empty; a missing version reads as current."""
         doc = read_json(path)
         with fields_of(path):
             man = RunManifest(
@@ -72,6 +73,7 @@ class RunManifest:
             ("inputs", isinstance(man.inputs, dict) and all(map(hashes, man.inputs.values())),
              "an object of {file: hash} objects"),
             ("outputs", hashes(man.outputs), "an object of {path: hash}"),
+            ("version", man.version == ARTIFACT_VERSION, repr(ARTIFACT_VERSION)),
         ):
             if not ok:
                 raise MalformedInputError(path, f"{name} must be {rule}, not {getattr(man, name)!r}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import struct
 from pathlib import Path
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -68,6 +69,8 @@ ARM_REACH = 0.75  # m, hand position clamp radius around the chest origin
 # a float sum of squares of the hand position at or below this puts its BLAS
 # norm below ARM_REACH whatever the rounding of either, so the clamp is off
 _REACH_PREFILTER = ARM_REACH * ARM_REACH * (1.0 - 1e-9)
+# the bytes of four floats: equal bytes are equal bits, -0.0 and 0.0 differ
+_PACK4 = struct.Struct("4d").pack
 
 DEFAULT_CALIB = GripperCalib(d_closed=0.01, d_open=0.09)
 
@@ -116,7 +119,9 @@ class Plant:
     their array forms and np.clip; the slerp result is canonicalised a second
     time, as the Pose3 constructor did; the reach clamp takes its BLAS norm
     only when a float sum of squares with a margin says the hand may be
-    beyond ARM_REACH.
+    beyond ARM_REACH. The rotation update is a function of the rotation and
+    the active command alone, so once it returns its input bit for bit it is
+    skipped until the next command is taken.
     """
 
     def __init__(self, config: PlantConfig, state: tuple = REST_STATE):
@@ -185,6 +190,7 @@ class Plant:
             q1,
             cmd.grip_target,
         )
+        self._rot_fixed = False  # set once the rotation update returns its input
 
     def _take_due(self, now: float) -> None:
         """Activate the last issued of the commands due at now; drop them all."""
@@ -210,10 +216,12 @@ class Plant:
         v, omega, v_lat = self.v, self.omega, self.v_lat
         v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
         now, k = self.t, self._k
+        rot_fixed = self._rot_fixed
         while now < t - 1e-9:
             if self._next_due <= now + 1e-9:
                 self._take_due(now)
                 v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
+                rot_fixed = self._rot_fixed
             if kinematic:
                 v, omega, v_lat = v_cmd, w_cmd, lat_cmd
             else:
@@ -237,9 +245,13 @@ class Plant:
             # slerp normalises, then quat_canonical normalises again as the
             # Pose3 constructor did; without the second pass the last bits of
             # every episode state change
-            rot = np.array((qw, qx, qy, qz))
-            q = slerp_floats((qw, qx, qy, qz), q1f, a, float(rot.dot(q1)))
-            qw, qx, qy, qz = quat_canonical_floats(*q)
+            if not rot_fixed:
+                rot = (qw, qx, qy, qz)
+                q = quat_canonical_floats(*slerp_floats(rot, q1f, a, float(np.array(rot).dot(q1))))
+                # == alone would take a flipped signed zero for a fixed point
+                rot_fixed = q == rot and _PACK4(*q) == _PACK4(*rot)
+                if not rot_fixed:
+                    qw, qx, qy, qz = q
             dg = min(max(g_cmd - grip, -rate), rate)
             grip = float(min(max(grip + dg, 0.0), 1.0))
             k += 1
@@ -248,6 +260,7 @@ class Plant:
             states.append((x, y, th, px, py, pz, qw, qx, qy, qz, grip))
         self.v, self.omega, self.v_lat = v, omega, v_lat
         self.t, self._k = now, k
+        self._rot_fixed = rot_fixed
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +799,9 @@ class ExpertReplayPolicy:
 
     The rows are computed on floats under Plant's bit rules, so they have
     the bits the Pose2/Pose3 operations give, and the running state is
-    chained with executor.advance_floats.
+    chained with executor.advance_floats. Each chunk carries that chain, from
+    the observation itself, as its roll-out: forward_rollout of the chunk
+    from the same observation gives those states bit for bit.
     """
 
     MAX_DX = 0.045
@@ -795,6 +810,9 @@ class ExpertReplayPolicy:
     STEER_GAIN = 1.5
     MAX_STEER = 0.5
     MAX_HAND_STEP = 0.06
+    # the _REACH_PREFILTER rule: a float sum of squares at or below this puts
+    # the BLAS norm at or below MAX_HAND_STEP, so the step is not scaled
+    _HAND_STEP_PREFILTER = MAX_HAND_STEP * MAX_HAND_STEP * (1.0 - 1e-9)
     MAX_HAND_ROT = 0.15
     MAX_DGRIP = 0.3
 
@@ -855,11 +873,12 @@ class ExpertReplayPolicy:
         """The bounded hand increment (dp, dq) toward target (px, ..., qz)."""
         tpx, tpy, tpz, tw, tx, ty, tz = target
         ex, ey, ez = tpx - px, tpy - py, tpz - pz
-        e = np.array((ex, ey, ez))
-        n = math.sqrt(e.dot(e))
-        if n > self.MAX_HAND_STEP:
-            f = self.MAX_HAND_STEP / n
-            ex, ey, ez = ex * f, ey * f, ez * f
+        if ex * ex + ey * ey + ez * ez > self._HAND_STEP_PREFILTER:
+            e = np.array((ex, ey, ez))
+            n = math.sqrt(e.dot(e))
+            if n > self.MAX_HAND_STEP:
+                f = self.MAX_HAND_STEP / n
+                ex, ey, ez = ex * f, ey * f, ez * f
         # q_err = canonical(target * conj(rot))
         q_err = quat_canonical_floats(*quat_mul_floats(tw, tx, ty, tz, qw, -qx, -qy, -qz))
         # geodesic_so3(identity, q_err) and slerp(identity, q_err, frac) take
@@ -879,6 +898,7 @@ class ExpertReplayPolicy:
             world = hand_world_pose(obs)
             hand = (*world.translation.tolist(), *world.rotation.tolist())
         rows = []
+        rollout = [obs]
         for r in range(DEFAULT_HORIZON):
             k = min(j + r + 1, last)
             base_row = self._base_row(*state[:3], *ref_base[k])
@@ -892,7 +912,8 @@ class ExpertReplayPolicy:
             row = (*base_row, *hand_row, grip)
             rows.append(row)
             state = advance_floats(*state, row)
-        return ActionChunkTensor(np.array(rows))
+            rollout.append((*state, grip))
+        return ActionChunkTensor(np.array(rows), rollout)
 
 
 # ---------------------------------------------------------------------------

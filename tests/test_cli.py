@@ -1044,7 +1044,7 @@ class TestMalformedInput:
             "process", "calib.json", lambda _: json.dumps({"d_closed": 0.01, "d_open": math.inf})
         ),
         "process_marker_distance_missing": ("process", "markers.jsonl", lambda _: '{"t": 0.0}\n'),
-        # every manifest field of the wrong type
+        # every manifest field of the wrong type, and versions other than the current one
         **{
             f"replay_{case}": _manifest_case(**{field: value})
             for case, field, value in (
@@ -1059,6 +1059,11 @@ class TestMalformedInput:
                 ("inputs_hash_int", "inputs", {"policy": {"model.json": 7}}),
                 ("outputs_list", "outputs", []),
                 ("outputs_hash_null", "outputs", {"sim/metrics.csv": None}),
+                ("version_older", "version", "0.0.9"),
+                ("version_empty", "version", ""),
+                ("version_list", "version", ["not", "a", "version"]),
+                ("version_number", "version", 0.1),
+                ("version_null", "version", None),
             )
         },
         "replay_trials_str": _replay_case(trials="x"),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobman.sim as sim
-from mobman.diffusion import ActionChunkTensor
+from mobman.diffusion import DEFAULT_HORIZON, ActionChunkTensor
 from mobman.executor import (
     CONTROL_DT,
     ExecutorConfig,
@@ -23,12 +23,15 @@ from mobman.geometry import (
     Pose2,
     Pose3,
     compose_floats,
+    geodesic_of_dot,
     quat_canonical,
     quat_canonical_floats,
     quat_canonical_rows,
     quat_from_axis_angle,
     quat_mul,
+    quat_mul_floats,
     slerp,
+    slerp_floats,
     wrap_angle,
 )
 from mobman.sim import (
@@ -997,6 +1000,276 @@ class TestFloatCodeMatchesReference:
         for k in range(1, 100_001):
             t = round(t + dt, 9)
             assert t == k / per_s
+
+
+class _UnskippedPlant(Plant):
+    """Plant with the step_to that ran the rotation update on every substep,
+    before the update was skipped at a fixed point: the skip's reference."""
+
+    def step_to(self, t: float) -> None:
+        cfg = self.config
+        dt = cfg.dt_sub
+        kinematic = cfg.kinematic
+        decay_base, decay_lateral = cfg.decay_base, cfg.decay_lateral
+        a = 1.0 if kinematic else cfg.arm_gain
+        rate = cfg.grip_rate * dt
+        per_s = round(1.0 / dt)
+        times, states = self._times, self._states
+        x, y, th, px, py, pz, qw, qx, qy, qz, grip = states[-1]
+        v, omega, v_lat = self.v, self.omega, self.v_lat
+        v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
+        now, k = self.t, self._k
+        while now < t - 1e-9:
+            if self._next_due <= now + 1e-9:
+                self._take_due(now)
+                v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
+            if kinematic:
+                v, omega, v_lat = v_cmd, w_cmd, lat_cmd
+            else:
+                v = v_cmd + (v - v_cmd) * decay_base
+                omega = w_cmd + (omega - w_cmd) * decay_base
+                v_lat = lat_cmd + (v_lat - lat_cmd) * decay_lateral
+            c, s = math.cos(th), math.sin(th)
+            x = x + (v * c - v_lat * s) * dt
+            y = y + (v * s + v_lat * c) * dt
+            th = wrap_angle(th + omega * dt)
+            px = px + a * (tx - px)
+            py = py + a * (ty - py)
+            pz = pz + a * (tz - pz)
+            if px * px + py * py + pz * pz > sim._REACH_PREFILTER:
+                pos = np.array((px, py, pz))
+                r = math.sqrt(pos.dot(pos))
+                if r > ARM_REACH:
+                    f = ARM_REACH / r
+                    px, py, pz = px * f, py * f, pz * f
+            rot = np.array((qw, qx, qy, qz))
+            q = slerp_floats((qw, qx, qy, qz), q1f, a, float(rot.dot(q1)))
+            qw, qx, qy, qz = quat_canonical_floats(*q)
+            dg = min(max(g_cmd - grip, -rate), rate)
+            grip = float(min(max(grip + dg, 0.0), 1.0))
+            k += 1
+            now = k / per_s
+            times.append(now)
+            states.append((x, y, th, px, py, pz, qw, qx, qy, qz, grip))
+        self.v, self.omega, self.v_lat = v, omega, v_lat
+        self.t, self._k = now, k
+
+
+# hand rotations with exact signed zeros, as most hand targets have; the
+# plant's update maps several of them to themselves up to a zero's sign
+_SIGNED_ZERO_ROTATIONS = [
+    quat_canonical_floats(*q)
+    for q in (
+        (1.0, 0.0, 0.0, 0.0),
+        (1.0, -0.0, 0.0, -0.0),
+        (0.8, -0.6, 0.0, -0.0),
+        (0.8, -0.6, -0.0, 0.0),
+        (0.6, 0.0, -0.0, 0.8),
+        (0.0, -0.0, 0.6, -0.8),
+        (0.0, 0.6, 0.8, 0.0),
+    )
+]
+
+
+def _flip_zeros(q: tuple) -> tuple:
+    """q with the sign of each of its zeros flipped: equal to q, not the same bits."""
+    return tuple(-x if x == 0.0 else x for x in q)
+
+
+# hand rotation targets relative to the plant's current rotation q
+_SKIP_TARGETS = {
+    "same": lambda rng, q: q,
+    "same_flipped": lambda rng, q: _flip_zeros(q),
+    "zeros": lambda rng, q: _SIGNED_ZERO_ROTATIONS[rng.integers(len(_SIGNED_ZERO_ROTATIONS))],
+    "near": lambda rng, q: quat_canonical_floats(*(np.array(q) + 1e-12 * rng.normal(size=4))),
+    "random": lambda rng, q: quat_canonical_floats(*_unit(rng)),
+}
+
+
+@st.composite
+def _skip_runs(draw):
+    ticks = []
+    for _ in range(draw(st.integers(1, 6))):
+        commands = [
+            (
+                draw(st.sampled_from([0.0, -0.0, 0.3, -1.0])),
+                draw(st.sampled_from([0.0, 0.02])),
+                draw(st.sampled_from(sorted(_SKIP_TARGETS))),
+                draw(st.booleans()),  # hand position target beyond reach
+                # effect times inside a tick change the command mid-tick
+                draw(st.sampled_from([0.0, 0.004, 0.022, 0.05, 0.1])),
+            )
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        ticks.append((commands, draw(st.sampled_from([0.01, 0.03, 0.1, 0.1, 0.27]))))
+    return (
+        draw(st.booleans()),
+        draw(st.integers(0, len(_SIGNED_ZERO_ROTATIONS))),
+        draw(st.integers(0, 2**32 - 1)),
+        ticks,
+    )
+
+
+
+
+def _state_bits(states) -> bytes:
+    """Every bit of a sequence of states; -0.0 and 0.0 differ."""
+    return np.array(states, dtype=float).tobytes()
+
+
+class TestPlantRotationSkip:
+    """Skipping the rotation update at its fixed point leaves every bit of
+    the plant's history as the update on every substep gave it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_skip_runs())
+    def test_history_matches_unskipped_plant(self, run):
+        kinematic, rot_pick, seed, ticks = run
+        rng = np.random.default_rng(seed)
+        cfg = PlantConfig(kinematic=kinematic)
+        rot = (
+            quat_canonical_floats(*_unit(rng))
+            if rot_pick == len(_SIGNED_ZERO_ROTATIONS)
+            else _SIGNED_ZERO_ROTATIONS[rot_pick]
+        )
+        state = (*rng.uniform(-1.0, 1.0, size=2).tolist(), 0.3, 0.3, -0.0, 0.2, *rot, 0.5)
+        plant, ref = Plant(cfg, state), _UnskippedPlant(cfg, state)
+        t = 0.0
+        for commands, step in ticks:
+            for v, omega, turn, far, delay in commands:
+                target_rot = _SKIP_TARGETS[turn](rng, ref.current[6:10])
+                pos = (0.9, -0.0, 0.2) if far else ref.current[3:6]
+                cmd = PlantCommand(v, 0.0, omega, (*pos, *target_rot), 1.0)
+                plant.issue_command(cmd, t + delay)
+                ref.issue_command(cmd, t + delay)
+            t = round(t + step, 9)
+            plant.step_to(t)
+            ref.step_to(t)
+            assert _state_bits(plant._states) == _state_bits(ref._states)
+            assert plant._times == ref._times
+            assert [plant.v, plant.omega, plant.v_lat] == [ref.v, ref.omega, ref.v_lat]
+
+    def test_skip_taken_and_cleared_by_a_command(self):
+        # a target equal to the rotation up to zero signs: the first update
+        # moves the zeros' signs, the second returns its input
+        rot = _SIGNED_ZERO_ROTATIONS[2]
+        plant = Plant(PlantConfig(), (0.0, 0.0, 0.0, 0.3, 0.0, 0.2, *rot, 1.0))
+        plant.issue_command(PlantCommand(0.0, 0.0, 0.0, (0.3, 0.0, 0.2, *_flip_zeros(rot)), 1.0), 0.0)
+        plant.step_to(0.01)
+        assert not plant._rot_fixed
+        moved = plant.current[6:10]
+        assert moved == rot and np.array(moved).tobytes() != np.array(rot).tobytes()
+        plant.step_to(0.02)
+        assert plant._rot_fixed
+        assert plant.current[6:10] == moved
+        # a new command clears the skip, mid-tick too
+        ident = _SIGNED_ZERO_ROTATIONS[0]
+        plant.issue_command(PlantCommand(0.0, 0.0, 0.0, (0.3, 0.0, 0.2, *ident), 1.0), 0.025)
+        plant.step_to(0.04)
+        assert plant._states[-2][6:10] == moved and plant.current[6:10] != moved
+
+
+def _observations(script, rng, n: int) -> list[tuple]:
+    """n states near the script's reference: rows of it with the base and
+    hand moved by a few cm, and the hand turned a little."""
+    ref = script.reference.states
+    obs = []
+    for i in rng.integers(0, len(ref), size=n):
+        s = ref[i].copy()
+        s[:6] += rng.normal(scale=0.03, size=6)
+        s[6:10] = quat_canonical_floats(*(s[6:10] + rng.normal(scale=0.05, size=4)))
+        s[2] = wrap_angle(s[2])
+        obs.append(tuple(s.tolist()))
+    return obs
+
+
+class TestCarriedRollout:
+    """ExpertReplayPolicy's chunks carry the roll-out that forward_rollout
+    computes, and forward_rollout uses it only for the very state it starts from."""
+
+    @pytest.mark.parametrize("label", ["relative", "global"])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_carried_rollout_is_forward_rollout_of_a_copy(self, name, label):
+        script = make_scenario(name).script
+        rng = np.random.default_rng([SCENARIO_NAMES.index(name), label == "global"])
+        policy = ExpertReplayPolicy(script, task_frame=(0.1, -0.05, 0.2), label_frame=label)
+        for obs in _observations(script, rng, 6):
+            chunk = policy(obs, 0.0)
+            copy = (*obs,)
+            assert copy is not obs and chunk.rollout[0] is obs
+            assert _state_bits(chunk.rollout) == _state_bits(forward_rollout(copy, chunk))
+            assert _state_bits(forward_rollout(obs, chunk)) == _state_bits(chunk.rollout)
+
+    def test_rollout_from_another_state_is_integrated(self):
+        script = make_scenario("nav_reach").script
+        obs = _observations(script, np.random.default_rng(3), 1)[0]
+        chunk = ExpertReplayPolicy(script)(obs, 0.0)
+        expected = forward_rollout((*obs,), chunk)
+        # a roll-out that is not this chunk's, carried from an equal state
+        # that is another object, is integrated over, not returned
+        stale = ActionChunkTensor(chunk.values.copy(), [(*obs,)] + [REST_STATE] * chunk.horizon)
+        got = forward_rollout(obs, stale)
+        assert _state_bits(got) == _state_bits(expected) and got[0] is obs
+        assert _state_bits(forward_rollout(stale.rollout[0], stale)) == _state_bits(stale.rollout)
+
+    def test_rebuilt_chunk_carries_no_rollout(self):
+        script = make_scenario("long_horizon").script
+        obs = _observations(script, np.random.default_rng(4), 1)[0]
+        chunk = ExpertReplayPolicy(script)(obs, 0.0)
+        assert chunk.canonicalized().rollout is None
+        assert ActionChunkTensor(chunk.values).rollout is None
+        with pytest.raises(ValueError, match="read-only"):
+            chunk.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, DEFAULT_HORIZON, DEFAULT_HORIZON + 2])
+    def test_rollout_length_checked(self, n):
+        with pytest.raises(ValueError, match="rollout must hold"):
+            ActionChunkTensor(np.zeros((DEFAULT_HORIZON, 11)), [REST_STATE] * n)
+
+
+def _unfiltered_hand_step(self, px, py, pz, qw, qx, qy, qz, target):
+    """ExpertReplayPolicy._hand_step as it was before the norm prefilter: it
+    takes the BLAS norm of every position error."""
+    tpx, tpy, tpz, tw, tx, ty, tz = target
+    ex, ey, ez = tpx - px, tpy - py, tpz - pz
+    e = np.array((ex, ey, ez))
+    n = math.sqrt(e.dot(e))
+    if n > self.MAX_HAND_STEP:
+        f = self.MAX_HAND_STEP / n
+        ex, ey, ez = ex * f, ey * f, ez * f
+    q_err = quat_canonical_floats(*quat_mul_floats(tw, tx, ty, tz, qw, -qx, -qy, -qz))
+    w = q_err[0]
+    ang = geodesic_of_dot(w)
+    frac = 1.0 if ang <= self.MAX_HAND_ROT else self.MAX_HAND_ROT / ang
+    return ex, ey, ez, *slerp_floats((1.0, 0.0, 0.0, 0.0), q_err, frac, w)
+
+
+def test_hand_step_prefilter_keeps_bits_at_the_step_bound():
+    # errors whose norm is within a few ulps of MAX_HAND_STEP, or of the
+    # prefilter's own threshold, from hands at the origin and elsewhere
+    policy = ExpertReplayPolicy(make_scenario("nav_reach").script)
+    rng = np.random.default_rng(25)
+    bound = ExpertReplayPolicy.MAX_HAND_STEP
+    radii = [bound, bound * math.sqrt(1.0 - 1e-9)]
+    scaled = unscaled = 0
+    for _ in range(300):
+        d = _unit(rng, 3)
+        hand = [0.0, 0.0, 0.0] if rng.uniform() < 0.5 else rng.uniform(-0.5, 0.5, size=3).tolist()
+        rot = quat_canonical_floats(*_unit(rng))
+        target_rot = quat_canonical_floats(*_unit(rng))
+        for r in radii:
+            for k in range(-6, 7):
+                e = d * (r + k * math.ulp(r))
+                target = (*(np.array(hand) + e).tolist(), *target_rot)
+                got = policy._hand_step(*hand, *rot, target)
+                want = _unfiltered_hand_step(policy, *hand, *rot, target)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                ex, ey, ez = (t - h for t, h in zip(target, hand))
+                if (ex, ey, ez) == got[:3]:
+                    unscaled += 1
+                else:
+                    scaled += 1
+    assert scaled > 0 and unscaled > 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 benchmarks/workloads.py checks every demo_ingest op by integrating the
 processed dataset's action labels back (`_round_trip_error`), through
-`DemoDataset.steps`, `make_action_labels` and `integrate_labels`. A change that
-breaks that check would otherwise fail only in a benchmark run; this runs it
-on processed noisy demos.
+`DemoDataset.steps`, `make_action_labels` and `integrate_labels`, and every
+replay_matrix op at its digest seed against `MATRIX_DIGESTS`. A change that
+breaks either check would otherwise fail only in a benchmark run; this runs
+the first on processed noisy demos and the second on every matrix cell.
 """
 import importlib.util
 import sys
@@ -13,7 +14,13 @@ from pathlib import Path
 import pytest
 
 from mobman.cli import EXIT_OK, main
-from mobman.sim import SCENARIO_NAMES, make_scenario, save_expert_session, scripted_expert
+from mobman.sim import (
+    SCENARIO_NAMES,
+    compare_conditions,
+    make_scenario,
+    save_expert_session,
+    scripted_expert,
+)
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
 
@@ -50,3 +57,15 @@ def test_round_trip_check_holds_on_noisy_demo(workloads, scenario, tmp_path):
     assert main(["process", "--raw", str(raw), "--anchor", str(anchors), "--output", str(out)]) == EXIT_OK
     err = workloads._round_trip_error(out / "dataset.jsonl")
     assert 0.0 <= err < workloads.ROUND_TRIP_TOL
+
+
+def test_matrix_rows_match_recorded_digests(workloads):
+    # the rows of every replay_matrix cell at the digest seed keep their bytes
+    got, recorded = {}, {}
+    for scenario in workloads.MATRIX_SCENARIOS:
+        for cond in workloads.MATRIX:
+            cell = f"{scenario}/{cond.name}"
+            rows, _ = compare_conditions([cond], scenario, 1, master_seed=workloads.DIGEST_SEED)
+            got[cell] = workloads.rows_digest(rows)
+            recorded[cell] = workloads.MATRIX_DIGESTS[cell]
+    assert got == recorded
