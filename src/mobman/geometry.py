@@ -1,5 +1,6 @@
 # Rigid-body pose algebra: unit quaternions (w, x, y, z), SE(3) poses, planar
-# SE(2) poses, interpolation and the distances used by the state matcher.
+# SE(2) pose records and their float kernels, interpolation and the distances
+# used by the state matcher.
 #
 # Conventions, used everywhere in this package:
 #   - quaternions are (w, x, y, z) with the Hamilton product;
@@ -294,7 +295,8 @@ class Pose3:
 
 @dataclass(frozen=True)
 class Pose2:
-    """Planar pose: position [m] and heading wrapped to (-pi, pi]."""
+    """Planar pose record: position [m] and heading wrapped to (-pi, pi].
+    Planar poses compose through compose_floats and relative_floats."""
 
     x: float = 0.0
     y: float = 0.0
@@ -313,35 +315,16 @@ class Pose2:
         object.__setattr__(pose, "theta", theta)
         return pose
 
-    def compose(self, other: "Pose2") -> "Pose2":
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return Pose2(
-            self.x + c * other.x - s * other.y,
-            self.y + s * other.x + c * other.y,
-            self.theta + other.theta,
-        )
-
-    def inverse(self) -> "Pose2":
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return Pose2(-(c * self.x + s * self.y), -(-s * self.x + c * self.y), -self.theta)
-
-    def relative_to(self, reference: "Pose2") -> "Pose2":
-        """Express this pose in the frame of `reference`."""
-        return reference.inverse().compose(self)
-
-    def to_list(self) -> list[float]:
-        return [self.x, self.y, self.theta]
-
     def lift(self, z: float = 0.0) -> Pose3:
         """Embed in SE(3) as a level pose at height z."""
         return Pose3(rot_z(self.theta), np.array([self.x, self.y, z]))
 
 
 def relative_floats(x, y, theta, rx, ry, rtheta) -> tuple[float, float, float]:
-    """Pose2(x, y, theta).relative_to(Pose2(rx, ry, rtheta)) on floats whose
-    headings are already wrapped: the inverse of the reference wraps -rtheta
-    and the composition wraps its heading sum, as the Pose2 constructor did.
-    Returns (x, y, theta) of the relative pose."""
+    """The planar pose (x, y, theta) expressed in the frame of the reference
+    pose (rx, ry, rtheta): the reference's inverse composed with the pose.
+    Both headings come in wrapped to (-pi, pi]; the inverse's heading -rtheta
+    and the composed heading sum are each wrapped again. Returns (x, y, theta)."""
     c, s = math.cos(rtheta), math.sin(rtheta)
     ix, iy, ith = -(c * rx + s * ry), -(-s * rx + c * ry), wrap_angle(-rtheta)
     c, s = math.cos(ith), math.sin(ith)
@@ -349,9 +332,10 @@ def relative_floats(x, y, theta, rx, ry, rtheta) -> tuple[float, float, float]:
 
 
 def compose_floats(x, y, theta, ox, oy, otheta) -> tuple[float, float, float]:
-    """Pose2(x, y, theta).compose(Pose2(ox, oy, otheta)) on floats whose
-    headings are already wrapped; the heading sum is wrapped, as the Pose2
-    constructor did. Returns (x, y, theta) of the composed pose."""
+    """The planar pose (ox, oy, otheta), given in the frame of the pose
+    (x, y, theta), expressed in that pose's parent frame: the offset rotated
+    by theta and added to (x, y), and the heading sum wrapped to (-pi, pi].
+    Both headings come in wrapped. Returns (x, y, theta)."""
     c, s = math.cos(theta), math.sin(theta)
     return x + c * ox - s * oy, y + s * ox + c * oy, wrap_angle(theta + otheta)
 

@@ -137,6 +137,12 @@ def markdown_report(rows: list[dict], title: str = "Condition comparison") -> st
 _COLORS = ("#4878a8", "#b85450", "#82b366", "#9673a6", "#d6b656", "#76608a")
 
 
+def _svg_text(text: str) -> str:
+    """text as SVG character data: &, < and > escaped. Not xml.sax.saxutils,
+    whose import pulls in urllib.request and adds to every CLI start-up."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg(width: int, height: int, body: list[str]) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -155,7 +161,8 @@ def bar_chart_svg(
     series: dict[str, list[float]],
     y_label: str = "",
 ) -> str:
-    """Grouped vertical bar chart. groups = x categories, series = legend."""
+    """Grouped vertical bar chart. groups = x categories, series = legend.
+    Every text is escaped, so a name may hold any character."""
     width, height = 560, 300
     left, right, top, bottom = 60, 20, 40, 60
     plot_w, plot_h = width - left - right, height - top - bottom
@@ -164,9 +171,9 @@ def bar_chart_svg(
     n_g, n_s = max(len(groups), 1), max(len(series), 1)
     slot = plot_w / n_g
     bar_w = slot * 0.8 / n_s
-    body = [f'<text class="t" x="{left}" y="20">{title}</text>']
+    body = [f'<text class="t" x="{left}" y="20">{_svg_text(title)}</text>']
     if y_label:
-        body.append(f'<text x="6" y="{top - 8}">{y_label}</text>')
+        body.append(f'<text x="6" y="{top - 8}">{_svg_text(y_label)}</text>')
     body.append(
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
         f'y2="{top + plot_h}" stroke="#999"/>'
@@ -186,7 +193,7 @@ def bar_chart_svg(
             f'height="10" fill="{color}"/>'
         )
         body.append(
-            f'<text x="{left + plot_w - 136}" y="{35 + 14 * si}">{name}</text>'
+            f'<text x="{left + plot_w - 136}" y="{35 + 14 * si}">{_svg_text(name)}</text>'
         )
         for gi, v in enumerate(values):
             h = plot_h * min(v, vmax) / vmax
@@ -199,7 +206,7 @@ def bar_chart_svg(
     for gi, g in enumerate(groups):
         x = left + gi * slot + slot / 2
         body.append(
-            f'<text x="{x:.1f}" y="{top + plot_h + 16}" text-anchor="middle">{g}</text>'
+            f'<text x="{x:.1f}" y="{top + plot_h + 16}" text-anchor="middle">{_svg_text(g)}</text>'
         )
     return _svg(width, height, body)
 

@@ -582,7 +582,7 @@ class TestActionChunks:
         base = Pose2(1.0, 2.0, 0.3)
         hand = Pose3(np.array([1.0, 0, 0, 0]), np.array([0.3, 0.0, -0.2]))
         prev = np.arange(ACTION_DIM, dtype=float)
-        state = (*base.to_list(), *hand.to_list(), 0.5)
+        state = (*dataclasses.astuple(base), *hand.to_list(), 0.5)
         cond = obs_to_condition(state, prev, np.array([9.0]))
         assert cond.shape == (3 + 3 + 4 + 1 + ACTION_DIM + 1,)
         assert np.allclose(cond[:3], [1.0, 2.0, 0.3])
@@ -595,7 +595,7 @@ class TestActionChunks:
         base = Pose2(1.0, 2.0, 0.3)
         hand = Pose3(np.array([1.0, 0, 0, 0]), np.array([0.3, 0.0, -0.2]))
         prev = np.arange(ACTION_DIM, dtype=float) + 1.0
-        cond = obs_to_condition((*base.to_list(), *hand.to_list(), 0.5), prev, np.array([9.0, 8.0]))
+        cond = obs_to_condition((*dataclasses.astuple(base), *hand.to_list(), 0.5), prev, np.array([9.0, 8.0]))
         # the previous action fills the second half of the COND_DIM floats
         assert np.array_equal(cond[COND_DIM - ACTION_DIM : COND_DIM], prev)
         assert cond[COND_DIM - ACTION_DIM - 1] == 0.5

@@ -36,6 +36,8 @@ from mobman.executor import (
 from mobman.geometry import Pose2, Pose3, quat_canonical, relative_floats, wrap_angle
 from mobman.sim import CruisePolicy, GoalStage, GRASP_POSE, Plant, PlantConfig
 
+import se2_reference as se2
+
 PI = math.pi
 # headings at and next to the wrap point, and ordinary ones
 EDGE_HEADINGS = [
@@ -127,7 +129,7 @@ def _ref_splice(chunk, rollout, i_star):
 
 
 def _ref_command_to_target(now, target, row, dt, gain=1.0):
-    rel = target.base.relative_to(now.base)
+    rel = se2.relative_to(target.base, now.base)
     cmd = PlantCommand(
         v=(row[0] + gain * (rel.x - row[0])) / dt,
         v_lat=(row[1] + gain * (rel.y - row[1])) / dt,
@@ -155,7 +157,7 @@ def _ref_advance_by_latency(state, v, omega, d_exe):
 def _ref_satisfied(goal, state, frame):
     if goal.base is not None:
         x, y, th, pos_tol, ang_tol = goal.base
-        g = frame.compose(Pose2(x, y, th))
+        g = se2.compose(frame, Pose2(x, y, th))
         if math.hypot(state.base.x - g.x, state.base.y - g.y) > pos_tol:
             return False
         if abs(wrap_angle(state.base.theta - g.theta)) > ang_tol:
@@ -333,7 +335,7 @@ class TestTickMatchesPoseCode:
         if where == "origin_rollback":
             # from the origin at heading 0 the relative pose is exact
             now = _RefState(Pose2(), now.hand_pos, now.hand_rot, now.grip)
-        b = now.base.compose(rel)
+        b = se2.compose(now.base, rel)
         target = _RefState(
             Pose2.of_wrapped(b.x, b.y, b.theta),
             rng.normal(scale=0.3, size=3),
@@ -367,7 +369,7 @@ class TestTickMatchesPoseCode:
     @given(_heading, _heading, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     def test_relative_floats_is_relative_to(self, th, rth, x, y, rx, ry):
         a, r = Pose2(x, y, th), Pose2(rx, ry, rth)
-        want = a.relative_to(r)
+        want = se2.relative_to(a, r)
         assert _hex(*relative_floats(a.x, a.y, a.theta, r.x, r.y, r.theta)) == _hex(want.x, want.y, want.theta)
 
 
@@ -399,7 +401,7 @@ class TestGoalCheckMatchesPoseCode:
         goal = self.GOALS[gi]
         frame = Pose2(*rng.normal(scale=0.3, size=2), frame_th) if shifted else Pose2()
         x, y, th = goal.base[:3] if goal.base else (0.0, 0.0, 0.0)
-        g = frame.compose(Pose2(x, y, th))
+        g = se2.compose(frame, Pose2(x, y, th))
         scale = {"near": 0.03, "far": 0.5, "edge": 0.06}[where]
         if where == "edge":
             # on the position tolerance circle, headings on the angle tolerance

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mobman.geometry import (
     DegeneratePitchError,
     Pose2,
     Pose3,
+    compose_floats,
     compose_rows,
     dist_se2,
     geodesic_so3,
@@ -25,6 +27,7 @@ from mobman.geometry import (
     quat_rotate,
     quat_rotate_rows,
     quat_to_matrix,
+    relative_floats,
     rot_z,
     slerp,
     slerp_rows,
@@ -223,27 +226,28 @@ class TestPose3Properties:
 
 
 class TestPose2:
+    """The Pose2 record, and compose_floats and relative_floats as its group."""
+
     def test_group_identities(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            a = Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
-            b = Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
-            ab_inv = a.compose(a.inverse())
-            assert abs(ab_inv.x) < 1e-12 and abs(ab_inv.y) < 1e-12
-            assert abs(wrap_angle(ab_inv.theta)) < 1e-12
-            rel = b.relative_to(a)
-            back = a.compose(rel)
-            assert abs(back.x - b.x) < 1e-12 and abs(back.y - b.y) < 1e-12
-            assert abs(wrap_angle(back.theta - b.theta)) < 1e-12
+            a = astuple(Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi)))
+            b = astuple(Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi)))
+            # the identity relative to a is a's inverse
+            x, y, th = compose_floats(*a, *relative_floats(0.0, 0.0, 0.0, *a))
+            assert abs(x) < 1e-12 and abs(y) < 1e-12
+            assert abs(wrap_angle(th)) < 1e-12
+            x, y, th = compose_floats(*a, *relative_floats(*b, *a))
+            assert abs(x - b[0]) < 1e-12 and abs(y - b[1]) < 1e-12
+            assert abs(wrap_angle(th - b[2])) < 1e-12
 
     def test_matches_lifted_se3(self):
-        rng = np.random.default_rng(18)
         a = Pose2(0.5, -1.0, 0.8)
         b = Pose2(1.0, 0.2, -2.4)
         lifted = a.lift().compose(b.lift())
-        flat = a.compose(b)
-        assert np.allclose(lifted.translation[:2], [flat.x, flat.y], atol=1e-12)
-        assert abs(wrap_angle(_yaw(lifted).theta - flat.theta)) < 1e-12
+        x, y, th = compose_floats(*astuple(a), *astuple(b))
+        assert np.allclose(lifted.translation[:2], [x, y], atol=1e-12)
+        assert abs(wrap_angle(_yaw(lifted).theta - th)) < 1e-12
 
     def test_theta_wrapped_on_construction(self):
         p = Pose2(0, 0, 3 * math.pi)
@@ -260,7 +264,7 @@ class TestDistSe2:
 
     def test_wraps_heading(self):
         a, b = Pose2(0, 0, -math.pi + 0.05), Pose2(0, 0, math.pi - 0.05)
-        d = dist_se2(a.to_list(), b.to_list())
+        d = dist_se2(astuple(a), astuple(b))
         assert d == pytest.approx(0.5 * 0.1, abs=1e-9)
 
     def test_rejects_bad_radius(self):

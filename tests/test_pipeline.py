@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from mobman.geometry import (
     quat_conj,
     quat_from_axis_angle,
     quat_mul,
+    rot_z,
     slerp,
     wrap_angle,
 )
@@ -45,6 +47,8 @@ from mobman.pipeline import (
     smooth_pose_arrays,
 )
 from mobman.sim import make_scenario, scripted_expert
+
+import se2_reference as se2
 
 CALIB = GripperCalib(d_closed=0.01, d_open=0.09)
 
@@ -286,7 +290,7 @@ def _dataset_of(steps) -> DemoDataset:
     """The dataset whose steps view gives these steps."""
     return DemoDataset(
         np.array([s.t for s in steps]),
-        np.array([(*s.base.to_list(), *s.hand_rel.to_list(), s.grip) for s in steps]),
+        np.array([(*dataclasses.astuple(s.base), *s.hand_rel.to_list(), s.grip) for s in steps]),
     )
 
 
@@ -301,8 +305,9 @@ class TestActionLabels:
         grip = 1.0
         for i in range(n):
             steps.append(DemoStep(t=0.1 * i, base=base, hand_rel=hand, grip=grip))
-            base = base.compose(
-                Pose2(rng.uniform(0, 0.04), rng.uniform(-0.002, 0.002), rng.uniform(-0.05, 0.05))
+            base = se2.compose(
+                base,
+                Pose2(rng.uniform(0, 0.04), rng.uniform(-0.002, 0.002), rng.uniform(-0.05, 0.05)),
             )
             dq = quat_from_axis_angle(rng.normal(size=3), rng.uniform(-0.05, 0.05))
             hand = Pose3(quat_mul(dq, hand.rotation), hand.translation + rng.uniform(-0.02, 0.02, 3))
@@ -362,7 +367,7 @@ class TestLabelRoundTripProperty:
         hand = Pose3(quat_from_axis_angle(np.array(axis0), angle0), np.array([0.3, 0.0, -0.2]))
         steps = [DemoStep(t=0.0, base=base, hand_rel=hand, grip=grip)]
         for i, (db, dp, axis, angle, grip) in enumerate(increments, start=1):
-            base = base.compose(Pose2(*db))
+            base = se2.compose(base, Pose2(*db))
             dq = quat_from_axis_angle(np.array(axis), angle)
             hand = Pose3(quat_mul(dq, hand.rotation), hand.translation + np.array(dp))
             steps.append(DemoStep(t=0.1 * i, base=base, hand_rel=hand, grip=grip))
@@ -435,6 +440,57 @@ class TestEndToEnd:
         raw = assemble_dataset(session, expert.calib, PipelineConfig(smoothing=False))
         mid = len(smooth.steps) // 4  # inside the constant-speed cruise phase
         assert abs(smooth.steps[mid].base.x - raw.steps[mid].base.x) < 1e-9
+
+
+class TestAnchorErrorOracle:
+    """The closed-form effect of an anchor error on the hand labels.
+
+    An error E left-composed with cross_node moves every hand sample in the
+    chest world by E, and leaves the chest alone. A turn of angle delta about
+    the chest-world vertical then moves the label of step i by
+    2 |sin(delta / 2)| r_i, where r_i is the hand's horizontal distance from
+    the chest-world origin, and turns it by |delta|; a translation t moves
+    every label by |t|. The base and the grip do not move. This is the
+    one-shot anchor of UMI (Chi et al. 2024, arXiv 2402.10329).
+    """
+
+    @pytest.fixture(scope="class", params=["nav_reach", "nav_turn_place", "long_horizon"])
+    def demo(self, request):
+        expert = scripted_expert(make_scenario(request.param), seed=0)
+        session = dataclasses.replace(expert.session, cross_node=expert.cross_node_true)
+        hand = map_hand_into_chest_world(session.hand, session.cross_node)
+        r = np.hypot(*resample_to_grid(dataclasses.replace(session, hand=hand)).hand_pos[:, :2].T)
+        return session, expert.calib, self._labels(session, expert.calib), r
+
+    @staticmethod
+    def _labels(session, calib, error=Pose3()):
+        anchored = dataclasses.replace(session, cross_node=error.compose(session.cross_node))
+        return assemble_dataset(anchored, calib, PipelineConfig(smoothing=False))
+
+    @staticmethod
+    def _assert_base_and_grip_kept(ds, clean):
+        assert ds.t.tobytes() == clean.t.tobytes()
+        assert ds.states[:, [0, 1, 2, 10]].tobytes() == clean.states[:, [0, 1, 2, 10]].tobytes()
+
+    @pytest.mark.parametrize("delta_deg", [0.3, 1.0, -3.0, 20.0])
+    def test_yaw_error(self, demo, delta_deg):
+        session, calib, clean, r = demo
+        delta = math.radians(delta_deg)
+        ds = self._labels(session, calib, Pose3(rot_z(delta), np.zeros(3)))
+        self._assert_base_and_grip_kept(ds, clean)
+        moved = np.linalg.norm(ds.states[:, 3:6] - clean.states[:, 3:6], axis=1)
+        assert np.max(np.abs(moved - 2.0 * abs(math.sin(delta / 2.0)) * r)) < 1e-12
+        turned = [geodesic_so3(a, b) for a, b in zip(ds.states[:, 6:10], clean.states[:, 6:10])]
+        assert np.max(np.abs(np.array(turned) - abs(delta))) < 1e-9
+
+    def test_translation_error(self, demo):
+        session, calib, clean, _ = demo
+        t = np.array([0.01, -0.02, 0.005])
+        ds = self._labels(session, calib, Pose3(translation=t))
+        self._assert_base_and_grip_kept(ds, clean)
+        moved = np.linalg.norm(ds.states[:, 3:6] - clean.states[:, 3:6], axis=1)
+        assert np.max(np.abs(moved - np.linalg.norm(t))) < 1e-12
+        assert np.max(np.abs(ds.states[:, 6:10] - clean.states[:, 6:10])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +675,7 @@ def _make_action_labels_loop(dataset):
     labels = np.empty((len(steps) - 1, 11))
     for i in range(len(steps) - 1):
         a, b = steps[i], steps[i + 1]
-        d = b.base.relative_to(a.base)
+        d = se2.relative_to(b.base, a.base)
         dq = quat_canonical(quat_mul(b.hand_rel.rotation, quat_conj(a.hand_rel.rotation)))
         labels[i, 0:3] = [d.x, d.y, d.theta]
         labels[i, 3:6] = b.hand_rel.translation - a.hand_rel.translation
@@ -653,7 +709,7 @@ def _integrate_labels_loop(base0, hand0, grip0, labels):
 def _step_columns(steps):
     return [
         np.array([s.t for s in steps]),
-        np.array([s.base.to_list() for s in steps]),
+        np.array([dataclasses.astuple(s.base) for s in steps]),
         np.array([s.hand_rel.to_list() for s in steps]),
         np.array([s.grip for s in steps]),
     ]

@@ -1,6 +1,8 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
-from mobman.report import _condition_axes, markdown_report
+from mobman.report import _condition_axes, markdown_report, write_report
 
 SIMULATE_NAMES = [
     "match_on_label_relative",
@@ -43,3 +45,13 @@ class TestAblationMatrix:
         names = ["control", "control_global", "baseline_off", "baseline_off_global"]
         md = markdown_report(_rows(names))
         assert "## Ablation matrix" not in md
+
+
+class TestSvgText:
+    NAMES = ["a<b&c", 'say "hi"', "x > y & z", "match_on_label_relative"]
+
+    def test_names_with_markup_characters_parse(self, tmp_path):
+        _, hist, counts = write_report(_rows(self.NAMES), tmp_path)
+        for path, labels in ((hist, self.NAMES), (counts, self.NAMES + ["rollbacks", "jitter"])):
+            texts = [t.text for t in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+            assert set(labels) <= set(texts)

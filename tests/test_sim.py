@@ -52,6 +52,8 @@ from mobman.sim import (
     save_expert_session,
 )
 
+import se2_reference as se2
+
 IDENT_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 # compare_conditions rows of the 2x2 matching x label-frame matrix (18 ms
@@ -480,7 +482,7 @@ class TestScriptedExpert:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         with pytest.raises(ValueError):
-            states[0, 0:3] = Pose2().to_list()
+            states[0, 0:3] = dataclasses.astuple(Pose2())
         with pytest.raises(dataclasses.FrozenInstanceError):
             ref.states = states.copy()
         world = a.world_hand
@@ -706,7 +708,7 @@ def _ref_slerp(q0, q1, s):
 
 def _ref_advance_state(s, row):
     return _RefState(
-        base=s.base.compose(Pose2(row[0], row[1], row[2])),
+        base=se2.compose(s.base, Pose2(row[0], row[1], row[2])),
         hand_pos=s.hand_pos + row[3:6],
         hand_rot=_ref_quat_canonical(_ref_quat_mul(row[6:10], s.hand_rot)),
         grip=float(row[10]),
@@ -1361,7 +1363,7 @@ class _PoseScript:
         """The three samplers' values at each time, in the state layout."""
         return np.array(
             [
-                [*self.base_at(t).to_list(), *self.hand_at(t).to_list(), self.grip_at(t)]
+                [*dataclasses.astuple(self.base_at(t)), *self.hand_at(t).to_list(), self.grip_at(t)]
                 for t in times
             ]
         )
@@ -1490,18 +1492,18 @@ class TestStateLayoutMatchesPoseCode:
     @settings(max_examples=300, deadline=None)
     @given(_coord, _coord, _wrapped, _coord, _coord, _wrapped, st.floats(-7.0, 7.0))
     def test_compose_floats(self, x, y, th, ox, oy, oth, goal_th):
-        want = Pose2.of_wrapped(x, y, th).compose(Pose2.of_wrapped(ox, oy, oth))
+        want = se2.compose(Pose2.of_wrapped(x, y, th), Pose2.of_wrapped(ox, oy, oth))
         got = compose_floats(x, y, th, ox, oy, oth)
-        assert [v.hex() for v in got] == [float(v).hex() for v in want.to_list()]
+        assert [v.hex() for v in got] == [float(v).hex() for v in dataclasses.astuple(want)]
         # the replay policy's inline composition of a reference base pose
         c, s = math.cos(th), math.sin(th)
         inline = (x + c * ox - s * oy, y + s * ox + c * oy, wrap_angle(th + oth))
         assert [v.hex() for v in got] == [v.hex() for v in inline]
         # a goal's heading need not be wrapped; Pose2 wrapped it
         goal = sim.GoalStage("g", base=(ox, oy, goal_th, 0.1, 0.1))
-        want = Pose2.of_wrapped(x, y, th).compose(Pose2(ox, oy, goal_th))
+        want = se2.compose(Pose2.of_wrapped(x, y, th), Pose2(ox, oy, goal_th))
         got = goal.base_in((x, y, th))
-        assert [v.hex() for v in got] == [float(v).hex() for v in want.to_list()]
+        assert [v.hex() for v in got] == [float(v).hex() for v in dataclasses.astuple(want)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 2.0))
@@ -1511,7 +1513,7 @@ class TestStateLayoutMatchesPoseCode:
         phi = want_rng.uniform(0.0, 2.0 * math.pi)
         want = Pose2(r * math.cos(phi), r * math.sin(phi), want_rng.uniform(-heading, heading))
         got = sim._disk_pose(rng, 0.3, heading)
-        assert [v.hex() for v in got] == [float(v).hex() for v in want.to_list()]
+        assert [v.hex() for v in got] == [float(v).hex() for v in dataclasses.astuple(want)]
 
     @settings(max_examples=200, deadline=None)
     @given(
