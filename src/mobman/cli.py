@@ -1,17 +1,22 @@
 """Command-line surface: anchor, process, train-toy, simulate, report, replay.
 
-Every command resolves its flags into a plain config dict, runs a pure
-function of that dict, and writes a run manifest next to its outputs. The
-replay command re-executes a manifest into a temporary directory and
-verifies that its inputs and regenerated outputs hash-match the recorded
-ones. Exit codes: 0 success, 1 domain rejection (filter/divergence/mismatch),
-2 usage error.
+Every command resolves its flags into a plain config dict and goes through
+one runner, _run. Before any work the runner checks the output path, checks
+each input path flag (metavar FILE or DIR) under the flag's name, and refuses
+an output that would change an input. It then runs the command's body, a
+function of the config and of the output paths that only reads, computes and
+writes, and builds the run manifest: the inputs by flag, then the outputs.
+The replay command reruns a manifest through the same runner into a
+temporary directory and verifies that its inputs and regenerated outputs
+hash-match the recorded ones. Exit codes: 0 success, 1 domain rejection
+(filter/divergence/mismatch), 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -87,44 +92,23 @@ class DomainError(Exception):
     pass
 
 
-def _require_file(path, what: str) -> Path:
+def _require_path(path, what: str, is_dir: bool = False) -> Path:
+    """Usage error naming what and path unless path is a directory (is_dir)
+    or a file."""
     p = Path(path)
     if not p.exists():
         raise UsageError(f"{what} not found: {p}")
-    if p.is_dir():
-        raise UsageError(f"{what} is a directory: {p}")
+    if p.is_dir() != is_dir:
+        raise UsageError(f"{what} is {'not ' if is_dir else ''}a directory: {p}")
     return p
 
 
-def _require_dir(path, what: str) -> Path:
-    p = Path(path)
-    if not p.is_dir():
-        raise UsageError(f"{what} is not a directory: {p}")
-    return p
-
-
-def _manifest_path(output, is_dir: bool) -> Path:
-    """Where main saves the manifest of a command whose output is a directory
-    (is_dir) or a file: inside the directory, or beside the file."""
-    p = Path(output)
-    return p / "manifest.json" if is_dir else p.with_suffix(".manifest.json")
-
-
-# The files each command writes into its --output directory, by these names;
-# _require_output checks each before the command does any work.
-_OUTPUT_FILES = {
-    "process": ("dataset.jsonl", "filter_report.json"),
-    "train-toy": ("model.json", "curve.csv"),
-    "simulate": ("metrics.csv", "aggregate.json"),
-    "report": REPORT_FILES,
-}
-
-
-def _require_output(path, files: tuple[str, ...] | None = None) -> Path:
-    """Usage error naming path unless a file (files None) or a directory that
-    will hold `files` can be written there: an existing path of the other
-    kind, one under a file, or a directory where the directory's files or the
-    manifest that main saves with the output go."""
+def _require_output(path, files: tuple[str, ...] | None) -> tuple[list[Path], Path]:
+    """The files written at output path, a file (files None) or a directory
+    holding `files`, and the manifest saved with them, inside the directory or
+    beside the file. Usage error naming path unless all can be written: an
+    existing path of the other kind, one under a file, or a directory where
+    one of the files goes."""
     p = Path(path)
     is_dir = files is not None
     nearest = next(q for q in (p, *p.parents) if q.exists())
@@ -132,10 +116,12 @@ def _require_output(path, files: tuple[str, ...] | None = None) -> Path:
         raise UsageError(f"output {p} lies under {nearest}, which is not a directory")
     if nearest == p and p.is_dir() != is_dir:
         raise UsageError(f"output {p} is {'not ' if is_dir else ''}a directory")
-    for q in (*(p / name for name in files or ()), _manifest_path(p, is_dir)):
+    written = [p / name for name in files] if is_dir else [p]
+    manifest = p / "manifest.json" if is_dir else p.with_suffix(".manifest.json")
+    for q in (*written, manifest):
         if q.is_dir():
             raise UsageError(f"output file {q} is a directory")
-    return p
+    return written, manifest
 
 
 def _check_flag(cfg: dict, name: str, ok, rule: str) -> None:
@@ -149,12 +135,11 @@ def _check_flag(cfg: dict, name: str, ok, rule: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_anchor(cfg: dict) -> RunManifest:
-    _require_output(cfg["output"])
+def cmd_anchor(cfg: dict, anchor_path: Path) -> None:
     _check_flag(cfg, "cov_threshold", _finite_nonnegative, "finite and >= 0")
-    trajs = load_trajectories(_require_file(cfg["trajectories"], "trajectory file"))
-    dets = load_detections(_require_file(cfg["detections"], "detection file"))
-    exts = load_extrinsics(_require_file(cfg["extrinsics"], "extrinsics file"))
+    trajs = load_trajectories(cfg["trajectories"])
+    dets = load_detections(cfg["detections"])
+    exts = load_extrinsics(cfg["extrinsics"])
     for node in (CHEST, HAND):
         if node not in trajs:
             raise UsageError(f"trajectory stream for node {node!r} missing")
@@ -177,17 +162,12 @@ def cmd_anchor(cfg: dict) -> RunManifest:
         "anchors": {n: anchor_result_to_dict(r) for n, r in results.items()},
         "cross_node": cross.to_list(),
     }
-    write_json(cfg["output"], out)
+    write_json(anchor_path, out)
     for n, r in results.items():
         print(
             f"{n}: {r.detection_count} detections, residual RMS "
             f"{r.position_rms * 1e3:.2f} mm / {np.degrees(r.rotation_rms):.3f} deg"
         )
-    man = RunManifest("anchor", cfg, seed=0)
-    for label in ("trajectories", "detections", "extrinsics"):
-        man.add_input(label, cfg[label])
-    man.add_output(cfg["output"])
-    return man
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +176,11 @@ def cmd_anchor(cfg: dict) -> RunManifest:
 
 
 def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
-    trajs = load_trajectories(_require_file(raw_dir / "trajectories.jsonl", "trajectories"))
+    trajs = load_trajectories(_require_path(raw_dir / "trajectories.jsonl", "trajectories"))
     for node in (CHEST, HAND):
         if node not in trajs:
             raise UsageError(f"trajectory stream for node {node!r} missing")
-    markers_path = _require_file(raw_dir / "markers.jsonl", "marker stream")
+    markers_path = _require_path(raw_dir / "markers.jsonl", "marker stream")
     markers = list(read_jsonl(markers_path))
     if not markers:
         raise DomainError("marker stream is empty")
@@ -226,44 +206,29 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
     )
 
 
-def cmd_process(cfg: dict) -> RunManifest:
-    out_dir = _require_output(cfg["output"], _OUTPUT_FILES["process"])
-    raw_dir = _require_dir(cfg["raw"], "raw session directory")
-    anchor_path = _require_file(cfg["anchor"], "anchor file")
-    anchor_doc = read_json(anchor_path)
-    with fields_of(anchor_path):
+def cmd_process(cfg: dict, dataset_path: Path, report_path: Path) -> None:
+    anchor_doc = read_json(cfg["anchor"])
+    with fields_of(cfg["anchor"]):
         cross = Pose3.from_list(anchor_doc["cross_node"])
     calib = DEFAULT_CALIB
     if cfg["calib"]:
-        calib_path = _require_file(cfg["calib"], "calibration file")
-        cal_doc = read_json(calib_path)
-        with fields_of(calib_path):
+        cal_doc = read_json(cfg["calib"])
+        with fields_of(cfg["calib"]):
             d = finite_numbers((cal_doc["d_closed"], cal_doc["d_open"]), "calibration")
             calib = GripperCalib(*d.tolist())
-    session = _load_raw_session(raw_dir, cross)
+    session = _load_raw_session(Path(cfg["raw"]), cross)
     pipe_cfg = PipelineConfig(smoothing=cfg["smoothing"])
     try:
         dataset = assemble_dataset(session, calib, pipe_cfg)
     except (PipelineError, TimestampError, DegeneratePitchError) as exc:
         raise DomainError(str(exc)) from exc
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset_path, report_path = (out_dir / name for name in _OUTPUT_FILES["process"])
     save_dataset(dataset_path, dataset)
     write_json(report_path, dataset.filter_report.to_dict())
     bases = [Pose2.of_wrapped(*b) for b in dataset.states[:, :3].tolist()]
     _, residuals = project_nonholonomic(bases, dt=0.1)
     q99 = lateral_quantile(residuals)
     print(f"{len(dataset)} steps, lateral q0.99 = {q99:.4f} m/s")
-
-    man = RunManifest("process", cfg, seed=0)
-    man.add_input("raw", raw_dir)
-    man.add_input("anchor", cfg["anchor"])
-    if cfg["calib"]:
-        man.add_input("calib", cfg["calib"])
-    man.add_output(dataset_path)
-    man.add_output(report_path)
-    return man
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +244,10 @@ def _dataset_to_pairs(dataset) -> tuple[np.ndarray, np.ndarray]:
     return obs_to_condition(dataset.states[:-1], prev, ()), labels
 
 
-def cmd_train_toy(cfg: dict) -> RunManifest:
-    out_dir = _require_output(cfg["output"], _OUTPUT_FILES["train-toy"])
+def cmd_train_toy(cfg: dict, ckpt: Path, curve_path: Path) -> None:
     _check_flag(cfg, "steps", lambda v: v >= 1, "at least 1")
     _check_flag(cfg, "seed", lambda v: v >= 0, ">= 0")
-    dataset = load_dataset(_require_file(cfg["dataset"], "dataset file"))
+    dataset = load_dataset(cfg["dataset"])
     if len(dataset) < 2:
         raise UsageError("dataset too small to form training pairs")
     conds, a0s = _dataset_to_pairs(dataset)
@@ -293,8 +257,6 @@ def cmd_train_toy(cfg: dict) -> RunManifest:
     except TrainingDivergedError as exc:
         raise DomainError(f"training diverged: {exc}") from exc
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt, curve_path = (out_dir / name for name in _OUTPUT_FILES["train-toy"])
     save_checkpoint(ckpt, model, sched)
     with open(curve_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -302,12 +264,6 @@ def cmd_train_toy(cfg: dict) -> RunManifest:
         for i, loss in enumerate(curve):
             w.writerow([i, f"{loss:.6e}"])
     print(f"final loss {curve[-1]:.4e} over {len(curve)} steps")
-
-    man = RunManifest("train-toy", cfg, seed=cfg["seed"])
-    man.add_input("dataset", cfg["dataset"])
-    man.add_output(ckpt)
-    man.add_output(curve_path)
-    return man
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +310,12 @@ class DiffusionReplayPolicy:
         )
 
 
-def cmd_simulate(cfg: dict) -> RunManifest:
-    out_dir = _require_output(cfg["output"], _OUTPUT_FILES["simulate"])
+# The --policy words that name a built-in policy, not a checkpoint file, and
+# the policy factory of each (None replays the scripted expert).
+_POLICY_WORDS = {"replay": None, "cruise": lambda trial_seed: CruisePolicy()}
+
+
+def cmd_simulate(cfg: dict, metrics_path: Path, aggregate_path: Path) -> None:
     if cfg["scenario"] not in SCENARIO_NAMES:
         raise UsageError(
             f"unknown scenario {cfg['scenario']!r}; choose from {', '.join(SCENARIO_NAMES)}"
@@ -365,21 +325,18 @@ def cmd_simulate(cfg: dict) -> RunManifest:
     for flag in ("latency_ms", "jitter_ms"):
         _check_flag(cfg, flag, _finite_nonnegative, "finite and >= 0")
     source = cfg["policy"]
-    if source == "replay":
-        make_policy = None
-    elif source == "cruise":
-        make_policy = lambda trial_seed: CruisePolicy()
+    if source in _POLICY_WORDS:
+        make_policy = _POLICY_WORDS[source]
     else:
-        path = _require_file(source, "policy checkpoint")
-        model, sched = load_checkpoint(path)
+        model, sched = load_checkpoint(source)
         if sched.K < DEFAULT_DDIM_STEPS:
             raise MalformedInputError(
-                path, f"schedule K {sched.K} is below the sampler's {DEFAULT_DDIM_STEPS} steps"
+                source, f"schedule K {sched.K} is below the sampler's {DEFAULT_DDIM_STEPS} steps"
             )
         dims = (model.input_dim, model.cond_dim)
         need = (ACTION_DIM, COND_DIM)
         if dims != need:
-            raise MalformedInputError(path, f"(input_dim, cond_dim) is {dims}, the policy needs {need}")
+            raise MalformedInputError(source, f"(input_dim, cond_dim) is {dims}, the policy needs {need}")
         make_policy = lambda trial_seed: DiffusionReplayPolicy(model, sched, seed=trial_seed)
     cond = Condition(
         name=f"match_{'on' if cfg['matching'] else 'off'}_label_{cfg['label']}",
@@ -401,8 +358,7 @@ def cmd_simulate(cfg: dict) -> RunManifest:
     except NonFiniteChunkError as exc:
         raise DomainError(f"policy {source}: {exc}") from exc
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path, aggregate_path = (out_dir / name for name in _OUTPUT_FILES["simulate"])
+    metrics_path.parent.mkdir(parents=True, exist_ok=True)
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
@@ -415,45 +371,33 @@ def cmd_simulate(cfg: dict) -> RunManifest:
         f"i* {a['i_star_mean']}"
     )
 
-    man = RunManifest("simulate", cfg, seed=cfg["seed"])
-    if cfg["policy"] not in ("replay", "cruise"):
-        man.add_input("policy", cfg["policy"])
-    man.add_output(metrics_path)
-    man.add_output(aggregate_path)
-    return man
-
 
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
 
 
-def cmd_report(cfg: dict) -> RunManifest:
-    _require_output(cfg["output"], _OUTPUT_FILES["report"])
-    paths = [_require_file(p, "metrics file") for p in cfg["metrics"]]
-    rows = load_metrics(paths)
+def cmd_report(cfg: dict, *paths: Path) -> None:
+    rows = load_metrics(cfg["metrics"])
     if not rows:
         raise DomainError("metrics files contain no episodes")
-    written = write_report(rows, cfg["output"], title=cfg["title"])
-    print(f"wrote {', '.join(str(p) for p in written)}")
-    man = RunManifest("report", cfg, seed=0)
-    for i, p in enumerate(paths):
-        man.add_input(f"metrics_{i}", p)
-    for p in written:
-        man.add_output(p)
-    return man
+    write_report(rows, cfg["output"], title=cfg["title"])
+    print(f"wrote {', '.join(map(str, paths))}")
 
 
 # ---------------------------------------------------------------------------
-# replay
+# the runner
 # ---------------------------------------------------------------------------
 
+# command -> (body, the names of the files it writes into its --output
+# directory, or None where --output is the one file it writes); the runner
+# calls body(cfg, *the paths of those files).
 _COMMANDS = {
-    "anchor": cmd_anchor,
-    "process": cmd_process,
-    "train-toy": cmd_train_toy,
-    "simulate": cmd_simulate,
-    "report": cmd_report,
+    "anchor": (cmd_anchor, None),
+    "process": (cmd_process, ("dataset.jsonl", "filter_report.json")),
+    "train-toy": (cmd_train_toy, ("model.json", "curve.csv")),
+    "simulate": (cmd_simulate, ("metrics.csv", "aggregate.json")),
+    "report": (cmd_report, REPORT_FILES),
 }
 
 
@@ -461,6 +405,48 @@ def _flag_actions(command: str) -> list[argparse.Action]:
     """The parser actions of a command's flags, one per config key."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return [a for a in sub.choices[command]._actions if a.dest != "help"]
+
+
+def _run(command: str, cfg: dict) -> tuple[RunManifest, Path]:
+    """Run a command on cfg; return its manifest and the path to save it at.
+
+    Before any work: the output is checked; so is every other FILE or DIR
+    flag's path, under the flag's name, unless it is a --policy word or the
+    empty value of an optional flag without a default; and no written file,
+    the manifest included, may be an input or lie in an input directory
+    (compared as absolute paths, links unresolved). The manifest records each
+    input under its flag's dest (dest_i for the i-th file of a flag that
+    takes several), then the outputs in the table's order."""
+    body, files = _COMMANDS[command]
+    written, manifest_path = _require_output(cfg["output"], files)
+    inputs = []  # (label, flag, path)
+    for a in _flag_actions(command):
+        if a.metavar not in ("FILE", "DIR") or a.dest == "output":
+            continue
+        flag, several = a.option_strings[0], a.nargs == "+"
+        unset = (None, "") if a.default is None and not a.required else ()
+        for i, path in enumerate(cfg[a.dest] if several else [cfg[a.dest]]):
+            if path not in unset and not (a.dest == "policy" and path in _POLICY_WORDS):
+                _require_path(path, flag, is_dir=a.metavar == "DIR")
+                inputs.append((f"{a.dest}_{i}" if several else a.dest, flag, path))
+    # w is path or lies in it when w's separator-ended form starts with path's
+    ended = lambda p: os.path.join(os.path.abspath(p), "")
+    for w in (*written, manifest_path):
+        for _, flag, path in inputs:
+            if ended(w).startswith(ended(path)):
+                raise UsageError(f"output {w} would change input {flag} {path}")
+    body(cfg, *written)
+    man = RunManifest(command, cfg, seed=cfg.get("seed", 0))
+    for label, _, path in inputs:
+        man.add_input(label, path)
+    for w in written:
+        man.add_output(w)
+    return man, manifest_path
+
+
+# ---------------------------------------------------------------------------
+# replay
+# ---------------------------------------------------------------------------
 
 
 def _fits_flag(command: str, action: argparse.Action, value) -> bool:
@@ -494,8 +480,8 @@ def _machine() -> str:
     )
 
 
-def cmd_replay(cfg: dict) -> RunManifest:
-    manifest_path = _require_file(cfg["manifest"], "manifest")
+def cmd_replay(cfg: dict) -> None:
+    manifest_path = _require_path(cfg["manifest"], "--manifest")
     recorded = RunManifest.load(manifest_path)
     if recorded.command not in _COMMANDS:
         raise UsageError(f"manifest records unknown command {recorded.command!r}")
@@ -524,7 +510,7 @@ def cmd_replay(cfg: dict) -> RunManifest:
     # only one side has is a mismatch too
     with tempfile.TemporaryDirectory() as tmp:
         rerun = Path(tmp) / "output"
-        man = _COMMANDS[recorded.command]({**recorded.config, "output": str(rerun)})
+        man, _ = _run(recorded.command, {**recorded.config, "output": str(rerun)})
     changed = sorted(_differing(recorded.inputs, man.inputs))
     if changed:
         raise DomainError("replay inputs differ from manifest: " + ", ".join(changed))
@@ -536,7 +522,6 @@ def cmd_replay(cfg: dict) -> RunManifest:
             f"replay outputs differ from manifest: {', '.join(mismatched)} ({_machine()})"
         )
     print(f"replay of {recorded.command!r} reproduced {len(man.outputs)} outputs")
-    return man
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +606,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _args_to_config(args)
         if args.command == "replay":
-            man = cmd_replay(cfg)
+            cmd_replay(cfg)
         else:
-            man = _COMMANDS[args.command](cfg)
-            base = Path(cfg["output"])
-            man.save(_manifest_path(base, base.is_dir()))
+            man, manifest_path = _run(args.command, cfg)
+            man.save(manifest_path)
     except (UsageError, MalformedInputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -410,7 +410,8 @@ def save_dataset(path, dataset: DemoDataset) -> None:
 
 def load_dataset(path) -> DemoDataset:
     """A save_dataset file, read a column at a time, its headings wrapped and
-    quaternions canonicalised as the Pose2 and Pose3 constructors do."""
+    quaternions canonicalised as the Pose2 and Pose3 constructors do; a grip
+    outside [0, 1], the range process clamps it to, is a MalformedInputError."""
     t, base, hand, grip = [], [], [], []
     with fields_of(path):
         for rec in read_jsonl(path):
@@ -419,6 +420,9 @@ def load_dataset(path) -> DemoDataset:
             hand.append(rec["hand_rel"])
             grip.append(rec["grip"])
         t, grip = finite_numbers(t, "dataset t"), finite_numbers(grip, "dataset grip")
+        outside = grip[(grip < 0.0) | (grip > 1.0)]
+        if len(outside):
+            raise ValueError(f"dataset grip value {outside[0]} is outside [0, 1]")
         base, hand = finite_rows(base, 3, "dataset base"), finite_rows(hand, 7, "dataset hand_rel")
         # a contiguous copy: the norms of a strided view can round differently
         quat = quat_canonical_rows(hand[:, 3:].copy())

@@ -401,7 +401,7 @@ class TestProcessDigests:
         ]
         assert main(argv) == EXIT_OK
         digests = [file_sha256(anchors)]
-        for name, extra in (("smooth", []), ("raw", ["--no-smoothing"])):
+        for name, extra in (("smooth", []), ("unsmoothed", ["--no-smoothing"])):
             out = tmp_path / name
             argv = ["process", "--raw", str(raw), "--anchor", str(anchors), "--output", str(out)]
             assert main([*argv, *extra]) == EXIT_OK
@@ -1174,6 +1174,21 @@ class TestMalformedInput:
         assert err == [f"usage error: {ds}: non-finite dataset {field} value nan"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("grip", [1.5, -0.25, 1e300])
+    def test_grip_outside_unit_interval_is_usage_error(self, grip, processed, tmp_path, capsys):
+        # process clamps grip to [0, 1]; a dataset outside it was written elsewhere
+        lines = (processed / "dataset.jsonl").read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), "grip": grip})
+        ds = tmp_path / "dataset.jsonl"
+        ds.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m"
+        capsys.readouterr()
+        argv = ["train-toy", "--dataset", str(ds), "--steps", "3", "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: {ds}: dataset grip value {grip!r} is outside [0, 1]"]
+        assert not out.exists()
+
 
 class TestParserReuse:
     """cli.main builds its parser once per process; every call still parses
@@ -1522,6 +1537,201 @@ class TestPathKinds:
             assert main(argv) == EXIT_USAGE, argv
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("usage error: ") and str(path) in err[0]
+
+
+    @pytest.mark.parametrize(
+        "command, flag", [case[:2] for case in _path_flags() if case[1] != "--output"]
+    )
+    def test_missing_input_names_flag(self, command, flag, argvs, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x"
+        argv = list(argvs[command])
+        if flag not in argv:
+            argv += [flag, ""]
+        i = argv.index(flag) + 1
+        # of two --metrics files, the second is missing
+        argv[i : i + 1] = [argv[i], str(missing)] if flag == "--metrics" else [str(missing)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"usage error: {flag} not found: {missing}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag", [case[:2] for case in _path_flags() if case[1] not in ("--output", "--calib")]
+    )
+    def test_empty_input_is_usage_error(self, command, flag, argvs, tmp_path, capsys):
+        # an empty path names the working directory, which no input flag takes
+        argv = list(argvs[command])
+        if flag not in argv:
+            argv += [flag, ""]
+        argv[argv.index(flag) + 1] = ""
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_calib_uses_default(self, argvs, processed, tmp_path):
+        # an empty --calib reads as no calibration file, and records no input
+        argv = list(argvs["process"])
+        argv[argv.index("--calib") + 1] = ""
+        assert main(argv) == EXIT_OK
+        out = tmp_path / "out"
+        assert sorted(read_json(out / "manifest.json")["inputs"]) == ["anchor", "raw"]
+        assert (out / "dataset.jsonl").read_bytes() == (processed / "dataset.jsonl").read_bytes()
+
+
+class TestManifestRecords:
+    """Each command's manifest records its inputs under their flags' names,
+    its outputs in the order it writes them, and its seed."""
+
+    def test_labels_outputs_and_seed(
+        self, raw_session, anchored, processed, tmp_path, monkeypatch, capsys
+    ):
+        raw, _ = raw_session
+        calib = tmp_path / "calib.json"
+        calib.write_text(json.dumps({"d_closed": 0.01, "d_open": 0.09}))
+        a, p, pc, m, r = (tmp_path / name for name in ("a.json", "p", "pc", "m", "r"))
+        sims = [tmp_path / name for name in ("replay", "cruise", "ckpt")]
+        process = ["process", "--raw", str(raw), "--anchor", str(anchored)]
+        # (argv, manifest path, input labels, output paths in order, seed)
+        cases = [
+            (
+                [
+                    "anchor",
+                    "--trajectories", str(raw / "trajectories.jsonl"),
+                    "--detections", str(raw / "detections.jsonl"),
+                    "--extrinsics", str(raw / "extrinsics.json"),
+                    "--output", str(a),
+                ],
+                tmp_path / "a.manifest.json", ["trajectories", "detections", "extrinsics"], [a], 0,
+            ),
+            (
+                [*process, "--output", str(p)],
+                p / "manifest.json", ["raw", "anchor"],
+                [p / "dataset.jsonl", p / "filter_report.json"], 0,
+            ),
+            (
+                [*process, "--calib", str(calib), "--output", str(pc)],
+                pc / "manifest.json", ["raw", "anchor", "calib"],
+                [pc / "dataset.jsonl", pc / "filter_report.json"], 0,
+            ),
+            (
+                [
+                    "train-toy", "--dataset", str(processed / "dataset.jsonl"), "--steps", "2",
+                    "--seed", "3", "--output", str(m),
+                ],
+                m / "manifest.json", ["dataset"], [m / "model.json", m / "curve.csv"], 3,
+            ),
+            *(
+                (
+                    ["simulate", "--policy", policy, "--trials", "1", "--seed", str(seed)]
+                    + ["--output", str(sim)],
+                    sim / "manifest.json", labels,
+                    [sim / "metrics.csv", sim / "aggregate.json"], seed,
+                )
+                for policy, labels, seed, sim in zip(
+                    ("replay", "cruise", str(m / "model.json")),
+                    ([], [], ["policy"]),
+                    (4, 5, 6),
+                    sims,
+                )
+            ),
+            (
+                ["report", "--metrics", str(sims[0] / "metrics.csv"), str(sims[1] / "metrics.csv"),
+                 "--output", str(r)],
+                r / "manifest.json", ["metrics_0", "metrics_1"],
+                [r / "report.md", r / "i_star_hist.svg", r / "event_counts.svg"], 0,
+            ),
+        ]
+        saved, save = [], RunManifest.save
+
+        def recording_save(man, path):
+            saved.append((man, Path(path)))
+            save(man, path)
+
+        monkeypatch.setattr(RunManifest, "save", recording_save)
+        for argv, man_path, labels, outputs, seed in cases:
+            assert main(argv) == EXIT_OK, argv
+            man, path = saved.pop()
+            assert (man.command, path, list(man.inputs)) == (argv[0], man_path, labels)
+            assert list(man.outputs) == [str(o) for o in outputs]
+            assert man.seed == seed
+            assert RunManifest.load(man_path) == man
+        assert man.inputs["metrics_1"] == {"metrics.csv": file_sha256(sims[1] / "metrics.csv")}
+        # an edit to the second metrics file makes the report's replay fail, naming it
+        with open(sims[1] / "metrics.csv", "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(r / "manifest.json")]) == EXIT_REJECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["rejected: replay inputs differ from manifest: metrics_1"]
+
+
+class TestOutputOverwritesInput:
+    """An output, or the manifest saved with it, that would overwrite an input
+    file or land in an input directory is a one-line usage error naming both,
+    before any work: the inputs keep their bytes and nothing is written."""
+
+    @staticmethod
+    def _contents(root: Path) -> dict:
+        return {str(f): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+    def _assert_refused(self, argv, raw, written, capsys):
+        before = self._contents(raw)
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert all(str(p) in err[0] for p in written)
+        assert self._contents(raw) == before
+
+    def test_anchor_output_is_its_detections(self, raw_session, tmp_path, capsys):
+        raw = shutil.copytree(raw_session[0], tmp_path / "raw")
+        detections = raw / "detections.jsonl"
+        argv = [
+            "anchor",
+            "--trajectories", str(raw / "trajectories.jsonl"),
+            "--detections", str(detections),
+            "--extrinsics", str(raw / "extrinsics.json"),
+            "--output", str(detections),
+        ]
+        self._assert_refused(argv, raw, [detections], capsys)
+
+    def test_process_output_is_its_raw_directory(self, raw_session, anchored, tmp_path, capsys):
+        raw = shutil.copytree(raw_session[0], tmp_path / "raw")
+        argv = ["process", "--raw", str(raw), "--anchor", str(anchored), "--output", str(raw)]
+        self._assert_refused(argv, raw, [raw / "dataset.jsonl", raw], capsys)
+
+    def test_relative_spelling_is_the_same_path(
+        self, raw_session, anchored, tmp_path, capsys, monkeypatch
+    ):
+        raw = shutil.copytree(raw_session[0], tmp_path / "raw")
+        monkeypatch.chdir(tmp_path)
+        argv = ["process", "--raw", "raw", "--anchor", str(anchored), "--output", "./raw/../raw/"]
+        self._assert_refused(argv, raw, ["raw/../raw/dataset.jsonl", "--raw raw"], capsys)
+
+    def test_manifest_is_an_input(self, raw_session, tmp_path, capsys):
+        # anchor saves its manifest beside its output: here, over --extrinsics
+        raw = shutil.copytree(raw_session[0], tmp_path / "raw")
+        extrinsics = (raw / "extrinsics.json").rename(raw / "a.manifest.json")
+        argv = [
+            "anchor",
+            "--trajectories", str(raw / "trajectories.jsonl"),
+            "--detections", str(raw / "detections.jsonl"),
+            "--extrinsics", str(extrinsics),
+            "--output", str(raw / "a.json"),
+        ]
+        self._assert_refused(argv, raw, [extrinsics], capsys)
+
+    def test_input_in_the_output_directory_is_kept(self, tmp_path):
+        # report writes beside the metrics file it reads, and leaves it as it was
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--trials", "1", "--output", str(sim)]) == EXIT_OK
+        metrics = (sim / "metrics.csv").read_bytes()
+        assert main(["report", "--metrics", str(sim / "metrics.csv"), "--output", str(sim)]) == EXIT_OK
+        assert (sim / "metrics.csv").read_bytes() == metrics
+        assert main(["replay", "--manifest", str(sim / "manifest.json")]) == EXIT_OK
 
 
 class TestReplayCommand:

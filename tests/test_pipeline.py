@@ -779,9 +779,11 @@ class TestRowPassesMatchStepLoops:
     @settings(max_examples=40, deadline=None)
     @given(seed=_seeds, n=st.integers(0, 30))
     def test_load_dataset(self, seed, n, tmp_path_factory):
-        # headings outside (-pi, pi] and quaternions of any norm and sign
+        # headings outside (-pi, pi] and quaternions of any norm and sign; grips
+        # in [0, 1], the only ones load_dataset accepts
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(n, 12)) * rng.choice([1e-3, 1.0, 10.0], size=(n, 12))
+        rows[:, 11] = rng.random(n)
         path = tmp_path_factory.mktemp("dataset") / "dataset.jsonl"
         write_jsonl(
             path,

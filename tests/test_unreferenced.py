@@ -52,8 +52,9 @@ NEVER_RUN = {
     "diffusion.train_regression": "the mean-regression control of criterion 5d",
     "diffusion.train_regression.zeroed": "train_regression's batch, for criterion 5d",
     "diffusion.TrainingDivergedError.__init__": (
-        "error path: no finite dataset makes a 20-step loss non-finite, as Adam's "
-        "moments saturate first; tests/test_diffusion.py raises it"
+        "error path: load_dataset keeps grip in [0, 1], and no dataset it accepts is "
+        "known to make a 20-step loss non-finite (a base x of 1e300 or 1e308 overflows "
+        "Adam's second moment, yet the loss stays finite); tests/test_diffusion.py raises it"
     ),
     "pipeline.DemoDataset.steps": "criteria 3 and 4 read demo rows as pose records",
     "pipeline.integrate_labels": "the label round trip of benchmarks/workloads.py",
