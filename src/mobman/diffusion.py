@@ -33,8 +33,8 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, step: int):
-        super().__init__(f"loss became non-finite at step {step}")
+    def __init__(self, step: int, reason: str = "loss became non-finite at"):
+        super().__init__(f"{reason} step {step}")
         self.step = step
 
 
@@ -118,6 +118,9 @@ class ToyDenoiser:
     temb_dim: int = 32
     params: dict = field(default_factory=dict)
     ema: dict = field(default_factory=dict)
+    # sinusoidal_embedding(arange(DEFAULT_K + 1), kemb_dim), built on first use
+    # (see _step_features)
+    _kfeat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def init_params(self, rng: np.random.Generator) -> None:
         """Zero biases and FiLM weights; normal weights of scale 1/sqrt(fan-in),
@@ -151,9 +154,23 @@ class ToyDenoiser:
 
     # -- forward ------------------------------------------------------------
 
+    def _step_features(self, k):
+        """sinusoidal_embedding(k, kemb_dim), bit for bit.
+
+        Steps 0..DEFAULT_K are rows of a table memoised on the model: row k of
+        one call over all of them has the bits of row k of any batch's call.
+        Other steps are embedded directly.
+        """
+        k = np.atleast_1d(np.asarray(k))
+        if self._kfeat is None:
+            self._kfeat = sinusoidal_embedding(np.arange(DEFAULT_K + 1), self.kemb_dim)
+        if k.dtype.kind in "iu" and np.all((k >= 0) & (k <= DEFAULT_K)):
+            return self._kfeat[k]
+        return sinusoidal_embedding(k, self.kemb_dim)
+
     def _step_embedding(self, params, k):
         """(kfeat, t1, temb): sinusoidal features, hidden layer and embedding of steps k."""
-        kfeat = sinusoidal_embedding(k, self.kemb_dim)
+        kfeat = self._step_features(k)
         t1 = np.tanh(kfeat @ params["Wk1"] + params["bk1"])
         return kfeat, t1, t1 @ params["Wk2"] + params["bk2"]
 
@@ -167,86 +184,115 @@ class ToyDenoiser:
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
         _check_finite(params)
         kfeat, t1, temb = self._step_embedding(params, k)
-        out, cache = self._film_mlp(params, x, cond, temb)
-        return out, (x, cond, kfeat, t1) + cache
+        c, f = self._film(params, cond, temb)
+        out, cache = self._trunk(params, x, f)
+        return out, (x, kfeat, t1, c, f) + cache
 
-    def _film_mlp(self, params, x, cond, temb):
-        """Output for the 2-D float batch x under cond and step embedding temb, and its cache."""
+    def _film(self, params, cond, temb):
+        """(c, f): the FiLM input [cond, temb] and its (gamma1, beta1, gamma2,
+        beta2) blocks, each hidden wide, with gamma = 1 + raw.
+
+        temb may carry leading axes that cond lacks, such as a stack of steps;
+        cond is then the same in every stack entry. numpy multiplies each
+        stack entry by Wf with its own BLAS call, so every entry has the bits
+        of a call on that entry alone.
+        """
+        H, C = self.hidden, cond.shape[-1]
+        c = np.empty((*temb.shape[:-1], C + temb.shape[-1]))
+        c[..., :C] = cond
+        c[..., C:] = temb
+        f = c @ params["Wf"]
+        f += params["bf"]
+        f.reshape(*f.shape[:-1], 2, 2 * H)[..., :H] += 1.0
+        return c, f
+
+    def _trunk(self, params, x, f):
+        """Output for the 2-D float batch x under the FiLM blocks f of _film,
+        and (h1, a1, h2, a2)."""
         H = self.hidden
-        c = np.concatenate([cond, temb], axis=1)
-        f = c @ params["Wf"] + params["bf"]
-        g1, be1, g2, be2 = (
-            1.0 + f[:, :H],
-            f[:, H : 2 * H],
-            1.0 + f[:, 2 * H : 3 * H],
-            f[:, 3 * H :],
-        )
-        h1 = np.tanh(x @ params["W1"] + params["b1"])
-        a1 = g1 * h1 + be1
-        h2 = np.tanh(a1 @ params["W2"] + params["b2"])
-        a2 = g2 * h2 + be2
-        out = a2 @ params["W3"] + params["b3"]
-        return out, (c, g1, g2, h1, a1, h2, a2)
+        h1 = x @ params["W1"]
+        h1 += params["b1"]
+        np.tanh(h1, out=h1)
+        a1 = f[:, :H] * h1
+        a1 += f[:, H : 2 * H]
+        h2 = a1 @ params["W2"]
+        h2 += params["b2"]
+        np.tanh(h2, out=h2)
+        a2 = f[:, 2 * H : 3 * H] * h2
+        a2 += f[:, 3 * H :]
+        out = a2 @ params["W3"]
+        out += params["b3"]
+        return out, (h1, a1, h2, a2)
 
     def forward(self, x, k, cond, use_ema: bool = False, frozen: tuple | None = None) -> np.ndarray:
         """Predicted noise for batch x at steps k (one per row) under cond.
 
         Reads the EMA weights if use_ema, else the training weights, and checks
         them for finiteness on every call. model_eps_fn passes `frozen`, a pair
-        of weights it has checked and the embedding of k under them, which
-        replaces both; x and cond are then the 2-D float arrays that
-        ddim_sample passes.
+        of weights it has checked and the FiLM blocks (see _film) of cond and
+        k under them, which replaces all three; x is then the 2-D float array
+        that ddim_sample passes.
         """
         if frozen is not None:
-            weights, temb = frozen
-            return self._film_mlp(weights, x, cond, temb)[0]
+            weights, f = frozen
+            return self._trunk(weights, x, f)[0]
         out, _ = self._forward(self.ema if use_ema else self.params, x, k, cond)
         return out
 
     # -- backward -----------------------------------------------------------
 
-    def loss_and_grads(self, x, k, cond, eps_target):
-        """MSE loss against eps_target and its exact gradients w.r.t. params."""
+    def loss_and_grads(self, x, k, cond, eps_target, grads_out: dict | None = None):
+        """MSE loss against eps_target and its exact gradients w.r.t. params.
+
+        The gradients are written into grads_out, a dict of arrays of the
+        params' shapes by name, when it is given (and into new arrays when
+        not); the dict is returned.
+        """
         p = self.params
         out, cache = self._forward(p, x, k, cond)
         eps_target = np.atleast_2d(np.asarray(eps_target, dtype=float))
         if out.shape != eps_target.shape:
             raise ValueError(f"shape mismatch: {out.shape} vs {eps_target.shape}")
-        x2, cond2, kfeat, t1, c, g1, g2, h1, a1, h2, a2 = cache
+        x2, kfeat, t1, c, f, h1, a1, h2, a2 = cache
         H = self.hidden
+        if grads_out is None:
+            grads_out = {name: np.empty(shape) for name, shape in self.param_shapes().items()}
+        g = grads_out
         n = out.size
-        loss = float(np.sum((out - eps_target) ** 2) / n)
+        dout = out
+        dout -= eps_target
+        loss = float(np.sum(dout**2) / n)
 
-        dout = 2.0 * (out - eps_target) / n
-        grads = {}
-        grads["W3"] = a2.T @ dout
-        grads["b3"] = dout.sum(axis=0)
+        dout *= 2.0
+        dout /= n
+        np.matmul(a2.T, dout, out=g["W3"])
+        dout.sum(axis=0, out=g["b3"])
         da2 = dout @ p["W3"].T
         df = np.empty((out.shape[0], 4 * H))
-        df[:, 2 * H : 3 * H] = da2 * h2
+        np.multiply(da2, h2, out=df[:, 2 * H : 3 * H])
         df[:, 3 * H :] = da2
-        dh2 = da2 * g2
+        dh2 = da2 * f[:, 2 * H : 3 * H]
         dz2 = dh2 * (1.0 - h2 * h2)
-        grads["W2"] = a1.T @ dz2
-        grads["b2"] = dz2.sum(axis=0)
+        np.matmul(a1.T, dz2, out=g["W2"])
+        dz2.sum(axis=0, out=g["b2"])
         da1 = dz2 @ p["W2"].T
-        df[:, :H] = da1 * h1
+        np.multiply(da1, h1, out=df[:, :H])
         df[:, H : 2 * H] = da1
-        dh1 = da1 * g1
+        dh1 = da1 * f[:, :H]
         dz1 = dh1 * (1.0 - h1 * h1)
-        grads["W1"] = x2.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        grads["Wf"] = c.T @ df
-        grads["bf"] = df.sum(axis=0)
-        dc = df @ p["Wf"].T
-        dtemb = dc[:, cond2.shape[1] :]
-        grads["Wk2"] = t1.T @ dtemb
-        grads["bk2"] = dtemb.sum(axis=0)
+        np.matmul(x2.T, dz1, out=g["W1"])
+        dz1.sum(axis=0, out=g["b1"])
+        np.matmul(c.T, df, out=g["Wf"])
+        df.sum(axis=0, out=g["bf"])
+        # only the step embedding's rows of Wf reach a parameter
+        dtemb = df @ p["Wf"][self.cond_dim :].T
+        np.matmul(t1.T, dtemb, out=g["Wk2"])
+        dtemb.sum(axis=0, out=g["bk2"])
         dt1 = dtemb @ p["Wk2"].T
         dzk = dt1 * (1.0 - t1 * t1)
-        grads["Wk1"] = kfeat.T @ dzk
-        grads["bk1"] = dzk.sum(axis=0)
-        return loss, grads
+        np.matmul(kfeat.T, dzk, out=g["Wk1"])
+        dzk.sum(axis=0, out=g["bk1"])
+        return loss, grads_out
 
 
 def ema_update(shadow: np.ndarray, params: np.ndarray) -> None:
@@ -317,13 +363,19 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
     batch draws, so the random stream is fixed by the seed. The EMA shadow is
     updated every step. Returns the model and the per-step loss curve.
 
-    The weights, their EMA shadow and both Adam moments each live in one
-    contiguous buffer, and model.params and model.ema are dicts of views
-    into the first two. Adam and the EMA then run once per step over every
+    The weights, their EMA shadow, their gradient and both Adam moments each
+    live in one contiguous buffer, and model.params and model.ema are dicts
+    of views into the first two. loss_and_grads writes into views of the
+    gradient buffer, and Adam and the EMA then run once per step over every
     weight, not once per array: their updates are element-wise, so the bits
     are those of per-array updates. loss_and_grads still checks each array
     of model.params, so a weight rebound or edited to NaN after training is
     caught.
+
+    A non-finite loss raises TrainingDivergedError at its step. So does an
+    Adam second moment that overflowed while the loss stayed finite (its
+    weights then stop moving): a non-finite moment stays non-finite, so one
+    check after the last step finds it.
     """
     config = config or TrainConfig()
     conds = np.atleast_2d(np.asarray(conds, dtype=float))
@@ -337,19 +389,21 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
     model.init_params(rng)
     weights, model.params = _flat_views(model.params)
     shadow, model.ema = _flat_views(model.ema)
-    grad = np.empty_like(weights)
+    grad, grads = _flat_views(model.params)
     opt = Adam(weights)
     curve = []
     for step in range(config.steps):
         idx = rng.integers(0, len(a0s), size=TRAIN_BATCH_SIZE)
         x, k, target = batch(rng, a0s[idx])
-        loss, grads = model.loss_and_grads(x, k, conds[idx], target)
+        # grads_out goes positionally: wrappers of loss_and_grads pass *args on
+        loss, _ = model.loss_and_grads(x, k, conds[idx], target, grads)
         if not math.isfinite(loss):
             raise TrainingDivergedError(step)
-        np.concatenate([grads[n].ravel() for n in model.params], out=grad)
         opt.step(weights, grad)
         ema_update(shadow, weights)
         curve.append(loss)
+    if not np.isfinite(opt.v).all():
+        raise TrainingDivergedError(config.steps - 1, "Adam's second moment overflowed by")
     return model, curve
 
 
@@ -424,11 +478,15 @@ def ddim_sample(
 ) -> np.ndarray:
     """Deterministic (eta = 0) DDIM sampling on a uniform-stride sub-schedule.
 
-    eps_fn(x, k, cond) predicts the noise for a batch x at scalar step k.
-    Starting from unit Gaussian noise keyed by the rng/seed, sample_dim values
-    per condition row, each update moves the estimated clean sample to the
-    previous sub-schedule step. The randomness is only in the initial noise;
-    the iteration itself is a pure function of it.
+    eps_fn(x, k, cond) predicts the noise for a batch x at scalar step k, as
+    an array of x's shape that is not a view of x: the update runs in place
+    on x. When eps_fn has a prepare(cond, steps) method, the sampler calls it
+    once, before its loop, with the steps it will ask for, and passes what it
+    returns to eps_fn in place of cond. Starting from unit Gaussian noise
+    keyed by the rng/seed, sample_dim values per condition row, each update
+    moves the estimated clean sample to the previous sub-schedule step. The
+    randomness is only in the initial noise; the iteration itself is a pure
+    function of it.
     """
     if n_steps > sched.K:
         raise ValueError(f"n_steps {n_steps} exceeds schedule K {sched.K}")
@@ -438,11 +496,20 @@ def ddim_sample(
         rng = np.random.default_rng(seed)
     cond = np.atleast_2d(np.asarray(cond, dtype=float))
     table = _ddim_table(sched, n_steps)
+    prepare = getattr(eps_fn, "prepare", None)
+    given = cond if prepare is None else prepare(cond, tuple(row[0] for row in table))
     x = rng.standard_normal((cond.shape[0], sample_dim))
+    tmp = np.empty_like(x)
     for k_hi, noise_hi, signal_hi, signal_lo, noise_lo in table:
-        eps_hat = eps_fn(x, k_hi, cond)
-        x0 = (x - noise_hi * eps_hat) / signal_hi
-        x = signal_lo * x0 + noise_lo * eps_hat
+        eps_hat = eps_fn(x, k_hi, given)
+        # x0 = (x - noise_hi * eps_hat) / signal_hi, then
+        # x = signal_lo * x0 + noise_lo * eps_hat, one IEEE operation at a time
+        np.multiply(noise_hi, eps_hat, out=tmp)
+        x -= tmp
+        x /= signal_hi
+        x *= signal_lo
+        np.multiply(noise_lo, eps_hat, out=tmp)
+        x += tmp
     return x
 
 
@@ -453,26 +520,46 @@ def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, np.ndarray], 
     checked for finiteness once, here (a ValueError if they are not), instead
     of in every forward. The step embedding depends only on the weights, the
     batch size and the step, and the sampler only ever asks for its
-    sub-schedule's steps, so the step array and its embedding are memoised
-    per (batch size, step). Memo and forward both read the copy, so a later
-    change to model.ema cannot make them disagree.
+    sub-schedule's steps, so the step arrays and their embeddings are
+    memoised per (batch size, steps). Memo and forward both read the copy, so
+    a later change to model.ema cannot make them disagree.
+
+    The FiLM blocks do not depend on x: eps_fn.prepare(cond, steps), which
+    ddim_sample calls once per sample, computes them for every step in one
+    stacked product. That holds n_steps x batch x 4 hidden floats for as
+    long as the sample runs (20 KB for a batch-1 row of 10 steps at width
+    64, 41 MB for 2000 rows), where a per-step product held one step's. A
+    direct eps_fn(x, k, cond) call prepares its cond at step k alone.
     """
     weights = {name: np.array(v, dtype=float) for name, v in model.ema.items()}
     for v in weights.values():
         v.flags.writeable = False
     _check_finite(weights)
-    memo = {}  # (batch size, step) -> (read-only step array, its embedding)
+    memo = {}  # (batch size, steps) -> (read-only step arrays, their stacked embeddings)
+
+    def prepare(cond, steps):
+        """{step: (cond, read-only step array, FiLM blocks)} of the 2-D
+        batch cond at every step of the tuple steps."""
+        hit = memo.get((len(cond), steps))
+        if hit is None:
+            ks = [np.full(len(cond), k) for k in steps]
+            for arr in ks:
+                arr.flags.writeable = False
+            temb = np.stack([model._step_embedding(weights, arr)[2] for arr in ks])
+            hit = memo[len(cond), steps] = (ks, temb)
+        ks, temb = hit
+        f = model._film(weights, cond, temb)[1]
+        return {k: (cond, ks_k, f_k) for k, ks_k, f_k in zip(steps, ks, f)}
 
     def eps_fn(x, k, cond):
-        """The noise predicted for the 2-D batch x at the scalar step k."""
-        hit = memo.get((len(x), k))
-        if hit is None:
-            ks = np.full(len(x), k)
-            ks.flags.writeable = False
-            hit = memo[len(x), k] = (ks, model._step_embedding(weights, ks)[2])
-        ks, temb = hit
-        return model.forward(x, ks, cond, frozen=(weights, temb))
+        """The noise predicted for the 2-D batch x at the scalar step k under
+        cond, or under what prepare returned for it."""
+        if not isinstance(cond, dict):
+            cond = prepare(np.atleast_2d(np.asarray(cond, dtype=float)), (k,))
+        cond, ks, f = cond[k]
+        return model.forward(x, ks, cond, frozen=(weights, f))
 
+    eps_fn.prepare = prepare
     return eps_fn
 
 
@@ -534,8 +621,10 @@ def obs_to_condition(state, prev_action, scenario_features) -> np.ndarray:
     prev_action = np.asarray(prev_action, dtype=float)
     if prev_action.shape[-1:] != (ACTION_DIM,):
         raise ValueError(f"previous action must be ({ACTION_DIM},) per row")
-    features = np.broadcast_to(scenario_features, (*prev_action.shape[:-1], len(scenario_features)))
-    return np.concatenate([np.asarray(state, dtype=float), prev_action, features], axis=-1)
+    parts = [np.asarray(state, dtype=float), prev_action]
+    if len(scenario_features):
+        parts.append(np.broadcast_to(scenario_features, (*prev_action.shape[:-1], len(scenario_features))))
+    return np.concatenate(parts, axis=-1)
 
 
 # ---------------------------------------------------------------------------

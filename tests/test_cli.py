@@ -1189,6 +1189,24 @@ class TestMalformedInput:
         assert err == [f"usage error: {ds}: dataset grip value {grip!r} is outside [0, 1]"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("x", [1e300, 1e200, 1e155, 1e100])
+    def test_overflowing_adam_moment_is_rejected(self, x, processed, tmp_path, capsys):
+        # the loss stays finite, but Adam's second moment overflows and its
+        # weights stop moving: the run must not write a checkpoint
+        lines = (processed / "dataset.jsonl").read_text().splitlines()
+        recs = [json.loads(line) for line in lines]
+        for rec in recs:
+            rec["base"][0] = x
+        ds = tmp_path / "dataset.jsonl"
+        ds.write_text("\n".join(json.dumps(rec) for rec in recs) + "\n")
+        out = tmp_path / "m"
+        capsys.readouterr()
+        argv = ["train-toy", "--dataset", str(ds), "--steps", "20", "--output", str(out)]
+        assert main(argv) == EXIT_REJECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == "rejected: training diverged: Adam's second moment overflowed by step 19"
+        assert not out.exists()
+
 
 class TestParserReuse:
     """cli.main builds its parser once per process; every call still parses

@@ -1,16 +1,19 @@
 import base64
 import dataclasses
+import functools
 import json
 import math
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mobman.diffusion as diffusion
 from mobman.diffusion import (
     ACTION_DIM,
     CHECKPOINT_DIMS,
@@ -39,6 +42,8 @@ from mobman.diffusion import (
     train_toy,
 )
 from mobman.geometry import Pose2, Pose3, quat_canonical
+
+import diffusion_reference
 
 
 class TestSchedule:
@@ -343,6 +348,60 @@ class TestFrozenEma:
             m.forward(x, k, cond, use_ema=True)
 
 
+class TestPreparedSampler:
+    """ddim_sample hands model_eps_fn's adapter its condition and steps once;
+    the stacked FiLM product keeps every bit of a per-step forward."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 10, 100])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("hidden", [16, 64])
+    def test_bit_identical_to_per_step_forward(self, hidden, batch, n_steps):
+        rng = np.random.default_rng(40 + hidden)
+        m = TestDenoiser()._model(rng, input_dim=ACTION_DIM, cond_dim=COND_DIM, hidden=hidden)
+        m.ema = {n: v + rng.normal(0.0, 0.05, size=v.shape) for n, v in m.params.items()}
+        sched = cosine_schedule(100)
+
+        def per_step(x, k, cond):
+            return m.forward(x, np.full(len(x), k), cond, use_ema=True)
+
+        cond = rng.normal(size=(batch, COND_DIM))
+        eps_fn = model_eps_fn(m)
+        for seed in (0, 1):  # the second sample reads the memoised embeddings
+            got = ddim_sample(eps_fn, cond, sched, n_steps=n_steps, seed=seed, sample_dim=ACTION_DIM)
+            want = reference_ddim_sample(per_step, cond, sched, n_steps, seed, ACTION_DIM)
+            assert got.tobytes() == want.tobytes()
+
+    def test_direct_call_after_sampling_reads_its_own_cond(self):
+        # the adapter keeps no sample's FiLM blocks, so a direct call on the
+        # caller's cond, edited in place after sampling, reads the edit
+        m, rng = TestFrozenEma()._model()
+        eps_fn = model_eps_fn(m)
+        cond = rng.normal(size=(1, 5))
+        ddim_sample(eps_fn, cond, cosine_schedule(100), seed=0, sample_dim=ACTION_DIM)
+        cond += 1.0
+        x = rng.normal(size=(1, ACTION_DIM))
+        want = m.forward(x, np.full(1, 100), cond, use_ema=True)
+        assert eps_fn(x, 100, cond).tobytes() == want.tobytes()
+
+    def test_empty_batch(self):
+        m, _ = TestFrozenEma()._model()
+        out = m.forward(np.zeros((0, ACTION_DIM)), np.zeros(0, dtype=int), np.zeros((0, 5)))
+        assert out.shape == (0, ACTION_DIM)
+        x = ddim_sample(model_eps_fn(m), np.zeros((0, 5)), cosine_schedule(100), seed=0, sample_dim=ACTION_DIM)
+        assert x.shape == (0, ACTION_DIM)
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_step_feature_rows_match_any_batch(self, dim):
+        table = sinusoidal_embedding(np.arange(1001), dim)
+        for k in range(1001):
+            assert table[k].tobytes() == sinusoidal_embedding(np.array([k]), dim)[0].tobytes(), k
+        m = ToyDenoiser(input_dim=1, cond_dim=1, kemb_dim=dim)
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            ks = rng.integers(0, 1001, size=rng.integers(1, 130))
+            assert m._step_features(ks).tobytes() == sinusoidal_embedding(ks, dim).tobytes()
+
+
 class TestTraining:
     def test_loss_decreases(self):
         rng = np.random.default_rng(4)
@@ -540,6 +599,39 @@ class TestSameBytes:
             model.forward(x, k, cond, use_ema=True)
         with pytest.raises(ValueError, match="non-finite parameters"):
             model_eps_fn(model)
+
+
+class TestTrainingStepOracle:
+    """Five steps of each trainer give the bits of the step kept in
+    tests/diffusion_reference.py: allocating Adam and EMA, one concatenated
+    flat gradient, the full df @ Wf.T product and per-batch step features."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        input_dim=st.integers(1, 11),
+        cond_dim=st.integers(1, 22),
+        hidden=st.integers(4, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trainers_match_reference_step(self, input_dim, cond_dim, hidden, seed):
+        rng = np.random.default_rng(seed)
+        conds = rng.normal(size=(40, cond_dim))
+        a0s = 0.5 * rng.normal(size=(40, input_dim))
+        cfg = TrainConfig(steps=5, seed=seed)
+        # the trainers build a default-width model; this one is hidden wide
+        with mock.patch.object(diffusion, "ToyDenoiser", functools.partial(ToyDenoiser, hidden=hidden)):
+            toy, _, toy_curve = train_toy(conds, a0s, cfg)
+            reg, reg_curve = train_regression(conds, a0s, cfg)
+        for model, curve, reference in (
+            (toy, toy_curve, diffusion_reference.train_toy),
+            (reg, reg_curve, diffusion_reference.train_regression),
+        ):
+            params, ema, want_curve = reference(conds, a0s, 5, seed, hidden)
+            assert curve == want_curve
+            assert list(model.ema) == list(ema)
+            for name in ema:
+                assert model.params[name].tobytes() == params[name].tobytes(), name
+                assert model.ema[name].tobytes() == ema[name].tobytes(), name
 
 
 class TestActionChunks:

@@ -51,11 +51,6 @@ NEVER_RUN = {
     "executor.MatchWeights.scaled": "criterion 8 scales MatchWeights with it",
     "diffusion.train_regression": "the mean-regression control of criterion 5d",
     "diffusion.train_regression.zeroed": "train_regression's batch, for criterion 5d",
-    "diffusion.TrainingDivergedError.__init__": (
-        "error path: load_dataset keeps grip in [0, 1], and no dataset it accepts is "
-        "known to make a 20-step loss non-finite (a base x of 1e300 or 1e308 overflows "
-        "Adam's second moment, yet the loss stays finite); tests/test_diffusion.py raises it"
-    ),
     "pipeline.DemoDataset.steps": "criteria 3 and 4 read demo rows as pose records",
     "pipeline.integrate_labels": "the label round trip of benchmarks/workloads.py",
 }
@@ -176,6 +171,13 @@ def _tour(root) -> None:
     first_line = dataset.read_text(encoding="utf-8").split("\n", 1)[0]
     broken.write_text(first_line[:-1] + "\n", encoding="utf-8")
     run(EXIT_USAGE, "train-toy", "--dataset", broken, "--output", bad / "model")
+    # base x of 1e300 on every line: Adam's second moment overflows
+    huge = bad / "huge.jsonl"
+    records = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        record["base"][0] = 1e300
+    huge.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    run(EXIT_REJECTED, "train-toy", "--dataset", huge, "--steps", 20, "--output", bad / "model")
     run(EXIT_USAGE, "simulate", "--matching", "maybe", "--output", bad / "sim")
     # one character of an output's recorded digest changed: the rerun's
     # output differs from the record
