@@ -94,8 +94,16 @@ def sinusoidal_embedding(k: np.ndarray, dim: int = 16) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _check_finite(params: dict) -> None:
-    for v in params.values():
+def _check_finite(params: dict, buffer: np.ndarray | None = None) -> None:
+    """ValueError unless every array of params is finite.
+
+    buffer is _fit's weight buffer: while every array of params is a view of
+    its memory, one pass over the buffer checks every weight.
+    """
+    arrays = params.values()
+    if buffer is not None and all(v.base is buffer for v in arrays):
+        arrays = (buffer,)
+    for v in arrays:
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite parameters")
 
@@ -109,6 +117,11 @@ class ToyDenoiser:
     mapped to per-channel (gamma, beta) pairs applied after each hidden
     activation (gamma = 1 + raw so zero FiLM weights are the identity).
     Gradients are computed analytically in loss_and_grads.
+
+    The products of _step_embedding, _trunk and all but one of
+    loss_and_grads go through ndarray.dot or np.dot(..., out=), which give
+    the bits of @ and np.matmul at less numpy dispatch per call; _film's
+    product, which may be stacked, and the Wf gradient stay on matmul.
     """
 
     input_dim: int
@@ -121,6 +134,8 @@ class ToyDenoiser:
     # sinusoidal_embedding(arange(DEFAULT_K + 1), kemb_dim), built on first use
     # (see _step_features)
     _kfeat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # _fit's weight buffer, whose views it put in params, for _check_finite
+    _flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def init_params(self, rng: np.random.Generator) -> None:
         """Zero biases and FiLM weights; normal weights of scale 1/sqrt(fan-in),
@@ -171,8 +186,8 @@ class ToyDenoiser:
     def _step_embedding(self, params, k):
         """(kfeat, t1, temb): sinusoidal features, hidden layer and embedding of steps k."""
         kfeat = self._step_features(k)
-        t1 = np.tanh(kfeat @ params["Wk1"] + params["bk1"])
-        return kfeat, t1, t1 @ params["Wk2"] + params["bk2"]
+        t1 = np.tanh(kfeat.dot(params["Wk1"]) + params["bk1"])
+        return kfeat, t1, t1.dot(params["Wk2"]) + params["bk2"]
 
     def _forward(self, params, x, k, cond):
         """Output for batch x at steps k under cond, and its cache.
@@ -182,7 +197,7 @@ class ToyDenoiser:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
-        _check_finite(params)
+        _check_finite(params, self._flat)
         kfeat, t1, temb = self._step_embedding(params, k)
         c, f = self._film(params, cond, temb)
         out, cache = self._trunk(params, x, f)
@@ -210,17 +225,17 @@ class ToyDenoiser:
         """Output for the 2-D float batch x under the FiLM blocks f of _film,
         and (h1, a1, h2, a2)."""
         H = self.hidden
-        h1 = x @ params["W1"]
+        h1 = x.dot(params["W1"])
         h1 += params["b1"]
         np.tanh(h1, out=h1)
         a1 = f[:, :H] * h1
         a1 += f[:, H : 2 * H]
-        h2 = a1 @ params["W2"]
+        h2 = a1.dot(params["W2"])
         h2 += params["b2"]
         np.tanh(h2, out=h2)
         a2 = f[:, 2 * H : 3 * H] * h2
         a2 += f[:, 3 * H :]
-        out = a2 @ params["W3"]
+        out = a2.dot(params["W3"])
         out += params["b3"]
         return out, (h1, a1, h2, a2)
 
@@ -244,9 +259,9 @@ class ToyDenoiser:
     def loss_and_grads(self, x, k, cond, eps_target, grads_out: dict | None = None):
         """MSE loss against eps_target and its exact gradients w.r.t. params.
 
-        The gradients are written into grads_out, a dict of arrays of the
-        params' shapes by name, when it is given (and into new arrays when
-        not); the dict is returned.
+        The gradients are written into grads_out, a dict of C-contiguous
+        float64 arrays of the params' shapes by name, when it is given (and
+        into new arrays when not); the dict is returned.
         """
         p = self.params
         out, cache = self._forward(p, x, k, cond)
@@ -265,32 +280,32 @@ class ToyDenoiser:
 
         dout *= 2.0
         dout /= n
-        np.matmul(a2.T, dout, out=g["W3"])
+        np.dot(a2.T, dout, out=g["W3"])
         dout.sum(axis=0, out=g["b3"])
-        da2 = dout @ p["W3"].T
+        da2 = dout.dot(p["W3"].T)
         df = np.empty((out.shape[0], 4 * H))
         np.multiply(da2, h2, out=df[:, 2 * H : 3 * H])
         df[:, 3 * H :] = da2
         dh2 = da2 * f[:, 2 * H : 3 * H]
         dz2 = dh2 * (1.0 - h2 * h2)
-        np.matmul(a1.T, dz2, out=g["W2"])
+        np.dot(a1.T, dz2, out=g["W2"])
         dz2.sum(axis=0, out=g["b2"])
-        da1 = dz2 @ p["W2"].T
+        da1 = dz2.dot(p["W2"].T)
         np.multiply(da1, h1, out=df[:, :H])
         df[:, H : 2 * H] = da1
         dh1 = da1 * f[:, :H]
         dz1 = dh1 * (1.0 - h1 * h1)
-        np.matmul(x2.T, dz1, out=g["W1"])
+        np.dot(x2.T, dz1, out=g["W1"])
         dz1.sum(axis=0, out=g["b1"])
         np.matmul(c.T, df, out=g["Wf"])
         df.sum(axis=0, out=g["bf"])
         # only the step embedding's rows of Wf reach a parameter
-        dtemb = df @ p["Wf"][self.cond_dim :].T
-        np.matmul(t1.T, dtemb, out=g["Wk2"])
+        dtemb = df.dot(p["Wf"][self.cond_dim :].T)
+        np.dot(t1.T, dtemb, out=g["Wk2"])
         dtemb.sum(axis=0, out=g["bk2"])
-        dt1 = dtemb @ p["Wk2"].T
+        dt1 = dtemb.dot(p["Wk2"].T)
         dzk = dt1 * (1.0 - t1 * t1)
-        np.matmul(kfeat.T, dzk, out=g["Wk1"])
+        np.dot(kfeat.T, dzk, out=g["Wk1"])
         dzk.sum(axis=0, out=g["bk1"])
         return loss, grads_out
 
@@ -368,14 +383,16 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
     of views into the first two. loss_and_grads writes into views of the
     gradient buffer, and Adam and the EMA then run once per step over every
     weight, not once per array: their updates are element-wise, so the bits
-    are those of per-array updates. loss_and_grads still checks each array
-    of model.params, so a weight rebound or edited to NaN after training is
-    caught.
+    are those of per-array updates. loss_and_grads checks the weight buffer
+    in one pass while every array of model.params is still its view, and
+    each array otherwise, so a weight rebound or edited to NaN after training
+    is caught.
 
     A non-finite loss raises TrainingDivergedError at its step. So does an
     Adam second moment that overflowed while the loss stayed finite (its
     weights then stop moving): a non-finite moment stays non-finite, so one
-    check after the last step finds it.
+    check after the last step finds it, and the Adam update runs with
+    numpy's overflow warnings off.
     """
     config = config or TrainConfig()
     conds = np.atleast_2d(np.asarray(conds, dtype=float))
@@ -388,6 +405,7 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
     model = ToyDenoiser(input_dim=a0s.shape[1], cond_dim=conds.shape[1])
     model.init_params(rng)
     weights, model.params = _flat_views(model.params)
+    model._flat = weights
     shadow, model.ema = _flat_views(model.ema)
     grad, grads = _flat_views(model.params)
     opt = Adam(weights)
@@ -399,7 +417,9 @@ def _fit(conds, a0s, config: TrainConfig | None, batch) -> tuple[ToyDenoiser, li
         loss, _ = model.loss_and_grads(x, k, conds[idx], target, grads)
         if not math.isfinite(loss):
             raise TrainingDivergedError(step)
-        opt.step(weights, grad)
+        # an overflow here is the moment check's verdict after the loop, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            opt.step(weights, grad)
         ema_update(shadow, weights)
         curve.append(loss)
     if not np.isfinite(opt.v).all():
@@ -447,8 +467,11 @@ def _ddim_table(sched: NoiseSchedule, n_steps: int) -> tuple[tuple, ...]:
 
     The sub-schedule is 0 = tau_0 < ... < tau_n = K. Its update from
     k_hi = tau_i to k_lo = tau_(i-1) reads the row (k_hi, sqrt(1 - ab_hi),
-    sqrt(ab_hi), sqrt(ab_lo), sqrt(1 - ab_lo)) of Python floats; the rows run
-    from the top step down. The table is memoised on the schedule per n_steps.
+    sqrt(ab_hi), sqrt(ab_lo), sqrt(1 - ab_lo)); the rows run from the top
+    step down. k_hi is an int and each coefficient a read-only 0-d float64
+    array: a ufunc takes one with less dispatch than a Python float, and the
+    same value, so the same bits. The table is memoised on the schedule per
+    n_steps.
     """
     table = sched._ddim_tables.get(n_steps)
     if table is None:
@@ -458,10 +481,10 @@ def _ddim_table(sched: NoiseSchedule, n_steps: int) -> tuple[tuple, ...]:
             k_hi, k_lo = int(taus[i]), int(taus[i - 1])
             ab_hi = sched.alpha_bar[k_hi]
             ab_lo = sched.alpha_bar[k_lo]
-            rows.append(
-                (k_hi, math.sqrt(1.0 - ab_hi), math.sqrt(ab_hi),
-                 math.sqrt(ab_lo), math.sqrt(1.0 - ab_lo))
-            )
+            coefs = [np.array(math.sqrt(v)) for v in (1.0 - ab_hi, ab_hi, ab_lo, 1.0 - ab_lo)]
+            for c in coefs:
+                c.flags.writeable = False
+            rows.append((k_hi, *coefs))
         table = sched._ddim_tables[n_steps] = tuple(rows)
     return table
 
@@ -518,11 +541,14 @@ def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, np.ndarray], 
 
     Sampling never changes the weights, so they are copied, made read-only and
     checked for finiteness once, here (a ValueError if they are not), instead
-    of in every forward. The step embedding depends only on the weights, the
-    batch size and the step, and the sampler only ever asks for its
-    sub-schedule's steps, so the step arrays and their embeddings are
-    memoised per (batch size, steps). Memo and forward both read the copy, so
-    a later change to model.ema cannot make them disagree.
+    of in every forward. The copies of the trunk's biases b1, b2 and b3 are
+    (1, n) rows: added to a (batch, n) product, a row gives the bits of an
+    (n,) vector at half its numpy dispatch cost at batch 1. The step
+    embedding depends only on the weights, the batch size and the step, and
+    the sampler only ever asks for its sub-schedule's steps, so the step
+    arrays and their embeddings are memoised per (batch size, steps). Memo
+    and forward both read the copy, so a later change to model.ema cannot
+    make them disagree.
 
     The FiLM blocks do not depend on x: eps_fn.prepare(cond, steps), which
     ddim_sample calls once per sample, computes them for every step in one
@@ -531,7 +557,10 @@ def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, np.ndarray], 
     64, 41 MB for 2000 rows), where a per-step product held one step's. A
     direct eps_fn(x, k, cond) call prepares its cond at step k alone.
     """
-    weights = {name: np.array(v, dtype=float) for name, v in model.ema.items()}
+    weights = {
+        name: np.array(v, dtype=float, ndmin=2 if name in ("b1", "b2", "b3") else 0)
+        for name, v in model.ema.items()
+    }
     for v in weights.values():
         v.flags.writeable = False
     _check_finite(weights)

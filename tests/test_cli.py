@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1192,7 +1193,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("x", [1e300, 1e200, 1e155, 1e100])
     def test_overflowing_adam_moment_is_rejected(self, x, processed, tmp_path, capsys):
         # the loss stays finite, but Adam's second moment overflows and its
-        # weights stop moving: the run must not write a checkpoint
+        # weights stop moving: the run must not write a checkpoint, and its
+        # verdict is the only thing it reports (no numpy RuntimeWarning)
         lines = (processed / "dataset.jsonl").read_text().splitlines()
         recs = [json.loads(line) for line in lines]
         for rec in recs:
@@ -1202,9 +1204,12 @@ class TestMalformedInput:
         out = tmp_path / "m"
         capsys.readouterr()
         argv = ["train-toy", "--dataset", str(ds), "--steps", "20", "--output", str(out)]
-        assert main(argv) == EXIT_REJECTED
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_REJECTED
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1] == "rejected: training diverged: Adam's second moment overflowed by step 19"
+        assert err == ["rejected: training diverged: Adam's second moment overflowed by step 19"]
         assert not out.exists()
 
 

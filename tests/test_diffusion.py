@@ -1,8 +1,10 @@
 import base64
+import copy
 import dataclasses
 import functools
 import json
 import math
+import pickle
 import sys
 import tempfile
 from pathlib import Path
@@ -151,6 +153,16 @@ class TestDenoiser:
         with pytest.raises(ValueError):
             m.forward(np.zeros((1, 3)), np.array([1]), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("make", [
+        lambda shape: np.empty(shape, order="F"), lambda shape: np.empty(shape, dtype=np.float32)
+    ], ids=["fortran_order", "float32"])
+    def test_grads_out_must_be_c_contiguous_float64(self, make):
+        # the gradients are written by np.dot(..., out=), which takes no other array
+        m = self._model(np.random.default_rng(3))
+        grads = {n: make(shape) for n, shape in m.param_shapes().items()}
+        with pytest.raises(ValueError, match="output array is not acceptable"):
+            m.loss_and_grads(np.zeros((2, 3)), np.array([1, 2]), np.zeros((2, 2)), np.zeros((2, 3)), grads)
+
     def test_param_shapes_match_init(self):
         m = self._model(np.random.default_rng(3))
         assert {n: v.shape for n, v in m.params.items()} == m.param_shapes()
@@ -247,6 +259,16 @@ class TestDdimTable:
             got = ddim_sample(fn, cond, sched, n_steps=n_steps, seed=3, sample_dim=1)
             want = reference_ddim_sample(fn, cond, sched, n_steps, seed=3, sample_dim=1)
             assert np.array_equal(got, want)
+
+    def test_rows_hold_an_int_step_and_read_only_0d_coefficients(self):
+        sched = cosine_schedule(100)
+        ab, k_lo = sched.alpha_bar, 0
+        for k_hi, *coefs in reversed(diffusion._ddim_table(sched, 7)):
+            assert type(k_hi) is int
+            assert all(c.shape == () and c.dtype == np.float64 and not c.flags.writeable for c in coefs)
+            want = [math.sqrt(1.0 - ab[k_hi]), math.sqrt(ab[k_hi]), math.sqrt(ab[k_lo]), math.sqrt(1.0 - ab[k_lo])]
+            assert [float(c) for c in coefs] == want
+            k_lo = k_hi
 
     def test_schedule_is_read_only(self):
         ab = cosine_schedule(100).alpha_bar.copy()
@@ -400,6 +422,76 @@ class TestPreparedSampler:
         for _ in range(200):
             ks = rng.integers(0, 1001, size=rng.integers(1, 130))
             assert m._step_features(ks).tobytes() == sinusoidal_embedding(ks, dim).tobytes()
+
+
+class TestDispatchPremise:
+    """The premise of the denoiser's cheaper numpy dispatch, at its own shapes:
+    ndarray.dot and np.dot(out=) give the bits of @ and np.matmul, the stacked
+    FiLM product gives the bits of a .dot per stack entry, a (1, n) bias row
+    adds like an (n,) vector, and a 0-d coefficient acts like a Python float.
+    A numpy or BLAS that breaks one of these fails here by name."""
+
+    @staticmethod
+    def _products(rng, batch, input_dim, cond_dim, hidden, kemb_dim=16, temb_dim=32):
+        """(A, B) pairs of every 2-D product of a forward and a backward pass."""
+        B, D, C, H, E, T = batch, input_dim, cond_dim, hidden, kemb_dim, temb_dim
+        W = ToyDenoiser(input_dim=D, cond_dim=C, hidden=H, kemb_dim=E, temb_dim=T).param_shapes()
+        w = {n: rng.normal(size=shape) for n, shape in W.items() if len(shape) == 2}
+        act = {n: rng.normal(size=(B, width)) for n, width in dict(x=D, h=H, c=C + T, k=E, t=T, f=4 * H).items()}
+        return [
+            (act["x"], w["W1"]), (act["h"], w["W2"]), (act["h"], w["W3"]), (act["c"], w["Wf"]),
+            (act["k"], w["Wk1"]), (act["t"], w["Wk2"]),
+            (act["h"].T, act["x"]), (act["x"], w["W3"].T), (act["h"].T, act["h"]), (act["h"], w["W2"].T),
+            (act["x"].T, act["h"]), (act["c"].T, act["f"]), (act["f"], w["Wf"][C:].T),
+            (act["t"].T, act["t"]), (act["t"], w["Wk2"].T), (act["k"].T, act["t"]),
+        ]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        hidden=st.integers(4, 64),
+        cond_dim=st.integers(1, 22),
+        input_dim=st.integers(1, ACTION_DIM),
+        batch=st.sampled_from([1, 3, 64]),
+        n_steps=st.sampled_from([1, 2, 10]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cheaper_dispatch_keeps_bits(self, hidden, cond_dim, input_dim, batch, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        for a, b in self._products(rng, batch, input_dim, cond_dim, hidden):
+            want = (a @ b).tobytes()
+            assert a.dot(b).tobytes() == want, (a.shape, b.shape)
+            # into a view of a flat buffer, as _fit's gradients are
+            out = np.empty(a.shape[0] * b.shape[1] + 5)[5:].reshape(a.shape[0], b.shape[1])
+            np.dot(a, b, out=out)
+            assert out.tobytes() == np.matmul(a, b).tobytes(), (a.shape, b.shape)
+
+        wf = rng.normal(size=(cond_dim + 32, 4 * hidden))
+        stack = rng.normal(size=(n_steps, batch, cond_dim + 32))
+        stacked = stack @ wf
+        for entry, row in zip(stack, stacked):
+            assert entry.dot(wf).tobytes() == row.tobytes()
+
+        for n in (hidden, input_dim):
+            z, bias = rng.normal(size=(batch, n)), rng.normal(size=n)
+            want = z + bias
+            z += bias.reshape(1, n)
+            assert z.tobytes() == want.tobytes()
+
+        coefs = rng.uniform(1e-3, 1.0, size=4).tolist()
+        for rows in (1, 3, 2000):
+            x, eps = rng.normal(size=(2, rows, input_dim))
+            got, tmp = x.copy(), np.empty_like(x)
+            for c in coefs:  # ddim_sample's update, with a Python float and a 0-d array
+                np.multiply(c, eps, out=tmp)
+                x -= tmp
+                x /= c
+                x *= c
+                c0 = np.array(c)
+                np.multiply(c0, eps, out=tmp)
+                got -= tmp
+                got /= c0
+                got *= c0
+            assert got.tobytes() == x.tobytes(), rows
 
 
 class TestTraining:
@@ -599,6 +691,85 @@ class TestSameBytes:
             model.forward(x, k, cond, use_ema=True)
         with pytest.raises(ValueError, match="non-finite parameters"):
             model_eps_fn(model)
+
+
+class TestOnePassFiniteCheck:
+    """While model.params holds _fit's views of its weight buffer, each
+    training step checks the buffer in one pass; any other params dict is
+    checked array by array."""
+
+    def _trained(self):
+        rng = np.random.default_rng(23)
+        model, _, _ = train_toy(rng.normal(size=(16, 4)), rng.normal(size=(16, 3)), TrainConfig(steps=3))
+        return model, (np.zeros((1, 3)), np.array([3]), np.zeros((1, 4)), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("name", list(ToyDenoiser(input_dim=3, cond_dim=4).param_shapes()))
+    def test_nan_in_any_view_or_rebound_is_caught(self, name):
+        model, args = self._trained()
+        model.loss_and_grads(*args)
+        model.params[name].flat[-1] = np.nan  # in place, into the buffer
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model.loss_and_grads(*args)
+        model, args = self._trained()
+        model.params[name] = np.full_like(model.params[name], np.nan)
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model.loss_and_grads(*args)
+
+    def test_params_fit_did_not_build_are_checked_per_array(self):
+        model, args = self._trained()
+        buffer = model._flat
+        model.params = {n: v.copy() for n, v in model.params.items()}
+        buffer[0] = np.nan  # no longer the weights in use
+        model.loss_and_grads(*args)
+        model.params["bk2"][0] = np.inf
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model.loss_and_grads(*args)
+        model, args = self._trained()
+        model.params["extra"] = np.array([np.nan])
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model.loss_and_grads(*args)
+
+    def test_buffer_checked_in_one_pass_only_while_params_are_its_views(self):
+        buffer = np.arange(7.0)
+        views = {"a": buffer[:3], "b": buffer[3:6].reshape(3, 1)}
+        buffer[6] = np.nan  # outside every view: only the one pass sees it
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            diffusion._check_finite(views, buffer)
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            diffusion._check_finite({"a": views["a"], "b": buffer[3:6, None]}, buffer)  # new views, same memory
+        diffusion._check_finite({**views, "b": views["b"].copy()}, buffer)
+        diffusion._check_finite(views, np.arange(7.0))  # another buffer: per array
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_copied_model_checks_its_own_weights(self, clone):
+        model, args = self._trained()
+        twin = clone(model)
+        twin.params["W2"].flat[0] = np.nan  # the copied views no longer share the copied buffer
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            twin.loss_and_grads(*args)
+        model.loss_and_grads(*args)
+
+    def test_sampling_weights_read_only_and_checked(self, monkeypatch):
+        model, _ = self._trained()
+        model.ema["W2"].flat[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            model_eps_fn(model)
+        model, _ = self._trained()
+        frozen = []
+        forward = ToyDenoiser.forward
+
+        def recorded(self, *args, **kwargs):
+            frozen.append(kwargs["frozen"][0])
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(ToyDenoiser, "forward", recorded)
+        ddim_sample(model_eps_fn(model), np.zeros((1, 4)), cosine_schedule(100), seed=0, sample_dim=3)
+        weights = frozen[0]
+        assert all(w is weights for w in frozen)
+        for name, w in weights.items():
+            assert not w.flags.writeable, name
+            want = model.ema[name].reshape(1, -1) if name in ("b1", "b2", "b3") else model.ema[name]
+            assert w.shape == want.shape and w.tobytes() == want.tobytes(), name
 
 
 class TestTrainingStepOracle:
