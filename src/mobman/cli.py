@@ -182,8 +182,6 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
             raise UsageError(f"trajectory stream for node {node!r} missing")
     markers_path = _require_path(raw_dir / "markers.jsonl", "marker stream")
     markers = list(read_jsonl(markers_path))
-    if not markers:
-        raise DomainError("marker stream is empty")
     with fields_of(markers_path):
         marker_t = finite_numbers([m["t"] for m in markers], "marker t")
         marker_d = finite_numbers([m["distance_m"] for m in markers], "marker distance_m")
@@ -206,7 +204,7 @@ def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
     )
 
 
-def cmd_process(cfg: dict, dataset_path: Path, report_path: Path) -> None:
+def cmd_process(cfg: dict, dataset_path: Path) -> None:
     anchor_doc = read_json(cfg["anchor"])
     with fields_of(cfg["anchor"]):
         cross = Pose3.from_list(anchor_doc["cross_node"])
@@ -224,7 +222,6 @@ def cmd_process(cfg: dict, dataset_path: Path, report_path: Path) -> None:
         raise DomainError(str(exc)) from exc
 
     save_dataset(dataset_path, dataset)
-    write_json(report_path, dataset.filter_report.to_dict())
     bases = [Pose2.of_wrapped(*b) for b in dataset.states[:, :3].tolist()]
     _, residuals = project_nonholonomic(bases, dt=0.1)
     q99 = lateral_quantile(residuals)
@@ -394,7 +391,7 @@ def cmd_report(cfg: dict, *paths: Path) -> None:
 # calls body(cfg, *the paths of those files).
 _COMMANDS = {
     "anchor": (cmd_anchor, None),
-    "process": (cmd_process, ("dataset.jsonl", "filter_report.json")),
+    "process": (cmd_process, ("dataset.jsonl",)),
     "train-toy": (cmd_train_toy, ("model.json", "curve.csv")),
     "simulate": (cmd_simulate, ("metrics.csv", "aggregate.json")),
     "report": (cmd_report, REPORT_FILES),

@@ -244,9 +244,9 @@ class ToyDenoiser:
 
         Reads the EMA weights if use_ema, else the training weights, and checks
         them for finiteness on every call. model_eps_fn passes `frozen`, a pair
-        of weights it has checked and the FiLM blocks (see _film) of cond and
-        k under them, which replaces all three; x is then the 2-D float array
-        that ddim_sample passes.
+        of weights it has checked and the FiLM blocks (see _film) of a cond at
+        a step under them; k, cond and use_ema are then not read, and x is the
+        2-D float array that ddim_sample passes.
         """
         if frozen is not None:
             weights, f = frozen
@@ -503,13 +503,13 @@ def ddim_sample(
 
     eps_fn(x, k, cond) predicts the noise for a batch x at scalar step k, as
     an array of x's shape that is not a view of x: the update runs in place
-    on x. When eps_fn has a prepare(cond, steps) method, the sampler calls it
-    once, before its loop, with the steps it will ask for, and passes what it
-    returns to eps_fn in place of cond. Starting from unit Gaussian noise
-    keyed by the rng/seed, sample_dim values per condition row, each update
-    moves the estimated clean sample to the previous sub-schedule step. The
-    randomness is only in the initial noise; the iteration itself is a pure
-    function of it.
+    on x. When eps_fn has a prepare(cond, steps) method, as model_eps_fn's
+    does, the sampler calls it once, before its loop, with the steps it will
+    ask for, and passes what it returns to every eps_fn call in place of
+    cond. Starting from unit Gaussian noise keyed by the rng/seed,
+    sample_dim values per condition row, each update moves the estimated
+    clean sample to the previous sub-schedule step. The randomness is only
+    in the initial noise; the iteration itself is a pure function of it.
     """
     if n_steps > sched.K:
         raise ValueError(f"n_steps {n_steps} exceeds schedule K {sched.K}")
@@ -536,7 +536,7 @@ def ddim_sample(
     return x
 
 
-def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, np.ndarray], np.ndarray]:
+def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, dict], np.ndarray]:
     """eps_fn for ddim_sample that samples from the EMA weights, which gate deployment.
 
     Sampling never changes the weights, so they are copied, made read-only and
@@ -545,17 +545,17 @@ def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, np.ndarray], 
     (1, n) rows: added to a (batch, n) product, a row gives the bits of an
     (n,) vector at half its numpy dispatch cost at batch 1. The step
     embedding depends only on the weights, the batch size and the step, and
-    the sampler only ever asks for its sub-schedule's steps, so the step
-    arrays and their embeddings are memoised per (batch size, steps). Memo
-    and forward both read the copy, so a later change to model.ema cannot
-    make them disagree.
+    the sampler only ever asks for its sub-schedule's steps, so the stacked
+    embeddings are memoised per (batch size, steps). Memo and forward both
+    read the copy, so a later change to model.ema cannot make them disagree.
 
     The FiLM blocks do not depend on x: eps_fn.prepare(cond, steps), which
     ddim_sample calls once per sample, computes them for every step in one
-    stacked product. That holds n_steps x batch x 4 hidden floats for as
-    long as the sample runs (20 KB for a batch-1 row of 10 steps at width
-    64, 41 MB for 2000 rows), where a per-step product held one step's. A
-    direct eps_fn(x, k, cond) call prepares its cond at step k alone.
+    stacked product and returns them as {step: blocks}. eps_fn(x, k, blocks)
+    takes that dict and runs the trunk on step k's blocks. The dict holds
+    n_steps x batch x 4 hidden floats for as long as the sample runs (20 KB
+    for a batch-1 row of 10 steps at width 64, 41 MB for 2000 rows), where a
+    per-step product held one step's.
     """
     weights = {
         name: np.array(v, dtype=float, ndmin=2 if name in ("b1", "b2", "b3") else 0)
@@ -564,29 +564,20 @@ def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, np.ndarray], 
     for v in weights.values():
         v.flags.writeable = False
     _check_finite(weights)
-    memo = {}  # (batch size, steps) -> (read-only step arrays, their stacked embeddings)
+    memo = {}  # (batch size, steps) -> stacked step embeddings
 
     def prepare(cond, steps):
-        """{step: (cond, read-only step array, FiLM blocks)} of the 2-D
-        batch cond at every step of the tuple steps."""
-        hit = memo.get((len(cond), steps))
-        if hit is None:
-            ks = [np.full(len(cond), k) for k in steps]
-            for arr in ks:
-                arr.flags.writeable = False
-            temb = np.stack([model._step_embedding(weights, arr)[2] for arr in ks])
-            hit = memo[len(cond), steps] = (ks, temb)
-        ks, temb = hit
-        f = model._film(weights, cond, temb)[1]
-        return {k: (cond, ks_k, f_k) for k, ks_k, f_k in zip(steps, ks, f)}
+        """{step: FiLM blocks} of the 2-D batch cond at every step of the tuple steps."""
+        temb = memo.get((len(cond), steps))
+        if temb is None:
+            temb = np.stack([model._step_embedding(weights, np.full(len(cond), k))[2] for k in steps])
+            memo[len(cond), steps] = temb
+        return dict(zip(steps, model._film(weights, cond, temb)[1]))
 
-    def eps_fn(x, k, cond):
-        """The noise predicted for the 2-D batch x at the scalar step k under
-        cond, or under what prepare returned for it."""
-        if not isinstance(cond, dict):
-            cond = prepare(np.atleast_2d(np.asarray(cond, dtype=float)), (k,))
-        cond, ks, f = cond[k]
-        return model.forward(x, ks, cond, frozen=(weights, f))
+    def eps_fn(x, k, blocks):
+        """The noise predicted for the 2-D batch x at the scalar step k, from
+        the {step: FiLM blocks} that prepare returned."""
+        return model.forward(x, k, None, frozen=(weights, blocks[k]))
 
     eps_fn.prepare = prepare
     return eps_fn

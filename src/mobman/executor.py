@@ -57,7 +57,6 @@ class MatchWeights:
     w_t: float = 1.0
     w_r: float = 0.2
     w_g: float = 0.1
-    fold_radius: float = 0.5
 
     def __post_init__(self):
         ws = (self.w_b, self.w_t, self.w_r, self.w_g)
@@ -67,13 +66,7 @@ class MatchWeights:
             raise ValueError("at least one weight must be positive")
 
     def scaled(self, factor: float) -> "MatchWeights":
-        return MatchWeights(
-            self.w_b * factor,
-            self.w_t * factor,
-            self.w_r * factor,
-            self.w_g * factor,
-            self.fold_radius,
-        )
+        return MatchWeights(self.w_b * factor, self.w_t * factor, self.w_r * factor, self.w_g * factor)
 
 
 class SpliceReport(NamedTuple):
@@ -157,7 +150,7 @@ def state_match(rollout: list[tuple], now: tuple, w: MatchWeights | None = None)
     _, _, _, px, py, pz, _, _, _, _, grip = now
     best = None
     for i, s in enumerate(rollout):
-        tb = w.w_b * dist_se2(s, now, w.fold_radius) ** 2
+        tb = w.w_b * dist_se2(s, now) ** 2
         # np.sum of three squares adds them left to right
         d0, d1, d2 = s[3] - px, s[4] - py, s[5] - pz
         tt = w.w_t * (d0 * d0 + d1 * d1 + d2 * d2)

@@ -25,6 +25,9 @@ import numpy as np
 
 from .jsonl import finite_rows
 
+# m, dist_se2's arc-length radius for heading error: the base's turning radius
+FOLD_RADIUS = 0.5
+
 
 class DegeneratePitchError(ValueError):
     """Raised when a pose is too far from level to define a ground-plane yaw."""
@@ -340,17 +343,15 @@ def compose_floats(x, y, theta, ox, oy, otheta) -> tuple[float, float, float]:
     return x + c * ox - s * oy, y + s * ox + c * oy, wrap_angle(theta + otheta)
 
 
-def dist_se2(a, b, fold_radius: float = 0.5) -> float:
-    """Planar distance with the heading error folded in as an arc length.
+def dist_se2(a, b) -> float:
+    """Planar distance with the heading error folded in as an arc length at
+    FOLD_RADIUS.
 
     a and b are (x, y, theta, ...) sequences; entries after theta are not
-    read, so a state can be passed as it is. Default fold radius 0.5 m
-    matches the base's turning radius used by the state matcher.
+    read, so a state can be passed as it is.
     """
-    if fold_radius <= 0.0:
-        raise ValueError("fold_radius must be positive")
     dth = wrap_angle(b[2] - a[2])
-    return math.sqrt((b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2 + (fold_radius * dth) ** 2)
+    return math.sqrt((b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2 + (FOLD_RADIUS * dth) ** 2)
 
 
 def yaw_project_rows(pos: np.ndarray, rot: np.ndarray) -> np.ndarray:

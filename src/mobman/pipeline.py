@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,15 +88,6 @@ class PipelineConfig:
 
 
 @dataclass
-class FilterReport:
-    accepted: bool
-    reasons: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
 class DemoStep:
     """One 10 Hz record: planar base pose, chest-relative hand pose, aperture."""
 
@@ -112,7 +103,6 @@ class DemoDataset:
 
     t: np.ndarray
     states: np.ndarray
-    filter_report: FilterReport | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -223,16 +213,15 @@ def _savgol_weights(h: int, order: int) -> np.ndarray:
     return weights
 
 
-def smooth_pose_arrays(
-    pos: np.ndarray, quat: np.ndarray, window: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Component-wise smoothing; quaternions renormalized afterwards.
+def smooth_pose_arrays(pos: np.ndarray, quat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component-wise SAVGOL_WINDOW / SAVGOL_ORDER smoothing; quaternions
+    renormalized afterwards.
 
     Component-wise filtering of quaternions is valid for the small
     inter-sample rotations of a 10 Hz stream; samples are hemisphere-aligned
     to their predecessor first so no sign flips corrupt the fit.
     """
-    sp = np.column_stack([savgol_smooth(pos[:, k], window, order) for k in range(3)])
+    sp = np.column_stack([savgol_smooth(pos[:, k], SAVGOL_WINDOW, SAVGOL_ORDER) for k in range(3)])
     # contiguous rows, so that each dot rounds as on a copy of the array; sample
     # i flips when its dot with the (possibly flipped) sample i - 1 is
     # negative, and flipping i - 1 negates that dot exactly
@@ -241,12 +230,13 @@ def smooth_pose_arrays(
     for d in np.vecdot(quat[:-1], quat[1:]).tolist():
         flip.append(d > 0.0 if flip[-1] else d < 0.0)
     aligned = np.where(np.array(flip)[:, None], -quat, quat)
-    sq = np.column_stack([savgol_smooth(aligned[:, k], window, order) for k in range(4)])
+    sq = np.column_stack([savgol_smooth(aligned[:, k], SAVGOL_WINDOW, SAVGOL_ORDER) for k in range(4)])
     return sp, quat_canonical_rows(sq)
 
 
-def quality_filter(session: RawSession) -> FilterReport:
-    """Accept/reject a session; rejection is a value, never an exception."""
+def quality_filter(session: RawSession) -> list[str]:
+    """The reasons to reject a session, empty when it is accepted; rejection
+    is a value, never an exception."""
     reasons = []
     for traj in (session.chest, session.hand):
         if np.any(traj.cov_trace > COV_THRESHOLD):
@@ -258,7 +248,7 @@ def quality_filter(session: RawSession) -> FilterReport:
                 f"workspace: {traj.node_id} displacement {disp.max():.2f} m exceeds "
                 f"{WORKSPACE_BOUND} m bound"
             )
-    return FilterReport(accepted=not reasons, reasons=reasons)
+    return reasons
 
 
 def decouple_rows(
@@ -329,9 +319,9 @@ def assemble_dataset(
     streams do not overlap. Timestamps are rebased to start at 0.
     """
     config = config or PipelineConfig()
-    report = quality_filter(session)
-    if not report.accepted:
-        raise PipelineError("session rejected: " + "; ".join(report.reasons))
+    reasons = quality_filter(session)
+    if reasons:
+        raise PipelineError("session rejected: " + "; ".join(reasons))
     if session.cross_node is None:
         raise PipelineError("cross-node transform missing; run anchoring first")
 
@@ -341,12 +331,8 @@ def assemble_dataset(
     chest_pos, chest_quat = aligned.chest_pos, aligned.chest_quat
     hand_pos, hand_quat = aligned.hand_pos, aligned.hand_quat
     if config.smoothing and len(aligned.t) >= SAVGOL_WINDOW:
-        chest_pos, chest_quat = smooth_pose_arrays(
-            chest_pos, chest_quat, SAVGOL_WINDOW, SAVGOL_ORDER
-        )
-        hand_pos, hand_quat = smooth_pose_arrays(
-            hand_pos, hand_quat, SAVGOL_WINDOW, SAVGOL_ORDER
-        )
+        chest_pos, chest_quat = smooth_pose_arrays(chest_pos, chest_quat)
+        hand_pos, hand_quat = smooth_pose_arrays(hand_pos, hand_quat)
 
     # as a Pose3 built per step did, renormalise the stored quaternions once more
     chest_rot = quat_canonical_rows(chest_quat)
@@ -358,7 +344,7 @@ def assemble_dataset(
     t = np.array([round(t, 9) for t in (aligned.t - aligned.t[0]).tolist()])
     grip = [grip_from_markers(d, calib) for d in aligned.marker_d.tolist()]
     states = np.column_stack([yaw_project_rows(chest_pos, chest_rot), rel_pos, rel_rot, grip])
-    return DemoDataset(t, states, filter_report=report)
+    return DemoDataset(t, states)
 
 
 def make_action_labels(dataset: DemoDataset) -> np.ndarray:

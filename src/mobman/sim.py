@@ -269,6 +269,7 @@ class Plant:
 
 # speed steps of drive's deceleration ramp, before its slow tail
 RAMP_STEPS = 10
+DRIVE_SPEED = 0.3  # m/s, drive's cruise speed
 
 
 class ExpertScript:
@@ -312,22 +313,22 @@ class ExpertScript:
     def pause(self, duration: float) -> ExpertScript:
         return self._push(duration)
 
-    def drive(self, distance: float, speed: float = 0.3) -> ExpertScript:
-        """Straight drive ending in a stepped deceleration ramp.
+    def drive(self, distance: float) -> ExpertScript:
+        """Straight drive at DRIVE_SPEED ending in a stepped deceleration ramp.
 
-        The ramp sheds speed/RAMP_STEPS every 0.3 s so a first-order plant
+        The ramp sheds DRIVE_SPEED/RAMP_STEPS every 0.3 s so a first-order plant
         can brake without overshooting the stop point.
         """
         th = self._knots[-1][2]
         sgn = 1.0 if distance >= 0 else -1.0
         heading = np.array([math.cos(th), math.sin(th), 0.0])
-        ramp = [speed * k / RAMP_STEPS for k in range(RAMP_STEPS - 1, 0, -1)]
-        ramp += [speed * f for f in (1.0 / 15, 1.0 / 25, 1.0 / 50, 1.0 / 150)]
+        ramp = [DRIVE_SPEED * k / RAMP_STEPS for k in range(RAMP_STEPS - 1, 0, -1)]
+        ramp += [DRIVE_SPEED * f for f in (1.0 / 15, 1.0 / 25, 1.0 / 50, 1.0 / 150)]
         # (duration, distance) of each constant-speed step: the cruise, then the ramp
         steps = [(0.3, v * 0.3) for v in ramp]
         cruise_dist = max(abs(distance) - sum(d for _, d in steps), 0.0)
         if cruise_dist > 0:
-            steps.insert(0, (cruise_dist / speed, cruise_dist))
+            steps.insert(0, (cruise_dist / DRIVE_SPEED, cruise_dist))
         script = self
         for duration, dist in steps:
             script = script._push(duration, b1=script._knots[-1][:3] + sgn * dist * heading)
@@ -458,7 +459,7 @@ def _nav_reach_script() -> ExpertScript:
     return (
         ExpertScript(HAND_HOME)
         .pause(0.5)
-        .drive(1.5, 0.3)
+        .drive(1.5)
         .pause(0.4)
         .move_hand(GRASP_POSE, 1.5)
         .set_grip(0.1, 0.6)
@@ -470,9 +471,9 @@ def _nav_turn_place_script() -> ExpertScript:
     return (
         ExpertScript(HAND_HOME, grip0=0.1)
         .pause(0.5)
-        .drive(1.0, 0.3)
+        .drive(1.0)
         .turn(math.pi / 2.0, 2.5)
-        .drive(0.8, 0.3)
+        .drive(0.8)
         .pause(0.4)
         .move_hand(PLACE_POSE, 1.5)
         .set_grip(1.0, 0.6)
@@ -484,16 +485,16 @@ def _long_horizon_script() -> ExpertScript:
     return (
         ExpertScript(HAND_HOME)
         .pause(0.5)
-        .drive(1.2, 0.3)
+        .drive(1.2)
         .turn(-math.pi / 2.0, 2.5)
-        .drive(1.0, 0.3)
+        .drive(1.0)
         .pause(0.4)
         .move_hand(GRASP_POSE, 1.5)
         .set_grip(0.1, 0.6)
         .pause(0.4)
         .move_hand(HAND_HOME, 1.5)
         .turn(math.pi, 5.0)
-        .drive(0.8, 0.3)
+        .drive(0.8)
         .pause(0.4)
         .set_grip(1.0, 0.6)
         .pause(0.6)
@@ -501,7 +502,7 @@ def _long_horizon_script() -> ExpertScript:
 
 
 def _cruise_script() -> ExpertScript:
-    return ExpertScript(HAND_HOME).drive(3.0, 0.3)
+    return ExpertScript(HAND_HOME).drive(3.0)
 
 
 _GRIP_CLOSED = ("<=", 0.15)

@@ -122,27 +122,34 @@ class TestManifest:
 
 
 class TestProcessCommand:
-    def test_outputs_exist(self, processed):
-        assert (processed / "dataset.jsonl").exists()
-        report = read_json(processed / "filter_report.json")
-        assert report["accepted"]
+    def test_writes_dataset_and_manifest_only(self, processed):
+        # a rejected session writes nothing, so no file reports the filter's verdict
+        assert sorted(p.name for p in processed.iterdir()) == ["dataset.jsonl", "manifest.json"]
 
-    def test_covariance_spike_rejected(self, raw_session, anchored, tmp_path, capsys):
+    @pytest.mark.parametrize("markers", ["recorded", "empty"])
+    def test_covariance_spike_rejected(self, raw_session, anchored, tmp_path, capsys, markers):
+        # every reason is named, and the filter runs before the streams are
+        # resampled, so an empty marker stream does not hide them
         raw, _ = raw_session
         bad = tmp_path / "bad"
         bad.mkdir()
-        (bad / "markers.jsonl").write_text((raw / "markers.jsonl").read_text())
+        (bad / "markers.jsonl").write_text((raw / "markers.jsonl").read_text() if markers == "recorded" else "")
         lines = []
         for line in (raw / "trajectories.jsonl").read_text().splitlines():
             rec = json.loads(line)
             rec["cov_trace"] = 0.5
             lines.append(json.dumps(rec))
         (bad / "trajectories.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
         rc = main(
             ["process", "--raw", str(bad), "--anchor", str(anchored), "--output", str(tmp_path / "o")]
         )
         assert rc == EXIT_REJECTED
-        assert "covariance" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "rejected: session rejected: covariance: chest trace exceeds 0.01 m^2; "
+            "covariance: hand trace exceeds 0.01 m^2"
+        ]
+        assert not (tmp_path / "o").exists()
 
     def test_vertical_chest_rejected(self, raw_session, anchored, tmp_path, capsys):
         raw, _ = raw_session
@@ -197,6 +204,14 @@ class TestProcessCommand:
         (bad / "markers.jsonl").write_text("\n".join(lines) + "\n")
         out = tmp_path / "o"
         return main(["process", "--raw", str(bad), "--anchor", str(anchored), "--output", str(out)]), out
+
+    def test_empty_markers_rejected(self, raw_session, anchored, tmp_path, capsys):
+        raw, _ = raw_session
+        capsys.readouterr()
+        rc, out = self._process_markers(raw, anchored, tmp_path, [])
+        assert rc == EXIT_REJECTED
+        assert capsys.readouterr().err.strip().splitlines() == ["rejected: marker stream is empty"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("keep", [1, 5])
     def test_overlap_under_two_steps_rejected(self, raw_session, anchored, tmp_path, capsys, keep):
@@ -1632,12 +1647,12 @@ class TestManifestRecords:
             (
                 [*process, "--output", str(p)],
                 p / "manifest.json", ["raw", "anchor"],
-                [p / "dataset.jsonl", p / "filter_report.json"], 0,
+                [p / "dataset.jsonl"], 0,
             ),
             (
                 [*process, "--calib", str(calib), "--output", str(pc)],
                 pc / "manifest.json", ["raw", "anchor", "calib"],
-                [pc / "dataset.jsonl", pc / "filter_report.json"], 0,
+                [pc / "dataset.jsonl"], 0,
             ),
             (
                 [

@@ -296,17 +296,19 @@ class TestFrozenEma:
         # the steps ddim_sample evaluates its eps_fn at
         return np.unique(np.round(np.linspace(0, K, n_steps + 1)).astype(int))[1:]
 
-    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("batch", [1, 3, 7])
     def test_bit_identical_to_unmemoised_forward(self, batch):
         m, rng = self._model()
         eps_fn = model_eps_fn(m)
         x = rng.normal(size=(batch, ACTION_DIM))
         cond = rng.normal(size=(batch, 5))
-        for k in self._sub_schedule_steps(100, 10):
-            want = m.forward(x, np.full(batch, k), cond, use_ema=True)
-            assert np.array_equal(eps_fn(x, int(k), cond), want)
-            # a second call is served from the memo
-            assert np.array_equal(eps_fn(x, int(k), cond), want)
+        steps = tuple(int(k) for k in self._sub_schedule_steps(100, 10))
+        # the second prepare is served from the memo
+        for blocks in (eps_fn.prepare(cond, steps), eps_fn.prepare(cond, steps)):
+            assert list(blocks) == list(steps)
+            for k in steps:
+                want = m.forward(x, np.full(batch, k), cond, use_ema=True)
+                assert eps_fn(x, k, blocks).tobytes() == want.tobytes()
 
     def test_sampling_bit_identical_to_unmemoised_forward(self):
         m, _ = self._model()
@@ -332,17 +334,18 @@ class TestFrozenEma:
         eps_fn = model_eps_fn(m)
         x = rng.normal(size=(1, ACTION_DIM))
         cond = rng.normal(size=(1, 5))
-        eps_fn(x, 50, cond)  # memoises step 50
+        eps_fn.prepare(cond, (50,))  # memoises step 50
         m.ema["Wk1"] += 0.5  # in place
         m.ema["Wk2"] = m.ema["Wk2"] * 2.0  # rebound
         m.ema["W2"] += 0.5
         for k in (50, 60):  # memoised before the change, and not
             want = built_on.forward(x, np.full(1, k), cond, use_ema=True)
-            assert np.array_equal(eps_fn(x, k, cond), want)
+            assert np.array_equal(eps_fn(x, k, eps_fn.prepare(cond, (k,))), want)
         # an adapter built after the change reads the new weights
-        fresh = model_eps_fn(m)(x, 50, cond)
+        fresh_fn = model_eps_fn(m)
+        fresh = fresh_fn(x, 50, fresh_fn.prepare(cond, (50,)))
         assert np.array_equal(fresh, m.forward(x, np.full(1, 50), cond, use_ema=True))
-        assert not np.array_equal(fresh, eps_fn(x, 50, cond))
+        assert not np.array_equal(fresh, eps_fn(x, 50, eps_fn.prepare(cond, (50,))))
 
     def test_one_forward_call_per_evaluation(self, monkeypatch):
         m, _ = self._model()
@@ -356,7 +359,7 @@ class TestFrozenEma:
         monkeypatch.setattr(ToyDenoiser, "forward", counted)
         sched = cosine_schedule(100)
         ddim_sample(model_eps_fn(m), np.zeros((1, 5)), sched, seed=0, sample_dim=ACTION_DIM)
-        assert [int(k[0]) for k in calls] == list(self._sub_schedule_steps(100, 10))[::-1]
+        assert calls == list(self._sub_schedule_steps(100, 10))[::-1]
 
     def test_training_path_still_checks_every_call(self):
         m, _ = self._model()
@@ -393,17 +396,20 @@ class TestPreparedSampler:
             want = reference_ddim_sample(per_step, cond, sched, n_steps, seed, ACTION_DIM)
             assert got.tobytes() == want.tobytes()
 
-    def test_direct_call_after_sampling_reads_its_own_cond(self):
-        # the adapter keeps no sample's FiLM blocks, so a direct call on the
-        # caller's cond, edited in place after sampling, reads the edit
+    def test_prepare_after_sampling_reads_its_own_cond(self):
+        # the adapter keeps no sample's FiLM blocks, so the next prepare of
+        # the caller's cond, edited in place after sampling, reads the edit
         m, rng = TestFrozenEma()._model()
         eps_fn = model_eps_fn(m)
         cond = rng.normal(size=(1, 5))
         ddim_sample(eps_fn, cond, cosine_schedule(100), seed=0, sample_dim=ACTION_DIM)
         cond += 1.0
         x = rng.normal(size=(1, ACTION_DIM))
-        want = m.forward(x, np.full(1, 100), cond, use_ema=True)
-        assert eps_fn(x, 100, cond).tobytes() == want.tobytes()
+        steps = tuple(int(k) for k in TestFrozenEma._sub_schedule_steps(100, 10))[::-1]
+        blocks = eps_fn.prepare(cond, steps)
+        for k in steps:
+            want = m.forward(x, np.full(1, k), cond, use_ema=True)
+            assert eps_fn(x, k, blocks).tobytes() == want.tobytes()
 
     def test_empty_batch(self):
         m, _ = TestFrozenEma()._model()

@@ -87,7 +87,6 @@ class TestMatchWeights:
     def test_scaled(self):
         w = MatchWeights().scaled(3.0)
         assert w.w_b == 3.0 and w.w_r == pytest.approx(0.6)
-        assert w.fold_radius == 0.5
 
 
 class TestStateMatch:

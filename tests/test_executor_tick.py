@@ -87,9 +87,9 @@ def _ref_forward_rollout(s0, chunk):
     return states
 
 
-def _ref_dist_se2(a, b, fold_radius=0.5):
+def _ref_dist_se2(a, b):
     dth = wrap_angle(b.theta - a.theta)
-    return math.sqrt((b.x - a.x) ** 2 + (b.y - a.y) ** 2 + (fold_radius * dth) ** 2)
+    return math.sqrt((b.x - a.x) ** 2 + (b.y - a.y) ** 2 + (0.5 * dth) ** 2)
 
 
 def _ref_geodesic_so3(r0, r1):
@@ -99,7 +99,7 @@ def _ref_geodesic_so3(r0, r1):
 
 
 def _ref_state_discrepancy(a, b, w):
-    tb = w.w_b * _ref_dist_se2(a.base, b.base, w.fold_radius) ** 2
+    tb = w.w_b * _ref_dist_se2(a.base, b.base) ** 2
     tt = w.w_t * float(np.sum((a.hand_pos - b.hand_pos) ** 2))
     tr = w.w_r * _ref_geodesic_so3(a.hand_rot, b.hand_rot) ** 2
     tg = w.w_g * (a.grip - b.grip) ** 2

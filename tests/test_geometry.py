@@ -259,17 +259,13 @@ class TestDistSe2:
         assert dist_se2((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0)
 
     def test_heading_fold(self):
-        d = dist_se2((0, 0, 0), (0, 0, 1.0), fold_radius=0.5)
+        d = dist_se2((0, 0, 0), (0, 0, 1.0))
         assert d == pytest.approx(0.5)
 
     def test_wraps_heading(self):
         a, b = Pose2(0, 0, -math.pi + 0.05), Pose2(0, 0, math.pi - 0.05)
         d = dist_se2(astuple(a), astuple(b))
         assert d == pytest.approx(0.5 * 0.1, abs=1e-9)
-
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            dist_se2((0, 0, 0), (0, 0, 0), fold_radius=0.0)
 
 
 def _yaw(p: Pose3) -> Pose2:

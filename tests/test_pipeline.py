@@ -262,18 +262,15 @@ class TestQualityFilter:
         return RawSession("s", chest, hand, Pose3(), t, np.full(len(t), 0.05))
 
     def test_accepts_clean(self):
-        rep = quality_filter(self._session())
-        assert rep.accepted and rep.reasons == []
+        assert quality_filter(self._session()) == []
 
     def test_rejects_covariance_spike(self):
-        rep = quality_filter(self._session(cov=0.5))
-        assert not rep.accepted
-        assert any("covariance" in r for r in rep.reasons)
+        reasons = quality_filter(self._session(cov=0.5))
+        assert reasons and all("covariance" in r for r in reasons)
 
     def test_rejects_workspace_escape(self):
-        rep = quality_filter(self._session(drift=1.0))
-        assert not rep.accepted
-        assert any("workspace" in r for r in rep.reasons)
+        reasons = quality_filter(self._session(drift=1.0))
+        assert reasons and all("workspace" in r for r in reasons)
 
     def test_assemble_raises_on_reject(self):
         with pytest.raises(PipelineError, match="covariance"):
@@ -615,9 +612,9 @@ class TestArrayPassesMatchLoops:
             expected = _smooth_loop(pos, quat, 9, 2)
         except ValueError:  # a zero row smoothed at an edge stays zero
             with pytest.raises(ValueError, match="zero or non-finite"):
-                smooth_pose_arrays(pos, quat, 9, 2)
+                smooth_pose_arrays(pos, quat)
             return
-        got = smooth_pose_arrays(pos, quat, 9, 2)
+        got = smooth_pose_arrays(pos, quat)
         assert _same_bytes(got[0], expected[0]) and _same_bytes(got[1], expected[1])
 
     @settings(max_examples=40, deadline=None)

@@ -1392,7 +1392,7 @@ _durations = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.3, 1.5]), st.floats(0.
 _script_ops = st.lists(
     st.one_of(
         st.tuples(st.just("pause"), _durations),
-        st.tuples(st.just("drive"), st.floats(-2.0, 2.0), st.sampled_from([0.1, 0.3, 0.45])),
+        st.tuples(st.just("drive"), st.floats(-2.0, 2.0)),
         st.tuples(
             st.just("turn"),
             st.one_of(st.floats(-7.0, 7.0), st.sampled_from([math.pi, -math.pi, 3 * math.pi])),
