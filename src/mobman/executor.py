@@ -20,8 +20,8 @@ uses the same 11 slots for increments (see advance_floats).
 
 The float code keeps the bits of the Pose2/Pose3 code it replaced: every
 heading is wrapped where a Pose2 constructor wrapped it, and only there;
-quaternion dots stay ndarray dots (BLAS rounding); transcendentals are math
-calls.
+quaternion dots are geometry's buffer dots, which keep ndarray.dot's BLAS
+rounding; transcendentals are math calls.
 """
 from __future__ import annotations
 
@@ -146,7 +146,7 @@ def state_match(rollout: list[tuple], now: tuple, w: MatchWeights | None = None)
     if not rollout:
         raise ValueError("empty rollout")
     w = w or MatchWeights()
-    q_now = np.array(now[6:10])
+    q_now = now[6:10]
     _, _, _, px, py, pz, _, _, _, _, grip = now
     best = None
     for i, s in enumerate(rollout):
@@ -154,7 +154,7 @@ def state_match(rollout: list[tuple], now: tuple, w: MatchWeights | None = None)
         # np.sum of three squares adds them left to right
         d0, d1, d2 = s[3] - px, s[4] - py, s[5] - pz
         tt = w.w_t * (d0 * d0 + d1 * d1 + d2 * d2)
-        tr = w.w_r * geodesic_so3(np.array(s[6:10]), q_now) ** 2
+        tr = w.w_r * geodesic_so3(s[6:10], q_now) ** 2
         tg = w.w_g * (s[10] - grip) ** 2
         total = tb + tt + tr + tg
         if best is None or total < best[1]:

@@ -8,17 +8,24 @@
 #   - angles are wrapped to (-pi, pi], with ties at pi mapped to +pi;
 #   - a pose T_A_B maps coordinates from frame B to frame A.
 #
-# The *_rows functions apply a scalar function to every row of an (N, 4)
-# quaternion or (N, 3) vector array and return the same bits, row for row:
-#   - element-wise arithmetic keeps the scalar code's operation order;
-#   - every row dot is np.vecdot, which takes the same BLAS dot as the scalar
-#     q.dot(q) when the rows have the same memory stride (a contiguous copy
-#     and a strided view of the same numbers can round differently);
+# Bit rules. Every dot product of three or four floats is BLAS's ddot, as
+# ndarray.dot takes it; a contiguous copy and a strided view of the same
+# numbers can round differently, so the stride is part of the rule:
+#   - the float helpers (dot4_floats, norm4_floats, norm3_floats) pack their
+#     floats into one preallocated buffer and take ndarray.dot on unit-stride
+#     views of it, which runs the same ddot on the same values as ndarray.dot
+#     on a new array of those floats, so no call builds an array;
+#   - the *_rows functions apply a scalar function to every row of an (N, 4)
+#     quaternion or (N, 3) vector array and return the same bits, row for
+#     row: element-wise arithmetic keeps the scalar code's operation order,
+#     and every row dot is np.vecdot, which takes the same BLAS dot as the
+#     scalar q.dot(q) when the rows have the same memory stride;
 #   - transcendentals stay per-row math calls, because np.arccos, np.arctan2
 #     and np.hypot round some inputs differently from math.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +34,37 @@ from .jsonl import finite_rows
 
 # m, dist_se2's arc-length radius for heading error: the base's turning radius
 FOLD_RADIUS = 0.5
+
+
+# Single-threaded scratch for the float helpers' dots: each packs its floats
+# and takes its dot with nothing run in between, and no caller keeps a view.
+# [:4] and [4:] hold two quaternions, [:3] a 3-vector; both halves have unit
+# stride, as a new array has.
+_DOT_BUF = np.empty(8)
+_DOT_A, _DOT_B, _DOT_V3 = _DOT_BUF[:4], _DOT_BUF[4:], _DOT_BUF[:3]
+_PACK8_INTO = struct.Struct("8d").pack_into
+_PACK4_INTO = struct.Struct("4d").pack_into
+_PACK3_INTO = struct.Struct("3d").pack_into
+
+
+def dot4_floats(aw, ax, ay, az, bw, bx, by, bz) -> float:
+    """The dot product of the quaternions (aw, ax, ay, az) and (bw, bx, by, bz),
+    with the bits of np.array(a).dot(np.array(b))."""
+    _PACK8_INTO(_DOT_BUF, 0, aw, ax, ay, az, bw, bx, by, bz)
+    return float(_DOT_A.dot(_DOT_B))
+
+
+def norm4_floats(w, x, y, z) -> float:
+    """The norm of the quaternion (w, x, y, z), sqrt(q.dot(q)) of a new array q."""
+    _PACK4_INTO(_DOT_BUF, 0, w, x, y, z)
+    return math.sqrt(_DOT_A.dot(_DOT_A))
+
+
+def norm3_floats(x, y, z) -> float:
+    """The norm of the vector (x, y, z), sqrt(v.dot(v)) of a new array v, which
+    is what np.linalg.norm computes."""
+    _PACK3_INTO(_DOT_BUF, 0, x, y, z)
+    return math.sqrt(_DOT_V3.dot(_DOT_V3))
 
 
 class DegeneratePitchError(ValueError):
@@ -53,9 +91,9 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
 
 def quat_canonical_floats(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
     """quat_canonical of the quaternion (w, x, y, z), given and returned as
-    four floats with the bits quat_canonical gives its array."""
-    q = np.array((w, x, y, z))
-    return _canonical_by_norm(w, x, y, z, math.sqrt(q.dot(q)))
+    four floats with the bits quat_canonical gives a contiguous array; the
+    norm is norm4_floats'."""
+    return _canonical_by_norm(w, x, y, z, norm4_floats(w, x, y, z))
 
 
 def _canonical_by_norm(w, x, y, z, n: float) -> tuple[float, ...]:
@@ -183,8 +221,8 @@ def slerp(q0: np.ndarray, q1: np.ndarray, s: float) -> np.ndarray:
 
 def slerp_floats(q0, q1, s: float, dot: float) -> tuple[float, float, float, float]:
     """slerp of two quaternions given as sequences of four floats, whose dot
-    product the caller has taken with ndarray.dot; four floats with slerp's
-    bits. The normalising dot runs on a new array, as in slerp."""
+    product the caller has taken with ndarray.dot or dot4_floats; four floats
+    with slerp's bits. The normalising norm is norm4_floats'."""
     w0, x0, y0, z0 = q0
     w1, x1, y1, z1 = q1
     if dot < 0.0:
@@ -198,11 +236,10 @@ def slerp_floats(q0, q1, s: float, dot: float) -> tuple[float, float, float, flo
         omega = math.acos(dot)
         so = math.sin(omega)
         a, b = math.sin((1.0 - s) * omega) / so, math.sin(s * omega) / so
-    out = np.array((a * w0 + b * w1, a * x0 + b * x1, a * y0 + b * y1, a * z0 + b * z1))
-    n = math.sqrt(out.dot(out))
+    w, x, y, z = a * w0 + b * w1, a * x0 + b * x1, a * y0 + b * y1, a * z0 + b * z1
+    n = norm4_floats(w, x, y, z)
     if linear and n < 1e-12:
         return w0, x0, y0, z0
-    w, x, y, z = out.tolist()
     return w / n, x / n, y / n, z / n
 
 
@@ -236,9 +273,10 @@ def slerp_rows(q0: np.ndarray, q1: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def geodesic_so3(r0: np.ndarray, r1: np.ndarray) -> float:
-    """Geodesic angle between two rotations, in [0, pi]."""
-    return geodesic_of_dot(float(np.dot(np.asarray(r0, dtype=float), np.asarray(r1, dtype=float))))
+def geodesic_so3(r0, r1) -> float:
+    """Geodesic angle between two rotations, in [0, pi]; r0 and r1 are any
+    sequences of four floats, such as a state's slots 6:10 or a (4,) array."""
+    return geodesic_of_dot(dot4_floats(*r0, *r1))
 
 
 def geodesic_of_dot(dot: float) -> float:

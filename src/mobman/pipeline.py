@@ -173,7 +173,9 @@ def resample_to_grid(session: RawSession) -> ResampledSession:
     )
 
 
-def savgol_smooth(series: np.ndarray, window: int = 9, order: int = 2) -> np.ndarray:
+def savgol_smooth(
+    series: np.ndarray, window: int = SAVGOL_WINDOW, order: int = SAVGOL_ORDER
+) -> np.ndarray:
     """Savitzky-Golay smoothing of a uniformly sampled series.
 
     Fits a local least-squares polynomial of the given order in a centered

@@ -46,7 +46,9 @@ from .geometry import (
     Pose3,
     compose_floats,
     compose_rows,
+    dot4_floats,
     geodesic_of_dot,
+    norm3_floats,
     quat_canonical_floats,
     quat_canonical_rows,
     quat_from_axis_angle,
@@ -67,7 +69,8 @@ from .report import aggregate_rows
 CHEST_HEIGHT = 0.9  # m, chest frame above the ground plane
 ARM_REACH = 0.75  # m, hand position clamp radius around the chest origin
 # a float sum of squares of the hand position at or below this puts its BLAS
-# norm below ARM_REACH whatever the rounding of either, so the clamp is off
+# norm (norm3_floats) below ARM_REACH whatever the rounding of either, so the
+# clamp is off
 _REACH_PREFILTER = ARM_REACH * ARM_REACH * (1.0 - 1e-9)
 # the bytes of four floats: equal bytes are equal bits, -0.0 and 0.0 differ
 _PACK4 = struct.Struct("4d").pack
@@ -116,12 +119,14 @@ class Plant:
 
     The substep keeps the bits of the Pose2/Pose3 code it replaced (see
     executor): element-wise + - * / and min(max(x, lo), hi) give the bits of
-    their array forms and np.clip; the slerp result is canonicalised a second
-    time, as the Pose3 constructor did; the reach clamp takes its BLAS norm
-    only when a float sum of squares with a margin says the hand may be
-    beyond ARM_REACH. The rotation update is a function of the rotation and
-    the active command alone, so once it returns its input bit for bit it is
-    skipped until the next command is taken.
+    their array forms and np.clip; the slerp input dot and every norm are
+    geometry's buffer dots (dot4_floats, norm3_floats), which give the bits of
+    ndarray.dot on new arrays without building one; the slerp result is
+    canonicalised a second time, as the Pose3 constructor did; the reach clamp
+    takes its norm only when a float sum of squares with a margin says the
+    hand may be beyond ARM_REACH. The rotation update is a function of the
+    rotation and the active command alone, so once it returns its input bit
+    for bit it is skipped until the next command is taken.
     """
 
     def __init__(self, config: PlantConfig, state: tuple = REST_STATE):
@@ -161,8 +166,8 @@ class Plant:
         x1, y1, th1, px1, py1, pz1, *q1, g1 = states[j]
         a = (t - times[j - 1]) / (times[j] - times[j - 1])
         b = 1 - a
-        # slerp's dot, an ndarray dot
-        dot = float(np.array(q0).dot(np.array(q1)))
+        # slerp's dot, as ndarray.dot takes it
+        dot = dot4_floats(*q0, *q1)
         return (
             b * x0 + a * x1,
             b * y0 + a * y1,
@@ -186,7 +191,6 @@ class Plant:
             tx,
             ty,
             tz,
-            np.array(q1),
             q1,
             cmd.grip_target,
         )
@@ -214,13 +218,15 @@ class Plant:
         times, states = self._times, self._states
         x, y, th, px, py, pz, qw, qx, qy, qz, grip = states[-1]
         v, omega, v_lat = self.v, self.omega, self.v_lat
-        v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
+        v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, g_cmd = self._cmd
+        q1w, q1x, q1y, q1z = q1
         now, k = self.t, self._k
         rot_fixed = self._rot_fixed
         while now < t - 1e-9:
             if self._next_due <= now + 1e-9:
                 self._take_due(now)
-                v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
+                v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, g_cmd = self._cmd
+                q1w, q1x, q1y, q1z = q1
                 rot_fixed = self._rot_fixed
             if kinematic:
                 v, omega, v_lat = v_cmd, w_cmd, lat_cmd
@@ -237,8 +243,7 @@ class Plant:
             py = py + a * (ty - py)
             pz = pz + a * (tz - pz)
             if px * px + py * py + pz * pz > _REACH_PREFILTER:
-                pos = np.array((px, py, pz))
-                r = math.sqrt(pos.dot(pos))
+                r = norm3_floats(px, py, pz)
                 if r > ARM_REACH:
                     f = ARM_REACH / r
                     px, py, pz = px * f, py * f, pz * f
@@ -247,7 +252,8 @@ class Plant:
             # every episode state change
             if not rot_fixed:
                 rot = (qw, qx, qy, qz)
-                q = quat_canonical_floats(*slerp_floats(rot, q1f, a, float(np.array(rot).dot(q1))))
+                dot = dot4_floats(qw, qx, qy, qz, q1w, q1x, q1y, q1z)
+                q = quat_canonical_floats(*slerp_floats(rot, q1, a, dot))
                 # == alone would take a flipped signed zero for a fixed point
                 rot_fixed = q == rot and _PACK4(*q) == _PACK4(*rot)
                 if not rot_fixed:
@@ -430,9 +436,7 @@ class GoalStage:
                 return False
         if self.hand is not None:
             pos, tol = self.hand
-            # sqrt(e.dot(e)) is what np.linalg.norm computes for a vector
-            e = np.array((s[3] - pos[0], s[4] - pos[1], s[5] - pos[2]))
-            if math.sqrt(e.dot(e)) > tol:
+            if norm3_floats(s[3] - pos[0], s[4] - pos[1], s[5] - pos[2]) > tol:
                 return False
         if self.grip is not None:
             op, thr = self.grip
@@ -875,8 +879,7 @@ class ExpertReplayPolicy:
         tpx, tpy, tpz, tw, tx, ty, tz = target
         ex, ey, ez = tpx - px, tpy - py, tpz - pz
         if ex * ex + ey * ey + ez * ez > self._HAND_STEP_PREFILTER:
-            e = np.array((ex, ey, ez))
-            n = math.sqrt(e.dot(e))
+            n = norm3_floats(ex, ey, ez)
             if n > self.MAX_HAND_STEP:
                 f = self.MAX_HAND_STEP / n
                 ex, ey, ez = ex * f, ey * f, ez * f

@@ -28,7 +28,7 @@ from mobman.diffusion import (
     save_checkpoint,
 )
 from mobman.executor import NonFiniteChunkError
-from mobman.geometry import Pose3
+from mobman.geometry import Pose3, quat_mul, rot_z
 from mobman.jsonl import finite_float64, float64_text, read_json
 from mobman.manifest import RunManifest, file_sha256
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
@@ -1704,6 +1704,91 @@ class TestManifestRecords:
         assert main(["replay", "--manifest", str(r / "manifest.json")]) == EXIT_REJECTED
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["rejected: replay inputs differ from manifest: metrics_1"]
+
+
+def _jsonl_without_hand(path: Path) -> str:
+    """The text of a JSONL stream with every record of the hand node removed."""
+    lines = path.read_text().splitlines()
+    return "\n".join(line for line in lines if json.loads(line)["node"] != "hand") + "\n"
+
+
+class TestUnusableInputRefused:
+    """Inputs that parse but that a command cannot use: each is refused with
+    one stderr line, no traceback, and nothing written."""
+
+    @staticmethod
+    def _assert_refused(argv, rc, line, written, capsys):
+        capsys.readouterr()
+        assert main(argv) == rc
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [line]
+        assert "Traceback" not in err
+        assert not any(p.exists() for p in written)
+
+    def _refuse_anchor(self, raw, tmp_path, name, text, rc, line, capsys):
+        """anchor with raw's file name replaced by text."""
+        files = {n: raw / n for n in ("trajectories.jsonl", "detections.jsonl", "extrinsics.json")}
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+        out = tmp_path / "a.json"
+        argv = [
+            "anchor",
+            "--trajectories", str(files["trajectories.jsonl"]),
+            "--detections", str(files["detections.jsonl"]),
+            "--extrinsics", str(files["extrinsics.json"]),
+            "--output", str(out),
+        ]
+        self._assert_refused(argv, rc, line, [out, out.with_suffix(".manifest.json")], capsys)
+
+    def test_anchor_missing_node_stream(self, raw_session, tmp_path, capsys):
+        raw, _ = raw_session
+        text = _jsonl_without_hand(raw / "trajectories.jsonl")
+        line = "usage error: trajectory stream for node 'hand' missing"
+        self._refuse_anchor(raw, tmp_path, "trajectories.jsonl", text, EXIT_USAGE, line, capsys)
+
+    def test_anchor_missing_extrinsic(self, raw_session, tmp_path, capsys):
+        raw, _ = raw_session
+        doc = read_json(raw / "extrinsics.json")
+        del doc["hand"]
+        line = "usage error: extrinsic for node 'hand' missing"
+        self._refuse_anchor(raw, tmp_path, "extrinsics.json", json.dumps(doc), EXIT_USAGE, line, capsys)
+
+    def test_anchor_node_without_valid_detection(self, raw_session, tmp_path, capsys):
+        raw, _ = raw_session
+        text = _jsonl_without_hand(raw / "detections.jsonl")
+        line = "rejected: no valid detections for node hand"
+        self._refuse_anchor(raw, tmp_path, "detections.jsonl", text, EXIT_REJECTED, line, capsys)
+
+    def test_anchor_rotation_spread_beyond_90_degrees(self, raw_session, tmp_path, capsys):
+        # one hand sighting of the board turned 120 degrees about its normal
+        raw, _ = raw_session
+        lines = (raw / "detections.jsonl").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if json.loads(line)["node"] == "hand")
+        rec = json.loads(lines[i])
+        turned = quat_mul(np.array(rec["tag_pose"][3:]), rot_z(math.radians(120.0)))
+        rec["tag_pose"][3:] = turned.tolist()
+        lines[i] = json.dumps(rec)
+        line = "rejected: anchoring ill-conditioned: rotation spread exceeds 90 degrees"
+        text = "\n".join(lines) + "\n"
+        self._refuse_anchor(raw, tmp_path, "detections.jsonl", text, EXIT_REJECTED, line, capsys)
+
+    def test_process_missing_node_stream(self, raw_session, anchored, tmp_path, capsys):
+        raw, _ = raw_session
+        bad = tmp_path / "raw"
+        bad.mkdir()
+        (bad / "markers.jsonl").write_text((raw / "markers.jsonl").read_text())
+        (bad / "trajectories.jsonl").write_text(_jsonl_without_hand(raw / "trajectories.jsonl"))
+        out = tmp_path / "o"
+        argv = ["process", "--raw", str(bad), "--anchor", str(anchored), "--output", str(out)]
+        line = "usage error: trajectory stream for node 'hand' missing"
+        self._assert_refused(argv, EXIT_USAGE, line, [out], capsys)
+
+    def test_replay_unknown_command(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "dance", "config": {"output": "o"}, "seed": 0}))
+        line = "usage error: manifest records unknown command 'dance'"
+        self._assert_refused(["replay", "--manifest", str(manifest)], EXIT_USAGE, line, [], capsys)
+        assert list(tmp_path.iterdir()) == [manifest]
 
 
 class TestOutputOverwritesInput:

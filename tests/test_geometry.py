@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation, Slerp
 
+from mobman import geometry
 from mobman.geometry import (
     DegeneratePitchError,
     Pose2,
@@ -15,8 +16,13 @@ from mobman.geometry import (
     compose_floats,
     compose_rows,
     dist_se2,
+    dot4_floats,
+    geodesic_of_dot,
     geodesic_so3,
+    norm3_floats,
+    norm4_floats,
     quat_canonical,
+    quat_canonical_floats,
     quat_canonical_rows,
     quat_conj,
     quat_conj_rows,
@@ -30,6 +36,7 @@ from mobman.geometry import (
     relative_floats,
     rot_z,
     slerp,
+    slerp_floats,
     slerp_rows,
     wrap_angle,
     yaw_project_rows,
@@ -504,3 +511,111 @@ class TestRowHelpers:
             lambda i: as_row(_yaw_project(Pose3.of_canonical(rot[i], pos[i]))),
             len(q),
         )
+
+
+# ---------------------------------------------------------------------------
+# Buffer dots: dot4_floats, norm4_floats and norm3_floats take ndarray.dot on
+# views of one preallocated buffer; each must give the bits of ndarray.dot on
+# new arrays of the same floats, which the float code had used before.
+# ---------------------------------------------------------------------------
+
+# finite floats with signed zeros, subnormals and magnitudes up to 1e150
+# drawn on purpose; a sum of four squares stays below the largest float
+_dot_float = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+)
+_dot_quat = st.tuples(*[_dot_float] * 4)
+_dot_vec = st.tuples(*[_dot_float] * 3)
+
+
+def _new_array_dot(a, b) -> float:
+    """The dot product the helpers replace: ndarray.dot of two new arrays."""
+    return float(np.array(a, dtype=float).dot(np.array(b, dtype=float)))
+
+
+def _bits(x) -> str:
+    # float.hex tells -0.0 from 0.0
+    return float(x).hex()
+
+
+class TestBufferDots:
+    def test_buffer_view_dot_is_new_array_dot(self):
+        # the premise: ddot on unit-stride views of a reused buffer rounds as
+        # on a new array, at every offset the helpers use
+        buf = np.empty(8)
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            v = (rng.normal(size=8) * 10.0 ** rng.integers(-5, 6, size=8)).tolist()
+            buf[:] = v
+            assert _bits(buf[:4].dot(buf[4:])) == _bits(_new_array_dot(v[:4], v[4:]))
+            assert _bits(buf[:4].dot(buf[:4])) == _bits(_new_array_dot(v[:4], v[:4]))
+            assert _bits(buf[:3].dot(buf[:3])) == _bits(_new_array_dot(v[:3], v[:3]))
+
+    def test_views_have_unit_stride(self):
+        for view, n in ((geometry._DOT_A, 4), (geometry._DOT_B, 4), (geometry._DOT_V3, 3)):
+            assert view.shape == (n,) and view.strides == (8,) and view.flags.c_contiguous
+            assert np.shares_memory(view, geometry._DOT_BUF)
+
+    @given(_dot_quat, _dot_quat)
+    @example((-0.0, -0.0, -0.0, -0.0), (0.0, 0.0, 0.0, 0.0))
+    @example((5e-324, -5e-324, 1e-300, 0.0), (1e150, 1e150, -1e150, 5e-324))
+    def test_dot4_floats(self, a, b):
+        assert _bits(dot4_floats(*a, *b)) == _bits(_new_array_dot(a, b))
+
+    @given(_dot_quat)
+    @example((-0.0, 0.0, -0.0, 0.0))
+    @example((5e-324, 5e-324, 0.0, 0.0))
+    def test_norm4_floats(self, q):
+        assert _bits(norm4_floats(*q)) == _bits(math.sqrt(_new_array_dot(q, q)))
+
+    @given(_dot_vec)
+    @example((-0.0, -0.0, -0.0))
+    @example((1e150, -1e150, 1e150))
+    def test_norm3_floats(self, v):
+        assert _bits(norm3_floats(*v)) == _bits(math.sqrt(_new_array_dot(v, v)))
+
+    @given(_dot_quat, _dot_quat, _dot_vec)
+    def test_nested_calls(self, a, b, v):
+        # an argument that is another helper's result is computed before the
+        # outer helper packs the buffer
+        n4, n3 = math.sqrt(_new_array_dot(a, a)), math.sqrt(_new_array_dot(v, v))
+        got = dot4_floats(norm4_floats(*a), norm3_floats(*v), *a[2:], *b)
+        assert _bits(got) == _bits(_new_array_dot((n4, n3, *a[2:]), b))
+        got = norm3_floats(norm4_floats(*a), norm4_floats(*b), v[2])
+        want = (n4, math.sqrt(_new_array_dot(b, b)), v[2])
+        assert _bits(got) == _bits(math.sqrt(_new_array_dot(want, want)))
+
+    @given(_quat_rows)
+    def test_quat_canonical_floats(self, rows):
+        for q in rows:
+            try:
+                want = quat_canonical(np.array(q))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    quat_canonical_floats(*q)
+                continue
+            assert np.array(quat_canonical_floats(*q)).tobytes() == want.tobytes()
+
+    @given(_slerp_cases())
+    def test_slerp_floats_chained(self, cases):
+        # slerp_floats on dot4_floats' dot gives slerp's bits, and its result
+        # fed to quat_canonical_floats, as the plant's substep chains them
+        for q0, q1, s in cases:
+            a, b = q0.tolist(), q1.tolist()
+            got = slerp_floats(a, b, s, dot4_floats(*a, *b))
+            want = slerp(q0, q1, s)
+            assert np.array(got).tobytes() == want.tobytes()
+            assert (
+                np.array(quat_canonical_floats(*got)).tobytes() == quat_canonical(want).tobytes()
+            )
+
+    @given(_quat_rows, _quat_rows)
+    def test_geodesic_so3_of_tuples_and_arrays(self, rows, other):
+        # tuples, as state_match passes state slots, and (4,) arrays, as the
+        # benchmark passes Pose3 rotations, give the dot of new arrays
+        for a, b in zip(rows, other):
+            want = _bits(geodesic_of_dot(_new_array_dot(a, b)))
+            assert _bits(geodesic_so3(a, b)) == want
+            assert _bits(geodesic_so3(np.array(a), np.array(b))) == want

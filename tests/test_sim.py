@@ -1019,12 +1019,12 @@ class _UnskippedPlant(Plant):
         times, states = self._times, self._states
         x, y, th, px, py, pz, qw, qx, qy, qz, grip = states[-1]
         v, omega, v_lat = self.v, self.omega, self.v_lat
-        v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
+        v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1f, g_cmd = self._cmd
         now, k = self.t, self._k
         while now < t - 1e-9:
             if self._next_due <= now + 1e-9:
                 self._take_due(now)
-                v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, q1f, g_cmd = self._cmd
+                v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1f, g_cmd = self._cmd
             if kinematic:
                 v, omega, v_lat = v_cmd, w_cmd, lat_cmd
             else:
@@ -1045,7 +1045,7 @@ class _UnskippedPlant(Plant):
                     f = ARM_REACH / r
                     px, py, pz = px * f, py * f, pz * f
             rot = np.array((qw, qx, qy, qz))
-            q = slerp_floats((qw, qx, qy, qz), q1f, a, float(rot.dot(q1)))
+            q = slerp_floats((qw, qx, qy, qz), q1f, a, float(rot.dot(np.array(q1f))))
             qw, qx, qy, qz = quat_canonical_floats(*q)
             dg = min(max(g_cmd - grip, -rate), rate)
             grip = float(min(max(grip + dg, 0.0), 1.0))
