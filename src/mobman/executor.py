@@ -163,22 +163,25 @@ def state_match(rollout: list[tuple], now: tuple, w: MatchWeights | None = None)
 
 
 class Waypoint(NamedTuple):
-    """One dispatchable target: chunk row index, target state, chunk row."""
+    """One dispatchable target: chunk row index, target state, chunk row (a
+    list of 11 floats)."""
 
     index: int
     target: tuple
-    row: np.ndarray
+    row: list
 
 
 def splice(
     chunk: ActionChunkTensor, rollout: list[tuple], i_star: int
 ) -> tuple[list[Waypoint], bool]:
     """Waypoints from i_star onward, row i targeting rollout[i + 1]; the flag
-    requests an immediate replan when only the degenerate tail remains."""
+    requests an immediate replan when only the degenerate tail remains. Each
+    waypoint's row is chunk row i as 11 Python floats (one tolist per
+    splice), so that dispatch does no numpy scalar arithmetic."""
     T_p = chunk.horizon
     if not 0 <= i_star < T_p:
         raise ValueError(f"i_star {i_star} out of range [0, {T_p})")
-    rows = chunk.values
+    rows = chunk.values.tolist()
     waypoints = [Waypoint(i, rollout[i + 1], rows[i]) for i in range(i_star, T_p)]
     return waypoints, i_star == T_p - 1
 
@@ -423,14 +426,19 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
             s = plant.current
             cmd = PlantCommand(0.0, 0.0, 0.0, _hand_target(s), s[10])
         plant.issue_command(cmd, t + lat.d_exe)
-        v, v_lat, omega = (round(float(x), 9) for x in (cmd.v, cmd.v_lat, cmd.omega))
-        log.add(tick, t, "command", {"v": v, "v_lat": v_lat, "omega": omega, **tracking})
+        v, v_lat, omega = float(cmd.v), float(cmd.v_lat), float(cmd.omega)
+        log.add(
+            tick,
+            t,
+            "command",
+            {"v": round(v, 9), "v_lat": round(v_lat, 9), "omega": round(omega, 9), **tracking},
+        )
 
         # splice jitter: forward-velocity sign reversals shortly after a splice
-        sign = 0 if abs(cmd.v) < 0.02 else (1 if cmd.v > 0 else -1)
+        sign = 0 if abs(v) < 0.02 else (1 if v > 0 else -1)
         if (tick - last_splice_tick) * dt <= JITTER_WINDOW_S + 1e-9:
             if sign != 0 and prev_v_sign != 0 and sign != prev_v_sign:
-                log.add(tick, t, "jitter", {"v": round(float(cmd.v), 6)})
+                log.add(tick, t, "jitter", {"v": round(v, 6)})
         if sign != 0:
             prev_v_sign = sign
 

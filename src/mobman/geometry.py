@@ -232,7 +232,7 @@ def slerp_floats(q0, q1, s: float, dot: float) -> tuple[float, float, float, flo
     if linear:
         a, b = 1.0 - s, s
     else:
-        dot = min(dot, 1.0)
+        # 1e-6 <= dot <= 1 - 1e-12 here, or NaN: inside acos's domain
         omega = math.acos(dot)
         so = math.sin(omega)
         a, b = math.sin((1.0 - s) * omega) / so, math.sin(s * omega) / so
@@ -263,7 +263,8 @@ def slerp_rows(q0: np.ndarray, q1: np.ndarray, s: np.ndarray) -> np.ndarray:
     gen = ~lin
     if gen.any():
         wa, wb = [], []
-        for d, sg in zip(np.minimum(dot[gen], 1.0).tolist(), s[gen].tolist()):
+        # 1e-6 <= d <= 1 - 1e-12 here, or NaN: inside acos's domain
+        for d, sg in zip(dot[gen].tolist(), s[gen].tolist()):
             omega = math.acos(d)
             so = math.sin(omega)
             wa.append(math.sin((1.0 - sg) * omega) / so)
@@ -281,7 +282,9 @@ def geodesic_so3(r0, r1) -> float:
 
 def geodesic_of_dot(dot: float) -> float:
     """geodesic_so3 of two unit quaternions whose dot product is given."""
-    return 2.0 * math.acos(min(abs(dot), 1.0))
+    d = abs(dot)
+    # min(d, 1.0) as the comparison it makes
+    return 2.0 * math.acos(1.0 if 1.0 < d else d)
 
 
 _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])

@@ -46,6 +46,13 @@ SAVGOL_WINDOW = 9
 SAVGOL_ORDER = 2
 COV_THRESHOLD = 0.01  # m^2, largest accepted covariance trace
 WORKSPACE_BOUND = 5.0  # m, axis-aligned displacement box half-size
+# the domain of a dataset row: a base within DATASET_WORKSPACE on each axis of
+# the chest world's origin, where the chest tracker started (quality_filter
+# keeps the chest within WORKSPACE_BOUND of its first sample), and a hand
+# within DATASET_HAND_RANGE of the chest (an arm's reach, sim.ARM_REACH =
+# 0.75 m, with room for tracker offsets and anchoring error)
+DATASET_WORKSPACE = 100.0  # m
+DATASET_HAND_RANGE = 2.0  # m
 
 
 class PipelineError(ValueError):
@@ -398,8 +405,15 @@ def save_dataset(path, dataset: DemoDataset) -> None:
 
 def load_dataset(path) -> DemoDataset:
     """A save_dataset file, read a column at a time, its headings wrapped and
-    quaternions canonicalised as the Pose2 and Pose3 constructors do; a grip
-    outside [0, 1], the range process clamps it to, is a MalformedInputError."""
+    quaternions canonicalised as the Pose2 and Pose3 constructors do.
+
+    Every column is bounded by what process can write, and a value outside
+    its domain is a MalformedInputError that names it: grip in [0, 1], the
+    range process clamps it to; base x and y in [-DATASET_WORKSPACE,
+    DATASET_WORKSPACE] = [-100, 100] m; the heading base[2] in [-pi, pi],
+    where process wraps it; the hand_rel position at most DATASET_HAND_RANGE
+    = 2 m from the chest.
+    """
     t, base, hand, grip = [], [], [], []
     with fields_of(path):
         for rec in read_jsonl(path):
@@ -408,11 +422,27 @@ def load_dataset(path) -> DemoDataset:
             hand.append(rec["hand_rel"])
             grip.append(rec["grip"])
         t, grip = finite_numbers(t, "dataset t"), finite_numbers(grip, "dataset grip")
-        outside = grip[(grip < 0.0) | (grip > 1.0)]
-        if len(outside):
-            raise ValueError(f"dataset grip value {outside[0]} is outside [0, 1]")
+        _check_domain(grip, (grip < 0.0) | (grip > 1.0), "grip value", "[0, 1]")
         base, hand = finite_rows(base, 3, "dataset base"), finite_rows(hand, 7, "dataset hand_rel")
+        workspace = f"the workspace [-{DATASET_WORKSPACE:g}, {DATASET_WORKSPACE:g}] m"
+        for i in (0, 1):
+            xy = base[:, i]
+            _check_domain(xy, np.abs(xy) > DATASET_WORKSPACE, f"base[{i}] value", workspace)
+        _check_domain(base[:, 2], np.abs(base[:, 2]) > math.pi, "base[2] value", "[-pi, pi]")
+        reach = np.sqrt(np.vecdot(hand[:, :3], hand[:, :3]))
+        _check_domain(
+            reach,
+            reach > DATASET_HAND_RANGE,
+            "hand_rel distance from the chest",
+            f"[0, {DATASET_HAND_RANGE:g}] m",
+        )
         # a contiguous copy: the norms of a strided view can round differently
         quat = quat_canonical_rows(hand[:, 3:].copy())
     theta = [wrap_angle(th) for th in base[:, 2].tolist()]
     return DemoDataset(t, np.column_stack([base[:, :2], theta, hand[:, :3], quat, grip]))
+
+
+def _check_domain(values: np.ndarray, outside: np.ndarray, what: str, domain: str) -> None:
+    """ValueError naming the first of values where outside is true."""
+    if outside.any():
+        raise ValueError(f"dataset {what} {values[outside][0]} is outside {domain}")

@@ -42,7 +42,6 @@ from .executor import (
 )
 from .diffusion import ActionChunkTensor, DEFAULT_HORIZON
 from .geometry import (
-    Pose2,
     Pose3,
     compose_floats,
     compose_rows,
@@ -117,16 +116,19 @@ class Plant:
     and backs state_at() for aged observations; its last entry is `current`.
     A command is taken apart into floats once, when it takes effect.
 
-    The substep keeps the bits of the Pose2/Pose3 code it replaced (see
-    executor): element-wise + - * / and min(max(x, lo), hi) give the bits of
-    their array forms and np.clip; the slerp input dot and every norm are
-    geometry's buffer dots (dot4_floats, norm3_floats), which give the bits of
-    ndarray.dot on new arrays without building one; the slerp result is
-    canonicalised a second time, as the Pose3 constructor did; the reach clamp
-    takes its norm only when a float sum of squares with a margin says the
-    hand may be beyond ARM_REACH. The rotation update is a function of the
-    rotation and the active command alone, so once it returns its input bit
-    for bit it is skipped until the next command is taken.
+    The substep runs on plain floats and keeps the bits of the Pose2/Pose3
+    code it replaced (see executor): element-wise + - * / give the bits of
+    their array forms; a clamp to [lo, hi] is the two comparisons that
+    min(max(x, lo), hi) makes, m = lo if lo > x else x, then hi if hi < m
+    else m, which give np.clip's result, signed zeros and NaN included; the
+    slerp input dot and every norm are geometry's buffer dots (dot4_floats,
+    norm3_floats), which give the bits of ndarray.dot on new arrays without
+    building one; the slerp result is canonicalised a second time, as the
+    Pose3 constructor did; the reach clamp takes its norm only when a float
+    sum of squares with a margin says the hand may be beyond ARM_REACH. The
+    rotation update reads only the rotation and its target, so once it
+    returns its input bit for bit it is skipped, and the fixed point is
+    carried across a new command whose target rotation has the same bytes.
     """
 
     def __init__(self, config: PlantConfig, state: tuple = REST_STATE):
@@ -137,6 +139,8 @@ class Plant:
         self.v_lat = 0.0
         self.t = 0.0
         self._k = 0  # substeps taken; t is k / (substeps per second)
+        self._rot_fixed = False  # set once the rotation update returns its input
+        self._rot_target = b""  # the bytes of the active target rotation
         # the initial command holds the initial hand and grip
         self._take(PlantCommand(0.0, 0.0, 0.0, state[3:10], state[10]))
         self._queue: list[tuple[float, PlantCommand]] = []
@@ -182,19 +186,28 @@ class Plant:
     def _take(self, cmd: PlantCommand) -> None:
         """Make cmd the active command, taken apart into the floats a substep reads."""
         cfg = self.config
-        tx, ty, tz, *q1 = cmd.hand_target
+        v_max, w_max, lat_max = cfg.v_max, cfg.omega_max, cfg.lateral_clip
+        v, omega, v_lat = float(cmd.v), float(cmd.omega), float(cmd.v_lat)
+        # min(max(x, -m), m) as the two comparisons it makes (see the class)
+        v = -v_max if -v_max > v else v
+        omega = -w_max if -w_max > omega else omega
+        v_lat = -lat_max if -lat_max > v_lat else v_lat
+        tx, ty, tz, *q1 = map(float, cmd.hand_target)
         self._cmd = (
-            # min(max(x, lo), hi) is np.clip's result, signed zeros included
-            float(min(max(cmd.v, -cfg.v_max), cfg.v_max)),
-            float(min(max(cmd.omega, -cfg.omega_max), cfg.omega_max)),
-            float(min(max(cmd.v_lat, -cfg.lateral_clip), cfg.lateral_clip)),
+            v_max if v_max < v else v,
+            w_max if w_max < omega else omega,
+            lat_max if lat_max < v_lat else v_lat,
             tx,
             ty,
             tz,
             q1,
-            cmd.grip_target,
+            float(cmd.grip_target),
         )
-        self._rot_fixed = False  # set once the rotation update returns its input
+        # the update reads only the rotation and its target, so a fixed point
+        # stays one under a target rotation with the same bytes
+        target = _PACK4(*q1)
+        self._rot_fixed = self._rot_fixed and target == self._rot_target
+        self._rot_target = target
 
     def _take_due(self, now: float) -> None:
         """Activate the last issued of the commands due at now; drop them all."""
@@ -213,6 +226,7 @@ class Plant:
         decay_base, decay_lateral = cfg.decay_base, cfg.decay_lateral
         a = 1.0 if kinematic else cfg.arm_gain
         rate = cfg.grip_rate * dt
+        neg_rate = -rate
         # k / per_s is the time that round(t + dt, 9) chained from 0 reaches
         per_s = round(1.0 / dt)
         times, states = self._times, self._states
@@ -224,6 +238,7 @@ class Plant:
         rot_fixed = self._rot_fixed
         while now < t - 1e-9:
             if self._next_due <= now + 1e-9:
+                self._rot_fixed = rot_fixed
                 self._take_due(now)
                 v_cmd, w_cmd, lat_cmd, tx, ty, tz, q1, g_cmd = self._cmd
                 q1w, q1x, q1y, q1z = q1
@@ -258,8 +273,11 @@ class Plant:
                 rot_fixed = q == rot and _PACK4(*q) == _PACK4(*rot)
                 if not rot_fixed:
                     qw, qx, qy, qz = q
-            dg = min(max(g_cmd - grip, -rate), rate)
-            grip = float(min(max(grip + dg, 0.0), 1.0))
+            dg = g_cmd - grip
+            dg = neg_rate if neg_rate > dg else dg
+            grip = grip + (rate if rate < dg else dg)
+            grip = 0.0 if 0.0 > grip else grip
+            grip = 1.0 if 1.0 < grip else grip
             k += 1
             now = k / per_s
             times.append(now)
@@ -618,11 +636,32 @@ def _random_rigid(rng: np.random.Generator) -> Pose3:
     return Pose3(q, rng.uniform(-2.0, 2.0, size=3))
 
 
-def hand_world_pose(s) -> Pose3:
-    """Hand pose in the world of one state s (_hand_world_rows gives its bits
-    for arrays); the chest-relative hand's quaternion is canonicalised again."""
-    chest = Pose2.of_wrapped(*s[:3]).lift(CHEST_HEIGHT)
-    return chest.compose(Pose3(np.array(s[6:10]), np.array(s[3:6])))
+def hand_world_pose(s) -> tuple[float, ...]:
+    """The hand pose in the world of one state s, as the seven floats (px, py,
+    pz, qw, qx, qy, qz): the base lifted to CHEST_HEIGHT, composed with the
+    chest-relative hand. They have the bits of the pose code
+    Pose2.of_wrapped(*s[:3]).lift(CHEST_HEIGHT).compose(Pose3(s[6:10], s[3:6]))
+    (_hand_world_rows gives them for arrays): rot_z's quaternion is
+    canonicalised twice, as rot_z and the lifted Pose3 did, the hand's and the
+    product's once each, as their Pose3 constructors did."""
+    x, y, th, px, py, pz, hw, hx, hy, hz = s[:10]
+    h = 0.5 * th
+    sin_h = math.sin(h)
+    # rot_z(th): sin(h) times the unit axis (0, 0, 1), then the two passes
+    cw, cx, cy, cz = quat_canonical_floats(
+        *quat_canonical_floats(math.cos(h), sin_h * 0.0, sin_h * 0.0, sin_h)
+    )
+    # quat_rotate: the hand position as (0, p), turned by c * (0, p) * conj(c)
+    _, rx, ry, rz = quat_mul_floats(
+        *quat_mul_floats(cw, cx, cy, cz, 0.0, px, py, pz), cw, -cx, -cy, -cz
+    )
+    hand_q = quat_canonical_floats(hw, hx, hy, hz)
+    return (
+        x + rx,
+        y + ry,
+        CHEST_HEIGHT + rz,
+        *quat_canonical_floats(*quat_mul_floats(cw, cx, cy, cz, *hand_q)),
+    )
 
 
 def _chest_world_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -866,13 +905,23 @@ class ExpertReplayPolicy:
         return best_j
 
     def _base_row(self, x, y, th, tx, ty, tth) -> tuple[float, float, float]:
-        """The base increment toward (tx, ty, tth) from (x, y, th)."""
+        """The base increment toward (tx, ty, tth) from (x, y, th). Each bound
+        is min(max(e, -m), m) as the two comparisons it makes (see Plant)."""
         ex, ey, eth = relative_floats(tx, ty, tth, x, y, th)
-        dx = float(min(max(ex, -self.MAX_DX), self.MAX_DX))
-        dy = float(min(max(ey, -self.MAX_DY), self.MAX_DY))
-        steer = float(min(max(self.STEER_GAIN * ey, -self.MAX_STEER), self.MAX_STEER))
-        dth = float(min(max(wrap_angle(eth) + steer, -self.MAX_DTH), self.MAX_DTH))
-        return dx, dy, dth
+        m = self.MAX_DX
+        dx = -m if -m > ex else ex
+        dx = m if m < dx else dx
+        m = self.MAX_DY
+        dy = -m if -m > ey else ey
+        dy = m if m < dy else dy
+        m = self.MAX_STEER
+        steer = self.STEER_GAIN * ey
+        steer = -m if -m > steer else steer
+        steer = m if m < steer else steer
+        m = self.MAX_DTH
+        dth = wrap_angle(eth) + steer
+        dth = -m if -m > dth else dth
+        return dx, dy, m if m < dth else dth
 
     def _hand_step(self, px, py, pz, qw, qx, qy, qz, target) -> tuple[float, ...]:
         """The bounded hand increment (dp, dq) toward target (px, ..., qz)."""
@@ -897,14 +946,16 @@ class ExpertReplayPolicy:
         last = len(self.ref_base) - 1
         ref_base, ref_hand, ref_grip = self.ref_base, self.ref_hand, self.ref_grip
         state, grip = obs[:10], obs[10]
+        dg_max = self.MAX_DGRIP
         relative = self.label_frame == "relative"
         if not relative:
-            world = hand_world_pose(obs)
-            hand = (*world.translation.tolist(), *world.rotation.tolist())
+            hand = hand_world_pose(obs)
         rows = []
         rollout = [obs]
         for r in range(DEFAULT_HORIZON):
-            k = min(j + r + 1, last)
+            k = j + r + 1
+            if k > last:
+                k = last
             base_row = self._base_row(*state[:3], *ref_base[k])
             if relative:
                 hand_row = self._hand_step(*state[3:], ref_hand[k])
@@ -912,7 +963,10 @@ class ExpertReplayPolicy:
                 hand_row = self._hand_step(*hand, ref_hand[k])
                 # the hand rule of executor.advance_floats, on the world-frame hand
                 hand = hand_increment_floats(*hand, *hand_row)
-            grip += float(min(max(ref_grip[k] - grip, -self.MAX_DGRIP), self.MAX_DGRIP))
+            # the grip step is bounded as _base_row bounds its steps
+            dg = ref_grip[k] - grip
+            dg = -dg_max if -dg_max > dg else dg
+            grip += dg_max if dg_max < dg else dg
             row = (*base_row, *hand_row, grip)
             rows.append(row)
             state = advance_floats(*state, row)

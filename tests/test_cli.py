@@ -31,6 +31,7 @@ from mobman.executor import NonFiniteChunkError
 from mobman.geometry import Pose3, quat_mul, rot_z
 from mobman.jsonl import finite_float64, float64_text, read_json
 from mobman.manifest import RunManifest, file_sha256
+from mobman.pipeline import DemoDataset
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
 
 
@@ -1205,17 +1206,52 @@ class TestMalformedInput:
         assert err == [f"usage error: {ds}: dataset grip value {grip!r} is outside [0, 1]"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("x", [1e300, 1e200, 1e155, 1e100])
-    def test_overflowing_adam_moment_is_rejected(self, x, processed, tmp_path, capsys):
-        # the loss stays finite, but Adam's second moment overflows and its
-        # weights stop moving: the run must not write a checkpoint, and its
-        # verdict is the only thing it reports (no numpy RuntimeWarning)
-        lines = (processed / "dataset.jsonl").read_text().splitlines()
-        recs = [json.loads(line) for line in lines]
+    @pytest.mark.parametrize(
+        "field, index, value, what",
+        [
+            ("base", 0, 1e50, "base[0] value 1e+50 is outside the workspace [-100, 100] m"),
+            ("base", 1, -150.0, "base[1] value -150.0 is outside the workspace [-100, 100] m"),
+            ("base", 2, 1e40, "base[2] value 1e+40 is outside [-pi, pi]"),
+            ("base", 2, -3.2, "base[2] value -3.2 is outside [-pi, pi]"),
+            ("hand_rel", 0, 1e30, "hand_rel distance from the chest 1e+30 is outside [0, 2] m"),
+            ("hand_rel", 2, -2.5, "hand_rel distance from the chest"),
+        ],
+    )
+    def test_dataset_column_outside_its_domain_is_usage_error(
+        self, field, index, value, what, processed, tmp_path, capsys
+    ):
+        # every line, as a dataset shifted or scaled outside what process
+        # writes; training on it used to exit 0 with a loss of 1e90
+        recs = [json.loads(line) for line in (processed / "dataset.jsonl").read_text().splitlines()]
         for rec in recs:
-            rec["base"][0] = x
+            rec[field][index] = value
         ds = tmp_path / "dataset.jsonl"
         ds.write_text("\n".join(json.dumps(rec) for rec in recs) + "\n")
+        out = tmp_path / "m"
+        capsys.readouterr()
+        argv = ["train-toy", "--dataset", str(ds), "--steps", "20", "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"usage error: {ds}: dataset {what}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x", [1e300, 1e200, 1e155, 1e100])
+    def test_overflowing_adam_moment_is_rejected(self, x, processed, tmp_path, capsys, monkeypatch):
+        # the loss stays finite, but Adam's second moment overflows and its
+        # weights stop moving: the run must not write a checkpoint, and its
+        # verdict is the only thing it reports (no numpy RuntimeWarning).
+        # load_dataset refuses such bases (the test above), so they are set
+        # after loading, as a loader without the workspace bound read them
+        load = cli.load_dataset
+
+        def far_bases(path):
+            dataset = load(path)
+            states = dataset.states.copy()
+            states[:, 0] = x
+            return DemoDataset(dataset.t, states)
+
+        monkeypatch.setattr(cli, "load_dataset", far_bases)
+        ds = processed / "dataset.jsonl"
         out = tmp_path / "m"
         capsys.readouterr()
         argv = ["train-toy", "--dataset", str(ds), "--steps", "20", "--output", str(out)]

@@ -298,7 +298,9 @@ class TestTickMatchesPoseCode:
             assert [w.index for w in wps] == [i for i, _, _ in ref_wps]
             for wp, (_, target, row) in zip(wps, ref_wps):
                 assert _tuple_bits(wp.target) == _state_bits(target)
-                assert wp.row.tobytes() == row.tobytes()
+                # the row as 11 Python floats, with the chunk row's bits
+                assert type(wp.row) is list and all(type(x) is float for x in wp.row)
+                assert np.array(wp.row).tobytes() == row.tobytes()
 
     def test_ties_pick_the_smaller_index(self):
         # hold rows: every state after the first row is the same, so each of
@@ -358,6 +360,18 @@ class TestTickMatchesPoseCode:
         assert np.array(cmd.hand_target[:3]).tobytes() == ref_cmd.hand_target.translation.tobytes()
         assert _hex(ex, ey) == _hex(ref_rel.x, ref_rel.y)
         assert (ex < -ROLLBACK_M) == (ref_rel.x < -ROLLBACK_M)
+        # splice hands the row over as floats, and the plant's states are
+        # floats: the same command bits, as Python floats
+        float_now, float_target = (tuple(map(float, _tuple(x))) for x in (now, target))
+        float_cmd, float_ex, float_ey = command_to_target(
+            float_now, Waypoint(7, float_target, row.tolist()), 0.1, gain
+        )
+        fields = ("v", "v_lat", "omega", "grip_target")
+        got = [getattr(float_cmd, f) for f in fields]
+        assert all(type(x) is float for x in got)
+        assert _hex(*got, float_ex, float_ey) == _hex(*(getattr(cmd, f) for f in fields), ex, ey)
+        assert float_cmd.hand_target == cmd.hand_target
+        assert np.array(float_cmd.hand_target).tobytes() == np.array(cmd.hand_target).tobytes()
         # the command event's payload: the same round() calls on the same values
         payload = {"v": round(cmd.v, 9), "v_lat": round(cmd.v_lat, 9), "omega": round(cmd.omega, 9),
                    "ex": round(ex, 9), "ey": round(ey, 9)}

@@ -776,10 +776,14 @@ class TestRowPassesMatchStepLoops:
     @settings(max_examples=40, deadline=None)
     @given(seed=_seeds, n=st.integers(0, 30))
     def test_load_dataset(self, seed, n, tmp_path_factory):
-        # headings outside (-pi, pi] and quaternions of any norm and sign; grips
-        # in [0, 1], the only ones load_dataset accepts
+        # quaternions of any norm and sign; every other column inside the
+        # domain load_dataset accepts: headings in [-pi, pi] (the loader wraps
+        # them again, -pi to pi), hands within 2 m of the chest, grips in [0, 1]
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(n, 12)) * rng.choice([1e-3, 1.0, 10.0], size=(n, 12))
+        edge = rng.choice([-math.pi, math.pi], size=n)
+        rows[:, 3] = np.where(rng.random(n) < 0.25, edge, rng.uniform(-math.pi, math.pi, size=n))
+        rows[:, 4:7] = rng.uniform(-1.1, 1.1, size=(n, 3)) * rng.choice([1e-3, 1.0], size=(n, 1))
         rows[:, 11] = rng.random(n)
         path = tmp_path_factory.mktemp("dataset") / "dataset.jsonl"
         write_jsonl(

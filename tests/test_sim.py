@@ -2,6 +2,7 @@ import bisect
 import dataclasses
 import hashlib
 import math
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -351,6 +352,89 @@ class TestPlant:
         assert abs(plant.v_lat) <= cfg.lateral_clip + 1e-12
 
 
+# clamp inputs: signed zeros, NaN, infinities, subnormals, the bounds of the
+# clamps on the episode path and their neighbours, and any float
+_CLAMP_BOUNDS = [
+    PlantConfig.v_max,
+    PlantConfig.omega_max,
+    PlantConfig.lateral_clip,
+    ExpertReplayPolicy.MAX_DX,
+    ExpertReplayPolicy.MAX_DY,
+    ExpertReplayPolicy.MAX_STEER,
+    ExpertReplayPolicy.MAX_DTH,
+    ExpertReplayPolicy.MAX_DGRIP,
+    0.02,  # the plant's grip slew per substep
+    1.0,
+]
+_clamp_x = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072e-308]),
+    st.sampled_from(_CLAMP_BOUNDS).flatmap(
+        lambda b: st.sampled_from([b, -b, math.nextafter(b, 0.0), -math.nextafter(b, 9.0)])
+    ),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+def _float_bits(*xs) -> bytes:
+    return struct.pack(f"{len(xs)}d", *xs)
+
+
+class TestClampRule:
+    """Each clamp on the episode path is m = lo if lo > x else x, then
+    hi if hi < m else m: the comparisons min(max(x, lo), hi) makes, so the
+    same bits, signed zeros and NaN included."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_clamp_x, _clamp_x, st.sampled_from(_CLAMP_BOUNDS))
+    def test_two_comparisons_are_min_of_max(self, x, lo, hi):
+        m = lo if lo > x else x
+        assert _float_bits(hi if hi < m else m) == _float_bits(min(max(x, lo), hi))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_clamp_x, _clamp_x, _clamp_x)
+    def test_plant_command_limits(self, v, omega, v_lat):
+        cfg = PlantConfig()
+        plant = Plant(cfg)
+        plant._take(PlantCommand(np.float64(v), v_lat, omega, REST_STATE[3:10], np.float64(0.5)))
+        limits = ((v, cfg.v_max), (omega, cfg.omega_max), (v_lat, cfg.lateral_clip))
+        assert _float_bits(*plant._cmd[:3]) == _float_bits(*(min(max(x, -m), m) for x, m in limits))
+        assert all(type(x) is float for x in (*plant._cmd[:6], *plant._cmd[6], plant._cmd[7]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_clamp_x, _clamp_x, _clamp_x, st.sampled_from([(0.0, 0.0, 0.0), (0.3, -0.2, 2.0)]))
+    def test_replay_base_row_bounds(self, tx, ty, tth, pose):
+        # from the origin pose the errors are the target itself, so the
+        # bounds see the drawn values
+        policy = ExpertReplayPolicy(make_scenario("nav_reach").script)
+        P = ExpertReplayPolicy
+        ex, ey, eth = sim.relative_floats(tx, ty, tth, *pose)
+        steer = min(max(P.STEER_GAIN * ey, -P.MAX_STEER), P.MAX_STEER)
+        want = (
+            min(max(ex, -P.MAX_DX), P.MAX_DX),
+            min(max(ey, -P.MAX_DY), P.MAX_DY),
+            min(max(wrap_angle(eth) + steer, -P.MAX_DTH), P.MAX_DTH),
+        )
+        assert _float_bits(*policy._base_row(*pose, tx, ty, tth)) == _float_bits(*want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), _clamp_x.filter(lambda g: abs(g) < 5.0))
+    def test_replay_grip_steps(self, seed, grip):
+        # the chunk's grip column steps toward the reference by at most
+        # MAX_DGRIP per row, the row index capped at the reference's end
+        script = make_scenario("nav_reach").script
+        policy = ExpertReplayPolicy(script)
+        obs = _observations(script, np.random.default_rng(seed), 1)[0]
+        obs = (*obs[:10], grip)
+        rows = policy(obs, 0.0).values
+        j, last = policy._cursor, len(policy.ref_grip) - 1
+        want, g = [], grip
+        for r in range(DEFAULT_HORIZON):
+            d = policy.ref_grip[min(j + r + 1, last)] - g
+            g += min(max(d, -policy.MAX_DGRIP), policy.MAX_DGRIP)
+            want.append(g)
+        assert rows[:, 10].tobytes() == _float_bits(*want)
+
+
 class TestScenarios:
     def test_all_scenarios_build(self):
         for name in SCENARIO_NAMES:
@@ -399,7 +483,7 @@ def _pose_scripted_expert(scenario, seed, sigma_pos, sigma_rot):
     ]
     g_inv = g_true.inverse()
     hand = [
-        _pose_noisy(g_inv.compose(hand_world_pose(s)), rng, sigma_pos, sigma_rot)
+        _pose_noisy(g_inv.compose(_pose_hand_world_of(s)), rng, sigma_pos, sigma_rot)
         for s in script.states_at(t_h).tolist()
     ]
     calib = sim.DEFAULT_CALIB
@@ -423,7 +507,7 @@ def _pose_scripted_expert(scenario, seed, sigma_pos, sigma_rot):
         cam_c = _pose_chest_world(s).compose(sim.EXTRINSICS[sim.CHEST].T_imu_from_camera)
         board_c = cam_c.inverse().compose(sim.BOARD_IN_WORLD)
         detections.append((sim.CHEST, ti, _pose_noisy(board_c, rng, sigma_pos, sigma_rot)))
-        hand_imu = g_inv.compose(hand_world_pose(s))
+        hand_imu = g_inv.compose(_pose_hand_world_of(s))
         cam_h = hand_imu.compose(sim.EXTRINSICS[sim.HAND].T_imu_from_camera)
         board_h = cam_h.inverse().compose(board_hand_world)
         detections.append((sim.HAND, ti, _pose_noisy(board_h, rng, sigma_pos, sigma_rot)))
@@ -452,6 +536,7 @@ class TestScriptedExpert:
         hand0 = Pose3(expert.session.hand.quat[0], expert.session.hand.pos[0])
         world0 = expert.cross_node_true.compose(hand0)
         ref = hand_world_pose(expert.script.reference.states[0].tolist())
+        ref = Pose3(np.array(ref[3:]), np.array(ref[:3]))
         assert np.max(np.abs(world0.as_matrix() - ref.as_matrix())) < 1e-9
 
     def test_deterministic_per_seed(self):
@@ -1078,13 +1163,16 @@ def _flip_zeros(q: tuple) -> tuple:
     return tuple(-x if x == 0.0 else x for x in q)
 
 
-# hand rotation targets relative to the plant's current rotation q
+# hand rotation targets relative to the plant's current rotation q and to
+# the rotation of the command issued before, prev
 _SKIP_TARGETS = {
-    "same": lambda rng, q: q,
-    "same_flipped": lambda rng, q: _flip_zeros(q),
-    "zeros": lambda rng, q: _SIGNED_ZERO_ROTATIONS[rng.integers(len(_SIGNED_ZERO_ROTATIONS))],
-    "near": lambda rng, q: quat_canonical_floats(*(np.array(q) + 1e-12 * rng.normal(size=4))),
-    "random": lambda rng, q: quat_canonical_floats(*_unit(rng)),
+    "same": lambda rng, q, prev: q,
+    "same_flipped": lambda rng, q, prev: _flip_zeros(q),
+    "zeros": lambda rng, q, prev: _SIGNED_ZERO_ROTATIONS[rng.integers(len(_SIGNED_ZERO_ROTATIONS))],
+    "near": lambda rng, q, prev: quat_canonical_floats(*(np.array(q) + 1e-12 * rng.normal(size=4))),
+    "random": lambda rng, q, prev: quat_canonical_floats(*_unit(rng)),
+    # the same bits again: a fixed point of the update is carried across it
+    "repeat": lambda rng, q, prev: prev,
 }
 
 
@@ -1098,6 +1186,7 @@ def _skip_runs(draw):
                 draw(st.sampled_from([0.0, 0.02])),
                 draw(st.sampled_from(sorted(_SKIP_TARGETS))),
                 draw(st.booleans()),  # hand position target beyond reach
+                draw(st.sampled_from([1.0, 0.0, -0.0, 0.4, 2.0, -1.0])),  # grip target
                 # effect times inside a tick change the command mid-tick
                 draw(st.sampled_from([0.0, 0.004, 0.022, 0.05, 0.1])),
             )
@@ -1119,6 +1208,9 @@ def _state_bits(states) -> bytes:
     return np.array(states, dtype=float).tobytes()
 
 
+_PACK = struct.Struct("4d").pack
+
+
 class TestPlantRotationSkip:
     """Skipping the rotation update at its fixed point leaves every bit of
     the plant's history as the update on every substep gave it."""
@@ -1137,11 +1229,13 @@ class TestPlantRotationSkip:
         state = (*rng.uniform(-1.0, 1.0, size=2).tolist(), 0.3, 0.3, -0.0, 0.2, *rot, 0.5)
         plant, ref = Plant(cfg, state), _UnskippedPlant(cfg, state)
         t = 0.0
+        prev = rot  # the initial command holds the initial hand
         for commands, step in ticks:
-            for v, omega, turn, far, delay in commands:
-                target_rot = _SKIP_TARGETS[turn](rng, ref.current[6:10])
+            for v, omega, turn, far, grip, delay in commands:
+                target_rot = _SKIP_TARGETS[turn](rng, ref.current[6:10], prev)
+                prev = target_rot
                 pos = (0.9, -0.0, 0.2) if far else ref.current[3:6]
-                cmd = PlantCommand(v, 0.0, omega, (*pos, *target_rot), 1.0)
+                cmd = PlantCommand(v, 0.0, omega, (*pos, *target_rot), grip)
                 plant.issue_command(cmd, t + delay)
                 ref.issue_command(cmd, t + delay)
             t = round(t + step, 9)
@@ -1169,6 +1263,40 @@ class TestPlantRotationSkip:
         plant.issue_command(PlantCommand(0.0, 0.0, 0.0, (0.3, 0.0, 0.2, *ident), 1.0), 0.025)
         plant.step_to(0.04)
         assert plant._states[-2][6:10] == moved and plant.current[6:10] != moved
+
+    def test_fixed_point_carried_across_a_same_bytes_command(self, monkeypatch):
+        rot = _SIGNED_ZERO_ROTATIONS[2]
+        state = (0.0, 0.0, 0.0, 0.3, 0.0, 0.2, *rot, 1.0)
+        plant, ref = Plant(PlantConfig(), state), _UnskippedPlant(PlantConfig(), state)
+        updates = []
+        slerp = sim.slerp_floats
+        monkeypatch.setattr(sim, "slerp_floats", lambda *args: updates.append(args) or slerp(*args))
+        t = 0.0
+
+        def step(cmd=None):
+            nonlocal t
+            for p in (plant, ref):
+                if cmd is not None:
+                    p.issue_command(cmd, t)
+                p.step_to(round(t + 0.01, 9))
+            t = round(t + 0.01, 9)
+            assert _state_bits(plant._states) == _state_bits(ref._states)
+
+        for _ in range(20):
+            if plant._rot_fixed:
+                break
+            step()
+        assert plant._rot_fixed
+        # another command, same target rotation bits: the update stays skipped
+        n = len(updates)
+        step(PlantCommand(0.2, 0.0, 0.1, (0.35, 0.05, 0.1, *rot), 0.5))
+        step(PlantCommand(0.0, 0.01, 0.0, (0.3, 0.0, 0.2, *rot), 1.0))
+        assert plant._rot_fixed and len(updates) == n
+        # a rotation that differs only in the sign of a zero clears it
+        flipped = (*rot[:3], -rot[3])
+        assert rot[3] == 0.0 and flipped == rot and _PACK(*flipped) != _PACK(*rot)
+        step(PlantCommand(0.0, 0.0, 0.0, (0.3, 0.0, 0.2, *flipped), 1.0))
+        assert len(updates) == n + 1
 
 
 def _observations(script, rng, n: int) -> list[tuple]:
@@ -1374,8 +1502,18 @@ def _pose_hand_world(base: Pose2, hand_rel: Pose3) -> Pose3:
     return base.lift(sim.CHEST_HEIGHT).compose(hand_rel)
 
 
+def _pose_hand_world_of(s) -> Pose3:
+    """hand_world_pose of the state s as the pose code computed it."""
+    return _pose_hand_world(Pose2.of_wrapped(*s[:3]), Pose3(np.array(s[6:10]), np.array(s[3:6])))
+
+
 def _pose_bits(p: Pose3) -> bytes:
     return p.rotation.tobytes() + p.translation.tobytes()
+
+
+def _pose_float_bits(p: Pose3) -> bytes:
+    """The bits of a pose as hand_world_pose's (px, py, pz, qw, qx, qy, qz)."""
+    return p.translation.tobytes() + p.rotation.tobytes()
 
 
 def _sample_times(script, extra):
@@ -1515,34 +1653,52 @@ class TestStateLayoutMatchesPoseCode:
         got = sim._disk_pose(rng, 0.3, heading)
         assert [v.hex() for v in got] == [float(v).hex() for v in dataclasses.astuple(want)]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
-        _wrapped,
-        st.sampled_from(["random", "w0", "w0_axis", "negative_w"]),
+        st.one_of(_wrapped, st.sampled_from([-math.pi, math.nextafter(math.pi, 4.0)])),
+        st.sampled_from(["random", "w0", "w0_axis", "negative_w", "negative_w0"]),
     )
     def test_hand_world_pose_of_any_state(self, seed, th, kind):
         # the global-label replay branch built a Pose3 of the observed hand,
-        # which canonicalises its quaternion again
+        # which canonicalises its quaternion again; the float form keeps the
+        # bits at theta = +-pi and +-0, and for quaternions with w < 0 or
+        # w = +-0
         rng = np.random.default_rng(seed)
         q = _ROTATION_KINDS.get(kind, _ROTATION_KINDS["random"])(rng, None)
         if kind == "negative_w":
             q = -np.abs(q)
+        if kind == "negative_w0":
+            q = np.array([-0.0, *-np.abs(_unit(rng, 3))])
         s = (*rng.uniform(-3.0, 3.0, size=2), th, *rng.uniform(-0.6, 0.6, size=3), *q, 0.5)
         s = tuple(map(float, s))
-        hand = Pose3(np.array(s[6:10]), np.array(s[3:6]))
-        want = _pose_hand_world(Pose2.of_wrapped(*s[:3]), hand)
-        assert _pose_bits(hand_world_pose(s)) == _pose_bits(want)
+        got = hand_world_pose(s)
+        assert type(got) is tuple and len(got) == 7 and all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == _pose_float_bits(_pose_hand_world_of(s))
+
+    @pytest.mark.parametrize("label", ["relative", "global"])
+    def test_replay_episode_builds_no_pose3(self, label, monkeypatch):
+        # a seeded replay episode runs on floats in either label frame
+        built = []
+        post_init = Pose3.__post_init__
+
+        def counting(pose):
+            built.append(pose)
+            post_init(pose)
+
+        monkeypatch.setattr(Pose3, "__post_init__", counting)
+        cond = Condition("c", label_frame=label, jitter_ms=18.0, locomotion_variation=True)
+        _, log = run_condition_trial(cond, "nav_reach", 11)
+        assert log.payloads("splice")
+        assert built == []
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_world_hand_is_hand_world_pose_of_each_reference_row(self, name):
         # world_hand runs on the row kernel; the one-state form must agree
         script = make_scenario(name).script
         want = [hand_world_pose(s) for s in script.reference.states.tolist()]
-        got = np.array(script.world_hand)
-        assert got.shape == (len(want), 7)
-        assert got[:, 3:].tobytes() == np.array([p.rotation for p in want]).tobytes()
-        assert got[:, :3].tobytes() == np.array([p.translation for p in want]).tobytes()
+        assert len(script.world_hand) == len(want)
+        assert np.array(script.world_hand).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_world_hand_and_synthesis_quaternions(self, name):

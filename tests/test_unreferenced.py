@@ -38,6 +38,7 @@ SRC = ROOT / "src" / "mobman"
 # name -> why it stays although no src or benchmark code reads it
 ALLOWED = {
     "as_matrix": "the rotation-matrix oracle of acceptance criterion 1",
+    "lift": "criterion 3 lifts a Pose2 into SE(3) (tests/test_acceptance.py:190)",
     "scaled": "acceptance criterion 8 scales MatchWeights with it",
     "train_regression": "the mean-regression control of criterion 5d and ROADMAP item 4",
 }
@@ -45,11 +46,17 @@ ALLOWED = {
 # module.qualname -> why it stays although the tour never runs it
 NEVER_RUN = {
     "geometry.Pose2.__post_init__": "criterion 3 builds a Pose2 (tests/test_acceptance.py:190)",
+    "geometry.Pose2.lift": "criterion 3 lifts a Pose2 into SE(3) (tests/test_acceptance.py:190)",
+    "geometry.rot_z": "Pose2.lift, for criterion 3",
     "geometry.Pose3.as_matrix": "the rotation-matrix oracle of criterion 1",
     "geometry.quat_to_matrix": "Pose3.as_matrix, for criterion 1",
     "geometry.slerp": "benchmarks/spans.py counts its calls (ROADMAP item 5 moves it to the tests)",
     "executor.MatchWeights.scaled": "criterion 8 scales MatchWeights with it",
     "diffusion.train_regression": "the mean-regression control of criterion 5d",
+    "diffusion.TrainingDivergedError.__init__": (
+        "no file reaches it: load_dataset bounds every column, and bounded data does not "
+        "overflow Adam; the CLI still maps it to exit 1 (test_cli sets bases after loading)"
+    ),
     "diffusion.train_regression.zeroed": "train_regression's batch, for criterion 5d",
     "pipeline.DemoDataset.steps": "criteria 3 and 4 read demo rows as pose records",
     "pipeline.integrate_labels": "the label round trip of benchmarks/workloads.py",
@@ -171,13 +178,14 @@ def _tour(root) -> None:
     first_line = dataset.read_text(encoding="utf-8").split("\n", 1)[0]
     broken.write_text(first_line[:-1] + "\n", encoding="utf-8")
     run(EXIT_USAGE, "train-toy", "--dataset", broken, "--output", bad / "model")
-    # base x of 1e300 on every line: Adam's second moment overflows
+    # base x of 1e300 on every line: outside the dataset's workspace (before
+    # the column bounds, Adam's second moment overflowed on it)
     huge = bad / "huge.jsonl"
     records = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
     for record in records:
         record["base"][0] = 1e300
     huge.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
-    run(EXIT_REJECTED, "train-toy", "--dataset", huge, "--steps", 20, "--output", bad / "model")
+    run(EXIT_USAGE, "train-toy", "--dataset", huge, "--steps", 20, "--output", bad / "model")
     run(EXIT_USAGE, "simulate", "--matching", "maybe", "--output", bad / "sim")
     # one character of an output's recorded digest changed: the rerun's
     # output differs from the record
