@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 
 class MalformedInputError(ValueError):
@@ -25,14 +26,15 @@ class MalformedInputError(ValueError):
 
 @contextmanager
 def fields_of(path):
-    """Report a missing or mistyped field read from `path` as MalformedInputError."""
+    """Report a missing or mistyped field read from `path`, or one nested too
+    deep to read, as MalformedInputError."""
     try:
         yield
     except MalformedInputError:
         raise
     except KeyError as exc:
         raise MalformedInputError(path, f"missing field {exc}") from exc
-    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise MalformedInputError(path, str(exc)) from exc
 
 
@@ -103,37 +105,86 @@ def finite_float64(text, shape: tuple, what: str) -> np.ndarray:
     return array
 
 
-# json.dumps(..., sort_keys=True) builds an encoder per call, and json.loads
-# adds a whitespace scan and an end check per call; the per-line reader and
-# writer reuse one default decoder's scanner and one sorting encoder, so they
-# accept, yield and write exactly what those calls do.
-_scan_once = json.JSONDecoder().scan_once
+# json.dumps(..., sort_keys=True) builds an encoder per call; the writer
+# reuses one sorting encoder, so it writes exactly what that call does.
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+# the class of each ASCII character, for _may_hold_wide_int
+_DIGIT_RUNS = str.maketrans(
+    {chr(c): " " for c in range(128)} | dict.fromkeys(".eE+", ".") | dict.fromkeys("0123456789", "0")
+)
+_WIDE_INT = " " + "0" * 19
+# orjson builds a nested value on the C stack and crashes the process some
+# 50000 object levels deep on an 8 MiB stack, sooner on a smaller one; a line
+# that could nest deeper than json's default recursion limit goes to json,
+# which raises RecursionError instead.
+_ORJSON_MAX_DEPTH = 1000
 
 
 def read_jsonl(path) -> Iterator[dict]:
-    """Yield the value of each non-blank line, one line at a time.
+    """Yield the value of each non-blank line, one line at a time: json.loads
+    of the stripped line, or a MalformedInputError at that line with the
+    message of json's error.
 
-    A line is accepted when one JSON value spans all of it once stripped;
-    any other line is parsed again by json.loads, whose error (the same as
-    for any line it rejects) becomes a MalformedInputError at that line.
+    The file is read whole and each line decoded by orjson, which is several
+    times faster. A line goes to json.loads where the two could differ: a line
+    orjson rejects (NaN, Infinity, a lone surrogate escape, 1e400, malformed
+    or padded with non-JSON whitespace), one that could nest too deep for
+    orjson, and every line of a file that may hold an integer too wide for
+    orjson. A file that is not UTF-8 is read a line at a time by json alone,
+    so the lines before the undecodable bytes are read, and the error raised,
+    as before.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from _decode_lines(path, fh, fast=False)
+        return
+    yield from _decode_lines(path, text.split("\n"), fast=not _may_hold_wide_int(text))
+
+
+def _may_hold_wide_int(text: str) -> bool:
+    """Whether text may hold an integer literal outside [-2**63, 2**64).
+
+    orjson gives json's value, type and float bits for every line that both
+    accept (TestOrjsonDecodesLikeJson), but for such a literal, which it
+    returns as a float. The literal has 19 digits or more, and in a line that
+    orjson accepts, its first digit follows "-", JSON whitespace, "[", ",",
+    ":" or the start of the line: an ASCII character or none, as orjson gets
+    the line unstripped. So text may hold one if it holds a run of 19 digits
+    that follows no digit, ".", "e", "E" or "+" (which start a fraction or an
+    exponent). _DIGIT_RUNS maps each digit to "0", each of ".eE+" to "." and
+    every other ASCII character to " ", and the run shows as _WIDE_INT.
+    """
+    digits = text.translate(_DIGIT_RUNS)
+    return digits.startswith(_WIDE_INT[1:]) or _WIDE_INT in digits
+
+
+def _decode_lines(path, lines: Iterable[str], fast: bool) -> Iterator:
+    """read_jsonl's values of lines, numbered from 1; orjson decodes a line
+    only when fast is true. orjson gets the line unstripped, so that a line it
+    accepts is padded with JSON whitespace only (which json skips as well)."""
+    for i, line in enumerate(lines, start=1):
+        if fast and (
+            len(line) <= _ORJSON_MAX_DEPTH
+            or line.count("[") + line.count("{") <= _ORJSON_MAX_DEPTH
+        ):
             try:
-                value, end = _scan_once(line, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = -1
-            if end == len(line):
+                value = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                pass
+            else:
                 yield value
                 continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedInputError(path, str(exc), i) from exc
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            yield json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise MalformedInputError(path, str(exc), i) from exc
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
@@ -147,8 +198,7 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 def write_json(path, obj) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path):
@@ -157,3 +207,5 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedInputError(path, exc.msg, exc.lineno) from exc
+        except RecursionError as exc:  # nested deeper than json's recursion limit
+            raise MalformedInputError(path, str(exc)) from exc

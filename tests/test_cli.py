@@ -923,6 +923,37 @@ class TestMalformedInput:
         assert len(err) == 1
         assert err[0].startswith(f"usage error: {path}: ")
 
+    # a JSON array nested deeper than json's recursion limit
+    DEEP = "[" * 100000 + "]" * 100000 + "\n"
+
+    @pytest.mark.parametrize("name, line", [("trajectories.jsonl", 1), ("extrinsics.json", None)])
+    def test_anchor_input_nested_too_deep_is_usage_error(self, name, line, raw_session, tmp_path, capsys):
+        raw, _ = raw_session
+        inputs = {n: raw / n for n in ("trajectories.jsonl", "detections.jsonl", "extrinsics.json")}
+        inputs[name] = tmp_path / name
+        inputs[name].write_text(self.DEEP if line is None else self.DEEP + (raw / name).read_text())
+        argv = [
+            "anchor",
+            "--trajectories", str(inputs["trajectories.jsonl"]),
+            "--detections", str(inputs["detections.jsonl"]),
+            "--extrinsics", str(inputs["extrinsics.json"]),
+            "--output", str(tmp_path / "a.json"),
+        ]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        where = inputs[name] if line is None else f"{inputs[name]}:{line}"
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"usage error: {where}: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+        ]
+
+    def test_replay_manifest_nested_too_deep_is_usage_error(self, tmp_path, capsys):
+        man = tmp_path / "manifest.json"
+        man.write_text(self.DEEP)
+        assert main(["replay", "--manifest", str(man)]) == EXIT_USAGE
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"usage error: {man}: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+        ]
+
     # case -> (command, input file, its new text as a function of the old)
     FIELD_CASES = {
         "anchor_node_missing": ("anchor", "trajectories.jsonl", lambda _: '{"t": 0.0}\n'),

@@ -8,16 +8,22 @@ same errors and the same array bytes.
 import base64
 import json
 import math
+import re
+import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mobman import anchoring
 from mobman.anchoring import load_trajectories
+from mobman.cli import EXIT_OK, main
 from mobman.jsonl import (
     MalformedInputError,
+    fields_of,
     finite_float64,
     finite_numbers,
     finite_rows,
@@ -25,6 +31,7 @@ from mobman.jsonl import (
     read_jsonl,
     write_jsonl,
 )
+from mobman.sim import make_scenario, save_expert_session, scripted_expert
 
 
 def reference_read_jsonl(path):
@@ -71,11 +78,29 @@ def outcome(reader, path):
 
 # text without lone surrogates, which UTF-8 cannot encode
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+# a float printed with 17 to 25 significant digits, more than repr prints: the
+# number's text behind a lone surrogate (which TEXT never draws), a string
+# that rendered() unquotes
+LONG_FLOATS = st.builds(
+    lambda digits, exponent: f"\ud800{digits[0]}.{digits[1:]}e{exponent}",
+    st.integers(10**16, 10**25 - 1).map(str),
+    st.integers(-345, 310),
+)
+_LONG_FLOAT = re.compile(r'"(?:\\ud800|\ud800)([^"]*)"')
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
+    # 2**62 to 2**100, plus or minus 2, either sign: on both sides of each end
+    # of [-2**63, 2**64), beyond which orjson reads an integer as a float
+    st.builds(
+        lambda bits, offset, sign: sign * (2**bits + offset),
+        st.integers(62, 100),
+        st.integers(-2, 2),
+        st.sampled_from([1, -1]),
+    ),
     st.floats(allow_nan=True, allow_infinity=True),  # NaN, Infinity, -Infinity tokens
+    LONG_FLOATS,
     TEXT,
 )
 VALUES = st.recursive(
@@ -89,11 +114,12 @@ VALUES = st.recursive(
 
 @st.composite
 def rendered(draw) -> str:
-    return json.dumps(
+    text = json.dumps(
         draw(VALUES),
         ensure_ascii=draw(st.booleans()),
         separators=draw(st.sampled_from([None, (",", ":"), (" ,\t", " : ")])),
     )
+    return _LONG_FLOAT.sub(r"\1", text)
 
 
 # whitespace that str.strip removes but that does not end a line of a text
@@ -182,6 +208,155 @@ class TestWriteJsonl:
         write_jsonl(scratch, records)
         expected = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
         assert scratch.read_bytes() == expected.encode("utf-8")
+
+
+class TestWhereDecodersDiffer:
+    """Lines on which orjson and json differ, or could: each reads with json's
+    value and type, whatever line of the file holds it."""
+
+    # outside [-2**63, 2**64), where orjson reads an integer as a float
+    WIDE_INTS = [str(-(2**63) - 1), str(2**64), str(10**30), str(10**400)]
+
+    @pytest.mark.parametrize(
+        "token", [*WIDE_INTS, "NaN", "Infinity", "-Infinity", '"\\ud800"', "1e400", "-1e400"]
+    )
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_reads_json_value(self, tmp_path, token, where):
+        lines = ['{"t": 0.5, "pose": [1, 2.25]}', "3", '"x"', "[true, null]", "-0.0"]
+        lines[where] = f'{{"v": [{token}, 1.5]}}'
+        path = tmp_path / "lines.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = outcome(read_jsonl, path)
+        assert got[1] is None and got == outcome(reference_read_jsonl, path)
+
+    @pytest.mark.parametrize("pad", ["", " ", "\t", "\x0c", "\x85", "\xa0", "\u3000"])
+    @pytest.mark.parametrize("token", WIDE_INTS)
+    def test_wide_int_line_in_any_padding(self, tmp_path, pad, token):
+        path = tmp_path / "lines.jsonl"
+        path.write_text(f'{{"a": 1}}\n{pad}{token}{pad}\n', encoding="utf-8")
+        values = list(read_jsonl(path))
+        assert values == [{"a": 1}, int(token)] and type(values[1]) is int
+
+    def test_undecodable_file_reads_as_before(self, tmp_path):
+        # the bad byte lies past the first 8 KiB, which a line-at-a-time read
+        # decodes and parses before it meets the byte
+        good = "".join(json.dumps({"t": i / 10, "pose": [0.5] * 7}) + "\n" for i in range(200))
+        path = tmp_path / "lines.jsonl"
+        for first in ("", '{"t": \n'):
+            path.write_bytes((first + good).encode("utf-8") + b"\xff\n")
+            got = outcome_or_decode_error(read_jsonl, path)
+            assert got == outcome_or_decode_error(reference_read_jsonl, path)
+            assert got[1][0] == ("MalformedInputError" if first else "UnicodeDecodeError")
+
+
+class TestNesting:
+    """Input nested deeper than json's recursion limit is a MalformedInputError
+    naming the file, never a RecursionError, nor orjson's crash."""
+
+    @pytest.mark.parametrize("kind, opening, closing", [("array", "[", "]"), ("object", '{"a":', "}")])
+    def test_line_nested_past_json_limit_is_malformed(self, tmp_path, kind, opening, closing):
+        path = tmp_path / "lines.jsonl"
+        path.write_text(f'{{"a": 1}}\n{opening * 100000}1{closing * 100000}\n', encoding="utf-8")
+        lines = read_jsonl(path)
+        assert next(lines) == {"a": 1}
+        with pytest.raises(MalformedInputError) as exc:
+            next(lines)
+        assert exc.value.line_number == 2
+        assert str(exc.value) == (
+            f"{path}:2: maximum recursion depth exceeded while decoding a JSON {kind} from a unicode string"
+        )
+
+    def test_field_read_nested_too_deep_names_file(self, tmp_path):
+        deep = []
+        for _ in range(100000):
+            deep = [deep]
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(str(tmp_path))}: maximum recursion"):
+            with fields_of(tmp_path):
+                repr(deep)
+
+
+def outcome_or_decode_error(reader, path):
+    """outcome(), with an undecodable file's UnicodeDecodeError among the
+    errors, each as the name of its type and its message."""
+    values = []
+    try:
+        for value in reader(path):
+            values.append(repr(value))
+    except (MalformedInputError, UnicodeDecodeError) as exc:
+        return values, (type(exc).__name__, str(exc))
+    return values, None
+
+
+def _number_table() -> list[str]:
+    """JSON numbers on which a float parser that does not round correctly
+    can go wrong: for doubles of every third exponent, subnormals included,
+    and seven mantissa patterns, alternately signed, the shortest repr; the
+    exact value to 17 to 25 significant digits; the exact decimal midpoint to
+    the next double, and that midpoint 1e-12 ulp above and below. Then ±0.0
+    and the integers 2**63 - 1, -2**63 and 2**64 - 1 at the ends of
+    orjson's integer range."""
+    texts = ["0.0", "-0.0", str(2**63 - 1), str(-(2**63)), str(2**64 - 1)]
+    mantissas = (1, 2**51, 2**52 - 1, 0x5555555555555, 0xAAAAAAAAAAAAA, 0x123456789ABCD, 0)
+    with localcontext() as ctx:
+        ctx.prec = 2000  # exact: a subnormal's expansion has some 770 digits
+        for exponent in range(0, 2047, 3):
+            for k, mantissa in enumerate(mantissas):
+                x = struct.unpack("<d", struct.pack("<Q", exponent << 52 | mantissa))[0]
+                if x == 0.0:
+                    continue
+                x = -x if k % 2 else x
+                exact = Decimal(x)
+                texts.append(repr(x))
+                texts += [format(exact, f".{digits - 1}e") for digits in range(17, 26)]
+                above = math.nextafter(x, math.inf)
+                if math.isinf(above):
+                    continue
+                midpoint = (exact + Decimal(above)) / 2
+                tweak = (Decimal(above) - exact) * Decimal("1e-12")
+                texts += [format(v, "e") for v in (midpoint, midpoint + tweak, midpoint - tweak)]
+    return texts
+
+
+def _same_number(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    return struct.pack("<d", a) == struct.pack("<d", b) if type(a) is float else a == b
+
+
+class TestOrjsonDecodesLikeJson:
+    """The premise of read_jsonl's orjson path: on every number of an
+    enumerated table, orjson.loads gives json.loads' type and bits. An orjson
+    whose float parsing does not round correctly fails here by name."""
+
+    def test_number_table(self):
+        texts = _number_table()
+        assert len(texts) > 60000
+        assert [t for t in texts if not _same_number(orjson.loads(t), json.loads(t))] == []
+
+
+class TestFastPath:
+    """The toolkit's own files never reach json.loads, so a change that
+    quietly sends every line through json fails here."""
+
+    def test_session_and_dataset_lines_decode_with_orjson(self, tmp_path, monkeypatch):
+        raw, anchor, out = tmp_path / "raw", tmp_path / "anchor.json", tmp_path / "out"
+        expert = scripted_expert(make_scenario("nav_reach"), seed=1, sigma_pos=1e-3, sigma_rot=1e-3)
+        save_expert_session(raw, expert)
+        assert main([
+            "anchor", "--trajectories", str(raw / "trajectories.jsonl"),
+            "--detections", str(raw / "detections.jsonl"),
+            "--extrinsics", str(raw / "extrinsics.json"), "--output", str(anchor),
+        ]) == EXIT_OK
+        assert main(["process", "--raw", str(raw), "--anchor", str(anchor), "--output", str(out)]) == EXIT_OK
+        names = ("trajectories.jsonl", "detections.jsonl", "markers.jsonl")
+        paths = [raw / name for name in names] + [out / "dataset.jsonl"]
+        expected = [list(map(repr, reference_read_jsonl(path))) for path in paths]
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **kw: calls.append(a) or loads(*a, **kw))
+        got = [list(map(repr, read_jsonl(path))) for path in paths]
+        assert calls == [] and got == expected
+        assert min(map(len, got)) > 0
 
 
 # few distinct times, so that nodes interleave and times tie (0.0 and -0.0

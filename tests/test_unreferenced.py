@@ -178,6 +178,10 @@ def _tour(root) -> None:
     first_line = dataset.read_text(encoding="utf-8").split("\n", 1)[0]
     broken.write_text(first_line[:-1] + "\n", encoding="utf-8")
     run(EXIT_USAGE, "train-toy", "--dataset", broken, "--output", bad / "model")
+    # a dataset line nested deeper than json's recursion limit
+    deep = bad / "deep.jsonl"
+    deep.write_text("[" * 100000 + "]" * 100000 + "\n", encoding="utf-8")
+    run(EXIT_USAGE, "train-toy", "--dataset", deep, "--output", bad / "model")
     # base x of 1e300 on every line: outside the dataset's workspace (before
     # the column bounds, Adam's second moment overflowed on it)
     huge = bad / "huge.jsonl"
