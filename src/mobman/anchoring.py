@@ -294,5 +294,4 @@ def anchor_result_to_dict(res: AnchorResult) -> dict:
         "rejected_count": res.rejected_count,
         "position_rms_m": res.position_rms,
         "rotation_rms_rad": res.rotation_rms,
-        "ill_conditioned": res.ill_conditioned,
     }

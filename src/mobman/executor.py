@@ -407,40 +407,32 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
                 request_tick = tick + max(0, EXEC_HORIZON - math.ceil(lat.d_net / dt - 1e-9))
 
         # startup grace: the plant is left alone until the first chunk arrives
-        if last_splice_tick is None:
-            if tick_callback is not None and tick_callback(tick, t, plant):
-                break
-            continue
+        if last_splice_tick is not None:
+            # dispatch; an empty queue means hold-in-place
+            tracking = {}
+            if wp_cursor < len(waypoints):
+                wp = waypoints[wp_cursor]
+                wp_cursor += 1
+                cmd, ex, ey = command_to_target(plant.current, wp, dt, gain)
+                # rollback: executed waypoint behind the current pose along heading
+                tracking = {"ex": round(ex, 9), "ey": round(ey, 9), "row": wp.index}
+                if ex < -ROLLBACK_M and chunk_net_forward > 1e-6:
+                    log.add(tick, t, "rollback", {"behind_m": round(-ex, 6), "row": wp.index})
+            else:
+                s = plant.current
+                cmd = PlantCommand(0.0, 0.0, 0.0, _hand_target(s), s[10])
+            plant.issue_command(cmd, t + lat.d_exe)
+            v, v_lat, omega = float(cmd.v), float(cmd.v_lat), float(cmd.omega)
+            command = {"v": round(v, 9), "v_lat": round(v_lat, 9), "omega": round(omega, 9), **tracking}
+            log.add(tick, t, "command", command)
 
-        # dispatch; an empty queue means hold-in-place
-        tracking = {}
-        if wp_cursor < len(waypoints):
-            wp = waypoints[wp_cursor]
-            wp_cursor += 1
-            cmd, ex, ey = command_to_target(plant.current, wp, dt, gain)
-            # rollback: executed waypoint behind the current pose along heading
-            tracking = {"ex": round(ex, 9), "ey": round(ey, 9), "row": wp.index}
-            if ex < -ROLLBACK_M and chunk_net_forward > 1e-6:
-                log.add(tick, t, "rollback", {"behind_m": round(-ex, 6), "row": wp.index})
-        else:
-            s = plant.current
-            cmd = PlantCommand(0.0, 0.0, 0.0, _hand_target(s), s[10])
-        plant.issue_command(cmd, t + lat.d_exe)
-        v, v_lat, omega = float(cmd.v), float(cmd.v_lat), float(cmd.omega)
-        log.add(
-            tick,
-            t,
-            "command",
-            {"v": round(v, 9), "v_lat": round(v_lat, 9), "omega": round(omega, 9), **tracking},
-        )
-
-        # splice jitter: forward-velocity sign reversals shortly after a splice
-        sign = 0 if abs(v) < 0.02 else (1 if v > 0 else -1)
-        if (tick - last_splice_tick) * dt <= JITTER_WINDOW_S + 1e-9:
-            if sign != 0 and prev_v_sign != 0 and sign != prev_v_sign:
-                log.add(tick, t, "jitter", {"v": round(v, 6)})
-        if sign != 0:
-            prev_v_sign = sign
+            # splice jitter: forward-velocity sign reversals shortly after a splice
+            sign = 0 if abs(v) < 0.02 else (1 if v > 0 else -1)
+            if (tick - last_splice_tick) * dt <= JITTER_WINDOW_S + 1e-9:
+                if sign != 0 and prev_v_sign != 0 and sign != prev_v_sign:
+                    log.add(tick, t, "jitter", {"v": round(v, 6)})
+            if sign != 0:
+                prev_v_sign = sign
 
         if tick_callback is not None and tick_callback(tick, t, plant):
             break

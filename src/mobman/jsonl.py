@@ -131,18 +131,30 @@ def read_jsonl(path) -> Iterator[dict]:
     orjson rejects (NaN, Infinity, a lone surrogate escape, 1e400, malformed
     or padded with non-JSON whitespace), one that could nest too deep for
     orjson, and every line of a file that may hold an integer too wide for
-    orjson. A file that is not UTF-8 is read a line at a time by json alone,
-    so the lines before the undecodable bytes are read, and the error raised,
-    as before.
+    orjson. The lines before a byte that is not UTF-8 come first (_read_text).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield from _decode_lines(path, fh, fast=False)
-        return
+    text, undecodable = _read_text(path)
     yield from _decode_lines(path, text.split("\n"), fast=not _may_hold_wide_int(text))
+    if undecodable:
+        raise undecodable
+
+
+def _read_text(path) -> tuple[str, MalformedInputError | None]:
+    """A file's text as text mode reads it ("\\r\\n" and a lone "\\r" end a
+    line), and None; or, in a file with a byte that is not UTF-8, the lines
+    before that byte's line and the MalformedInputError naming the line and
+    the byte's offset in the file."""
+    data = Path(path).read_bytes()
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, bad = data[: exc.start].decode("utf-8"), exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if bad is None:
+        return text, None
+    reason = f"not UTF-8: {bad.reason} at byte {bad.start}"
+    return text[: text.rfind("\n") + 1], MalformedInputError(path, reason, text.count("\n") + 1)
 
 
 def _may_hold_wide_int(text: str) -> bool:
@@ -202,10 +214,12 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(path, exc.msg, exc.lineno) from exc
-        except RecursionError as exc:  # nested deeper than json's recursion limit
-            raise MalformedInputError(path, str(exc)) from exc
+    text, undecodable = _read_text(path)
+    if undecodable:
+        raise undecodable
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(path, exc.msg, exc.lineno) from exc
+    except RecursionError as exc:  # nested deeper than json's recursion limit
+        raise MalformedInputError(path, str(exc)) from exc

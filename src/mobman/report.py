@@ -88,8 +88,6 @@ def _condition_axes(name: str) -> tuple[str, str] | None:
 
 
 def markdown_report(rows: list[dict], title: str = "Condition comparison") -> str:
-    if not rows:
-        raise ValueError("no metrics rows to report")
     agg = aggregate_rows(rows)
     lines = [f"# {title}", ""]
     scenarios = sorted({r["scenario"] for r in rows if r["scenario"]})
@@ -243,8 +241,6 @@ REPORT_FILES = ("report.md", "i_star_hist.svg", "event_counts.svg")
 
 def write_report(rows: list[dict], out_dir, title: str = "Condition comparison") -> list[Path]:
     """Write report.md plus the SVG charts; returns the written paths."""
-    if not rows:
-        raise ValueError("no metrics rows to report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     texts = (markdown_report(rows, title), i_star_histogram_svg(rows), counts_bars_svg(rows))

@@ -1031,8 +1031,6 @@ class _StageTracker:
     def update(self, t: float, s: tuple) -> bool:
         """Advance on the plant's state s at time t; True once every stage
         has been held."""
-        if self.stage >= len(self.goals):
-            return True
         goal = self.goals[self.stage]
         if goal.satisfied(s, self.base_goals[self.stage]):
             self.held += self.dt

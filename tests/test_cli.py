@@ -358,45 +358,46 @@ class TestProcessDigests:
     # SHA-256 of anchors.json, then of dataset.jsonl from `process` and from
     # `process --no-smoothing`, for the scripted_expert session of seed 13,
     # noiseless or at 1 mm / 1e-3 rad; a digest that moves means the dataset
-    # bytes changed.
+    # bytes changed. (The anchors.json digests moved when its per-node
+    # ill_conditioned field, always false when written, was dropped.)
     DIGESTS = {
         ("nav_reach", False): (
-            "4879607f1544d30606296d36d5d7d5d6ff68ed12b0004bdfb7425ffb87bd7648",
+            "d0183bdb3105c078518747b1eb778e217df787266d0558d0ae1e24027126368e",
             "b5748b07985a876d390c68e9f7ae3b8599defb8fcdef583dc01663acaadb5c82",
             "002df02344e2d832ca90864c8baa885ccd5fcbe07617912595ba7a0a57173e6b",
         ),
         ("nav_reach", True): (
-            "f242b4b26c186480958f87c06428074c7536319d6a3bca5a5450d38b698c1be5",
+            "218ed7f496a68c6d19bd4c966fb2d2ac6220912b159fede07bd3af447d4c6ed1",
             "dc95721cd759874ed8e209408fbc641a105259345ae54963a7b0cd56094f426b",
             "fb4674d2475cf50a18482a597c5e8bba00c21a906209e97fff4bc3b449852507",
         ),
         ("nav_turn_place", False): (
-            "78e945963b17444b1f4919ad093c9d9bb64ec02e9380a49c74cfedf7793df79b",
+            "3aa5ad0a544b5f5c555d1e3681e8e9b46ed2f2613e8a702709cc5a7f5bb816b8",
             "a351ae651df2c336964762d377ea65d48796854fcbc295e3ce79f6f1600a75d5",
             "f2d84e8bcb3ecad6b292d63e63ebc04687bb7bd699b7950857458b061b2cfd8a",
         ),
         ("nav_turn_place", True): (
-            "5cd9e98d6be5e766d9378b67d8b00d9ca17717458f1116ecf671b65e15884291",
+            "e665a97d41afa75b2e1eb178437dbfa9d33f4fe3d29faa8c81f16e8bbf329f40",
             "4e784d35fa0c1cf392d40cc315d485cc8501bcadfb8f809ce3a63b10f450f145",
             "7dd2e5129bdc5de1feab603fe9327c4d967b9f511be037053e8fca1372016cb4",
         ),
         ("long_horizon", False): (
-            "0b5ce47e39f3bb9f718a4f6c12c5e8a8c2e7ad78bc4d87bc8305b3227918da4a",
+            "0899b69c94657e5ac803526f8b3259c7bf39ad78a3f29b0c0a4261ffc1904643",
             "552e80b2c9ff8e3a8b0328def205d4ec68edc113e4b324fa18a4acc57b791ed2",
             "728cc7f5a4311776db887a2e0cd579c4690d47b76495f8b329a0d41cd8dc5a1d",
         ),
         ("long_horizon", True): (
-            "b15ef79e4145383ff9eb2b19937a551c44c4b86ae53b927ffacfc364a31f4039",
+            "9bca0cadf5541dcf2fa7ed75347a59cbfc7385b2c6972d641fd903f6355759b5",
             "e477420416241979d563c3cb9af0b055c17187423df3ff2b0e2f4c4be07f21da",
             "caeed0eb166e09ed5ec064e66b0397de952a01894ef6678e8a96d831afe5370e",
         ),
         ("cruise", False): (
-            "6d42856867d7ad2ca586cb09c34f225f16137dada819d18349e11a843433a1d0",
+            "307d135d052383710420266f092039e2c42e70728a9af060cda50f5c08c3d2a4",
             "f6fffbf33bc462c141d9e9c507314b22524edfbbd35c1d5786e0e8f126746f9a",
             "bf36d0cdff57c7e21ad6b7da2337702f0522517c66e895bdb701e64ebc5af691",
         ),
         ("cruise", True): (
-            "7db22c217cc9038c13ea73898bb6e2ca8bbcee6bb7c705aea55ac93393791b27",
+            "b16618a0de4ed9130a43ac11b443328885b27edafe62ab285c7c3bf8a5db150d",
             "5fe79ff61f9bfb466ba9659cda25f9bc07e9a778fcc926dc8430932ded9d7c51",
             "d6283bb55428397535fd758f8ee5d080b7657958e4743a3e5df4841b30f0ecaf",
         ),
@@ -1856,6 +1857,57 @@ class TestUnusableInputRefused:
         line = "usage error: manifest records unknown command 'dance'"
         self._assert_refused(["replay", "--manifest", str(manifest)], EXIT_USAGE, line, [], capsys)
         assert list(tmp_path.iterdir()) == [manifest]
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any input file is a usage error: one stderr
+    line naming the file, the byte's line and its offset in the file."""
+
+    @staticmethod
+    def _with_0xff(path: Path, tmp_path: Path) -> tuple[Path, int, int]:
+        """A copy of path under tmp_path with a 0xff byte appended; the copy,
+        the byte's line and its offset."""
+        data = path.read_bytes()
+        copy = tmp_path / path.name
+        copy.write_bytes(data + b"\xff")
+        return copy, data.count(b"\n") + 1, len(data)
+
+    @staticmethod
+    def _assert_usage_error(argv, path, line, offset, capsys):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == EXIT_USAGE
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"usage error: {path}:{line}: not UTF-8: invalid start byte at byte {offset}"
+        ]
+
+    @staticmethod
+    def _anchor_argv(raw, out, **files):
+        names = {"trajectories": "trajectories.jsonl", "detections": "detections.jsonl", "extrinsics": "extrinsics.json"}
+        flags = [(f"--{flag}", files.get(flag, raw / name)) for flag, name in names.items()]
+        return ["anchor", *(a for pair in flags for a in pair), "--output", out]
+
+    def test_extrinsics(self, raw_session, tmp_path, capsys):
+        raw, _ = raw_session
+        path, line, offset = self._with_0xff(raw / "extrinsics.json", tmp_path)
+        argv = self._anchor_argv(raw, tmp_path / "a.json", extrinsics=path)
+        self._assert_usage_error(argv, path, line, offset, capsys)
+
+    def test_markers(self, raw_session, anchored, tmp_path, capsys):
+        raw, _ = raw_session
+        bad = tmp_path / "raw"
+        bad.mkdir()
+        shutil.copy(raw / "trajectories.jsonl", bad)
+        path, line, offset = self._with_0xff(raw / "markers.jsonl", bad)
+        argv = ["process", "--raw", bad, "--anchor", anchored, "--output", tmp_path / "o"]
+        self._assert_usage_error(argv, path, line, offset, capsys)
+
+    def test_trajectories_offset_is_in_the_file(self, raw_session, tmp_path, capsys):
+        # past the first 8 KiB, where an offset into a decode chunk would differ
+        raw, _ = raw_session
+        path, line, offset = self._with_0xff(raw / "trajectories.jsonl", tmp_path)
+        assert offset > 8192
+        argv = self._anchor_argv(raw, tmp_path / "a.json", trajectories=path)
+        self._assert_usage_error(argv, path, line, offset, capsys)
 
 
 class TestOutputOverwritesInput:

@@ -237,16 +237,34 @@ class TestWhereDecodersDiffer:
         values = list(read_jsonl(path))
         assert values == [{"a": 1}, int(token)] and type(values[1]) is int
 
-    def test_undecodable_file_reads_as_before(self, tmp_path):
-        # the bad byte lies past the first 8 KiB, which a line-at-a-time read
-        # decodes and parses before it meets the byte
+    def test_undecodable_file_reads_the_lines_before(self, tmp_path):
+        # the lines before the bad byte's line read as the line-at-a-time
+        # reference reads them, and a line's error comes first; then the bad
+        # byte, past the first 8 KiB, is a MalformedInputError naming its line
+        # and its offset in the file
         good = "".join(json.dumps({"t": i / 10, "pose": [0.5] * 7}) + "\n" for i in range(200))
-        path = tmp_path / "lines.jsonl"
+        path, clean = tmp_path / "lines.jsonl", tmp_path / "clean.jsonl"
         for first in ("", '{"t": \n'):
-            path.write_bytes((first + good).encode("utf-8") + b"\xff\n")
-            got = outcome_or_decode_error(read_jsonl, path)
-            assert got == outcome_or_decode_error(reference_read_jsonl, path)
-            assert got[1][0] == ("MalformedInputError" if first else "UnicodeDecodeError")
+            text = first + good
+            path.write_bytes(text.encode("utf-8") + b"\xff\n")
+            if first:
+                expected = outcome(reference_read_jsonl, path)
+                assert expected[1][1] == 1
+            else:
+                clean.write_text(text, encoding="utf-8")
+                line = text.count("\n") + 1
+                reason = f"not UTF-8: invalid start byte at byte {len(text)}"
+                expected = (outcome(reference_read_jsonl, clean)[0], (f"{path}:{line}: {reason}", line))
+                assert len(text) > 8192 and len(expected[0]) == 200
+            assert outcome(read_jsonl, path) == expected
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_undecodable_byte_line_counts_text_mode_line_ends(self, tmp_path, newline):
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(f'{{"a": 1}}{newline}{{"b": 2}}{newline}{{"c": '.encode("utf-8") + b"\xff}\n")
+        values, error = outcome(read_jsonl, path)
+        assert values == ["{'a': 1}", "{'b': 2}"]
+        assert error == (f"{path}:3: not UTF-8: invalid start byte at byte {22 + 2 * len(newline)}", 3)
 
 
 class TestNesting:
@@ -273,18 +291,6 @@ class TestNesting:
         with pytest.raises(MalformedInputError, match=f"^{re.escape(str(tmp_path))}: maximum recursion"):
             with fields_of(tmp_path):
                 repr(deep)
-
-
-def outcome_or_decode_error(reader, path):
-    """outcome(), with an undecodable file's UnicodeDecodeError among the
-    errors, each as the name of its type and its message."""
-    values = []
-    try:
-        for value in reader(path):
-            values.append(repr(value))
-    except (MalformedInputError, UnicodeDecodeError) as exc:
-        return values, (type(exc).__name__, str(exc))
-    return values, None
 
 
 def _number_table() -> list[str]:
