@@ -51,7 +51,7 @@ from .diffusion import (
     save_checkpoint,
     train_toy,
 )
-from .geometry import DegeneratePitchError, Pose2, Pose3, quat_canonical_floats
+from .geometry import DegeneratePitchError, Pose2, Pose3, quat_canonical_floats, quat_canonical_rows
 from .jsonl import MalformedInputError, fields_of, finite_numbers, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
@@ -289,18 +289,23 @@ class DiffusionReplayPolicy:
         # the hand quaternion is canonicalised again, as a Pose3 of it was
         state = np.array((*obs[:6], *quat_canonical_floats(*obs[6:10]), obs[10]))
         prev, rows = np.zeros(ACTION_DIM), []
-        for _ in range(DEFAULT_HORIZON):
-            cond = obs_to_condition(state, prev, ())
-            prev = ddim_sample(self._eps_fn, cond, self.sched, rng=rng, sample_dim=ACTION_DIM)[0]
-            rows.append(prev)
-        rows = np.array(rows)
-        # rows with a NaN or infinite entry, or with a quaternion block so large
-        # that its norm overflows, are rejected before anything executes them
-        if np.isfinite(rows).all():
-            try:
-                return ActionChunkTensor(rows).canonicalized()
-            except ValueError:  # a quaternion block that cannot be normalised
-                pass
+        # an entry that overflows to inf or NaN is left to the finite check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(DEFAULT_HORIZON):
+                cond = obs_to_condition(state, prev, ())
+                prev = ddim_sample(self._eps_fn, cond, self.sched, rng=rng, sample_dim=ACTION_DIM)[0]
+                rows.append(prev)
+            rows = np.array(rows)
+            # rows with a NaN or infinite entry, or with a quaternion block so large
+            # that its norm overflows, are rejected before anything executes them
+            if np.isfinite(rows).all():
+                try:
+                    # the quaternion-increment block, renormalised row-wise with w >= 0
+                    rows[:, 6:10] = quat_canonical_rows(rows[:, 6:10])
+                except ValueError:  # a quaternion block that cannot be normalised
+                    pass
+                else:
+                    return ActionChunkTensor(tuple(map(tuple, rows.tolist())))
         raise NonFiniteChunkError(
             "sampled an action chunk with a non-finite entry or a quaternion block "
             f"that cannot be normalised (trial seed {self.seed})"

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import quat_canonical_rows
 from .jsonl import MalformedInputError, fields_of, finite_float64, finite_numbers, float64_text, read_json
 
 DEFAULT_K = 100
@@ -588,41 +587,29 @@ def model_eps_fn(model: ToyDenoiser) -> Callable[[np.ndarray, int, dict], np.nda
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionChunkTensor:
-    """A horizon of 11-D action rows, and optionally their roll-out.
+    """A horizon of action rows, each a tuple of ACTION_DIM floats, and
+    optionally their roll-out.
 
     rollout, when given, holds the T_p + 1 states that
     executor.forward_rollout(rollout[0], chunk) would compute, bit for bit:
     a policy that chains them while it builds the rows hands them over so the
-    executor does not integrate the rows again. values is then read-only, and
-    a chunk rebuilt from other values (canonicalized) carries no roll-out.
+    executor does not integrate the rows again.
     """
 
-    values: np.ndarray  # (T_p, 11)
+    rows: tuple  # T_p tuples of ACTION_DIM floats
     rollout: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != ACTION_DIM:
-            raise ValueError(f"chunk must be (T_p, {ACTION_DIM})")
-        if self.rollout is not None:
-            self.rollout = tuple(self.rollout)
-            if len(self.rollout) != self.horizon + 1:
-                raise ValueError(
-                    f"rollout must hold T_p + 1 = {self.horizon + 1} states, got {len(self.rollout)}"
-                )
-            self.values.flags.writeable = False
+        if any(len(row) != ACTION_DIM for row in self.rows):
+            raise ValueError(f"every chunk row must hold {ACTION_DIM} floats")
+        if self.rollout is not None and len(self.rollout) != self.horizon + 1:
+            raise ValueError(f"rollout must hold T_p + 1 = {self.horizon + 1} states, not {len(self.rollout)}")
 
     @property
     def horizon(self) -> int:
-        return self.values.shape[0]
-
-    def canonicalized(self) -> "ActionChunkTensor":
-        """Renormalize the quaternion-increment block row-wise, w >= 0."""
-        vals = self.values.copy()
-        vals[:, 6:10] = quat_canonical_rows(vals[:, 6:10])
-        return ActionChunkTensor(vals)
+        return len(self.rows)
 
 
 # obs_to_condition's width without scenario features: the state, then the previous action

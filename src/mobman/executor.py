@@ -16,7 +16,8 @@ state through observations to roll-out states and waypoint targets, is one
 tuple of 11 floats (x, y, theta, px, py, pz, qw, qx, qy, qz, grip): base
 pose in the world with theta wrapped to (-pi, pi], chest-relative hand
 position and canonical hand quaternion, and gripper aperture. An action row
-uses the same 11 slots for increments (see advance_floats).
+is a tuple of 11 floats in the same slots, holding increments (see
+advance_floats); a chunk's rows run as such from the policy to dispatch.
 
 The float code keeps the bits of the Pose2/Pose3 code it replaced: every
 heading is wrapped where a Pose2 constructor wrapped it, and only there;
@@ -129,7 +130,7 @@ def forward_rollout(s0: tuple, chunk: ActionChunkTensor) -> list[tuple]:
         return list(chunk.rollout)
     s = s0
     states = [s]
-    for row in chunk.values.tolist():
+    for row in chunk.rows:
         s = (*advance_floats(*s[:10], row), row[10])
         states.append(s)
     return states
@@ -164,25 +165,22 @@ def state_match(rollout: list[tuple], now: tuple, w: MatchWeights | None = None)
 
 class Waypoint(NamedTuple):
     """One dispatchable target: chunk row index, target state, chunk row (a
-    list of 11 floats)."""
+    tuple of 11 floats)."""
 
     index: int
     target: tuple
-    row: list
+    row: tuple
 
 
 def splice(
     chunk: ActionChunkTensor, rollout: list[tuple], i_star: int
 ) -> tuple[list[Waypoint], bool]:
     """Waypoints from i_star onward, row i targeting rollout[i + 1]; the flag
-    requests an immediate replan when only the degenerate tail remains. Each
-    waypoint's row is chunk row i as 11 Python floats (one tolist per
-    splice), so that dispatch does no numpy scalar arithmetic."""
+    requests an immediate replan when only the degenerate tail remains."""
     T_p = chunk.horizon
     if not 0 <= i_star < T_p:
         raise ValueError(f"i_star {i_star} out of range [0, {T_p})")
-    rows = chunk.values.tolist()
-    waypoints = [Waypoint(i, rollout[i + 1], rows[i]) for i in range(i_star, T_p)]
+    waypoints = [Waypoint(i, rollout[i + 1], chunk.rows[i]) for i in range(i_star, T_p)]
     return waypoints, i_star == T_p - 1
 
 
@@ -384,7 +382,7 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
         if pending is not None and pending[0] <= t + 1e-9:
             arrival, chunk, obs_state, obs_t = pending
             pending = None
-            if not (np.abs(chunk.values) <= CHUNK_BOUND).all():  # false for NaN too
+            if not all(-CHUNK_BOUND <= v <= CHUNK_BOUND for row in chunk.rows for v in row):  # false for NaN
                 raise NonFiniteChunkError(
                     "policy chunk has a non-finite or out-of-range entry "
                     f"(trial seed {config.seed}, tick {tick})"
@@ -397,7 +395,7 @@ def run_executor(policy, plant, config: ExecutorConfig, tick_callback=None) -> E
             report = state_match(candidates, now_eff, config.weights)
             waypoints, replan_now = splice(chunk, rollout, report.i_star)
             wp_cursor = 0
-            chunk_net_forward = float(np.sum(chunk.values[:, 0]))
+            chunk_net_forward = sum(row[0] for row in chunk.rows)
             log.add(tick, t, "splice", {**report._asdict(), "t0_obs": obs_t, "tick": tick})
             last_splice_tick = tick
             prev_v_sign = 0

@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import orjson
 
 
 class MalformedInputError(ValueError):
@@ -178,6 +177,10 @@ def _decode_lines(path, lines: Iterable[str], fast: bool) -> Iterator:
     """read_jsonl's values of lines, numbered from 1; orjson decodes a line
     only when fast is true. orjson gets the line unstripped, so that a line it
     accepts is padded with JSON whitespace only (which json skips as well)."""
+    # imported here, so that a program that reads no JSONL (a simulation)
+    # does not pay for orjson's import and what it imports
+    import orjson
+
     for i, line in enumerate(lines, start=1):
         if fast and (
             len(line) <= _ORJSON_MAX_DEPTH

@@ -810,7 +810,7 @@ def save_expert_session(out_dir, expert: ExpertSession) -> None:
 # Policies
 # ---------------------------------------------------------------------------
 
-HOLD_ROW = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+HOLD_ROW = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class CruisePolicy:
@@ -819,10 +819,7 @@ class CruisePolicy:
     STEP = 0.03
 
     def __call__(self, obs: tuple, obs_t: float) -> ActionChunkTensor:
-        rows = np.tile(HOLD_ROW, (DEFAULT_HORIZON, 1))
-        rows[:, 0] = self.STEP
-        rows[:, 10] = obs[10]
-        return ActionChunkTensor(rows)
+        return ActionChunkTensor(((self.STEP, *HOLD_ROW[1:10], obs[10]),) * DEFAULT_HORIZON)
 
 
 class ExpertReplayPolicy:
@@ -971,7 +968,7 @@ class ExpertReplayPolicy:
             rows.append(row)
             state = advance_floats(*state, row)
             rollout.append((*state, grip))
-        return ActionChunkTensor(np.array(rows), rollout)
+        return ActionChunkTensor(tuple(rows), tuple(rollout))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from mobman.diffusion import (
     save_checkpoint,
 )
 from mobman.executor import NonFiniteChunkError
-from mobman.geometry import Pose3, quat_mul, rot_z
+from mobman.geometry import Pose3, quat_canonical, quat_mul, rot_z
 from mobman.jsonl import finite_float64, float64_text, read_json
 from mobman.manifest import RunManifest, file_sha256
 from mobman.pipeline import DemoDataset
@@ -628,6 +628,10 @@ class TestSimulateCommand:
         assert len(loads) == 1
 
 
+# an observation: base at the origin, hand ahead and below the chest, grip open
+OBS = (0.0, 0.0, 0.0, 0.3, 0.0, -0.2, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
 class TestDiffusionReplayPolicy:
     def test_chunk_matches_condition_rebuilt_per_row(self):
         rng = np.random.default_rng(30)
@@ -639,7 +643,7 @@ class TestDiffusionReplayPolicy:
         eps_fn = model_eps_fn(model)
         for call in range(2):
             obs = (0.2 * call, 0.1, 0.3, 0.3, 0.0, -0.2, 1.0, 0.0, 0.0, 0.0, 0.4)
-            got = policy(obs, 0.1 * call).values
+            got = policy(obs, 0.1 * call).rows
             # the adapter's rows, each sampled under a condition built afresh
             row_rng = np.random.default_rng([7, 0xD1, call])
             rows, prev = [], np.zeros(ACTION_DIM)
@@ -649,17 +653,53 @@ class TestDiffusionReplayPolicy:
                 cond = obs_to_condition(state, prev, np.zeros(0))
                 prev = ddim_sample(eps_fn, cond, sched, rng=row_rng, sample_dim=ACTION_DIM)[0]
                 rows.append(prev)
-            assert np.array_equal(got, ActionChunkTensor(np.array(rows)).canonicalized().values)
+            # then each row's quaternion-increment block made canonical
+            want = [(*r[:6], *quat_canonical(r[6:10]), r[10]) for r in rows]
+            assert got == tuple(tuple(map(float, r)) for r in want)
+            assert all(type(v) is float for row in got for v in row)
 
-    def test_zero_quaternion_block_is_non_finite_chunk(self, monkeypatch):
+    @staticmethod
+    def _policy_sampling(monkeypatch, rows):
+        """A DiffusionReplayPolicy whose sampler returns the rows of rows, one
+        per call, in turn."""
         model = ToyDenoiser(input_dim=ACTION_DIM, cond_dim=COND_DIM)
         model.init_params(np.random.default_rng(31))
-        row = np.array([[0.01, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-        monkeypatch.setattr(cli, "ddim_sample", lambda *args, **kwargs: row.copy())
-        policy = cli.DiffusionReplayPolicy(model, cosine_schedule(), seed=3)
-        obs = (0.0, 0.0, 0.0, 0.3, 0.0, -0.2, 1.0, 0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(NonFiniteChunkError, match="cannot be normalised"):
-            policy(obs, 0.0)
+        sampled = iter(rows)
+        monkeypatch.setattr(cli, "ddim_sample", lambda *args, **kwargs: next(sampled)[None].copy())
+        return cli.DiffusionReplayPolicy(model, cosine_schedule(), seed=3)
+
+    def test_sampled_quaternion_blocks_become_canonical(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(DEFAULT_HORIZON, ACTION_DIM))
+        chunk = self._policy_sampling(monkeypatch, rows)(OBS, 0.0)
+        for row in chunk.rows:
+            assert row[6] >= 0.0
+            assert abs(math.sqrt(sum(v * v for v in row[6:10])) - 1.0) < 1e-12
+
+    def test_canonicalisation_matches_per_row_loop(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        rows = rng.normal(size=(DEFAULT_HORIZON, ACTION_DIM))
+        rows[1, 6:10] = (0.0, -0.3, 0.4, 0.0)  # w == 0: the first nonzero component decides
+        rows[2, 6:10] = (-0.0, 0.0, 0.0, 2.0)
+        rows[3, 6:10] = (0.0, 0.0, -0.0, -1e-3)
+        rows[4, 6:10] = (-1e-150, 5e-151, 0.0, 0.0)
+        rows[5, 6:10] = (1e150, -1e150, 3e149, 0.0)
+        expected = rows.copy()
+        for i in range(len(expected)):
+            expected[i, 6:10] = quat_canonical(expected[i, 6:10])
+        got = np.array(self._policy_sampling(monkeypatch, rows)(OBS, 0.0).rows)
+        assert got.tobytes() == expected.tobytes()
+        assert got[1, 7] > 0.0 and got[3, 9] > 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, 1e200])
+    def test_degenerate_quaternion_block_is_non_finite_chunk(self, monkeypatch, bad):
+        # 1e200 is finite, but the block's norm overflows: the chunk is
+        # rejected, and no RuntimeWarning reaches the caller
+        rows = np.tile([0.01, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], (DEFAULT_HORIZON, 1))
+        rows[2, 6:10] = (bad, 0.0, 0.0, 0.0)
+        policy = self._policy_sampling(monkeypatch, rows)
+        with pytest.raises(NonFiniteChunkError, match="cannot be normalised .trial seed 3."):
+            policy(OBS, 0.0)
 
     def test_saved_and_reloaded_checkpoint_samples_same_chunk_bytes(self, tmp_path):
         rng = np.random.default_rng(32)
@@ -672,7 +712,8 @@ class TestDiffusionReplayPolicy:
         got = cli.DiffusionReplayPolicy(*load_checkpoint(tmp_path / "m.json"), seed=7)
         for call in range(2):
             obs = (0.2 * call, 0.1, 0.3, 0.3, 0.0, -0.2, 1.0, 0.0, 0.0, 0.0, 0.4)
-            assert got(obs, 0.1 * call).values.tobytes() == want(obs, 0.1 * call).values.tobytes()
+            chunks = got(obs, 0.1 * call), want(obs, 0.1 * call)
+            assert np.array(chunks[0].rows).tobytes() == np.array(chunks[1].rows).tobytes()
 
 
 class TestReportCommand:
@@ -2116,8 +2157,7 @@ class TestNonFiniteChunkRejected:
         out = tmp_path / "s"
         capsys.readouterr()
         argv = ["simulate", "--policy", policy, "--trials", "1", "--output", str(out)]
-        with np.errstate(all="ignore"):
-            assert main(argv) == EXIT_REJECTED
+        assert main(argv) == EXIT_REJECTED
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"rejected: policy {policy}: ")
@@ -2135,7 +2175,8 @@ class TestNonFiniteChunkRejected:
                 chunk = super().__call__(obs, obs_t)
                 self.calls += 1
                 if self.calls == 3:
-                    chunk.values[0, 0] = value
+                    row, *rest = chunk.rows
+                    chunk = ActionChunkTensor(((value, *row[1:]), *rest))
                 return chunk
 
         return ThirdChunkEntry

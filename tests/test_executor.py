@@ -10,6 +10,7 @@ from mobman.cli import DiffusionReplayPolicy
 from mobman.diffusion import (
     ACTION_DIM,
     COND_DIM,
+    DEFAULT_HORIZON,
     ActionChunkTensor,
     ToyDenoiser,
     cosine_schedule,
@@ -17,6 +18,7 @@ from mobman.diffusion import (
     save_checkpoint,
 )
 from mobman.executor import (
+    CHUNK_BOUND,
     ExecutorConfig,
     LatencyConfig,
     MatchWeights,
@@ -30,7 +32,15 @@ from mobman.executor import (
     state_match,
 )
 from mobman.geometry import Pose2, quat_canonical, quat_canonical_floats
-from mobman.sim import Condition, CruisePolicy, Plant, PlantConfig, run_condition_trial
+from mobman.sim import (
+    Condition,
+    CruisePolicy,
+    ExpertReplayPolicy,
+    Plant,
+    PlantConfig,
+    make_scenario,
+    run_condition_trial,
+)
 
 IDENT_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -41,11 +51,12 @@ def tup(x=0.0, y=0.0, th=0.0, hand=(0.3, 0.0, -0.2), grip=1.0):
 
 
 def cruise_chunk(step=0.03, horizon=16, grip=1.0):
-    rows = np.zeros((horizon, 11))
-    rows[:, 0] = step
-    rows[:, 6] = 1.0
-    rows[:, 10] = grip
-    return ActionChunkTensor(rows)
+    return ActionChunkTensor(((step, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, grip),) * horizon)
+
+
+def chunk_of(rows: np.ndarray) -> ActionChunkTensor:
+    """The chunk of the rows of a (T_p, 11) array, as float tuples."""
+    return ActionChunkTensor(tuple(map(tuple, rows.tolist())))
 
 
 class TestRollout:
@@ -66,14 +77,14 @@ class TestRollout:
         rows[:, 6] = 1.0
         rows[0] = [0.1, 0, math.pi / 2, 0, 0, 0, 1, 0, 0, 0, 1]
         rows[1] = [0.1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
-        roll = forward_rollout(tup(), ActionChunkTensor(rows))
+        roll = forward_rollout(tup(), chunk_of(rows))
         assert roll[2][0] == pytest.approx(0.1, abs=1e-12)
         assert roll[2][1] == pytest.approx(0.1, abs=1e-12)
 
     def test_advance_state_matches_rollout(self):
         chunk = cruise_chunk()
         roll = forward_rollout(tup(), chunk)
-        stepped = advance_floats(*roll[4][:10], chunk.values[4].tolist())
+        stepped = advance_floats(*roll[4][:10], chunk.rows[4])
         assert stepped[0] == pytest.approx(roll[5][0], abs=1e-12)
 
 
@@ -162,7 +173,7 @@ class TestSpliceProperty:
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(_row, min_size=1, max_size=20), off=st.integers(1, 1000))
     def test_indexing(self, rows, off):
-        chunk = ActionChunkTensor(np.array(rows))
+        chunk = ActionChunkTensor(tuple(map(tuple, rows)))
         T_p = chunk.horizon
         rollout = forward_rollout(tup(), chunk)
         assert len(rollout) == T_p + 1
@@ -171,9 +182,9 @@ class TestSpliceProperty:
             assert [w.index for w in wps] == list(range(i_star, T_p))
             assert replan == (i_star == T_p - 1)
             for w in wps:
-                row = chunk.values[w.index]
-                want = advance_floats(*rollout[w.index][:10], row.tolist())
-                assert np.array_equal(w.row, row)
+                row = chunk.rows[w.index]
+                want = advance_floats(*rollout[w.index][:10], row)
+                assert w.row is row
                 assert w.target == (*want, row[10])
         for bad in (-off, T_p - 1 + off):
             with pytest.raises(ValueError):
@@ -200,18 +211,18 @@ class TestCommandToTarget:
     def test_deadbeat_on_track(self):
         # waypoint exactly one row ahead: command equals the feedforward row
         roll = forward_rollout(tup(), cruise_chunk(step=0.03))
-        wp = Waypoint(0, roll[1], cruise_chunk().values[0])
+        wp = Waypoint(0, roll[1], cruise_chunk().rows[0])
         cmd, _, _ = command_to_target(roll[0], wp, dt=0.1)
         assert cmd.v == pytest.approx(0.3)
         assert cmd.omega == 0.0
 
     def test_deadbeat_corrects_error(self):
-        wp = Waypoint(0, tup(x=0.05), np.r_[0.03, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1.0])
+        wp = Waypoint(0, tup(x=0.05), (0.03, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
         cmd, _, _ = command_to_target(tup(x=0.0), wp, dt=0.1)
         assert cmd.v == pytest.approx(0.5)
 
     def test_damped_gain_blends(self):
-        wp = Waypoint(0, tup(x=0.05), np.r_[0.03, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1.0])
+        wp = Waypoint(0, tup(x=0.05), (0.03, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
         cmd, _, _ = command_to_target(tup(x=0.0), wp, dt=0.1, gain=0.4)
         assert cmd.v == pytest.approx((0.03 + 0.4 * (0.05 - 0.03)) / 0.1)
 
@@ -405,7 +416,8 @@ class _NanThirdChunk(CruisePolicy):
         chunk = super().__call__(obs, obs_t)
         self.calls += 1
         if self.calls == 3:
-            chunk.values[0, 0] = math.nan
+            row, *rest = chunk.rows
+            chunk = ActionChunkTensor(((math.nan, *row[1:]), *rest))
         return chunk
 
 
@@ -441,5 +453,48 @@ class TestNonFiniteChunks:
         model, sched = load_checkpoint(_checkpoint_with_huge_output_weights(tmp_path / "m.json"))
         policy = DiffusionReplayPolicy(model, sched, seed=5)
         plant = Plant(PlantConfig(kinematic=True))
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteChunkError, match="trial seed 5"):
+        with pytest.raises(NonFiniteChunkError, match="trial seed 5"):
             run_executor(policy, plant, ExecutorConfig(max_ticks=10))
+
+
+class TestChunkRows:
+    """A chunk's rows are float tuples from the policy to the plant."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, CHUNK_BOUND, -CHUNK_BOUND, math.nextafter(CHUNK_BOUND, math.inf), -0.0, 5e-324],
+    )
+    def test_bound_check_gives_the_array_rule(self, value):
+        row, *rest = CruisePolicy()(tup(), 0.0).rows
+        rows = ((value, *row[1:]), *rest)
+        chunk = ActionChunkTensor(rows)
+        plant = Plant(PlantConfig(kinematic=True))
+        try:
+            log = run_executor(lambda obs, obs_t: chunk, plant, ExecutorConfig(max_ticks=3))
+        except NonFiniteChunkError:
+            accepted = False
+        else:
+            accepted = True
+            assert len(log.splices) == 1
+        # the rule on the chunk as one array: every |entry| <= CHUNK_BOUND, false for NaN
+        assert accepted == bool((np.abs(np.array(rows)) <= CHUNK_BOUND).all())
+
+    def test_every_policy_returns_float_rows(self, tmp_path):
+        script = make_scenario("nav_reach").script
+        model = ToyDenoiser(ACTION_DIM, COND_DIM, hidden=8, kemb_dim=8, temb_dim=8)
+        model.init_params(np.random.default_rng(0))
+        save_checkpoint(tmp_path / "m.json", model, cosine_schedule())
+        model, sched = load_checkpoint(tmp_path / "m.json")
+        policies = {
+            "cruise": CruisePolicy(),
+            "replay relative": ExpertReplayPolicy(script, label_frame="relative"),
+            "replay global": ExpertReplayPolicy(script, label_frame="global"),
+            "checkpoint": DiffusionReplayPolicy(model, sched, seed=5),
+        }
+        for name, policy in policies.items():
+            for t in (0.0, 1.0, 2.5):
+                obs = tuple(script.states_at([t])[0].tolist())
+                rows = policy(obs, t).rows
+                assert type(rows) is tuple and len(rows) == DEFAULT_HORIZON, name
+                assert all(type(row) is tuple and len(row) == ACTION_DIM for row in rows), name
+                assert all(type(v) is float for row in rows for v in row), name

@@ -81,7 +81,7 @@ def _ref_state(f, grip):
 def _ref_forward_rollout(s0, chunk):
     states = [s0]
     f = _ref_floats(s0)
-    for row in chunk.values.tolist():
+    for row in chunk.rows:
         f = advance_floats(*f, row)
         states.append(_ref_state(f, row[10]))
     return states
@@ -124,8 +124,8 @@ def _ref_state_match(rollout, now, w):
 
 
 def _ref_splice(chunk, rollout, i_star):
-    T_p = chunk.horizon
-    return [(i, rollout[i + 1], chunk.values[i]) for i in range(i_star, T_p)], i_star == T_p - 1
+    T_p, values = chunk.horizon, np.array(chunk.rows)
+    return [(i, rollout[i + 1], values[i]) for i in range(i_star, T_p)], i_star == T_p - 1
 
 
 def _ref_command_to_target(now, target, row, dt, gain=1.0):
@@ -242,7 +242,7 @@ def _chunk(rng, kind, horizon=16) -> ActionChunkTensor:
         rows[:, 2] = rng.choice(EDGE_HEADINGS, size=horizon)
     elif kind == "w0":
         rows[:, 6] = 0.0
-    return ActionChunkTensor(rows)
+    return ActionChunkTensor(tuple(map(tuple, rows.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ class TestTickMatchesPoseCode:
             for wp, (_, target, row) in zip(wps, ref_wps):
                 assert _tuple_bits(wp.target) == _state_bits(target)
                 # the row as 11 Python floats, with the chunk row's bits
-                assert type(wp.row) is list and all(type(x) is float for x in wp.row)
+                assert type(wp.row) is tuple and all(type(x) is float for x in wp.row)
                 assert np.array(wp.row).tobytes() == row.tobytes()
 
     def test_ties_pick_the_smaller_index(self):

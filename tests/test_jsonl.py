@@ -10,7 +10,10 @@ import json
 import math
 import re
 import struct
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import mobman
 from mobman import anchoring
 from mobman.anchoring import load_trajectories
 from mobman.cli import EXIT_OK, main
@@ -363,6 +367,15 @@ class TestFastPath:
         got = [list(map(repr, read_jsonl(path))) for path in paths]
         assert calls == [] and got == expected
         assert min(map(len, got)) > 0
+
+    def test_simulation_imports_no_orjson(self):
+        # orjson (and the uuid and zoneinfo modules it imports) loads on the
+        # first JSONL read, not with the modules that read none
+        src = str(Path(mobman.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import mobman.sim; print('orjson' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 # few distinct times, so that nodes interleave and times tie (0.0 and -0.0

@@ -151,7 +151,7 @@ def state_fingerprint(monkeypatch) -> str:
         def recording_policy(obs, obs_t):
             put(obs, obs_t)
             chunk = policy(obs, obs_t)
-            h.update(chunk.values.tobytes())
+            h.update(np.array(chunk.rows).tobytes())
             return chunk
 
         def recording_tick(tick, t, pl):
@@ -425,14 +425,14 @@ class TestClampRule:
         policy = ExpertReplayPolicy(script)
         obs = _observations(script, np.random.default_rng(seed), 1)[0]
         obs = (*obs[:10], grip)
-        rows = policy(obs, 0.0).values
+        rows = policy(obs, 0.0).rows
         j, last = policy._cursor, len(policy.ref_grip) - 1
         want, g = [], grip
         for r in range(DEFAULT_HORIZON):
             d = policy.ref_grip[min(j + r + 1, last)] - g
             g += min(max(d, -policy.MAX_DGRIP), policy.MAX_DGRIP)
             want.append(g)
-        assert rows[:, 10].tobytes() == _float_bits(*want)
+        assert _float_bits(*(row[10] for row in rows)) == _float_bits(*want)
 
 
 class TestScenarios:
@@ -1024,11 +1024,11 @@ class TestFloatCodeMatchesReference:
         s0 = _RefState(
             Pose2(*rng.normal(size=2), rng.uniform(-math.pi, math.pi)), rng.normal(size=3), rot, 0.5
         )
-        chunk = ActionChunkTensor(rows)
+        chunk = ActionChunkTensor(tuple(map(tuple, rows.tolist())))
         expected = [s0]
-        for row in chunk.values:
-            expected.append(_ref_advance_state(expected[-1], row))
-            stepped = advance_floats(*_as_tuple(expected[-2])[:10], row.tolist())
+        for row, ref_row in zip(chunk.rows, rows):
+            expected.append(_ref_advance_state(expected[-1], ref_row))
+            stepped = advance_floats(*_as_tuple(expected[-2])[:10], row)
             assert _tuple_bits((*stepped, row[10])) == _bits(expected[-1])
         got = forward_rollout(_as_tuple(s0), chunk)
         assert [_tuple_bits(s) for s in got] == [_bits(s) for s in expected]
@@ -1337,7 +1337,7 @@ class TestCarriedRollout:
         expected = forward_rollout((*obs,), chunk)
         # a roll-out that is not this chunk's, carried from an equal state
         # that is another object, is integrated over, not returned
-        stale = ActionChunkTensor(chunk.values.copy(), [(*obs,)] + [REST_STATE] * chunk.horizon)
+        stale = ActionChunkTensor(chunk.rows, ((*obs,),) + (REST_STATE,) * chunk.horizon)
         got = forward_rollout(obs, stale)
         assert _state_bits(got) == _state_bits(expected) and got[0] is obs
         assert _state_bits(forward_rollout(stale.rollout[0], stale)) == _state_bits(stale.rollout)
@@ -1346,15 +1346,16 @@ class TestCarriedRollout:
         script = make_scenario("long_horizon").script
         obs = _observations(script, np.random.default_rng(4), 1)[0]
         chunk = ExpertReplayPolicy(script)(obs, 0.0)
-        assert chunk.canonicalized().rollout is None
-        assert ActionChunkTensor(chunk.values).rollout is None
-        with pytest.raises(ValueError, match="read-only"):
-            chunk.values[0, 0] = 1.0
+        assert ActionChunkTensor(chunk.rows).rollout is None
+        # the chunk is a value: its fields cannot be rebound, nor its rows changed
+        assert type(chunk.rows) is tuple and all(type(row) is tuple for row in chunk.rows)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chunk.rows = ()
 
     @pytest.mark.parametrize("n", [0, 1, DEFAULT_HORIZON, DEFAULT_HORIZON + 2])
     def test_rollout_length_checked(self, n):
         with pytest.raises(ValueError, match="rollout must hold"):
-            ActionChunkTensor(np.zeros((DEFAULT_HORIZON, 11)), [REST_STATE] * n)
+            ActionChunkTensor(((0.0,) * 11,) * DEFAULT_HORIZON, (REST_STATE,) * n)
 
 
 def _unfiltered_hand_step(self, px, py, pz, qw, qx, qy, qz, target):

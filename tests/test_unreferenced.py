@@ -103,8 +103,8 @@ NEVER_RUN_LINES = {
         "DEFAULT_DDIM_STEPS first); and rng None, which only acceptance criterion 5b takes",
     ),
     "diffusion.ActionChunkTensor.__post_init__": (
-        3, "a chunk of another width or a rollout of another length: each policy in src "
-        "builds ACTION_DIM columns and one rollout state more than rows",
+        2, "a chunk of another width or a rollout of another length: each policy in src "
+        "builds rows of ACTION_DIM floats and one rollout state more than rows",
     ),
     "diffusion.obs_to_condition": (
         2, "a previous action of another width (callers pass ACTION_DIM); and scenario "
