@@ -233,7 +233,9 @@ def load_trajectories(path) -> dict[str, VioTrajectory]:
             check_numbers(chain.from_iterable(poses), "trajectory pose")
             check_numbers(cov, "trajectory cov_trace")
             order = sorted(range(len(t)), key=t.__getitem__)
-            rows = np.array(poses, dtype=float)[order]
+            # every pose holds 7 numbers: one pass builds the block
+            rows = np.fromiter(chain.from_iterable(poses), float, count=7 * len(poses))
+            rows = rows.reshape(-1, 7)[order]
             out[node] = VioTrajectory(
                 node_id=node,
                 t=np.array(t, dtype=float)[order],
@@ -262,8 +264,10 @@ def load_detections(path) -> list[TagDetection]:
             t.append(rec["t"])
             poses.append(rec["tag_pose"])
         t = finite_numbers(t, "detection t").tolist()
-        poses = [Pose3(v[3:7], v[0:3]) for v in finite_rows(poses, 7, "detection tag_pose")]
-    return list(map(TagDetection, nodes, t, poses))
+        rows = finite_rows(poses, 7, "detection tag_pose")
+        # a contiguous copy: the norms of a strided view can round differently
+        quat = quat_canonical_rows(rows[:, 3:7].copy())
+    return list(map(TagDetection, nodes, t, map(Pose3.of_canonical, quat, rows[:, 0:3])))
 
 
 def save_detections(path, detections: list[TagDetection]) -> None:

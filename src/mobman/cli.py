@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import os
 import sys
 import tempfile
@@ -51,7 +52,7 @@ from .diffusion import (
     save_checkpoint,
     train_toy,
 )
-from .geometry import DegeneratePitchError, Pose2, Pose3, quat_canonical_floats, quat_canonical_rows
+from .geometry import DegeneratePitchError, Pose3, quat_canonical_floats, quat_canonical_rows
 from .jsonl import MalformedInputError, fields_of, finite_numbers, read_json, read_jsonl, write_json
 from .manifest import RunManifest
 from .pipeline import (
@@ -63,7 +64,7 @@ from .pipeline import (
     lateral_quantile,
     load_dataset,
     make_action_labels,
-    project_nonholonomic,
+    project_nonholonomic_floats,
     save_dataset,
 )
 from .report import REPORT_FILES, _finite_nonnegative, load_metrics, write_report
@@ -146,22 +147,28 @@ def cmd_anchor(cfg: dict, anchor_path: Path) -> None:
         if node not in exts:
             raise UsageError(f"extrinsic for node {node!r} missing")
     results = {}
-    for node in (CHEST, HAND):
-        try:
-            results[node] = anchor_node(
-                trajs[node], exts[node], dets, cov_threshold=cfg["cov_threshold"]
-            )
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+    # poses so far out that their sums overflow give non-finite values,
+    # refused below, not warnings
+    with np.errstate(all="ignore"):
+        for node in (CHEST, HAND):
+            try:
+                results[node] = anchor_node(
+                    trajs[node], exts[node], dets, cov_threshold=cfg["cov_threshold"]
+                )
+            except ValueError as exc:
+                raise DomainError(str(exc)) from exc
+        cross = cross_node_transform(results[CHEST].T_world_tag, results[HAND].T_world_tag)
     if any(r.ill_conditioned for r in results.values()):
         raise DomainError("anchoring ill-conditioned: rotation spread exceeds 90 degrees")
-    cross = cross_node_transform(
-        results[CHEST].T_world_tag, results[HAND].T_world_tag
-    )
     out = {
         "anchors": {n: anchor_result_to_dict(r) for n, r in results.items()},
         "cross_node": cross.to_list(),
     }
+    fields = [(f"{n} {k}", v) for n, a in out["anchors"].items() for k, v in a.items() if k != "node"]
+    for name, values in [*fields, ("cross_node", out["cross_node"])]:
+        bad = [v for v in np.ravel(values).tolist() if not math.isfinite(v)]
+        if bad:
+            raise DomainError(f"anchoring gives a non-finite {name} value {bad[0]}")
     write_json(anchor_path, out)
     for n, r in results.items():
         print(
@@ -221,9 +228,11 @@ def cmd_process(cfg: dict, dataset_path: Path) -> None:
     except (PipelineError, TimestampError, DegeneratePitchError) as exc:
         raise DomainError(str(exc)) from exc
 
-    save_dataset(dataset_path, dataset)
-    bases = [Pose2.of_wrapped(*b) for b in dataset.states[:, :3].tolist()]
-    _, residuals = project_nonholonomic(bases, dt=0.1)
+    try:
+        save_dataset(dataset_path, dataset)
+    except ValueError as exc:  # a value outside its column's domain; nothing is written
+        raise DomainError(str(exc)) from exc
+    _, residuals = project_nonholonomic_floats(dataset.states[:, :3].tolist(), dt=0.1)
     q99 = lateral_quantile(residuals)
     print(f"{len(dataset)} steps, lateral q0.99 = {q99:.4f} m/s")
 

@@ -61,21 +61,33 @@ def finite_numbers(values: Sequence, what: str) -> np.ndarray:
     # the numbers of rows are checked; only a list of rows pays for the pass
     rows = values and type(values[0]) is list and set(map(type, values)) == {list}
     check_numbers(chain.from_iterable(values) if rows else values, what)
-    array = np.array(values, dtype=float)
-    bad = array[~np.isfinite(array)]
-    if len(bad):
-        raise ValueError(f"non-finite {what} value {bad[0]}")
-    return array
+    return _finite(np.array(values, dtype=float), what)
 
 
 def finite_rows(values: Sequence, width: int, what: str) -> np.ndarray:
     """values, a list of rows of `width` numbers each, as one (n, width)
-    float array read by finite_numbers; a ValueError naming `what` for a row
-    of another length."""
+    float array with finite_numbers' values and errors; a ValueError naming
+    `what` for a row of another length.
+
+    A list of list rows is converted in one np.fromiter pass over its
+    numbers, which gives np.array's bits, and its OverflowError for an
+    integer too wide for a float; anything else goes to finite_numbers."""
     widths = set(map(len, values)) - {width}
     if widths:
         raise ValueError(f"{what} must have {width} values, got {min(widths)}")
-    return finite_numbers(values, what).reshape(-1, width)
+    if not (values and type(values) is list and set(map(type, values)) == {list}):
+        return finite_numbers(values, what).reshape(-1, width)
+    check_numbers(chain.from_iterable(values), what)
+    numbers = chain.from_iterable(values)
+    return _finite(np.fromiter(numbers, float, count=len(values) * width).reshape(-1, width), what)
+
+
+def _finite(array: np.ndarray, what: str) -> np.ndarray:
+    """array, or a ValueError naming `what` and its first non-finite value."""
+    bad = array[~np.isfinite(array)]
+    if len(bad):
+        raise ValueError(f"non-finite {what} value {bad[0]}")
+    return array
 
 
 def float64_text(values) -> str:
@@ -97,11 +109,7 @@ def finite_float64(text, shape: tuple, what: str) -> np.ndarray:
     n = math.prod(shape)
     if len(raw) != 8 * n:
         raise ValueError(f"{what} must hold {n} float64 values, got {len(raw)} bytes")
-    array = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
-    bad = array[~np.isfinite(array)]
-    if len(bad):
-        raise ValueError(f"non-finite {what} value {bad[0]}")
-    return array
+    return _finite(np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape), what)
 
 
 # json.dumps(..., sort_keys=True) builds an encoder per call; the writer

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,7 +40,7 @@ from .geometry import (
     wrap_angle,
     yaw_project_rows,
 )
-from .jsonl import fields_of, finite_numbers, finite_rows, read_jsonl, write_jsonl
+from .jsonl import fields_of, finite_numbers, finite_rows, read_jsonl
 
 RATE_HZ = 10.0  # dataset grid rate
 SAVGOL_WINDOW = 9
@@ -276,7 +277,13 @@ def decouple_rows(
 
 
 def project_nonholonomic(poses: list[Pose2], dt: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-    """Project a free planar trajectory onto differential-drive commands.
+    """project_nonholonomic_floats of the planar poses' (x, y, theta)."""
+    return project_nonholonomic_floats([(p.x, p.y, p.theta) for p in poses], dt)
+
+
+def project_nonholonomic_floats(bases, dt: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+    """Project a free planar trajectory, given as (x, y, theta) rows with
+    wrapped headings, onto differential-drive commands.
 
     Finite differences at the grid rate give (xdot, ydot, thetadot); the
     feasible command is v = xdot*cos(theta) + ydot*sin(theta), omega = thetadot
@@ -284,19 +291,17 @@ def project_nonholonomic(poses: list[Pose2], dt: float = 0.1) -> tuple[np.ndarra
     (v [m/s], omega [rad/s]), and the discarded lateral component
     v_perp = -xdot*sin(theta) + ydot*cos(theta) for diagnostics.
     """
-    if len(poses) < 2:
+    if len(bases) < 2:
         raise ValueError("need at least two poses")
-    commands = np.empty((len(poses) - 1, 2))
-    residuals = np.empty(len(poses) - 1)
-    for i in range(len(poses) - 1):
-        a, b = poses[i], poses[i + 1]
-        xd = (b.x - a.x) / dt
-        yd = (b.y - a.y) / dt
-        thd = wrap_angle(b.theta - a.theta) / dt
-        c, s = math.cos(a.theta), math.sin(a.theta)
-        commands[i] = xd * c + yd * s, thd
-        residuals[i] = -xd * s + yd * c
-    return commands, residuals
+    commands, residuals = [], []
+    for (ax, ay, ath), (bx, by, bth) in zip(bases, bases[1:]):
+        xd = (bx - ax) / dt
+        yd = (by - ay) / dt
+        thd = wrap_angle(bth - ath) / dt
+        c, s = math.cos(ath), math.sin(ath)
+        commands.append((xd * c + yd * s, thd))
+        residuals.append(-xd * s + yd * c)
+    return np.array(commands), np.array(residuals)
 
 
 def lateral_quantile(residuals: np.ndarray, q: float = 0.99) -> float:
@@ -393,14 +398,24 @@ def integrate_labels(
 # ---------------------------------------------------------------------------
 
 
+# a dataset line: json.dumps of the record with sorted keys, whose C encoder
+# writes a finite float as float.__repr__ does
+_DATASET_LINE = (
+    '{"base": [%r, %r, %r], "grip": %r, "hand_rel": [%r, %r, %r, %r, %r, %r, %r], "t": %r}\n'
+)
+# the state columns in _DATASET_LINE's order: base, grip, hand_rel
+_DATASET_LINE_COLUMNS = [0, 1, 2, 10, 3, 4, 5, 6, 7, 8, 9]
+
+
 def save_dataset(path, dataset: DemoDataset) -> None:
-    write_jsonl(
-        path,
-        [
-            {"t": t, "base": s[:3], "hand_rel": s[3:10], "grip": s[10]}
-            for t, s in zip(dataset.t.tolist(), dataset.states.tolist())
-        ],
-    )
+    """Write the dataset, one line per step with write_jsonl's bytes; a
+    ValueError from check_dataset_domains, before the file is opened, unless
+    every value is finite and inside its column's domain."""
+    states = dataset.states
+    check_dataset_domains(dataset.t, states[:, :3], states[:, 3:10], states[:, 10])
+    values = np.column_stack([states[:, _DATASET_LINE_COLUMNS], dataset.t]).ravel().tolist()
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(_DATASET_LINE * len(dataset) % tuple(values), encoding="utf-8")
 
 
 def load_dataset(path) -> DemoDataset:
@@ -422,24 +437,37 @@ def load_dataset(path) -> DemoDataset:
             hand.append(rec["hand_rel"])
             grip.append(rec["grip"])
         t, grip = finite_numbers(t, "dataset t"), finite_numbers(grip, "dataset grip")
-        _check_domain(grip, (grip < 0.0) | (grip > 1.0), "grip value", "[0, 1]")
         base, hand = finite_rows(base, 3, "dataset base"), finite_rows(hand, 7, "dataset hand_rel")
-        workspace = f"the workspace [-{DATASET_WORKSPACE:g}, {DATASET_WORKSPACE:g}] m"
-        for i in (0, 1):
-            xy = base[:, i]
-            _check_domain(xy, np.abs(xy) > DATASET_WORKSPACE, f"base[{i}] value", workspace)
-        _check_domain(base[:, 2], np.abs(base[:, 2]) > math.pi, "base[2] value", "[-pi, pi]")
-        reach = np.sqrt(np.vecdot(hand[:, :3], hand[:, :3]))
-        _check_domain(
-            reach,
-            reach > DATASET_HAND_RANGE,
-            "hand_rel distance from the chest",
-            f"[0, {DATASET_HAND_RANGE:g}] m",
-        )
+        check_dataset_domains(t, base, hand, grip)
         # a contiguous copy: the norms of a strided view can round differently
         quat = quat_canonical_rows(hand[:, 3:].copy())
     theta = [wrap_angle(th) for th in base[:, 2].tolist()]
     return DemoDataset(t, np.column_stack([base[:, :2], theta, hand[:, :3], quat, grip]))
+
+
+def check_dataset_domains(t: np.ndarray, base: np.ndarray, hand: np.ndarray, grip: np.ndarray) -> None:
+    """ValueError naming the first value of a dataset column that is outside
+    its domain, NaN outside every one: t and the hand_rel quaternion in
+    (-inf, inf); grip in [0, 1]; base x and y in [-DATASET_WORKSPACE,
+    DATASET_WORKSPACE]; base[2] in [-pi, pi]; the hand_rel position at most
+    DATASET_HAND_RANGE from the chest. The columns are t (n,), base (n, 3),
+    hand (n, 7) and grip (n,)."""
+    _check_domain(t, ~np.isfinite(t), "t value", "(-inf, inf)")
+    _check_domain(hand[:, 3:], ~np.isfinite(hand[:, 3:]), "hand_rel quaternion value", "(-inf, inf)")
+    _check_domain(grip, ~((grip >= 0.0) & (grip <= 1.0)), "grip value", "[0, 1]")
+    workspace = f"the workspace [-{DATASET_WORKSPACE:g}, {DATASET_WORKSPACE:g}] m"
+    for i in (0, 1):
+        xy = base[:, i]
+        _check_domain(xy, ~(np.abs(xy) <= DATASET_WORKSPACE), f"base[{i}] value", workspace)
+    _check_domain(base[:, 2], ~(np.abs(base[:, 2]) <= math.pi), "base[2] value", "[-pi, pi]")
+    with np.errstate(over="ignore"):  # a reach that overflows is outside the range
+        reach = np.sqrt(np.vecdot(hand[:, :3], hand[:, :3]))
+    _check_domain(
+        reach,
+        ~(reach <= DATASET_HAND_RANGE),
+        "hand_rel distance from the chest",
+        f"[0, {DATASET_HAND_RANGE:g}] m",
+    )
 
 
 def _check_domain(values: np.ndarray, outside: np.ndarray, what: str, domain: str) -> None:

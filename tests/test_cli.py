@@ -33,6 +33,7 @@ from mobman.jsonl import finite_float64, float64_text, read_json
 from mobman.manifest import RunManifest, file_sha256
 from mobman.pipeline import DemoDataset
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
+from test_unreferenced import _assert_finite_file
 
 
 @pytest.fixture(scope="module")
@@ -1898,6 +1899,95 @@ class TestUnusableInputRefused:
         line = "usage error: manifest records unknown command 'dance'"
         self._assert_refused(["replay", "--manifest", str(manifest)], EXIT_USAGE, line, [], capsys)
         assert list(tmp_path.iterdir()) == [manifest]
+
+
+class TestShiftedSession:
+    """A raw session whose poses, of one node or both, are carried off along x
+    by a finite shift. Each command exits 0 with outputs that hold no NaN or
+    Infinity, or exits 1 with one stderr line, no warning, and no output or
+    manifest written."""
+
+    # (node, shift [m], anchor's exit and stderr line, process's exit and
+    # stderr line); process reads the shifted session's anchors where anchor
+    # accepts it, and the unshifted session's where anchor rejects it
+    CASES = {
+        "both_50m": ("both", 50.0, EXIT_OK, None, EXIT_OK, None),
+        "hand_1e10m": ("hand", 1e10, EXIT_OK, None, EXIT_OK, None),
+        "both_1e300m": (
+            "both", 1e300,
+            EXIT_REJECTED, "rejected: anchoring gives a non-finite chest position_rms_m value inf",
+            EXIT_REJECTED, "rejected: dataset base[0] value 1e+300 is outside the workspace [-100, 100] m",
+        ),
+        # the sums of the anchoring overflow, and the base lies outside the
+        # workspace, which train-toy would refuse
+        "both_1.7e308m": (
+            "both", 1.7e308,
+            EXIT_REJECTED, "rejected: anchoring gives a non-finite chest T_world_tag value inf",
+            EXIT_REJECTED, "rejected: dataset base[0] value 1.7e+308 is outside the workspace [-100, 100] m",
+        ),
+        "hand_1.7e308m": (
+            "hand", 1.7e308,
+            EXIT_REJECTED, "rejected: anchoring gives a non-finite hand T_world_tag value inf",
+            EXIT_REJECTED, "rejected: dataset hand_rel distance from the chest inf is outside [0, 2] m",
+        ),
+    }
+
+    @staticmethod
+    def _run(argv, rc, line, written, capsys):
+        capsys.readouterr()
+        assert main(argv) == rc
+        err = capsys.readouterr().err.strip().splitlines()
+        if rc == EXIT_OK:
+            assert err == []
+            for path in written:
+                _assert_finite_file(path)
+        else:
+            assert err == [line]
+            assert not any(p.exists() for p in written)
+
+    def _shift(self, case, raw_session, tmp_path) -> Path:
+        """A copy of the raw session with the case's shift."""
+        node, shift = self.CASES[case][:2]
+        raw, _ = raw_session
+        shifted = tmp_path / "raw"
+        shutil.copytree(raw, shifted)
+        recs = [json.loads(line) for line in (raw / "trajectories.jsonl").read_text().splitlines()]
+        (shifted / "trajectories.jsonl").write_text(
+            "".join(
+                json.dumps({**r, "pose": [r["pose"][0] + shift, *r["pose"][1:]]} if node in ("both", r["node"]) else r)
+                + "\n"
+                for r in recs
+            )
+        )
+        return shifted
+
+    @staticmethod
+    def _anchor_argv(raw, anchors):
+        return [
+            "anchor",
+            "--trajectories", str(raw / "trajectories.jsonl"),
+            "--detections", str(raw / "detections.jsonl"),
+            "--extrinsics", str(raw / "extrinsics.json"),
+            "--output", str(anchors),
+        ]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_anchor(self, case, raw_session, tmp_path, capsys):
+        _, _, rc, line, _, _ = self.CASES[case]
+        anchors = tmp_path / "anchors.json"
+        argv = self._anchor_argv(self._shift(case, raw_session, tmp_path), anchors)
+        self._run(argv, rc, line, [anchors, anchors.with_suffix(".manifest.json")], capsys)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_process(self, case, raw_session, anchored, tmp_path, capsys):
+        _, _, anchor_rc, _, rc, line = self.CASES[case]
+        shifted = self._shift(case, raw_session, tmp_path)
+        if anchor_rc == EXIT_OK:
+            anchored = tmp_path / "anchors.json"
+            assert main(self._anchor_argv(shifted, anchored)) == EXIT_OK
+        out = tmp_path / "processed"
+        argv = ["process", "--raw", str(shifted), "--anchor", str(anchored), "--output", str(out)]
+        self._run(argv, rc, line, [out / "dataset.jsonl", out / "manifest.json"], capsys)
 
 
 class TestNonUtf8Input:

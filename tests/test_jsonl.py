@@ -501,6 +501,76 @@ class TestFiniteNumbers:
             finite_rows([[1.0, 2.0, 3.0], [1.0, math.nan, 3.0]], 3, "x")
 
 
+def _rows_by_np_array(values, width, what):
+    """finite_rows as np.array builds the block: the width check, then
+    finite_numbers of the whole list."""
+    widths = set(map(len, values)) - {width}
+    if widths:
+        raise ValueError(f"{what} must have {width} values, got {min(widths)}")
+    return finite_numbers(values, what).reshape(-1, width)
+
+
+def _outcome(f, *args):
+    """f(*args)'s array as (dtype, shape, bytes), or its error as (type, message)."""
+    try:
+        array = f(*args)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    return array.dtype, array.shape, array.tobytes()
+
+
+class TestFiniteRowsFromiter:
+    """finite_rows builds a list of list rows with one np.fromiter pass: it
+    gives the bits of np.array(values, dtype=float), and its error type and
+    message, for every entry below. A numpy change that moves either breaks
+    this test by name."""
+
+    ENTRIES = {
+        "2**53+1": 2**53 + 1,
+        "2**63": 2**63,
+        "2**64+1": 2**64 + 1,
+        "10**30": 10**30,
+        "10**400": 10**400,
+        "-10**400": -(10**400),
+        "-0.0": -0.0,
+        "5e-324": 5e-324,
+        "1.7976931348623157e308": 1.7976931348623157e308,
+        "True": True,
+        "None": None,
+        "str": "1.0",
+        "nan": math.nan,
+        "inf": math.inf,
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_entry(self, entry):
+        rows = [[1.0, 2, 3.5], [4.0, self.ENTRIES[entry], 6.0], [-7, 8.25, 9.0]]
+        assert _outcome(finite_rows, rows, 3, "x") == _outcome(_rows_by_np_array, rows, 3, "x")
+
+    def test_block_of_numbers_has_np_array_bits(self):
+        numbers = [v for v in self.ENTRIES.values() if type(v) in (int, float) and abs(v) <= sys.float_info.max]
+        rows = [numbers[i : i + 3] for i in range(0, len(numbers) - 2, 3)]
+        got = finite_rows(rows, 3, "x")
+        assert got.tobytes() == np.array(rows, dtype=float).tobytes() and got.shape == (len(rows), 3)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["abc", [1.0, 2.0, 3.0]],  # a str row of the right width
+            [[1.0, 2.0, 3.0], {"a": 1, "b": 2, "c": 3}],  # a dict row of the right width
+            [[1.0, 2.0, 3.0], (1.0, 2.0, 3.0)],  # a tuple row
+            ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),  # a tuple of rows
+            [[1.0, 2.0, 3.0], [1.0, 2.0]],  # ragged
+            [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]],  # ragged
+            [[[1.0], 2.0, 3.0]],  # a nested row
+            [],
+        ],
+        ids=["str_row", "dict_row", "tuple_row", "tuple_of_rows", "short_row", "long_row", "nested", "empty"],
+    )
+    def test_other_containers(self, rows):
+        assert _outcome(finite_rows, rows, 3, "x") == _outcome(_rows_by_np_array, rows, 3, "x")
+
+
 class TestFiniteFloat64:
     """The reader of a weight array stored as float64 bytes: strict base64,
     exactly the values of its shape, each finite."""

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 
-from mobman import cli
+from mobman import cli, pipeline
 from mobman.anchoring import VioTrajectory
 from mobman.executor import advance_floats
 from mobman.jsonl import read_jsonl, write_jsonl
@@ -46,7 +48,7 @@ from mobman.pipeline import (
     savgol_smooth,
     smooth_pose_arrays,
 )
-from mobman.sim import make_scenario, scripted_expert
+from mobman.sim import SCENARIO_NAMES, make_scenario, scripted_expert
 
 import se2_reference as se2
 
@@ -437,6 +439,81 @@ class TestEndToEnd:
         raw = assemble_dataset(session, expert.calib, PipelineConfig(smoothing=False))
         mid = len(smooth.steps) // 4  # inside the constant-speed cruise phase
         assert abs(smooth.steps[mid].base.x - raw.steps[mid].base.x) < 1e-9
+
+
+def _line_floats() -> list[float]:
+    """Floats whose repr takes each of its forms: the shortest repr at every
+    third decimal exponent, subnormals included; the signed zeros; the
+    points where repr switches between fixed and exponent notation, and their
+    neighbours; and values that need all 17 significant digits."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    for e in range(-324, 309, 3):
+        for mantissa in ("1", "4.9", "1.2345678901234567"):
+            v = float(f"{mantissa}e{e}")
+            if v != 0.0 and math.isfinite(v):
+                values += [v, -v]
+    for switch in (1e-4, 1e-5, 1e16):
+        values += [switch, np.nextafter(switch, 0.0).item(), np.nextafter(switch, math.inf).item()]
+    values += [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0 * 1e-7, math.pi, 2.0**53 + 2.0, 123456789012345.67]
+    return values
+
+
+class TestDatasetLineTemplate:
+    """save_dataset formats each line with one %r template. It writes what
+    write_jsonl writes, json.dumps(sort_keys=True) of the record, only because
+    json writes a finite float as float.__repr__ does: a CPython change to
+    either breaks these tests by name."""
+
+    def test_line_of_each_float(self):
+        differ = []
+        for v in _line_floats():
+            rec = {"t": v, "base": [v, -v, v], "hand_rel": [v, -v, v, -v, v, -v, v], "grip": v}
+            line = pipeline._DATASET_LINE % (v, -v, v, v, v, -v, v, -v, v, -v, v, v)
+            if line != json.dumps(rec, sort_keys=True) + "\n":
+                differ.append(v)
+        assert differ == []
+
+    @pytest.mark.parametrize("noise", [(0.0, 0.0), (1e-3, 1e-3)], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_expert_dataset_has_write_jsonl_bytes(self, name, noise, tmp_path):
+        expert = scripted_expert(make_scenario(name), 7, *noise)
+        session = expert.session
+        session.cross_node = expert.cross_node_true
+        ds = assemble_dataset(session, expert.calib)
+        save_dataset(tmp_path / "template.jsonl", ds)
+        write_jsonl(
+            tmp_path / "json.jsonl",
+            [
+                {"t": t, "base": s[:3], "hand_rel": s[3:10], "grip": s[10]}
+                for t, s in zip(ds.t.tolist(), ds.states.tolist())
+            ],
+        )
+        assert (tmp_path / "template.jsonl").read_bytes() == (tmp_path / "json.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, 1.7e308, "dataset base[0] value 1.7e+308 is outside the workspace [-100, 100] m"),
+            (1, math.nan, "dataset base[1] value nan is outside the workspace [-100, 100] m"),
+            (2, -4.0, "dataset base[2] value -4.0 is outside [-pi, pi]"),
+            (3, math.inf, "dataset hand_rel distance from the chest inf is outside [0, 2] m"),
+            (3, 1e200, "dataset hand_rel distance from the chest inf is outside [0, 2] m"),
+            (7, math.nan, "dataset hand_rel quaternion value nan is outside (-inf, inf)"),
+            (10, math.nan, "dataset grip value nan is outside [0, 1]"),
+            ("t", math.inf, "dataset t value inf is outside (-inf, inf)"),
+        ],
+    )
+    def test_value_outside_its_domain_refused_before_writing(self, column, value, message, tmp_path):
+        ds = _noisy_demo("nav_reach", seed=1)
+        t, states = ds.t.copy(), ds.states.copy()
+        if column == "t":
+            t[5] = value
+        else:
+            states[5, column] = value
+        path = tmp_path / "out" / "dataset.jsonl"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_dataset(path, DemoDataset(t, states))
+        assert not path.parent.exists()
 
 
 class TestAnchorErrorOracle:

@@ -47,11 +47,13 @@ ALLOWED = {
     "lift": "criterion 3 lifts a Pose2 into SE(3) (tests/test_acceptance.py:190)",
     "scaled": "acceptance criterion 8 scales MatchWeights with it",
     "train_regression": "the mean-regression control of criterion 5d and ROADMAP item 4",
+    "project_nonholonomic": "criterion 4 projects Pose2 records with it (tests/test_acceptance.py:262)",
 }
 
 # module.qualname -> why it stays although the tour never runs it
 NEVER_RUN = {
     "geometry.Pose2.__post_init__": "criterion 3 builds a Pose2 (tests/test_acceptance.py:190)",
+    "geometry.Pose2.of_wrapped": "DemoDataset.steps, for criteria 3 and 4",
     "geometry.Pose2.lift": "criterion 3 lifts a Pose2 into SE(3) (tests/test_acceptance.py:190)",
     "geometry.rot_z": "Pose2.lift, for criterion 3",
     "geometry.Pose3.as_matrix": "the rotation-matrix oracle of criterion 1",
@@ -66,6 +68,7 @@ NEVER_RUN = {
     "diffusion.train_regression.zeroed": "train_regression's batch, for criterion 5d",
     "pipeline.DemoDataset.steps": "criteria 3 and 4 read demo rows as pose records",
     "pipeline.integrate_labels": "the label round trip of benchmarks/workloads.py",
+    "pipeline.project_nonholonomic": "criterion 4 projects Pose2 records with it (tests/test_acceptance.py:262)",
 }
 
 # module.qualname -> (count, why) of the never-run lines of a function that the
@@ -125,7 +128,7 @@ NEVER_RUN_LINES = {
         3, "a window that is even, under 5 or longer than the series: the callers pass "
         "SAVGOL_WINDOW, and assemble_dataset smooths only series at least that long",
     ),
-    "pipeline.project_nonholonomic": (1, "fewer than two poses: resample_to_grid makes at least two rows"),
+    "pipeline.project_nonholonomic_floats": (1, "fewer than two poses: resample_to_grid makes at least two rows"),
     "pipeline.lateral_quantile": (
         2, "an empty series or a quantile outside (0, 1]: cmd_process passes the residuals "
         "of at least two rows at the default quantile",
@@ -321,6 +324,9 @@ def _tour(root) -> None:
     # one hand sighting of the board a half turn about z, over 90 degrees from the rest
     turned = {**dets[hand], "tag_pose": [*dets[hand]["tag_pose"][:3], 0.0, 0.0, 0.0, 1.0]}
     exts = json.loads((raw / "extrinsics.json").read_text(encoding="utf-8"))
+    # every pose carried 1.7e308 m along x: finite, but the anchoring sums
+    # overflow, and the chest world's base lies outside the dataset's workspace
+    shifted = [{**r, "pose": [r["pose"][0] + 1.7e308, *r["pose"][1:]]} for r in traj]
     for expect, flag, name, content in (
         (EXIT_USAGE, "trajectories", "nan.jsonl", first(traj, pose=[math.nan, *pose[1:]])),
         (EXIT_USAGE, "trajectories", "zero_quaternion.jsonl", first(traj, pose=[*pose[:3], 0, 0, 0, 0])),
@@ -335,8 +341,11 @@ def _tour(root) -> None:
         (EXIT_REJECTED, "trajectories", "hand_cov.jsonl",
          [{**r, "cov_trace": 1.0} if r["node"] == "hand" else r for r in traj]),
         (EXIT_USAGE, "trajectories", "0xff.jsonl", (raw / "trajectories.jsonl").read_bytes() + b"\xff"),
+        (EXIT_REJECTED, "trajectories", "shifted.jsonl", shifted),
         (EXIT_USAGE, "detections", "t_nan.jsonl", first(dets, t=math.nan)),
         (EXIT_USAGE, "detections", "tag_pose_of_6.jsonl", first(dets, tag_pose=tag[:6])),
+        # a string of 7 characters, which has a pose's length
+        (EXIT_USAGE, "detections", "tag_pose_text.jsonl", first(dets, tag_pose="1234567")),
         (EXIT_REJECTED, "detections", "turned.jsonl", [*dets[:hand], turned, *dets[hand + 1:]]),
         (EXIT_USAGE, "extrinsics", "no_hand.json", json.dumps({"chest": exts["chest"]})),
         (EXIT_USAGE, "extrinsics", "zero_quaternion.json",
@@ -358,6 +367,7 @@ def _tour(root) -> None:
     for expect, name, stream, content in (
         (EXIT_USAGE, "no_hand", "trajectories", [r for r in traj if r["node"] != "hand"]),
         (EXIT_REJECTED, "spread", "trajectories", spread),
+        (EXIT_REJECTED, "shifted", "trajectories", shifted),
         (EXIT_REJECTED, "vertical_chest", "trajectories",
          [{**r, "pose": [*r["pose"][:3], *up]} if r["node"] == "chest" else r for r in traj]),
         (EXIT_USAGE, "negative_distance", "markers", first(marks, distance_m=-1.0)),
