@@ -136,16 +136,20 @@ def _check_flag(cfg: dict, name: str, ok, rule: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _require_nodes(by_node: dict, what: str) -> dict:
+    """by_node, or a usage error "<what> for node <node> missing" for the first
+    of CHEST and HAND that it lacks."""
+    for node in (CHEST, HAND):
+        if node not in by_node:
+            raise UsageError(f"{what} for node {node!r} missing")
+    return by_node
+
+
 def cmd_anchor(cfg: dict, anchor_path: Path) -> None:
     _check_flag(cfg, "cov_threshold", _finite_nonnegative, "finite and >= 0")
-    trajs = load_trajectories(cfg["trajectories"])
+    trajs = _require_nodes(load_trajectories(cfg["trajectories"]), "trajectory stream")
     dets = load_detections(cfg["detections"])
-    exts = load_extrinsics(cfg["extrinsics"])
-    for node in (CHEST, HAND):
-        if node not in trajs:
-            raise UsageError(f"trajectory stream for node {node!r} missing")
-        if node not in exts:
-            raise UsageError(f"extrinsic for node {node!r} missing")
+    exts = _require_nodes(load_extrinsics(cfg["extrinsics"]), "extrinsic")
     results = {}
     # poses so far out that their sums overflow give non-finite values,
     # refused below, not warnings
@@ -184,9 +188,7 @@ def cmd_anchor(cfg: dict, anchor_path: Path) -> None:
 
 def _load_raw_session(raw_dir: Path, cross_node: Pose3) -> RawSession:
     trajs = load_trajectories(_require_path(raw_dir / "trajectories.jsonl", "trajectories"))
-    for node in (CHEST, HAND):
-        if node not in trajs:
-            raise UsageError(f"trajectory stream for node {node!r} missing")
+    _require_nodes(trajs, "trajectory stream")
     markers_path = _require_path(raw_dir / "markers.jsonl", "marker stream")
     markers = list(read_jsonl(markers_path))
     with fields_of(markers_path):

@@ -1,6 +1,9 @@
 # Rigid-body pose algebra: unit quaternions (w, x, y, z), SE(3) poses, planar
 # SE(2) pose records and their float kernels, interpolation and the distances
-# used by the state matcher.
+# used by the state matcher. The Hamilton product, the vector turn and the SE(3)
+# composition are each written once, as the float kernels quat_mul_floats,
+# quat_rotate_floats and compose_se3_floats: Pose3 calls them, and
+# quat_mul_rows and quat_rotate_rows run the first two on column arrays.
 #
 # Conventions, used everywhere in this package:
 #   - quaternions are (w, x, y, z) with the Hamilton product;
@@ -130,40 +133,38 @@ def quat_mul_floats(aw, ax, ay, az, bw, bx, by, bz) -> tuple[float, float, float
     )
 
 
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a * b (no normalization)."""
-    return np.array(quat_mul_floats(*a, *b))
-
-
 def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """quat_mul of matching rows; either side may be a single (4,) quaternion."""
+    """quat_mul_floats of matching rows; either side may be one (4,) quaternion."""
     a = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
     b = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
     return np.stack(quat_mul_floats(*a, *b), axis=-1)
 
 
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_conj_rows(q: np.ndarray) -> np.ndarray:
-    """quat_conj of every row of an (N, 4) array, or of one (4,) quaternion."""
+    """(w, -x, -y, -z) of every row of an (N, 4) array, or of one (4,) quaternion."""
     q = np.asarray(q, dtype=float)
     return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion."""
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    return quat_mul(quat_mul(q, qv), quat_conj(q))[1:]
+def quat_rotate_floats(w, x, y, z, vx, vy, vz) -> tuple[float, float, float]:
+    """The vector (vx, vy, vz) turned by the unit quaternion q = (w, x, y, z),
+    the vector part of q * (0, v) * conj(q), on floats or on column arrays."""
+    return quat_mul_floats(*quat_mul_floats(w, x, y, z, 0.0, vx, vy, vz), w, -x, -y, -z)[1:]
 
 
 def quat_rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """quat_rotate of matching rows; q may be one (4,) and v one (3,)."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    qv = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
-    return quat_mul_rows(quat_mul_rows(q, qv), quat_conj_rows(q))[..., 1:]
+    """quat_rotate_floats of matching rows; q may be one (4,) and v one (3,)."""
+    q = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    return np.stack(quat_rotate_floats(*q, *v), axis=-1)
+
+
+def compose_se3_floats(pa, qa, pb, qb) -> tuple[float, ...]:
+    """Pose a composed with pose b, each a position (three floats) and a
+    canonical quaternion (four): the seven floats (px, py, pz, qw, qx, qy, qz)
+    of pa + pb turned by qa and of the canonical product qa * qb."""
+    rx, ry, rz = quat_rotate_floats(*qa, *pb)
+    return pa[0] + rx, pa[1] + ry, pa[2] + rz, *quat_canonical_floats(*quat_mul_floats(*qa, *qb))
 
 
 def compose_rows(
@@ -203,8 +204,13 @@ def quat_from_axis_angle_rows(axis: np.ndarray, angle: np.ndarray) -> np.ndarray
     return quat_canonical_rows(np.column_stack([cos_h, sin_h[:, None] * axis]))
 
 
-def rot_z(angle: float) -> np.ndarray:
-    return quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angle)
+def rot_z(angle: float) -> tuple[float, float, float, float]:
+    """The turn by angle about z, as the four floats that
+    quat_from_axis_angle((0, 0, 1), angle) gives."""
+    h = 0.5 * angle
+    sin_h = math.sin(h)
+    # sin(h) times the unit axis (0, 0, 1), so the zeros take sin(h)'s sign
+    return quat_canonical_floats(math.cos(h), sin_h * 0.0, sin_h * 0.0, sin_h)
 
 
 def slerp(q0: np.ndarray, q1: np.ndarray, s: float) -> np.ndarray:
@@ -302,14 +308,15 @@ class Pose3:
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).copy())
 
     def compose(self, other: "Pose3") -> "Pose3":
-        return Pose3(
-            quat_mul(self.rotation, other.rotation),
-            self.translation + quat_rotate(self.rotation, other.translation),
-        )
+        pa, pb = self.translation.tolist(), other.translation.tolist()
+        p = compose_se3_floats(pa, self.rotation.tolist(), pb, other.rotation.tolist())
+        return Pose3.of_canonical(np.array(p[3:]), np.array(p[:3]))
 
     def inverse(self) -> "Pose3":
-        q_inv = quat_conj(self.rotation)
-        return Pose3(q_inv, -quat_rotate(q_inv, self.translation))
+        w, x, y, z = self.rotation.tolist()
+        px, py, pz = quat_rotate_floats(w, -x, -y, -z, *self.translation.tolist())
+        q_inv = quat_canonical_floats(w, -x, -y, -z)
+        return Pose3.of_canonical(np.array(q_inv), np.array([-px, -py, -pz]))
 
     @classmethod
     def of_canonical(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose3":

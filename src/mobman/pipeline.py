@@ -43,6 +43,8 @@ from .geometry import (
 from .jsonl import fields_of, finite_numbers, finite_rows, read_jsonl
 
 RATE_HZ = 10.0  # dataset grid rate
+# most grid steps a session resamples: a day, far past any demo, in ~110 MB of arrays
+MAX_GRID_STEPS = 24 * 3600 * int(RATE_HZ)
 SAVGOL_WINDOW = 9
 SAVGOL_ORDER = 2
 COV_THRESHOLD = 0.01  # m^2, largest accepted covariance trace
@@ -155,15 +157,18 @@ def resample_to_grid(session: RawSession) -> ResampledSession:
     The grid starts at the latest stream start and ends at the earliest stream
     end; positions use linear interpolation, rotations slerp. The hand
     trajectory must already be mapped into the chest world (see
-    map_hand_into_chest_world). An overlap of fewer than two grid steps, which
-    cannot form an action label, is a PipelineError.
+    map_hand_into_chest_world). An overlap of fewer than two grid steps (no
+    action label) or of more than MAX_GRID_STEPS is a PipelineError.
     """
     if len(session.marker_t) == 0:
         raise PipelineError("marker stream is empty")
     t0 = max(session.chest.t_start, session.hand.t_start, float(session.marker_t[0]))
     t1 = min(session.chest.t_end, session.hand.t_end, float(session.marker_t[-1]))
     dt = 1.0 / RATE_HZ
-    n = int(math.floor((t1 - t0) / dt + 1e-9)) + 1
+    steps = (t1 - t0) / dt  # inf when the overlap's length overflows
+    if steps > MAX_GRID_STEPS:
+        raise PipelineError(f"streams overlap for {t1 - t0:g} s: over {MAX_GRID_STEPS} grid steps")
+    n = int(math.floor(steps + 1e-9)) + 1
     if t1 < t0 or n < 2:
         raise PipelineError(f"streams overlap for fewer than two {RATE_HZ:g} Hz steps")
     # the last point can drift past t1 by float error; clamp into the overlap

@@ -45,6 +45,7 @@ from .geometry import (
     Pose3,
     compose_floats,
     compose_rows,
+    compose_se3_floats,
     dot4_floats,
     geodesic_of_dot,
     norm3_floats,
@@ -52,10 +53,10 @@ from .geometry import (
     quat_canonical_rows,
     quat_from_axis_angle,
     quat_from_axis_angle_rows,
-    quat_mul,
     quat_mul_floats,
     quat_mul_rows,
     relative_floats,
+    rot_z,
     slerp,  # noqa: F401  benchmarks/spans.py counts calls to it under this name
     slerp_floats,
     slerp_rows,
@@ -590,10 +591,7 @@ def make_scenario(name: str) -> SimScenario:
 # ---------------------------------------------------------------------------
 
 BOARD_IN_WORLD = Pose3(
-    quat_mul(
-        quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 1.2),
-        quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.4),
-    ),
+    quat_mul_floats(*quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 1.2), *rot_z(0.4)),
     np.array([0.8, -0.4, 0.5]),
 )
 N_DETECTIONS = 15  # board sightings per camera over the initial window
@@ -644,24 +642,9 @@ def hand_world_pose(s) -> tuple[float, ...]:
     (_hand_world_rows gives them for arrays): rot_z's quaternion is
     canonicalised twice, as rot_z and the lifted Pose3 did, the hand's and the
     product's once each, as their Pose3 constructors did."""
-    x, y, th, px, py, pz, hw, hx, hy, hz = s[:10]
-    h = 0.5 * th
-    sin_h = math.sin(h)
-    # rot_z(th): sin(h) times the unit axis (0, 0, 1), then the two passes
-    cw, cx, cy, cz = quat_canonical_floats(
-        *quat_canonical_floats(math.cos(h), sin_h * 0.0, sin_h * 0.0, sin_h)
-    )
-    # quat_rotate: the hand position as (0, p), turned by c * (0, p) * conj(c)
-    _, rx, ry, rz = quat_mul_floats(
-        *quat_mul_floats(cw, cx, cy, cz, 0.0, px, py, pz), cw, -cx, -cy, -cz
-    )
-    hand_q = quat_canonical_floats(hw, hx, hy, hz)
-    return (
-        x + rx,
-        y + ry,
-        CHEST_HEIGHT + rz,
-        *quat_canonical_floats(*quat_mul_floats(cw, cx, cy, cz, *hand_q)),
-    )
+    x, y, th, px, py, pz = s[:6]
+    chest_q, hand_q = quat_canonical_floats(*rot_z(th)), quat_canonical_floats(*s[6:10])
+    return compose_se3_floats((x, y, CHEST_HEIGHT), chest_q, (px, py, pz), hand_q)
 
 
 def _chest_world_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from mobman.anchoring import (
     save_extrinsics,
     save_trajectories,
 )
-from mobman.geometry import Pose3, geodesic_so3, quat_canonical, quat_from_axis_angle, quat_mul, slerp
+from mobman.geometry import Pose3, geodesic_so3, quat_canonical, quat_from_axis_angle, quat_mul_floats, slerp
 from mobman.jsonl import write_jsonl
 
 
@@ -137,7 +137,7 @@ class TestAveraging:
             dq = quat_from_axis_angle(axis, rng.normal(0.0, 0.01))
             poses.append(
                 Pose3(
-                    quat_mul(dq, center.rotation),
+                    quat_mul_floats(*dq, *center.rotation),
                     center.translation + rng.normal(0.0, 0.005, size=3),
                 )
             )

@@ -28,12 +28,20 @@ from mobman.diffusion import (
     save_checkpoint,
 )
 from mobman.executor import NonFiniteChunkError
-from mobman.geometry import Pose3, quat_canonical, quat_mul, rot_z
+from mobman.geometry import Pose3, quat_canonical, quat_mul_floats, rot_z
 from mobman.jsonl import finite_float64, float64_text, read_json
 from mobman.manifest import RunManifest, file_sha256
-from mobman.pipeline import DemoDataset
+from mobman.pipeline import MAX_GRID_STEPS, DemoDataset
 from mobman.sim import make_scenario, save_expert_session, scripted_expert
 from test_unreferenced import _assert_finite_file
+
+
+def _assert_finite_outputs(out: Path) -> None:
+    """Every file a command wrote under out holds no NaN or Infinity."""
+    written = sorted(p for p in out.rglob("*") if p.is_file())
+    assert written
+    for path in written:
+        _assert_finite_file(path)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +191,7 @@ class TestProcessCommand:
         out = tmp_path / "p"
         argv = ["process", "--raw", str(raw), "--anchor", str(anchored), "--calib", str(calib)]
         assert main(argv + ["--output", str(out)]) == EXIT_OK
+        _assert_finite_outputs(out)
         man = RunManifest.load(out / "manifest.json")
         assert man.inputs["calib"] == {"calib.json": file_sha256(calib)}
         # a calibration edited after the run makes its replay fail
@@ -227,12 +236,37 @@ class TestProcessCommand:
         assert err == ["rejected: streams overlap for fewer than two 10 Hz steps"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scale, shift, span",
+        [(1e300, 0.0, "1.11e+301"), (1e307, -1.5e308, "1.11e+308")],
+        ids=["times_1e300", "steps_inf"],
+    )
+    def test_overlap_over_max_grid_steps_rejected(self, raw_session, anchored, tmp_path, capsys, scale, shift, span):
+        # every trajectory and marker time t becomes t * scale + shift: finite,
+        # but the overlap spans more than MAX_GRID_STEPS steps, or so many that
+        # the step count overflows to inf, and no grid is built
+        raw, _ = raw_session
+        bad = tmp_path / "raw"
+        bad.mkdir()
+        for name in ("trajectories", "markers"):
+            recs = [json.loads(line) for line in (raw / f"{name}.jsonl").read_text().splitlines()]
+            text = "".join(json.dumps({**r, "t": r["t"] * scale + shift}) + "\n" for r in recs)
+            (bad / f"{name}.jsonl").write_text(text)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main(["process", "--raw", str(bad), "--anchor", str(anchored), "--output", str(out)])
+        assert rc == EXIT_REJECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"rejected: streams overlap for {span} s: over {MAX_GRID_STEPS} grid steps"]
+        assert not out.exists()
+
     def test_out_of_order_markers_sorted(self, raw_session, anchored, processed, tmp_path):
         raw, _ = raw_session
         lines = (raw / "markers.jsonl").read_text().splitlines()
         np.random.default_rng(0).shuffle(lines)
         rc, out = self._process_markers(raw, anchored, tmp_path, lines)
         assert rc == EXIT_OK
+        _assert_finite_outputs(out)
         # the same bytes as the file in time order
         assert file_sha256(out / "dataset.jsonl") == file_sha256(processed / "dataset.jsonl")
 
@@ -1512,6 +1546,7 @@ class TestBadCheckpoint:
         path, _ = checkpoint_doc
         argv = ["simulate", "--policy", str(path), "--trials", "1", "--output", str(tmp_path / "s")]
         assert main(argv) == EXIT_OK
+        _assert_finite_outputs(tmp_path / "s")
 
     @staticmethod
     def _assert_usage_error(path, tmp_path, capsys):
@@ -1725,6 +1760,7 @@ class TestPathKinds:
         argv[argv.index("--calib") + 1] = ""
         assert main(argv) == EXIT_OK
         out = tmp_path / "out"
+        _assert_finite_outputs(out)
         assert sorted(read_json(out / "manifest.json")["inputs"]) == ["anchor", "raw"]
         assert (out / "dataset.jsonl").read_bytes() == (processed / "dataset.jsonl").read_bytes()
 
@@ -1875,8 +1911,7 @@ class TestUnusableInputRefused:
         lines = (raw / "detections.jsonl").read_text().splitlines()
         i = next(i for i, line in enumerate(lines) if json.loads(line)["node"] == "hand")
         rec = json.loads(lines[i])
-        turned = quat_mul(np.array(rec["tag_pose"][3:]), rot_z(math.radians(120.0)))
-        rec["tag_pose"][3:] = turned.tolist()
+        rec["tag_pose"][3:] = quat_mul_floats(*rec["tag_pose"][3:], *rot_z(math.radians(120.0)))
         lines[i] = json.dumps(rec)
         line = "rejected: anchoring ill-conditioned: rotation spread exceeds 90 degrees"
         text = "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 from dataclasses import astuple
 
 import numpy as np
@@ -24,13 +25,12 @@ from mobman.geometry import (
     quat_canonical,
     quat_canonical_floats,
     quat_canonical_rows,
-    quat_conj,
     quat_conj_rows,
     quat_from_axis_angle,
     quat_from_axis_angle_rows,
-    quat_mul,
+    quat_mul_floats,
     quat_mul_rows,
-    quat_rotate,
+    quat_rotate_floats,
     quat_rotate_rows,
     quat_to_matrix,
     relative_floats,
@@ -41,6 +41,8 @@ from mobman.geometry import (
     wrap_angle,
     yaw_project_rows,
 )
+
+import pose3_reference as ref
 
 
 def random_quat(rng):
@@ -79,7 +81,7 @@ class TestQuaternions:
         rng = np.random.default_rng(2)
         for _ in range(50):
             a, b = random_quat(rng), random_quat(rng)
-            R = quat_to_matrix(quat_mul(a, b))
+            R = quat_to_matrix(np.array(quat_mul_floats(*a, *b)))
             R_ref = quat_to_matrix(a) @ quat_to_matrix(b)
             assert np.max(np.abs(R - R_ref)) < 1e-12
 
@@ -88,12 +90,12 @@ class TestQuaternions:
         for _ in range(50):
             q = random_quat(rng)
             v = rng.normal(size=3)
-            assert np.max(np.abs(quat_rotate(q, v) - quat_to_matrix(q) @ v)) < 1e-12
+            assert np.max(np.abs(np.array(quat_rotate_floats(*q, *v)) - quat_to_matrix(q) @ v)) < 1e-12
 
     def test_conj_is_inverse(self):
         rng = np.random.default_rng(5)
         q = random_quat(rng)
-        assert np.allclose(quat_mul(q, quat_conj(q)), [1, 0, 0, 0], atol=1e-12)
+        assert np.allclose(quat_mul_floats(*q, *quat_conj_rows(q)), [1, 0, 0, 0], atol=1e-12)
 
 
 class TestSlerp:
@@ -289,7 +291,7 @@ class TestYawProject:
 
     def test_small_pitch_keeps_heading(self):
         tilt = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.2)
-        q = quat_mul(rot_z(0.7), tilt)
+        q = quat_mul_floats(*rot_z(0.7), *tilt)
         assert _yaw(Pose3(q, np.zeros(3))).theta == pytest.approx(0.7, abs=1e-9)
 
     def test_near_vertical_raises(self):
@@ -306,7 +308,7 @@ class TestYawProject:
 
 def _yaw_project(p: Pose3) -> Pose2:
     """The scalar ground-plane projection that yaw_project_rows batches."""
-    fwd = quat_rotate(p.rotation, np.array([1.0, 0.0, 0.0]))
+    fwd = ref.quat_rotate(p.rotation, np.array([1.0, 0.0, 0.0]))
     horiz = math.hypot(fwd[0], fwd[1])
     if horiz < math.cos(math.radians(89.0)):
         raise DegeneratePitchError("forward axis is near-vertical; yaw undefined")
@@ -395,18 +397,18 @@ class TestRowHelpers:
     def test_mul_and_conj_rows(self, rows, other):
         a = np.array(rows, dtype=float)
         b = _matching_rows(other, len(a))
-        _assert_rows_match(lambda: quat_mul_rows(a, b), lambda i: quat_mul(a[i], b[i]), len(a))
+        _assert_rows_match(lambda: quat_mul_rows(a, b), lambda i: quat_mul_floats(*a[i], *b[i]), len(a))
         # one quaternion against every row, as map_hand_into_chest_world uses it
-        _assert_rows_match(lambda: quat_mul_rows(a[0], b), lambda i: quat_mul(a[0], b[i]), len(a))
-        _assert_rows_match(lambda: quat_conj_rows(a), lambda i: quat_conj(a[i]), len(a))
+        _assert_rows_match(lambda: quat_mul_rows(a[0], b), lambda i: quat_mul_floats(*a[0], *b[i]), len(a))
+        _assert_rows_match(lambda: quat_conj_rows(a), lambda i: ref.quat_conj(a[i]), len(a))
 
     @given(_quat_rows, _vec_rows)
     def test_rotate_rows(self, rows, vecs):
         q = np.array(rows, dtype=float)
         v = _matching_rows(vecs, len(q))
-        _assert_rows_match(lambda: quat_rotate_rows(q, v), lambda i: quat_rotate(q[i], v[i]), len(q))
-        _assert_rows_match(lambda: quat_rotate_rows(q[0], v), lambda i: quat_rotate(q[0], v[i]), len(q))
-        _assert_rows_match(lambda: quat_rotate_rows(q, v[0]), lambda i: quat_rotate(q[i], v[0]), len(q))
+        _assert_rows_match(lambda: quat_rotate_rows(q, v), lambda i: quat_rotate_floats(*q[i], *v[i]), len(q))
+        _assert_rows_match(lambda: quat_rotate_rows(q[0], v), lambda i: quat_rotate_floats(*q[0], *v[i]), len(q))
+        _assert_rows_match(lambda: quat_rotate_rows(q, v[0]), lambda i: quat_rotate_floats(*q[i], *v[0]), len(q))
 
     @given(_quat_rows, _vec_rows, _quat_rows, _vec_rows)
     @example([(0.0, -0.0, 0.0, -2.0)], [(1.0, -0.0, 0.0)], [(-1.0, 0.5, -0.0, 0.0)], [(0.0, 2.0, -3.0)])
@@ -511,6 +513,63 @@ class TestRowHelpers:
             lambda i: as_row(_yaw_project(Pose3.of_canonical(rot[i], pos[i]))),
             len(q),
         )
+
+
+# ---------------------------------------------------------------------------
+# The float kernels against the array forms they replaced (pose3_reference):
+# the vector turn and the SE(3) composition keep the bits of quat_rotate and
+# of Pose3's compose, inverse and lift, signed zeros included.
+# ---------------------------------------------------------------------------
+
+
+def _pose_bits(p: Pose3) -> bytes:
+    return p.rotation.tobytes() + p.translation.tobytes()
+
+
+class TestFloatKernelsKeepArrayBits:
+    POSES = [Pose3(q, v) for q in ref.QUATS for v in ref.VECTORS]
+
+    def test_compose_and_inverse(self):
+        for a in self.POSES:
+            assert _pose_bits(a.inverse()) == _pose_bits(ref.inverse(a))
+            for b in self.POSES:
+                assert _pose_bits(a.compose(b)) == _pose_bits(ref.compose(a, b))
+
+    @settings(derandomize=True, max_examples=300)
+    @given(*[st.tuples(*[_component] * n) for n in (4, 3, 4, 3)])
+    def test_compose_and_inverse_drawn(self, qa, pa, qb, pb):
+        try:
+            a, b = Pose3(qa, pa), Pose3(qb, pb)
+        except ValueError:  # a quaternion whose norm is zero
+            return
+        assert _pose_bits(a.inverse()) == _pose_bits(ref.inverse(a))
+        assert _pose_bits(a.compose(b)) == _pose_bits(ref.compose(a, b))
+
+    @pytest.mark.parametrize(
+        "angle", [0.0, -0.0, 0.7, -2.5, math.pi, -math.pi, math.nextafter(math.pi, 4.0), 2.0 * math.pi, 1e-300]
+    )
+    def test_rot_z_and_lift(self, angle):
+        assert struct.pack("4d", *rot_z(angle)) == ref.rot_z(angle).tobytes()
+        base = Pose2.of_wrapped(1.5, -0.0, wrap_angle(angle))
+        assert _pose_bits(base.lift(0.9)) == _pose_bits(ref.lift(base, 0.9))
+
+    def test_rotate_rows_single_and_broadcast(self):
+        quats, vecs = np.array(ref.QUATS), np.array(ref.VECTORS)
+        # a strided view, as a state array's slots 6:10 give it
+        block = np.zeros((len(quats), 11))
+        block[:, 6:10] = quats
+        for q in (quats, block[:, 6:10]):
+            for v in vecs:
+                want = np.array([ref.quat_rotate(qi, v) for qi in q])
+                assert quat_rotate_rows(q, v).tobytes() == want.tobytes()
+                for qi, w in zip(q, want):
+                    assert quat_rotate_rows(qi, v).tobytes() == w.tobytes()
+            for qi in q:
+                want = np.array([ref.quat_rotate(qi, v) for v in vecs])
+                assert quat_rotate_rows(qi, vecs).tobytes() == want.tobytes()
+            rows = np.repeat(vecs, len(q) // len(vecs) + 1, axis=0)[: len(q)]
+            want = np.array([ref.quat_rotate(qi, v) for qi, v in zip(q, rows)])
+            assert quat_rotate_rows(q, rows).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from mobman.geometry import (
     geodesic_so3,
     quat_canonical,
     quat_canonical_rows,
-    quat_conj,
+    quat_conj_rows,
     quat_from_axis_angle,
-    quat_mul,
+    quat_mul_floats,
     rot_z,
     slerp,
     wrap_angle,
@@ -50,6 +50,7 @@ from mobman.pipeline import (
 )
 from mobman.sim import SCENARIO_NAMES, make_scenario, scripted_expert
 
+import pose3_reference as pose3_ref
 import se2_reference as se2
 
 CALIB = GripperCalib(d_closed=0.01, d_open=0.09)
@@ -309,7 +310,7 @@ class TestActionLabels:
                 Pose2(rng.uniform(0, 0.04), rng.uniform(-0.002, 0.002), rng.uniform(-0.05, 0.05)),
             )
             dq = quat_from_axis_angle(rng.normal(size=3), rng.uniform(-0.05, 0.05))
-            hand = Pose3(quat_mul(dq, hand.rotation), hand.translation + rng.uniform(-0.02, 0.02, 3))
+            hand = Pose3(quat_mul_floats(*dq, *hand.rotation), hand.translation + rng.uniform(-0.02, 0.02, 3))
             grip = float(np.clip(grip + rng.uniform(-0.2, 0.2), 0, 1))
         return _dataset_of(steps)
 
@@ -368,7 +369,7 @@ class TestLabelRoundTripProperty:
         for i, (db, dp, axis, angle, grip) in enumerate(increments, start=1):
             base = se2.compose(base, Pose2(*db))
             dq = quat_from_axis_angle(np.array(axis), angle)
-            hand = Pose3(quat_mul(dq, hand.rotation), hand.translation + np.array(dp))
+            hand = Pose3(quat_mul_floats(*dq, *hand.rotation), hand.translation + np.array(dp))
             steps.append(DemoStep(t=0.1 * i, base=base, hand_rel=hand, grip=grip))
         ds = _dataset_of(steps)
 
@@ -605,7 +606,7 @@ def _map_hand_loop(hand, cross_node):
     pos = np.empty_like(hand.pos)
     quat = np.empty_like(hand.quat)
     for i in range(len(hand.t)):
-        mapped = cross_node.compose(Pose3(hand.quat[i], hand.pos[i]))
+        mapped = pose3_ref.compose(cross_node, Pose3(hand.quat[i], hand.pos[i]))
         pos[i] = mapped.translation
         quat[i] = mapped.rotation
     return pos, quat
@@ -733,7 +734,7 @@ class TestArrayPassesMatchLoops:
             np.array([p.translation for p in hand]),
             np.array([p.rotation for p in hand]),
         )
-        rel = [c.inverse().compose(h) for c, h in zip(chest, hand)]
+        rel = [pose3_ref.compose(pose3_ref.inverse(c), h) for c, h in zip(chest, hand)]
         assert _same_bytes(pos, [p.translation for p in rel])
         assert _same_bytes(rot, [p.rotation for p in rel])
 
@@ -750,7 +751,8 @@ def _make_action_labels_loop(dataset):
     for i in range(len(steps) - 1):
         a, b = steps[i], steps[i + 1]
         d = se2.relative_to(b.base, a.base)
-        dq = quat_canonical(quat_mul(b.hand_rel.rotation, quat_conj(a.hand_rel.rotation)))
+        dq = quat_mul_floats(*b.hand_rel.rotation, *quat_conj_rows(a.hand_rel.rotation))
+        dq = quat_canonical(np.array(dq))
         labels[i, 0:3] = [d.x, d.y, d.theta]
         labels[i, 3:6] = b.hand_rel.translation - a.hand_rel.translation
         labels[i, 6:10] = dq

@@ -29,7 +29,6 @@ from mobman.geometry import (
     quat_canonical_floats,
     quat_canonical_rows,
     quat_from_axis_angle,
-    quat_mul,
     quat_mul_floats,
     slerp,
     slerp_floats,
@@ -53,6 +52,7 @@ from mobman.sim import (
     save_expert_session,
 )
 
+import pose3_reference as pose3_ref
 import se2_reference as se2
 
 IDENT_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -458,13 +458,13 @@ def _pose_noisy(pose: Pose3, rng, sigma_pos: float, sigma_rot: float) -> Pose3:
         axis /= np.linalg.norm(axis)
         dq = quat_from_axis_angle(axis, rng.normal(0.0, sigma_rot))
     return Pose3(
-        quat_mul(dq, pose.rotation), pose.translation + rng.normal(0.0, sigma_pos, size=3)
+        quat_mul_floats(*dq, *pose.rotation), pose.translation + rng.normal(0.0, sigma_pos, size=3)
     )
 
 
 def _pose_chest_world(s) -> Pose3:
     """The chest pose in the world of the state s, as the pose code built it."""
-    return Pose2.of_wrapped(*s[:3]).lift(sim.CHEST_HEIGHT)
+    return pose3_ref.lift(Pose2.of_wrapped(*s[:3]), sim.CHEST_HEIGHT)
 
 
 def _pose_scripted_expert(scenario, seed, sigma_pos, sigma_rot):
@@ -481,9 +481,9 @@ def _pose_scripted_expert(scenario, seed, sigma_pos, sigma_rot):
         _pose_noisy(_pose_chest_world(s), rng, sigma_pos, sigma_rot)
         for s in script.states_at(t_c).tolist()
     ]
-    g_inv = g_true.inverse()
+    g_inv = pose3_ref.inverse(g_true)
     hand = [
-        _pose_noisy(g_inv.compose(_pose_hand_world_of(s)), rng, sigma_pos, sigma_rot)
+        _pose_noisy(pose3_ref.compose(g_inv, _pose_hand_world_of(s)), rng, sigma_pos, sigma_rot)
         for s in script.states_at(t_h).tolist()
     ]
     calib = sim.DEFAULT_CALIB
@@ -502,14 +502,15 @@ def _pose_scripted_expert(scenario, seed, sigma_pos, sigma_rot):
     ]
     detections = []
     det_t = np.round(np.linspace(0.0, min(1.4, script.duration), sim.N_DETECTIONS), 9)
-    board_hand_world = g_inv.compose(sim.BOARD_IN_WORLD)
+    compose, inverse = pose3_ref.compose, pose3_ref.inverse
+    board_hand_world = compose(g_inv, sim.BOARD_IN_WORLD)
     for ti, s in zip(det_t.tolist(), script.states_at(det_t).tolist()):
-        cam_c = _pose_chest_world(s).compose(sim.EXTRINSICS[sim.CHEST].T_imu_from_camera)
-        board_c = cam_c.inverse().compose(sim.BOARD_IN_WORLD)
+        cam_c = compose(_pose_chest_world(s), sim.EXTRINSICS[sim.CHEST].T_imu_from_camera)
+        board_c = compose(inverse(cam_c), sim.BOARD_IN_WORLD)
         detections.append((sim.CHEST, ti, _pose_noisy(board_c, rng, sigma_pos, sigma_rot)))
-        hand_imu = g_inv.compose(_pose_hand_world_of(s))
-        cam_h = hand_imu.compose(sim.EXTRINSICS[sim.HAND].T_imu_from_camera)
-        board_h = cam_h.inverse().compose(board_hand_world)
+        hand_imu = compose(g_inv, _pose_hand_world_of(s))
+        cam_h = compose(hand_imu, sim.EXTRINSICS[sim.HAND].T_imu_from_camera)
+        board_h = compose(inverse(cam_h), board_hand_world)
         detections.append((sim.HAND, ti, _pose_noisy(board_h, rng, sigma_pos, sigma_rot)))
     return streams, detections, g_true
 
@@ -1044,7 +1045,7 @@ class TestFloatCodeMatchesReference:
         q0 = _unit(rng) * rng.uniform(0.5, 2.0)
         q1 = -q0 if kind == "opposite" else _ROTATION_KINDS.get(kind, _ROTATION_KINDS["random"])(rng, q0)
         assert slerp(q0, q1, s).tobytes() == _ref_slerp(q0, q1, s).tobytes()
-        assert quat_mul(q0, q1).tobytes() == _ref_quat_mul(q0, q1).tobytes()
+        assert np.array(quat_mul_floats(*q0, *q1)).tobytes() == _ref_quat_mul(q0, q1).tobytes()
         assert np.array(quat_canonical_floats(*q1)).tobytes() == _ref_quat_canonical(q1).tobytes()
         # quat_canonical takes its norm on the array it is given, strided or not
         strided = np.stack([q1, q0], axis=1)[:, 0]
@@ -1500,7 +1501,7 @@ class _PoseScript:
 
 def _pose_hand_world(base: Pose2, hand_rel: Pose3) -> Pose3:
     """hand_world_pose on a Pose2 base and a Pose3 chest-relative hand."""
-    return base.lift(sim.CHEST_HEIGHT).compose(hand_rel)
+    return pose3_ref.compose(pose3_ref.lift(base, sim.CHEST_HEIGHT), hand_rel)
 
 
 def _pose_hand_world_of(s) -> Pose3:
@@ -1676,6 +1677,15 @@ class TestStateLayoutMatchesPoseCode:
         got = hand_world_pose(s)
         assert type(got) is tuple and len(got) == 7 and all(type(v) is float for v in got)
         assert np.array(got).tobytes() == _pose_float_bits(_pose_hand_world_of(s))
+
+    @pytest.mark.parametrize("th", [0.0, -0.0, 0.7, -2.5, math.pi, math.nextafter(-math.pi, 0.0)])
+    def test_hand_world_pose_keeps_the_array_bits(self, th):
+        # the float kernels against the array forms they replaced, on the
+        # enumerated w = 0 ties, signed zeros and half-turns
+        for q in pose3_ref.QUATS:
+            for p in pose3_ref.VECTORS:
+                s = (1.5, -0.0, th, *p, *q, 0.5)
+                assert np.array(hand_world_pose(s)).tobytes() == _pose_float_bits(_pose_hand_world_of(s))
 
     @pytest.mark.parametrize("label", ["relative", "global"])
     def test_replay_episode_builds_no_pose3(self, label, monkeypatch):

@@ -55,10 +55,9 @@ NEVER_RUN = {
     "geometry.Pose2.__post_init__": "criterion 3 builds a Pose2 (tests/test_acceptance.py:190)",
     "geometry.Pose2.of_wrapped": "DemoDataset.steps, for criteria 3 and 4",
     "geometry.Pose2.lift": "criterion 3 lifts a Pose2 into SE(3) (tests/test_acceptance.py:190)",
-    "geometry.rot_z": "Pose2.lift, for criterion 3",
     "geometry.Pose3.as_matrix": "the rotation-matrix oracle of criterion 1",
     "geometry.quat_to_matrix": "Pose3.as_matrix, for criterion 1",
-    "geometry.slerp": "benchmarks/spans.py counts its calls (ROADMAP item 5 moves it to the tests)",
+    "geometry.slerp": "benchmarks/spans.py counts its calls (ROADMAP item 19 moves it to the tests)",
     "executor.MatchWeights.scaled": "criterion 8 scales MatchWeights with it",
     "diffusion.train_regression": "the mean-regression control of criterion 5d",
     "diffusion.TrainingDivergedError.__init__": (
@@ -364,21 +363,26 @@ def _tour(root) -> None:
     spread[chest] = {**spread[chest], "pose": [pose[0] + 100.0, *traj[chest]["pose"][1:]]}
     # the chest pitched -90 degrees about y: its forward axis points straight up
     up = [math.sqrt(0.5), 0.0, -math.sqrt(0.5), 0.0]
-    for expect, name, stream, content in (
-        (EXIT_USAGE, "no_hand", "trajectories", [r for r in traj if r["node"] != "hand"]),
-        (EXIT_REJECTED, "spread", "trajectories", spread),
-        (EXIT_REJECTED, "shifted", "trajectories", shifted),
-        (EXIT_REJECTED, "vertical_chest", "trajectories",
-         [{**r, "pose": [*r["pose"][:3], *up]} if r["node"] == "chest" else r for r in traj]),
-        (EXIT_USAGE, "negative_distance", "markers", first(marks, distance_m=-1.0)),
-        (EXIT_USAGE, "repeated_t", "markers", marks + marks[-1:]),
-        (EXIT_USAGE, "0xff", "markers", (raw / "markers.jsonl").read_bytes() + b"\xff"),
-        (EXIT_REJECTED, "no_markers", "markers", []),
-        (EXIT_REJECTED, "one_marker", "markers", marks[:1]),
+    # every trajectory and marker time scaled by 1e300: finite, but the
+    # overlap spans more grid steps than resample_to_grid makes
+    late = {"trajectories": traj, "markers": marks}
+    late = {stream: [{**r, "t": r["t"] * 1e300} for r in recs] for stream, recs in late.items()}
+    for expect, name, streams in (
+        (EXIT_USAGE, "no_hand", {"trajectories": [r for r in traj if r["node"] != "hand"]}),
+        (EXIT_REJECTED, "spread", {"trajectories": spread}),
+        (EXIT_REJECTED, "shifted", {"trajectories": shifted}),
+        (EXIT_REJECTED, "vertical_chest",
+         {"trajectories": [{**r, "pose": [*r["pose"][:3], *up]} if r["node"] == "chest" else r for r in traj]}),
+        (EXIT_USAGE, "negative_distance", {"markers": first(marks, distance_m=-1.0)}),
+        (EXIT_USAGE, "repeated_t", {"markers": marks + marks[-1:]}),
+        (EXIT_USAGE, "0xff", {"markers": (raw / "markers.jsonl").read_bytes() + b"\xff"}),
+        (EXIT_REJECTED, "no_markers", {"markers": []}),
+        (EXIT_REJECTED, "one_marker", {"markers": marks[:1]}),
+        (EXIT_REJECTED, "times_1e300", late),
     ):
         session = bad / "raw" / name
-        for other in ("trajectories", "markers"):
-            put(f"raw/{name}/{other}.jsonl", content if other == stream else (raw / f"{other}.jsonl").read_bytes())
+        for stream in ("trajectories", "markers"):
+            put(f"raw/{name}/{stream}.jsonl", streams.get(stream, (raw / f"{stream}.jsonl").read_bytes()))
         run(expect, "process", "--raw", session, "--anchor", anchored, "--output", bad / "processed")
     closed_above_open = put("calib.json", json.dumps({"d_closed": 0.09, "d_open": 0.01}))
     for expect, flags in (
