@@ -8,6 +8,7 @@ transform is the product of the two anchors.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -17,7 +18,7 @@ import numpy as np
 from .geometry import Pose3, compose_rows, geodesic_of_dot, quat_canonical_rows, slerp_rows
 from .geometry import slerp  # noqa: F401  benchmarks/spans.py counts calls to it under this name
 from .jsonl import check_numbers, fields_of, finite_numbers, finite_rows, read_json, read_jsonl
-from .jsonl import write_json, write_jsonl
+from .jsonl import write_json, write_lines
 
 CHEST = "chest"
 HAND = "hand"
@@ -246,14 +247,22 @@ def load_trajectories(path) -> dict[str, VioTrajectory]:
     return out
 
 
+# one line of each capture stream, for write_lines: a node id is %s, json-encoded
+_TRAJECTORY_LINE = '{"cov_trace": %r, "node": %s, "pose": [%r, %r, %r, %r, %r, %r, %r], "t": %r}\n'
+_DETECTION_LINE = '{"node": %s, "t": %r, "tag_pose": [%r, %r, %r, %r, %r, %r, %r]}\n'
+
+
 def save_trajectories(path, trajs: dict[str, VioTrajectory]) -> None:
-    records = []
+    """One line per sample, in a stable sort on (t, node)."""
+    blocks, samples = [], []
     for traj in trajs.values():
-        poses = np.column_stack([traj.pos, quat_canonical_rows(traj.quat)]).tolist()
-        for t, pose, cov in zip(traj.t.tolist(), poses, traj.cov_trace.tolist()):
-            records.append({"node": traj.node_id, "t": t, "pose": pose, "cov_trace": cov})
-    records.sort(key=lambda r: (r["t"], r["node"]))
-    write_jsonl(path, records)
+        block = np.column_stack([traj.cov_trace, traj.pos, quat_canonical_rows(traj.quat), traj.t])
+        node = json.dumps(traj.node_id)
+        blocks.append(block)
+        samples += [(row[8], traj.node_id, (row[0], node, *row[1:])) for row in block.tolist()]
+    samples.sort(key=lambda s: s[:2])
+    values = list(chain.from_iterable(fields for _, _, fields in samples))
+    write_lines(path, _TRAJECTORY_LINE, values, blocks, "trajectory")
 
 
 def load_detections(path) -> list[TagDetection]:
@@ -271,13 +280,9 @@ def load_detections(path) -> list[TagDetection]:
 
 
 def save_detections(path, detections: list[TagDetection]) -> None:
-    write_jsonl(
-        path,
-        [
-            {"node": d.node_id, "t": d.t, "tag_pose": d.T_cam_tag.to_list()}
-            for d in detections
-        ],
-    )
+    rows = np.array([[d.t, *d.T_cam_tag.to_list()] for d in detections], dtype=float).reshape(-1, 8)
+    values = [v for d, row in zip(detections, rows.tolist()) for v in (json.dumps(d.node_id), *row)]
+    write_lines(path, _DETECTION_LINE, values, [rows], "detection")
 
 
 def load_extrinsics(path) -> dict[str, Extrinsic]:

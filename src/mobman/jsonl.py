@@ -112,10 +112,6 @@ def finite_float64(text, shape: tuple, what: str) -> np.ndarray:
     return _finite(np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape), what)
 
 
-# json.dumps(..., sort_keys=True) builds an encoder per call; the writer
-# reuses one sorting encoder, so it writes exactly what that call does.
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
-
 # the class of each ASCII character, for _may_hold_wide_int
 _DIGIT_RUNS = str.maketrans(
     {chr(c): " " for c in range(128)} | dict.fromkeys(".eE+", ".") | dict.fromkeys("0123456789", "0")
@@ -210,12 +206,17 @@ def _decode_lines(path, lines: Iterable[str], fast: bool) -> Iterator:
             raise MalformedInputError(path, str(exc), i) from exc
 
 
-def write_jsonl(path, records: Iterable[dict]) -> None:
+def write_lines(path, line: str, values: list, floats: Iterable[np.ndarray], what: str) -> None:
+    """Write `line` once per record, formatted with values (the records'
+    fields in line order), in one write. line is json.dumps(rec,
+    sort_keys=True) of one record with %s for each string already
+    JSON-encoded and %r for each float, which json writes as float.__repr__
+    does if it is a Python float (not a numpy one). Before the file is opened,
+    _finite's ValueError naming `what` for a NaN or infinity in floats' arrays."""
+    for array in floats:
+        _finite(array, what)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(_encode_sorted(rec))
-            fh.write("\n")
+    Path(path).write_text(line * (len(values) // line.count("%")) % tuple(values), encoding="utf-8")
 
 
 def write_json(path, obj) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,7 +39,7 @@ from .geometry import (
     wrap_angle,
     yaw_project_rows,
 )
-from .jsonl import fields_of, finite_numbers, finite_rows, read_jsonl
+from .jsonl import fields_of, finite_numbers, finite_rows, read_jsonl, write_lines
 
 RATE_HZ = 10.0  # dataset grid rate
 # most grid steps a session resamples: a day, far past any demo, in ~110 MB of arrays
@@ -403,8 +402,7 @@ def integrate_labels(
 # ---------------------------------------------------------------------------
 
 
-# a dataset line: json.dumps of the record with sorted keys, whose C encoder
-# writes a finite float as float.__repr__ does
+# a dataset line, for write_lines
 _DATASET_LINE = (
     '{"base": [%r, %r, %r], "grip": %r, "hand_rel": [%r, %r, %r, %r, %r, %r, %r], "t": %r}\n'
 )
@@ -413,14 +411,13 @@ _DATASET_LINE_COLUMNS = [0, 1, 2, 10, 3, 4, 5, 6, 7, 8, 9]
 
 
 def save_dataset(path, dataset: DemoDataset) -> None:
-    """Write the dataset, one line per step with write_jsonl's bytes; a
+    """Write the dataset, one line per step, through write_lines; a
     ValueError from check_dataset_domains, before the file is opened, unless
     every value is finite and inside its column's domain."""
     states = dataset.states
     check_dataset_domains(dataset.t, states[:, :3], states[:, 3:10], states[:, 10])
-    values = np.column_stack([states[:, _DATASET_LINE_COLUMNS], dataset.t]).ravel().tolist()
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(_DATASET_LINE * len(dataset) % tuple(values), encoding="utf-8")
+    block = np.column_stack([states[:, _DATASET_LINE_COLUMNS], dataset.t])
+    write_lines(path, _DATASET_LINE, block.ravel().tolist(), [block], "dataset")
 
 
 def load_dataset(path) -> DemoDataset:

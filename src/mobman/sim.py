@@ -62,7 +62,7 @@ from .geometry import (
     slerp_rows,
     wrap_angle,
 )
-from .jsonl import write_jsonl
+from .jsonl import write_lines
 from .pipeline import DemoDataset, GripperCalib, RawSession, decouple_rows
 from .report import aggregate_rows
 
@@ -773,20 +773,15 @@ def scripted_expert(
 def save_expert_session(out_dir, expert: ExpertSession) -> None:
     """Write one capture session in the on-disk raw layout the CLI reads."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     save_trajectories(
         out / "trajectories.jsonl",
         {CHEST: expert.session.chest, HAND: expert.session.hand},
     )
     save_detections(out / "detections.jsonl", expert.detections)
     save_extrinsics(out / "extrinsics.json", expert.extrinsics)
-    write_jsonl(
-        out / "markers.jsonl",
-        [
-            {"t": float(t), "distance_m": float(d)}
-            for t, d in zip(expert.session.marker_t, expert.session.marker_d)
-        ],
-    )
+    markers = np.column_stack([expert.session.marker_d, expert.session.marker_t])
+    line = '{"distance_m": %r, "t": %r}\n'
+    write_lines(out / "markers.jsonl", line, markers.ravel().tolist(), [markers], "marker")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from mobman.anchoring import (
     save_trajectories,
 )
 from mobman.geometry import Pose3, geodesic_so3, quat_canonical, quat_from_axis_angle, quat_mul_floats, slerp
-from mobman.jsonl import write_jsonl
+
+from jsonl_reference import write_jsonl
 
 
 def random_pose(rng, span=2.0):

@@ -1,9 +1,10 @@
-"""The JSONL readers and writer against line-at-a-time references.
+"""The JSONL readers and writers against line-at-a-time references.
 
 `reference_read_jsonl` parses each stripped, non-blank line with json.loads,
 and `reference_columns` builds a trajectory's arrays from one list of samples
 per node sorted by time; the module's readers must give the same values, the
-same errors and the same array bytes.
+same errors and the same array bytes. The capture streams' writers must give
+the bytes of jsonl_reference.write_jsonl, one json.dumps line per record.
 """
 import base64
 import json
@@ -23,8 +24,17 @@ from hypothesis import strategies as st
 
 import mobman
 from mobman import anchoring
-from mobman.anchoring import load_trajectories
+from mobman.anchoring import (
+    CHEST,
+    HAND,
+    TagDetection,
+    VioTrajectory,
+    load_trajectories,
+    save_detections,
+    save_trajectories,
+)
 from mobman.cli import EXIT_OK, main
+from mobman.geometry import Pose3, quat_canonical_rows
 from mobman.jsonl import (
     MalformedInputError,
     fields_of,
@@ -33,9 +43,10 @@ from mobman.jsonl import (
     finite_rows,
     float64_text,
     read_jsonl,
-    write_jsonl,
 )
-from mobman.sim import make_scenario, save_expert_session, scripted_expert
+from mobman.sim import SCENARIO_NAMES, make_scenario, save_expert_session, scripted_expert
+
+from jsonl_reference import line_floats, write_jsonl
 
 
 def reference_read_jsonl(path):
@@ -205,13 +216,123 @@ class TestReadJsonl:
         assert str(exc.value) == f"{path}:3: Extra data: line 1 column 2 (char 1)"
 
 
-class TestWriteJsonl:
-    @settings(max_examples=150, deadline=None, phases=PHASES)
-    @given(records=st.lists(st.dictionaries(TEXT, VALUES, max_size=4), max_size=5))
-    def test_bytes_match_json_dumps_sort_keys(self, scratch, records):
-        write_jsonl(scratch, records)
-        expected = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-        assert scratch.read_bytes() == expected.encode("utf-8")
+# node ids that json must escape: a quote, a backslash, control characters,
+# non-ASCII, and % signs that a template must not read as its own fields;
+# "élan" sorts after "~tilde", but its escaped text before
+NODES = ["chest", 'say "hi"', "back\\slash", "ctrl\x01\n", "élan→\U0001f916", "~tilde", "100% %s %r"]
+
+
+def trajectory_records(trajs: dict) -> list[dict]:
+    """The records of save_trajectories' lines: a stable sort on (t, node),
+    so that the samples of one node at one time keep their dict order."""
+    records = []
+    for traj in trajs.values():
+        poses = np.column_stack([traj.pos, quat_canonical_rows(traj.quat)]).tolist()
+        for t, pose, cov in zip(traj.t.tolist(), poses, traj.cov_trace.tolist()):
+            records.append({"node": traj.node_id, "t": t, "pose": pose, "cov_trace": cov})
+    records.sort(key=lambda r: (r["t"], r["node"]))
+    return records
+
+
+def detection_records(detections: list) -> list[dict]:
+    return [{"node": d.node_id, "t": d.t, "tag_pose": d.T_cam_tag.to_list()} for d in detections]
+
+
+def marker_records(session) -> list[dict]:
+    return [
+        {"t": t, "distance_m": d} for t, d in zip(session.marker_t.tolist(), session.marker_d.tolist())
+    ]
+
+
+class TestCaptureLineTemplates:
+    """save_trajectories, save_detections and save_expert_session's markers
+    format each line with a %r template through write_lines. They write what
+    the reference writer writes, json.dumps(sort_keys=True) of each record,
+    only because json writes a finite float as float.__repr__ does and a
+    string as json.dumps does: a change to either breaks these tests by name."""
+
+    def test_trajectories(self, tmp_path):
+        floats = np.array(line_floats())
+        t = np.unique(floats)  # strictly increasing; every node shares it, so every time ties
+        n, rng = len(t), np.random.default_rng(0)
+        trajs = {}
+        # the last two share a node id: their tied samples keep dict order
+        for k, node in enumerate([*NODES, NODES[0]]):
+            pos = np.column_stack([np.roll(floats, 3 * k + j)[:n] for j in range(3)])
+            quat = rng.normal(size=(n, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+            quat[::5] = [0.0, 0.0, 0.0, 1.0]  # canonical as 0.0 and 1.0
+            cov = np.abs(np.roll(floats, k)[:n])
+            trajs[f"key{k}"] = VioTrajectory(node, t, pos, quat, cov)
+        save_trajectories(tmp_path / "template.jsonl", trajs)
+        write_jsonl(tmp_path / "json.jsonl", trajectory_records(trajs))
+        assert (tmp_path / "template.jsonl").read_bytes() == (tmp_path / "json.jsonl").read_bytes()
+
+    def test_detections(self, tmp_path):
+        floats = line_floats()
+        quat = quat_canonical_rows(np.random.default_rng(1).normal(size=(len(floats), 4)))
+        detections = [
+            TagDetection(NODES[i % len(NODES)], v, Pose3.of_canonical(q, np.array([v, -v, floats[i - 1]])))
+            for i, (v, q) in enumerate(zip(floats, quat))
+        ]
+        save_detections(tmp_path / "template.jsonl", detections)
+        write_jsonl(tmp_path / "json.jsonl", detection_records(detections))
+        assert (tmp_path / "template.jsonl").read_bytes() == (tmp_path / "json.jsonl").read_bytes()
+
+    def test_markers(self, tmp_path):
+        expert = scripted_expert(make_scenario("nav_reach"), 0, 0.0, 0.0)
+        floats = line_floats()
+        expert.session.marker_t, expert.session.marker_d = np.array(floats), np.array(floats[::-1])
+        save_expert_session(tmp_path / "raw", expert)
+        write_jsonl(tmp_path / "json.jsonl", marker_records(expert.session))
+        assert (tmp_path / "raw" / "markers.jsonl").read_bytes() == (tmp_path / "json.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("noise", [(0.0, 0.0), (1e-3, 1e-3)], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_expert_session(self, name, seed, noise, tmp_path):
+        expert = scripted_expert(make_scenario(name), seed, *noise)
+        save_expert_session(tmp_path / "raw", expert)
+        session = expert.session
+        references = {
+            "trajectories.jsonl": trajectory_records({CHEST: session.chest, HAND: session.hand}),
+            "detections.jsonl": detection_records(expert.detections),
+            "markers.jsonl": marker_records(session),
+        }
+        for stream, records in references.items():
+            write_jsonl(tmp_path / stream, records)
+            assert (tmp_path / "raw" / stream).read_bytes() == (tmp_path / stream).read_bytes(), stream
+
+
+class TestNonFiniteRefused:
+    """A capture stream with a NaN or an infinity is refused before its file
+    is opened: json would write a NaN or Infinity token that no loader reads."""
+
+    @pytest.mark.parametrize(
+        "column, row, value",
+        [("pos", (1, 2), math.nan), ("cov_trace", 0, math.inf), ("t", 1, -math.inf)],
+        ids=["pos_nan", "cov_trace_inf", "t_-inf"],
+    )
+    def test_trajectory(self, tmp_path, column, row, value):
+        traj = VioTrajectory(CHEST, [0.0, 0.1], np.ones((2, 3)), [[1.0, 0.0, 0.0, 0.0]] * 2, [0.0, 1e-4])
+        getattr(traj, column)[row] = value  # after construction, past VioTrajectory's own check
+        path = tmp_path / "raw" / "trajectories.jsonl"
+        with pytest.raises(ValueError, match=f"^non-finite trajectory value {value}$"):
+            save_trajectories(path, {CHEST: traj})
+        assert not path.parent.exists()
+
+    def test_detection(self, tmp_path):
+        detection = TagDetection(HAND, 0.5, Pose3(translation=[0.1, math.inf, 0.2]))
+        path = tmp_path / "raw" / "detections.jsonl"
+        with pytest.raises(ValueError, match="^non-finite detection value inf$"):
+            save_detections(path, [TagDetection(CHEST, 0.5, Pose3()), detection])
+        assert not path.parent.exists()
+
+    def test_marker(self, tmp_path):
+        expert = scripted_expert(make_scenario("nav_reach"), 0, 0.0, 0.0)
+        expert.session.marker_d[3] = math.inf
+        with pytest.raises(ValueError, match="^non-finite marker value inf$"):
+            save_expert_session(tmp_path / "raw", expert)
+        assert not (tmp_path / "raw" / "markers.jsonl").exists()
 
 
 class TestWhereDecodersDiffer:

@@ -12,7 +12,7 @@ from scipy.signal import savgol_filter
 from mobman import cli, pipeline
 from mobman.anchoring import VioTrajectory
 from mobman.executor import advance_floats
-from mobman.jsonl import read_jsonl, write_jsonl
+from mobman.jsonl import read_jsonl
 from mobman.geometry import (
     Pose2,
     Pose3,
@@ -50,6 +50,7 @@ from mobman.pipeline import (
 )
 from mobman.sim import SCENARIO_NAMES, make_scenario, scripted_expert
 
+from jsonl_reference import line_floats, write_jsonl
 import pose3_reference as pose3_ref
 import se2_reference as se2
 
@@ -442,32 +443,15 @@ class TestEndToEnd:
         assert abs(smooth.steps[mid].base.x - raw.steps[mid].base.x) < 1e-9
 
 
-def _line_floats() -> list[float]:
-    """Floats whose repr takes each of its forms: the shortest repr at every
-    third decimal exponent, subnormals included; the signed zeros; the
-    points where repr switches between fixed and exponent notation, and their
-    neighbours; and values that need all 17 significant digits."""
-    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
-    for e in range(-324, 309, 3):
-        for mantissa in ("1", "4.9", "1.2345678901234567"):
-            v = float(f"{mantissa}e{e}")
-            if v != 0.0 and math.isfinite(v):
-                values += [v, -v]
-    for switch in (1e-4, 1e-5, 1e16):
-        values += [switch, np.nextafter(switch, 0.0).item(), np.nextafter(switch, math.inf).item()]
-    values += [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0 * 1e-7, math.pi, 2.0**53 + 2.0, 123456789012345.67]
-    return values
-
-
 class TestDatasetLineTemplate:
     """save_dataset formats each line with one %r template. It writes what
-    write_jsonl writes, json.dumps(sort_keys=True) of the record, only because
-    json writes a finite float as float.__repr__ does: a CPython change to
-    either breaks these tests by name."""
+    the reference writer writes, json.dumps(sort_keys=True) of the record,
+    only because json writes a finite float as float.__repr__ does: a CPython
+    change to either breaks these tests by name."""
 
     def test_line_of_each_float(self):
         differ = []
-        for v in _line_floats():
+        for v in line_floats():
             rec = {"t": v, "base": [v, -v, v], "hand_rel": [v, -v, v, -v, v, -v, v], "grip": v}
             line = pipeline._DATASET_LINE % (v, -v, v, v, v, -v, v, -v, v, -v, v, v)
             if line != json.dumps(rec, sort_keys=True) + "\n":
